@@ -417,31 +417,9 @@ def empirical_mgf_check(
 
 
 @dataclass(frozen=True)
-class UpperBound:
-    """Upper deviation bound data: P(|dev| >= r + bias) <= 2 e^{-M r^2/alpha}."""
-
-    case: Case
-    gauss: GaussParams
-    T: float
-    alpha: float
-    bias: float
-
-
-def upper_bound(case: Case, gauss: GaussParams, T: float) -> UpperBound:
-    alpha = concentration_alpha(case, gauss.c, T)
-    return UpperBound(
-        case=case, gauss=gauss, T=T, alpha=alpha, bias=domination_bias(gauss.C, alpha)
-    )
-
-
-@dataclass(frozen=True)
 class LowerBound:
     """Lower deviation bound data, assembled under a growth assumption."""
 
-    case: Case
-    gauss: GaussParams
-    T: float
-    growth: GrowthSpec
     rate: LowerRate
     bias: LowerBias
 
@@ -451,23 +429,21 @@ def lower_bound(
     d: int,
     gauss: GaussParams,
     T: float,
+    alpha: float,
     growth: GrowthSpec,
     f,
     x,
     theta: float | None = None,
-    mode: str = "reduced",
     **bias_kwargs,
 ) -> LowerBound:
+    """Reduced lower rate and lower bias; theta defaults to 2 in odd d.
+
+    alpha is the upper-side constant of the functional at hand (the
+    time-normalized one for kinetic functionals of (v, z/T)); it enters the
+    bias only.
+    """
     if case is not Case.KINETIC and d % 2 == 1 and theta is None:
         theta = 2.0
-    if mode == "reduced":
-        rate = lower_rate(case, d, gauss.c, T, growth.rho0, gauss.C, growth.cone_measure, theta=theta)
-    elif mode == "full":
-        rate = lower_rate_full(
-            case, d, gauss.c, T, growth.rho0, gauss.C, growth.cone_measure, x, theta=theta
-        )
-    else:
-        raise ArgumentError("mode must be 'reduced' or 'full'")
-    alpha = concentration_alpha(case, gauss.c, T)
+    rate = lower_rate(case, d, gauss.c, T, growth.rho0, gauss.C, growth.cone_measure, theta=theta)
     bias = lower_bias(case, gauss.c, gauss.C, T, alpha, f, x, growth, d, **bias_kwargs)
-    return LowerBound(case=case, gauss=gauss, T=T, growth=growth, rate=rate, bias=bias)
+    return LowerBound(rate=rate, bias=bias)

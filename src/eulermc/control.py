@@ -136,13 +136,3 @@ def geodesic(problem: ControlProblem, steps: int, rtol: float = 1e-6):
         raise IntegrationError(f"geodesic endpoint error {err:.2e} above tolerance")
     return times, states
 
-
-def export_trajectory_csv(times, states, path, config_hash: str | None = None) -> None:
-    """Write `s, state_1, ..., state_d` rows for plotting."""
-    d = states.shape[1]
-    with open(path, "w") as fh:
-        if config_hash is not None:
-            fh.write(f"# config-hash: {config_hash}\n")
-        fh.write("s," + ",".join(f"state_{k + 1}" for k in range(d)) + "\n")
-        for s, row in zip(times, states):
-            fh.write(f"{s:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")

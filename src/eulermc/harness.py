@@ -38,9 +38,9 @@ from .parametrix import (
     default_grid,
     parametrix_series,
 )
-from .control import ControlProblem, energy, export_trajectory_csv, geodesic
+from .control import ControlProblem, energy, geodesic
 from .gaussianref import kinetic_metric
-from .simulate import RngSpec, TerminalBatch, export_binary, export_csv, simulate_terminal
+from .simulate import RngSpec, TerminalBatch, simulate_terminal
 
 _WILSON_Z99 = float(norm.ppf(0.99))
 
@@ -234,7 +234,10 @@ def growth_spec(cfg: ExperimentConfig, model: SdeModel) -> GrowthSpec | None:
     if cfg.cone == "full":
         measure = sphere_surface_measure(model.d)
     else:
-        measure = float(cfg.cone)
+        try:
+            measure = float(cfg.cone)
+        except (TypeError, ValueError):
+            raise ConfigError(f"cone must be a number or 'full', got {cfg.cone!r}") from None
     return GrowthSpec(rho0=cfg.rho0, beta=cfg.beta, cone_measure=measure)
 
 
@@ -253,6 +256,13 @@ def _alpha_for(cfg: ExperimentConfig, model: SdeModel) -> float:
     if cfg.functional == "asian-diff":
         return conc.concentration_alpha_normalized(cfg.c, cfg.T)
     return conc.concentration_alpha(model.case, cfg.c, cfg.T)
+
+
+def _lower_bound(cfg, model, gauss, alpha, growth, f) -> conc.LowerBound:
+    return conc.lower_bound(
+        model.case, model.d, gauss, cfg.T, alpha, growth, f, start_point(cfg, model),
+        theta=cfg.theta, seed=cfg.master_seed,
+    )
 
 
 def _default_r_grid(cfg: ExperimentConfig, alpha: float) -> np.ndarray:
@@ -352,24 +362,8 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
     constants = None
     growth = growth_spec(cfg, model)
     if growth is not None:
-        theta = cfg.theta
-        if model.case is not Case.KINETIC and model.d % 2 == 1 and theta is None:
-            theta = 2.0
-        rate = conc.lower_rate(
-            model.case, model.d, cfg.c, cfg.T, growth.rho0, gauss.C, growth.cone_measure, theta=theta
-        )
-        bias = conc.lower_bias(
-            model.case,
-            cfg.c,
-            gauss.C,
-            cfg.T,
-            alpha,
-            f,
-            start_point(cfg, model),
-            growth,
-            model.d,
-            seed=cfg.master_seed,
-        )
+        lower = _lower_bound(cfg, model, gauss, alpha, growth, f)
+        rate, bias = lower.rate, lower.bias
         lower_curve = [
             (float(r), conc.lower_tail_bound(float(r), cfg.M, rate.inv_alpha, growth.beta, growth.rho0))
             for r in r_grid
@@ -456,6 +450,8 @@ def run_density_check(cfg: ExperimentConfig) -> DensityCheckReport:
         if cfg.c_grid is not None
         else np.geomspace(0.25, 4.0, 241)
     )
+    if c_grid.size == 0:
+        raise ConfigError("c_grid must not be empty")
 
     if cfg.density_mode == "ck":
         grid = default_grid(model, tgrid, float(x0[0]), cfg.grid_points, cfg.grid_radius)
@@ -555,24 +551,8 @@ def run_bound_table(cfg: ExperimentConfig) -> dict:
         rays = sample_rays(growth, model.d, [growth.rho0 * 2.0, growth.rho0 * 5.0], 32)
         if not check_growth(single, growth, rays).ok:
             raise ConfigError("functional fails the growth check on sampled rays")
-        theta = cfg.theta
-        if model.case is not Case.KINETIC and model.d % 2 == 1 and theta is None:
-            theta = 2.0
-        rate = conc.lower_rate(
-            model.case, model.d, cfg.c, cfg.T, growth.rho0, gauss.C, growth.cone_measure, theta=theta
-        )
-        bias = conc.lower_bias(
-            model.case,
-            cfg.c,
-            gauss.C,
-            cfg.T,
-            alpha,
-            f,
-            start_point(cfg, model),
-            growth,
-            model.d,
-            seed=cfg.master_seed,
-        )
+        lower = _lower_bound(cfg, model, gauss, alpha, growth, f)
+        rate, bias = lower.rate, lower.bias
         table["constants"] = {
             "chi": rate.chi,
             "bar_alpha_inv": rate.inv_alpha,
@@ -588,17 +568,36 @@ def run_bound_table(cfg: ExperimentConfig) -> dict:
 # Output writers.  No timestamps; 17 significant digits; config hash first.
 
 
-def write_csv(path, header: list[str], rows, config_hash: str) -> None:
-    def fmt(v):
-        if isinstance(v, float):
-            return f"{v:.17g}"
-        return str(v)
+_CSV_BLOCK = 1 << 12  # rows formatted per block; bounds the memory of .tolist()
 
+
+def write_csv(path, header: list[str], columns, config_hash: str | None = None) -> None:
+    """The one CSV writer: integer columns bare, float columns with 17 digits.
+
+    Each column's format is chosen once; rows are formatted from .tolist()
+    blocks of the columns.
+    """
+    columns = [np.asarray(col) for col in columns]
+    row = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns) + "\n"
     with open(path, "w") as fh:
-        fh.write(f"# config-hash: {config_hash}\n")
+        if config_hash is not None:
+            fh.write(f"# config-hash: {config_hash}\n")
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK):
+            block = [col[lo : lo + _CSV_BLOCK].tolist() for col in columns]
+            fh.writelines([row % values for values in zip(*block)])
+
+
+def export_csv(batch: TerminalBatch, path, config_hash: str | None = None) -> None:
+    """Write `sample_index, x_1, ..., x_d` rows (17 significant digits)."""
+    header = ["sample_index"] + [f"x_{k + 1}" for k in range(batch.samples.shape[1])]
+    write_csv(path, header, [np.arange(batch.M), *batch.samples.T], config_hash)
+
+
+def export_binary(batch: TerminalBatch, path) -> None:
+    """Raw little-endian float64 samples, row major, M x d."""
+    with open(path, "wb") as fh:
+        fh.write(batch.samples.astype("<f8").tobytes(order="C"))
 
 
 def write_json(path, obj: dict, config_hash: str) -> None:
@@ -610,7 +609,10 @@ def write_json(path, obj: dict, config_hash: str) -> None:
 
 
 def _outpath(cfg: ExperimentConfig, name: str) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from None
     return os.path.join(cfg.out_dir, name)
 
 
@@ -637,7 +639,7 @@ def run_bounds_cmd(cfg: ExperimentConfig) -> dict:
     write_csv(
         _outpath(cfg, "bounds.csv"),
         ["eps", "radius", "total_radius"],
-        [(row["eps"], row["radius"], row["total_radius"]) for row in table["radii"]],
+        [[row[key] for row in table["radii"]] for key in ("eps", "radius", "total_radius")],
         cfg.config_hash,
     )
     return table
@@ -645,16 +647,11 @@ def run_bounds_cmd(cfg: ExperimentConfig) -> dict:
 
 def run_concentration_cmd(cfg: ExperimentConfig) -> ConcentrationReport:
     report = run_concentration_experiment(cfg)
-    rows = [
-        (r, freq, bound, wl)
-        for (r, bound), freq, wl in zip(
-            report.bound_curve, report.empirical_freq, report.wilson_upper
-        )
-    ]
+    r, bound = np.array(report.bound_curve, dtype=float).reshape(-1, 2).T
     write_csv(
         _outpath(cfg, "concentration.csv"),
         ["r", "empirical_freq", "bound", "wilson_upper"],
-        rows,
+        [r, report.empirical_freq, bound, report.wilson_upper],
         cfg.config_hash,
     )
     write_json(_outpath(cfg, "concentration.json"), report.as_dict(), cfg.config_hash)
@@ -696,7 +693,12 @@ def run_control_cmd(cfg: ExperimentConfig) -> dict:
         raise ConfigError("control endpoints need matching even dimensions")
     problem = ControlProblem(t=cfg.control_t, x=x, x_prime=xp, d_prime=x.size // 2)
     times, states = geodesic(problem, cfg.geodesic_steps)
-    export_trajectory_csv(times, states, _outpath(cfg, "geodesic.csv"), cfg.config_hash)
+    write_csv(
+        _outpath(cfg, "geodesic.csv"),
+        ["s"] + [f"state_{k + 1}" for k in range(states.shape[1])],
+        [times, *states.T],
+        cfg.config_hash,
+    )
     e = energy(problem)
     report = {
         "energy": e,

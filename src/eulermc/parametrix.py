@@ -99,19 +99,15 @@ class DensityTable:
         return float(self.grid.weights() @ self.values)
 
     def to_csv(self, path, config_hash: str | None = None) -> None:
+        from .harness import write_csv  # the harness imports this module
+
         pts = self.grid.points
-        with open(path, "w") as fh:
-            if config_hash is not None:
-                fh.write(f"# config-hash: {config_hash}\n")
-            if self.values.ndim == 1:
-                fh.write("x_prime,value\n")
-                for xp, v in zip(pts, self.values):
-                    fh.write(f"{xp:.17g},{v:.17g}\n")
-            else:
-                fh.write("x,x_prime,value\n")
-                for i, xi in enumerate(pts):
-                    for k, xk in enumerate(pts):
-                        fh.write(f"{xi:.17g},{xk:.17g},{self.values[i, k]:.17g}\n")
+        if self.values.ndim == 1:
+            write_csv(path, ["x_prime", "value"], [pts, self.values], config_hash)
+        else:
+            n = pts.shape[0]
+            columns = [np.repeat(pts, n), np.tile(pts, n), self.values.reshape(-1)]
+            write_csv(path, ["x", "x_prime", "value"], columns, config_hash)
 
 
 @dataclass(frozen=True)

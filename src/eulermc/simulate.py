@@ -222,19 +222,3 @@ def mc_deviation(batch: TerminalBatch, f, reference_mean: float) -> float:
         raise NumericError("functional produced non-finite values")
     return float(vals.mean() - reference_mean)
 
-
-def export_csv(batch: TerminalBatch, path, config_hash: str | None = None) -> None:
-    """Write `sample_index, x_1, ..., x_d` rows (17 significant digits)."""
-    d = batch.samples.shape[1]
-    with open(path, "w") as fh:
-        if config_hash is not None:
-            fh.write(f"# config-hash: {config_hash}\n")
-        fh.write("sample_index," + ",".join(f"x_{k + 1}" for k in range(d)) + "\n")
-        for i, row in enumerate(batch.samples):
-            fh.write(str(i) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def export_binary(batch: TerminalBatch, path) -> None:
-    """Raw little-endian float64 samples, row major, M x d."""
-    with open(path, "wb") as fh:
-        fh.write(batch.samples.astype("<f8").tobytes(order="C"))

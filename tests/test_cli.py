@@ -131,6 +131,26 @@ def test_parametrix_cmd(tmp_path):
     assert len(lines) == 2 + 301
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bounds", "--out-dir", "{file}/out"],
+        ["bounds", "--set", "lower_bounds=true", "--set", "rho0=1", "--set", "beta=1",
+         "--set", 'cone="half"'],
+        ["density-check", "--set", "c_grid=[]", "--set", "density_samples=1000"],
+    ],
+    ids=["out-dir-under-file", "cone-not-a-number", "empty-c-grid"],
+)
+def test_bad_input_is_one_line_config_error(tmp_path, capsys, args):
+    (tmp_path / "file").write_text("")
+    argv = [a.format(file=tmp_path / "file") for a in args]
+    if "--out-dir" not in argv:
+        argv += ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_config_error_message_to_stderr(tmp_path, capsys):
     assert main(["bounds", "--set", "M=0"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -347,17 +347,12 @@ def test_mgf_check_lambda_guard():
         )
 
 
-def test_upper_bound_assembly():
-    ub = conc.upper_bound(Case.NONDEGENERATE, GaussParams(1.0, math.e), 1.0)
-    assert ub.alpha == pytest.approx(2.0)
-    assert ub.bias == pytest.approx(2.0 * math.sqrt(2.0 * 1.0))
-
-
 def test_lower_bound_assembly_pipeline():
     # d = 2, C = 1, |A| = 2 pi, rho0 = 1: chi = 0 and 1/alpha_lower = c^{-1}/(2T)
     growth = GrowthSpec.full_sphere(2, rho0=1.0, beta=1.0)
+    alpha = conc.concentration_alpha(Case.NONDEGENERATE, 1.0, 1.0)
     lb = conc.lower_bound(
-        Case.NONDEGENERATE, 2, GaussParams(1.0, 1.0), 1.0, growth,
+        Case.NONDEGENERATE, 2, GaussParams(1.0, 1.0), 1.0, alpha, growth,
         lambda x: np.linalg.norm(np.asarray(x), axis=-1), np.zeros(2),
     )
     assert lb.rate.chi == 0.0

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from eulermc import concentration as conc
 from eulermc.errors import ConfigError, StatisticsError
 from eulermc.harness import (
     ExperimentConfig,
@@ -203,6 +204,18 @@ def test_bound_table_lower_constants_pipeline():
     assert consts["chi"] == 0.0
     assert consts["bar_alpha_inv"] == pytest.approx(0.5, rel=1e-14)
     assert consts["F_floor"] == pytest.approx(1.0)
+
+
+def test_concentration_lower_bias_uses_normalized_alpha():
+    # asian-diff takes the time-normalized alpha on both sides of the bound;
+    # bar_delta is pinned to the value of the pre-refactor assembly
+    cfg = cfg_with(
+        preset="kinetic", x0=[0.0, 0.0], functional="asian-diff", rho0=0.5, beta=1.0,
+        T=1.5, C=1.5, M=50, num_batches=200, master_seed=3,
+    )
+    rep = run_concentration_experiment(cfg)
+    assert rep.alpha_T == conc.concentration_alpha_normalized(1.0, 1.5)
+    assert rep.constants["bar_delta"] == pytest.approx(5.164448895736579, rel=1e-12)
 
 
 def test_bound_table_lower_requires_growth():

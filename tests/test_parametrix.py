@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eulermc.errors import ArgumentError, TruncationError
+from eulermc.harness import write_csv
 from eulermc.model import GaussParams, SchemeGrid, model_preset
 from eulermc.parametrix import (
     DensityTable,
@@ -348,6 +349,12 @@ def test_table_csv_exports(tmp_path):
     assert lines[0] == "x,x_prime,value"
     assert len(lines) == 1 + 9
     assert lines[1].split(",")[2] == "0"
+    assert lines[2] == "0,0.5,1"
+    # the shared writer: integers bare, floats with 17 significant digits
+    write_csv(tmp_path / "cols.csv", ["i", "v"], [np.arange(2), np.array([0.1, 2.5])], "abc123")
+    assert (tmp_path / "cols.csv").read_text() == (
+        "# config-hash: abc123\ni,v\n0,0.10000000000000001\n1,2.5\n"
+    )
 
 
 def test_signed_tables_refuse_normalization_checks():
