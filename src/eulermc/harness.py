@@ -111,6 +111,10 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for f in dataclasses.fields(cls):
+            value = raw.get(f.name, 0)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         cfg = cls(**raw)
         if cfg.M < 1 or cfg.num_batches < 1:
             raise ConfigError("M and num_batches must be >= 1")

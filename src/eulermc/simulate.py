@@ -13,58 +13,109 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import ArgumentError, NumericError
 from .model import Case, SdeModel, SchemeGrid
 
 _MASK64 = (1 << 64) - 1
 _CHUNK = 4096  # fixed so chunk boundaries never depend on the thread count
+_SLAB = 1 << 14  # (sample, block) counters per slab; bounds the round temporaries
+
+# Philox4x64 multipliers and Weyl key increments (Salmon et al., SC'11)
+_M0 = np.uint64(0xD2E7470EE14C6C93)
+_M1 = np.uint64(0xCA5A826395121157)
+_W0 = np.uint64(0x9E3779B97F4A7C15)
+_W1 = np.uint64(0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+_S12 = np.uint64(12)
+_ZERO = np.uint64(0)
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray):
+    """High and low words of the 128-bit product m * x, from 32-bit halves."""
+    m0, m1 = m & _LO32, m >> _S32
+    x0, x1 = x & _LO32, x >> _S32
+    p00, p01, p10 = m0 * x0, m0 * x1, m1 * x0
+    mid = (p00 >> _S32) + (p01 & _LO32) + (p10 & _LO32)
+    hi = m1 * x1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+    return hi, m * x
+
+
+def _philox4x64(ctr, key):
+    """Philox4x64-10 over broadcastable uint64 counter arrays.
+
+    Counter words that vary along different axes stay unexpanded until a
+    round mixes them, so the first rounds cost little.
+    """
+    c0, c1, c2, c3 = ctr
+    k0, k1 = key
+    with np.errstate(over="ignore"):
+        for r in range(10):
+            if r:
+                k0, k1 = k0 + _W0, k1 + _W1
+            hi0, lo0 = _mulhilo(_M0, c0)
+            hi1, lo1 = _mulhilo(_M1, c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3
+
+
+def _word_normals(words: np.ndarray, out=None) -> np.ndarray:
+    """One standard normal per uint64 word, by inverse CDF.
+
+    The uniform ((w >> 12) + 0.5) 2**-52 is exact in float64 and lies
+    strictly inside (0, 1), so |z| <= 8.21 and ~w maps to -z.  (With 53
+    bits, (w >> 11) + 0.5 rounds to 2**53 for the top word, giving inf.)
+    """
+    u = (words >> _S12).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-52
+    return ndtri(u, out=out)
 
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Counter-based random stream family keyed by (master_seed, stream_id)."""
+    """Counter-based random stream family keyed by (master_seed, stream_id).
+
+    Sample i owns the Philox4x64-10 stream with key (master_seed, stream_id)
+    mod 2**64 whose block j has counter (j + 1, 0, i, 0): its words are
+    exactly those of np.random.Philox(key=key, counter=i << 128).
+    """
 
     master_seed: int
     stream_id: int = 0
 
-    def substream(self, index: int) -> np.random.Generator:
-        """Independent generator for one sample index."""
-        key = np.array(
-            [self.master_seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
-        )
-        bitgen = np.random.Philox(key=key, counter=int(index) << 128)
-        return np.random.Generator(bitgen)
+    def _slabs(self, indices, count: int):
+        """Yield (lo, hi, words): words lo:hi of every sample, in slabs."""
+        idx = np.asarray(indices, dtype=np.uint64).reshape(-1, 1)
+        key = (np.uint64(self.master_seed & _MASK64), np.uint64(self.stream_id & _MASK64))
+        nblocks = -(-count // 4)
+        step = max(1, _SLAB // max(idx.shape[0], 1))
+        for b in range(0, nblocks, step):
+            e = min(b + step, nblocks)
+            ctr0 = np.arange(b + 1, e + 1, dtype=np.uint64)
+            lanes = _philox4x64((ctr0, _ZERO, idx, _ZERO), key)
+            lo, hi = 4 * b, min(4 * e, count)
+            words = np.stack(lanes, axis=-1).reshape(idx.shape[0], 4 * (e - b))
+            yield lo, hi, words[:, : hi - lo]
 
+    def words(self, indices, count: int) -> np.ndarray:
+        """The first count raw uint64 words of each sample's stream."""
+        out = np.empty((len(indices), count), dtype=np.uint64)
+        for lo, hi, words in self._slabs(indices, count):
+            out[:, lo:hi] = words
+        return out
 
-class _SubstreamDrawer:
-    """Per-sample substream draws through cheap counter resets.
-
-    Produces exactly the output of RngSpec.substream(index) while reusing one
-    bit generator; not thread safe, build one per worker.
-    """
-
-    def __init__(self, spec: RngSpec):
-        self._key = np.array(
-            [spec.master_seed & _MASK64, spec.stream_id & _MASK64], dtype=np.uint64
-        )
-        self._bitgen = np.random.Philox(key=self._key)
-        self._gen = np.random.Generator(self._bitgen)
-        self._outer = dict(self._bitgen.state)
-        self._inner = dict(self._outer["state"])
-        self._counter = np.zeros(4, dtype=np.uint64)
-
-    def standard_normal(self, index: int, shape) -> np.ndarray:
-        self._counter[2] = index & _MASK64
-        self._counter[3] = (index >> 64) & _MASK64
-        self._inner["counter"] = self._counter
-        self._inner["key"] = self._key
-        self._outer["state"] = self._inner
-        self._outer["buffer_pos"] = 4
-        self._outer["has_uint32"] = 0
-        self._outer["uinteger"] = 0
-        self._bitgen.state = self._outer
-        return self._gen.standard_normal(shape)
+    def normals(self, indices, count: int) -> np.ndarray:
+        """(len(indices), count) standard normals, one per raw word, with no
+        rejection.  simulate_terminal reads word n * ndraw + k as the normal
+        of step n, coordinate k.
+        """
+        out = np.empty((len(indices), count))
+        for lo, hi, words in self._slabs(indices, count):
+            _word_normals(words, out=out[:, lo:hi])
+        return out
 
 
 @dataclass(frozen=True)
@@ -171,21 +222,21 @@ def simulate_terminal(
 ) -> TerminalBatch:
     """M independent terminal points, N sequential steps each.
 
-    Sample i draws from substream sample_offset + i, so results do not
-    depend on the thread count or on execution order.
+    Sample i draws the normals of stream index sample_offset + i, so
+    results do not depend on the thread count or on execution order.
     """
     if M < 1:
         raise ArgumentError("need at least one sample")
+    if sample_offset < 0 or sample_offset + M > 1 << 64:
+        raise ArgumentError("sample indices must lie in [0, 2**64)")
     x0 = np.asarray(x0, dtype=float).reshape(model.d)
     ndraw = draw_dim(model)
     out = np.empty((M, model.d))
 
     def run_chunk(lo: int, hi: int) -> None:
         m = hi - lo
-        drawer = _SubstreamDrawer(rng)
-        draws = np.empty((m, grid.N, ndraw))
-        for i in range(m):
-            draws[i] = drawer.standard_normal(sample_offset + lo + i, (grid.N, ndraw))
+        indices = np.uint64(sample_offset + lo) + np.arange(m, dtype=np.uint64)
+        draws = rng.normals(indices, grid.N * ndraw).reshape(m, grid.N, ndraw)
         x = np.broadcast_to(x0, (m, model.d)).copy()
         for n in range(grid.N):
             try:

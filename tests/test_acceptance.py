@@ -31,7 +31,7 @@ from eulermc.harness import ExperimentConfig, run_concentration_experiment, run_
 from eulermc.model import Case, SchemeGrid, model_preset
 from eulermc.parametrix import chapman_kolmogorov_density, default_grid, parametrix_series
 from eulermc.quadrature import tensor_quad_2d
-from eulermc.simulate import RngSpec, kinetic_step
+from eulermc.simulate import kinetic_step
 
 
 REPORT_LINES: list[str] = []
@@ -46,11 +46,11 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def test_criterion_01_kinetic_one_step_covariance():
+def test_criterion_01_kinetic_one_step_covariance(numpy_normals):
     t0 = time.perf_counter()
     m = model_preset("kinetic", dp=1)
     n = 100_000
-    draws = RngSpec(20260808).substream(0).standard_normal((n, 2))
+    draws = numpy_normals(20260808, (n, 2))
     out = kinetic_step(m, 0.0, np.zeros((n, 2)), 1.0, draws)
     cov = np.cov(out.T)
     want = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])

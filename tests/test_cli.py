@@ -138,8 +138,10 @@ def test_parametrix_cmd(tmp_path):
         ["bounds", "--set", "lower_bounds=true", "--set", "rho0=1", "--set", "beta=1",
          "--set", 'cone="half"'],
         ["density-check", "--set", "c_grid=[]", "--set", "density_samples=1000"],
+        ["simulate", "--set", 'M="abc"'],
+        ["simulate", "--set", "N=2.5"],
     ],
-    ids=["out-dir-under-file", "cone-not-a-number", "empty-c-grid"],
+    ids=["out-dir-under-file", "cone-not-a-number", "empty-c-grid", "M-string", "N-float"],
 )
 def test_bad_input_is_one_line_config_error(tmp_path, capsys, args):
     (tmp_path / "file").write_text("")

@@ -1,19 +1,57 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import chisquare, norm
 
 from eulermc.errors import ArgumentError
 from eulermc.model import SchemeGrid, model_preset
 from eulermc.simulate import (
+    _CHUNK,
     RngSpec,
+    _word_normals,
     euler_step,
     kinetic_step,
     kinetic_step_factor,
     mc_deviation,
     simulate_terminal,
 )
+
+
+@pytest.mark.parametrize(
+    "seed, stream", [(20260808, 0), (2**63 + 5, 7), (-3, 2**64 - 1)]
+)
+def test_words_match_numpy_philox(seed, stream):
+    # a uint64 key array: numpy routes a list key through float64
+    key = np.array([seed & (2**64 - 1), stream], dtype=np.uint64)
+    rng = RngSpec(seed, stream)
+    indices = [0, 1, 4095, 4096, 2**32 + 5, 2**63 + 1]
+    for k in (1, 4, 5, 13):
+        got = rng.words(indices, k)
+        assert got.dtype == np.uint64 and got.shape == (len(indices), k)
+        for row, i in zip(got, indices):
+            want = np.random.Philox(key=key, counter=i << 128).random_raw(k)
+            assert np.array_equal(row, want), (i, k)
+
+
+def test_normals_map_words_by_inverse_cdf():
+    rng = RngSpec(11, 2)
+    indices = np.arange(4101, dtype=np.uint64)
+    z = rng.normals(indices, 13)
+    u = ((rng.words(indices, 13) >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
+    assert np.array_equal(z, ndtri(u))
+    # any (sample, word) is addressable on its own
+    assert np.array_equal(rng.normals([4100], 5)[0], z[4100, :5])
+
+
+def test_extreme_words_give_finite_symmetric_normals():
+    words = np.array([0, 2**64 - 1, 2**63 - 1, 2**63, 12345], dtype=np.uint64)
+    z = _word_normals(words)
+    assert np.all(np.isfinite(z))
+    assert z[1] == -z[0] == pytest.approx(8.2095, abs=1e-4)
+    assert np.array_equal(_word_normals(~words), -z)
 
 
 def test_step_identity_map_of_draw():
@@ -29,11 +67,11 @@ def test_step_pure_drift():
     assert out[0] == pytest.approx(0.5)
 
 
-def test_step_moments():
+def test_step_moments(numpy_normals):
     # one-step law N(b delta, sigma^2 delta): mean 0.03, var 0.144
     m = model_preset("const", d=1, b0=0.3, sigma0=1.2)
     n = 100_000
-    draws = RngSpec(123).substream(0).standard_normal((n, 1))
+    draws = numpy_normals(123, (n, 1))
     out = euler_step(m, 0.0, np.zeros((n, 1)), 0.1, draws)
     mean, var = out.mean(), out.var(ddof=1)
     se_mean = math.sqrt(0.144 / n)
@@ -53,10 +91,10 @@ def test_kinetic_factor_reproduces_block_covariance():
     assert np.max(np.abs(L @ L.T - want)) < 1e-12 * np.max(np.abs(want))
 
 
-def test_kinetic_step_sample_covariance():
+def test_kinetic_step_sample_covariance(numpy_normals):
     m = model_preset("kinetic", dp=1)
     n = 100_000
-    draws = RngSpec(7).substream(0).standard_normal((n, 2))
+    draws = numpy_normals(7, (n, 2))
     out = kinetic_step(m, 0.0, np.zeros((n, 2)), 1.0, draws)
     cov = np.cov(out.T)
     want = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
@@ -74,11 +112,11 @@ def test_kinetic_step_zero_draw_is_transport():
     assert out[1] == pytest.approx(5.0 + 2.0 * 0.25)
 
 
-def test_kinetic_step_scaled_sigma():
+def test_kinetic_step_scaled_sigma(numpy_normals):
     m = model_preset("kinetic", dp=1, sigma0=2.0)
     delta = 0.5
     n = 100_000
-    draws = RngSpec(8).substream(0).standard_normal((n, 2))
+    draws = numpy_normals(8, (n, 2))
     out = kinetic_step(m, 0.0, np.zeros((n, 2)), delta, draws)
     cov = np.cov(out.T)
     want = 4.0 * np.array(
@@ -96,7 +134,7 @@ def test_single_step_grid_reduces_to_step():
     rng = RngSpec(99, 4)
     batch = simulate_terminal(m, tg, [1.0], rng, 5)
     for i in range(5):
-        d = rng.substream(i).standard_normal((1, 1))
+        d = rng.normals([i], 1)
         want = euler_step(m, 0.0, np.array([1.0]), 0.3, d[0])
         assert np.array_equal(batch.samples[i], want)
 
@@ -151,6 +189,38 @@ def test_offset_extends_stream():
     full = simulate_terminal(m, tg, [0.0], RngSpec(3), 10)
     tail = simulate_terminal(m, tg, [0.0], RngSpec(3), 4, sample_offset=6)
     assert np.array_equal(full.samples[6:], tail.samples)
+
+
+@pytest.mark.parametrize(
+    "offset, M", [(-1, 5), (2**64 - 4, 5)], ids=["negative", "past-2**64"]
+)
+def test_sample_indices_must_fit_uint64(offset, M):
+    m = model_preset("const", d=1)
+    with pytest.raises(ArgumentError):
+        simulate_terminal(m, SchemeGrid(T=1.0, N=1), [0.0], RngSpec(3), M, sample_offset=offset)
+
+
+def test_last_sample_index_draws():
+    m = model_preset("const", d=1)
+    tg = SchemeGrid(T=1.0, N=1)
+    batch = simulate_terminal(m, tg, [0.0], RngSpec(3), 4, sample_offset=2**64 - 4)
+    want = euler_step(m, 0.0, np.zeros(1), 1.0, RngSpec(3).normals([2**64 - 1], 1)[0])
+    assert np.array_equal(batch.samples[-1], want)
+
+
+def test_threads_under_frequent_switches():
+    # workers write disjoint slices of one output while numpy drops the GIL
+    m = model_preset("kinetic", dp=1)
+    tg = SchemeGrid(T=1.0, N=3)
+    M = 3 * _CHUNK + 17
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        a = simulate_terminal(m, tg, [0.0, 0.0], RngSpec(5, 1), M, threads=1)
+        b = simulate_terminal(m, tg, [0.0, 0.0], RngSpec(5, 1), M, threads=4)
+    finally:
+        sys.setswitchinterval(old)
+    assert np.array_equal(a.samples, b.samples)
 
 
 def test_mc_deviation_constant_functional():
