@@ -37,6 +37,7 @@ from .parametrix import (
     chapman_kolmogorov_density,
     default_grid,
     parametrix_series,
+    term_decay,
 )
 from .control import ControlProblem, energy, geodesic
 from .gaussianref import kinetic_metric
@@ -673,14 +674,18 @@ def run_parametrix_cmd(cfg: ExperimentConfig) -> dict:
     tgrid = build_grid(cfg)
     x0 = float(start_point(cfg, model)[0])
     grid = default_grid(model, tgrid, x0, cfg.grid_points, cfg.grid_radius)
-    series, norms, _ = parametrix_series(model, tgrid, 0, tgrid.N, x0, grid, cfg.r_max)
+    # the cheap CK oracle holds the mass-truncation guard, so it runs first
     ck = chapman_kolmogorov_density(model, tgrid, 0, tgrid.N, x0, grid)
+    series, norms, _ = parametrix_series(model, tgrid, 0, tgrid.N, x0, grid, cfg.r_max)
     scale = float(np.max(np.abs(ck.values)))
     sup_rel = float(np.max(np.abs(series.values - ck.values))) / scale
     series.to_csv(_outpath(cfg, "parametrix_series.csv"), cfg.config_hash)
+    ratios, growing = term_decay(norms)
     report = {
         "r_max": cfg.r_max,
         "term_sup_norms": norms,
+        "term_decay_ratios": ratios,
+        "terms_decay": not growing,
         "sup_rel_error_vs_ck": sup_rel,
         "series_mass": series.mass(),
         "ck_mass": ck.mass(),

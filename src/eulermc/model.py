@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.stats import norm, qmc
 
-from .errors import ArgumentError, ConfigError, InvalidModelError
+from .errors import ArgumentError, ConfigError, InvalidModelError, NumericError
 
 
 class Case(Enum):
@@ -288,6 +288,16 @@ def sample_rays(spec: GrowthSpec, d: int, radii, n_directions: int = 64, seed: i
 # register_model_preset; they are never parsed from text.
 
 
+def _scalar_noise_lambda0(s0: float) -> float:
+    """Ellipticity bound max(s0^2, s0^-2) of the noise s0 I."""
+    if s0 == 0.0 or not math.isfinite(s0):
+        raise InvalidModelError(f"sigma0 must be finite and nonzero, got {s0!r}")
+    try:
+        return max(s0**2, s0**-2)
+    except OverflowError:
+        raise NumericError(f"sigma0 = {s0!r}: max(sigma0^2, sigma0^-2) overflows") from None
+
+
 def _const_model(d=1, b0=0.0, sigma0=1.0, lambda0=None, L0=None, eta=1.0):
     d = int(d)
     b = np.broadcast_to(np.atleast_1d(np.asarray(b0, dtype=float)), (d,)).copy()
@@ -303,7 +313,7 @@ def _const_model(d=1, b0=0.0, sigma0=1.0, lambda0=None, L0=None, eta=1.0):
         return np.broadcast_to(eye, x.shape[:-1] + (d, d))
 
     if lambda0 is None:
-        lambda0 = max(s0**2, s0**-2)
+        lambda0 = _scalar_noise_lambda0(s0)
     if L0 is None:
         L0 = max(1.0, float(np.linalg.norm(b)))
     return SdeModel(Case.NONDEGENERATE, d, drift, sigma, float(lambda0), float(L0), float(eta), name="const")
@@ -347,7 +357,7 @@ def _kinetic_model(dp=1, damp=0.0, sigma0=1.0, lambda0=None, L0=None, eta=1.0):
         return np.broadcast_to(eye, x.shape[:-1] + (dp, dp))
 
     if lambda0 is None:
-        lambda0 = max(s0**2, s0**-2)
+        lambda0 = _scalar_noise_lambda0(s0)
     if L0 is None:
         L0 = max(1.0, damp * math.sqrt(dp))
     return SdeModel(Case.KINETIC, 2 * dp, drift, sigma, float(lambda0), float(L0), float(eta), name="kinetic")

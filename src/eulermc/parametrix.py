@@ -129,8 +129,26 @@ def _check_1d_case_a(model: SdeModel) -> None:
         raise ArgumentError("parametrix tables cover the scalar non-degenerate case")
 
 
-def _gauss(y, mean, var):
-    return np.exp(-((y - mean) ** 2) / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
+# from x = -708 down, where exp(x) turns subnormal and then zero, numpy's exp
+# runs 10-100x slower than for a normal result (x86-64)
+_EXP_FLOOR = -700.0
+
+
+def _gauss(y, mean, var, flush=False):
+    """Normal density with the given mean and variance at y (broadcasting),
+    computed in one buffer as exp(-(y - mean)^2 / (2 var)) / sqrt(2 pi var).
+
+    With flush, exponents are raised to _EXP_FLOOR, so values that would
+    lie below 1e-304 / sqrt(2 pi var) take that floor instead.
+    """
+    out = np.subtract(y, mean, out=np.empty(np.broadcast_shapes(np.shape(y), np.shape(mean))))
+    out *= out
+    out /= -2.0 * np.asarray(var)
+    if flush:
+        np.maximum(out, _EXP_FLOOR, out=out)
+    np.exp(out, out=out)
+    out /= np.sqrt(2.0 * math.pi * np.asarray(var))
+    return out
 
 
 def _coeffs(model: SdeModel, t: float, pts: np.ndarray):
@@ -178,12 +196,14 @@ def frozen_density(model: SdeModel, tgrid: SchemeGrid, j: int, j_prime: int, x: 
     return float(vals[0]) if scalar else vals
 
 
-def _one_step_matrix(model: SdeModel, tgrid: SchemeGrid, k: int, pts: np.ndarray):
+def _one_step_matrix(
+    model: SdeModel, tgrid: SchemeGrid, k: int, pts: np.ndarray, flush: bool = False
+):
     """Q[u, w] = one-step density from pts[u] evaluated at pts[w]."""
     b, a = _coeffs(model, tgrid.times[k], pts)
     mean = pts + b * tgrid.delta
     var = a * tgrid.delta
-    return _gauss(pts[None, :], mean[:, None], var[:, None])
+    return _gauss(pts[None, :], mean[:, None], var[:, None], flush)
 
 
 def _frozen_onestep_shift_kernels(model, tgrid, k, pts):
@@ -193,24 +213,34 @@ def _frozen_onestep_shift_kernels(model, tgrid, k, pts):
     h = pts[1] - pts[0]
     b, a = _coeffs(model, tgrid.times[k], pts)
     disp = h * np.arange(-(n - 1), n)
-    return _gauss(disp[None, :], (b * tgrid.delta)[:, None], (a * tgrid.delta)[:, None])
+    return _gauss(disp[None, :], (b * tgrid.delta)[:, None], (a * tgrid.delta)[:, None], flush=True)
 
 
-def _frozen_tail(model, tgrid, k1, k2, pts):
-    """psi[w, z] = frozen-at-z density from pts[w] to pts[z] over t_{k1}..t_{k2}."""
-    drift_sum, var_sum = _frozen_sums(model, tgrid, k1, k2, pts)
-    diff = pts[None, :] - pts[:, None]  # [w, z] = z - w
-    return _gauss(diff, drift_sum[None, :], var_sum[None, :])
+def _frozen_tail(pts, drift_sum, var_sum):
+    """psi[z, w] = frozen-at-z density from pts[w] to pts[z], given the frozen
+    drift and variance sums at pts[z] (see _frozen_sums)."""
+    return _gauss((pts - drift_sum)[:, None], pts[None, :], var_sum[:, None], flush=True)
 
 
-def _toeplitz_apply(G: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """T[u, z] = sum_w A[w, z] * G[z, (w - u) + n - 1] via batched FFT."""
-    n, nz = A.shape
-    L = next_fast_len(3 * n - 2)
-    fa = rfft(A, L, axis=0)
-    fs = rfft(G[:, ::-1].T, L, axis=0)
-    full = irfft(fa * fs, L, axis=0)
-    return full[n - 1 : 2 * n - 1, :]
+def _onestep_defect(V: np.ndarray, Q: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """D[r, z, w] = (V Q)[r, w] - sum_u V[r, u] G[z, (w - u) + n - 1].
+
+    Row r of V pushed through one true step (Q) minus one step frozen at the
+    target z (shift kernels G).  The frozen part is a correlation, computed
+    with batched FFTs over blocks of z so that the temporaries stay small.
+    Only lags n-1 .. 2n-2 of the full convolution are kept, so a circular
+    length of 2n - 1 already avoids wrap-around.
+    """
+    n = V.shape[1]
+    L = next_fast_len(2 * n - 1, real=True)
+    block = 64  # rows of z per batch; 128 or more ran slower at n = 401 and 601 (2-core x86-64)
+    fv = rfft(V, L)[:, None, :]
+    D = np.empty((V.shape[0], n, n))
+    D[...] = (V @ Q)[:, None, :]
+    for z0 in range(0, n, block):
+        full = irfft(fv * rfft(G[z0 : z0 + block], L)[None, :, :], L)
+        D[:, z0 : z0 + block] -= full[:, :, n - 1 : 2 * n - 1]
+    return D
 
 
 def defect_kernel(
@@ -254,19 +284,6 @@ def defect_kernel(
     return float(tw @ ((p_row - ptilde_row) * tail)) / delta
 
 
-def _kernel_table(model, tgrid, k, m, pts, tw, Qk, Gk):
-    """H(t_k, t_m, ., .) on the grid, shape (n_start, n_target)."""
-    n = pts.shape[0]
-    delta = tgrid.delta
-    if m == k + 1:
-        idx = np.arange(n)[None, :] - np.arange(n)[:, None] + (n - 1)
-        frozen = Gk[np.broadcast_to(np.arange(n)[None, :], idx.shape), idx]
-        return (Qk - frozen) / delta
-    psi = _frozen_tail(model, tgrid, k + 1, m, pts)
-    A = tw[:, None] * psi
-    return (Qk @ A - _toeplitz_apply(Gk, A)) / delta
-
-
 def _kernel_row(model, tgrid, j, m, x, pts, tw):
     """H(t_j, t_m, x, .) along the grid for an arbitrary start point x."""
     delta = tgrid.delta
@@ -276,12 +293,9 @@ def _kernel_row(model, tgrid, j, m, x, pts, tw):
         ptilde = _gauss(pts, x + b_z * delta, a_z * delta)
         return (p - ptilde) / delta
     q_row = one_step_density(model, tgrid, j, x, pts)  # over w
-    frozen = _gauss(pts[None, :], x + (b_z * delta)[:, None], (a_z * delta)[:, None])
-    psi = _frozen_tail(model, tgrid, j + 1, m, pts)  # [w, z]
-    Aw = tw[:, None] * psi
-    term1 = (tw * q_row) @ psi
-    term2 = np.einsum("zw,wz->z", frozen, Aw)
-    return (term1 - term2) / delta
+    frozen = _gauss(pts[None, :], x + (b_z * delta)[:, None], (a_z * delta)[:, None], flush=True)
+    psi = _frozen_tail(pts, *_frozen_sums(model, tgrid, j + 1, m, pts))  # [z, w]
+    return np.einsum("zw,zw->z", tw * (q_row - frozen), psi) / delta
 
 
 def discrete_convolution(
@@ -320,16 +334,23 @@ def discrete_convolution(
     return DensityTable(grid, j, j_prime, out, g.start_x, signed=True)
 
 
+def term_decay(norms) -> tuple[list, list]:
+    """Decay ratios norms[r] / norms[r - 1] for r >= 1 (None where norms[r - 1]
+    is 0) and the terms r >= 2 whose sup norm exceeds that of term r - 1."""
+    ratios = [b / a if a > 0.0 else None for a, b in zip(norms, norms[1:])]
+    growing = [r for r in range(2, len(norms)) if norms[r] > norms[r - 1] > 0.0]
+    return ratios, growing
+
+
 def check_term_decay(norms) -> None:
     """Warn when sup norms stop decaying beyond the first correction term;
     term growth there means the grid or its truncation is unusable."""
-    for r in range(2, len(norms)):
-        if norms[r] > norms[r - 1] > 0.0:
-            warnings.warn(
-                f"series term {r} ({norms[r]:.3e}) exceeds term {r - 1} "
-                f"({norms[r - 1]:.3e})",
-                DivergenceWarning,
-            )
+    for r in term_decay(norms)[1]:
+        warnings.warn(
+            f"series term {r} ({norms[r]:.3e}) exceeds term {r - 1} "
+            f"({norms[r - 1]:.3e})",
+            DivergenceWarning,
+        )
 
 
 def parametrix_series(
@@ -346,6 +367,21 @@ def parametrix_series(
     Returns (DensityTable, per-term sup norms, terms).  Terms beyond r = 1
     whose sup norm stops decaying trigger a DivergenceWarning: the grid or
     its truncation is then suspect.
+
+    Terms are built from the left: with T_r[m] = (ptilde (x)_D H^{(r)})(t_j,
+    t_m, x, .), T_0[m] is the frozen density and, for r >= 1,
+
+        T_r[m] = delta [r = 1] H(t_j, t_m, x, .)
+                 + sum_{l=j+1}^{m-1} delta (tw T_{r-1}[l]) H(t_l, t_m),
+
+    and term r is T_r[j'].  Sweeping l upwards, the rows V = tw T_{0..r_max-1}[l]
+    are final when l is reached and are pushed into every later m, so no
+    kernel table H(t_l, t_m) is stored.  With D = _onestep_defect(V, ...) of
+    step l (FFTs once per l) and psi the frozen tail over t_{l+1} .. t_m,
+
+        delta (V H(t_l, t_m))[r, z] = sum_w D[r, z, w] tw[w] psi[z, w],
+
+    and for m = l + 1 it is D[r, z, z].
     """
     _check_1d_case_a(model)
     steps = j_prime - j
@@ -358,48 +394,33 @@ def parametrix_series(
     delta = tgrid.delta
     n = grid.n_points
 
-    terms = [frozen_density(model, tgrid, j, j_prime, x, pts)]
+    # T[r, m - j] = T_r[m]; T_r[m] vanishes for r > m - j
+    T = np.zeros((r_max + 1, steps + 1, n))
+    for m in range(j + 1, j_prime + 1):
+        T[0, m - j] = frozen_density(model, tgrid, j, m, x, pts)
     if r_max >= 1:
-        # pair tables H(t_k, t_m) between interior grid times
-        hpair: dict[tuple[int, int], np.ndarray] = {}
-        for k in range(j + 1, j_prime):
-            Qk = _one_step_matrix(model, tgrid, k, pts)
-            Gk = _frozen_onestep_shift_kernels(model, tgrid, k, pts)
-            for m in range(k + 1, j_prime + 1):
-                hpair[(k, m)] = _kernel_table(model, tgrid, k, m, pts, tw, Qk, Gk)
-        hrow = {
-            m: _kernel_row(model, tgrid, j, m, x, pts, tw)
-            for m in range(j + 1, j_prime + 1)
-        }
-        rho = {
-            k: frozen_density(model, tgrid, j, k, x, pts)
-            for k in range(j + 1, j_prime)
-        }
+        for m in range(j + 1, j_prime + 1):
+            T[1, m - j] = delta * _kernel_row(model, tgrid, j, m, x, pts, tw)
+        for l in range(j + 1, j_prime):
+            rows = min(r_max, l - j + 1)
+            D = _onestep_defect(
+                tw * T[:rows, l - j],
+                _one_step_matrix(model, tgrid, l, pts, flush=True),
+                _frozen_onestep_shift_kernels(model, tgrid, l, pts),
+            )
+            out = T[1 : rows + 1]
+            out[:, l + 1 - j] += np.diagonal(D, axis1=1, axis2=2)
+            D *= tw
+            drift_sum = np.zeros(n)
+            var_sum = np.zeros(n)
+            for m in range(l + 2, j_prime + 1):
+                b, a = _coeffs(model, tgrid.times[m - 1], pts)
+                drift_sum += b * delta
+                var_sum += a * delta
+                psi = _frozen_tail(pts, drift_sum, var_sum)
+                out[:, m - j] += np.einsum("rzw,zw->rz", D, psi)
 
-        S = {k: hpair[(k, j_prime)] for k in range(j + 1, j_prime)}
-        srow = hrow[j_prime]
-        for r in range(1, r_max + 1):
-            term = delta * srow.copy()
-            for k in range(j + 1, j_prime):
-                if k in S:
-                    term = term + delta * ((tw * rho[k]) @ S[k])
-            terms.append(term)
-            if r == r_max:
-                break
-            S_next: dict[int, np.ndarray] = {}
-            for k in range(j + 1, j_prime - r):
-                acc = np.zeros((n, n))
-                for m in range(k + 1, j_prime - r + 1):
-                    if m in S:
-                        acc += delta * (hpair[(k, m)] @ (tw[:, None] * S[m]))
-                S_next[k] = acc
-            srow_next = np.zeros(n)
-            for m in range(j + 1, j_prime - r + 1):
-                if m in S:
-                    srow_next += delta * ((hrow[m] * tw) @ S[m])
-            S = S_next
-            srow = srow_next
-
+    terms = [T[r, steps] for r in range(r_max + 1)]
     norms = [float(np.max(np.abs(t))) for t in terms]
     check_term_decay(norms)
     table = DensityTable(grid, j, j_prime, np.sum(terms, axis=0), start_x=x)

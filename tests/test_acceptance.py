@@ -8,9 +8,9 @@ appear in the run log.
 import hashlib
 import json
 import math
-import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import quad
@@ -241,8 +241,8 @@ def test_criterion_09_determinism_across_threads(tmp_path):
     rc8 = cli_main(["concentration", "--config", str(cfg_path), "--out-dir", out8, "--threads", "8"])
     ok = rc1 == 0 and rc8 == 0
     for name in ("concentration.csv", "concentration.json"):
-        h1 = hashlib.sha256(open(os.path.join(out1, name), "rb").read()).hexdigest()
-        h8 = hashlib.sha256(open(os.path.join(out8, name), "rb").read()).hexdigest()
+        h1 = hashlib.sha256(Path(out1, name).read_bytes()).hexdigest()
+        h8 = hashlib.sha256(Path(out8, name).read_bytes()).hexdigest()
         ok = ok and h1 == h8
     _report(9, "identical output files at --threads 1 and --threads 8", ok)
 

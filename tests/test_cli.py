@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from eulermc.cli import main
 
 
 def file_hash(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def read_json(path):
+    return json.loads(Path(path).read_text())
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -39,11 +43,11 @@ def test_bounds_outputs(tmp_path):
     rc = main(["bounds", "--config", cfg, "--out-dir", out])
     assert rc == 0
     csv_path = os.path.join(out, "bounds.csv")
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[0].startswith("# config-hash: ")
     assert lines[1] == "eps,radius,total_radius"
     assert len(lines) == 4
-    payload = json.load(open(os.path.join(out, "bounds.json")))
+    payload = read_json(os.path.join(out, "bounds.json"))
     assert payload["alpha_T"] == 2.0
     assert payload["config_hash"] == lines[0].split()[-1]
 
@@ -52,10 +56,10 @@ def test_simulate_csv_format(tmp_path):
     cfg = write_cfg(tmp_path, {"preset": "kinetic", "dp": 1, "x0": [0.0, 0.0], "M": 7, "N": 3})
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", cfg, "--out-dir", out, "--set", "export_binary=true"]) == 0
-    lines = open(os.path.join(out, "samples.csv")).read().splitlines()
+    lines = Path(out, "samples.csv").read_text().splitlines()
     assert lines[1] == "sample_index,x_1,x_2"
     assert len(lines) == 2 + 7
-    raw = open(os.path.join(out, "samples.bin"), "rb").read()
+    raw = Path(out, "samples.bin").read_bytes()
     arr = np.frombuffer(raw, dtype="<f8").reshape(7, 2)
     got = [float(v) for v in lines[2].split(",")[1:]]
     assert np.allclose(arr[0], got)
@@ -108,10 +112,10 @@ def test_control_geodesic_csv(tmp_path):
     )
     out = str(tmp_path / "out")
     assert main(["control-geodesic", "--config", cfg, "--out-dir", out]) == 0
-    lines = open(os.path.join(out, "geodesic.csv")).read().splitlines()
+    lines = Path(out, "geodesic.csv").read_text().splitlines()
     assert lines[1] == "s,state_1,state_2"
     assert len(lines) == 2 + 21
-    payload = json.load(open(os.path.join(out, "control.json")))
+    payload = read_json(os.path.join(out, "control.json"))
     assert payload["energy"] == pytest.approx(12.0, rel=1e-9)
     assert payload["energy"] == pytest.approx(2 * payload["kinetic_metric_sq"], rel=1e-9)
 
@@ -123,10 +127,13 @@ def test_parametrix_cmd(tmp_path):
     )
     out = str(tmp_path / "out")
     assert main(["parametrix", "--config", cfg, "--out-dir", out]) == 0
-    payload = json.load(open(os.path.join(out, "parametrix.json")))
+    payload = read_json(os.path.join(out, "parametrix.json"))
     assert payload["sup_rel_error_vs_ck"] < 1e-2
     assert payload["series_mass"] == pytest.approx(1.0, abs=1e-6)
-    lines = open(os.path.join(out, "parametrix_series.csv")).read().splitlines()
+    norms = payload["term_sup_norms"]
+    assert payload["term_decay_ratios"] == [b / a for a, b in zip(norms, norms[1:])]
+    assert payload["terms_decay"] is True
+    lines = Path(out, "parametrix_series.csv").read_text().splitlines()
     assert lines[1] == "x_prime,value"
     assert len(lines) == 2 + 301
 
@@ -140,8 +147,12 @@ def test_parametrix_cmd(tmp_path):
         ["density-check", "--set", "c_grid=[]", "--set", "density_samples=1000"],
         ["simulate", "--set", 'M="abc"'],
         ["simulate", "--set", "N=2.5"],
+        ["simulate", "--set", "sigma0=0"],
     ],
-    ids=["out-dir-under-file", "cone-not-a-number", "empty-c-grid", "M-string", "N-float"],
+    ids=[
+        "out-dir-under-file", "cone-not-a-number", "empty-c-grid", "M-string", "N-float",
+        "sigma0-zero",
+    ],
 )
 def test_bad_input_is_one_line_config_error(tmp_path, capsys, args):
     (tmp_path / "file").write_text("")
@@ -149,6 +160,20 @@ def test_bad_input_is_one_line_config_error(tmp_path, capsys, args):
     if "--out-dir" not in argv:
         argv += ["--out-dir", str(tmp_path / "out")]
     assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["parametrix", "--set", "grid_radius=0.5"],
+        ["simulate", "--set", "sigma0=1e308"],
+    ],
+    ids=["parametrix-truncated-grid", "sigma0-overflow"],
+)
+def test_bad_input_is_one_line_numeric_error(tmp_path, capsys, args):
+    assert main(args + ["--out-dir", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

@@ -229,6 +229,40 @@ def test_series_full_order_agrees_with_ck_tightly():
     assert rel < 1e-6
 
 
+# Sup norms of terms 0..3 at trig (a_amp = 0.1), N = 10, default_grid(..., 601,
+# 10.0), from the right-associated series that stored every kernel table
+# H(t_k, t_m) and composed them with n x n products.
+RIGHT_ASSOCIATED_TERM_NORMS = [
+    0.39941486901041817,
+    0.011741869435044395,
+    0.00033738709581340666,
+    5.5090687522713144e-06,
+]
+
+
+def test_series_term_norms_match_right_associated_series():
+    tg = SchemeGrid(T=1.0, N=10)
+    grid = default_grid(TRIG, tg, 0.0, 601, 10.0)
+    _, norms, _ = parametrix_series(TRIG, tg, 0, 10, 0.0, grid, r_max=3)
+    assert norms == pytest.approx(RIGHT_ASSOCIATED_TERM_NORMS, rel=1e-12, abs=0.0)
+
+
+def test_series_peak_memory_does_not_grow_with_steps():
+    import tracemalloc
+
+    peaks = []
+    for N in (6, 12):
+        tg = SchemeGrid(T=1.0, N=N)
+        grid = default_grid(TRIG, tg, 0.0, 201, 10.0)
+        tracemalloc.start()
+        try:
+            parametrix_series(TRIG, tg, 0, N, 0.0, grid, r_max=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
+
+
 def test_series_interior_window():
     tg = SchemeGrid(T=1.0, N=8)
     grid = default_grid(TRIG, tg, 0.3, 401, 9.0)
@@ -333,6 +367,14 @@ def test_term_decay_warning():
         w.simplefilter("always")
         check_term_decay([1.0, 0.5, 0.1, 0.01])
     assert not caught
+
+
+def test_term_decay_ratios_and_growing_terms():
+    from eulermc.parametrix import term_decay
+
+    assert term_decay([1.0, 0.5, 0.7, 0.1]) == ([0.5 / 1.0, 0.7 / 0.5, 0.1 / 0.7], [2])
+    assert term_decay([1.0, 0.0, 0.0]) == ([0.0, None], [])
+    assert term_decay([0.4]) == ([], [])
 
 
 def test_table_csv_exports(tmp_path):
