@@ -9,6 +9,11 @@ Subpackages:
   parametrix    discrete parametrix density engine (scalar, non-degenerate)
   harness       experiment orchestration (configs in, CSV/JSON out)
   cli           command line front end
+
+Module level imports stop at numpy and scipy.special.  Any other scipy
+subpackage is imported inside the function that calls it, because
+scipy.stats alone takes about a second to import and most CLI calls never
+need it.
 """
 
 from .model import (

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 from scipy.special import logsumexp
 
 from .errors import ArgumentError, LambdaTooLargeError
@@ -231,6 +230,7 @@ def optimize_theta(
     """Minimize theta * Lambda + chi(theta) over theta in (1, hi] (odd d)."""
     if d % 2 == 0:
         raise ArgumentError("theta only enters odd dimensions")
+    from scipy.optimize import minimize_scalar
 
     def objective(theta):
         return lower_rate(case, d, c, T, rho0, C, cone_measure, theta=theta).inv_alpha

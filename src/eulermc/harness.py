@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from . import concentration as conc
 from .errors import ArgumentError, ConfigError, StatisticsError
@@ -34,6 +34,7 @@ from .model import (
     sphere_surface_measure,
 )
 from .parametrix import (
+    Grid1D,
     chapman_kolmogorov_density,
     default_grid,
     parametrix_series,
@@ -43,7 +44,26 @@ from .control import ControlProblem, energy, geodesic
 from .gaussianref import kinetic_metric
 from .simulate import RngSpec, TerminalBatch, simulate_terminal
 
-_WILSON_Z99 = float(norm.ppf(0.99))
+_WILSON_Z99 = float(ndtri(0.99))
+
+# largest n x n float64 matrix a CK or parametrix grid may need (n <= 4095)
+_MATRIX_CAP_BYTES = 2**27
+
+# list fields whose entries are real numbers (x0 and the grids)
+_FLOAT_LISTS = frozenset({"x0", "eps", "r_grid", "c_grid", "control_x", "control_x_prime"})
+
+
+def _ints_to_float(name: str, value):
+    """Integers (bools excepted) as floats, also inside a list, so that a
+    run set with T=1 or x0=[0] has the config hash of T=1.0 or x0=[0.0]."""
+    if isinstance(value, list):
+        return [_ints_to_float(name, v) for v in value]
+    if isinstance(value, int) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} is too large for a float: {value}") from None
+    return value
 
 
 @dataclass
@@ -112,10 +132,15 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raw = dict(raw)
         for f in dataclasses.fields(cls):
-            value = raw.get(f.name, 0)
+            if f.name not in raw:
+                continue
+            value = raw[f.name]
             if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if "float" in f.type.split(" | ") or f.name in _FLOAT_LISTS:
+                raw[f.name] = _ints_to_float(f.name, value)
         cfg = cls(**raw)
         if cfg.M < 1 or cfg.num_batches < 1:
             raise ConfigError("M and num_batches must be >= 1")
@@ -220,7 +245,7 @@ def analytic_reference(cfg: ExperimentConfig, model: SdeModel, tgrid: SchemeGrid
         if cfg.functional == "abs" and model.d == 1:
             mu, s = float(mean[0]), cfg.sigma0 * math.sqrt(T)
             return s * math.sqrt(2.0 / math.pi) * math.exp(-(mu**2) / (2 * s * s)) + mu * (
-                1.0 - 2.0 * norm.cdf(-mu / s)
+                1.0 - 2.0 * ndtr(-mu / s)
             )
     if cfg.preset == "kinetic" and cfg.damp == 0.0:
         dp = model.d_prime
@@ -231,6 +256,23 @@ def analytic_reference(cfg: ExperimentConfig, model: SdeModel, tgrid: SchemeGrid
         if cfg.functional == "asian-diff":
             return float((mean_v - mean_z / T).sum() / math.sqrt(2.0 * dp))
     return None
+
+
+def _table_grid(cfg: ExperimentConfig, model: SdeModel, tgrid: SchemeGrid, x: float) -> Grid1D:
+    """The spatial grid of the CK and parametrix tables.
+
+    Both build n x n float64 matrices on it, so a grid whose one such matrix
+    would exceed _MATRIX_CAP_BYTES is refused before anything is allocated.
+    """
+    grid = default_grid(model, tgrid, x, cfg.grid_points, cfg.grid_radius)
+    size = 8 * grid.n_points**2
+    if size > _MATRIX_CAP_BYTES:
+        raise ConfigError(
+            f"grid_points={cfg.grid_points} needs {size / 2**20:,.0f} MiB per n x n "
+            f"float64 matrix (n = {grid.n_points}), above the cap of "
+            f"{_MATRIX_CAP_BYTES // 2**20} MiB"
+        )
+    return grid
 
 
 def growth_spec(cfg: ExperimentConfig, model: SdeModel) -> GrowthSpec | None:
@@ -459,7 +501,7 @@ def run_density_check(cfg: ExperimentConfig) -> DensityCheckReport:
         raise ConfigError("c_grid must not be empty")
 
     if cfg.density_mode == "ck":
-        grid = default_grid(model, tgrid, float(x0[0]), cfg.grid_points, cfg.grid_radius)
+        grid = _table_grid(cfg, model, tgrid, float(x0[0]))
         table = chapman_kolmogorov_density(model, tgrid, 0, tgrid.N, float(x0[0]), grid)
         mask = table.values > 1e-10
         centers = grid.points[mask][:, None]
@@ -673,7 +715,7 @@ def run_parametrix_cmd(cfg: ExperimentConfig) -> dict:
     model = build_model(cfg)
     tgrid = build_grid(cfg)
     x0 = float(start_point(cfg, model)[0])
-    grid = default_grid(model, tgrid, x0, cfg.grid_points, cfg.grid_radius)
+    grid = _table_grid(cfg, model, tgrid, x0)
     # the cheap CK oracle holds the mass-truncation guard, so it runs first
     ck = chapman_kolmogorov_density(model, tgrid, 0, tgrid.N, x0, grid)
     series, norms, _ = parametrix_series(model, tgrid, 0, tgrid.N, x0, grid, cfg.r_max)

@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import norm, qmc
+from scipy.special import ndtri
 
 from .errors import ArgumentError, ConfigError, InvalidModelError, NumericError
 
@@ -128,10 +128,12 @@ def unit_directions(d: int, n: int, seed: int = 0) -> np.ndarray:
     """n quasi-random unit vectors in R^d (both points of S^0 for d = 1)."""
     if d == 1:
         return np.array([[1.0], [-1.0]])
+    from scipy.stats import qmc
+
     sob = qmc.Sobol(d, scramble=True, seed=seed)
     u = sob.random(n)
     u = np.clip(u, 1e-12, 1 - 1e-12)
-    g = norm.ppf(u)
+    g = ndtri(u)
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 

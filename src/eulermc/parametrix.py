@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import ArgumentError, DivergenceWarning, TruncationError
 from .gaussianref import KernelSpec, kernel_density
@@ -231,6 +230,8 @@ def _onestep_defect(V: np.ndarray, Q: np.ndarray, G: np.ndarray) -> np.ndarray:
     Only lags n-1 .. 2n-2 of the full convolution are kept, so a circular
     length of 2n - 1 already avoids wrap-around.
     """
+    from scipy.fft import irfft, next_fast_len, rfft
+
     n = V.shape[1]
     L = next_fast_len(2 * n - 1, real=True)
     block = 64  # rows of z per batch; 128 or more ran slower at n = 401 and 601 (2-core x86-64)

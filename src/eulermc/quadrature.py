@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from .errors import ToleranceError
 
@@ -22,6 +21,8 @@ def adaptive_1d(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     Raises ToleranceError when the reported error estimate exceeds tol
     relative to max(1, |result|).
     """
+    from scipy.integrate import quad
+
     value, abserr = quad(f, lo, hi, epsabs=tol * 1e-2, epsrel=tol * 1e-2, limit=200)
     if abserr > tol * max(1.0, abs(value)):
         raise ToleranceError(

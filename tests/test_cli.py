@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -148,10 +151,12 @@ def test_parametrix_cmd(tmp_path):
         ["simulate", "--set", 'M="abc"'],
         ["simulate", "--set", "N=2.5"],
         ["simulate", "--set", "sigma0=0"],
+        ["parametrix", "--set", "grid_points=100000"],
+        ["density-check", "--set", 'density_mode="ck"', "--set", "grid_points=100000"],
     ],
     ids=[
         "out-dir-under-file", "cone-not-a-number", "empty-c-grid", "M-string", "N-float",
-        "sigma0-zero",
+        "sigma0-zero", "parametrix-grid-too-large", "ck-grid-too-large",
     ],
 )
 def test_bad_input_is_one_line_config_error(tmp_path, capsys, args):
@@ -176,6 +181,47 @@ def test_bad_input_is_one_line_numeric_error(tmp_path, capsys, args):
     assert main(args + ["--out-dir", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_grid_too_large_is_refused_before_allocating(tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        rc = main(["parametrix", "--set", "grid_points=100000", "--out-dir", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert peak < 2**20  # not even the 0.8 MB node vector of the grid
+    err = capsys.readouterr().err
+    assert "76,295 MiB per n x n float64 matrix (n = 100001)" in err
+    assert "cap of 128 MiB" in err
+
+
+_HEAVY_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.fft")
+
+_IMPORT_PROBE = """
+import sys
+heavy = {heavy!r}
+import eulermc.cli
+print(" ".join(m for m in heavy if m in sys.modules))
+assert eulermc.cli.main(["simulate", "--set", "M=50", "--out-dir", sys.argv[1]]) == 0
+print(" ".join(m for m in heavy if m in sys.modules))
+"""
+
+
+def test_cli_start_up_leaves_heavy_scipy_unloaded(tmp_path):
+    # a fresh interpreter, since this one has loaded scipy.stats already
+    import eulermc
+
+    src = str(Path(eulermc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = _IMPORT_PROBE.format(heavy=_HEAVY_SCIPY)
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    ).stdout.split("\n")
+    assert out[0] == ""  # loaded by import eulermc.cli
+    assert not {"scipy.stats", "scipy.optimize", "scipy.integrate"} & set(out[1].split())
 
 
 def test_config_error_message_to_stderr(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from eulermc import concentration as conc
+from eulermc import harness
 from eulermc.errors import ConfigError, StatisticsError
 from eulermc.harness import (
     ExperimentConfig,
@@ -42,6 +43,24 @@ def test_config_hash_ignores_execution_fields():
     assert a.config_hash != c.config_hash
 
 
+def test_config_hash_treats_integral_numbers_as_floats():
+    # the hashes of configs given in floats are those of earlier releases
+    assert cfg_with().config_hash == "ca7e77f92b6c"
+    assert cfg_with(T=1).config_hash == "ca7e77f92b6c"
+    kinetic = dict(preset="kinetic", dp=1, T=2.0)
+    assert cfg_with(**kinetic, x0=[0.0, 0.0]).config_hash == "b1bc9af07c53"
+    assert cfg_with(**kinetic, x0=[0, 0]).config_hash == "b1bc9af07c53"
+    assert cfg_with(x0=[0]).config_hash == cfg_with(x0=[0.0]).config_hash
+    cfg = cfg_with(b0=[1, 2], d=2, cone=2, eps=[1], control_x=[0, 0], lower_bounds=True)
+    assert cfg.b0 == [1.0, 2.0] and isinstance(cfg.b0[0], float)
+    assert isinstance(cfg.cone, float) and isinstance(cfg.eps[0], float)
+    assert isinstance(cfg.control_x[0], float)
+    assert cfg.lower_bounds is True and isinstance(cfg.N, int)
+    assert cfg_with(T=2).config_hash != cfg_with(T=1).config_hash
+    with pytest.raises(ConfigError, match="too large"):
+        cfg_with(T=10**400)
+
+
 def test_load_config_roundtrip(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"M": 17, "T": 0.5}))
@@ -70,6 +89,18 @@ def test_analytic_references():
     assert analytic_reference(cfg, m, build_grid(cfg)) == pytest.approx(want)
     cfg = cfg_with(preset="trig", functional="identity")
     assert analytic_reference(cfg, build_model(cfg), build_grid(cfg)) is None
+
+
+def test_normal_quantiles_match_scipy_stats():
+    from scipy.stats import norm
+
+    assert harness._WILSON_Z99 == norm.ppf(0.99)
+    cfg = cfg_with(preset="const", d=1, x0=[0.1], b0=0.3, sigma0=1.3, T=2.0, functional="abs")
+    mu, s = 0.1 + 0.3 * 2.0, 1.3 * math.sqrt(2.0)
+    want = s * math.sqrt(2.0 / math.pi) * math.exp(-(mu**2) / (2 * s * s)) + mu * (
+        1.0 - 2.0 * norm.cdf(-mu / s)
+    )
+    assert analytic_reference(cfg, build_model(cfg), build_grid(cfg)) == want
 
 
 def test_functionals_are_unit_lipschitz_samples():

@@ -171,6 +171,15 @@ def test_unit_directions_are_unit():
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
 
 
+def test_unit_directions_match_scipy_stats_form():
+    from scipy.stats import norm, qmc
+
+    u = np.clip(qmc.Sobol(3, scramble=True, seed=5).random(64), 1e-12, 1 - 1e-12)
+    g = norm.ppf(u)
+    want = g / np.linalg.norm(g, axis=1, keepdims=True)
+    np.testing.assert_array_equal(unit_directions(3, 64, seed=5), want)
+
+
 def test_unknown_preset():
     with pytest.raises(ConfigError):
         model_preset("nope")
