@@ -1,10 +1,10 @@
 """Euler-scheme Monte Carlo with non-asymptotic Gaussian concentration bounds.
 
 Subpackages:
-  model         SDE models, time grids, assumption checks, growth specs
-  simulate      scheme steps, reproducible terminal batches, MC deviations
+  model         SDE models, time grids, growth specs and checks
+  simulate      scheme steps, reproducible terminal batches
   gaussianref   Gaussian reference kernels, kinetic metric, tail constants
-  concentration deviation-bound constants, entropy/transport helpers
+  concentration deviation-bound constants and the lower-bound assembly
   control       minimum-energy steering of the kinetic transport system
   parametrix    discrete parametrix density engine (scalar, non-degenerate)
   harness       experiment orchestration (configs in, CSV/JSON out)
@@ -24,9 +24,8 @@ from .model import (
     SchemeGrid,
     check_growth,
     model_preset,
-    validate_assumptions,
 )
-from .simulate import RngSpec, TerminalBatch, mc_deviation, simulate_terminal
+from .simulate import RngSpec, TerminalBatch, simulate_terminal
 
 __all__ = [
     "Case",
@@ -37,10 +36,8 @@ __all__ = [
     "RngSpec",
     "TerminalBatch",
     "check_growth",
-    "mc_deviation",
     "model_preset",
     "simulate_terminal",
-    "validate_assumptions",
 ]
 
 __version__ = "0.1.0"

@@ -18,32 +18,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .errors import ArgumentError, LambdaTooLargeError
+from .errors import ArgumentError
 from .gaussianref import (
     KernelSpec,
     cone_constant,
     hessian_spectral_bounds,
     kernel_density,
     kernel_mean_cov,
-    kernel_normalizer,
-    potential_eval,
-    PotentialSpec,
     sample_kernel,
 )
 from .model import Case, GaussParams, GrowthSpec, unit_directions
 from .quadrature import adaptive_1d, tensor_quad_2d
-from .simulate import TerminalBatch
 
 SQRT13 = math.sqrt(13.0)
-
-
-def lsi_constant(lambda_min: float) -> float:
-    """Log-Sobolev constant 2/lambda of a Gibbs measure with Hess V >= lambda I."""
-    if lambda_min <= 0:
-        raise ArgumentError("lambda_min must be positive")
-    return 2.0 / lambda_min
 
 
 def concentration_alpha(case: Case, c: float, T: float) -> float:
@@ -158,11 +146,10 @@ def lower_rate(
     cone_measure: float,
     theta: float | None = None,
 ) -> LowerRate:
-    """Reduced lower deviation rate: Lambda = lambda_max/2 of the c^{-1} kernel.
+    """Lower deviation rate with Lambda = lambda_max/2 of the c^{-1} kernel.
 
     Valid when the lower-envelope Gaussian is centered at the cone's sphere
-    center, so its potential and gradient vanish there; lower_rate_full keeps
-    the sphere terms.
+    center, so its potential and gradient vanish there.
     """
     lam_bar = hessian_spectral_bounds(case, 1.0 / c, T)[1]
     lam = lam_bar / 2.0
@@ -176,69 +163,6 @@ def lower_rate(
     return LowerRate(inv_alpha=inv, lam=lam, chi=chi, theta=theta)
 
 
-def lower_rate_full(
-    case: Case,
-    d: int,
-    c: float,
-    T: float,
-    rho0: float,
-    C: float,
-    cone_measure: float,
-    x,
-    theta: float | None = None,
-    n_directions: int = 2**14,
-    seed: int = 0,
-) -> LowerRate:
-    """Lower rate keeping the sphere supremum terms of the envelope potential.
-
-    Lambda = lambda_max/2 + sup_s |V(s rho0)| / rho0^2 + sup_s |grad V(s rho0)|
-    / rho0 with V the potential of the c^{-1} kernel started at x; the
-    penalty uses the true normalizer Z of that kernel.
-    """
-    spec = PotentialSpec(case, 1.0 / c, T, np.asarray(x, dtype=float))
-    dirs = unit_directions(d, n_directions, seed=seed)
-    sup_v, sup_g = 0.0, 0.0
-    for s in dirs:
-        value, grad, _ = potential_eval(spec, rho0 * s)
-        sup_v = max(sup_v, abs(value))
-        sup_g = max(sup_g, float(np.linalg.norm(grad)))
-    lam_bar = hessian_spectral_bounds(case, 1.0 / c, T)[1]
-    lam = lam_bar / 2.0 + sup_v / rho0**2 + sup_g / rho0
-    Z = kernel_normalizer(case, 1.0 / c, T, d)
-    K = cone_constant(d, cone_measure)
-    if case is not Case.KINETIC and d % 2 == 1:
-        if theta is None or theta <= 1:
-            raise ArgumentError("odd dimensions need theta > 1")
-        chi = _log_plus(Z * lam ** (d / 2) * C / (K * math.acos(theta**-0.5))) / rho0**2
-        inv = theta * lam + chi
-    else:
-        chi = _log_plus(Z * lam ** (d / 2) * C / K) / rho0**2
-        inv = lam + chi
-    return LowerRate(inv_alpha=inv, lam=lam, chi=chi, theta=theta)
-
-
-def optimize_theta(
-    case: Case,
-    d: int,
-    c: float,
-    T: float,
-    rho0: float,
-    C: float,
-    cone_measure: float,
-    hi: float = 100.0,
-) -> float:
-    """Minimize theta * Lambda + chi(theta) over theta in (1, hi] (odd d)."""
-    if d % 2 == 0:
-        raise ArgumentError("theta only enters odd dimensions")
-    from scipy.optimize import minimize_scalar
-
-    def objective(theta):
-        return lower_rate(case, d, c, T, rho0, C, cone_measure, theta=theta).inv_alpha
-
-    res = minimize_scalar(objective, bounds=(1.0 + 1e-9, hi), method="bounded")
-    return float(res.x)
-
-
 def lower_tail_bound(
     r: float, M: int, inv_rate: float, beta: float, rho0: float
 ) -> float:
@@ -246,15 +170,6 @@ def lower_tail_bound(
     if r <= 0 or M < 1:
         raise ArgumentError("need r > 0 and M >= 1")
     return 2.0 * math.exp(-M * inv_rate * max(r / beta, rho0) ** 2)
-
-
-def wasserstein_bound(alpha: float, kappa: float) -> float:
-    """Transport bound sqrt(alpha log kappa) under kappa-domination + LSI."""
-    if kappa < 1:
-        raise ArgumentError("kappa must be >= 1")
-    if alpha <= 0:
-        raise ArgumentError("alpha must be positive")
-    return math.sqrt(alpha * math.log(kappa))
 
 
 @dataclass(frozen=True)
@@ -335,87 +250,6 @@ def lower_bias(
     return LowerBias(value=value, gamma_term=float(gamma_term), floor=floor, mc_se=mc_se)
 
 
-def relative_entropy_1d(m, q, support) -> float:
-    """KL-type entropy integral of m log(m/q) over the support interval."""
-    lo, hi = support
-    probe = np.linspace(lo, hi, 201)
-    mv = np.array([m(t) for t in probe], dtype=float)
-    qv = np.array([q(t) for t in probe], dtype=float)
-    if np.any(mv < 0) or np.any(qv < 0):
-        raise ArgumentError("densities must be nonnegative on the support")
-
-    def integrand(t):
-        mt = m(t)
-        qt = q(t)
-        if mt <= 0.0:
-            return 0.0
-        if qt <= 0.0:
-            raise ArgumentError("dominating density vanishes where m > 0")
-        return mt * math.log(mt / qt)
-
-    return adaptive_1d(integrand, lo, hi, tol=1e-9)
-
-
-@dataclass(frozen=True)
-class MgfCheckReport:
-    lambdas: np.ndarray
-    margins: np.ndarray  # log empirical MGF minus the certified bound, <= 0 ok
-    bootstrap_se: np.ndarray
-    max_violation: float
-    alpha: float
-    kappa: float
-
-
-def empirical_mgf_check(
-    batch: TerminalBatch,
-    f,
-    alpha: float,
-    kappa: float,
-    lambda_grid,
-    n_bootstrap: int = 100,
-    seed: int = 0,
-) -> MgfCheckReport:
-    """Compare the empirical log-MGF of f against the certified envelope.
-
-    For each lambda the margin is log E_hat[e^{lambda F}] minus
-    (lambda mean_hat + alpha lambda^2 / 4 + lambda W1 + log kappa); negative
-    margins are consistent with the envelope.  Bootstrap standard errors
-    accompany each margin.
-    """
-    if kappa < 1:
-        raise ArgumentError("kappa must be >= 1")
-    lambdas = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
-    vals = np.asarray(f(batch.samples), dtype=float)
-    spread = float(vals.max() - vals.min())
-    if np.any(np.abs(lambdas) * spread >= 20.0):
-        raise LambdaTooLargeError(
-            f"lambda * spread = {np.abs(lambdas).max() * spread:.1f} >= 20"
-        )
-    y = vals - vals.mean()
-    M = y.shape[0]
-    w1 = wasserstein_bound(alpha, kappa)
-    certified = alpha * lambdas**2 / 4.0 + lambdas * w1 + math.log(kappa)
-    log_mgf = logsumexp(np.outer(lambdas, y), axis=1) - math.log(M)
-    margins = log_mgf - certified
-
-    rng = np.random.default_rng(seed)
-    ex = np.exp(np.outer(lambdas, y))
-    boot = np.empty((n_bootstrap, lambdas.shape[0]))
-    for b in range(n_bootstrap):
-        idx = rng.integers(0, M, size=M)
-        yb = y[idx]
-        boot[b] = np.log(ex[:, idx].mean(axis=1)) - lambdas * yb.mean() - certified
-    se = boot.std(axis=0, ddof=1)
-    return MgfCheckReport(
-        lambdas=lambdas,
-        margins=margins,
-        bootstrap_se=se,
-        max_violation=float(margins.max()),
-        alpha=alpha,
-        kappa=kappa,
-    )
-
-
 @dataclass(frozen=True)
 class LowerBound:
     """Lower deviation bound data, assembled under a growth assumption."""
@@ -436,7 +270,7 @@ def lower_bound(
     theta: float | None = None,
     **bias_kwargs,
 ) -> LowerBound:
-    """Reduced lower rate and lower bias; theta defaults to 2 in odd d.
+    """Lower rate and lower bias; theta defaults to 2 in odd d.
 
     alpha is the upper-side constant of the functional at hand (the
     time-normalized one for kinetic functionals of (v, z/T)); it enters the

@@ -3,8 +3,7 @@
 State (v, z) in R^{2 d'} follows dv = u dt, dz = v dt for a control u.  The
 energy integral of the optimal control between two states equals twice the
 squared kinetic metric, which is the identity the density lower bounds rest
-on.  Everything is per coordinate pair; closed forms are used throughout and
-the generic Gram-matrix formula is kept as a cross-check surface.
+on.  Everything is per coordinate pair, in closed form.
 """
 
 from __future__ import annotations
@@ -35,30 +34,6 @@ class ControlProblem:
         object.__setattr__(self, "x_prime", xp)
 
 
-def resolvent(t: float, t0: float, d_prime: int) -> np.ndarray:
-    """Flow matrix of the drift: identity blocks, (t - t0) I in the lower left."""
-    eye = np.eye(d_prime)
-    top = np.hstack([eye, np.zeros((d_prime, d_prime))])
-    bottom = np.hstack([(t - t0) * eye, eye])
-    return np.vstack([top, bottom])
-
-
-def gram(t: float, d_prime: int) -> np.ndarray:
-    """Controllability Gram matrix: blocks (t, t^2/2; t^2/2, t^3/3) times I."""
-    if t <= 0:
-        raise ArgumentError("horizon must be positive")
-    eye = np.eye(d_prime)
-    return np.block([[t * eye, t**2 / 2.0 * eye], [t**2 / 2.0 * eye, t**3 / 3.0 * eye]])
-
-
-def gram_inverse(t: float, d_prime: int) -> np.ndarray:
-    # closed-form 2x2 block inverse; determinant per pair is t^4/12
-    eye = np.eye(d_prime)
-    return np.block(
-        [[4.0 / t * eye, -6.0 / t**2 * eye], [-6.0 / t**2 * eye, 12.0 / t**3 * eye]]
-    )
-
-
 def optimal_control(problem: ControlProblem, s: float) -> np.ndarray:
     """Optimal control at time s in [0, t], closed form.
 
@@ -76,15 +51,6 @@ def optimal_control(problem: ControlProblem, s: float) -> np.ndarray:
     dv = problem.x_prime[:dp] - problem.x[:dp]
     g = problem.x_prime[dp:] - problem.x[dp:] - problem.x[:dp] * t
     return dv * (6.0 * s - 2.0 * t) / t**2 + 6.0 * g * (t - 2.0 * s) / t**3
-
-
-def optimal_control_gram(problem: ControlProblem, s: float) -> np.ndarray:
-    """Gram-matrix form of the optimal control (cross-check path)."""
-    dp = problem.d_prime
-    t = problem.t
-    gap = problem.x_prime - resolvent(t, 0.0, dp) @ problem.x
-    B = np.vstack([np.eye(dp), np.zeros((dp, dp))])
-    return B.T @ resolvent(t, s, dp).T @ (gram_inverse(t, dp) @ gap)
 
 
 def energy(problem: ControlProblem, n_nodes: int = 64) -> float:

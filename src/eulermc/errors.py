@@ -37,10 +37,6 @@ class TruncationError(NumericError):
     """Too much probability mass falls outside a truncated grid."""
 
 
-class LambdaTooLargeError(NumericError):
-    """Exponential-moment evaluation would overflow."""
-
-
 class IntegrationError(NumericError):
     """ODE integration missed its endpoint tolerance."""
 

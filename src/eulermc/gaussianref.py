@@ -23,11 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcx
 
 from .errors import ArgumentError
 from .model import Case
-from .quadrature import adaptive_1d, tensor_quad_2d
 
 
 @dataclass(frozen=True)
@@ -84,25 +82,6 @@ def kernel_density(spec: KernelSpec, xp) -> np.ndarray:
     return np.exp(kernel_log_density(spec, xp))
 
 
-def kernel_density_from(case: Case, c: float, t: float, u, xp) -> np.ndarray:
-    """p_c(t, u, x') for a fixed target x', vectorized over start points u."""
-    u = np.asarray(u, dtype=float)
-    xp = np.atleast_1d(np.asarray(xp, dtype=float))
-    d = xp.shape[0]
-    if case is Case.KINETIC:
-        dp = d // 2
-        dv = xp[:dp] - u[..., :dp]
-        w = xp[dp:] - u[..., dp:] - 0.5 * (u[..., :dp] + xp[:dp]) * t
-        expo = -c * (
-            np.sum(dv * dv, axis=-1) / (4.0 * t)
-            + 3.0 * np.sum(w * w, axis=-1) / t**3
-        )
-    else:
-        diff = xp - u
-        expo = -c * np.sum(diff * diff, axis=-1) / (2.0 * t)
-    return np.exp(expo) / kernel_normalizer(case, c, t, d)
-
-
 def _transport(case: Case, x: np.ndarray, t: float) -> np.ndarray:
     """Mean of p_c(t, x, .): free transport of x (identity if non-degenerate)."""
     if case is Case.KINETIC:
@@ -111,38 +90,6 @@ def _transport(case: Case, x: np.ndarray, t: float) -> np.ndarray:
         out[dp:] += x[:dp] * t
         return out
     return x.copy()
-
-
-def _precision_from(case: Case, c: float, t: float, d: int) -> np.ndarray:
-    """Hessian in x' of -log p_c(t, x, x')."""
-    if case is Case.KINETIC:
-        dp = d // 2
-        h = np.zeros((d, d))
-        h[:dp, :dp] = 2.0 * c / t * np.eye(dp)
-        h[:dp, dp:] = h[dp:, :dp] = -3.0 * c / t**2 * np.eye(dp)
-        h[dp:, dp:] = 6.0 * c / t**3 * np.eye(dp)
-        return h
-    return c / t * np.eye(d)
-
-
-def _precision_to(case: Case, c: float, t: float, d: int) -> np.ndarray:
-    """Hessian in the start point u of -log p_c(t, u, x')."""
-    h = _precision_from(case, c, t, d)
-    if case is Case.KINETIC:
-        dp = d // 2
-        h = h.copy()
-        h[:dp, dp:] = h[dp:, :dp] = 3.0 * c / t**2 * np.eye(dp)
-    return h
-
-
-def _back_transport(case: Case, xp: np.ndarray, t: float) -> np.ndarray:
-    """Mean in u of p_c(t, u, x'): backward transport of x'."""
-    if case is Case.KINETIC:
-        dp = xp.shape[0] // 2
-        out = xp.copy()
-        out[dp:] -= xp[:dp] * t
-        return out
-    return xp.copy()
 
 
 def kernel_mean_cov(spec: KernelSpec):
@@ -166,61 +113,6 @@ def sample_kernel(spec: KernelSpec, rng: np.random.Generator, n: int) -> np.ndar
     return mean + rng.standard_normal((n, spec.d)) @ chol.T
 
 
-def semigroup_residual(
-    spec: KernelSpec,
-    s: float,
-    x,
-    xp,
-    n_nodes: int = 200,
-    radius: float = 12.0,
-    check_tol: float = 1e-7,
-) -> float:
-    """| integral of p_c(t-s, x, u) p_c(s, u, x') du  -  p_c(t, x, x') |.
-
-    The integrand is a single Gaussian in u; the quadrature box is centered
-    on its mode and scaled by its own covariance, then integrated with
-    adaptive Gauss-Kronrod (d = 1) or a tensor Gauss-Legendre rule (d = 2).
-    """
-    if not 0.0 < s < spec.t:
-        raise ArgumentError("split time must satisfy 0 < s < t")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xp = np.atleast_1d(np.asarray(xp, dtype=float))
-    d = x.shape[0]
-    if d > 2:
-        raise ArgumentError("semigroup quadrature is implemented for d <= 2")
-    case, c = spec.case, spec.c
-    tau = spec.t - s
-
-    h1 = _precision_from(case, c, tau, d)
-    h2 = _precision_to(case, c, s, d)
-    m1 = _transport(case, x, tau)
-    m2 = _back_transport(case, xp, s)
-    h = h1 + h2
-    mode = np.linalg.solve(h, h1 @ m1 + h2 @ m2)
-    widths = np.sqrt(np.diag(np.linalg.inv(h)))
-
-    first = KernelSpec(case, c, tau, x)
-
-    def integrand(u_pts: np.ndarray) -> np.ndarray:
-        return kernel_density(first, u_pts) * kernel_density_from(
-            case, c, s, u_pts, xp
-        )
-
-    if d == 1:
-        lo, hi = mode[0] - radius * widths[0], mode[0] + radius * widths[0]
-        val = adaptive_1d(
-            lambda u: float(integrand(np.array([[u]]))[0]), lo, hi, tol=check_tol
-        )
-    else:
-        box = [
-            (mode[0] - radius * widths[0], mode[0] + radius * widths[0]),
-            (mode[1] - radius * widths[1], mode[1] + radius * widths[1]),
-        ]
-        val = tensor_quad_2d(integrand, box, n_per_dim=n_nodes, check_tol=check_tol)
-    target = float(kernel_density(KernelSpec(case, c, spec.t, x), xp))
-    return abs(val - target)
-
-
 def kinetic_metric(t: float, x, xp, d_prime: int) -> float:
     """Squared kinetic distance |dv|^2/(2t) + 6 |dz - avg t|^2 / t^3.
 
@@ -241,46 +133,6 @@ def kinetic_metric(t: float, x, xp, d_prime: int) -> float:
     return np.sum(dv * dv, axis=-1) / (2.0 * t) + 6.0 * np.sum(w * w, axis=-1) / t**3
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Quadratic potential V with p_c(T, x, .) = Z^{-1} e^{-V}."""
-
-    case: Case
-    c: float
-    T: float
-    x: np.ndarray
-
-    def __post_init__(self):
-        if self.c <= 0 or self.T <= 0:
-            raise ArgumentError("potential needs c > 0 and T > 0")
-        object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[0]
-
-
-def potential_eval(spec: PotentialSpec, xp):
-    """Value, gradient and (constant) Hessian of V at x'."""
-    xp = np.atleast_1d(np.asarray(xp, dtype=float))
-    x = spec.x
-    c, T, d = spec.c, spec.T, spec.d
-    hess = _precision_from(spec.case, c, T, d)
-    if spec.case is Case.KINETIC:
-        dp = d // 2
-        u = xp[:dp] - x[:dp]
-        w = xp[dp:] - x[dp:] - 0.5 * (x[:dp] + xp[:dp]) * T
-        value = c * (u @ u / (4.0 * T) + 3.0 * (w @ w) / T**3)
-        grad = np.concatenate(
-            [c * (u / (2.0 * T) - 3.0 * w / T**2), 6.0 * c * w / T**3]
-        )
-    else:
-        diff = xp - x
-        value = c * (diff @ diff) / (2.0 * T)
-        grad = c * diff / T
-    return float(value), grad, hess
-
-
 def hessian_spectral_bounds(case: Case, c: float, T: float):
     """Smallest and largest eigenvalue of the potential Hessian.
 
@@ -295,49 +147,6 @@ def hessian_spectral_bounds(case: Case, c: float, T: float):
         hi = c / T + 3.0 * c / T**3 * (1.0 + root)
         return lo, hi
     return c / T, c / T
-
-
-def _tail_pieces(d: int, x: float):
-    # integration by parts: Q_d = x^{d-2} e^{-x^2/2} + (d-2) Q_{d-2}
-    if d % 2 == 0:
-        poly, coef, dim = 1.0, 0.0, 2
-    else:
-        poly, coef, dim = 0.0, 1.0, 1
-    while dim < d:
-        dim += 2
-        poly = x ** (dim - 2) + (dim - 2) * poly
-        coef = (dim - 2) * coef
-    return poly, coef
-
-
-def radial_tail(d: int, x: float) -> float:
-    """Integral of rho^{d-1} e^{-rho^2/2} over [x, infinity), closed form.
-
-    Even d reduces to a polynomial times e^{-x^2/2}; odd d adds a Gaussian
-    tail term evaluated through erfc so nothing overflows at large x.
-    """
-    if d < 1:
-        raise ArgumentError("dimension must be >= 1")
-    if x <= 0:
-        raise ArgumentError("x must be positive")
-    poly, coef = _tail_pieces(d, x)
-    val = math.exp(-0.5 * x * x) * poly
-    if coef:
-        val += coef * math.sqrt(math.pi / 2.0) * erfc(x / math.sqrt(2.0))
-    return float(val)
-
-
-def radial_tail_factor(d: int, x: float) -> float:
-    """The factor M(d, x) with radial_tail = e^{-x^2/2} M(d, x) (erfcx form)."""
-    if d < 1:
-        raise ArgumentError("dimension must be >= 1")
-    if x <= 0:
-        raise ArgumentError("x must be positive")
-    poly, coef = _tail_pieces(d, x)
-    val = poly
-    if coef:
-        val += coef * math.sqrt(math.pi / 2.0) * erfcx(x / math.sqrt(2.0))
-    return float(val)
 
 
 def cone_constant(d: int, cone_measure: float) -> float:

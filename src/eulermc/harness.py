@@ -54,11 +54,14 @@ _FLOAT_LISTS = frozenset({"x0", "eps", "r_grid", "c_grid", "control_x", "control
 
 
 def _ints_to_float(name: str, value):
-    """Integers (bools excepted) as floats, also inside a list, so that a
-    run set with T=1 or x0=[0] has the config hash of T=1.0 or x0=[0.0]."""
+    """Integers as floats, also inside a list, so that a run set with T=1 or
+    x0=[0] has the config hash of T=1.0 or x0=[0.0].  A bool is refused: it
+    would run as 0 or 1 under a hash of its own."""
     if isinstance(value, list):
         return [_ints_to_float(name, v) for v in value]
-    if isinstance(value, int) and not isinstance(value, bool):
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if isinstance(value, int):
         try:
             return float(value)
         except OverflowError:
@@ -133,6 +136,8 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         raw = dict(raw)
+        if isinstance(raw.get("x0"), (int, float)):
+            raw["x0"] = [raw["x0"]]  # start_point broadcasts x0 and [x0] alike
         for f in dataclasses.fields(cls):
             if f.name not in raw:
                 continue
@@ -263,6 +268,12 @@ def _table_grid(cfg: ExperimentConfig, model: SdeModel, tgrid: SchemeGrid, x: fl
 
     Both build n x n float64 matrices on it, so a grid whose one such matrix
     would exceed _MATRIX_CAP_BYTES is refused before anything is allocated.
+
+    A grid too coarse for one scheme step is refused too.  With spacing
+    h > 2 sqrt(lambda0 delta), every one-step density has a standard
+    deviation below h/2, and its trapezoid mass on the grid is off by about
+    2 exp(-pi^2/2) ~ 0.014 (times a phase set by where the mean falls between
+    nodes), far above the CK mass tolerance of 1e-8.
     """
     grid = default_grid(model, tgrid, x, cfg.grid_points, cfg.grid_radius)
     size = 8 * grid.n_points**2
@@ -271,6 +282,12 @@ def _table_grid(cfg: ExperimentConfig, model: SdeModel, tgrid: SchemeGrid, x: fl
             f"grid_points={cfg.grid_points} needs {size / 2**20:,.0f} MiB per n x n "
             f"float64 matrix (n = {grid.n_points}), above the cap of "
             f"{_MATRIX_CAP_BYTES // 2**20} MiB"
+        )
+    limit = 2.0 * math.sqrt(model.lambda0 * tgrid.delta)
+    if grid.h > limit:
+        raise ConfigError(
+            f"grid_points={cfg.grid_points} gives spacing h = {grid.h:.3g}, above "
+            f"2 sqrt(lambda0 delta) = {limit:.3g}: one scheme step falls between nodes"
         )
     return grid
 
@@ -422,8 +439,8 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
         for r, bound in lower_curve:
             thr = r - bias.value
             if bound >= 1e-3 and thr > 0:
-                freq = float(np.count_nonzero(deviations >= thr)) / cfg.num_batches
-                lower_empirical.append((r, thr, freq))
+                lower_freq = float(np.count_nonzero(deviations >= thr)) / cfg.num_batches
+                lower_empirical.append((r, thr, lower_freq))
         constants = {
             "chi": rate.chi,
             "bar_alpha_inv": rate.inv_alpha,

@@ -1,4 +1,4 @@
-"""SDE models, discretization grids, and assumption checks.
+"""SDE models, discretization grids, and growth checks.
 
 Two model families are supported.  In the non-degenerate case the noise
 drives every coordinate.  In the kinetic case the state splits into a
@@ -6,10 +6,9 @@ velocity block of dimension d' = d/2 driven by the noise and a position
 block that integrates the velocity; the user supplies coefficients for the
 velocity block only.
 
-Assumption checks are sample based: they evaluate ellipticity, drift
-boundedness and the spatial Holder quotient of the diffusion matrix on
-user-provided points and report worst cases.  A pass is necessary, not
-sufficient.
+The growth check on a functional is sample based: it tests the growth
+inequality on sampled rays and reports the worst slack.  A pass is
+necessary, not sufficient.
 """
 
 from __future__ import annotations
@@ -94,12 +93,6 @@ class SchemeGrid:
     def delta(self) -> float:
         return self.T / self.N
 
-    def step_index(self, t: float) -> int:
-        """Index i with t_i <= t < t_{i+1} (N-1 for t >= T)."""
-        if t < 0:
-            raise ArgumentError("time below the grid")
-        return min(int(t / self.delta), self.N - 1)
-
 
 @dataclass(frozen=True)
 class GaussParams:
@@ -156,96 +149,6 @@ class GrowthSpec:
             raise ConfigError("rho0 and beta must be positive")
         if self.cone_measure <= 0:
             raise ConfigError("cone_measure must be positive")
-
-    @classmethod
-    def full_sphere(cls, d: int, rho0: float, beta: float) -> "GrowthSpec":
-        return cls(rho0=rho0, beta=beta, cone_measure=sphere_surface_measure(d))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ratio_min: float
-    ratio_max: float
-    sup_drift: float
-    holder_sup: float
-    n_points: int
-    n_pairs: int
-    lambda0: float
-    L0: float
-    tol: float = 1e-9  # relative slack so exact-boundary models pass
-
-    @property
-    def uniformly_elliptic(self) -> bool:
-        slack = 1.0 + self.tol
-        return (
-            self.ratio_min >= 1.0 / (self.lambda0 * slack)
-            and self.ratio_max <= self.lambda0 * slack
-        )
-
-    @property
-    def drift_and_holder_bounded(self) -> bool:
-        return self.sup_drift + self.holder_sup <= self.L0 * (1.0 + self.tol)
-
-    @property
-    def passed(self) -> bool:
-        return self.uniformly_elliptic and self.drift_and_holder_bounded
-
-
-def validate_assumptions(
-    model: SdeModel,
-    sample_points: Sequence,
-    sample_pairs: Sequence,
-    n_directions: int = 128,
-    seed: int = 0,
-) -> ValidationReport:
-    """Check ellipticity, drift bound and the Holder quotient on samples.
-
-    sample_points is a sequence of (t, x); sample_pairs a sequence of
-    (t, x, y).  Ellipticity ratios <a xi, xi>/|xi|^2 are probed on
-    n_directions random unit vectors per point and must stay inside
-    [1/lambda0, lambda0]; sup|drift| plus the worst Holder quotient of the
-    diffusion matrix must stay below L0.
-    """
-    if len(sample_points) == 0 or len(sample_pairs) == 0:
-        raise ArgumentError("sample lists must be non-empty")
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((max(n_directions, 100), model.d_prime))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-
-    ratio_min, ratio_max, sup_drift = math.inf, -math.inf, 0.0
-    for t, x in sample_points:
-        x = np.asarray(x, dtype=float)
-        a = model.diffusion(t, x)
-        if not np.all(np.isfinite(a)):
-            raise InvalidModelError(f"diffusion matrix non-finite at t={t}, x={x}")
-        ratios = np.einsum("ni,ij,nj->n", dirs, a, dirs)
-        ratio_min = min(ratio_min, float(ratios.min()))
-        ratio_max = max(ratio_max, float(ratios.max()))
-        b = np.asarray(model.drift(t, x), dtype=float)
-        if not np.all(np.isfinite(b)):
-            raise InvalidModelError(f"drift non-finite at t={t}, x={x}")
-        sup_drift = max(sup_drift, float(np.linalg.norm(b)))
-
-    holder_sup = 0.0
-    for t, x, y in sample_pairs:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        gap = float(np.linalg.norm(x - y))
-        if gap == 0.0:
-            continue
-        diff = model.diffusion(t, x) - model.diffusion(t, y)
-        holder_sup = max(holder_sup, float(np.linalg.norm(diff)) / gap**model.eta)
-
-    return ValidationReport(
-        ratio_min=ratio_min,
-        ratio_max=ratio_max,
-        sup_drift=sup_drift,
-        holder_sup=holder_sup,
-        n_points=len(sample_points),
-        n_pairs=len(sample_pairs),
-        lambda0=model.lambda0,
-        L0=model.L0,
-    )
 
 
 @dataclass(frozen=True)

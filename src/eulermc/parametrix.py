@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArgumentError, DivergenceWarning, TruncationError
-from .gaussianref import KernelSpec, kernel_density
-from .model import Case, GaussParams, SdeModel, SchemeGrid
+from .model import Case, SdeModel, SchemeGrid
 from .quadrature import trapezoid_weights
 
 
@@ -81,8 +80,7 @@ class DensityTable:
     """Tabulated values between two grid times.
 
     values is either a vector (fixed start, targets on the grid) or a full
-    matrix (starts on grid rows, targets on grid columns).  Signed tables
-    (kernels) must be flagged so normalization checks skip them.
+    matrix (starts on grid rows, targets on grid columns).
     """
 
     grid: Grid1D
@@ -90,7 +88,6 @@ class DensityTable:
     j_prime: int
     values: np.ndarray
     start_x: float | None = None
-    signed: bool = False
 
     def mass(self) -> float:
         if self.values.ndim != 1:
@@ -107,20 +104,6 @@ class DensityTable:
             n = pts.shape[0]
             columns = [np.repeat(pts, n), np.tile(pts, n), self.values.reshape(-1)]
             write_csv(path, ["x", "x_prime", "value"], columns, config_hash)
-
-
-@dataclass(frozen=True)
-class TimeSliceTable:
-    """Slices g(t_j, t_{j+k}, start_x, .) for k = 0 .. K-1 on one grid.
-
-    Row 0 is ignored when start_dirac is set: densities at zero elapsed time
-    are the point mass at start_x and enter convolutions exactly.
-    """
-
-    grid: Grid1D
-    start_x: float
-    slices: np.ndarray  # (K, n_points)
-    start_dirac: bool = True
 
 
 def _check_1d_case_a(model: SdeModel) -> None:
@@ -244,47 +227,6 @@ def _onestep_defect(V: np.ndarray, Q: np.ndarray, G: np.ndarray) -> np.ndarray:
     return D
 
 
-def defect_kernel(
-    model: SdeModel,
-    tgrid: SchemeGrid,
-    j: int,
-    j_prime: int,
-    x: float,
-    xp: float,
-    grid: Grid1D,
-) -> float:
-    """One point of the defect kernel H between true and frozen schemes.
-
-    For a single step this is (p - ptilde)/delta at (x, xp).  For longer
-    spans it is the spatial integral of the one-step defect from x against
-    the frozen tail into xp, divided by delta; the integral runs over the
-    truncated grid and the one-step mass retained on the grid must exceed
-    1 - 1e-6.
-    """
-    _check_1d_case_a(model)
-    if not 0 <= j < j_prime <= tgrid.N:
-        raise ArgumentError("need 0 <= j < j' <= N")
-    delta = tgrid.delta
-    if j_prime == j + 1:
-        p = one_step_density(model, tgrid, j, x, xp)
-        b, a = _coeffs(model, tgrid.times[j], np.array([xp]))
-        ptilde = _gauss(np.asarray(xp, float), x + b[0] * delta, a[0] * delta)
-        return float(p - ptilde) / delta
-    pts = grid.points
-    tw = grid.weights()
-    p_row = one_step_density(model, tgrid, j, x, pts)
-    retained = float(tw @ p_row)
-    if abs(retained - 1.0) > 1e-6:
-        raise TruncationError(
-            f"one-step mass truncation {abs(retained - 1.0):.2e} exceeds 1e-6"
-        )
-    b, a = _coeffs(model, tgrid.times[j], np.array([xp]))
-    ptilde_row = _gauss(pts, x + b[0] * delta, a[0] * delta)
-    drift_sum, var_sum = _frozen_sums(model, tgrid, j + 1, j_prime, np.array([xp]))
-    tail = _gauss(xp, pts + drift_sum[0], var_sum[0])
-    return float(tw @ ((p_row - ptilde_row) * tail)) / delta
-
-
 def _kernel_row(model, tgrid, j, m, x, pts, tw):
     """H(t_j, t_m, x, .) along the grid for an arbitrary start point x."""
     delta = tgrid.delta
@@ -297,42 +239,6 @@ def _kernel_row(model, tgrid, j, m, x, pts, tw):
     frozen = _gauss(pts[None, :], x + (b_z * delta)[:, None], (a_z * delta)[:, None], flush=True)
     psi = _frozen_tail(pts, *_frozen_sums(model, tgrid, j + 1, m, pts))  # [z, w]
     return np.einsum("zw,zw->z", tw * (q_row - frozen), psi) / delta
-
-
-def discrete_convolution(
-    g: TimeSliceTable,
-    f_kernel,
-    tgrid: SchemeGrid,
-    j: int,
-    j_prime: int,
-    grid: Grid1D,
-) -> DensityTable:
-    """Discrete convolution (g (x)_D f)(t_j, t_{j'}, start, .) on the grid.
-
-    f_kernel(k, u_points, xp_points) must return the (len(u), len(xp)) array
-    of f(t_{j+k}, t_{j'}, u, xp).  Time summation is exact (step-weighted);
-    spatial integrals use trapezoid weights.  The zero-span convolution is
-    the zero table by convention.
-    """
-    if g.grid != grid:
-        raise ArgumentError("slice table and output grid must match")
-    pts = grid.points
-    if j_prime == j:
-        return DensityTable(grid, j, j_prime, np.zeros(grid.n_points), g.start_x, signed=True)
-    if j_prime < j:
-        raise ArgumentError("need j <= j'")
-    tw = grid.weights()
-    delta = tgrid.delta
-    out = np.zeros(grid.n_points)
-    for k in range(j_prime - j):
-        if k == 0 and g.start_dirac:
-            out += delta * np.asarray(
-                f_kernel(0, np.array([g.start_x]), pts), dtype=float
-            ).reshape(grid.n_points)
-            continue
-        row = g.slices[k]
-        out += delta * ((tw * row) @ np.asarray(f_kernel(k, pts, pts), dtype=float))
-    return DensityTable(grid, j, j_prime, out, g.start_x, signed=True)
 
 
 def term_decay(norms) -> tuple[list, list]:
@@ -461,63 +367,3 @@ def chapman_kolmogorov_density(
             )
         dens = (tw * dens) @ Q
     return DensityTable(grid, j, j_prime, dens, start_x=x)
-
-
-@dataclass(frozen=True)
-class EnvelopeReport:
-    sup_ratio: float  # sup of table / p_c
-    inf_ratio: float  # inf of table / p_{1/c}
-    holds: bool
-    n_points: int
-
-
-def envelope_check(
-    table: DensityTable,
-    gauss: GaussParams,
-    t_elapsed: float,
-    x: float,
-    floor: float = 1e-10,
-    tol: float = 1e-9,
-) -> EnvelopeReport:
-    """Two-sided Gaussian envelope check on a probability table.
-
-    Over grid points carrying density above `floor`, computes
-    sup table / p_c and inf table / p_{1/c}; the envelope
-    C^{-1} p_{1/c} <= table <= C p_c holds iff sup <= C and inf >= 1/C,
-    up to the relative roundoff slack tol.
-    """
-    if table.signed:
-        raise ArgumentError("envelope checks apply to probability tables")
-    if table.values.ndim != 1:
-        raise ArgumentError("envelope checks need a vector table")
-    pts = table.grid.points[:, None]
-    upper = kernel_density(
-        KernelSpec(Case.NONDEGENERATE, gauss.c, t_elapsed, np.array([x])), pts
-    )
-    lower = kernel_density(
-        KernelSpec(Case.NONDEGENERATE, 1.0 / gauss.c, t_elapsed, np.array([x])), pts
-    )
-    mask = table.values > floor
-    if not np.any(mask):
-        raise ArgumentError("no grid point carries density above the floor")
-    sup_ratio = float(np.max(table.values[mask] / upper[mask]))
-    inf_ratio = float(np.min(table.values[mask] / lower[mask]))
-    holds = sup_ratio <= gauss.C * (1.0 + tol) and inf_ratio >= (1.0 - tol) / gauss.C
-    return EnvelopeReport(
-        sup_ratio=sup_ratio,
-        inf_ratio=inf_ratio,
-        holds=holds,
-        n_points=int(mask.sum()),
-    )
-
-
-def frozen_slices(
-    model: SdeModel, tgrid: SchemeGrid, j: int, j_prime: int, x: float, grid: Grid1D
-) -> TimeSliceTable:
-    """Frozen densities ptilde(t_j, t_{j+k}, x, .) as convolution input."""
-    K = j_prime - j
-    pts = grid.points
-    slices = np.zeros((K, grid.n_points))
-    for k in range(1, K):
-        slices[k] = frozen_density(model, tgrid, j, j + k, x, pts)
-    return TimeSliceTable(grid=grid, start_x=float(x), slices=slices, start_dirac=True)

@@ -1,9 +1,8 @@
-"""Scheme simulation and Monte Carlo estimators.
+"""Scheme simulation.
 
 Every Monte Carlo sample owns a counter-based substream derived from
 (master_seed, stream_id, sample index), so batches are bitwise reproducible
-no matter how work is split across threads.  Reductions store per-sample
-values and sum in index order.
+no matter how work is split across threads.
 """
 
 from __future__ import annotations
@@ -148,23 +147,6 @@ def euler_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.ndarr
     return out
 
 
-def kinetic_step_factor(sigma_mat: np.ndarray, delta: float) -> np.ndarray:
-    """Lower-triangular factor L of the kinetic one-step covariance.
-
-    L L^T equals the block matrix [[a d, a d^2/2], [a d^2/2, a d^3/3]] with
-    a = sigma sigma^T; the time block is factored once and combined with
-    sigma, no dense factorization per step.
-    """
-    sigma_mat = np.asarray(sigma_mat, dtype=float)
-    dp = sigma_mat.shape[-1]
-    rt = math.sqrt(delta)
-    L = np.zeros(sigma_mat.shape[:-2] + (2 * dp, 2 * dp))
-    L[..., :dp, :dp] = rt * sigma_mat
-    L[..., dp:, :dp] = 0.5 * delta * rt * sigma_mat
-    L[..., dp:, dp:] = delta * rt / (2.0 * math.sqrt(3.0)) * sigma_mat
-    return L
-
-
 def kinetic_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.ndarray:
     """One exactly-sampled step of the kinetic scheme.
 
@@ -262,14 +244,3 @@ def simulate_terminal(
         for r in ranges:
             run_chunk(*r)
     return TerminalBatch(model=model, grid=grid, start_x=x0, samples=out)
-
-
-def mc_deviation(batch: TerminalBatch, f, reference_mean: float) -> float:
-    """Empirical mean of f over the batch minus the reference mean."""
-    if not math.isfinite(reference_mean):
-        raise ArgumentError("reference mean must be finite")
-    vals = np.asarray(f(batch.samples), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NumericError("functional produced non-finite values")
-    return float(vals.mean() - reference_mean)
-

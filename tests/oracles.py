@@ -1,0 +1,189 @@
+"""Reference implementations that tests compare the package against.
+
+None of this code runs in a CLI command.  The semigroup residual checks the
+kernels p_c by quadrature (acceptance criterion 02), the radial tail closed
+forms are compared with quadrature (criterion 04), and the Gram-matrix form
+of the optimal control cross-checks control.optimal_control.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.special import erfc
+
+from eulermc.control import ControlProblem
+from eulermc.errors import ArgumentError
+from eulermc.gaussianref import KernelSpec, _transport, kernel_density, kernel_normalizer
+from eulermc.model import Case
+from eulermc.quadrature import adaptive_1d, tensor_quad_2d
+
+
+def kernel_density_from(case: Case, c: float, t: float, u, xp) -> np.ndarray:
+    """p_c(t, u, x') for a fixed target x', vectorized over start points u."""
+    u = np.asarray(u, dtype=float)
+    xp = np.atleast_1d(np.asarray(xp, dtype=float))
+    d = xp.shape[0]
+    if case is Case.KINETIC:
+        dp = d // 2
+        dv = xp[:dp] - u[..., :dp]
+        w = xp[dp:] - u[..., dp:] - 0.5 * (u[..., :dp] + xp[:dp]) * t
+        expo = -c * (
+            np.sum(dv * dv, axis=-1) / (4.0 * t)
+            + 3.0 * np.sum(w * w, axis=-1) / t**3
+        )
+    else:
+        diff = xp - u
+        expo = -c * np.sum(diff * diff, axis=-1) / (2.0 * t)
+    return np.exp(expo) / kernel_normalizer(case, c, t, d)
+
+
+def _precision_from(case: Case, c: float, t: float, d: int) -> np.ndarray:
+    """Hessian in x' of -log p_c(t, x, x')."""
+    if case is Case.KINETIC:
+        dp = d // 2
+        h = np.zeros((d, d))
+        h[:dp, :dp] = 2.0 * c / t * np.eye(dp)
+        h[:dp, dp:] = h[dp:, :dp] = -3.0 * c / t**2 * np.eye(dp)
+        h[dp:, dp:] = 6.0 * c / t**3 * np.eye(dp)
+        return h
+    return c / t * np.eye(d)
+
+
+def _precision_to(case: Case, c: float, t: float, d: int) -> np.ndarray:
+    """Hessian in the start point u of -log p_c(t, u, x')."""
+    h = _precision_from(case, c, t, d)
+    if case is Case.KINETIC:
+        dp = d // 2
+        h = h.copy()
+        h[:dp, dp:] = h[dp:, :dp] = 3.0 * c / t**2 * np.eye(dp)
+    return h
+
+
+def _back_transport(case: Case, xp: np.ndarray, t: float) -> np.ndarray:
+    """Mean in u of p_c(t, u, x'): backward transport of x'."""
+    if case is Case.KINETIC:
+        dp = xp.shape[0] // 2
+        out = xp.copy()
+        out[dp:] -= xp[:dp] * t
+        return out
+    return xp.copy()
+
+
+def semigroup_residual(
+    spec: KernelSpec,
+    s: float,
+    x,
+    xp,
+    n_nodes: int = 200,
+    radius: float = 12.0,
+    check_tol: float = 1e-7,
+) -> float:
+    """| integral of p_c(t-s, x, u) p_c(s, u, x') du  -  p_c(t, x, x') |.
+
+    The integrand is a single Gaussian in u; the quadrature box is centered
+    on its mode and scaled by its own covariance, then integrated with
+    adaptive Gauss-Kronrod (d = 1) or a tensor Gauss-Legendre rule (d = 2).
+    """
+    if not 0.0 < s < spec.t:
+        raise ArgumentError("split time must satisfy 0 < s < t")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    xp = np.atleast_1d(np.asarray(xp, dtype=float))
+    d = x.shape[0]
+    if d > 2:
+        raise ArgumentError("semigroup quadrature is implemented for d <= 2")
+    case, c = spec.case, spec.c
+    tau = spec.t - s
+
+    h1 = _precision_from(case, c, tau, d)
+    h2 = _precision_to(case, c, s, d)
+    m1 = _transport(case, x, tau)
+    m2 = _back_transport(case, xp, s)
+    h = h1 + h2
+    mode = np.linalg.solve(h, h1 @ m1 + h2 @ m2)
+    widths = np.sqrt(np.diag(np.linalg.inv(h)))
+
+    first = KernelSpec(case, c, tau, x)
+
+    def integrand(u_pts: np.ndarray) -> np.ndarray:
+        return kernel_density(first, u_pts) * kernel_density_from(
+            case, c, s, u_pts, xp
+        )
+
+    if d == 1:
+        lo, hi = mode[0] - radius * widths[0], mode[0] + radius * widths[0]
+        val = adaptive_1d(
+            lambda u: float(integrand(np.array([[u]]))[0]), lo, hi, tol=check_tol
+        )
+    else:
+        box = [
+            (mode[0] - radius * widths[0], mode[0] + radius * widths[0]),
+            (mode[1] - radius * widths[1], mode[1] + radius * widths[1]),
+        ]
+        val = tensor_quad_2d(integrand, box, n_per_dim=n_nodes, check_tol=check_tol)
+    target = float(kernel_density(KernelSpec(case, c, spec.t, x), xp))
+    return abs(val - target)
+
+
+def _tail_pieces(d: int, x: float):
+    # integration by parts: Q_d = x^{d-2} e^{-x^2/2} + (d-2) Q_{d-2}
+    if d % 2 == 0:
+        poly, coef, dim = 1.0, 0.0, 2
+    else:
+        poly, coef, dim = 0.0, 1.0, 1
+    while dim < d:
+        dim += 2
+        poly = x ** (dim - 2) + (dim - 2) * poly
+        coef = (dim - 2) * coef
+    return poly, coef
+
+
+def radial_tail(d: int, x: float) -> float:
+    """Integral of rho^{d-1} e^{-rho^2/2} over [x, infinity), closed form.
+
+    Even d reduces to a polynomial times e^{-x^2/2}; odd d adds a Gaussian
+    tail term evaluated through erfc so nothing overflows at large x.
+    """
+    if d < 1:
+        raise ArgumentError("dimension must be >= 1")
+    if x <= 0:
+        raise ArgumentError("x must be positive")
+    poly, coef = _tail_pieces(d, x)
+    val = math.exp(-0.5 * x * x) * poly
+    if coef:
+        val += coef * math.sqrt(math.pi / 2.0) * erfc(x / math.sqrt(2.0))
+    return float(val)
+
+
+def resolvent(t: float, t0: float, d_prime: int) -> np.ndarray:
+    """Flow matrix of the drift: identity blocks, (t - t0) I in the lower left."""
+    eye = np.eye(d_prime)
+    top = np.hstack([eye, np.zeros((d_prime, d_prime))])
+    bottom = np.hstack([(t - t0) * eye, eye])
+    return np.vstack([top, bottom])
+
+
+def gram(t: float, d_prime: int) -> np.ndarray:
+    """Controllability Gram matrix: blocks (t, t^2/2; t^2/2, t^3/3) times I."""
+    if t <= 0:
+        raise ArgumentError("horizon must be positive")
+    eye = np.eye(d_prime)
+    return np.block([[t * eye, t**2 / 2.0 * eye], [t**2 / 2.0 * eye, t**3 / 3.0 * eye]])
+
+
+def gram_inverse(t: float, d_prime: int) -> np.ndarray:
+    # closed-form 2x2 block inverse; determinant per pair is t^4/12
+    eye = np.eye(d_prime)
+    return np.block(
+        [[4.0 / t * eye, -6.0 / t**2 * eye], [-6.0 / t**2 * eye, 12.0 / t**3 * eye]]
+    )
+
+
+def optimal_control_gram(problem: ControlProblem, s: float) -> np.ndarray:
+    """Gram-matrix form of the optimal control (cross-check path)."""
+    dp = problem.d_prime
+    t = problem.t
+    gap = problem.x_prime - resolvent(t, 0.0, dp) @ problem.x
+    B = np.vstack([np.eye(dp), np.zeros((dp, dp))])
+    return B.T @ resolvent(t, s, dp).T @ (gram_inverse(t, dp) @ gap)

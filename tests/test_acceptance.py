@@ -24,14 +24,13 @@ from eulermc.gaussianref import (
     kernel_density,
     kernel_mean_cov,
     kinetic_metric,
-    radial_tail,
-    semigroup_residual,
 )
 from eulermc.harness import ExperimentConfig, run_concentration_experiment, run_density_check
 from eulermc.model import Case, SchemeGrid, model_preset
 from eulermc.parametrix import chapman_kolmogorov_density, default_grid, parametrix_series
 from eulermc.quadrature import tensor_quad_2d
 from eulermc.simulate import kinetic_step
+from oracles import radial_tail, semigroup_residual
 
 
 REPORT_LINES: list[str] = []

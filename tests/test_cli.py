@@ -153,10 +153,14 @@ def test_parametrix_cmd(tmp_path):
         ["simulate", "--set", "sigma0=0"],
         ["parametrix", "--set", "grid_points=100000"],
         ["density-check", "--set", 'density_mode="ck"', "--set", "grid_points=100000"],
+        ["bounds", "--set", "T=true"],
+        ["parametrix", "--set", "grid_points=2"],
+        ["density-check", "--set", 'density_mode="ck"', "--set", "grid_points=2"],
     ],
     ids=[
         "out-dir-under-file", "cone-not-a-number", "empty-c-grid", "M-string", "N-float",
-        "sigma0-zero", "parametrix-grid-too-large", "ck-grid-too-large",
+        "sigma0-zero", "parametrix-grid-too-large", "ck-grid-too-large", "T-bool",
+        "parametrix-grid-too-coarse", "ck-grid-too-coarse",
     ],
 )
 def test_bad_input_is_one_line_config_error(tmp_path, capsys, args):

@@ -5,19 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulermc import concentration as conc
-from eulermc.errors import ArgumentError, LambdaTooLargeError
+from eulermc.errors import ArgumentError
 from eulermc.gaussianref import hessian_spectral_bounds
-from eulermc.model import Case, GaussParams, GrowthSpec, SchemeGrid, model_preset
-from eulermc.simulate import RngSpec, simulate_terminal
+from eulermc.model import Case, GaussParams, GrowthSpec, sphere_surface_measure
 
 SQ13 = math.sqrt(13.0)
-
-
-def test_lsi_constant():
-    assert conc.lsi_constant(2.0) == 1.0
-    assert conc.lsi_constant(4.0 - SQ13) == pytest.approx(2.0 / (4.0 - SQ13), rel=1e-12)
-    with pytest.raises(ArgumentError):
-        conc.lsi_constant(0.0)
 
 
 def test_alpha_case_a():
@@ -25,7 +17,7 @@ def test_alpha_case_a():
     # consistency with the isotropic Hessian
     lo, _ = hessian_spectral_bounds(Case.NONDEGENERATE, 0.7, 1.3)
     assert conc.concentration_alpha(Case.NONDEGENERATE, 0.7, 1.3) == pytest.approx(
-        conc.lsi_constant(lo), rel=1e-14
+        2.0 / lo, rel=1e-14
     )
 
 
@@ -42,7 +34,7 @@ def test_alpha_kinetic_equals_lsi_of_min_eigenvalue():
         T = float(rng.uniform(0.05, 8.0))
         lo, _ = hessian_spectral_bounds(Case.KINETIC, c, T)
         assert conc.concentration_alpha(Case.KINETIC, c, T) == pytest.approx(
-            conc.lsi_constant(lo), rel=1e-12
+            2.0 / lo, rel=1e-12
         )
 
 
@@ -67,7 +59,7 @@ def test_alpha_normalized():
         h = c / T * np.array([[2.0, -3.0], [-3.0, 6.0]])
         lam_min = float(np.linalg.eigvalsh(h)[0])
         assert conc.concentration_alpha_normalized(c, T) == pytest.approx(
-            conc.lsi_constant(lam_min), rel=1e-12
+            2.0 / lam_min, rel=1e-12
         )
 
 
@@ -170,24 +162,6 @@ def test_lower_rate_odd_uses_theta():
     assert r2.inv_alpha == pytest.approx(2.0 * r2.lam + r2.chi)
 
 
-def test_lower_rate_full_dominates_reduced():
-    reduced = conc.lower_rate(Case.NONDEGENERATE, 2, 1.0, 1.0, 1.0, 2.0, 2 * math.pi)
-    full = conc.lower_rate_full(
-        Case.NONDEGENERATE, 2, 1.0, 1.0, 1.0, 2.0, 2 * math.pi, x=np.zeros(2),
-        n_directions=256,
-    )
-    assert full.lam >= reduced.lam
-
-
-def test_optimize_theta():
-    args = (Case.NONDEGENERATE, 1, 1.0, 1.0, 1.0, 2.0, 2.0)
-    best = conc.optimize_theta(*args)
-    assert 1.0 < best <= 100.0
-    f_best = conc.lower_rate(*args, theta=best).inv_alpha
-    for t in (1.5, 2.0, 5.0, 50.0):
-        assert f_best <= conc.lower_rate(*args, theta=t).inv_alpha + 1e-9
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     d=st.integers(min_value=1, max_value=6),
@@ -199,8 +173,6 @@ def test_optimize_theta():
 )
 def test_assembled_constants_finite(d, c, T, rho0, C, kinetic):
     import math as _m
-
-    from eulermc.model import sphere_surface_measure
 
     if kinetic:
         case, dd = Case.KINETIC, 2 * ((d + 1) // 2)
@@ -231,20 +203,21 @@ def test_lower_tail_bound():
 
 
 def test_wasserstein_bound():
-    assert conc.wasserstein_bound(2.0, 1.0) == 0.0
-    assert conc.wasserstein_bound(2.0, math.e) == pytest.approx(math.sqrt(2.0))
-    # triangle composition with kappa = C then C^2 gives (1 + sqrt 2) sqrt(alpha log C)
+    # the transport part of the lower bias composes the W1 bounds
+    # sqrt(alpha log C) and sqrt(alpha log C^2) into (1 + sqrt 2) sqrt(alpha log C);
+    # a constant F leaves only that part and rho0 beta
     alpha, C = 1.7, 2.5
-    total = conc.wasserstein_bound(alpha, C) + conc.wasserstein_bound(alpha, C * C)
-    assert total == pytest.approx(
-        (1 + math.sqrt(2.0)) * math.sqrt(alpha * math.log(C)), rel=1e-12
+    bias = conc.lower_bias(
+        Case.NONDEGENERATE, 1.0, C, 1.0, alpha,
+        lambda x: np.full(np.asarray(x).shape[0], 4.2), np.zeros(1),
+        GrowthSpec(1.5, 0.7, sphere_surface_measure(1)), 1,
     )
-    with pytest.raises(ArgumentError):
-        conc.wasserstein_bound(1.0, 0.9)
+    w1 = math.sqrt(alpha * math.log(C)) + math.sqrt(alpha * math.log(C * C))
+    assert bias.value - 1.5 * 0.7 == pytest.approx(w1, rel=1e-9)
 
 
 def test_lower_bias_constant_functional():
-    growth = GrowthSpec.full_sphere(1, rho0=1.5, beta=0.7)
+    growth = GrowthSpec(1.5, 0.7, sphere_surface_measure(1))
     bias = conc.lower_bias(
         Case.NONDEGENERATE, 1.0, 1.0, 1.0, 2.0,
         lambda x: np.full(np.asarray(x).shape[0], 4.2), np.zeros(1), growth, 1,
@@ -255,7 +228,7 @@ def test_lower_bias_constant_functional():
 def test_lower_bias_halfnormal_mean():
     # mean of |y - x| under the c^{-1} kernel (variance c T) is sqrt(2 c T / pi)
     c, T = 1.0, 1.0
-    growth = GrowthSpec.full_sphere(1, rho0=1.0, beta=1.0)
+    growth = GrowthSpec(1.0, 1.0, sphere_surface_measure(1))
     bias = conc.lower_bias(
         Case.NONDEGENERATE, c, 1.0, T, 2.0,
         lambda x: np.abs(np.asarray(x)[:, 0] - 0.5), np.array([0.5]), growth, 1,
@@ -264,7 +237,7 @@ def test_lower_bias_halfnormal_mean():
 
 
 def test_lower_bias_floor_of_norm():
-    growth = GrowthSpec.full_sphere(2, rho0=1.3, beta=1.0)
+    growth = GrowthSpec(1.3, 1.0, sphere_surface_measure(2))
     bias = conc.lower_bias(
         Case.NONDEGENERATE, 1.0, 2.0, 1.0, 2.0,
         lambda x: np.linalg.norm(np.asarray(x), axis=-1), np.zeros(2), growth, 2,
@@ -273,7 +246,7 @@ def test_lower_bias_floor_of_norm():
 
 
 def test_lower_bias_mc_path_reports_se():
-    growth = GrowthSpec.full_sphere(2, rho0=1.0, beta=1.0)
+    growth = GrowthSpec(1.0, 1.0, sphere_surface_measure(2))
     bias = conc.lower_bias(
         Case.NONDEGENERATE, 1.0, 1.0, 1.0, 2.0,
         lambda x: np.linalg.norm(np.asarray(x), axis=-1), np.zeros(2), growth, 2,
@@ -287,69 +260,9 @@ def test_lower_bias_mc_path_reports_se():
     assert abs(bias.gamma_term - quad_bias.gamma_term) < 4 * bias.mc_se
 
 
-def test_entropy_identical_densities():
-    f = lambda t: math.exp(-t * t / 2) / math.sqrt(2 * math.pi)
-    assert conc.relative_entropy_1d(f, f, (-12, 12)) == pytest.approx(0.0, abs=1e-10)
-
-
-def test_entropy_gaussian_kl():
-    # KL(N(0,1) || N(0,2)) = (1/2)(1/2 - 1 + ln 2)
-    m = lambda t: math.exp(-t * t / 2) / math.sqrt(2 * math.pi)
-    q = lambda t: math.exp(-t * t / 4) / math.sqrt(4 * math.pi)
-    want = 0.5 * (0.5 - 1.0 + math.log(2.0))
-    assert conc.relative_entropy_1d(m, q, (-30, 30)) == pytest.approx(want, abs=1e-9)
-
-
-def test_entropy_bounded_by_log_kappa():
-    # m bounded by kappa q pointwise forces entropy <= log kappa
-    m = lambda t: math.exp(-t * t / 2) / math.sqrt(2 * math.pi)
-    q = lambda t: math.exp(-t * t / 4) / math.sqrt(4 * math.pi)
-    kappa = math.sqrt(2.0)  # sup m/q attained at 0
-    val = conc.relative_entropy_1d(m, q, (-30, 30))
-    assert val <= math.log(kappa)
-
-
-def test_entropy_rejects_negative_density():
-    with pytest.raises(ArgumentError):
-        conc.relative_entropy_1d(lambda t: -1.0, lambda t: 1.0, (0, 1))
-
-
-def _gaussian_batch(seed=55, M=20_000, T=0.5):
-    m = model_preset("const", d=1, b0=0.0, sigma0=1.0)
-    return simulate_terminal(m, SchemeGrid(T=T, N=1), [0.0], RngSpec(seed), M)
-
-
-def test_mgf_check_zero_lambda_margin():
-    batch = _gaussian_batch()
-    rep = conc.empirical_mgf_check(
-        batch, lambda x: x[:, 0], alpha=1.0, kappa=1.5, lambda_grid=[0.0]
-    )
-    assert rep.margins[0] == pytest.approx(-math.log(1.5), rel=1e-12)
-
-
-def test_mgf_check_gaussian_within_envelope():
-    # terminal variance is T = 0.5; alpha = 2T matches 2 sigma^2, and
-    # kappa > 1 provides the slack the empirical estimate needs
-    batch = _gaussian_batch()
-    rep = conc.empirical_mgf_check(
-        batch, lambda x: x[:, 0], alpha=1.0, kappa=1.2,
-        lambda_grid=[0.0, 0.25, 0.5, 1.0, 1.5],
-    )
-    assert rep.max_violation < 0.0
-    assert np.all(np.isfinite(rep.bootstrap_se))
-
-
-def test_mgf_check_lambda_guard():
-    batch = _gaussian_batch()
-    with pytest.raises(LambdaTooLargeError):
-        conc.empirical_mgf_check(
-            batch, lambda x: x[:, 0], alpha=1.0, kappa=1.0, lambda_grid=[50.0]
-        )
-
-
 def test_lower_bound_assembly_pipeline():
     # d = 2, C = 1, |A| = 2 pi, rho0 = 1: chi = 0 and 1/alpha_lower = c^{-1}/(2T)
-    growth = GrowthSpec.full_sphere(2, rho0=1.0, beta=1.0)
+    growth = GrowthSpec(1.0, 1.0, sphere_surface_measure(2))
     alpha = conc.concentration_alpha(Case.NONDEGENERATE, 1.0, 1.0)
     lb = conc.lower_bound(
         Case.NONDEGENERATE, 2, GaussParams(1.0, 1.0), 1.0, alpha, growth,

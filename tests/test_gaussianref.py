@@ -8,7 +8,6 @@ from scipy.stats import norm
 from eulermc.errors import ArgumentError
 from eulermc.gaussianref import (
     KernelSpec,
-    PotentialSpec,
     cone_constant,
     hessian_spectral_bounds,
     kernel_density,
@@ -16,13 +15,10 @@ from eulermc.gaussianref import (
     kernel_mean_cov,
     kernel_normalizer,
     kinetic_metric,
-    potential_eval,
-    radial_tail,
-    radial_tail_factor,
-    semigroup_residual,
 )
 from eulermc.model import Case
 from eulermc.quadrature import tensor_quad_2d
+from oracles import radial_tail, semigroup_residual
 
 
 def spec_a(c=1.0, t=1.0, x=(0.0,)):
@@ -128,39 +124,35 @@ def test_kinetic_exponent_matches_metric():
         assert expo == pytest.approx(-0.5 * c * metric, rel=1e-12, abs=1e-14)
 
 
+# The potential of p_c is V = -kernel_exponent, with p_c = Z^{-1} e^{-V}.
+
+
 def test_potential_at_base_point():
-    s = PotentialSpec(Case.KINETIC, 1.0, 1.0, np.array([0.3, -0.7]))
-    v, g, _ = potential_eval(s, np.array([0.3, -0.7 + 0.3]))  # transported point
-    assert v == pytest.approx(0.0, abs=1e-14)
-    assert np.allclose(g, 0.0, atol=1e-13)
+    # V vanishes at the free-transport image of the start point
+    s = KernelSpec(Case.KINETIC, 1.0, 1.0, np.array([0.3, -0.7]))
+    assert float(kernel_exponent(s, np.array([0.3, -0.7 + 0.3]))) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_potential_nondegenerate_case():
-    s = PotentialSpec(Case.NONDEGENERATE, 2.0, 0.5, np.array([1.0]))
-    v, g, h = potential_eval(s, np.array([1.6]))
+    s = KernelSpec(Case.NONDEGENERATE, 2.0, 0.5, np.array([1.0]))
+    v = -float(kernel_exponent(s, np.array([1.6])))
     assert v == pytest.approx(2.0 * 0.36 / (2 * 0.5), rel=1e-14)
-    assert g[0] == pytest.approx(2.0 * 0.6 / 0.5, rel=1e-14)
-    assert h[0, 0] == pytest.approx(4.0)
 
 
 def test_potential_hessian_block():
-    s = PotentialSpec(Case.KINETIC, 1.0, 1.0, np.zeros(2))
-    _, _, h = potential_eval(s, np.array([0.5, 0.5]))
-    assert np.allclose(h, np.array([[2.0, -3.0], [-3.0, 6.0]]))
-
-
-def test_potential_gradient_matches_finite_differences():
-    s = PotentialSpec(Case.KINETIC, 1.7, 0.8, np.array([0.2, 0.4]))
-    xp = np.array([0.9, -0.3])
-    _, grad, _ = potential_eval(s, xp)
-    eps = 1e-6
-    for k in range(2):
-        e = np.zeros(2)
-        e[k] = eps
-        vp, _, _ = potential_eval(s, xp + e)
-        vm, _, _ = potential_eval(s, xp - e)
-        fd = (vp - vm) / (2 * eps)
-        assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-8)
+    # V is quadratic, so central second differences give its Hessian exactly
+    s = KernelSpec(Case.KINETIC, 1.0, 1.0, np.zeros(2))
+    x0, eps = np.array([0.5, 0.5]), 0.25
+    e = np.eye(2) * eps
+    hess = np.empty((2, 2))
+    for i in range(2):
+        for j in range(2):
+            vals = [
+                -float(kernel_exponent(s, x0 + si * e[i] + sj * e[j]))
+                for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+            ]
+            hess[i, j] = (vals[0] - vals[1] - vals[2] + vals[3]) / (4 * eps * eps)
+    assert np.allclose(hess, np.array([[2.0, -3.0], [-3.0, 6.0]]), atol=1e-12)
 
 
 def test_hessian_bounds_kinetic_unit():
@@ -195,7 +187,6 @@ def test_radial_tail_small_cases():
     assert radial_tail(2, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-14)
     # M(4, x) = x^2 + 2
     assert radial_tail(4, 1.0) == pytest.approx(3 * math.exp(-0.5), rel=1e-14)
-    assert radial_tail_factor(4, 1.0) == pytest.approx(3.0, rel=1e-12)
     # d = 1 is the plain Gaussian upper tail
     assert radial_tail(1, 0.7) == pytest.approx(
         math.sqrt(2 * math.pi) * norm.sf(0.7), rel=1e-12
@@ -215,11 +206,6 @@ def test_radial_tail_matches_quadrature():
             )
             assert err < 1e-11
             assert radial_tail(d, x) == pytest.approx(oracle, abs=1e-10)
-
-
-def test_radial_tail_factor_stable_at_large_x():
-    val = radial_tail_factor(3, 40.0)
-    assert math.isfinite(val) and val > 0
 
 
 def test_cone_constant_values():

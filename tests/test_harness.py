@@ -51,6 +51,9 @@ def test_config_hash_treats_integral_numbers_as_floats():
     assert cfg_with(**kinetic, x0=[0.0, 0.0]).config_hash == "b1bc9af07c53"
     assert cfg_with(**kinetic, x0=[0, 0]).config_hash == "b1bc9af07c53"
     assert cfg_with(x0=[0]).config_hash == cfg_with(x0=[0.0]).config_hash
+    # a scalar x0 is the one-element list it broadcasts like
+    assert cfg_with(x0=0.0).config_hash == "ca7e77f92b6c"
+    assert cfg_with(x0=0).x0 == [0.0]
     cfg = cfg_with(b0=[1, 2], d=2, cone=2, eps=[1], control_x=[0, 0], lower_bounds=True)
     assert cfg.b0 == [1.0, 2.0] and isinstance(cfg.b0[0], float)
     assert isinstance(cfg.cone, float) and isinstance(cfg.eps[0], float)
@@ -195,6 +198,17 @@ def test_concentration_with_growth_constants():
     assert rep.lower_curve is not None and len(rep.lower_curve) > 0
     # empirical lower entries only where the prediction is resolvable
     assert rep.lower_empirical is not None
+    for r, thr, freq in rep.lower_empirical:
+        assert thr > 0 and 0.0 <= freq <= 1.0
+
+
+def test_concentration_lower_empirical_keeps_upper_frequencies():
+    # M = 1 leaves batch means wide enough that some lower-bound radii are
+    # testable; their frequencies must not replace the upper-side ones
+    cfg = cfg_with(M=1, rho0=1.0, beta=1.0)
+    rep = run_concentration_experiment(cfg)
+    assert len(rep.empirical_freq) == cfg.num_r
+    assert rep.lower_empirical
     for r, thr, freq in rep.lower_empirical:
         assert thr > 0 and 0.0 <= freq <= 1.0
 

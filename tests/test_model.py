@@ -15,76 +15,59 @@ from eulermc.model import (
     sample_rays,
     sphere_surface_measure,
     unit_directions,
-    validate_assumptions,
 )
 
 
-def grid_points(model, n=25, span=3.0):
-    xs = np.linspace(-span, span, n)
-    if model.d == 1:
-        pts = [(0.0, np.array([x])) for x in xs]
-    else:
-        pts = [(0.0, np.full(model.d, x)) for x in xs]
-    pairs = [(t, x, x + 0.37) for (t, x) in pts]
-    return pts, pairs
-
-
 def test_identity_diffusion_passes():
-    m = model_preset("const", d=2, b0=0.0, sigma0=1.0, lambda0=1.0)
-    pts, pairs = grid_points(m)
-    rep = validate_assumptions(m, pts, pairs)
-    assert rep.passed
-    assert rep.ratio_min == pytest.approx(1.0)
-    assert rep.ratio_max == pytest.approx(1.0)
+    # a = I meets the ellipticity bound [1/lambda0, lambda0] with lambda0 = 1
+    m = model_preset("const", d=2, b0=0.0, sigma0=1.0)
+    assert m.lambda0 == 1.0
+    assert np.array_equal(m.diffusion(0.0, np.zeros((5, 2))), np.broadcast_to(np.eye(2), (5, 2, 2)))
 
 
 def test_scaled_diffusion_needs_larger_lambda0():
-    # a = 4 I has quadratic form 4 in every direction
-    tight = model_preset("const", d=2, sigma0=2.0, lambda0=1.0)
-    pts, pairs = grid_points(tight)
-    assert not validate_assumptions(tight, pts, pairs).uniformly_elliptic
-    loose = model_preset("const", d=2, sigma0=2.0, lambda0=4.0)
-    assert validate_assumptions(loose, pts, pairs).passed
+    # a = 4 I and a = I/4 have quadratic forms 4 and 1/4 in every direction
+    for sigma0 in (2.0, 0.5, -2.0):
+        assert model_preset("const", d=2, sigma0=sigma0).lambda0 == 4.0
+        assert model_preset("kinetic", dp=1, sigma0=sigma0).lambda0 == 4.0
 
 
 def test_sine_drift_bound_detected_on_dense_samples():
-    m = model_preset("trig", b_amp=1.0, a_amp=0.0, L0=0.5)
-    xs = np.linspace(-math.pi, math.pi, 401)
-    pts = [(0.0, np.array([x])) for x in xs]
-    pairs = [(0.0, np.array([x]), np.array([x + 0.1])) for x in xs[:50]]
-    rep = validate_assumptions(m, pts, pairs)
-    assert rep.sup_drift == pytest.approx(1.0, abs=1e-3)
-    assert not rep.drift_and_holder_bounded
-    assert not rep.passed
+    # the default L0 covers sup |b_amp sin x| = b_amp, which dense samples find
+    m = model_preset("trig", b_amp=1.0, a_amp=0.0)
+    xs = np.linspace(-math.pi, math.pi, 401)[:, None]
+    sup_drift = float(np.max(np.abs(m.drift(0.0, xs))))
+    assert sup_drift == pytest.approx(1.0, abs=1e-3)
+    assert sup_drift <= m.L0
 
 
 def test_positive_definite_along_sampled_directions():
-    m = model_preset("trig", a_amp=0.3)
-    pts, pairs = grid_points(m)
-    rep = validate_assumptions(m, pts, pairs, n_directions=150)
-    assert rep.ratio_min > 0
+    # <a xi, xi> stays inside [1/lambda0, lambda0] for the default lambda0
+    dirs = unit_directions(3, 128, seed=4)
+    m = model_preset("const", d=3, sigma0=0.7)
+    ratios = np.einsum("ni,ij,nj->n", dirs, m.diffusion(0.0, np.zeros(3)), dirs)
+    assert np.all(ratios > 0)
+    assert np.all((ratios >= (1 - 1e-12) / m.lambda0) & (ratios <= m.lambda0))
+    trig = model_preset("trig", a_amp=0.3)
+    a = trig.diffusion(0.0, np.linspace(-math.pi, math.pi, 401)[:, None])[:, 0, 0]
+    assert np.all((a >= (1 - 1e-12) / trig.lambda0) & (a <= trig.lambda0))
 
 
 def test_nonfinite_sigma_raises():
-    def bad_sigma(t, x):
-        out = np.ones(x.shape[:-1] + (1, 1))
-        return out * np.nan
-
-    from eulermc.model import SdeModel
-
-    m = SdeModel(Case.NONDEGENERATE, 1, lambda t, x: np.zeros_like(x), bad_sigma, 1.0, 1.0, 1.0)
-    with pytest.raises(InvalidModelError):
-        validate_assumptions(m, [(0.0, np.array([0.0]))], [(0.0, np.array([0.0]), np.array([1.0]))])
+    for preset, params in [("const", {"d": 1}), ("kinetic", {"dp": 1})]:
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidModelError):
+                model_preset(preset, sigma0=bad, **params)
 
 
 def test_empty_samples_rejected():
-    m = model_preset("const")
+    spec = GrowthSpec(1.0, 1.0, 1.0, contains=lambda s: s[0] > 2.0)
     with pytest.raises(ArgumentError):
-        validate_assumptions(m, [], [])
+        sample_rays(spec, 2, [2.0], n_directions=8)
 
 
 def test_growth_of_norm_has_zero_margin():
-    spec = GrowthSpec.full_sphere(2, rho0=1.0, beta=1.0)
+    spec = GrowthSpec(1.0, 1.0, sphere_surface_measure(2))
     rays = sample_rays(spec, 2, [2.0, 5.0, 10.0], n_directions=16)
     res = check_growth(lambda y: float(np.linalg.norm(y)), spec, rays)
     assert res.ok
@@ -92,7 +75,7 @@ def test_growth_of_norm_has_zero_margin():
 
 
 def test_constant_function_fails_growth():
-    spec = GrowthSpec.full_sphere(2, rho0=1.0, beta=0.1)
+    spec = GrowthSpec(1.0, 0.1, sphere_surface_measure(2))
     rays = sample_rays(spec, 2, [3.0], n_directions=8)
     res = check_growth(lambda y: 1.0, spec, rays)
     assert not res.ok
@@ -101,7 +84,7 @@ def test_constant_function_fails_growth():
 
 def test_hinge_function_growth():
     # max(|y| - 1, 0) grows with unit slope beyond radius 1
-    spec = GrowthSpec.full_sphere(1, rho0=2.0, beta=1.0)
+    spec = GrowthSpec(2.0, 1.0, sphere_surface_measure(1))
     rays = sample_rays(spec, 1, [2.5, 4.0, 9.0])
     res = check_growth(lambda y: max(float(np.linalg.norm(y)) - 1.0, 0.0), spec, rays)
     assert res.ok
@@ -109,7 +92,7 @@ def test_hinge_function_growth():
 
 
 def test_growth_rejects_empty_rays():
-    spec = GrowthSpec.full_sphere(2, rho0=1.0, beta=1.0)
+    spec = GrowthSpec(1.0, 1.0, sphere_surface_measure(2))
     with pytest.raises(ArgumentError):
         check_growth(lambda y: 0.0, spec, [])
 
@@ -121,7 +104,7 @@ def test_growth_rejects_empty_rays():
     d=st.integers(min_value=1, max_value=4),
 )
 def test_norm_satisfies_growth_for_every_rho0(rho0, radius_factor, d):
-    spec = GrowthSpec.full_sphere(d, rho0=rho0, beta=1.0)
+    spec = GrowthSpec(rho0, 1.0, sphere_surface_measure(d))
     rays = sample_rays(spec, d, [rho0 * radius_factor], n_directions=8)
     assert check_growth(lambda y: float(np.linalg.norm(y)), spec, rays).ok
 
@@ -132,8 +115,6 @@ def test_scheme_grid_times():
     assert g.times[-1] == 0.7
     assert np.all(np.diff(g.times) > 0)
     assert g.delta == pytest.approx(0.1)
-    assert g.step_index(0.05) == 0
-    assert g.step_index(0.7) == 6
 
 
 def test_grid_validation():

@@ -4,19 +4,15 @@ import numpy as np
 import pytest
 
 from eulermc.errors import ArgumentError, TruncationError
-from eulermc.harness import write_csv
-from eulermc.model import GaussParams, SchemeGrid, model_preset
+from eulermc.harness import ExperimentConfig, run_density_check, write_csv
+from eulermc.model import SchemeGrid, model_preset
 from eulermc.parametrix import (
     DensityTable,
     Grid1D,
-    TimeSliceTable,
+    _kernel_row,
     chapman_kolmogorov_density,
     default_grid,
-    defect_kernel,
-    discrete_convolution,
-    envelope_check,
     frozen_density,
-    frozen_slices,
     one_step_density,
     parametrix_series,
 )
@@ -95,13 +91,16 @@ def test_one_step_density_matches_simulation_histogram():
     assert bad.mean() < 0.01
 
 
+def kernel_row(model, tg, j, m, x, grid):
+    """The defect kernel H(t_j, t_m, x, .) that the series uses, on the grid."""
+    return _kernel_row(model, tg, j, m, x, grid.points, grid.weights())
+
+
 def test_defect_kernel_zero_for_constant_coefficients():
     tg = SchemeGrid(T=1.0, N=5)
     grid = Grid1D(-8, 8, 401)
     for jp in (1, 3, 5):
-        assert defect_kernel(CONST, tg, 0, jp, 0.2, -0.5, grid) == pytest.approx(
-            0.0, abs=1e-14
-        )
+        assert np.max(np.abs(kernel_row(CONST, tg, 0, jp, 0.2, grid))) < 1e-14
 
 
 def test_defect_kernel_single_step_closed_form():
@@ -109,10 +108,12 @@ def test_defect_kernel_single_step_closed_form():
     tg = SchemeGrid(T=1.0, N=10)
     grid = Grid1D(-8, 8, 401)
     delta = tg.delta
-    for xp in (0.0, 0.5, 1.0):
-        want = (gauss(xp, 0.0, delta) - gauss(xp, 0.0, (1 + 0.1 * math.sin(xp)) * delta)) / delta
-        got = defect_kernel(TRIG, tg, 0, 1, 0.0, xp, grid)
-        assert got == pytest.approx(want, abs=1e-12)
+    got = kernel_row(TRIG, tg, 0, 1, 0.0, grid)
+    want = [
+        (gauss(xp, 0.0, delta) - gauss(xp, 0.0, (1 + 0.1 * math.sin(xp)) * delta)) / delta
+        for xp in grid.points
+    ]
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_defect_kernel_mass_nearly_cancels():
@@ -121,81 +122,11 @@ def test_defect_kernel_mass_nearly_cancels():
     # and the kernel's signed mass is small against its absolute mass
     tg = SchemeGrid(T=1.0, N=10)
     grid = Grid1D(-6, 6, 1201)
-    vals = np.array([defect_kernel(TRIG, tg, 0, 1, 0.0, xp, grid) for xp in grid.points])
+    vals = kernel_row(TRIG, tg, 0, 1, 0.0, grid)
     signed = abs(float(grid.weights() @ vals))
     total = float(grid.weights() @ np.abs(vals))
     assert signed < 1e-2
     assert signed < 0.05 * total
-
-
-def test_defect_kernel_truncation_guard():
-    tg = SchemeGrid(T=1.0, N=5)
-    narrow = Grid1D(-0.5, 0.5, 51)
-    with pytest.raises(TruncationError):
-        defect_kernel(TRIG, tg, 0, 3, 0.0, 0.1, narrow)
-
-
-def test_discrete_convolution_zero_kernel():
-    tg = SchemeGrid(T=1.0, N=4)
-    grid = Grid1D(-5, 5, 101)
-    g = frozen_slices(TRIG, tg, 0, 4, 0.0, grid)
-    out = discrete_convolution(g, lambda k, u, xp: np.zeros((len(u), len(xp))), tg, 0, 4, grid)
-    assert np.all(out.values == 0.0)
-
-
-def test_discrete_convolution_linearity():
-    tg = SchemeGrid(T=1.0, N=4)
-    grid = Grid1D(-5, 5, 101)
-    g = frozen_slices(TRIG, tg, 0, 4, 0.0, grid)
-
-    def kern(k, u, xp):
-        u = np.asarray(u)[:, None]
-        return np.exp(-np.asarray(xp)[None, :] ** 2 - 0.1 * u**2)
-
-    a = discrete_convolution(g, kern, tg, 0, 4, grid).values
-    b = discrete_convolution(
-        g, lambda k, u, xp: 3.5 * kern(k, u, xp), tg, 0, 4, grid
-    ).values
-    assert np.allclose(b, 3.5 * a, rtol=1e-13)
-
-
-def test_discrete_convolution_grid_delta_scaling():
-    # a grid point mass at each time slice collapses the spatial integral,
-    # so a time-constant g accumulates (j' - j) * delta * g
-    tg = SchemeGrid(T=1.0, N=4)
-    grid = Grid1D(-1, 1, 3)  # 3-point grid, by-hand summation
-    psi = np.array([0.2, 1.0, 0.4])
-    slices = np.vstack([psi, psi, psi, psi])
-    g = TimeSliceTable(grid=grid, start_x=0.0, slices=slices, start_dirac=False)
-    tw = grid.weights()
-
-    def point_mass(k, u, xp):
-        out = np.zeros((len(u), len(xp)))
-        for i, uu in enumerate(np.asarray(u)):
-            j = int(np.argmin(np.abs(np.asarray(xp) - uu)))
-            out[i, j] = 1.0 / tw[j]
-        return out
-
-    out = discrete_convolution(g, point_mass, tg, 0, 4, grid).values
-    want = 4 * tg.delta * psi  # = T * psi on the nodes
-    assert np.allclose(out, want, rtol=1e-12)
-
-
-def test_discrete_convolution_zero_span_convention():
-    tg = SchemeGrid(T=1.0, N=4)
-    grid = Grid1D(-5, 5, 101)
-    g = frozen_slices(TRIG, tg, 0, 4, 0.0, grid)
-    out = discrete_convolution(g, lambda k, u, xp: np.ones((len(u), len(xp))), tg, 2, 2, grid)
-    assert np.all(out.values == 0.0)
-
-
-def test_discrete_convolution_grid_mismatch():
-    tg = SchemeGrid(T=1.0, N=4)
-    g = frozen_slices(TRIG, tg, 0, 4, 0.0, Grid1D(-5, 5, 101))
-    with pytest.raises(ArgumentError):
-        discrete_convolution(
-            g, lambda k, u, xp: np.zeros((len(u), len(xp))), tg, 0, 4, Grid1D(-4, 4, 101)
-        )
 
 
 def test_series_constant_coefficients_exact():
@@ -320,37 +251,40 @@ def test_kernel_decay_weighted_by_reference():
     # |H|(t_j, t_j') (t_{j'} - t_j)^{1 - eta/2} / p_cfit stays bounded on the grid
     tg = SchemeGrid(T=1.0, N=10)
     grid = default_grid(TRIG, tg, 0.0, 301, 8.0)
+    near = np.abs(grid.points) <= 2.0
+    xp = grid.points[near]
     c_fit = 0.9
     worst = 0.0
     for jp in (1, 3, 6, 10):
         span = tg.times[jp] - tg.times[0]
-        for xp in np.linspace(-2, 2, 9):
-            h = defect_kernel(TRIG, tg, 0, jp, 0.0, float(xp), grid)
-            ref = gauss(xp, 0.0, span / c_fit) * math.sqrt(c_fit) / math.sqrt(1.0)
-            worst = max(worst, abs(h) * span ** (1 - 0.5) / ref)
+        h = kernel_row(TRIG, tg, 0, jp, 0.0, grid)[near]
+        ref = np.array([gauss(x, 0.0, span / c_fit) for x in xp]) * math.sqrt(c_fit)
+        worst = max(worst, float(np.max(np.abs(h) * span ** (1 - 0.5) / ref)))
     assert math.isfinite(worst)
     assert worst < 50.0
 
 
+def ck_density_check(**kw):
+    return run_density_check(ExperimentConfig.from_dict({"density_mode": "ck", **kw}))
+
+
 def test_envelope_exact_gaussian_case():
-    tg = SchemeGrid(T=1.0, N=6)
-    grid = default_grid(CONST, tg, 0.0, 501, 9.0)
-    table = chapman_kolmogorov_density(CONST, tg, 0, 6, 0.0, grid)
-    rep = envelope_check(table, GaussParams(1.0, 1.0), 1.0, 0.0)
+    # the CK table of the constant model is the Gaussian p_1 itself
+    exact = dict(preset="const", d=1, b0=0.0, sigma0=1.0, T=1.0, N=6, c=1.0)
+    rep = ck_density_check(**exact, C=1.0 + 1e-6, grid_points=501, grid_radius=9.0)
     assert rep.sup_ratio == pytest.approx(1.0, abs=1e-6)
     assert rep.inf_ratio == pytest.approx(1.0, abs=1e-6)
-    assert rep.holds
+    assert rep.envelope_holds
+    assert rep.c_fit == pytest.approx(1.0, rel=1e-12)
+    assert rep.C_fit == pytest.approx(1.0, abs=1e-6)
 
 
 def test_envelope_perturbed_model():
-    tg = SchemeGrid(T=1.0, N=10)
-    grid = default_grid(TRIG, tg, 0.0, 501, 9.0)
-    table = chapman_kolmogorov_density(TRIG, tg, 0, 10, 0.0, grid)
-    rep = envelope_check(table, GaussParams(0.5, 5.0), 1.0, 0.0)
-    assert rep.holds
+    trig = dict(preset="trig", a_amp=0.1, T=1.0, N=10, c=0.5, grid_points=501, grid_radius=9.0)
+    rep = ck_density_check(**trig, C=5.0)
+    assert rep.envelope_holds
     # a domination constant below the measured ratio must trip the detector
-    tight = envelope_check(table, GaussParams(0.5, rep.sup_ratio * 0.99), 1.0, 0.0)
-    assert not tight.holds
+    assert not ck_density_check(**trig, C=rep.sup_ratio * 0.99).envelope_holds
 
 
 def test_term_decay_warning():
@@ -399,10 +333,8 @@ def test_table_csv_exports(tmp_path):
     )
 
 
-def test_signed_tables_refuse_normalization_checks():
+def test_mass_needs_a_vector_table():
     grid = Grid1D(-1, 1, 11)
-    table = DensityTable(grid, 0, 1, np.ones(11), signed=True)
-    with pytest.raises(ArgumentError):
-        envelope_check(table, GaussParams(1.0, 1.0), 1.0, 0.0)
+    assert DensityTable(grid, 0, 1, np.ones(11)).mass() == pytest.approx(2.0)
     with pytest.raises(ArgumentError):
         DensityTable(grid, 0, 1, np.ones((11, 11))).mass()

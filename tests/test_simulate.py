@@ -7,15 +7,13 @@ from scipy.special import ndtri
 from scipy.stats import chisquare, norm
 
 from eulermc.errors import ArgumentError
-from eulermc.model import SchemeGrid, model_preset
+from eulermc.model import Case, SchemeGrid, SdeModel, model_preset
 from eulermc.simulate import (
     _CHUNK,
     RngSpec,
     _word_normals,
     euler_step,
     kinetic_step,
-    kinetic_step_factor,
-    mc_deviation,
     simulate_terminal,
 )
 
@@ -81,10 +79,19 @@ def test_step_moments(numpy_normals):
 
 
 def test_kinetic_factor_reproduces_block_covariance():
+    # the step is affine in the draw; its linear part L must factor the block
+    # covariance [[a d, a d^2/2], [a d^2/2, a d^3/3]] with a = sigma sigma^T
     sig = np.array([[1.3, 0.2], [0.0, 0.8]])
     a = sig @ sig.T
     delta = 0.37
-    L = kinetic_step_factor(sig, delta)
+    m = SdeModel(
+        Case.KINETIC, 4, lambda t, x: np.zeros(np.shape(x)[:-1] + (2,)),
+        lambda t, x: np.broadcast_to(sig, np.shape(x)[:-1] + (2, 2)), 4.0, 1.0, 1.0,
+    )
+    x = np.zeros((5, 4))
+    draws = np.vstack([np.zeros(4), np.eye(4)])
+    out = kinetic_step(m, 0.0, x, delta, draws)
+    L = (out[1:] - out[0]).T
     want = np.block(
         [[a * delta, a * delta**2 / 2], [a * delta**2 / 2, a * delta**3 / 3]]
     )
@@ -223,18 +230,11 @@ def test_threads_under_frequent_switches():
     assert np.array_equal(a.samples, b.samples)
 
 
-def test_mc_deviation_constant_functional():
-    m = model_preset("const", d=1)
-    batch = simulate_terminal(m, SchemeGrid(T=1.0, N=1), [0.0], RngSpec(2), 100)
-    dev = mc_deviation(batch, lambda x: np.full(x.shape[0], 3.0), 3.0)
-    assert dev == 0.0
-
-
 def test_mc_deviation_clt_scale():
     m = model_preset("const", d=1, b0=0.0, sigma0=1.0)
     T, M = 1.0, 40_000
     batch = simulate_terminal(m, SchemeGrid(T=T, N=1), [0.0], RngSpec(77), M)
-    dev = mc_deviation(batch, lambda x: x[:, 0], 0.0)
+    dev = batch.samples[:, 0].mean()
     assert abs(dev) < 4 * math.sqrt(T / M)
 
 
@@ -245,21 +245,13 @@ def test_mc_deviation_against_control_run():
     control = simulate_terminal(m, tg, [0.0], RngSpec(41, 1), 200_000)
     ref = float(f(control.samples).mean())
     batch = simulate_terminal(m, tg, [0.0], RngSpec(41, 0), 2000)
-    dev = mc_deviation(batch, f, ref)
+    dev = float(f(batch.samples).mean()) - ref
     sd = float(f(batch.samples).std(ddof=1))
     assert abs(dev) < 5 * sd / math.sqrt(2000)
 
 
-def test_mc_deviation_requires_finite_reference():
-    m = model_preset("const", d=1)
-    batch = simulate_terminal(m, SchemeGrid(T=1.0, N=1), [0.0], RngSpec(2), 10)
-    with pytest.raises(ArgumentError):
-        mc_deviation(batch, lambda x: x[:, 0], math.inf)
-
-
 def test_step_error_carries_sample_index():
     from eulermc.errors import NumericError
-    from eulermc.model import Case, SdeModel
 
     # drift blows up once the state passes a threshold
     def drift(t, x):
