@@ -48,6 +48,9 @@ _WILSON_Z99 = float(ndtri(0.99))
 
 # largest n x n float64 matrix a CK or parametrix grid may need (n <= 4095)
 _MATRIX_CAP_BYTES = 2**27
+# most pool threads a run may ask for: a fixed number, so that a config loads
+# alike on every host
+_MAX_THREADS = 256
 
 # list fields whose entries are real numbers (x0 and the grids)
 _FLOAT_LISTS = frozenset({"x0", "eps", "r_grid", "c_grid", "control_x", "control_x_prime"})
@@ -149,8 +152,8 @@ class ExperimentConfig:
         cfg = cls(**raw)
         if cfg.M < 1 or cfg.num_batches < 1:
             raise ConfigError("M and num_batches must be >= 1")
-        if cfg.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if not 1 <= cfg.threads <= _MAX_THREADS:
+            raise ConfigError(f"threads must lie in [1, {_MAX_THREADS}], got {cfg.threads}")
         return cfg
 
     def canonical(self) -> dict:

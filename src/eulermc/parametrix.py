@@ -77,11 +77,8 @@ def default_grid(
 
 @dataclass
 class DensityTable:
-    """Tabulated values between two grid times.
-
-    values is either a vector (fixed start, targets on the grid) or a full
-    matrix (starts on grid rows, targets on grid columns).
-    """
+    """Tabulated values between two grid times: a fixed start, targets on
+    the grid."""
 
     grid: Grid1D
     j: int
@@ -90,20 +87,12 @@ class DensityTable:
     start_x: float | None = None
 
     def mass(self) -> float:
-        if self.values.ndim != 1:
-            raise ArgumentError("mass is defined for vector tables")
         return float(self.grid.weights() @ self.values)
 
     def to_csv(self, path, config_hash: str | None = None) -> None:
         from .harness import write_csv  # the harness imports this module
 
-        pts = self.grid.points
-        if self.values.ndim == 1:
-            write_csv(path, ["x_prime", "value"], [pts, self.values], config_hash)
-        else:
-            n = pts.shape[0]
-            columns = [np.repeat(pts, n), np.tile(pts, n), self.values.reshape(-1)]
-            write_csv(path, ["x", "x_prime", "value"], columns, config_hash)
+        write_csv(path, ["x_prime", "value"], [self.grid.points, self.values], config_hash)
 
 
 def _check_1d_case_a(model: SdeModel) -> None:

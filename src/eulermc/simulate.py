@@ -1,8 +1,10 @@
 """Scheme simulation.
 
-Every Monte Carlo sample owns a counter-based substream derived from
-(master_seed, stream_id, sample index), so batches are bitwise reproducible
-no matter how work is split across threads.
+The samples are split into chunks of 4096 consecutive absolute indices, and
+each chunk reads one counter-based Philox stream derived from
+(master_seed, stream_id, chunk index), drawn step by step.  The normals of
+a sample depend on its index alone, so batches are bitwise reproducible no
+matter how work is split across threads.
 """
 
 from __future__ import annotations
@@ -18,49 +20,16 @@ from .errors import ArgumentError, NumericError
 from .model import Case, SdeModel, SchemeGrid
 
 _MASK64 = (1 << 64) - 1
-_CHUNK = 4096  # fixed so chunk boundaries never depend on the thread count
-_SLAB = 1 << 14  # (sample, block) counters per slab; bounds the round temporaries
-
-# Philox4x64 multipliers and Weyl key increments (Salmon et al., SC'11)
-_M0 = np.uint64(0xD2E7470EE14C6C93)
-_M1 = np.uint64(0xCA5A826395121157)
-_W0 = np.uint64(0x9E3779B97F4A7C15)
-_W1 = np.uint64(0xBB67AE8584CAA73B)
-_LO32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
+# Part of the stream definition, not a tuning knob: chunk c holds absolute
+# sample indices 4096c to 4096c + 4095 and reads one stream, so every output
+# changes with it.  Chunk boundaries never depend on the thread count.
+_CHUNK = 4096
 _S12 = np.uint64(12)
-_ZERO = np.uint64(0)
+# largest (M, d) float64 sample array simulate_terminal allocates
+_SAMPLES_CAP_BYTES = 2**30
 
 
-def _mulhilo(m: np.uint64, x: np.ndarray):
-    """High and low words of the 128-bit product m * x, from 32-bit halves."""
-    m0, m1 = m & _LO32, m >> _S32
-    x0, x1 = x & _LO32, x >> _S32
-    p00, p01, p10 = m0 * x0, m0 * x1, m1 * x0
-    mid = (p00 >> _S32) + (p01 & _LO32) + (p10 & _LO32)
-    hi = m1 * x1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
-    return hi, m * x
-
-
-def _philox4x64(ctr, key):
-    """Philox4x64-10 over broadcastable uint64 counter arrays.
-
-    Counter words that vary along different axes stay unexpanded until a
-    round mixes them, so the first rounds cost little.
-    """
-    c0, c1, c2, c3 = ctr
-    k0, k1 = key
-    with np.errstate(over="ignore"):
-        for r in range(10):
-            if r:
-                k0, k1 = k0 + _W0, k1 + _W1
-            hi0, lo0 = _mulhilo(_M0, c0)
-            hi1, lo1 = _mulhilo(_M1, c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return c0, c1, c2, c3
-
-
-def _word_normals(words: np.ndarray, out=None) -> np.ndarray:
+def _word_normals(words: np.ndarray) -> np.ndarray:
     """One standard normal per uint64 word, by inverse CDF.
 
     The uniform ((w >> 12) + 0.5) 2**-52 is exact in float64 and lies
@@ -70,51 +39,28 @@ def _word_normals(words: np.ndarray, out=None) -> np.ndarray:
     u = (words >> _S12).astype(np.float64)
     u += 0.5
     u *= 2.0**-52
-    return ndtri(u, out=out)
+    return ndtri(u, out=u)
 
 
 @dataclass(frozen=True)
 class RngSpec:
-    """Counter-based random stream family keyed by (master_seed, stream_id).
+    """Counter-based random streams keyed by (master_seed, stream_id).
 
-    Sample i owns the Philox4x64-10 stream with key (master_seed, stream_id)
-    mod 2**64 whose block j has counter (j + 1, 0, i, 0): its words are
-    exactly those of np.random.Philox(key=key, counter=i << 128).
+    Chunk c, the samples with absolute indices 4096c to 4096c + 4095, reads
+    the Philox4x64-10 stream with key (master_seed, stream_id) mod 2**64 and
+    counter c << 128 (Salmon et al., SC'11).  Word
+    (n * ndraw + k) * 4096 + (i mod 4096) of that stream, mapped by
+    _word_normals, is the normal of step n, coordinate k, of sample i.
     """
 
     master_seed: int
     stream_id: int = 0
 
-    def _slabs(self, indices, count: int):
-        """Yield (lo, hi, words): words lo:hi of every sample, in slabs."""
-        idx = np.asarray(indices, dtype=np.uint64).reshape(-1, 1)
-        key = (np.uint64(self.master_seed & _MASK64), np.uint64(self.stream_id & _MASK64))
-        nblocks = -(-count // 4)
-        step = max(1, _SLAB // max(idx.shape[0], 1))
-        for b in range(0, nblocks, step):
-            e = min(b + step, nblocks)
-            ctr0 = np.arange(b + 1, e + 1, dtype=np.uint64)
-            lanes = _philox4x64((ctr0, _ZERO, idx, _ZERO), key)
-            lo, hi = 4 * b, min(4 * e, count)
-            words = np.stack(lanes, axis=-1).reshape(idx.shape[0], 4 * (e - b))
-            yield lo, hi, words[:, : hi - lo]
-
-    def words(self, indices, count: int) -> np.ndarray:
-        """The first count raw uint64 words of each sample's stream."""
-        out = np.empty((len(indices), count), dtype=np.uint64)
-        for lo, hi, words in self._slabs(indices, count):
-            out[:, lo:hi] = words
-        return out
-
-    def normals(self, indices, count: int) -> np.ndarray:
-        """(len(indices), count) standard normals, one per raw word, with no
-        rejection.  simulate_terminal reads word n * ndraw + k as the normal
-        of step n, coordinate k.
-        """
-        out = np.empty((len(indices), count))
-        for lo, hi, words in self._slabs(indices, count):
-            _word_normals(words, out=out[:, lo:hi])
-        return out
+    def chunk(self, c: int) -> np.random.Philox:
+        """The bit generator of chunk c, at the first word of its stream."""
+        # a uint64 array: numpy routes a list key through float64
+        key = np.array([self.master_seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
+        return np.random.Philox(key=key, counter=c << 128)
 
 
 @dataclass(frozen=True)
@@ -204,30 +150,39 @@ def simulate_terminal(
 ) -> TerminalBatch:
     """M independent terminal points, N sequential steps each.
 
-    Sample i draws the normals of stream index sample_offset + i, so
-    results do not depend on the thread count or on execution order.
+    Sample i draws the normals of absolute index sample_offset + i, so
+    results do not depend on the thread count or on execution order.  A
+    chunk draws one step's words at a time, so memory does not grow with N.
     """
     if M < 1:
         raise ArgumentError("need at least one sample")
     if sample_offset < 0 or sample_offset + M > 1 << 64:
         raise ArgumentError("sample indices must lie in [0, 2**64)")
+    if 8 * M * model.d > _SAMPLES_CAP_BYTES:
+        raise ArgumentError(
+            f"{M:,} samples of dimension {model.d} need "
+            f"{8 * M * model.d / 2**30:,.0f} GiB, above the cap of "
+            f"{_SAMPLES_CAP_BYTES // 2**30} GiB"
+        )
     x0 = np.asarray(x0, dtype=float).reshape(model.d)
     ndraw = draw_dim(model)
     out = np.empty((M, model.d))
 
     def run_chunk(lo: int, hi: int) -> None:
         m = hi - lo
-        indices = np.uint64(sample_offset + lo) + np.arange(m, dtype=np.uint64)
-        draws = rng.normals(indices, grid.N * ndraw).reshape(m, grid.N, ndraw)
+        c, col = divmod(sample_offset + lo, _CHUNK)
+        bitgen = rng.chunk(c)
         x = np.broadcast_to(x0, (m, model.d)).copy()
         for n in range(grid.N):
+            words = bitgen.random_raw(ndraw * _CHUNK).reshape(ndraw, _CHUNK)
+            draws = _word_normals(words[:, col : col + m]).T
             try:
-                x = scheme_step(model, grid.times[n], x, grid.delta, draws[:, n, :])
+                x = scheme_step(model, grid.times[n], x, grid.delta, draws)
             except NumericError:
                 # replay one sample at a time to attach the failing index
                 for i in range(m):
                     try:
-                        scheme_step(model, grid.times[n], x[i], grid.delta, draws[i, n, :])
+                        scheme_step(model, grid.times[n], x[i], grid.delta, draws[i])
                     except NumericError:
                         raise NumericError(
                             f"non-finite state at step {n} in sample "
@@ -236,7 +191,9 @@ def simulate_terminal(
                 raise
         out[lo:hi] = x
 
-    ranges = [(lo, min(lo + _CHUNK, M)) for lo in range(0, M, _CHUNK)]
+    # ranges never cross a multiple of _CHUNK in the absolute index
+    edges = [0, *range(_CHUNK - sample_offset % _CHUNK, M, _CHUNK), M]
+    ranges = list(zip(edges[:-1], edges[1:]))
     if threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda r: run_chunk(*r), ranges))

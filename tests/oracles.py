@@ -2,8 +2,10 @@
 
 None of this code runs in a CLI command.  The semigroup residual checks the
 kernels p_c by quadrature (acceptance criterion 02), the radial tail closed
-forms are compared with quadrature (criterion 04), and the Gram-matrix form
-of the optimal control cross-checks control.optimal_control.
+forms are compared with quadrature (criterion 04), the Gram-matrix form
+of the optimal control cross-checks control.optimal_control, and
+Philox4x64-10 in numpy uint64 arithmetic checks the words that
+np.random.Philox gives eulermc.simulate.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 from eulermc.control import ControlProblem
 from eulermc.errors import ArgumentError
@@ -187,3 +189,57 @@ def optimal_control_gram(problem: ControlProblem, s: float) -> np.ndarray:
     gap = problem.x_prime - resolvent(t, 0.0, dp) @ problem.x
     B = np.vstack([np.eye(dp), np.zeros((dp, dp))])
     return B.T @ resolvent(t, s, dp).T @ (gram_inverse(t, dp) @ gap)
+
+
+# Philox4x64 multipliers and Weyl key increments (Salmon et al., SC'11)
+_M0 = np.uint64(0xD2E7470EE14C6C93)
+_M1 = np.uint64(0xCA5A826395121157)
+_W0 = np.uint64(0x9E3779B97F4A7C15)
+_W1 = np.uint64(0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray):
+    """High and low words of the 128-bit product m * x, from 32-bit halves."""
+    m0, m1 = m & _LO32, m >> _S32
+    x0, x1 = x & _LO32, x >> _S32
+    p00, p01, p10 = m0 * x0, m0 * x1, m1 * x0
+    mid = (p00 >> _S32) + (p01 & _LO32) + (p10 & _LO32)
+    hi = m1 * x1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+    return hi, m * x
+
+
+def _philox4x64(ctr, key):
+    """Philox4x64-10 over broadcastable uint64 counter arrays.
+
+    Counter words that vary along different axes stay unexpanded until a
+    round mixes them, so the first rounds cost little.
+    """
+    c0, c1, c2, c3 = ctr
+    k0, k1 = key
+    with np.errstate(over="ignore"):
+        for r in range(10):
+            if r:
+                k0, k1 = k0 + _W0, k1 + _W1
+            hi0, lo0 = _mulhilo(_M0, c0)
+            hi1, lo1 = _mulhilo(_M1, c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return c0, c1, c2, c3
+
+
+def chunk_words(master_seed: int, stream_id: int, c: int, w) -> np.ndarray:
+    """Words w of chunk c's stream: lane w mod 4 of the block at counter
+    (w // 4 + 1, 0, c, 0), keyed by (master_seed, stream_id) mod 2**64."""
+    w = np.asarray(w, dtype=np.uint64)
+    mask = 2**64 - 1
+    key = (np.uint64(master_seed & mask), np.uint64(stream_id & mask))
+    zero = np.uint64(0)
+    lanes = _philox4x64((w // np.uint64(4) + np.uint64(1), zero, np.uint64(c), zero), key)
+    return np.choose((w % np.uint64(4)).astype(np.intp), np.broadcast_arrays(*lanes))
+
+
+def word_normals(words) -> np.ndarray:
+    """Standard normals ndtri(((w >> 12) + 0.5) 2**-52), one per word."""
+    u = (np.asarray(words, dtype=np.uint64) >> np.uint64(12)).astype(float)
+    return ndtri((u + 0.5) * 2.0**-52)

