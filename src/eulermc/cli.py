@@ -56,7 +56,7 @@ def _parse_overrides(args) -> dict:
         key, _, value = item.partition("=")
         try:
             overrides[key] = json.loads(value)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer past the digit limit
             overrides[key] = value
     if args.seed is not None:
         overrides["master_seed"] = args.seed

@@ -1,10 +1,10 @@
 """Experiment orchestration: configs in, CSV/JSON out.
 
-A single flat JSON document configures every experiment; unknown keys are
-rejected.  Outputs never contain timestamps or thread counts, and the
-config hash excludes execution-only fields (out_dir, threads), so a rerun
-with the same config and seed is byte-identical no matter how work is
-threaded.
+A single flat JSON document configures every experiment; unknown keys and
+values outside their field's annotation are rejected.  Outputs never
+contain timestamps or thread counts, and the config hash excludes
+execution-only fields (out_dir, threads), so a rerun with the same config
+and seed is byte-identical no matter how work is threaded.
 """
 
 from __future__ import annotations
@@ -52,24 +52,37 @@ _MATRIX_CAP_BYTES = 2**27
 # alike on every host
 _MAX_THREADS = 256
 
-# list fields whose entries are real numbers (x0 and the grids)
-_FLOAT_LISTS = frozenset({"x0", "eps", "r_grid", "c_grid", "control_x", "control_x_prime"})
+
+def _finite(name: str, value) -> float:
+    try:
+        out = float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} must be a finite number, got an integer too large") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return out
 
 
-def _ints_to_float(name: str, value):
-    """Integers as floats, also inside a list, so that a run set with T=1 or
-    x0=[0] has the config hash of T=1.0 or x0=[0.0].  A bool is refused: it
-    would run as 0 or 1 under a hash of its own."""
-    if isinstance(value, list):
-        return [_ints_to_float(name, v) for v in value]
-    if isinstance(value, bool):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    if isinstance(value, int):
-        try:
-            return float(value)
-        except OverflowError:
-            raise ConfigError(f"{name} is too large for a float: {value}") from None
-    return value
+def _coerce(name: str, annotation: str, value):
+    """`value` as the field `name` stores it, else ConfigError.  `annotation`
+    is the field's annotation as written, such as "float | list[float]".
+
+    Integers in real-valued fields become floats (T=1 hashes like T=1.0), a
+    scalar given for a list field becomes the one-element list it runs like,
+    and a bool counts only for a bool field: as 0 or 1 it would run under a
+    hash of its own.
+    """
+    allowed = annotation.split(" | ")
+    kind = type(value).__name__ if value is not None else "None"
+    if kind in allowed and kind != "float":
+        return value  # None, a string, a bool or an integer, where allowed
+    if kind in ("int", "float") and "float" in allowed:
+        return _finite(name, value)
+    if "list[float]" in allowed:
+        items = value if kind == "list" else [value]
+        if all(type(v) in (int, float) for v in items):
+            return [_finite(f"{name}[{k}]", v) for k, v in enumerate(items)]
+    raise ConfigError(f"{name} must be {annotation}, got {value!r}")
 
 
 @dataclass
@@ -80,14 +93,13 @@ class ExperimentConfig:
     preset: str = "const"
     d: int = 1
     dp: int = 1
-    b0: float | list = 0.0
+    b0: float | list[float] = 0.0
     sigma0: float = 1.0
     a_amp: float = 0.1
     b_amp: float = 0.0
     damp: float = 0.0
     lambda0: float | None = None
     L0: float | None = None
-    eta: float = 1.0
     # grid
     T: float = 1.0
     N: int = 8
@@ -102,11 +114,11 @@ class ExperimentConfig:
     control_factor: int = 100
     # functional and start point
     functional: str = "identity"
-    x0: list = field(default_factory=lambda: [0.0])
+    x0: list[float] = field(default_factory=lambda: [0.0])
     # bound queries
-    r_grid: list | None = None
+    r_grid: list[float] | None = None
     num_r: int = 20
-    eps: list = field(default_factory=lambda: [0.05])
+    eps: list[float] = field(default_factory=lambda: [0.05])
     lower_bounds: bool = False
     rho0: float | None = None
     beta: float | None = None
@@ -115,7 +127,7 @@ class ExperimentConfig:
     # density checks
     density_samples: int = 1_000_000
     density_mode: str = "hist"
-    c_grid: list | None = None
+    c_grid: list[float] | None = None
     high_mass_fraction: float = 0.3
     min_bin_count: int = 50
     # parametrix
@@ -124,8 +136,8 @@ class ExperimentConfig:
     grid_radius: float = 10.0
     # control problem
     control_t: float = 1.0
-    control_x: list = field(default_factory=lambda: [0.0, 0.0])
-    control_x_prime: list = field(default_factory=lambda: [0.0, 1.0])
+    control_x: list[float] = field(default_factory=lambda: [0.0, 0.0])
+    control_x_prime: list[float] = field(default_factory=lambda: [0.0, 1.0])
     geodesic_steps: int = 200
     # output
     export_binary: bool = False
@@ -134,24 +146,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(raw) - known
+        fields = dataclasses.fields(cls)
+        unknown = set(raw) - {f.name for f in fields}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        raw = dict(raw)
-        if isinstance(raw.get("x0"), (int, float)):
-            raw["x0"] = [raw["x0"]]  # start_point broadcasts x0 and [x0] alike
-        for f in dataclasses.fields(cls):
-            if f.name not in raw:
-                continue
-            value = raw[f.name]
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if "float" in f.type.split(" | ") or f.name in _FLOAT_LISTS:
-                raw[f.name] = _ints_to_float(f.name, value)
-        cfg = cls(**raw)
-        if cfg.M < 1 or cfg.num_batches < 1:
-            raise ConfigError("M and num_batches must be >= 1")
+        cfg = cls(**{f.name: _coerce(f.name, f.type, raw[f.name]) for f in fields if f.name in raw})
+        if min(cfg.M, cfg.num_batches, cfg.d, cfg.dp) < 1:
+            raise ConfigError("M, num_batches, d and dp must be >= 1")
         if not 1 <= cfg.threads <= _MAX_THREADS:
             raise ConfigError(f"threads must lie in [1, {_MAX_THREADS}], got {cfg.threads}")
         return cfg
@@ -174,7 +175,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> ExperimentCo
         try:
             with open(path) as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
@@ -183,18 +184,24 @@ def load_config(path: str | None, overrides: dict | None = None) -> ExperimentCo
     return ExperimentConfig.from_dict(raw)
 
 
+# the model fields each built-in preset reads; lambda0 and L0 go to every
+# preset when set
+_PRESET_FIELDS = {
+    "const": ("d", "b0", "sigma0"),
+    "trig": ("a_amp", "b_amp"),
+    "kinetic": ("dp", "damp", "sigma0"),
+}
+
+
 def build_model(cfg: ExperimentConfig) -> SdeModel:
-    params: dict = {"eta": cfg.eta}
-    if cfg.lambda0 is not None:
-        params["lambda0"] = cfg.lambda0
-    if cfg.L0 is not None:
-        params["L0"] = cfg.L0
-    if cfg.preset == "const":
-        params.update(d=cfg.d, b0=cfg.b0, sigma0=cfg.sigma0)
-    elif cfg.preset == "trig":
-        params.update(a_amp=cfg.a_amp, b_amp=cfg.b_amp)
-    elif cfg.preset == "kinetic":
-        params.update(dp=cfg.dp, damp=cfg.damp, sigma0=cfg.sigma0)
+    """The preset's model.  A model field the preset does not read must keep
+    its default: set, it would change the config hash and not the run."""
+    used = _PRESET_FIELDS.get(cfg.preset, ())
+    defaults = ExperimentConfig()
+    for name in sorted({f for fields in _PRESET_FIELDS.values() for f in fields} - set(used)):
+        if getattr(cfg, name) != getattr(defaults, name):
+            raise ConfigError(f"preset {cfg.preset!r} does not read {name}; leave it unset")
+    params = {k: getattr(cfg, k) for k in (*used, "lambda0", "L0") if getattr(cfg, k) is not None}
     return model_preset(cfg.preset, **params)
 
 
@@ -203,7 +210,7 @@ def build_grid(cfg: ExperimentConfig) -> SchemeGrid:
 
 
 def start_point(cfg: ExperimentConfig, model: SdeModel) -> np.ndarray:
-    x0 = np.asarray(cfg.x0, dtype=float).reshape(-1)
+    x0 = np.array(cfg.x0)
     if x0.shape[0] == 1 and model.d > 1:
         x0 = np.full(model.d, x0[0])
     if x0.shape[0] != model.d:
@@ -300,11 +307,10 @@ def growth_spec(cfg: ExperimentConfig, model: SdeModel) -> GrowthSpec | None:
         return None
     if cfg.cone == "full":
         measure = sphere_surface_measure(model.d)
+    elif isinstance(cfg.cone, str):
+        raise ConfigError(f"cone must be a number or 'full', got {cfg.cone!r}")
     else:
-        try:
-            measure = float(cfg.cone)
-        except (TypeError, ValueError):
-            raise ConfigError(f"cone must be a number or 'full', got {cfg.cone!r}") from None
+        measure = cfg.cone
     return GrowthSpec(rho0=cfg.rho0, beta=cfg.beta, cone_measure=measure)
 
 
@@ -596,8 +602,8 @@ def run_bound_table(cfg: ExperimentConfig) -> dict:
     delta = conc.domination_bias(gauss.C, alpha)
     rows = []
     for eps in cfg.eps:
-        radius = conc.confidence_radius(float(eps), cfg.M, alpha)
-        rows.append({"eps": float(eps), "radius": radius, "total_radius": radius + delta})
+        radius = conc.confidence_radius(eps, cfg.M, alpha)
+        rows.append({"eps": eps, "radius": radius, "total_radius": radius + delta})
     table: dict = {
         "case": model.case.value,
         "c": cfg.c,

@@ -39,8 +39,8 @@ class SdeModel:
     leading axes of x.
 
     lambda0 bounds the ellipticity ratio of a = sigma sigma^T into
-    [1/lambda0, lambda0], L0 bounds sup|drift| plus the eta-Holder quotient
-    of a in space.
+    [1/lambda0, lambda0], L0 bounds sup|drift| plus the Holder quotient of a
+    in space.
     """
 
     case: Case
@@ -49,7 +49,6 @@ class SdeModel:
     sigma: Callable[[float, np.ndarray], np.ndarray]
     lambda0: float
     L0: float
-    eta: float
     name: str = "custom"
 
     def __post_init__(self):
@@ -59,8 +58,6 @@ class SdeModel:
             raise ConfigError("kinetic models need an even dimension")
         if self.lambda0 <= 0 or self.L0 <= 0:
             raise ConfigError("lambda0 and L0 must be positive")
-        if not 0 < self.eta <= 1:
-            raise ConfigError("eta must lie in (0, 1]")
 
     @property
     def d_prime(self) -> int:
@@ -83,8 +80,8 @@ class SchemeGrid:
     def __post_init__(self):
         if self.T <= 0:
             raise ConfigError("horizon T must be positive")
-        if self.N < 1:
-            raise ConfigError("step count N must be >= 1")
+        if not 1 <= self.N <= 2**24:  # 2**24 steps: 128 MiB of grid times
+            raise ConfigError(f"step count N must lie in [1, 2**24], got {self.N:,}")
         times = self.delta * np.arange(self.N + 1, dtype=float)
         times[-1] = self.T  # last step absorbs float rounding
         object.__setattr__(self, "times", times)
@@ -203,9 +200,12 @@ def _scalar_noise_lambda0(s0: float) -> float:
         raise NumericError(f"sigma0 = {s0!r}: max(sigma0^2, sigma0^-2) overflows") from None
 
 
-def _const_model(d=1, b0=0.0, sigma0=1.0, lambda0=None, L0=None, eta=1.0):
+def _const_model(d=1, b0=0.0, sigma0=1.0, lambda0=None, L0=None):
     d = int(d)
-    b = np.broadcast_to(np.atleast_1d(np.asarray(b0, dtype=float)), (d,)).copy()
+    b = np.atleast_1d(np.asarray(b0, dtype=float))
+    if b.shape not in ((1,), (d,)):
+        raise ConfigError(f"b0 has {b.size} entries, the model needs 1 or d = {d}")
+    b = np.broadcast_to(b, (d,)).copy()
     s0 = float(sigma0)
     eye = s0 * np.eye(d)
 
@@ -221,10 +221,10 @@ def _const_model(d=1, b0=0.0, sigma0=1.0, lambda0=None, L0=None, eta=1.0):
         lambda0 = _scalar_noise_lambda0(s0)
     if L0 is None:
         L0 = max(1.0, float(np.linalg.norm(b)))
-    return SdeModel(Case.NONDEGENERATE, d, drift, sigma, float(lambda0), float(L0), float(eta), name="const")
+    return SdeModel(Case.NONDEGENERATE, d, drift, sigma, float(lambda0), float(L0), name="const")
 
 
-def _trig_model(b_amp=0.0, a_amp=0.1, lambda0=None, L0=None, eta=1.0):
+def _trig_model(b_amp=0.0, a_amp=0.1, lambda0=None, L0=None):
     """Scalar model with a(x) = 1 + a_amp sin(x) and drift b_amp sin(x)."""
     a_amp = float(a_amp)
     b_amp = float(b_amp)
@@ -243,10 +243,10 @@ def _trig_model(b_amp=0.0, a_amp=0.1, lambda0=None, L0=None, eta=1.0):
         lambda0 = 1.0 / (1.0 - a_amp) if a_amp > 0 else 1.0
     if L0 is None:
         L0 = max(1.0, b_amp + a_amp)
-    return SdeModel(Case.NONDEGENERATE, 1, drift, sigma, float(lambda0), float(L0), float(eta), name="trig")
+    return SdeModel(Case.NONDEGENERATE, 1, drift, sigma, float(lambda0), float(L0), name="trig")
 
 
-def _kinetic_model(dp=1, damp=0.0, sigma0=1.0, lambda0=None, L0=None, eta=1.0):
+def _kinetic_model(dp=1, damp=0.0, sigma0=1.0, lambda0=None, L0=None):
     """Velocity/position model; velocity drift -damp tanh(v), noise sigma0 I."""
     dp = int(dp)
     damp = float(damp)
@@ -265,7 +265,7 @@ def _kinetic_model(dp=1, damp=0.0, sigma0=1.0, lambda0=None, L0=None, eta=1.0):
         lambda0 = _scalar_noise_lambda0(s0)
     if L0 is None:
         L0 = max(1.0, damp * math.sqrt(dp))
-    return SdeModel(Case.KINETIC, 2 * dp, drift, sigma, float(lambda0), float(L0), float(eta), name="kinetic")
+    return SdeModel(Case.KINETIC, 2 * dp, drift, sigma, float(lambda0), float(L0), name="kinetic")
 
 
 MODEL_PRESETS = {

@@ -216,20 +216,6 @@ def _onestep_defect(V: np.ndarray, Q: np.ndarray, G: np.ndarray) -> np.ndarray:
     return D
 
 
-def _kernel_row(model, tgrid, j, m, x, pts, tw):
-    """H(t_j, t_m, x, .) along the grid for an arbitrary start point x."""
-    delta = tgrid.delta
-    b_z, a_z = _coeffs(model, tgrid.times[j], pts)
-    if m == j + 1:
-        p = one_step_density(model, tgrid, j, x, pts)
-        ptilde = _gauss(pts, x + b_z * delta, a_z * delta)
-        return (p - ptilde) / delta
-    q_row = one_step_density(model, tgrid, j, x, pts)  # over w
-    frozen = _gauss(pts[None, :], x + (b_z * delta)[:, None], (a_z * delta)[:, None], flush=True)
-    psi = _frozen_tail(pts, *_frozen_sums(model, tgrid, j + 1, m, pts))  # [z, w]
-    return np.einsum("zw,zw->z", tw * (q_row - frozen), psi) / delta
-
-
 def term_decay(norms) -> tuple[list, list]:
     """Decay ratios norms[r] / norms[r - 1] for r >= 1 (None where norms[r - 1]
     is 0) and the terms r >= 2 whose sup norm exceeds that of term r - 1."""
@@ -277,7 +263,10 @@ def parametrix_series(
 
         delta (V H(t_l, t_m))[r, z] = sum_w D[r, z, w] tw[w] psi[z, w],
 
-    and for m = l + 1 it is D[r, z, z].
+    and for m = l + 1 it is D[r, z, z].  The sweep starts at l = j, whose one
+    row is the point mass at x: there D[0, z, w] is the one-step density from
+    x at w minus the step frozen at z, and the same contraction gives the
+    delta H(t_j, t_m, x, .) part of T_1[m].
     """
     _check_1d_case_a(model)
     steps = j_prime - j
@@ -294,27 +283,29 @@ def parametrix_series(
     T = np.zeros((r_max + 1, steps + 1, n))
     for m in range(j + 1, j_prime + 1):
         T[0, m - j] = frozen_density(model, tgrid, j, m, x, pts)
-    if r_max >= 1:
-        for m in range(j + 1, j_prime + 1):
-            T[1, m - j] = delta * _kernel_row(model, tgrid, j, m, x, pts, tw)
-        for l in range(j + 1, j_prime):
-            rows = min(r_max, l - j + 1)
+    for l in range(j, j_prime if r_max else j):
+        rows = min(r_max, l - j + 1)
+        if l == j:
+            b, a = _coeffs(model, tgrid.times[j], pts)
+            frozen = _gauss(pts[None, :], x + (b * delta)[:, None], (a * delta)[:, None], flush=True)
+            D = (one_step_density(model, tgrid, j, x, pts) - frozen)[None]
+        else:
             D = _onestep_defect(
                 tw * T[:rows, l - j],
                 _one_step_matrix(model, tgrid, l, pts, flush=True),
                 _frozen_onestep_shift_kernels(model, tgrid, l, pts),
             )
-            out = T[1 : rows + 1]
-            out[:, l + 1 - j] += np.diagonal(D, axis1=1, axis2=2)
-            D *= tw
-            drift_sum = np.zeros(n)
-            var_sum = np.zeros(n)
-            for m in range(l + 2, j_prime + 1):
-                b, a = _coeffs(model, tgrid.times[m - 1], pts)
-                drift_sum += b * delta
-                var_sum += a * delta
-                psi = _frozen_tail(pts, drift_sum, var_sum)
-                out[:, m - j] += np.einsum("rzw,zw->rz", D, psi)
+        out = T[1 : rows + 1]
+        out[:, l + 1 - j] += np.diagonal(D, axis1=1, axis2=2)
+        D *= tw
+        drift_sum = np.zeros(n)
+        var_sum = np.zeros(n)
+        for m in range(l + 2, j_prime + 1):
+            b, a = _coeffs(model, tgrid.times[m - 1], pts)
+            drift_sum += b * delta
+            var_sum += a * delta
+            psi = _frozen_tail(pts, drift_sum, var_sum)
+            out[:, m - j] += np.einsum("rzw,zw->rz", D, psi)
 
     terms = [T[r, steps] for r in range(r_max + 1)]
     norms = [float(np.max(np.abs(t))) for t in terms]

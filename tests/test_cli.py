@@ -157,11 +157,26 @@ def test_parametrix_cmd(tmp_path):
         ["parametrix", "--set", "grid_points=2"],
         ["density-check", "--set", 'density_mode="ck"', "--set", "grid_points=2"],
         ["simulate", "--threads", "1000000"],
+        ["bounds", "--set", "c=NaN"],
+        ["bounds", "--set", 'c="nan"'],
+        ["bounds", "--set", "T=Infinity"],
+        ["simulate", "--set", 'export_binary="yes"'],
+        ["bounds", "--set", "eta=0.5"],
+        ["simulate", "--set", 'preset="kinetic"', "--set", "d=2"],
+        ["bounds", "--set", 'preset="trig"', "--set", "sigma0=2"],
+        ["simulate", "--set", "N=100000000000000"],
+        ["bounds", "--set", "b0=[1,2]"],
+        ["bounds", "--set", "T=" + "1" * 5000],
+        ["bounds", "--set", "d=-1"],
+        ["bounds", "--set", 'preset="kinetic"', "--set", "dp=-1"],
     ],
     ids=[
         "out-dir-under-file", "cone-not-a-number", "empty-c-grid", "M-string", "N-float",
         "sigma0-zero", "parametrix-grid-too-large", "ck-grid-too-large", "T-bool",
         "parametrix-grid-too-coarse", "ck-grid-too-coarse", "threads-too-many",
+        "c-nan", "c-nan-string", "T-infinite", "export-binary-string", "eta-unknown",
+        "kinetic-d", "trig-sigma0", "N-too-large", "b0-wrong-length", "T-5000-digits", "d-negative",
+        "dp-negative",
     ],
 )
 def test_bad_input_is_one_line_config_error(tmp_path, capsys, args):

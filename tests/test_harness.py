@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eulermc import concentration as conc
 from eulermc import harness
@@ -44,15 +47,16 @@ def test_config_hash_ignores_execution_fields():
 
 
 def test_config_hash_treats_integral_numbers_as_floats():
-    # the hashes of configs given in floats are those of earlier releases
-    assert cfg_with().config_hash == "ca7e77f92b6c"
-    assert cfg_with(T=1).config_hash == "ca7e77f92b6c"
+    # pinned hashes: any change to the canonical form (a field added, removed
+    # or stored differently) shows here
+    assert cfg_with().config_hash == "8a7a3716f9f3"
+    assert cfg_with(T=1).config_hash == "8a7a3716f9f3"
     kinetic = dict(preset="kinetic", dp=1, T=2.0)
-    assert cfg_with(**kinetic, x0=[0.0, 0.0]).config_hash == "b1bc9af07c53"
-    assert cfg_with(**kinetic, x0=[0, 0]).config_hash == "b1bc9af07c53"
+    assert cfg_with(**kinetic, x0=[0.0, 0.0]).config_hash == "0b9033aae4ef"
+    assert cfg_with(**kinetic, x0=[0, 0]).config_hash == "0b9033aae4ef"
     assert cfg_with(x0=[0]).config_hash == cfg_with(x0=[0.0]).config_hash
     # a scalar x0 is the one-element list it broadcasts like
-    assert cfg_with(x0=0.0).config_hash == "ca7e77f92b6c"
+    assert cfg_with(x0=0.0).config_hash == "8a7a3716f9f3"
     assert cfg_with(x0=0).x0 == [0.0]
     cfg = cfg_with(b0=[1, 2], d=2, cone=2, eps=[1], control_x=[0, 0], lower_bounds=True)
     assert cfg.b0 == [1.0, 2.0] and isinstance(cfg.b0[0], float)
@@ -64,6 +68,45 @@ def test_config_hash_treats_integral_numbers_as_floats():
         cfg_with(T=10**400)
 
 
+def test_scalar_for_a_list_field_is_the_one_element_list():
+    assert cfg_with(eps=0.05).config_hash == cfg_with(eps=[0.05]).config_hash
+    assert cfg_with(r_grid=0.1).r_grid == [0.1]
+    assert cfg_with(c_grid=2).c_grid == [2.0]
+    assert cfg_with(r_grid=None).r_grid is None
+
+
+@pytest.mark.parametrize(
+    "raw, words",
+    [
+        ({"c": math.nan}, "c must be a finite number, got nan"),
+        ({"eps": [0.05, -math.inf]}, "eps[1] must be a finite number, got -inf"),
+        ({"export_binary": 1}, "export_binary must be bool, got 1"),
+        ({"x0": [[0.0]]}, "x0 must be list[float], got [[0.0]]"),
+        ({"b0": [1, True]}, "b0 must be float | list[float], got [1, True]"),
+        ({"rho0": "1"}, "rho0 must be float | None, got '1'"),
+        ({"functional": None}, "functional must be str, got None"),
+    ],
+)
+def test_loader_refuses_values_outside_the_annotation(raw, words):
+    with pytest.raises(ConfigError, match=re.escape(words)):
+        ExperimentConfig.from_dict(raw)
+
+
+_FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+_SCALARS = st.one_of(st.floats(), st.integers(), st.booleans(), st.text(max_size=4), st.none())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(_FIELDS), st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3))))
+def test_loader_refuses_or_round_trips_its_canonical_form(raw):
+    try:
+        cfg = ExperimentConfig.from_dict(raw)
+    except ConfigError:
+        return
+    again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.canonical(), allow_nan=False)))
+    assert again.config_hash == cfg.config_hash
+
+
 def test_load_config_roundtrip(tmp_path):
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({"M": 17, "T": 0.5}))
@@ -71,6 +114,9 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg.M == 17 and cfg.T == 0.5 and cfg.N == 3
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.json"))
+    p.write_text('{"T": ' + "1" * 5000 + "}")  # past Python's integer digit limit
+    with pytest.raises(ConfigError):
+        load_config(str(p))
 
 
 def test_analytic_references():

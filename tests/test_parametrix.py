@@ -9,7 +9,6 @@ from eulermc.model import SchemeGrid, model_preset
 from eulermc.parametrix import (
     DensityTable,
     Grid1D,
-    _kernel_row,
     chapman_kolmogorov_density,
     default_grid,
     frozen_density,
@@ -58,7 +57,7 @@ def test_frozen_density_time_dependent_variance_sum():
 
     from eulermc.model import Case, SdeModel
 
-    m = SdeModel(Case.NONDEGENERATE, 1, lambda t, x: np.zeros_like(x), sigma, 2.0, 1.0, 1.0)
+    m = SdeModel(Case.NONDEGENERATE, 1, lambda t, x: np.zeros_like(x), sigma, 2.0, 1.0)
     tg = SchemeGrid(T=1.0, N=8)
     j, jp = 1, 7
     var = sum((1.0 + tg.times[i] / 2.0) * tg.delta for i in range(j, jp))
@@ -92,8 +91,10 @@ def test_one_step_density_matches_simulation_histogram():
 
 
 def kernel_row(model, tg, j, m, x, grid):
-    """The defect kernel H(t_j, t_m, x, .) that the series uses, on the grid."""
-    return _kernel_row(model, tg, j, m, x, grid.points, grid.weights())
+    """Term 1 of the series from (t_j, x) to t_m over delta, on the grid: the
+    defect kernel H(t_j, t_m, x, .) that the series builds, plus (for
+    m > j + 1) its convolutions with the frozen densities of the later steps."""
+    return parametrix_series(model, tg, j, m, x, grid, r_max=1)[2][1] / tg.delta
 
 
 def test_defect_kernel_zero_for_constant_coefficients():
@@ -248,7 +249,7 @@ def test_ck_truncation_guard():
 
 
 def test_kernel_decay_weighted_by_reference():
-    # |H|(t_j, t_j') (t_{j'} - t_j)^{1 - eta/2} / p_cfit stays bounded on the grid
+    # |term 1| / delta (t_{j'} - t_j)^{1/2} / p_cfit stays bounded on the grid
     tg = SchemeGrid(T=1.0, N=10)
     grid = default_grid(TRIG, tg, 0.0, 301, 8.0)
     near = np.abs(grid.points) <= 2.0

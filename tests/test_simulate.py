@@ -88,7 +88,7 @@ def test_kinetic_factor_reproduces_block_covariance():
     delta = 0.37
     m = SdeModel(
         Case.KINETIC, 4, lambda t, x: np.zeros(np.shape(x)[:-1] + (2,)),
-        lambda t, x: np.broadcast_to(sig, np.shape(x)[:-1] + (2, 2)), 4.0, 1.0, 1.0,
+        lambda t, x: np.broadcast_to(sig, np.shape(x)[:-1] + (2, 2)), 4.0, 1.0,
     )
     x = np.zeros((5, 4))
     draws = np.vstack([np.zeros(4), np.eye(4)])
@@ -298,7 +298,7 @@ def test_step_error_carries_sample_index():
         x = np.asarray(x, dtype=float)
         return np.ones(x.shape[:-1] + (1, 1))
 
-    m = SdeModel(Case.NONDEGENERATE, 1, drift, sigma, 1.0, 1.0, 1.0)
+    m = SdeModel(Case.NONDEGENERATE, 1, drift, sigma, 1.0, 1.0)
     with pytest.raises(NumericError, match=r"sample \d+"):
         simulate_terminal(m, SchemeGrid(T=4.0, N=8), [0.0], RngSpec(1), 200)
 
