@@ -26,6 +26,7 @@ from .gaussianref import (
     hessian_spectral_bounds,
     kernel_density,
     kernel_mean_cov,
+    kinetic_root,
     sample_kernel,
 )
 from .model import Case, GaussParams, GrowthSpec, unit_directions
@@ -41,13 +42,7 @@ def concentration_alpha(case: Case, c: float, T: float) -> float:
     non-degenerate case, and in the kinetic case the inverse of
     (c/2T) (1 + (3/T^2)(1 - sqrt(1 + T^2/3 + T^4/9))).
     """
-    if c <= 0 or T <= 0:
-        raise ArgumentError("need c > 0 and T > 0")
-    if case is Case.KINETIC:
-        root = math.sqrt(1.0 + T * T / 3.0 + T**4 / 9.0)
-        inv = c / (2.0 * T) * (1.0 + 3.0 / T**2 * (1.0 - root))
-        return 1.0 / inv
-    return 2.0 * T / c
+    return 2.0 / hessian_spectral_bounds(case, c, T)[0]
 
 
 def concentration_alpha_normalized(c: float, T: float) -> float:
@@ -118,8 +113,7 @@ def growth_penalty(
             raise ArgumentError("kinetic models have even dimension")
         if T is None or T <= 0:
             raise ArgumentError("kinetic penalty needs T > 0")
-        root = math.sqrt(1.0 + T * T / 3.0 + T**4 / 9.0)
-        inner = (math.pi / T) ** (d / 2) * (T * T + 3.0 * (1.0 + root)) ** (d / 2)
+        inner = (math.pi / T) ** (d / 2) * (T * T + 3.0 * (1.0 + kinetic_root(T))) ** (d / 2)
         return _log_plus(inner * C / K) / rho0**2
     if d % 2 == 0:
         return _log_plus(math.pi ** (d / 2) * C / K) / rho0**2
@@ -153,10 +147,9 @@ def lower_rate(
     """
     lam_bar = hessian_spectral_bounds(case, 1.0 / c, T)[1]
     lam = lam_bar / 2.0
+    # growth_penalty refuses an odd-d non-degenerate theta that is not > 1
     chi = growth_penalty(case, d, rho0, C, cone_measure, theta=theta, T=T)
     if case is not Case.KINETIC and d % 2 == 1:
-        if theta is None or theta <= 1:
-            raise ArgumentError("odd dimensions need theta > 1")
         inv = theta * lam + chi
     else:
         inv = lam + chi

@@ -133,16 +133,21 @@ def kinetic_metric(t: float, x, xp, d_prime: int) -> float:
     return np.sum(dv * dv, axis=-1) / (2.0 * t) + 6.0 * np.sum(w * w, axis=-1) / t**3
 
 
+def kinetic_root(T: float) -> float:
+    """sqrt(1 + T^2/3 + T^4/9), the root in the kinetic potential's spectrum."""
+    return math.sqrt(1.0 + T * T / 3.0 + T**4 / 9.0)
+
+
 def hessian_spectral_bounds(case: Case, c: float, T: float):
     """Smallest and largest eigenvalue of the potential Hessian.
 
     Non-degenerate case: both equal c/T.  Kinetic case:
-    c/T + (3c/T^3) (1 -/+ sqrt(1 + T^2/3 + T^4/9)).
+    c/T + (3c/T^3) (1 -/+ kinetic_root(T)).
     """
     if c <= 0 or T <= 0:
         raise ArgumentError("need c > 0 and T > 0")
     if case is Case.KINETIC:
-        root = math.sqrt(1.0 + T * T / 3.0 + T**4 / 9.0)
+        root = kinetic_root(T)
         lo = c / T + 3.0 * c / T**3 * (1.0 - root)
         hi = c / T + 3.0 * c / T**3 * (1.0 + root)
         return lo, hi

@@ -119,7 +119,6 @@ class ExperimentConfig:
     r_grid: list[float] | None = None
     num_r: int = 20
     eps: list[float] = field(default_factory=lambda: [0.05])
-    lower_bounds: bool = False
     rho0: float | None = None
     beta: float | None = None
     cone: float | str = "full"
@@ -303,8 +302,10 @@ def _table_grid(cfg: ExperimentConfig, model: SdeModel, tgrid: SchemeGrid, x: fl
 
 
 def growth_spec(cfg: ExperimentConfig, model: SdeModel) -> GrowthSpec | None:
-    if cfg.rho0 is None or cfg.beta is None:
+    if cfg.rho0 is None and cfg.beta is None:
         return None
+    if cfg.rho0 is None or cfg.beta is None:
+        raise ConfigError("rho0 and beta set the growth spec together; set both or neither")
     if cfg.cone == "full":
         measure = sphere_surface_measure(model.d)
     elif isinstance(cfg.cone, str):
@@ -331,11 +332,33 @@ def _alpha_for(cfg: ExperimentConfig, model: SdeModel) -> float:
     return conc.concentration_alpha(model.case, cfg.c, cfg.T)
 
 
-def _lower_bound(cfg, model, gauss, alpha, growth, f) -> conc.LowerBound:
-    return conc.lower_bound(
+def _bound_constants(cfg: ExperimentConfig, model: SdeModel, f):
+    """(alpha, delta, constants): the upper-side constant alpha of f, the bias
+    delta, and, when rho0 and beta set a growth spec, the lower-bound
+    constants of f, which must then pass the growth check; else None."""
+    gauss = GaussParams(cfg.c, cfg.C)
+    alpha = _alpha_for(cfg, model)
+    delta = conc.domination_bias(gauss.C, alpha)
+    growth = growth_spec(cfg, model)
+    if growth is None:
+        return alpha, delta, None
+    single = lambda y: float(f(np.asarray(y, dtype=float)[None, :])[0])
+    rays = sample_rays(model.d, [growth.rho0 * 2.0, growth.rho0 * 5.0], 32)
+    if not check_growth(single, growth, rays).ok:
+        raise ConfigError("functional fails the growth check on sampled rays")
+    lower = conc.lower_bound(
         model.case, model.d, gauss, cfg.T, alpha, growth, f, start_point(cfg, model),
         theta=cfg.theta, seed=cfg.master_seed,
     )
+    rate, bias = lower.rate, lower.bias
+    return alpha, delta, {
+        "chi": rate.chi,
+        "bar_alpha_inv": rate.inv_alpha,
+        "bar_delta": bias.value,
+        "gamma_F": bias.gamma_term,
+        "F_floor": bias.floor,
+        "theta": rate.theta,
+    }
 
 
 def _default_r_grid(cfg: ExperimentConfig, alpha: float) -> np.ndarray:
@@ -399,9 +422,7 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
     model = build_model(cfg)
     tgrid = build_grid(cfg)
     f = make_functional(cfg, model, tgrid)
-    gauss = GaussParams(cfg.c, cfg.C)
-    alpha = _alpha_for(cfg, model)
-    delta = conc.domination_bias(gauss.C, alpha)
+    alpha, delta, constants = _bound_constants(cfg, model, f)
     r_grid = (
         np.asarray(cfg.r_grid, dtype=float)
         if cfg.r_grid is not None
@@ -432,13 +453,10 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
 
     lower_curve = None
     lower_empirical = None
-    constants = None
-    growth = growth_spec(cfg, model)
-    if growth is not None:
-        lower = _lower_bound(cfg, model, gauss, alpha, growth, f)
-        rate, bias = lower.rate, lower.bias
+    if constants is not None:
+        inv_rate = constants["bar_alpha_inv"]
         lower_curve = [
-            (float(r), conc.lower_tail_bound(float(r), cfg.M, rate.inv_alpha, growth.beta, growth.rho0))
+            (float(r), conc.lower_tail_bound(float(r), cfg.M, inv_rate, cfg.beta, cfg.rho0))
             for r in r_grid
             if r > 0
         ]
@@ -446,16 +464,10 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
         # resolvable at this batch count; elsewhere the formulas stand alone
         lower_empirical = []
         for r, bound in lower_curve:
-            thr = r - bias.value
+            thr = r - constants["bar_delta"]
             if bound >= 1e-3 and thr > 0:
                 lower_freq = float(np.count_nonzero(deviations >= thr)) / cfg.num_batches
                 lower_empirical.append((r, thr, lower_freq))
-        constants = {
-            "chi": rate.chi,
-            "bar_alpha_inv": rate.inv_alpha,
-            "bar_delta": bias.value,
-            "theta": rate.theta,
-        }
 
     return ConcentrationReport(
         case=model.case.value,
@@ -534,6 +546,9 @@ def run_density_check(cfg: ExperimentConfig) -> DensityCheckReport:
         dens = table.values[mask]
         n_samples = 0
     elif cfg.density_mode == "hist":
+        # Scott-rule bin widths need a sample standard deviation
+        if cfg.density_samples < 2:
+            raise ConfigError(f"density_samples must be >= 2, got {cfg.density_samples}")
         batch = simulate_terminal(
             model,
             tgrid,
@@ -597,14 +612,12 @@ def run_bound_table(cfg: ExperimentConfig) -> dict:
     """All concentration constants plus confidence radii for an eps list."""
     model = build_model(cfg)
     tgrid = build_grid(cfg)
-    gauss = GaussParams(cfg.c, cfg.C)
-    alpha = _alpha_for(cfg, model)
-    delta = conc.domination_bias(gauss.C, alpha)
+    alpha, delta, constants = _bound_constants(cfg, model, make_functional(cfg, model, tgrid))
     rows = []
     for eps in cfg.eps:
         radius = conc.confidence_radius(eps, cfg.M, alpha)
         rows.append({"eps": eps, "radius": radius, "total_radius": radius + delta})
-    table: dict = {
+    return {
         "case": model.case.value,
         "c": cfg.c,
         "C": cfg.C,
@@ -613,28 +626,8 @@ def run_bound_table(cfg: ExperimentConfig) -> dict:
         "alpha_T": alpha,
         "delta_bias": delta,
         "radii": rows,
-        "constants": None,
+        "constants": constants,
     }
-    if cfg.lower_bounds:
-        growth = growth_spec(cfg, model)
-        if growth is None:
-            raise ConfigError("lower bounds requested without rho0/beta growth spec")
-        f = make_functional(cfg, model, tgrid)
-        single = lambda y: float(f(np.asarray(y, dtype=float)[None, :])[0])
-        rays = sample_rays(growth, model.d, [growth.rho0 * 2.0, growth.rho0 * 5.0], 32)
-        if not check_growth(single, growth, rays).ok:
-            raise ConfigError("functional fails the growth check on sampled rays")
-        lower = _lower_bound(cfg, model, gauss, alpha, growth, f)
-        rate, bias = lower.rate, lower.bias
-        table["constants"] = {
-            "chi": rate.chi,
-            "bar_alpha_inv": rate.inv_alpha,
-            "bar_delta": bias.value,
-            "gamma_F": bias.gamma_term,
-            "F_floor": bias.floor,
-            "theta": rate.theta,
-        }
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -132,14 +132,12 @@ class GrowthSpec:
     """Linear growth of slope beta along rays in a direction cone beyond rho0.
 
     cone_measure is the surface measure of the cone's direction set (the
-    number of half-lines, 1 or 2, when d = 1).  contains decides membership
-    of a unit vector in the cone.
+    number of half-lines, 1 or 2, when d = 1).
     """
 
     rho0: float
     beta: float
     cone_measure: float
-    contains: Callable[[np.ndarray], bool] = lambda s: True
 
     def __post_init__(self):
         if self.rho0 <= 0 or self.beta <= 0:
@@ -159,9 +157,9 @@ def check_growth(
 ) -> GrowthCheck:
     """Check f(rho s) - f(rho0 s) >= beta (rho - rho0) on sampled rays.
 
-    sample_rays is a sequence of (unit direction inside the cone, radius
-    above rho0).  Returns the pass flag and the minimum slack; tol is the
-    absolute roundoff slack allowed for exact-boundary functions.
+    sample_rays is a sequence of (unit direction, radius above rho0).
+    Returns the pass flag and the minimum slack; tol is the absolute
+    roundoff slack allowed for exact-boundary functions.
     """
     if len(sample_rays) == 0:
         raise ArgumentError("need at least one sample ray")
@@ -170,18 +168,14 @@ def check_growth(
         s = np.asarray(s, dtype=float)
         if rho <= spec.rho0:
             raise ArgumentError("ray radii must exceed rho0")
-        if not spec.contains(s):
-            raise ArgumentError("ray direction outside the cone")
         slack = float(f(rho * s) - f(spec.rho0 * s) - spec.beta * (rho - spec.rho0))
         margin = min(margin, slack)
     return GrowthCheck(ok=margin >= -tol, margin=margin)
 
 
-def sample_rays(spec: GrowthSpec, d: int, radii, n_directions: int = 64, seed: int = 0):
-    """Build (direction, radius) pairs inside the cone for check_growth."""
-    dirs = [s for s in unit_directions(d, n_directions, seed=seed) if spec.contains(s)]
-    if not dirs:
-        raise ArgumentError("no sampled direction lies in the cone")
+def sample_rays(d: int, radii, n_directions: int = 64, seed: int = 0):
+    """Build (direction, radius) pairs over the whole sphere for check_growth."""
+    dirs = unit_directions(d, n_directions, seed=seed)
     return [(s, float(r)) for s in dirs for r in np.atleast_1d(radii)]
 
 

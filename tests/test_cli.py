@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -145,8 +146,7 @@ def test_parametrix_cmd(tmp_path):
     "args",
     [
         ["bounds", "--out-dir", "{file}/out"],
-        ["bounds", "--set", "lower_bounds=true", "--set", "rho0=1", "--set", "beta=1",
-         "--set", 'cone="half"'],
+        ["bounds", "--set", "rho0=1", "--set", "beta=1", "--set", 'cone="half"'],
         ["density-check", "--set", "c_grid=[]", "--set", "density_samples=1000"],
         ["simulate", "--set", 'M="abc"'],
         ["simulate", "--set", "N=2.5"],
@@ -169,6 +169,13 @@ def test_parametrix_cmd(tmp_path):
         ["bounds", "--set", "T=" + "1" * 5000],
         ["bounds", "--set", "d=-1"],
         ["bounds", "--set", 'preset="kinetic"', "--set", "dp=-1"],
+        ["density-check", "--set", "density_samples=1"],
+        ["concentration", "--set", "M=1", "--set", "rho0=1", "--set", "beta=1"],
+        ["bounds", "--set", "rho0=1", "--set", "beta=1"],
+        ["bounds", "--set", 'functional="nonsense"'],
+        ["bounds", "--set", 'functional="asian-diff"'],
+        ["bounds", "--set", "rho0=1"],
+        ["concentration", "--set", "beta=1"],
     ],
     ids=[
         "out-dir-under-file", "cone-not-a-number", "empty-c-grid", "M-string", "N-float",
@@ -176,7 +183,9 @@ def test_parametrix_cmd(tmp_path):
         "parametrix-grid-too-coarse", "ck-grid-too-coarse", "threads-too-many",
         "c-nan", "c-nan-string", "T-infinite", "export-binary-string", "eta-unknown",
         "kinetic-d", "trig-sigma0", "N-too-large", "b0-wrong-length", "T-5000-digits", "d-negative",
-        "dp-negative",
+        "dp-negative", "density-samples-one", "conc-identity-no-growth",
+        "bounds-identity-no-growth", "bounds-unknown-functional", "bounds-asian-diff-const",
+        "rho0-without-beta", "beta-without-rho0",
     ],
 )
 def test_bad_input_is_one_line_config_error(tmp_path, capsys, args):
@@ -261,3 +270,20 @@ def test_cli_start_up_leaves_heavy_scipy_unloaded(tmp_path):
 def test_config_error_message_to_stderr(tmp_path, capsys):
     assert main(["bounds", "--set", "M=0"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _readme_examples():
+    """The `eulermc ...` commands of README's Examples block, continuation
+    lines joined, each as an argv without the program name."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Examples", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [cmd for cmd in block.replace("\\\n", " ").splitlines() if cmd.startswith("eulermc ")]
+    return [shlex.split(cmd)[1:] for cmd in commands]
+
+
+def test_readme_examples_run(tmp_path):
+    examples = _readme_examples()
+    assert len(examples) == 5
+    for k, argv in enumerate(examples):
+        # the last --out-dir wins, so the examples write under tmp_path
+        assert main(argv + ["--out-dir", str(tmp_path / str(k))]) == 0, argv

@@ -22,6 +22,7 @@ from eulermc.harness import (
     run_density_check,
     wilson_upper,
 )
+from eulermc.model import GaussParams
 
 
 def cfg_with(**kw):
@@ -49,20 +50,20 @@ def test_config_hash_ignores_execution_fields():
 def test_config_hash_treats_integral_numbers_as_floats():
     # pinned hashes: any change to the canonical form (a field added, removed
     # or stored differently) shows here
-    assert cfg_with().config_hash == "8a7a3716f9f3"
-    assert cfg_with(T=1).config_hash == "8a7a3716f9f3"
+    assert cfg_with().config_hash == "606a0b01162e"
+    assert cfg_with(T=1).config_hash == "606a0b01162e"
     kinetic = dict(preset="kinetic", dp=1, T=2.0)
-    assert cfg_with(**kinetic, x0=[0.0, 0.0]).config_hash == "0b9033aae4ef"
-    assert cfg_with(**kinetic, x0=[0, 0]).config_hash == "0b9033aae4ef"
+    assert cfg_with(**kinetic, x0=[0.0, 0.0]).config_hash == "efa72533e23d"
+    assert cfg_with(**kinetic, x0=[0, 0]).config_hash == "efa72533e23d"
     assert cfg_with(x0=[0]).config_hash == cfg_with(x0=[0.0]).config_hash
     # a scalar x0 is the one-element list it broadcasts like
-    assert cfg_with(x0=0.0).config_hash == "8a7a3716f9f3"
+    assert cfg_with(x0=0.0).config_hash == "606a0b01162e"
     assert cfg_with(x0=0).x0 == [0.0]
-    cfg = cfg_with(b0=[1, 2], d=2, cone=2, eps=[1], control_x=[0, 0], lower_bounds=True)
+    cfg = cfg_with(b0=[1, 2], d=2, cone=2, eps=[1], control_x=[0, 0], export_binary=True)
     assert cfg.b0 == [1.0, 2.0] and isinstance(cfg.b0[0], float)
     assert isinstance(cfg.cone, float) and isinstance(cfg.eps[0], float)
     assert isinstance(cfg.control_x[0], float)
-    assert cfg.lower_bounds is True and isinstance(cfg.N, int)
+    assert cfg.export_binary is True and isinstance(cfg.N, int)
     assert cfg_with(T=2).config_hash != cfg_with(T=1).config_hash
     with pytest.raises(ConfigError, match="too large"):
         cfg_with(T=10**400)
@@ -251,7 +252,7 @@ def test_concentration_with_growth_constants():
 def test_concentration_lower_empirical_keeps_upper_frequencies():
     # M = 1 leaves batch means wide enough that some lower-bound radii are
     # testable; their frequencies must not replace the upper-side ones
-    cfg = cfg_with(M=1, rho0=1.0, beta=1.0)
+    cfg = cfg_with(M=1, functional="abs", rho0=1.0, beta=1.0)
     rep = run_concentration_experiment(cfg)
     assert len(rep.empirical_freq) == cfg.num_r
     assert rep.lower_empirical
@@ -288,7 +289,7 @@ def test_bound_table_normalized_functional_alpha():
 def test_bound_table_lower_constants_pipeline():
     cfg = cfg_with(
         preset="const", d=2, x0=[0.0, 0.0], c=1.0, C=1.0, T=1.0,
-        functional="abs", lower_bounds=True, rho0=1.0, beta=1.0,
+        functional="abs", rho0=1.0, beta=1.0,
     )
     table = run_bound_table(cfg)
     consts = table["constants"]
@@ -298,30 +299,65 @@ def test_bound_table_lower_constants_pipeline():
 
 
 def test_concentration_lower_bias_uses_normalized_alpha():
-    # asian-diff takes the time-normalized alpha on both sides of the bound;
-    # bar_delta is pinned to the value of the pre-refactor assembly
+    # asian-diff takes the time-normalized alpha in the lower bias; it is
+    # linear, so it never passes the growth check of a command, and the bias
+    # is checked on the library assembly.  bar_delta is pinned to the value
+    # of the pre-refactor assembly.
     cfg = cfg_with(
         preset="kinetic", x0=[0.0, 0.0], functional="asian-diff", rho0=0.5, beta=1.0,
-        T=1.5, C=1.5, M=50, num_batches=200, master_seed=3,
+        T=1.5, C=1.5, master_seed=3,
     )
-    rep = run_concentration_experiment(cfg)
-    assert rep.alpha_T == conc.concentration_alpha_normalized(1.0, 1.5)
-    assert rep.constants["bar_delta"] == pytest.approx(5.164448895736579, rel=1e-12)
+    model, tgrid = build_model(cfg), build_grid(cfg)
+    alpha = conc.concentration_alpha_normalized(1.0, 1.5)
+    assert run_bound_table(dataclasses.replace(cfg, rho0=None, beta=None))["alpha_T"] == alpha
+    lower = conc.lower_bound(
+        model.case, model.d, GaussParams(cfg.c, cfg.C), cfg.T, alpha,
+        harness.growth_spec(cfg, model), make_functional(cfg, model, tgrid),
+        harness.start_point(cfg, model), seed=cfg.master_seed,
+    )
+    assert lower.bias.value == pytest.approx(5.164448895736579, rel=1e-12)
 
 
 def test_bound_table_lower_requires_growth():
-    cfg = cfg_with(preset="const", d=2, x0=[0.0, 0.0], lower_bounds=True)
-    with pytest.raises(ConfigError):
-        run_bound_table(cfg)
+    # one of rho0 and beta alone would drop the lower bound and still split
+    # the config hash
+    for growth in ({"rho0": 1.0}, {"beta": 1.0}):
+        cfg = cfg_with(preset="const", d=2, x0=[0.0, 0.0], functional="abs", **growth)
+        for run in (run_bound_table, run_concentration_experiment):
+            with pytest.raises(ConfigError, match="rho0 and beta set the growth spec together"):
+                run(cfg)
 
 
 def test_bound_table_growth_check_rejects_bad_functional():
     cfg = cfg_with(
-        preset="const", d=2, x0=[0.0, 0.0], functional="identity",
-        lower_bounds=True, rho0=1.0, beta=1.0,
+        preset="const", d=2, x0=[0.0, 0.0], functional="identity", rho0=1.0, beta=1.0,
     )
     with pytest.raises(ConfigError):
         run_bound_table(cfg)
+
+
+def test_concentration_growth_check_runs_before_sampling(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the growth check")
+
+    monkeypatch.setattr(harness, "simulate_terminal", no_sampling)
+    cfg = cfg_with(M=1, rho0=1.0, beta=1.0)  # identity is linear: no growth
+    with pytest.raises(ConfigError, match="growth check"):
+        run_concentration_experiment(cfg)
+
+
+def test_bound_table_builds_its_functional():
+    with pytest.raises(ConfigError, match="unknown functional preset 'nonsense'"):
+        run_bound_table(cfg_with(functional="nonsense"))
+    with pytest.raises(ConfigError, match="asian-diff needs a kinetic model"):
+        run_bound_table(cfg_with(functional="asian-diff"))
+
+
+def test_bounds_and_concentration_report_equal_constants():
+    cfg = cfg_with(functional="abs", rho0=1.0, beta=1.0, M=20, num_batches=30)
+    consts = run_bound_table(cfg)["constants"]
+    assert set(consts) == {"chi", "bar_alpha_inv", "bar_delta", "gamma_F", "F_floor", "theta"}
+    assert run_concentration_experiment(cfg).constants == consts
 
 
 def test_density_check_exact_gaussian():
