@@ -25,7 +25,7 @@ from .model import (
     check_growth,
     model_preset,
 )
-from .simulate import RngSpec, TerminalBatch, simulate_terminal
+from .simulate import RngSpec, simulate_terminal
 
 __all__ = [
     "Case",
@@ -34,7 +34,6 @@ __all__ = [
     "SdeModel",
     "SchemeGrid",
     "RngSpec",
-    "TerminalBatch",
     "check_growth",
     "model_preset",
     "simulate_terminal",

@@ -27,12 +27,16 @@ from .gaussianref import (
     kernel_density,
     kernel_mean_cov,
     kinetic_root,
-    sample_kernel,
 )
-from .model import Case, GaussParams, GrowthSpec, unit_directions
+from .model import Case, GaussParams, GrowthSpec
 from .quadrature import adaptive_1d, tensor_quad_2d
+from .simulate import RngSpec, normals, unit_directions
 
 SQRT13 = math.sqrt(13.0)
+# Monte Carlo samples of gamma(F) for d >= 3, and directions over which the
+# lower bias takes the infimum of F on the rho0 sphere
+_MC_SAMPLES = 200_000
+_FLOOR_DIRECTIONS = 2**14
 
 
 def concentration_alpha(case: Case, c: float, T: float) -> float:
@@ -183,56 +187,45 @@ def lower_bias(
     x,
     growth: GrowthSpec,
     d: int,
-    method: str = "auto",
-    mc_samples: int = 200_000,
-    seed: int = 0,
-    n_directions: int = 2**14,
+    rng: RngSpec,
 ) -> LowerBias:
     """Bias (1 + sqrt 2) sqrt(alpha log C) + gamma(F) + rho0 beta - inf F.
 
     gamma(F) integrates F against the c^{-1} kernel started at x, by
-    quadrature for d <= 2 and by Monte Carlo (with reported standard error)
-    otherwise.  f must be vectorized over (m, d) point arrays.
+    quadrature for d <= 2 and otherwise by Monte Carlo over the normals of
+    rng (with reported standard error).  inf F is taken over the rho0 sphere
+    along unit directions of rng.  f must be vectorized over (m, d) point
+    arrays.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     spec = KernelSpec(case, 1.0 / c, T, x)
     mean, cov = kernel_mean_cov(spec)
     mc_se = None
-    if method == "auto":
-        method = "quad" if d <= 2 else "mc"
-    if method == "quad":
-        widths = np.sqrt(np.diag(cov))
-        if d == 1:
-            gamma_term = adaptive_1d(
-                lambda u: float(
-                    f(np.array([[u]]))[0] * kernel_density(spec, np.array([u]))
-                ),
-                mean[0] - 12.0 * widths[0],
-                mean[0] + 12.0 * widths[0],
-                tol=1e-9,
-            )
-        elif d == 2:
-            box = [
-                (mean[0] - 10.0 * widths[0], mean[0] + 10.0 * widths[0]),
-                (mean[1] - 10.0 * widths[1], mean[1] + 10.0 * widths[1]),
-            ]
-            # composite panels keep kinks in f (norms) from stalling the rule
-            gamma_term = tensor_quad_2d(
-                lambda pts: np.asarray(f(pts)) * kernel_density(spec, pts),
-                box,
-                n_per_dim=40,
-                check_tol=1e-6,
-                panels=8,
-            )
-        else:
-            raise ArgumentError("quadrature mean needs d <= 2")
+    widths = np.sqrt(np.diag(cov))
+    if d == 1:
+        gamma_term = adaptive_1d(
+            lambda u: float(f(np.array([[u]]))[0] * kernel_density(spec, np.array([u]))),
+            mean[0] - 12.0 * widths[0],
+            mean[0] + 12.0 * widths[0],
+            tol=1e-9,
+        )
+    elif d == 2:
+        box = [(m - 10.0 * w, m + 10.0 * w) for m, w in zip(mean, widths)]
+        # composite panels keep kinks in f (norms) from stalling the rule
+        gamma_term = tensor_quad_2d(
+            lambda pts: np.asarray(f(pts)) * kernel_density(spec, pts),
+            box,
+            n_per_dim=40,
+            check_tol=1e-6,
+            panels=8,
+        )
     else:
-        rng = np.random.default_rng(seed)
-        vals = np.asarray(f(sample_kernel(spec, rng, mc_samples)), dtype=float)
+        draws = mean + normals(rng, _MC_SAMPLES, d) @ np.linalg.cholesky(cov).T
+        vals = np.asarray(f(draws), dtype=float)
         gamma_term = float(vals.mean())
-        mc_se = float(vals.std(ddof=1) / math.sqrt(mc_samples))
+        mc_se = float(vals.std(ddof=1) / math.sqrt(_MC_SAMPLES))
 
-    dirs = unit_directions(d, n_directions, seed=seed)
+    dirs = unit_directions(d, _FLOOR_DIRECTIONS, rng)
     floor = float(np.min(np.asarray(f(growth.rho0 * dirs), dtype=float)))
     value = (
         (1.0 + math.sqrt(2.0)) * math.sqrt(alpha * math.log(C))
@@ -260,17 +253,17 @@ def lower_bound(
     growth: GrowthSpec,
     f,
     x,
+    rng: RngSpec,
     theta: float | None = None,
-    **bias_kwargs,
 ) -> LowerBound:
     """Lower rate and lower bias; theta defaults to 2 in odd d.
 
     alpha is the upper-side constant of the functional at hand (the
     time-normalized one for kinetic functionals of (v, z/T)); it enters the
-    bias only.
+    bias only.  rng keys the random draws of the bias.
     """
     if case is not Case.KINETIC and d % 2 == 1 and theta is None:
         theta = 2.0
     rate = lower_rate(case, d, gauss.c, T, growth.rho0, gauss.C, growth.cone_measure, theta=theta)
-    bias = lower_bias(case, gauss.c, gauss.C, T, alpha, f, x, growth, d, **bias_kwargs)
+    bias = lower_bias(case, gauss.c, gauss.C, T, alpha, f, x, growth, d, rng)
     return LowerBound(rate=rate, bias=bias)

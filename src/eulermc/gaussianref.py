@@ -107,12 +107,6 @@ def kernel_mean_cov(spec: KernelSpec):
     return mean, cov
 
 
-def sample_kernel(spec: KernelSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    mean, cov = kernel_mean_cov(spec)
-    chol = np.linalg.cholesky(cov)
-    return mean + rng.standard_normal((n, spec.d)) @ chol.T
-
-
 def kinetic_metric(t: float, x, xp, d_prime: int) -> float:
     """Squared kinetic distance |dv|^2/(2t) + 6 |dz - avg t|^2 / t^3.
 

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import concentration as conc
-from .errors import ArgumentError, ConfigError, StatisticsError
+from .errors import ArgumentError, ConfigError, NumericError, StatisticsError
 from .gaussianref import KernelSpec, kernel_density
 from .model import (
     Case,
@@ -42,7 +42,7 @@ from .parametrix import (
 )
 from .control import ControlProblem, energy, geodesic
 from .gaussianref import kinetic_metric
-from .simulate import RngSpec, TerminalBatch, simulate_terminal
+from .simulate import RngSpec, simulate_terminal, unit_directions
 
 _WILSON_Z99 = float(ndtri(0.99))
 
@@ -51,6 +51,15 @@ _MATRIX_CAP_BYTES = 2**27
 # most pool threads a run may ask for: a fixed number, so that a config loads
 # alike on every host
 _MAX_THREADS = 256
+
+# The streams a run reads.  The simulation reads (master_seed, stream_id),
+# the control run stream_id + 1 and the lower-bound draws (the Monte Carlo
+# gamma(F) and the F_floor directions) stream_id + 2.  The growth-check rays
+# read one fixed key, so whether a config passes the check does not depend
+# on its seed.
+_SIMULATION, _CONTROL, _LOWER = 0, 1, 2
+_GROWTH_RAYS = RngSpec(0)
+_GROWTH_DIRECTIONS = 32
 
 
 def _finite(name: str, value) -> float:
@@ -150,8 +159,8 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**{f.name: _coerce(f.name, f.type, raw[f.name]) for f in fields if f.name in raw})
-        if min(cfg.M, cfg.num_batches, cfg.d, cfg.dp) < 1:
-            raise ConfigError("M, num_batches, d and dp must be >= 1")
+        if min(cfg.M, cfg.num_batches, cfg.d, cfg.dp, cfg.num_r) < 1:
+            raise ConfigError("M, num_batches, d, dp and num_r must be >= 1")
         if not 1 <= cfg.threads <= _MAX_THREADS:
             raise ConfigError(f"threads must lie in [1, {_MAX_THREADS}], got {cfg.threads}")
         return cfg
@@ -215,6 +224,17 @@ def start_point(cfg: ExperimentConfig, model: SdeModel) -> np.ndarray:
     if x0.shape[0] != model.d:
         raise ConfigError(f"x0 has dimension {x0.shape[0]}, model needs {model.d}")
     return x0
+
+
+def _stream(cfg: ExperimentConfig, offset: int) -> RngSpec:
+    return RngSpec(cfg.master_seed, cfg.stream_id + offset)
+
+
+def _simulate(cfg: ExperimentConfig, model, tgrid, M: int, offset: int = _SIMULATION):
+    """(M, d) terminal samples from the configured start on stream offset."""
+    return simulate_terminal(
+        model, tgrid, start_point(cfg, model), _stream(cfg, offset), M, threads=cfg.threads
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +359,19 @@ def _bound_constants(cfg: ExperimentConfig, model: SdeModel, f):
     gauss = GaussParams(cfg.c, cfg.C)
     alpha = _alpha_for(cfg, model)
     delta = conc.domination_bias(gauss.C, alpha)
+    if not (math.isfinite(alpha) and math.isfinite(delta)):
+        raise NumericError(f"alpha_T = {alpha} and delta_bias = {delta} must be finite")
     growth = growth_spec(cfg, model)
     if growth is None:
         return alpha, delta, None
     single = lambda y: float(f(np.asarray(y, dtype=float)[None, :])[0])
-    rays = sample_rays(model.d, [growth.rho0 * 2.0, growth.rho0 * 5.0], 32)
+    dirs = unit_directions(model.d, _GROWTH_DIRECTIONS, _GROWTH_RAYS)
+    rays = sample_rays(dirs, [growth.rho0 * 2.0, growth.rho0 * 5.0])
     if not check_growth(single, growth, rays).ok:
         raise ConfigError("functional fails the growth check on sampled rays")
     lower = conc.lower_bound(
         model.case, model.d, gauss, cfg.T, alpha, growth, f, start_point(cfg, model),
-        theta=cfg.theta, seed=cfg.master_seed,
+        _stream(cfg, _LOWER), theta=cfg.theta,
     )
     rate, bias = lower.rate, lower.bias
     return alpha, delta, {
@@ -377,15 +400,7 @@ def reference_mean(cfg: ExperimentConfig, model, tgrid, f, r_min: float):
     if ref is not None:
         return float(ref), 0.0
     n_ctrl = cfg.control_factor * cfg.M * cfg.num_batches
-    batch = simulate_terminal(
-        model,
-        tgrid,
-        start_point(cfg, model),
-        RngSpec(cfg.master_seed, cfg.stream_id + 1),
-        n_ctrl,
-        threads=cfg.threads,
-    )
-    vals = np.asarray(f(batch.samples), dtype=float)
+    vals = np.asarray(f(_simulate(cfg, model, tgrid, n_ctrl, _CONTROL)), dtype=float)
     se = float(vals.std(ddof=1) / math.sqrt(n_ctrl))
     if r_min > 0 and se >= r_min / 10.0:
         raise StatisticsError(
@@ -432,16 +447,8 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
     r_min = float(positive.min()) if positive.size else 0.0
     ref, se = reference_mean(cfg, model, tgrid, f, r_min)
 
-    total = cfg.M * cfg.num_batches
-    batch = simulate_terminal(
-        model,
-        tgrid,
-        start_point(cfg, model),
-        RngSpec(cfg.master_seed, cfg.stream_id),
-        total,
-        threads=cfg.threads,
-    )
-    vals = np.asarray(f(batch.samples), dtype=float).reshape(cfg.num_batches, cfg.M)
+    samples = _simulate(cfg, model, tgrid, cfg.M * cfg.num_batches)
+    vals = np.asarray(f(samples), dtype=float).reshape(cfg.num_batches, cfg.M)
     deviations = np.abs(vals.mean(axis=1) - ref)
 
     bound_curve, freq, wilson = [], [], []
@@ -549,15 +556,7 @@ def run_density_check(cfg: ExperimentConfig) -> DensityCheckReport:
         # Scott-rule bin widths need a sample standard deviation
         if cfg.density_samples < 2:
             raise ConfigError(f"density_samples must be >= 2, got {cfg.density_samples}")
-        batch = simulate_terminal(
-            model,
-            tgrid,
-            x0,
-            RngSpec(cfg.master_seed, cfg.stream_id),
-            cfg.density_samples,
-            threads=cfg.threads,
-        )
-        s = batch.samples
+        s = _simulate(cfg, model, tgrid, cfg.density_samples)
         n = s.shape[0]
         widths = 3.49 * s.std(axis=0, ddof=1) * n ** (-1.0 / (2 + model.d))
         edges = [
@@ -654,24 +653,29 @@ def write_csv(path, header: list[str], columns, config_hash: str | None = None) 
             fh.writelines([row % values for values in zip(*block)])
 
 
-def export_csv(batch: TerminalBatch, path, config_hash: str | None = None) -> None:
+def export_csv(samples: np.ndarray, path, config_hash: str | None = None) -> None:
     """Write `sample_index, x_1, ..., x_d` rows (17 significant digits)."""
-    header = ["sample_index"] + [f"x_{k + 1}" for k in range(batch.samples.shape[1])]
-    write_csv(path, header, [np.arange(batch.M), *batch.samples.T], config_hash)
+    header = ["sample_index"] + [f"x_{k + 1}" for k in range(samples.shape[1])]
+    write_csv(path, header, [np.arange(samples.shape[0]), *samples.T], config_hash)
 
 
-def export_binary(batch: TerminalBatch, path) -> None:
+def export_binary(samples: np.ndarray, path) -> None:
     """Raw little-endian float64 samples, row major, M x d."""
     with open(path, "wb") as fh:
-        fh.write(batch.samples.astype("<f8").tobytes(order="C"))
+        fh.write(samples.astype("<f8").tobytes(order="C"))
 
 
 def write_json(path, obj: dict, config_hash: str) -> None:
+    """Strict JSON: a NaN or infinity raises NumericError, and no file is
+    written."""
     payload = dict(obj)
     payload["config_hash"] = config_hash
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"{os.path.basename(path)}: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _outpath(cfg: ExperimentConfig, name: str) -> str:
@@ -682,21 +686,13 @@ def _outpath(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
-def run_simulate_cmd(cfg: ExperimentConfig) -> TerminalBatch:
+def run_simulate_cmd(cfg: ExperimentConfig) -> np.ndarray:
     model = build_model(cfg)
-    tgrid = build_grid(cfg)
-    batch = simulate_terminal(
-        model,
-        tgrid,
-        start_point(cfg, model),
-        RngSpec(cfg.master_seed, cfg.stream_id),
-        cfg.M,
-        threads=cfg.threads,
-    )
-    export_csv(batch, _outpath(cfg, "samples.csv"), cfg.config_hash)
+    samples = _simulate(cfg, model, build_grid(cfg), cfg.M)
+    export_csv(samples, _outpath(cfg, "samples.csv"), cfg.config_hash)
     if cfg.export_binary:
-        export_binary(batch, _outpath(cfg, "samples.bin"))
-    return batch
+        export_binary(samples, _outpath(cfg, "samples.bin"))
+    return samples
 
 
 def run_bounds_cmd(cfg: ExperimentConfig) -> dict:
@@ -759,8 +755,8 @@ def run_parametrix_cmd(cfg: ExperimentConfig) -> dict:
 def run_control_cmd(cfg: ExperimentConfig) -> dict:
     x = np.asarray(cfg.control_x, dtype=float)
     xp = np.asarray(cfg.control_x_prime, dtype=float)
-    if x.size % 2 != 0 or x.size != xp.size:
-        raise ConfigError("control endpoints need matching even dimensions")
+    if x.size == 0 or x.size % 2 != 0 or x.size != xp.size:
+        raise ConfigError("control endpoints need matching, nonzero even dimensions")
     problem = ControlProblem(t=cfg.control_t, x=x, x_prime=xp, d_prime=x.size // 2)
     times, states = geodesic(problem, cfg.geodesic_steps)
     write_csv(

@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ArgumentError, ConfigError, InvalidModelError, NumericError
 
@@ -49,7 +48,6 @@ class SdeModel:
     sigma: Callable[[float, np.ndarray], np.ndarray]
     lambda0: float
     L0: float
-    name: str = "custom"
 
     def __post_init__(self):
         if self.d < 1:
@@ -114,19 +112,6 @@ def sphere_surface_measure(d: int) -> float:
     return 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
 
 
-def unit_directions(d: int, n: int, seed: int = 0) -> np.ndarray:
-    """n quasi-random unit vectors in R^d (both points of S^0 for d = 1)."""
-    if d == 1:
-        return np.array([[1.0], [-1.0]])
-    from scipy.stats import qmc
-
-    sob = qmc.Sobol(d, scramble=True, seed=seed)
-    u = sob.random(n)
-    u = np.clip(u, 1e-12, 1 - 1e-12)
-    g = ndtri(u)
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
-
-
 @dataclass(frozen=True)
 class GrowthSpec:
     """Linear growth of slope beta along rays in a direction cone beyond rho0.
@@ -173,9 +158,9 @@ def check_growth(
     return GrowthCheck(ok=margin >= -tol, margin=margin)
 
 
-def sample_rays(d: int, radii, n_directions: int = 64, seed: int = 0):
-    """Build (direction, radius) pairs over the whole sphere for check_growth."""
-    dirs = unit_directions(d, n_directions, seed=seed)
+def sample_rays(dirs, radii):
+    """(direction, radius) pairs, every unit direction with every radius,
+    for check_growth."""
     return [(s, float(r)) for s in dirs for r in np.atleast_1d(radii)]
 
 
@@ -215,7 +200,7 @@ def _const_model(d=1, b0=0.0, sigma0=1.0, lambda0=None, L0=None):
         lambda0 = _scalar_noise_lambda0(s0)
     if L0 is None:
         L0 = max(1.0, float(np.linalg.norm(b)))
-    return SdeModel(Case.NONDEGENERATE, d, drift, sigma, float(lambda0), float(L0), name="const")
+    return SdeModel(Case.NONDEGENERATE, d, drift, sigma, float(lambda0), float(L0))
 
 
 def _trig_model(b_amp=0.0, a_amp=0.1, lambda0=None, L0=None):
@@ -237,7 +222,7 @@ def _trig_model(b_amp=0.0, a_amp=0.1, lambda0=None, L0=None):
         lambda0 = 1.0 / (1.0 - a_amp) if a_amp > 0 else 1.0
     if L0 is None:
         L0 = max(1.0, b_amp + a_amp)
-    return SdeModel(Case.NONDEGENERATE, 1, drift, sigma, float(lambda0), float(L0), name="trig")
+    return SdeModel(Case.NONDEGENERATE, 1, drift, sigma, float(lambda0), float(L0))
 
 
 def _kinetic_model(dp=1, damp=0.0, sigma0=1.0, lambda0=None, L0=None):
@@ -259,7 +244,7 @@ def _kinetic_model(dp=1, damp=0.0, sigma0=1.0, lambda0=None, L0=None):
         lambda0 = _scalar_noise_lambda0(s0)
     if L0 is None:
         L0 = max(1.0, damp * math.sqrt(dp))
-    return SdeModel(Case.KINETIC, 2 * dp, drift, sigma, float(lambda0), float(L0), name="kinetic")
+    return SdeModel(Case.KINETIC, 2 * dp, drift, sigma, float(lambda0), float(L0))
 
 
 MODEL_PRESETS = {

@@ -81,10 +81,7 @@ class DensityTable:
     the grid."""
 
     grid: Grid1D
-    j: int
-    j_prime: int
     values: np.ndarray
-    start_x: float | None = None
 
     def mass(self) -> float:
         return float(self.grid.weights() @ self.values)
@@ -310,7 +307,7 @@ def parametrix_series(
     terms = [T[r, steps] for r in range(r_max + 1)]
     norms = [float(np.max(np.abs(t))) for t in terms]
     check_term_decay(norms)
-    table = DensityTable(grid, j, j_prime, np.sum(terms, axis=0), start_x=x)
+    table = DensityTable(grid, np.sum(terms, axis=0))
     return table, norms, terms
 
 
@@ -346,4 +343,4 @@ def chapman_kolmogorov_density(
                 f"step {k} loses mass {step_loss:.2e} > {mass_tol:.0e}"
             )
         dens = (tw * dens) @ Q
-    return DensityTable(grid, j, j_prime, dens, start_x=x)
+    return DensityTable(grid, dens)

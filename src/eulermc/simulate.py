@@ -4,7 +4,9 @@ The samples are split into chunks of 4096 consecutive absolute indices, and
 each chunk reads one counter-based Philox stream derived from
 (master_seed, stream_id, chunk index), drawn step by step.  The normals of
 a sample depend on its index alone, so batches are bitwise reproducible no
-matter how work is split across threads.
+matter how work is split across threads.  Every random draw of the package
+goes through _chunk_normals: simulate_terminal reads it step by step, and
+normals and unit_directions read one step of it.
 """
 
 from __future__ import annotations
@@ -63,16 +65,43 @@ class RngSpec:
         return np.random.Philox(key=key, counter=c << 128)
 
 
-@dataclass(frozen=True)
-class TerminalBatch:
-    model: SdeModel
-    grid: SchemeGrid
-    start_x: np.ndarray
-    samples: np.ndarray  # (M, d)
+def _chunk_normals(rng: RngSpec, c: int, lo: int, hi: int, ndraw: int, steps: int):
+    """Yield, for steps 0 to steps - 1 in turn, the (hi - lo, ndraw) normals
+    of the samples in columns [lo, hi) of chunk c.
 
-    @property
-    def M(self) -> int:
-        return self.samples.shape[0]
+    Coordinate k of step n spans words (n * ndraw + k) * 4096 + [lo, hi).
+    Only the 4-word Philox blocks that cover them are generated; the blocks
+    of the other columns are skipped with Philox.advance.
+    """
+    first, stop = lo // 4, -(-hi // 4)
+    width = 4 * (stop - first)  # words read per coordinate
+    skip = _CHUNK // 4 - (stop - first)  # blocks up to the next coordinate's
+    cols = slice(lo - 4 * first, hi - 4 * first)
+    bitgen = rng.chunk(c)
+    bitgen.advance(first)
+    for _ in range(steps):
+        words = np.empty((ndraw, width), dtype=np.uint64)
+        for k in range(ndraw):
+            words[k] = bitgen.random_raw(width)
+            bitgen.advance(skip)
+        yield _word_normals(words[:, cols]).T
+
+
+def normals(rng: RngSpec, n: int, k: int) -> np.ndarray:
+    """(n, k) standard normals: the step-0 normals of samples 0 to n - 1,
+    read as a k-coordinate scheme step would read them."""
+    starts = range(0, n, _CHUNK)
+    chunks = [_chunk_normals(rng, i // _CHUNK, 0, min(_CHUNK, n - i), k, 1) for i in starts]
+    return np.concatenate([next(chunk) for chunk in chunks])
+
+
+def unit_directions(d: int, n: int, rng: RngSpec) -> np.ndarray:
+    """n random unit vectors in R^d, normals(rng, n, d) over their norms
+    (both points of S^0 for d = 1)."""
+    if d == 1:
+        return np.array([[1.0], [-1.0]])
+    g = normals(rng, n, d)
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 def euler_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.ndarray:
@@ -147,8 +176,8 @@ def simulate_terminal(
     M: int,
     threads: int = 1,
     sample_offset: int = 0,
-) -> TerminalBatch:
-    """M independent terminal points, N sequential steps each.
+) -> np.ndarray:
+    """The (M, d) terminal points of M independent runs, N steps each.
 
     Sample i draws the normals of absolute index sample_offset + i, so
     results do not depend on the thread count or on execution order.  A
@@ -171,11 +200,8 @@ def simulate_terminal(
     def run_chunk(lo: int, hi: int) -> None:
         m = hi - lo
         c, col = divmod(sample_offset + lo, _CHUNK)
-        bitgen = rng.chunk(c)
         x = np.broadcast_to(x0, (m, model.d)).copy()
-        for n in range(grid.N):
-            words = bitgen.random_raw(ndraw * _CHUNK).reshape(ndraw, _CHUNK)
-            draws = _word_normals(words[:, col : col + m]).T
+        for n, draws in enumerate(_chunk_normals(rng, c, col, col + m, ndraw, grid.N)):
             try:
                 x = scheme_step(model, grid.times[n], x, grid.delta, draws)
             except NumericError:
@@ -200,4 +226,4 @@ def simulate_terminal(
     else:
         for r in ranges:
             run_chunk(*r)
-    return TerminalBatch(model=model, grid=grid, start_x=x0, samples=out)
+    return out

@@ -176,6 +176,8 @@ def test_parametrix_cmd(tmp_path):
         ["bounds", "--set", 'functional="asian-diff"'],
         ["bounds", "--set", "rho0=1"],
         ["concentration", "--set", "beta=1"],
+        ["concentration", "--set", "num_r=-1"],
+        ["control-geodesic", "--set", "control_x=[]", "--set", "control_x_prime=[]"],
     ],
     ids=[
         "out-dir-under-file", "cone-not-a-number", "empty-c-grid", "M-string", "N-float",
@@ -185,7 +187,7 @@ def test_parametrix_cmd(tmp_path):
         "kinetic-d", "trig-sigma0", "N-too-large", "b0-wrong-length", "T-5000-digits", "d-negative",
         "dp-negative", "density-samples-one", "conc-identity-no-growth",
         "bounds-identity-no-growth", "bounds-unknown-functional", "bounds-asian-diff-const",
-        "rho0-without-beta", "beta-without-rho0",
+        "rho0-without-beta", "beta-without-rho0", "num-r-negative", "control-empty-endpoints",
     ],
 )
 def test_bad_input_is_one_line_config_error(tmp_path, capsys, args):
@@ -203,13 +205,17 @@ def test_bad_input_is_one_line_config_error(tmp_path, capsys, args):
     [
         ["parametrix", "--set", "grid_radius=0.5"],
         ["simulate", "--set", "sigma0=1e308"],
+        ["bounds", "--set", "c=1e-320"],
+        ["concentration", "--set", "c=1e-320"],
     ],
-    ids=["parametrix-truncated-grid", "sigma0-overflow"],
+    ids=["parametrix-truncated-grid", "sigma0-overflow", "bounds-alpha-inf", "conc-alpha-inf"],
 )
 def test_bad_input_is_one_line_numeric_error(tmp_path, capsys, args):
     assert main(args + ["--out-dir", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    # refused before any output is written
+    assert not list((tmp_path / "out").glob("*.json"))
 
 
 def test_grid_too_large_is_refused_before_allocating(tmp_path, capsys):
@@ -247,24 +253,39 @@ import sys
 heavy = {heavy!r}
 import eulermc.cli
 print(" ".join(m for m in heavy if m in sys.modules))
-assert eulermc.cli.main(["simulate", "--set", "M=50", "--out-dir", sys.argv[1]]) == 0
+assert eulermc.cli.main({argv!r} + ["--out-dir", sys.argv[1]]) == 0
 print(" ".join(m for m in heavy if m in sys.modules))
 """
 
 
-def test_cli_start_up_leaves_heavy_scipy_unloaded(tmp_path):
-    # a fresh interpreter, since this one has loaded scipy.stats already
+def _heavy_scipy_loaded(tmp_path, argv):
+    """The heavy scipy subpackages loaded by `import eulermc.cli` and then by
+    running argv, in a fresh interpreter (this one has loaded scipy.stats)."""
     import eulermc
 
     src = str(Path(eulermc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = _IMPORT_PROBE.format(heavy=_HEAVY_SCIPY)
+    probe = _IMPORT_PROBE.format(heavy=_HEAVY_SCIPY, argv=argv)
     out = subprocess.run(
         [sys.executable, "-c", probe, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     ).stdout.split("\n")
-    assert out[0] == ""  # loaded by import eulermc.cli
-    assert not {"scipy.stats", "scipy.optimize", "scipy.integrate"} & set(out[1].split())
+    return set(out[0].split()), set(out[1].split())
+
+
+def test_cli_start_up_leaves_heavy_scipy_unloaded(tmp_path):
+    at_import, after_run = _heavy_scipy_loaded(tmp_path, ["simulate", "--set", "M=50"])
+    assert not at_import
+    assert not {"scipy.stats", "scipy.optimize", "scipy.integrate"} & after_run
+
+
+def test_lower_bound_constants_leave_scipy_stats_unloaded(tmp_path):
+    # d = 2 draws its sphere directions from the chunk streams
+    argv = [
+        "bounds", "--set", "d=2", "--set", "x0=[0,0]", "--set", 'functional="abs"',
+        "--set", "rho0=1", "--set", "beta=1",
+    ]
+    assert "scipy.stats" not in set.union(*_heavy_scipy_loaded(tmp_path, argv))
 
 
 def test_config_error_message_to_stderr(tmp_path, capsys):

@@ -8,6 +8,7 @@ from eulermc import concentration as conc
 from eulermc.errors import ArgumentError
 from eulermc.gaussianref import hessian_spectral_bounds
 from eulermc.model import Case, GaussParams, GrowthSpec, sphere_surface_measure
+from eulermc.simulate import RngSpec
 
 SQ13 = math.sqrt(13.0)
 
@@ -210,7 +211,7 @@ def test_wasserstein_bound():
     bias = conc.lower_bias(
         Case.NONDEGENERATE, 1.0, C, 1.0, alpha,
         lambda x: np.full(np.asarray(x).shape[0], 4.2), np.zeros(1),
-        GrowthSpec(1.5, 0.7, sphere_surface_measure(1)), 1,
+        GrowthSpec(1.5, 0.7, sphere_surface_measure(1)), 1, RngSpec(0),
     )
     w1 = math.sqrt(alpha * math.log(C)) + math.sqrt(alpha * math.log(C * C))
     assert bias.value - 1.5 * 0.7 == pytest.approx(w1, rel=1e-9)
@@ -220,7 +221,7 @@ def test_lower_bias_constant_functional():
     growth = GrowthSpec(1.5, 0.7, sphere_surface_measure(1))
     bias = conc.lower_bias(
         Case.NONDEGENERATE, 1.0, 1.0, 1.0, 2.0,
-        lambda x: np.full(np.asarray(x).shape[0], 4.2), np.zeros(1), growth, 1,
+        lambda x: np.full(np.asarray(x).shape[0], 4.2), np.zeros(1), growth, 1, RngSpec(0),
     )
     assert bias.value == pytest.approx(1.5 * 0.7, rel=1e-9)
 
@@ -231,7 +232,7 @@ def test_lower_bias_halfnormal_mean():
     growth = GrowthSpec(1.0, 1.0, sphere_surface_measure(1))
     bias = conc.lower_bias(
         Case.NONDEGENERATE, c, 1.0, T, 2.0,
-        lambda x: np.abs(np.asarray(x)[:, 0] - 0.5), np.array([0.5]), growth, 1,
+        lambda x: np.abs(np.asarray(x)[:, 0] - 0.5), np.array([0.5]), growth, 1, RngSpec(0),
     )
     assert bias.gamma_term == pytest.approx(math.sqrt(2 * c * T / math.pi), rel=1e-8)
 
@@ -240,24 +241,22 @@ def test_lower_bias_floor_of_norm():
     growth = GrowthSpec(1.3, 1.0, sphere_surface_measure(2))
     bias = conc.lower_bias(
         Case.NONDEGENERATE, 1.0, 2.0, 1.0, 2.0,
-        lambda x: np.linalg.norm(np.asarray(x), axis=-1), np.zeros(2), growth, 2,
+        lambda x: np.linalg.norm(np.asarray(x), axis=-1), np.zeros(2), growth, 2, RngSpec(0),
     )
     assert bias.floor == pytest.approx(1.3, rel=1e-12)
 
 
 def test_lower_bias_mc_path_reports_se():
-    growth = GrowthSpec(1.0, 1.0, sphere_surface_measure(2))
+    # d = 3 takes gamma(F) by Monte Carlo; for F = |y| at x = 0 the c^{-1}
+    # kernel (covariance c T I) gives sqrt(c T) times the chi_3 mean sqrt(8/pi)
+    c, T = 1.5, 1.0
+    growth = GrowthSpec(1.0, 1.0, sphere_surface_measure(3))
     bias = conc.lower_bias(
-        Case.NONDEGENERATE, 1.0, 1.0, 1.0, 2.0,
-        lambda x: np.linalg.norm(np.asarray(x), axis=-1), np.zeros(2), growth, 2,
-        method="mc", mc_samples=50_000,
+        Case.NONDEGENERATE, c, 1.0, T, 2.0,
+        lambda x: np.linalg.norm(np.asarray(x), axis=-1), np.zeros(3), growth, 3, RngSpec(0),
     )
     assert bias.mc_se is not None and bias.mc_se < 0.01
-    quad_bias = conc.lower_bias(
-        Case.NONDEGENERATE, 1.0, 1.0, 1.0, 2.0,
-        lambda x: np.linalg.norm(np.asarray(x), axis=-1), np.zeros(2), growth, 2,
-    )
-    assert abs(bias.gamma_term - quad_bias.gamma_term) < 4 * bias.mc_se
+    assert abs(bias.gamma_term - math.sqrt(8.0 * c * T / math.pi)) < 4 * bias.mc_se
 
 
 def test_lower_bound_assembly_pipeline():
@@ -266,7 +265,7 @@ def test_lower_bound_assembly_pipeline():
     alpha = conc.concentration_alpha(Case.NONDEGENERATE, 1.0, 1.0)
     lb = conc.lower_bound(
         Case.NONDEGENERATE, 2, GaussParams(1.0, 1.0), 1.0, alpha, growth,
-        lambda x: np.linalg.norm(np.asarray(x), axis=-1), np.zeros(2),
+        lambda x: np.linalg.norm(np.asarray(x), axis=-1), np.zeros(2), RngSpec(0),
     )
     assert lb.rate.chi == 0.0
     assert lb.rate.inv_alpha == pytest.approx(0.5, rel=1e-14)

@@ -16,8 +16,9 @@ from eulermc.gaussianref import (
     kernel_normalizer,
     kinetic_metric,
 )
-from eulermc.model import Case
+from eulermc.model import Case, model_preset
 from eulermc.quadrature import tensor_quad_2d
+from eulermc.simulate import kinetic_step
 from oracles import radial_tail, semigroup_residual
 
 
@@ -214,12 +215,14 @@ def test_cone_constant_values():
     assert cone_constant(4, 2 * math.pi**2) == pytest.approx(math.pi**2)
 
 
-def test_mean_cov_matches_samples():
-    from eulermc.gaussianref import sample_kernel
-
+def test_mean_cov_matches_samples(numpy_normals):
+    # the kinetic p_c(t, x, .) is the law of one exact kinetic step of length
+    # t from x with noise sqrt(2/c)
     s = spec_b(c=2.0, t=1.0)
     mean, cov = kernel_mean_cov(s)
-    draws = sample_kernel(s, np.random.default_rng(5), 200_000)
+    m = model_preset("kinetic", dp=1, sigma0=math.sqrt(2.0 / s.c))
+    x = np.broadcast_to(s.x, (200_000, 2))
+    draws = kinetic_step(m, 0.0, x, s.t, numpy_normals(5, (200_000, 2)))
     assert np.allclose(draws.mean(axis=0), mean, atol=4e-3)
     assert np.allclose(np.cov(draws.T), cov, atol=6e-3)
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from eulermc import concentration as conc
 from eulermc import harness
-from eulermc.errors import ConfigError, StatisticsError
+from eulermc.errors import ConfigError, NumericError, StatisticsError
 from eulermc.harness import (
     ExperimentConfig,
     analytic_reference,
@@ -301,8 +301,8 @@ def test_bound_table_lower_constants_pipeline():
 def test_concentration_lower_bias_uses_normalized_alpha():
     # asian-diff takes the time-normalized alpha in the lower bias; it is
     # linear, so it never passes the growth check of a command, and the bias
-    # is checked on the library assembly.  bar_delta is pinned to the value
-    # of the pre-refactor assembly.
+    # is checked on the library assembly.  bar_delta is pinned to its value
+    # with F_floor taken along the directions of the lower-bound stream.
     cfg = cfg_with(
         preset="kinetic", x0=[0.0, 0.0], functional="asian-diff", rho0=0.5, beta=1.0,
         T=1.5, C=1.5, master_seed=3,
@@ -313,9 +313,18 @@ def test_concentration_lower_bias_uses_normalized_alpha():
     lower = conc.lower_bound(
         model.case, model.d, GaussParams(cfg.c, cfg.C), cfg.T, alpha,
         harness.growth_spec(cfg, model), make_functional(cfg, model, tgrid),
-        harness.start_point(cfg, model), seed=cfg.master_seed,
+        harness.start_point(cfg, model), harness._stream(cfg, harness._LOWER),
     )
-    assert lower.bias.value == pytest.approx(5.164448895736579, rel=1e-12)
+    assert lower.bias.value == pytest.approx(5.1644489279639565, rel=1e-12)
+
+
+def test_write_json_refuses_non_finite(tmp_path):
+    # JSON has no NaN or infinity; the report is refused before its file opens
+    path = tmp_path / "report.json"
+    for bad in (math.nan, math.inf):
+        with pytest.raises(NumericError, match="report.json"):
+            harness.write_json(path, {"delta_bias": bad}, "0" * 12)
+        assert not path.exists()
 
 
 def test_bound_table_lower_requires_growth():

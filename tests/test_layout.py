@@ -58,3 +58,47 @@ def test_every_public_name_has_a_caller_in_the_package():
 
 def test_entry_points_exist():
     assert set(ENTRY_POINTS) <= {name for _, name in _definitions(_trees())}
+
+
+# numpy random names whose draws depend on numpy internals (Generator
+# normals, legacy and SeedSequence seeding) rather than on the chunk streams
+_FOREIGN_RNG = {"default_rng", "Generator", "RandomState", "SeedSequence"}
+
+
+def _dotted(node):
+    """'a.b.c' for a chain of attribute lookups on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def test_every_random_draw_reads_the_chunk_streams():
+    # the package draws through eulermc.simulate's Philox chunk streams only:
+    # np.random.Philox is the one numpy random name it may use, and it never
+    # imports scipy.stats (its QMC engines and distributions draw their own)
+    found = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr, _dotted(node) or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            for name in names:
+                random = name.startswith(("np.random.", "numpy.random."))
+                if (
+                    name in _FOREIGN_RNG
+                    or random and name.split(".")[2] != "Philox"
+                    or name == "scipy.stats"
+                    or name.startswith("scipy.stats.")
+                ):
+                    found.append(f"{module}:{node.lineno}: {name}")
+    assert not found, f"random draws outside the chunk streams: {sorted(set(found))}"

@@ -14,8 +14,9 @@ from eulermc.model import (
     model_preset,
     sample_rays,
     sphere_surface_measure,
-    unit_directions,
 )
+from eulermc.simulate import RngSpec, unit_directions
+from oracles import chunk_words, word_normals
 
 
 def test_identity_diffusion_passes():
@@ -43,7 +44,7 @@ def test_sine_drift_bound_detected_on_dense_samples():
 
 def test_positive_definite_along_sampled_directions():
     # <a xi, xi> stays inside [1/lambda0, lambda0] for the default lambda0
-    dirs = unit_directions(3, 128, seed=4)
+    dirs = unit_directions(3, 128, RngSpec(4))
     m = model_preset("const", d=3, sigma0=0.7)
     ratios = np.einsum("ni,ij,nj->n", dirs, m.diffusion(0.0, np.zeros(3)), dirs)
     assert np.all(ratios > 0)
@@ -62,7 +63,7 @@ def test_nonfinite_sigma_raises():
 
 def test_growth_of_norm_has_zero_margin():
     spec = GrowthSpec(1.0, 1.0, sphere_surface_measure(2))
-    rays = sample_rays(2, [2.0, 5.0, 10.0], n_directions=16)
+    rays = sample_rays(unit_directions(2, 16, RngSpec(0)), [2.0, 5.0, 10.0])
     res = check_growth(lambda y: float(np.linalg.norm(y)), spec, rays)
     assert res.ok
     assert res.margin == pytest.approx(0.0, abs=1e-12)
@@ -70,7 +71,7 @@ def test_growth_of_norm_has_zero_margin():
 
 def test_constant_function_fails_growth():
     spec = GrowthSpec(1.0, 0.1, sphere_surface_measure(2))
-    rays = sample_rays(2, [3.0], n_directions=8)
+    rays = sample_rays(unit_directions(2, 8, RngSpec(0)), [3.0])
     res = check_growth(lambda y: 1.0, spec, rays)
     assert not res.ok
     assert res.margin < 0
@@ -79,7 +80,7 @@ def test_constant_function_fails_growth():
 def test_hinge_function_growth():
     # max(|y| - 1, 0) grows with unit slope beyond radius 1
     spec = GrowthSpec(2.0, 1.0, sphere_surface_measure(1))
-    rays = sample_rays(1, [2.5, 4.0, 9.0])
+    rays = sample_rays(unit_directions(1, 8, RngSpec(0)), [2.5, 4.0, 9.0])
     res = check_growth(lambda y: max(float(np.linalg.norm(y)) - 1.0, 0.0), spec, rays)
     assert res.ok
     assert res.margin == pytest.approx(0.0, abs=1e-12)
@@ -99,7 +100,7 @@ def test_growth_rejects_empty_rays():
 )
 def test_norm_satisfies_growth_for_every_rho0(rho0, radius_factor, d):
     spec = GrowthSpec(rho0, 1.0, sphere_surface_measure(d))
-    rays = sample_rays(d, [rho0 * radius_factor], n_directions=8)
+    rays = sample_rays(unit_directions(d, 8, RngSpec(0)), [rho0 * radius_factor])
     assert check_growth(lambda y: float(np.linalg.norm(y)), spec, rays).ok
 
 
@@ -142,17 +143,17 @@ def test_sphere_surface_values():
 
 def test_unit_directions_are_unit():
     for d in (1, 2, 3):
-        dirs = unit_directions(d, 64, seed=1)
+        dirs = unit_directions(d, 64, RngSpec(1))
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
 
 
-def test_unit_directions_match_scipy_stats_form():
-    from scipy.stats import norm, qmc
-
-    u = np.clip(qmc.Sobol(3, scramble=True, seed=5).random(64), 1e-12, 1 - 1e-12)
-    g = norm.ppf(u)
+def test_unit_directions_match_oracle_words():
+    # direction i normalizes the step-0 normals of sample i: coordinate k is
+    # word k * 4096 + i of chunk 0
+    i, k = np.meshgrid(np.arange(64), np.arange(3), indexing="ij")
+    g = word_normals(chunk_words(5, 0, 0, k * 4096 + i))
     want = g / np.linalg.norm(g, axis=1, keepdims=True)
-    np.testing.assert_array_equal(unit_directions(3, 64, seed=5), want)
+    np.testing.assert_array_equal(unit_directions(3, 64, RngSpec(5)), want)
 
 
 def test_unknown_preset():

@@ -80,7 +80,7 @@ def test_one_step_density_matches_simulation_histogram():
     n = 1_000_000
     batch = simulate_terminal(m, SchemeGrid(T=0.25, N=1), [0.3], RngSpec(2024), n)
     edges = np.linspace(-1.6, 2.2, 201)
-    counts, _ = np.histogram(batch.samples[:, 0], bins=edges)
+    counts, _ = np.histogram(batch[:, 0], bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     width = edges[1] - edges[0]
     dens = one_step_density(m, tg, 0, 0.3, centers)
@@ -234,7 +234,7 @@ def test_ck_matches_simulation_histogram():
     n = 1_000_000
     batch = simulate_terminal(m, tg, [0.0], RngSpec(909), n)
     edges = np.linspace(-3.5, 3.5, 141)
-    counts, _ = np.histogram(batch.samples[:, 0], bins=edges)
+    counts, _ = np.histogram(batch[:, 0], bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     width = edges[1] - edges[0]
     expected = np.interp(centers, grid.points, table.values) * n * width
@@ -314,7 +314,7 @@ def test_term_decay_ratios_and_growing_terms():
 
 def test_table_csv_exports(tmp_path):
     grid = Grid1D(0.0, 1.0, 3)
-    vec = DensityTable(grid, 0, 2, np.array([0.1, 0.2, 0.3]))
+    vec = DensityTable(grid, np.array([0.1, 0.2, 0.3]))
     vec.to_csv(tmp_path / "vec.csv", config_hash="abc123")
     lines = (tmp_path / "vec.csv").read_text().splitlines()
     assert lines[0] == "# config-hash: abc123"
@@ -332,4 +332,4 @@ def test_table_csv_exports(tmp_path):
 
 def test_mass_needs_a_vector_table():
     grid = Grid1D(-1, 1, 11)
-    assert DensityTable(grid, 0, 1, np.ones(11)).mass() == pytest.approx(2.0)
+    assert DensityTable(grid, np.ones(11)).mass() == pytest.approx(2.0)

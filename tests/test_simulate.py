@@ -14,6 +14,7 @@ from eulermc.simulate import (
     _word_normals,
     euler_step,
     kinetic_step,
+    normals,
     simulate_terminal,
 )
 from oracles import _philox4x64, chunk_words, word_normals
@@ -146,7 +147,7 @@ def test_single_step_grid_reduces_to_step():
     z = word_normals(chunk_words(99, 4, 0, np.arange(5)))
     for i in range(5):
         want = euler_step(m, 0.0, np.array([1.0]), 0.3, z[i : i + 1])
-        assert np.array_equal(batch.samples[i], want)
+        assert np.array_equal(batch[i], want)
 
 
 def test_words_are_step_major_within_a_chunk():
@@ -161,7 +162,20 @@ def test_words_are_step_major_within_a_chunk():
         for n in range(3):
             w = [(2 * n + k) * _CHUNK + col for k in range(2)]
             x = kinetic_step(m, tg.times[n], x, tg.delta, word_normals(chunk_words(8, 1, 1, w)))
-        assert np.array_equal(batch.samples[i], x)
+        assert np.array_equal(batch[i], x)
+
+
+def test_normals_are_the_first_step_of_a_run():
+    # one unit Euler step from 0 with sigma = I adds exactly the step-0
+    # normals; 4100 samples reach into chunk 1
+    n, k = _CHUNK + 4, 2
+    z = normals(RngSpec(6, 2), n, k)
+    m = model_preset("const", d=k)
+    run = simulate_terminal(m, SchemeGrid(T=1.0, N=1), [0.0, 0.0], RngSpec(6, 2), n)
+    assert z.shape == (n, k)
+    assert np.array_equal(z, run)
+    # sample 4097, coordinate 1: word 1 * 4096 + 1 of chunk 1
+    assert z[_CHUNK + 1, 1] == word_normals(chunk_words(6, 2, 1, [_CHUNK + 1]))[0]
 
 
 def test_terminal_law_exact_for_constant_coefficients():
@@ -169,7 +183,7 @@ def test_terminal_law_exact_for_constant_coefficients():
     m = model_preset("const", d=1, b0=0.0, sigma0=1.0)
     for N in (1, 3, 10):
         batch = simulate_terminal(m, SchemeGrid(T=2.0, N=N), [0.0], RngSpec(5, N), 20_000)
-        var = batch.samples.var(ddof=1)
+        var = batch.var(ddof=1)
         assert abs(var - 2.0) < 3 * 2.0 * math.sqrt(2.0 / 20_000)
 
 
@@ -179,7 +193,7 @@ def test_terminal_chi_squared_goodness_of_fit():
     batch = simulate_terminal(m, SchemeGrid(T=T, N=N), [0.2], RngSpec(31), n)
     mu, s = 0.2 + 0.4 * T, 1.1 * math.sqrt(T)
     edges = norm.ppf(np.linspace(0.0, 1.0, 51)[1:-1], loc=mu, scale=s)
-    counts = np.histogram(batch.samples[:, 0], bins=np.r_[-np.inf, edges, np.inf])[0]
+    counts = np.histogram(batch[:, 0], bins=np.r_[-np.inf, edges, np.inf])[0]
     stat, pvalue = chisquare(counts)
     assert pvalue > 1e-3
 
@@ -191,7 +205,7 @@ def test_kinetic_terminal_covariance_every_N():
     want = np.array([[T, T**2 / 2], [T**2 / 2, T**3 / 3]])
     for N in (1, 4, 9):
         batch = simulate_terminal(m, SchemeGrid(T=T, N=N), [0.0, 0.0], RngSpec(17, N), 50_000)
-        cov = np.cov(batch.samples.T)
+        cov = np.cov(batch.T)
         for i in range(2):
             for j in range(2):
                 se = math.sqrt((want[i, i] * want[j, j] + want[i, j] ** 2) / 50_000)
@@ -203,9 +217,9 @@ def test_determinism_across_threads_and_runs():
     tg = SchemeGrid(T=1.0, N=5)
     a = simulate_terminal(m, tg, [0.0], RngSpec(1234, 9), 9000, threads=1)
     b = simulate_terminal(m, tg, [0.0], RngSpec(1234, 9), 9000, threads=4)
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a, b)
     c = simulate_terminal(m, tg, [0.0], RngSpec(1234, 9), 9000, threads=2)
-    assert np.array_equal(a.samples, c.samples)
+    assert np.array_equal(a, c)
 
 
 def test_offset_extends_stream():
@@ -215,7 +229,7 @@ def test_offset_extends_stream():
     for offset, M in ((6, 4), (4086, 20)):
         full = simulate_terminal(m, tg, [0.0], RngSpec(3), offset + M)
         tail = simulate_terminal(m, tg, [0.0], RngSpec(3), M, sample_offset=offset)
-        assert np.array_equal(full.samples[offset:], tail.samples)
+        assert np.array_equal(full[offset:], tail)
 
 
 def test_simulate_peak_memory_does_not_grow_with_steps():
@@ -248,7 +262,7 @@ def test_last_sample_index_draws():
     # sample 2**64 - 1 is column 4095 of chunk 2**52 - 1
     z = word_normals(chunk_words(3, 0, 2**52 - 1, [_CHUNK - 1]))
     want = euler_step(m, 0.0, np.zeros(1), 1.0, z)
-    assert np.array_equal(batch.samples[-1], want)
+    assert np.array_equal(batch[-1], want)
 
 
 def test_threads_under_frequent_switches():
@@ -263,14 +277,14 @@ def test_threads_under_frequent_switches():
         b = simulate_terminal(m, tg, [0.0, 0.0], RngSpec(5, 1), M, threads=4)
     finally:
         sys.setswitchinterval(old)
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a, b)
 
 
 def test_mc_deviation_clt_scale():
     m = model_preset("const", d=1, b0=0.0, sigma0=1.0)
     T, M = 1.0, 40_000
     batch = simulate_terminal(m, SchemeGrid(T=T, N=1), [0.0], RngSpec(77), M)
-    dev = batch.samples[:, 0].mean()
+    dev = batch[:, 0].mean()
     assert abs(dev) < 4 * math.sqrt(T / M)
 
 
@@ -279,10 +293,10 @@ def test_mc_deviation_against_control_run():
     tg = SchemeGrid(T=1.0, N=4)
     f = lambda x: np.abs(x[:, 0])
     control = simulate_terminal(m, tg, [0.0], RngSpec(41, 1), 200_000)
-    ref = float(f(control.samples).mean())
+    ref = float(f(control).mean())
     batch = simulate_terminal(m, tg, [0.0], RngSpec(41, 0), 2000)
-    dev = float(f(batch.samples).mean()) - ref
-    sd = float(f(batch.samples).std(ddof=1))
+    dev = float(f(batch).mean()) - ref
+    sd = float(f(batch).std(ddof=1))
     assert abs(dev) < 5 * sd / math.sqrt(2000)
 
 
