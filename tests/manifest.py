@@ -1,0 +1,62 @@
+"""The output manifest: a fixed set of small CLI runs and the SHA-256 of every
+file they write, kept in tests/manifest.json.
+
+    PYTHONPATH=src python tests/manifest.py
+
+reruns the set and rewrites the manifest; tests/test_manifest.py reruns it
+and names each file whose digest differs.  A change that alters outputs
+commits the rewritten manifest and says in CHANGES.md why each file changed.
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from eulermc.cli import main
+
+MANIFEST = Path(__file__).resolve().with_name("manifest.json")
+
+_LOWER = ["--set", 'functional="abs"', "--set", "rho0=1", "--set", "beta=1"]
+_KINETIC = ["--set", 'preset="kinetic"', "--set", "dp=1", "--set", "x0=[0,0]"]
+
+# label -> argv without --out-dir; sizes are cut so that the set runs in
+# about a second
+COMMANDS = {
+    # README examples but parametrix and density-check (see test_manifest)
+    "readme-bounds": ["bounds", *_KINETIC, "--set", "eps=[0.05,0.01]"],
+    "readme-concentration": ["concentration", "--set", "M=100", "--set", "num_batches=2000", "--seed", "1"],
+    "readme-control-geodesic": [
+        "control-geodesic", "--set", "control_x=[0,0]", "--set", "control_x_prime=[0,1]",
+    ],
+    # lower-bound constants: quadrature gamma_F in d <= 2, Monte Carlo in d = 3
+    "lower-bounds-d1": ["bounds", *_LOWER],
+    "lower-bounds-d2": ["bounds", "--set", "d=2", "--set", "x0=[0,0]", *_LOWER],
+    "lower-bounds-d3": ["bounds", "--set", "d=3", "--set", "x0=[0,0,0]", *_LOWER],
+    "lower-bounds-kinetic": ["bounds", *_KINETIC, *_LOWER],
+    # M = 1 leaves some lower-bound radii testable, so lower_empirical is not empty
+    "lower-concentration-d2": [
+        "concentration", "--set", "d=2", "--set", "x0=[0,0]", "--set", "M=1",
+        "--set", "num_batches=400", *_LOWER,
+    ],
+    "simulate-binary": ["simulate", "--set", "M=1000", "--set", "export_binary=true"],
+}
+
+
+def run_all(root: Path) -> dict:
+    """Run every command under root/<label> and return {label/file: sha256}."""
+    for label, argv in COMMANDS.items():
+        if main([*argv, "--out-dir", str(root / label)]) != 0:
+            raise RuntimeError(f"{label} failed: eulermc {' '.join(argv)}")
+    return {
+        f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.glob("*/*"))
+    }
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = run_all(Path(tmp))
+    MANIFEST.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {MANIFEST}", file=sys.stderr)

@@ -1,0 +1,27 @@
+import json
+
+from manifest import COMMANDS, MANIFEST, run_all
+
+
+def test_outputs_match_the_manifest(tmp_path):
+    """Every file the manifest commands write has the digest in
+    tests/manifest.json.
+
+    Parametrix and density-check outputs are left out: their last digits
+    change with numpy's CPU dispatch tier (np.exp and np.log give different
+    last bits on X86_V4 than on X86_V3), so their digests hold on one host
+    only.
+    With X86_V4 off, the README kinetic density-check at 1e5 samples wrote
+    C_fit 1.1514279308368105 against 1.1514279308368103.  They join the set
+    once a test compares them across dispatch tiers.  Every file in the set
+    had the same digest with X86_V4, and with X86_V3 and X86_V4, switched
+    off.
+    """
+    got = run_all(tmp_path)
+    want = json.loads(MANIFEST.read_text())
+    assert {name.split("/")[0] for name in got} == set(COMMANDS)
+    differ = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
+    assert not differ, (
+        f"outputs differ from {MANIFEST.name}: {differ}; if the change is meant, "
+        "rerun `PYTHONPATH=src python tests/manifest.py` and explain it in CHANGES.md"
+    )
