@@ -1,7 +1,7 @@
 """Euler-scheme Monte Carlo with non-asymptotic Gaussian concentration bounds.
 
 Subpackages:
-  model         SDE models, time grids, growth specs and checks
+  model         SDE models, time grids, growth specs
   simulate      scheme steps, reproducible terminal batches
   gaussianref   Gaussian reference kernels, kinetic metric, tail constants
   concentration deviation-bound constants and the lower-bound assembly
@@ -22,7 +22,6 @@ from .model import (
     GrowthSpec,
     SdeModel,
     SchemeGrid,
-    check_growth,
     model_preset,
 )
 from .simulate import RngSpec, simulate_terminal
@@ -34,7 +33,6 @@ __all__ = [
     "SdeModel",
     "SchemeGrid",
     "RngSpec",
-    "check_growth",
     "model_preset",
     "simulate_terminal",
 ]

@@ -30,13 +30,11 @@ from .gaussianref import (
 )
 from .model import Case, GaussParams, GrowthSpec
 from .quadrature import adaptive_1d, tensor_quad_2d
-from .simulate import RngSpec, normals, unit_directions
+from .simulate import RngSpec, normals
 
 SQRT13 = math.sqrt(13.0)
-# Monte Carlo samples of gamma(F) for d >= 3, and directions over which the
-# lower bias takes the infimum of F on the rho0 sphere
+# Monte Carlo samples of gamma(F) for d >= 3
 _MC_SAMPLES = 200_000
-_FLOOR_DIRECTIONS = 2**14
 
 
 def concentration_alpha(case: Case, c: float, T: float) -> float:
@@ -173,7 +171,6 @@ def lower_tail_bound(
 class LowerBias:
     value: float
     gamma_term: float  # mean of F under the c^{-1} kernel
-    floor: float  # inf of F over the rho0 sphere
     mc_se: float | None  # standard error when the mean came from sampling
 
 
@@ -186,16 +183,17 @@ def lower_bias(
     f,
     x,
     growth: GrowthSpec,
+    floor: float,
     d: int,
     rng: RngSpec,
 ) -> LowerBias:
-    """Bias (1 + sqrt 2) sqrt(alpha log C) + gamma(F) + rho0 beta - inf F.
+    """Bias (1 + sqrt 2) sqrt(alpha log C) + gamma(F) + rho0 beta - floor,
+    where floor is inf F over the rho0 sphere.
 
     gamma(F) integrates F against the c^{-1} kernel started at x, by
     quadrature for d <= 2 and otherwise by Monte Carlo over the normals of
-    rng (with reported standard error).  inf F is taken over the rho0 sphere
-    along unit directions of rng.  f must be vectorized over (m, d) point
-    arrays.
+    rng (with reported standard error).  f must be vectorized over (m, d)
+    point arrays.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     spec = KernelSpec(case, 1.0 / c, T, x)
@@ -225,15 +223,13 @@ def lower_bias(
         gamma_term = float(vals.mean())
         mc_se = float(vals.std(ddof=1) / math.sqrt(_MC_SAMPLES))
 
-    dirs = unit_directions(d, _FLOOR_DIRECTIONS, rng)
-    floor = float(np.min(np.asarray(f(growth.rho0 * dirs), dtype=float)))
     value = (
         (1.0 + math.sqrt(2.0)) * math.sqrt(alpha * math.log(C))
         + gamma_term
         + growth.rho0 * growth.beta
         - floor
     )
-    return LowerBias(value=value, gamma_term=float(gamma_term), floor=floor, mc_se=mc_se)
+    return LowerBias(value=value, gamma_term=float(gamma_term), mc_se=mc_se)
 
 
 @dataclass(frozen=True)
@@ -251,6 +247,7 @@ def lower_bound(
     T: float,
     alpha: float,
     growth: GrowthSpec,
+    floor: float,
     f,
     x,
     rng: RngSpec,
@@ -260,10 +257,11 @@ def lower_bound(
 
     alpha is the upper-side constant of the functional at hand (the
     time-normalized one for kinetic functionals of (v, z/T)); it enters the
-    bias only.  rng keys the random draws of the bias.
+    bias only, as does floor, the infimum of f over the rho0 sphere.  rng
+    keys the random draws of the bias.
     """
     if case is not Case.KINETIC and d % 2 == 1 and theta is None:
         theta = 2.0
     rate = lower_rate(case, d, gauss.c, T, growth.rho0, gauss.C, growth.cone_measure, theta=theta)
-    bias = lower_bias(case, gauss.c, gauss.C, T, alpha, f, x, growth, d, rng)
+    bias = lower_bias(case, gauss.c, gauss.C, T, alpha, f, x, growth, floor, d, rng)
     return LowerBound(rate=rate, bias=bias)

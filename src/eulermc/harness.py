@@ -28,9 +28,7 @@ from .model import (
     GrowthSpec,
     SdeModel,
     SchemeGrid,
-    check_growth,
     model_preset,
-    sample_rays,
     sphere_surface_measure,
 )
 from .parametrix import (
@@ -42,7 +40,7 @@ from .parametrix import (
 )
 from .control import ControlProblem, energy, geodesic
 from .gaussianref import kinetic_metric
-from .simulate import RngSpec, simulate_terminal, unit_directions
+from .simulate import RngSpec, simulate_terminal
 
 _WILSON_Z99 = float(ndtri(0.99))
 
@@ -53,13 +51,9 @@ _MATRIX_CAP_BYTES = 2**27
 _MAX_THREADS = 256
 
 # The streams a run reads.  The simulation reads (master_seed, stream_id),
-# the control run stream_id + 1 and the lower-bound draws (the Monte Carlo
-# gamma(F) and the F_floor directions) stream_id + 2.  The growth-check rays
-# read one fixed key, so whether a config passes the check does not depend
-# on its seed.
+# the control run stream_id + 1 and the Monte Carlo gamma(F) of the lower
+# bound (d >= 3) stream_id + 2.
 _SIMULATION, _CONTROL, _LOWER = 0, 1, 2
-_GROWTH_RAYS = RngSpec(0)
-_GROWTH_DIRECTIONS = 32
 
 
 def _finite(name: str, value) -> float:
@@ -265,6 +259,23 @@ def make_functional(cfg: ExperimentConfig, model: SdeModel, tgrid: SchemeGrid):
     raise ConfigError(f"unknown functional preset {cfg.functional!r}")
 
 
+def sphere_floor(functional: str, growth: GrowthSpec) -> float:
+    """inf F over the rho0 sphere, for a functional preset F that grows with
+    slope beta on the full sphere: F(rho s) - F(rho0 s) >= beta (rho - rho0)
+    for every unit s and rho > rho0.  ConfigError when it does not grow.
+
+    abs has F(rho s) - F(rho0 s) = rho - rho0, so it grows exactly when
+    beta <= 1, and its infimum is exactly rho0.  identity, sum and asian-diff
+    are linear: each decreases along some direction, so none grows.
+    """
+    if functional != "abs" or growth.beta > 1.0:
+        raise ConfigError(
+            f"functional {functional!r} fails the growth check at beta = {growth.beta!r}: "
+            "abs grows with slope 1, and the linear presets decrease along some direction"
+        )
+    return growth.rho0
+
+
 def analytic_reference(cfg: ExperimentConfig, model: SdeModel, tgrid: SchemeGrid):
     """Closed-form E[f(X_T)] for the Gaussian presets; None when unknown."""
     x0 = start_point(cfg, model)
@@ -355,7 +366,7 @@ def _alpha_for(cfg: ExperimentConfig, model: SdeModel) -> float:
 def _bound_constants(cfg: ExperimentConfig, model: SdeModel, f):
     """(alpha, delta, constants): the upper-side constant alpha of f, the bias
     delta, and, when rho0 and beta set a growth spec, the lower-bound
-    constants of f, which must then pass the growth check; else None."""
+    constants of f, whose preset must then grow (sphere_floor); else None."""
     gauss = GaussParams(cfg.c, cfg.C)
     alpha = _alpha_for(cfg, model)
     delta = conc.domination_bias(gauss.C, alpha)
@@ -364,13 +375,9 @@ def _bound_constants(cfg: ExperimentConfig, model: SdeModel, f):
     growth = growth_spec(cfg, model)
     if growth is None:
         return alpha, delta, None
-    single = lambda y: float(f(np.asarray(y, dtype=float)[None, :])[0])
-    dirs = unit_directions(model.d, _GROWTH_DIRECTIONS, _GROWTH_RAYS)
-    rays = sample_rays(dirs, [growth.rho0 * 2.0, growth.rho0 * 5.0])
-    if not check_growth(single, growth, rays).ok:
-        raise ConfigError("functional fails the growth check on sampled rays")
+    floor = sphere_floor(cfg.functional, growth)
     lower = conc.lower_bound(
-        model.case, model.d, gauss, cfg.T, alpha, growth, f, start_point(cfg, model),
+        model.case, model.d, gauss, cfg.T, alpha, growth, floor, f, start_point(cfg, model),
         _stream(cfg, _LOWER), theta=cfg.theta,
     )
     rate, bias = lower.rate, lower.bias
@@ -379,7 +386,8 @@ def _bound_constants(cfg: ExperimentConfig, model: SdeModel, f):
         "bar_alpha_inv": rate.inv_alpha,
         "bar_delta": bias.value,
         "gamma_F": bias.gamma_term,
-        "F_floor": bias.floor,
+        "gamma_F_se": bias.mc_se,
+        "F_floor": floor,
         "theta": rate.theta,
     }
 
@@ -400,6 +408,11 @@ def reference_mean(cfg: ExperimentConfig, model, tgrid, f, r_min: float):
     if ref is not None:
         return float(ref), 0.0
     n_ctrl = cfg.control_factor * cfg.M * cfg.num_batches
+    if n_ctrl < 2:
+        raise StatisticsError(
+            f"control_factor * M * num_batches = {n_ctrl}: a control run needs at least "
+            "2 samples for a standard error"
+        )
     vals = np.asarray(f(_simulate(cfg, model, tgrid, n_ctrl, _CONTROL)), dtype=float)
     se = float(vals.std(ddof=1) / math.sqrt(n_ctrl))
     if r_min > 0 and se >= r_min / 10.0:

@@ -1,4 +1,4 @@
-"""SDE models, discretization grids, and growth checks.
+"""SDE models, discretization grids, and growth specs.
 
 Two model families are supported.  In the non-degenerate case the noise
 drives every coordinate.  In the kinetic case the state splits into a
@@ -6,9 +6,8 @@ velocity block of dimension d' = d/2 driven by the noise and a position
 block that integrates the velocity; the user supplies coefficients for the
 velocity block only.
 
-The growth check on a functional is sample based: it tests the growth
-inequality on sampled rays and reports the worst slack.  A pass is
-necessary, not sufficient.
+A growth spec states the paper's growth assumption on a functional; which
+functional presets meet it is stated in eulermc.harness, next to them.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -129,39 +128,6 @@ class GrowthSpec:
             raise ConfigError("rho0 and beta must be positive")
         if self.cone_measure <= 0:
             raise ConfigError("cone_measure must be positive")
-
-
-@dataclass(frozen=True)
-class GrowthCheck:
-    ok: bool
-    margin: float
-
-
-def check_growth(
-    f, spec: GrowthSpec, sample_rays: Sequence, tol: float = 1e-9
-) -> GrowthCheck:
-    """Check f(rho s) - f(rho0 s) >= beta (rho - rho0) on sampled rays.
-
-    sample_rays is a sequence of (unit direction, radius above rho0).
-    Returns the pass flag and the minimum slack; tol is the absolute
-    roundoff slack allowed for exact-boundary functions.
-    """
-    if len(sample_rays) == 0:
-        raise ArgumentError("need at least one sample ray")
-    margin = math.inf
-    for s, rho in sample_rays:
-        s = np.asarray(s, dtype=float)
-        if rho <= spec.rho0:
-            raise ArgumentError("ray radii must exceed rho0")
-        slack = float(f(rho * s) - f(spec.rho0 * s) - spec.beta * (rho - spec.rho0))
-        margin = min(margin, slack)
-    return GrowthCheck(ok=margin >= -tol, margin=margin)
-
-
-def sample_rays(dirs, radii):
-    """(direction, radius) pairs, every unit direction with every radius,
-    for check_growth."""
-    return [(s, float(r)) for s in dirs for r in np.atleast_1d(radii)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ each chunk reads one counter-based Philox stream derived from
 a sample depend on its index alone, so batches are bitwise reproducible no
 matter how work is split across threads.  Every random draw of the package
 goes through _chunk_normals: simulate_terminal reads it step by step, and
-normals and unit_directions read one step of it.
+normals reads one step of it.
 """
 
 from __future__ import annotations
@@ -93,15 +93,6 @@ def normals(rng: RngSpec, n: int, k: int) -> np.ndarray:
     starts = range(0, n, _CHUNK)
     chunks = [_chunk_normals(rng, i // _CHUNK, 0, min(_CHUNK, n - i), k, 1) for i in starts]
     return np.concatenate([next(chunk) for chunk in chunks])
-
-
-def unit_directions(d: int, n: int, rng: RngSpec) -> np.ndarray:
-    """n random unit vectors in R^d, normals(rng, n, d) over their norms
-    (both points of S^0 for d = 1)."""
-    if d == 1:
-        return np.array([[1.0], [-1.0]])
-    g = normals(rng, n, d)
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 def euler_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.ndarray:

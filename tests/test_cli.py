@@ -172,6 +172,10 @@ def test_parametrix_cmd(tmp_path):
         ["density-check", "--set", "density_samples=1"],
         ["concentration", "--set", "M=1", "--set", "rho0=1", "--set", "beta=1"],
         ["bounds", "--set", "rho0=1", "--set", "beta=1"],
+        [
+            "bounds", "--set", "d=2", "--set", "x0=[0,0]", "--set", 'functional="abs"',
+            "--set", "rho0=1", "--set", "beta=1.0000000001",
+        ],
         ["bounds", "--set", 'functional="nonsense"'],
         ["bounds", "--set", 'functional="asian-diff"'],
         ["bounds", "--set", "rho0=1"],
@@ -186,7 +190,7 @@ def test_parametrix_cmd(tmp_path):
         "c-nan", "c-nan-string", "T-infinite", "export-binary-string", "eta-unknown",
         "kinetic-d", "trig-sigma0", "N-too-large", "b0-wrong-length", "T-5000-digits", "d-negative",
         "dp-negative", "density-samples-one", "conc-identity-no-growth",
-        "bounds-identity-no-growth", "bounds-unknown-functional", "bounds-asian-diff-const",
+        "bounds-identity-no-growth", "bounds-abs-beta-above-one", "bounds-unknown-functional", "bounds-asian-diff-const",
         "rho0-without-beta", "beta-without-rho0", "num-r-negative", "control-empty-endpoints",
     ],
 )
@@ -216,6 +220,19 @@ def test_bad_input_is_one_line_numeric_error(tmp_path, capsys, args):
     assert err.startswith("error: ") and err.count("\n") == 1
     # refused before any output is written
     assert not list((tmp_path / "out").glob("*.json"))
+
+
+def test_one_sample_control_run_is_refused_before_writing(tmp_path, capsys):
+    # one control sample has no standard error (std with ddof=1 is NaN)
+    out = tmp_path / "out"
+    argv = [
+        "concentration", "--set", 'preset="trig"', "--set", "M=1", "--set", "num_batches=1",
+        "--set", "control_factor=1", "--out-dir", str(out),
+    ]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists() or not list(out.iterdir())
 
 
 def test_grid_too_large_is_refused_before_allocating(tmp_path, capsys):
@@ -280,7 +297,7 @@ def test_cli_start_up_leaves_heavy_scipy_unloaded(tmp_path):
 
 
 def test_lower_bound_constants_leave_scipy_stats_unloaded(tmp_path):
-    # d = 2 draws its sphere directions from the chunk streams
+    # d = 2 takes gamma(F) by tensor quadrature and the floor by rule
     argv = [
         "bounds", "--set", "d=2", "--set", "x0=[0,0]", "--set", 'functional="abs"',
         "--set", "rho0=1", "--set", "beta=1",

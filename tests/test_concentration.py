@@ -211,7 +211,7 @@ def test_wasserstein_bound():
     bias = conc.lower_bias(
         Case.NONDEGENERATE, 1.0, C, 1.0, alpha,
         lambda x: np.full(np.asarray(x).shape[0], 4.2), np.zeros(1),
-        GrowthSpec(1.5, 0.7, sphere_surface_measure(1)), 1, RngSpec(0),
+        GrowthSpec(1.5, 0.7, sphere_surface_measure(1)), 4.2, 1, RngSpec(0),
     )
     w1 = math.sqrt(alpha * math.log(C)) + math.sqrt(alpha * math.log(C * C))
     assert bias.value - 1.5 * 0.7 == pytest.approx(w1, rel=1e-9)
@@ -221,7 +221,7 @@ def test_lower_bias_constant_functional():
     growth = GrowthSpec(1.5, 0.7, sphere_surface_measure(1))
     bias = conc.lower_bias(
         Case.NONDEGENERATE, 1.0, 1.0, 1.0, 2.0,
-        lambda x: np.full(np.asarray(x).shape[0], 4.2), np.zeros(1), growth, 1, RngSpec(0),
+        lambda x: np.full(np.asarray(x).shape[0], 4.2), np.zeros(1), growth, 4.2, 1, RngSpec(0),
     )
     assert bias.value == pytest.approx(1.5 * 0.7, rel=1e-9)
 
@@ -232,18 +232,28 @@ def test_lower_bias_halfnormal_mean():
     growth = GrowthSpec(1.0, 1.0, sphere_surface_measure(1))
     bias = conc.lower_bias(
         Case.NONDEGENERATE, c, 1.0, T, 2.0,
-        lambda x: np.abs(np.asarray(x)[:, 0] - 0.5), np.array([0.5]), growth, 1, RngSpec(0),
+        lambda x: np.abs(np.asarray(x)[:, 0] - 0.5), np.array([0.5]), growth, 0.5, 1,
+        RngSpec(0),
     )
     assert bias.gamma_term == pytest.approx(math.sqrt(2 * c * T / math.pi), rel=1e-8)
 
 
 def test_lower_bias_floor_of_norm():
+    # F = |y| has floor rho0 on the rho0 sphere (harness.sphere_floor); the
+    # bias subtracts the floor it is given, so at beta = 1 and C = 1 the
+    # terms rho0 beta and -floor cancel and gamma(F) is left
     growth = GrowthSpec(1.3, 1.0, sphere_surface_measure(2))
-    bias = conc.lower_bias(
-        Case.NONDEGENERATE, 1.0, 2.0, 1.0, 2.0,
-        lambda x: np.linalg.norm(np.asarray(x), axis=-1), np.zeros(2), growth, 2, RngSpec(0),
-    )
-    assert bias.floor == pytest.approx(1.3, rel=1e-12)
+
+    def bias(floor):
+        return conc.lower_bias(
+            Case.NONDEGENERATE, 1.0, 1.0, 1.0, 2.0,
+            lambda x: np.linalg.norm(np.asarray(x), axis=-1), np.zeros(2), growth, floor, 2,
+            RngSpec(0),
+        )
+
+    exact = bias(1.3)
+    assert exact.value == pytest.approx(exact.gamma_term, rel=1e-15)
+    assert bias(1.0).value - exact.value == pytest.approx(0.3, rel=1e-12)
 
 
 def test_lower_bias_mc_path_reports_se():
@@ -253,7 +263,8 @@ def test_lower_bias_mc_path_reports_se():
     growth = GrowthSpec(1.0, 1.0, sphere_surface_measure(3))
     bias = conc.lower_bias(
         Case.NONDEGENERATE, c, 1.0, T, 2.0,
-        lambda x: np.linalg.norm(np.asarray(x), axis=-1), np.zeros(3), growth, 3, RngSpec(0),
+        lambda x: np.linalg.norm(np.asarray(x), axis=-1), np.zeros(3), growth, 1.0, 3,
+        RngSpec(0),
     )
     assert bias.mc_se is not None and bias.mc_se < 0.01
     assert abs(bias.gamma_term - math.sqrt(8.0 * c * T / math.pi)) < 4 * bias.mc_se
@@ -264,11 +275,9 @@ def test_lower_bound_assembly_pipeline():
     growth = GrowthSpec(1.0, 1.0, sphere_surface_measure(2))
     alpha = conc.concentration_alpha(Case.NONDEGENERATE, 1.0, 1.0)
     lb = conc.lower_bound(
-        Case.NONDEGENERATE, 2, GaussParams(1.0, 1.0), 1.0, alpha, growth,
+        Case.NONDEGENERATE, 2, GaussParams(1.0, 1.0), 1.0, alpha, growth, 1.0,
         lambda x: np.linalg.norm(np.asarray(x), axis=-1), np.zeros(2), RngSpec(0),
     )
     assert lb.rate.chi == 0.0
     assert lb.rate.inv_alpha == pytest.approx(0.5, rel=1e-14)
-    assert lb.bias.value == pytest.approx(
-        lb.bias.gamma_term + 1.0 - lb.bias.floor, rel=1e-12
-    )
+    assert lb.bias.value == pytest.approx(lb.bias.gamma_term, rel=1e-12)

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eulermc import concentration as conc
 from eulermc import harness
@@ -22,7 +22,7 @@ from eulermc.harness import (
     run_density_check,
     wilson_upper,
 )
-from eulermc.model import GaussParams
+from eulermc.model import GaussParams, GrowthSpec
 
 
 def cfg_with(**kw):
@@ -295,14 +295,57 @@ def test_bound_table_lower_constants_pipeline():
     consts = table["constants"]
     assert consts["chi"] == 0.0
     assert consts["bar_alpha_inv"] == pytest.approx(0.5, rel=1e-14)
-    assert consts["F_floor"] == pytest.approx(1.0)
+    assert consts["F_floor"] == 1.0
+    assert consts["gamma_F_se"] is None  # gamma(F) by quadrature
+
+
+def test_bound_table_lower_constants_d3():
+    # the floor of abs is rho0 exactly, not a minimum over sampled
+    # directions; d = 3 takes gamma(F) by Monte Carlo and reports its error
+    cfg = cfg_with(d=3, x0=[0.0, 0.0, 0.0], functional="abs", rho0=1.0, beta=1.0)
+    consts = run_bound_table(cfg)["constants"]
+    assert consts["F_floor"] == 1.0
+    assert 0.0 < consts["gamma_F_se"] < 0.01
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    functional=st.sampled_from(["abs", "identity", "sum", "asian-diff"]),
+    rho0=st.floats(min_value=1e-3, max_value=50.0),
+    beta=st.floats(min_value=1e-3, max_value=2.0),
+    angle=st.floats(min_value=0.0, max_value=2 * math.pi),
+)
+@example(functional="abs", rho0=1.0, beta=1.0, angle=0.0)
+@example(functional="abs", rho0=1.0, beta=1.0000000001, angle=0.0)
+def test_growth_rule_over_beta(functional, rho0, beta, angle):
+    # abs grows exactly when beta <= 1, with floor rho0; the linear presets
+    # never grow.  The rule is checked against the functional itself on a
+    # kinetic model, where all four presets exist.
+    cfg = cfg_with(preset="kinetic", x0=[0.0, 0.0], T=1.5, functional=functional)
+    model = build_model(cfg)
+    f = make_functional(cfg, model, build_grid(cfg))
+    growth = GrowthSpec(rho0, beta, 2 * math.pi)
+    if functional == "abs":
+        s = np.array([[math.cos(angle), math.sin(angle)]])
+        assert f(3 * rho0 * s)[0] - f(rho0 * s)[0] == pytest.approx(2 * rho0, rel=1e-12)
+        assert f(rho0 * s)[0] == pytest.approx(rho0, rel=1e-12)
+    else:
+        # F(0) = 0, so a linear F decreases along minus its gradient
+        grad = f(np.eye(2))
+        s = -grad / np.linalg.norm(grad)
+        assert f(3 * rho0 * s[None])[0] < f(rho0 * s[None])[0]
+    if functional == "abs" and beta <= 1.0:
+        assert harness.sphere_floor(functional, growth) == rho0
+    else:
+        with pytest.raises(ConfigError, match="fails the growth check"):
+            harness.sphere_floor(functional, growth)
 
 
 def test_concentration_lower_bias_uses_normalized_alpha():
     # asian-diff takes the time-normalized alpha in the lower bias; it is
-    # linear, so it never passes the growth check of a command, and the bias
-    # is checked on the library assembly.  bar_delta is pinned to its value
-    # with F_floor taken along the directions of the lower-bound stream.
+    # linear, so no command reaches its lower bound, and the bias is checked
+    # on the library assembly: its first term is (1 + sqrt 2) sqrt(alpha log C)
+    # for the alpha passed in
     cfg = cfg_with(
         preset="kinetic", x0=[0.0, 0.0], functional="asian-diff", rho0=0.5, beta=1.0,
         T=1.5, C=1.5, master_seed=3,
@@ -310,12 +353,14 @@ def test_concentration_lower_bias_uses_normalized_alpha():
     model, tgrid = build_model(cfg), build_grid(cfg)
     alpha = conc.concentration_alpha_normalized(1.0, 1.5)
     assert run_bound_table(dataclasses.replace(cfg, rho0=None, beta=None))["alpha_T"] == alpha
+    floor = -0.5 * math.sqrt((1.0 + 1.5**-2) / 2.0)  # -rho0 |grad F|
     lower = conc.lower_bound(
         model.case, model.d, GaussParams(cfg.c, cfg.C), cfg.T, alpha,
-        harness.growth_spec(cfg, model), make_functional(cfg, model, tgrid),
+        harness.growth_spec(cfg, model), floor, make_functional(cfg, model, tgrid),
         harness.start_point(cfg, model), harness._stream(cfg, harness._LOWER),
     )
-    assert lower.bias.value == pytest.approx(5.1644489279639565, rel=1e-12)
+    first = lower.bias.value - lower.bias.gamma_term - 0.5 * 1.0 + floor
+    assert first == pytest.approx((1 + math.sqrt(2)) * math.sqrt(alpha * math.log(1.5)), rel=1e-12)
 
 
 def test_write_json_refuses_non_finite(tmp_path):
@@ -365,7 +410,9 @@ def test_bound_table_builds_its_functional():
 def test_bounds_and_concentration_report_equal_constants():
     cfg = cfg_with(functional="abs", rho0=1.0, beta=1.0, M=20, num_batches=30)
     consts = run_bound_table(cfg)["constants"]
-    assert set(consts) == {"chi", "bar_alpha_inv", "bar_delta", "gamma_F", "F_floor", "theta"}
+    assert set(consts) == {
+        "chi", "bar_alpha_inv", "bar_delta", "gamma_F", "gamma_F_se", "F_floor", "theta",
+    }
     assert run_concentration_experiment(cfg).constants == consts
 
 

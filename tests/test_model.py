@@ -2,21 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from eulermc.errors import ArgumentError, ConfigError, InvalidModelError
-from eulermc.model import (
-    Case,
-    GaussParams,
-    GrowthSpec,
-    SchemeGrid,
-    check_growth,
-    model_preset,
-    sample_rays,
-    sphere_surface_measure,
-)
-from eulermc.simulate import RngSpec, unit_directions
-from oracles import chunk_words, word_normals
+from eulermc.errors import ConfigError, InvalidModelError
+from eulermc.model import Case, GaussParams, SchemeGrid, model_preset, sphere_surface_measure
+from eulermc.simulate import RngSpec, normals
 
 
 def test_identity_diffusion_passes():
@@ -44,7 +33,8 @@ def test_sine_drift_bound_detected_on_dense_samples():
 
 def test_positive_definite_along_sampled_directions():
     # <a xi, xi> stays inside [1/lambda0, lambda0] for the default lambda0
-    dirs = unit_directions(3, 128, RngSpec(4))
+    g = normals(RngSpec(4), 128, 3)
+    dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
     m = model_preset("const", d=3, sigma0=0.7)
     ratios = np.einsum("ni,ij,nj->n", dirs, m.diffusion(0.0, np.zeros(3)), dirs)
     assert np.all(ratios > 0)
@@ -59,49 +49,6 @@ def test_nonfinite_sigma_raises():
         for bad in (math.nan, math.inf):
             with pytest.raises(InvalidModelError):
                 model_preset(preset, sigma0=bad, **params)
-
-
-def test_growth_of_norm_has_zero_margin():
-    spec = GrowthSpec(1.0, 1.0, sphere_surface_measure(2))
-    rays = sample_rays(unit_directions(2, 16, RngSpec(0)), [2.0, 5.0, 10.0])
-    res = check_growth(lambda y: float(np.linalg.norm(y)), spec, rays)
-    assert res.ok
-    assert res.margin == pytest.approx(0.0, abs=1e-12)
-
-
-def test_constant_function_fails_growth():
-    spec = GrowthSpec(1.0, 0.1, sphere_surface_measure(2))
-    rays = sample_rays(unit_directions(2, 8, RngSpec(0)), [3.0])
-    res = check_growth(lambda y: 1.0, spec, rays)
-    assert not res.ok
-    assert res.margin < 0
-
-
-def test_hinge_function_growth():
-    # max(|y| - 1, 0) grows with unit slope beyond radius 1
-    spec = GrowthSpec(2.0, 1.0, sphere_surface_measure(1))
-    rays = sample_rays(unit_directions(1, 8, RngSpec(0)), [2.5, 4.0, 9.0])
-    res = check_growth(lambda y: max(float(np.linalg.norm(y)) - 1.0, 0.0), spec, rays)
-    assert res.ok
-    assert res.margin == pytest.approx(0.0, abs=1e-12)
-
-
-def test_growth_rejects_empty_rays():
-    spec = GrowthSpec(1.0, 1.0, sphere_surface_measure(2))
-    with pytest.raises(ArgumentError):
-        check_growth(lambda y: 0.0, spec, [])
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    rho0=st.floats(min_value=1e-3, max_value=50.0),
-    radius_factor=st.floats(min_value=1.001, max_value=100.0),
-    d=st.integers(min_value=1, max_value=4),
-)
-def test_norm_satisfies_growth_for_every_rho0(rho0, radius_factor, d):
-    spec = GrowthSpec(rho0, 1.0, sphere_surface_measure(d))
-    rays = sample_rays(unit_directions(d, 8, RngSpec(0)), [rho0 * radius_factor])
-    assert check_growth(lambda y: float(np.linalg.norm(y)), spec, rays).ok
 
 
 def test_scheme_grid_times():
@@ -139,21 +86,6 @@ def test_sphere_surface_values():
     assert sphere_surface_measure(2) == pytest.approx(2 * math.pi)
     assert sphere_surface_measure(3) == pytest.approx(4 * math.pi)
     assert sphere_surface_measure(4) == pytest.approx(2 * math.pi**2)
-
-
-def test_unit_directions_are_unit():
-    for d in (1, 2, 3):
-        dirs = unit_directions(d, 64, RngSpec(1))
-        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
-
-
-def test_unit_directions_match_oracle_words():
-    # direction i normalizes the step-0 normals of sample i: coordinate k is
-    # word k * 4096 + i of chunk 0
-    i, k = np.meshgrid(np.arange(64), np.arange(3), indexing="ij")
-    g = word_normals(chunk_words(5, 0, 0, k * 4096 + i))
-    want = g / np.linalg.norm(g, axis=1, keepdims=True)
-    np.testing.assert_array_equal(unit_directions(3, 64, RngSpec(5)), want)
 
 
 def test_unknown_preset():
