@@ -20,6 +20,7 @@ MANIFEST = Path(__file__).resolve().with_name("manifest.json")
 
 _LOWER = ["--set", 'functional="abs"', "--set", "rho0=1", "--set", "beta=1"]
 _KINETIC = ["--set", 'preset="kinetic"', "--set", "dp=1", "--set", "x0=[0,0]"]
+_CONTROL = ["--set", "M=100", "--set", "num_batches=50", "--set", "num_r=5", "--set", "control_factor=20"]
 
 # label -> argv without --out-dir; sizes are cut so that the set runs in
 # about a second
@@ -41,6 +42,9 @@ COMMANDS = {
         "--set", "num_batches=400", *_LOWER,
     ],
     "simulate-binary": ["simulate", "--set", "M=1000", "--set", "export_binary=true"],
+    # control runs: no closed-form mean for trig or damped kinetic
+    "control-trig": ["concentration", "--set", 'preset="trig"', *_CONTROL],
+    "control-kinetic": ["concentration", *_KINETIC, "--set", "damp=0.5", *_CONTROL],
 }
 
 
