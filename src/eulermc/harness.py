@@ -40,7 +40,7 @@ from .parametrix import (
 )
 from .control import ControlProblem, energy, geodesic
 from .gaussianref import kinetic_metric
-from .simulate import RngSpec, simulate_terminal
+from .simulate import _CHUNK, RngSpec, simulate_terminal
 
 _WILSON_Z99 = float(ndtri(0.99))
 
@@ -153,8 +153,8 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**{f.name: _coerce(f.name, f.type, raw[f.name]) for f in fields if f.name in raw})
-        if min(cfg.M, cfg.num_batches, cfg.d, cfg.dp, cfg.num_r) < 1:
-            raise ConfigError("M, num_batches, d, dp and num_r must be >= 1")
+        if min(cfg.M, cfg.num_batches, cfg.d, cfg.dp, cfg.num_r, cfg.control_factor) < 1:
+            raise ConfigError("M, num_batches, d, dp, num_r and control_factor must be >= 1")
         if not 1 <= cfg.threads <= _MAX_THREADS:
             raise ConfigError(f"threads must lie in [1, {_MAX_THREADS}], got {cfg.threads}")
         return cfg
@@ -224,10 +224,14 @@ def _stream(cfg: ExperimentConfig, offset: int) -> RngSpec:
     return RngSpec(cfg.master_seed, cfg.stream_id + offset)
 
 
-def _simulate(cfg: ExperimentConfig, model, tgrid, M: int, offset: int = _SIMULATION):
-    """(M, d) terminal samples from the configured start on stream offset."""
+def _simulate(
+    cfg: ExperimentConfig, model, tgrid, M: int, offset: int = _SIMULATION, start: int = 0
+):
+    """(M, d) terminal samples from the configured start on stream offset,
+    for the sample indices start to start + M - 1."""
     return simulate_terminal(
-        model, tgrid, start_point(cfg, model), _stream(cfg, offset), M, threads=cfg.threads
+        model, tgrid, start_point(cfg, model), _stream(cfg, offset), M, threads=cfg.threads,
+        sample_offset=start,
     )
 
 
@@ -274,6 +278,24 @@ def sphere_floor(functional: str, growth: GrowthSpec) -> float:
             "abs grows with slope 1, and the linear presets decrease along some direction"
         )
     return growth.rho0
+
+
+def _gaussian_twin(cfg: ExperimentConfig):
+    """(cfg, model) of the preset's exact-Gaussian twin, else None.
+
+    The twin drops the nonlinear coefficients and keeps the noise: const
+    (sigma0 = 1, b0 = 0) for trig, kinetic with damp = 0 for kinetic.  On
+    the same normals its terminal point stays close to the preset's, so
+    f(X) - f(X_twin) varies far less than f(X).  The twin model is built
+    with model_preset, since build_model refuses the preset's own fields
+    (a_amp, b_amp) under another preset.
+    """
+    if cfg.preset == "trig":
+        return dataclasses.replace(cfg, preset="const"), model_preset("const")
+    if cfg.preset == "kinetic":
+        twin = model_preset("kinetic", dp=cfg.dp, sigma0=cfg.sigma0)
+        return dataclasses.replace(cfg, damp=0.0), twin
+    return None
 
 
 def analytic_reference(cfg: ExperimentConfig, model: SdeModel, tgrid: SchemeGrid):
@@ -402,24 +424,50 @@ def _default_r_grid(cfg: ExperimentConfig, alpha: float) -> np.ndarray:
 
 
 def reference_mean(cfg: ExperimentConfig, model, tgrid, f, r_min: float):
-    """Analytic reference when available, else a control run on a disjoint
-    stream whose standard error must stay below r_min / 10."""
+    """(E f(X_T), standard error): the analytic reference when there is one,
+    else a control run on stream stream_id + 1 whose standard error must
+    fall below r_min / 10 (StatisticsError otherwise).
+
+    With a Gaussian twin that has an analytic reference, the control run
+    estimates the mean of f(X) - f(X_twin) on shared normals and adds the
+    twin's reference.  It starts at one chunk of samples and doubles until
+    the standard error meets the target; samples [0, n) alone give the
+    estimate at size n.  Other presets simulate the whole cap at once.
+    Either way the run stops at the cap, control_factor * M * num_batches
+    samples, and r_min = 0 runs to the cap.
+    """
     ref = analytic_reference(cfg, model, tgrid)
     if ref is not None:
         return float(ref), 0.0
-    n_ctrl = cfg.control_factor * cfg.M * cfg.num_batches
-    if n_ctrl < 2:
+    cap = cfg.control_factor * cfg.M * cfg.num_batches
+    if cap < 2:
         raise StatisticsError(
-            f"control_factor * M * num_batches = {n_ctrl}: a control run needs at least "
+            f"control_factor * M * num_batches = {cap}: a control run needs at least "
             "2 samples for a standard error"
         )
-    vals = np.asarray(f(_simulate(cfg, model, tgrid, n_ctrl, _CONTROL)), dtype=float)
-    se = float(vals.std(ddof=1) / math.sqrt(n_ctrl))
+    twin = _gaussian_twin(cfg)
+    twin_ref = None if twin is None else analytic_reference(*twin, tgrid)
+
+    def values(lo: int, hi: int) -> np.ndarray:
+        """f(X), less f(X_twin) when there is a twin, for samples [lo, hi)."""
+        out = np.asarray(f(_simulate(cfg, model, tgrid, hi - lo, _CONTROL, lo)), dtype=float)
+        if twin_ref is not None:
+            out -= f(_simulate(cfg, twin[1], tgrid, hi - lo, _CONTROL, lo))
+        return out
+
+    n = cap if twin_ref is None else min(_CHUNK, cap)
+    vals = values(0, n)
+    se = float(vals.std(ddof=1) / math.sqrt(n))
+    while n < cap and se >= r_min / 10.0:
+        n = min(2 * n, cap)
+        vals = np.concatenate([vals, values(vals.size, n)])
+        se = float(vals.std(ddof=1) / math.sqrt(n))
     if r_min > 0 and se >= r_min / 10.0:
         raise StatisticsError(
             f"control-run standard error {se:.3e} >= r_min/10 = {r_min / 10:.3e}"
         )
-    return float(vals.mean()), se
+    mean = vals.mean()
+    return float(mean if twin_ref is None else twin_ref + mean), se
 
 
 @dataclass

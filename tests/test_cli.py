@@ -109,6 +109,23 @@ def test_thread_count_does_not_change_outputs(tmp_path):
         assert file_hash(os.path.join(out1, name)) == file_hash(os.path.join(out8, name))
 
 
+def test_thread_count_does_not_change_a_twin_control_run(tmp_path):
+    # the control run doubles from 4096 to 32768 samples, across chunks
+    # that --threads 2 runs in parallel
+    payload = {
+        "preset": "trig", "a_amp": 0.5, "b_amp": 0.3, "functional": "abs", "x0": [0.2],
+        "M": 50, "num_batches": 40, "control_factor": 20, "N": 4, "r_grid": [0.0, 0.01, 0.05],
+    }
+    cfg = write_cfg(tmp_path, payload)
+    out1, out2 = str(tmp_path / "t1"), str(tmp_path / "t2")
+    assert main(["concentration", "--config", cfg, "--out-dir", out1, "--threads", "1"]) == 0
+    assert main(["concentration", "--config", cfg, "--out-dir", out2, "--threads", "2"]) == 0
+    for name in ("concentration.csv", "concentration.json"):
+        assert file_hash(os.path.join(out1, name)) == file_hash(os.path.join(out2, name))
+    report = json.loads(Path(out1, "concentration.json").read_text())
+    assert 0.0 < report["reference_se"] < 1e-3
+
+
 def test_control_geodesic_csv(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -182,6 +199,8 @@ def test_parametrix_cmd(tmp_path):
         ["concentration", "--set", "beta=1"],
         ["concentration", "--set", "num_r=-1"],
         ["control-geodesic", "--set", "control_x=[]", "--set", "control_x_prime=[]"],
+        ["concentration", "--set", 'preset="trig"', "--set", "control_factor=0"],
+        ["concentration", "--set", "M=10", "--set", "num_batches=20", "--set", "control_factor=-1"],
     ],
     ids=[
         "out-dir-under-file", "cone-not-a-number", "empty-c-grid", "M-string", "N-float",
@@ -192,6 +211,7 @@ def test_parametrix_cmd(tmp_path):
         "dp-negative", "density-samples-one", "conc-identity-no-growth",
         "bounds-identity-no-growth", "bounds-abs-beta-above-one", "bounds-unknown-functional", "bounds-asian-diff-const",
         "rho0-without-beta", "beta-without-rho0", "num-r-negative", "control-empty-endpoints",
+        "control-factor-zero", "control-factor-negative",
     ],
 )
 def test_bad_input_is_one_line_config_error(tmp_path, capsys, args):

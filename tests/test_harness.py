@@ -22,7 +22,8 @@ from eulermc.harness import (
     run_density_check,
     wilson_upper,
 )
-from eulermc.model import GaussParams, GrowthSpec
+from eulermc.model import MODEL_PRESETS, Case, GaussParams, GrowthSpec, SdeModel
+from eulermc.simulate import RngSpec, simulate_terminal
 
 
 def cfg_with(**kw):
@@ -230,6 +231,124 @@ def test_concentration_control_run_power_guard():
     )
     with pytest.raises(StatisticsError):
         run_concentration_experiment(cfg)
+
+
+def _control_setup(**kw):
+    cfg = cfg_with(**kw)
+    model, tgrid = build_model(cfg), build_grid(cfg)
+    return cfg, model, tgrid, make_functional(cfg, model, tgrid)
+
+
+def _spy_simulations(monkeypatch):
+    """Record (model, M, sample_offset) of every simulate_terminal call the
+    harness makes."""
+    calls = []
+    real = harness.simulate_terminal
+
+    def spy(model, grid, x0, rng, M, threads=1, sample_offset=0):
+        calls.append((model, M, sample_offset))
+        return real(model, grid, x0, rng, M, threads=threads, sample_offset=sample_offset)
+
+    monkeypatch.setattr(harness, "simulate_terminal", spy)
+    return calls
+
+
+def _plain_mean(cfg, model, tgrid, f, n, stream_id):
+    """Mean and standard error of f over n plain samples on stream_id."""
+    x = simulate_terminal(
+        model, tgrid, harness.start_point(cfg, model), RngSpec(cfg.master_seed, stream_id), n
+    )
+    vals = f(x)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n))
+
+
+def test_twin_control_run_of_a_martingale_centres_on_the_start():
+    # with b_amp = 0 each Euler step adds a centred increment, so the
+    # scheme's E X_T is exactly x0 whatever a_amp is
+    cfg, model, tgrid, f = _control_setup(preset="trig", a_amp=0.5, x0=[0.3], N=4)
+    ref, se = harness.reference_mean(cfg, model, tgrid, f, 0.01)
+    assert 0.0 < se < 1e-3
+    assert abs(ref - 0.3) <= 3.0 * se
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        dict(preset="trig", a_amp=0.5, b_amp=0.3, functional="abs", x0=[0.2], N=4),
+        dict(preset="kinetic", damp=0.5, functional="asian-diff", x0=[0.5, 0.3], N=4),
+    ],
+    ids=["trig-abs", "damped-kinetic-asian-diff"],
+)
+def test_twin_control_run_agrees_with_a_long_plain_run(kw):
+    cfg, model, tgrid, f = _control_setup(**kw)
+    ref, se = harness.reference_mean(cfg, model, tgrid, f, 0.01)
+    # a stream no run of this config reads
+    plain, plain_se = _plain_mean(cfg, model, tgrid, f, 1_000_000, cfg.stream_id + 7)
+    assert 0.0 < se < 1e-3
+    assert abs(ref - plain) <= 3.0 * math.hypot(se, plain_se)
+
+
+def test_twin_control_run_stops_at_the_first_chunk_that_meets_the_target(monkeypatch):
+    calls = _spy_simulations(monkeypatch)
+    cfg, model, tgrid, f = _control_setup(preset="trig", functional="abs")
+    ref, se = harness.reference_mean(cfg, model, tgrid, f, 0.05)
+    assert se < 0.005
+    # the preset and its twin, on the same 4096 sample indices
+    assert [(M, lo) for _, M, lo in calls] == [(4096, 0), (4096, 0)]
+    assert calls[0][0] is model and calls[1][0] is not model
+
+
+def test_twin_control_run_without_a_target_runs_to_the_cap(monkeypatch):
+    # a cap off the chunk grid, reached by doubling at --threads 2; the
+    # estimate equals a one-shot run of the same samples at one thread
+    kw = dict(preset="trig", a_amp=0.5, b_amp=0.3, functional="abs", x0=[0.2], N=4)
+    cfg, model, tgrid, f = _control_setup(**kw, M=10, num_batches=10, control_factor=124, threads=2)
+    calls = _spy_simulations(monkeypatch)
+    ref, se = harness.reference_mean(cfg, model, tgrid, f, 0.0)
+    assert [(M, lo) for _, M, lo in calls] == [
+        (4096, 0), (4096, 0), (4096, 4096), (4096, 4096), (4208, 8192), (4208, 8192),
+    ]
+    twin_cfg = cfg_with(preset="const", functional="abs", x0=[0.2], N=4)
+    twin = build_model(twin_cfg)
+    x0, rng = harness.start_point(cfg, model), RngSpec(cfg.master_seed, cfg.stream_id + 1)
+    diff = f(simulate_terminal(model, tgrid, x0, rng, 12400)) - f(
+        simulate_terminal(twin, tgrid, x0, rng, 12400)
+    )
+    assert ref == analytic_reference(twin_cfg, twin, tgrid) + diff.mean()
+    assert se == diff.std(ddof=1) / math.sqrt(12400)
+
+
+def test_twin_control_run_that_reaches_the_cap_is_refused():
+    cfg, model, tgrid, f = _control_setup(
+        preset="kinetic", damp=0.5, functional="asian-diff", x0=[0.0, 0.0],
+        M=10, num_batches=10, control_factor=100,
+    )
+    with pytest.raises(StatisticsError, match="r_min/10"):
+        harness.reference_mean(cfg, model, tgrid, f, 1e-3)
+
+
+def _tanh_drift_model(lambda0=None, L0=None):
+    return SdeModel(
+        Case.NONDEGENERATE, 1,
+        lambda t, x: -0.5 * np.tanh(np.asarray(x, dtype=float)),
+        lambda t, x: np.ones(np.shape(x) + (1,)),
+        1.0, 1.0,
+    )
+
+
+def test_custom_preset_keeps_the_plain_control_run(monkeypatch):
+    monkeypatch.setitem(MODEL_PRESETS, "tanh-drift", _tanh_drift_model)
+    calls = _spy_simulations(monkeypatch)
+    cfg, model, tgrid, f = _control_setup(
+        preset="tanh-drift", x0=[0.5], M=20, num_batches=10, control_factor=50, N=3
+    )
+    # one run of control_factor * M * num_batches samples, whatever the target
+    for r_min in (0.0, 0.5):
+        calls.clear()
+        assert harness.reference_mean(cfg, model, tgrid, f, r_min) == (
+            0.32893109264005976, 0.008990950042507322,
+        )
+        assert [(M, lo) for _, M, lo in calls] == [(10000, 0)]
 
 
 def test_concentration_with_growth_constants():
