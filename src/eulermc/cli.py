@@ -16,14 +16,18 @@ import sys
 from . import harness
 from .errors import ConfigError, EulermcError
 
-_COMMANDS = {
-    "simulate": harness.run_simulate_cmd,
-    "bounds": harness.run_bounds_cmd,
-    "concentration": harness.run_concentration_cmd,
-    "density-check": harness.run_density_cmd,
-    "parametrix": harness.run_parametrix_cmd,
-    "control-geodesic": harness.run_control_cmd,
-}
+
+def _command(name: str):
+    """The function that runs command `name` of harness.COMMANDS on a config."""
+
+    def run(cfg: harness.ExperimentConfig) -> None:
+        harness.run_command(name, cfg)
+
+    run.__name__ = f"run_{name.replace('-', '_')}"
+    return run
+
+
+_COMMANDS = {name: _command(name) for name in harness.COMMANDS}
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -1,10 +1,14 @@
 """Experiment orchestration: configs in, CSV/JSON out.
 
 A single flat JSON document configures every experiment; unknown keys and
-values outside their field's annotation are rejected.  Outputs never
-contain timestamps or thread counts, and the config hash excludes
-execution-only fields (out_dir, threads), so a rerun with the same config
-and seed is byte-identical no matter how work is threaded.
+values outside their field's annotation are rejected.  COMMANDS is the one
+table of commands: each row names the config fields the command reads and
+the runner that returns its files, and run_command writes them.  A file's
+config hash covers the fields of its command and no others, so a field the
+command never reads (out_dir and threads among them) cannot split the hash
+of a run.  Outputs never contain timestamps or thread counts, so a rerun
+with the same config and seed is byte-identical no matter how work is
+threaded.
 """
 
 from __future__ import annotations
@@ -96,7 +100,7 @@ class ExperimentConfig:
     preset: str = "const"
     d: int = 1
     dp: int = 1
-    b0: float | list[float] = 0.0
+    b0: list[float] = field(default_factory=lambda: [0.0])
     sigma0: float = 1.0
     a_amp: float = 0.1
     b_amp: float = 0.0
@@ -157,18 +161,10 @@ class ExperimentConfig:
             raise ConfigError("M, num_batches, d, dp, num_r and control_factor must be >= 1")
         if not 1 <= cfg.threads <= _MAX_THREADS:
             raise ConfigError(f"threads must lie in [1, {_MAX_THREADS}], got {cfg.threads}")
+        # the Philox key is taken mod 2**64: -1 and 2**64 - 1 are one stream
+        cfg.master_seed %= 2**64
+        cfg.stream_id %= 2**64
         return cfg
-
-    def canonical(self) -> dict:
-        out = dataclasses.asdict(self)
-        out.pop("out_dir")
-        out.pop("threads")
-        return out
-
-    @property
-    def config_hash(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> ExperimentConfig:
@@ -281,29 +277,34 @@ def sphere_floor(functional: str, growth: GrowthSpec) -> float:
 
 
 def _gaussian_twin(cfg: ExperimentConfig):
-    """(cfg, model) of the preset's exact-Gaussian twin, else None.
+    """(preset, model) of the preset's exact-Gaussian twin, whose damp is 0,
+    else None.
 
     The twin drops the nonlinear coefficients and keeps the noise: const
-    (sigma0 = 1, b0 = 0) for trig, kinetic with damp = 0 for kinetic.  On
-    the same normals its terminal point stays close to the preset's, so
-    f(X) - f(X_twin) varies far less than f(X).  The twin model is built
-    with model_preset, since build_model refuses the preset's own fields
-    (a_amp, b_amp) under another preset.
+    (sigma0 = 1, b0 = 0, the defaults a trig config keeps) for trig, kinetic
+    with damp = 0 for kinetic.  On the same normals its terminal point stays
+    close to the preset's, so f(X) - f(X_twin) varies far less than f(X).
+    The twin model is built with model_preset, since build_model refuses the
+    preset's own fields (a_amp, b_amp) under another preset.
     """
     if cfg.preset == "trig":
-        return dataclasses.replace(cfg, preset="const"), model_preset("const")
+        return "const", model_preset("const")
     if cfg.preset == "kinetic":
-        twin = model_preset("kinetic", dp=cfg.dp, sigma0=cfg.sigma0)
-        return dataclasses.replace(cfg, damp=0.0), twin
+        return "kinetic", model_preset("kinetic", dp=cfg.dp, sigma0=cfg.sigma0)
     return None
 
 
-def analytic_reference(cfg: ExperimentConfig, model: SdeModel, tgrid: SchemeGrid):
-    """Closed-form E[f(X_T)] for the Gaussian presets; None when unknown."""
+def analytic_reference(
+    cfg: ExperimentConfig, model: SdeModel, tgrid: SchemeGrid, preset=None, damp=None
+):
+    """Closed-form E[f(X_T)] for the Gaussian presets; None when unknown.
+    preset and damp, when given, stand for cfg's (those of a Gaussian twin)."""
+    preset = cfg.preset if preset is None else preset
+    damp = cfg.damp if damp is None else damp
     x0 = start_point(cfg, model)
     T = tgrid.T
-    if cfg.preset == "const":
-        b = np.broadcast_to(np.atleast_1d(np.asarray(cfg.b0, dtype=float)), (model.d,))
+    if preset == "const":
+        b = np.broadcast_to(np.asarray(cfg.b0, dtype=float), (model.d,))
         mean = x0 + b * T
         if cfg.functional == "identity":
             return float(mean[0])
@@ -314,7 +315,7 @@ def analytic_reference(cfg: ExperimentConfig, model: SdeModel, tgrid: SchemeGrid
             return s * math.sqrt(2.0 / math.pi) * math.exp(-(mu**2) / (2 * s * s)) + mu * (
                 1.0 - 2.0 * ndtr(-mu / s)
             )
-    if cfg.preset == "kinetic" and cfg.damp == 0.0:
+    if preset == "kinetic" and damp == 0.0:
         dp = model.d_prime
         mean_v = x0[:dp]
         mean_z = x0[dp:] + x0[:dp] * T
@@ -446,7 +447,7 @@ def reference_mean(cfg: ExperimentConfig, model, tgrid, f, r_min: float):
             "2 samples for a standard error"
         )
     twin = _gaussian_twin(cfg)
-    twin_ref = None if twin is None else analytic_reference(*twin, tgrid)
+    twin_ref = None if twin is None else analytic_reference(cfg, twin[1], tgrid, twin[0], 0.0)
 
     def values(lo: int, hi: int) -> np.ndarray:
         """f(X), less f(X_twin) when there is a twin, for samples [lo, hi)."""
@@ -470,31 +471,11 @@ def reference_mean(cfg: ExperimentConfig, model, tgrid, f, r_min: float):
     return float(mean if twin_ref is None else twin_ref + mean), se
 
 
-@dataclass
-class ConcentrationReport:
-    case: str
-    c: float
-    C: float
-    T: float
-    M: int
-    num_batches: int
-    alpha_T: float
-    delta_bias: float
-    reference_mean: float
-    reference_se: float
-    bound_curve: list  # (r, bound) pairs
-    empirical_freq: list
-    wilson_upper: list
-    lower_curve: list | None
-    lower_empirical: list | None  # (r, threshold, freq) where power permits
-    constants: dict | None
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-def run_concentration_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
-    """Batch deviation frequencies against the theoretical tail bound."""
+def run_concentration_experiment(cfg: ExperimentConfig) -> dict:
+    """Batch deviation frequencies against the theoretical tail bound: the
+    report of concentration.json.  bound_curve holds (r, bound) pairs and
+    lower_empirical (r, threshold, freq) where power permits.  NumericError
+    when a batch mean's deviation overflows."""
     model = build_model(cfg)
     tgrid = build_grid(cfg)
     f = make_functional(cfg, model, tgrid)
@@ -509,8 +490,11 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
     ref, se = reference_mean(cfg, model, tgrid, f, r_min)
 
     samples = _simulate(cfg, model, tgrid, cfg.M * cfg.num_batches)
-    vals = np.asarray(f(samples), dtype=float).reshape(cfg.num_batches, cfg.M)
-    deviations = np.abs(vals.mean(axis=1) - ref)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(f(samples), dtype=float).reshape(cfg.num_batches, cfg.M)
+        deviations = np.abs(vals.mean(axis=1) - ref)
+    if not np.isfinite(deviations).all():
+        raise NumericError("a batch mean of f or its deviation from the reference overflows")
 
     bound_curve, freq, wilson = [], [], []
     for r in r_grid:
@@ -537,42 +521,13 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> ConcentrationReport:
                 lower_freq = float(np.count_nonzero(deviations >= thr)) / cfg.num_batches
                 lower_empirical.append((r, thr, lower_freq))
 
-    return ConcentrationReport(
-        case=model.case.value,
-        c=cfg.c,
-        C=cfg.C,
-        T=cfg.T,
-        M=cfg.M,
-        num_batches=cfg.num_batches,
-        alpha_T=alpha,
-        delta_bias=delta,
-        reference_mean=ref,
-        reference_se=se,
-        bound_curve=bound_curve,
-        empirical_freq=freq,
-        wilson_upper=wilson,
-        lower_curve=lower_curve,
-        lower_empirical=lower_empirical,
-        constants=constants,
-    )
-
-
-@dataclass
-class DensityCheckReport:
-    mode: str
-    case: str
-    d: int
-    T: float
-    n_samples: int
-    n_reported: int
-    c_fit: float
-    C_fit: float
-    sup_ratio: float  # at the configured (c, C)
-    inf_ratio: float
-    envelope_holds: bool
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+    return {
+        "case": model.case.value, "c": cfg.c, "C": cfg.C, "T": cfg.T, "M": cfg.M,
+        "num_batches": cfg.num_batches, "alpha_T": alpha, "delta_bias": delta,
+        "reference_mean": ref, "reference_se": se, "bound_curve": bound_curve,
+        "empirical_freq": freq, "wilson_upper": wilson, "lower_curve": lower_curve,
+        "lower_empirical": lower_empirical, "constants": constants,
+    }
 
 
 def _ratio_requirement(dens, centers, case, T, x0, c):
@@ -585,8 +540,10 @@ def _ratio_requirement(dens, centers, case, T, x0, c):
     return c_req, sup_ratio, inf_ratio
 
 
-def run_density_check(cfg: ExperimentConfig) -> DensityCheckReport:
-    """Envelope ratios of the sampled (or composed) terminal density.
+def run_density_check(cfg: ExperimentConfig) -> dict:
+    """Envelope ratios of the sampled (or composed) terminal density: the
+    report of density_check.json, with sup_ratio and inf_ratio at the
+    configured (c, C).
 
     Histogram mode bins at least 1e6 samples with Scott-rule widths and fits
     the smallest domination constant over a shape grid, restricted to
@@ -653,19 +610,12 @@ def run_density_check(cfg: ExperimentConfig) -> DensityCheckReport:
         dens, centers, model.case, cfg.T, x0, cfg.c
     )
     holds = sup_ratio <= cfg.C and inf_ratio >= 1.0 / cfg.C
-    return DensityCheckReport(
-        mode=cfg.density_mode,
-        case=model.case.value,
-        d=model.d,
-        T=cfg.T,
-        n_samples=n_samples,
-        n_reported=int(np.count_nonzero(mask)),
-        c_fit=c_fit,
-        C_fit=C_fit,
-        sup_ratio=sup_ratio,
-        inf_ratio=inf_ratio,
-        envelope_holds=bool(holds),
-    )
+    return {
+        "mode": cfg.density_mode, "case": model.case.value, "d": model.d, "T": cfg.T,
+        "n_samples": n_samples, "n_reported": int(np.count_nonzero(mask)),
+        "c_fit": c_fit, "C_fit": C_fit, "sup_ratio": sup_ratio, "inf_ratio": inf_ratio,
+        "envelope_holds": bool(holds),
+    }
 
 
 def run_bound_table(cfg: ExperimentConfig) -> dict:
@@ -720,74 +670,55 @@ def export_csv(samples: np.ndarray, path, config_hash: str | None = None) -> Non
     write_csv(path, header, [np.arange(samples.shape[0]), *samples.T], config_hash)
 
 
-def export_binary(samples: np.ndarray, path) -> None:
-    """Raw little-endian float64 samples, row major, M x d."""
-    with open(path, "wb") as fh:
-        fh.write(samples.astype("<f8").tobytes(order="C"))
-
-
-def write_json(path, obj: dict, config_hash: str) -> None:
-    """Strict JSON: a NaN or infinity raises NumericError, and no file is
-    written."""
-    payload = dict(obj)
-    payload["config_hash"] = config_hash
+def json_text(name: str, obj: dict, config_hash: str) -> str:
+    """The strict JSON text of report `name`, with its config hash: a NaN
+    or infinity raises NumericError."""
     try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        payload = {**obj, "config_hash": config_hash}
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
-        raise NumericError(f"{os.path.basename(path)}: {exc}") from None
+        raise NumericError(f"{name}: {exc}") from None
+
+
+def write_json(path, text: str) -> None:
     with open(path, "w") as fh:
         fh.write(text + "\n")
 
 
-def _outpath(cfg: ExperimentConfig, name: str) -> str:
-    try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from None
-    return os.path.join(cfg.out_dir, name)
+# ---------------------------------------------------------------------------
+# The command table.  A runner returns its command's files as {file name:
+# payload}: a dict is a JSON report, a (header, columns) pair a CSV table,
+# and a callable writes its own file given (path, config hash).
 
 
-def run_simulate_cmd(cfg: ExperimentConfig) -> np.ndarray:
-    model = build_model(cfg)
-    samples = _simulate(cfg, model, build_grid(cfg), cfg.M)
-    export_csv(samples, _outpath(cfg, "samples.csv"), cfg.config_hash)
-    if cfg.export_binary:
-        export_binary(samples, _outpath(cfg, "samples.bin"))
-    return samples
+def _simulate_files(cfg: ExperimentConfig) -> dict:
+    samples = _simulate(cfg, build_model(cfg), build_grid(cfg), cfg.M)
+    files = {"samples.csv": lambda path, config_hash: export_csv(samples, path, config_hash)}
+    if cfg.export_binary:  # raw little-endian float64, row major, M x d
+        files["samples.bin"] = lambda path, _: samples.astype("<f8").tofile(path)
+    return files
 
 
-def run_bounds_cmd(cfg: ExperimentConfig) -> dict:
+def _bounds_files(cfg: ExperimentConfig) -> dict:
     table = run_bound_table(cfg)
-    write_json(_outpath(cfg, "bounds.json"), table, cfg.config_hash)
-    write_csv(
-        _outpath(cfg, "bounds.csv"),
-        ["eps", "radius", "total_radius"],
-        [[row[key] for row in table["radii"]] for key in ("eps", "radius", "total_radius")],
-        cfg.config_hash,
-    )
-    return table
+    header = ["eps", "radius", "total_radius"]
+    return {
+        "bounds.json": table,
+        "bounds.csv": (header, [[row[key] for row in table["radii"]] for key in header]),
+    }
 
 
-def run_concentration_cmd(cfg: ExperimentConfig) -> ConcentrationReport:
+def _concentration_files(cfg: ExperimentConfig) -> dict:
     report = run_concentration_experiment(cfg)
-    r, bound = np.array(report.bound_curve, dtype=float).reshape(-1, 2).T
-    write_csv(
-        _outpath(cfg, "concentration.csv"),
-        ["r", "empirical_freq", "bound", "wilson_upper"],
-        [r, report.empirical_freq, bound, report.wilson_upper],
-        cfg.config_hash,
-    )
-    write_json(_outpath(cfg, "concentration.json"), report.as_dict(), cfg.config_hash)
-    return report
+    r, bound = np.array(report["bound_curve"], dtype=float).reshape(-1, 2).T
+    columns = [r, report["empirical_freq"], bound, report["wilson_upper"]]
+    return {
+        "concentration.csv": (["r", "empirical_freq", "bound", "wilson_upper"], columns),
+        "concentration.json": report,
+    }
 
 
-def run_density_cmd(cfg: ExperimentConfig) -> DensityCheckReport:
-    report = run_density_check(cfg)
-    write_json(_outpath(cfg, "density_check.json"), report.as_dict(), cfg.config_hash)
-    return report
-
-
-def run_parametrix_cmd(cfg: ExperimentConfig) -> dict:
+def _parametrix_files(cfg: ExperimentConfig) -> dict:
     model = build_model(cfg)
     tgrid = build_grid(cfg)
     x0 = float(start_point(cfg, model)[0])
@@ -796,41 +727,103 @@ def run_parametrix_cmd(cfg: ExperimentConfig) -> dict:
     ck = chapman_kolmogorov_density(model, tgrid, 0, tgrid.N, x0, grid)
     series, norms, _ = parametrix_series(model, tgrid, 0, tgrid.N, x0, grid, cfg.r_max)
     scale = float(np.max(np.abs(ck.values)))
-    sup_rel = float(np.max(np.abs(series.values - ck.values))) / scale
-    series.to_csv(_outpath(cfg, "parametrix_series.csv"), cfg.config_hash)
     ratios, growing = term_decay(norms)
     report = {
         "r_max": cfg.r_max,
         "term_sup_norms": norms,
         "term_decay_ratios": ratios,
         "terms_decay": not growing,
-        "sup_rel_error_vs_ck": sup_rel,
+        "sup_rel_error_vs_ck": float(np.max(np.abs(series.values - ck.values))) / scale,
         "series_mass": series.mass(),
         "ck_mass": ck.mass(),
         "grid": {"lo": grid.lo, "hi": grid.hi, "n_points": grid.n_points},
     }
-    write_json(_outpath(cfg, "parametrix.json"), report, cfg.config_hash)
-    return report
+    return {"parametrix_series.csv": series.to_csv, "parametrix.json": report}
 
 
-def run_control_cmd(cfg: ExperimentConfig) -> dict:
+def _control_files(cfg: ExperimentConfig) -> dict:
     x = np.asarray(cfg.control_x, dtype=float)
     xp = np.asarray(cfg.control_x_prime, dtype=float)
     if x.size == 0 or x.size % 2 != 0 or x.size != xp.size:
         raise ConfigError("control endpoints need matching, nonzero even dimensions")
     problem = ControlProblem(t=cfg.control_t, x=x, x_prime=xp, d_prime=x.size // 2)
-    times, states = geodesic(problem, cfg.geodesic_steps)
-    write_csv(
-        _outpath(cfg, "geodesic.csv"),
-        ["s"] + [f"state_{k + 1}" for k in range(states.shape[1])],
-        [times, *states.T],
-        cfg.config_hash,
-    )
-    e = energy(problem)
-    report = {
-        "energy": e,
-        "kinetic_metric_sq": float(kinetic_metric(cfg.control_t, x, xp, x.size // 2)),
-        "endpoint_error": float(np.linalg.norm(states[-1] - xp)),
+    # an overflow leaves an infinity in the report, which json_text refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, states = geodesic(problem, cfg.geodesic_steps)
+        report = {
+            "energy": energy(problem),
+            "kinetic_metric_sq": float(kinetic_metric(cfg.control_t, x, xp, x.size // 2)),
+            "endpoint_error": float(np.linalg.norm(states[-1] - xp)),
+        }
+    header = ["s"] + [f"state_{k + 1}" for k in range(states.shape[1])]
+    return {"geodesic.csv": (header, [times, *states.T]), "control.json": report}
+
+
+# fields every command but control-geodesic reads: build_model reads all ten
+# model fields (it refuses one the preset does not read unless it keeps its
+# default), build_grid T and N, start_point x0
+_SCHEME = (
+    "preset", "d", "dp", "b0", "sigma0", "a_amp", "b_amp", "damp", "lambda0", "L0", "T", "N", "x0",
+)
+_STREAMS = ("master_seed", "stream_id")
+# the envelope, the functional and the growth spec of the bound constants
+_BOUND = ("c", "C", "functional", "rho0", "beta", "cone", "theta")
+
+# command -> (the config fields it reads, its runner).  A field read on some
+# paths only is listed too: control_factor (a control run), grid_points and
+# grid_radius (CK mode), the streams of bounds (gamma_F in d >= 3).
+COMMANDS = {
+    "simulate": ((*_SCHEME, *_STREAMS, "M", "export_binary"), _simulate_files),
+    "bounds": ((*_SCHEME, *_STREAMS, *_BOUND, "M", "eps"), _bounds_files),
+    "concentration": (
+        (*_SCHEME, *_STREAMS, *_BOUND, "M", "num_batches", "control_factor", "r_grid", "num_r"),
+        _concentration_files,
+    ),
+    "density-check": (
+        (
+            *_SCHEME, *_STREAMS, "c", "C", "density_samples", "density_mode", "c_grid",
+            "high_mass_fraction", "min_bin_count", "grid_points", "grid_radius",
+        ),
+        lambda cfg: {"density_check.json": run_density_check(cfg)},
+    ),
+    "parametrix": ((*_SCHEME, "r_max", "grid_points", "grid_radius"), _parametrix_files),
+    "control-geodesic": (
+        ("control_t", "control_x", "control_x_prime", "geodesic_steps"), _control_files,
+    ),
+}
+
+
+def config_hash(command: str, cfg: ExperimentConfig) -> str:
+    """The first 12 hex digits of the SHA-256 of the fields `command` reads,
+    as the loader stores them.  An x0 or b0 whose entries are all equal
+    counts as its first entry, the list it broadcasts like."""
+    values = {}
+    for name in COMMANDS[command][0]:
+        value = getattr(cfg, name)
+        if name in ("x0", "b0") and value and value.count(value[0]) == len(value):
+            value = value[0]
+        values[name] = value
+    blob = json.dumps(values, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def run_command(command: str, cfg: ExperimentConfig) -> None:
+    """Run `command` and write its files into cfg.out_dir.  Every JSON report
+    is encoded before any file opens, so a run that fails writes nothing."""
+    files = COMMANDS[command][1](cfg)
+    digest = config_hash(command, cfg)
+    texts = {
+        name: json_text(name, obj, digest) for name, obj in files.items() if isinstance(obj, dict)
     }
-    write_json(_outpath(cfg, "control.json"), report, cfg.config_hash)
-    return report
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from None
+    for name, payload in files.items():
+        path = os.path.join(cfg.out_dir, name)
+        if name in texts:
+            write_json(path, texts[name])
+        elif isinstance(payload, tuple):
+            write_csv(path, *payload, digest)
+        else:
+            payload(path, digest)

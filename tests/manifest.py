@@ -20,6 +20,7 @@ MANIFEST = Path(__file__).resolve().with_name("manifest.json")
 
 _LOWER = ["--set", 'functional="abs"', "--set", "rho0=1", "--set", "beta=1"]
 _KINETIC = ["--set", 'preset="kinetic"', "--set", "dp=1", "--set", "x0=[0,0]"]
+_SEED = ["--set", "M=50", "--set", "N=2"]
 _CONTROL = ["--set", "M=100", "--set", "num_batches=50", "--set", "num_r=5", "--set", "control_factor=20"]
 
 # label -> argv without --out-dir; sizes are cut so that the set runs in
@@ -45,7 +46,34 @@ COMMANDS = {
     # control runs: no closed-form mean for trig or damped kinetic
     "control-trig": ["concentration", "--set", 'preset="trig"', *_CONTROL],
     "control-kinetic": ["concentration", *_KINETIC, "--set", "damp=0.5", *_CONTROL],
+    # one side of each SAME_RUN pair
+    "control-geodesic-M": [
+        "control-geodesic", "--set", "control_x=[0,0]", "--set", "control_x_prime=[0,1]",
+        "--set", "M=5",
+    ],
+    "simulate-M": ["simulate", "--set", "M=50"],
+    "simulate-M-eps": ["simulate", "--set", "M=50", "--set", "eps=[0.1]"],
+    "bounds-M": ["bounds", "--set", "M=50"],
+    "bounds-M-density-samples": ["bounds", "--set", "M=50", "--set", "density_samples=5"],
+    "seed-minus-one": ["simulate", *_SEED, "--seed", "-1", "--set", "stream_id=-1"],
+    "seed-two-64-minus-one": [
+        "simulate", *_SEED, "--seed", str(2**64 - 1), "--set", f"stream_id={2**64 - 1}",
+    ],
+    "kinetic-x0-one": ["simulate", *_KINETIC[:4], "--set", "M=50", "--set", "x0=[0]"],
+    "kinetic-x0-two": ["simulate", *_KINETIC, "--set", "M=50"],
 }
+
+# label pairs that give the same run, so they must write the same bytes,
+# config-hash line included: a field the command does not read (M for
+# control-geodesic, eps for simulate, density_samples for bounds), a Philox
+# key equal mod 2**64, and a start point given once for every coordinate
+SAME_RUN = [
+    ("readme-control-geodesic", "control-geodesic-M"),
+    ("simulate-M", "simulate-M-eps"),
+    ("bounds-M", "bounds-M-density-samples"),
+    ("seed-minus-one", "seed-two-64-minus-one"),
+    ("kinetic-x0-one", "kinetic-x0-two"),
+]
 
 
 def run_all(root: Path) -> dict:

@@ -204,13 +204,13 @@ def test_criterion_07_concentration_inequality_empirical():
     })
     rep = run_concentration_experiment(cfg)
     freq_ok = all(
-        fq <= b for (_, b), fq in zip(rep.bound_curve, rep.empirical_freq)
+        fq <= b for (_, b), fq in zip(rep["bound_curve"], rep["empirical_freq"])
     )
     wilson_ok = all(
-        w <= b for (_, b), w in zip(rep.bound_curve, rep.wilson_upper)
+        w <= b for (_, b), w in zip(rep["bound_curve"], rep["wilson_upper"])
     )
     elapsed = time.perf_counter() - t0
-    ok = freq_ok and wilson_ok and len(rep.bound_curve) == 20 and elapsed < 60.0
+    ok = freq_ok and wilson_ok and len(rep["bound_curve"]) == 20 and elapsed < 60.0
     _report(7, "empirical tail frequency (with Wilson 99%) under the bound at 20 radii",
             ok, f"{elapsed:.1f}s < 60s")
 
@@ -222,9 +222,9 @@ def test_criterion_08_envelope_fit_exact_case():
         "density_samples": 1_000_000, "master_seed": 20260808,
     })
     rep = run_density_check(cfg)
-    ok = rep.C_fit <= 1.05 and 0.95 <= rep.c_fit <= 1.05
+    ok = rep["C_fit"] <= 1.05 and 0.95 <= rep["c_fit"] <= 1.05
     _report(8, "envelope fit on the exact case: C <= 1.05, c in [0.95, 1.05]",
-            ok, f"c_fit {rep.c_fit:.4f}, C_fit {rep.C_fit:.4f}")
+            ok, f"c_fit {rep['c_fit']:.4f}, C_fit {rep['C_fit']:.4f}")
 
 
 def test_criterion_09_determinism_across_threads(tmp_path):

@@ -159,61 +159,62 @@ def test_parametrix_cmd(tmp_path):
     assert len(lines) == 2 + 301
 
 
-@pytest.mark.parametrize(
-    "args",
+# argv of bad inputs that exit 2 with one line, and their test ids
+CONFIG_ERRORS = [
+    ["bounds", "--out-dir", "{file}/out"],
+    ["bounds", "--set", "rho0=1", "--set", "beta=1", "--set", 'cone="half"'],
+    ["density-check", "--set", "c_grid=[]", "--set", "density_samples=1000"],
+    ["simulate", "--set", 'M="abc"'],
+    ["simulate", "--set", "N=2.5"],
+    ["simulate", "--set", "sigma0=0"],
+    ["parametrix", "--set", "grid_points=100000"],
+    ["density-check", "--set", 'density_mode="ck"', "--set", "grid_points=100000"],
+    ["bounds", "--set", "T=true"],
+    ["parametrix", "--set", "grid_points=2"],
+    ["density-check", "--set", 'density_mode="ck"', "--set", "grid_points=2"],
+    ["simulate", "--threads", "1000000"],
+    ["bounds", "--set", "c=NaN"],
+    ["bounds", "--set", 'c="nan"'],
+    ["bounds", "--set", "T=Infinity"],
+    ["simulate", "--set", 'export_binary="yes"'],
+    ["bounds", "--set", "eta=0.5"],
+    ["simulate", "--set", 'preset="kinetic"', "--set", "d=2"],
+    ["bounds", "--set", 'preset="trig"', "--set", "sigma0=2"],
+    ["simulate", "--set", "N=100000000000000"],
+    ["bounds", "--set", "b0=[1,2]"],
+    ["bounds", "--set", "T=" + "1" * 5000],
+    ["bounds", "--set", "d=-1"],
+    ["bounds", "--set", 'preset="kinetic"', "--set", "dp=-1"],
+    ["density-check", "--set", "density_samples=1"],
+    ["concentration", "--set", "M=1", "--set", "rho0=1", "--set", "beta=1"],
+    ["bounds", "--set", "rho0=1", "--set", "beta=1"],
     [
-        ["bounds", "--out-dir", "{file}/out"],
-        ["bounds", "--set", "rho0=1", "--set", "beta=1", "--set", 'cone="half"'],
-        ["density-check", "--set", "c_grid=[]", "--set", "density_samples=1000"],
-        ["simulate", "--set", 'M="abc"'],
-        ["simulate", "--set", "N=2.5"],
-        ["simulate", "--set", "sigma0=0"],
-        ["parametrix", "--set", "grid_points=100000"],
-        ["density-check", "--set", 'density_mode="ck"', "--set", "grid_points=100000"],
-        ["bounds", "--set", "T=true"],
-        ["parametrix", "--set", "grid_points=2"],
-        ["density-check", "--set", 'density_mode="ck"', "--set", "grid_points=2"],
-        ["simulate", "--threads", "1000000"],
-        ["bounds", "--set", "c=NaN"],
-        ["bounds", "--set", 'c="nan"'],
-        ["bounds", "--set", "T=Infinity"],
-        ["simulate", "--set", 'export_binary="yes"'],
-        ["bounds", "--set", "eta=0.5"],
-        ["simulate", "--set", 'preset="kinetic"', "--set", "d=2"],
-        ["bounds", "--set", 'preset="trig"', "--set", "sigma0=2"],
-        ["simulate", "--set", "N=100000000000000"],
-        ["bounds", "--set", "b0=[1,2]"],
-        ["bounds", "--set", "T=" + "1" * 5000],
-        ["bounds", "--set", "d=-1"],
-        ["bounds", "--set", 'preset="kinetic"', "--set", "dp=-1"],
-        ["density-check", "--set", "density_samples=1"],
-        ["concentration", "--set", "M=1", "--set", "rho0=1", "--set", "beta=1"],
-        ["bounds", "--set", "rho0=1", "--set", "beta=1"],
-        [
-            "bounds", "--set", "d=2", "--set", "x0=[0,0]", "--set", 'functional="abs"',
-            "--set", "rho0=1", "--set", "beta=1.0000000001",
-        ],
-        ["bounds", "--set", 'functional="nonsense"'],
-        ["bounds", "--set", 'functional="asian-diff"'],
-        ["bounds", "--set", "rho0=1"],
-        ["concentration", "--set", "beta=1"],
-        ["concentration", "--set", "num_r=-1"],
-        ["control-geodesic", "--set", "control_x=[]", "--set", "control_x_prime=[]"],
-        ["concentration", "--set", 'preset="trig"', "--set", "control_factor=0"],
-        ["concentration", "--set", "M=10", "--set", "num_batches=20", "--set", "control_factor=-1"],
+        "bounds", "--set", "d=2", "--set", "x0=[0,0]", "--set", 'functional="abs"',
+        "--set", "rho0=1", "--set", "beta=1.0000000001",
     ],
-    ids=[
-        "out-dir-under-file", "cone-not-a-number", "empty-c-grid", "M-string", "N-float",
-        "sigma0-zero", "parametrix-grid-too-large", "ck-grid-too-large", "T-bool",
-        "parametrix-grid-too-coarse", "ck-grid-too-coarse", "threads-too-many",
-        "c-nan", "c-nan-string", "T-infinite", "export-binary-string", "eta-unknown",
-        "kinetic-d", "trig-sigma0", "N-too-large", "b0-wrong-length", "T-5000-digits", "d-negative",
-        "dp-negative", "density-samples-one", "conc-identity-no-growth",
-        "bounds-identity-no-growth", "bounds-abs-beta-above-one", "bounds-unknown-functional", "bounds-asian-diff-const",
-        "rho0-without-beta", "beta-without-rho0", "num-r-negative", "control-empty-endpoints",
-        "control-factor-zero", "control-factor-negative",
-    ],
-)
+    ["bounds", "--set", 'functional="nonsense"'],
+    ["bounds", "--set", 'functional="asian-diff"'],
+    ["bounds", "--set", "rho0=1"],
+    ["concentration", "--set", "beta=1"],
+    ["concentration", "--set", "num_r=-1"],
+    ["control-geodesic", "--set", "control_x=[]", "--set", "control_x_prime=[]"],
+    ["concentration", "--set", 'preset="trig"', "--set", "control_factor=0"],
+    ["concentration", "--set", "M=10", "--set", "num_batches=20", "--set", "control_factor=-1"],
+]
+CONFIG_ERROR_IDS = [
+    "out-dir-under-file", "cone-not-a-number", "empty-c-grid", "M-string", "N-float",
+    "sigma0-zero", "parametrix-grid-too-large", "ck-grid-too-large", "T-bool",
+    "parametrix-grid-too-coarse", "ck-grid-too-coarse", "threads-too-many",
+    "c-nan", "c-nan-string", "T-infinite", "export-binary-string", "eta-unknown",
+    "kinetic-d", "trig-sigma0", "N-too-large", "b0-wrong-length", "T-5000-digits", "d-negative",
+    "dp-negative", "density-samples-one", "conc-identity-no-growth",
+    "bounds-identity-no-growth", "bounds-abs-beta-above-one", "bounds-unknown-functional", "bounds-asian-diff-const",
+    "rho0-without-beta", "beta-without-rho0", "num-r-negative", "control-empty-endpoints",
+    "control-factor-zero", "control-factor-negative",
+]
+
+
+@pytest.mark.parametrize("args", CONFIG_ERRORS, ids=CONFIG_ERROR_IDS)
 def test_bad_input_is_one_line_config_error(tmp_path, capsys, args):
     (tmp_path / "file").write_text("")
     argv = [a.format(file=tmp_path / "file") for a in args]
@@ -224,22 +225,29 @@ def test_bad_input_is_one_line_config_error(tmp_path, capsys, args):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["parametrix", "--set", "grid_radius=0.5"],
-        ["simulate", "--set", "sigma0=1e308"],
-        ["bounds", "--set", "c=1e-320"],
-        ["concentration", "--set", "c=1e-320"],
-    ],
-    ids=["parametrix-truncated-grid", "sigma0-overflow", "bounds-alpha-inf", "conc-alpha-inf"],
-)
+# argv of bad inputs that exit 3 with one line, and their test ids
+NUMERIC_ERRORS = [
+    ["parametrix", "--set", "grid_radius=0.5"],
+    ["simulate", "--set", "sigma0=1e308"],
+    ["bounds", "--set", "c=1e-320"],
+    ["concentration", "--set", "c=1e-320"],
+    # control.json holds an infinite energy; geodesic.csv alone would be finite
+    ["control-geodesic", "--set", "control_x_prime=[0,1e200]"],
+    ["concentration", "--set", "M=10", "--set", "num_batches=20", "--set", "x0=[1e308]"],
+]
+NUMERIC_ERROR_IDS = [
+    "parametrix-truncated-grid", "sigma0-overflow", "bounds-alpha-inf", "conc-alpha-inf",
+    "control-energy-inf", "conc-batch-mean-overflow",
+]
+
+
+@pytest.mark.parametrize("args", NUMERIC_ERRORS, ids=NUMERIC_ERROR_IDS)
 def test_bad_input_is_one_line_numeric_error(tmp_path, capsys, args):
     assert main(args + ["--out-dir", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     # refused before any output is written
-    assert not list((tmp_path / "out").glob("*.json"))
+    assert not list((tmp_path / "out").glob("*"))
 
 
 def test_one_sample_control_run_is_refused_before_writing(tmp_path, capsys):

@@ -15,6 +15,7 @@ from eulermc.harness import (
     analytic_reference,
     build_grid,
     build_model,
+    config_hash,
     load_config,
     make_functional,
     run_bound_table,
@@ -43,35 +44,55 @@ def test_invalid_counts_rejected():
 def test_config_hash_ignores_execution_fields():
     a = cfg_with(M=10, out_dir="x", threads=1)
     b = cfg_with(M=10, out_dir="y", threads=8)
-    assert a.config_hash == b.config_hash
+    for command in harness.COMMANDS:
+        assert config_hash(command, a) == config_hash(command, b)
     c = cfg_with(M=11)
-    assert a.config_hash != c.config_hash
+    assert config_hash("simulate", a) != config_hash("simulate", c)
+
+
+def test_config_hash_tells_runs_apart_and_equal_runs_alike():
+    # the manifest's SAME_RUN pairs check the CLI cases (unread fields, the
+    # seed mod 2**64, a kinetic x0 given once); b0 is checked here
+    b0 = [0.5, [0.5], [0.5, 0.5]]
+    assert len({config_hash("simulate", cfg_with(d=2, b0=b)) for b in b0}) == 1
+    differ = [
+        ("simulate", {"d": 2, "b0": [0.5, 0.25]}, {"d": 2, "b0": [0.5, 0.5]}),
+        ("simulate", {"preset": "kinetic", "x0": [0, 1]}, {"preset": "kinetic", "x0": [0, 0]}),
+        ("simulate", {"master_seed": -1}, {"master_seed": 2**64 - 2}),
+        ("bounds", {"eps": [0.1]}, {}),
+        ("control-geodesic", {"geodesic_steps": 20}, {}),
+    ]
+    for command, a, b in differ:
+        assert config_hash(command, cfg_with(**a)) != config_hash(command, cfg_with(**b)), (a, b)
+    assert cfg_with(master_seed=-1, stream_id=2**64 + 3).master_seed == 2**64 - 1
+    assert cfg_with(stream_id=2**64 + 3).stream_id == 3
 
 
 def test_config_hash_treats_integral_numbers_as_floats():
-    # pinned hashes: any change to the canonical form (a field added, removed
+    # pinned hashes: any change to the hashed form (a field added, removed
     # or stored differently) shows here
-    assert cfg_with().config_hash == "606a0b01162e"
-    assert cfg_with(T=1).config_hash == "606a0b01162e"
+    assert config_hash("simulate", cfg_with()) == "040bb56623e3"
+    assert config_hash("simulate", cfg_with(T=1)) == "040bb56623e3"
     kinetic = dict(preset="kinetic", dp=1, T=2.0)
-    assert cfg_with(**kinetic, x0=[0.0, 0.0]).config_hash == "efa72533e23d"
-    assert cfg_with(**kinetic, x0=[0, 0]).config_hash == "efa72533e23d"
-    assert cfg_with(x0=[0]).config_hash == cfg_with(x0=[0.0]).config_hash
+    assert config_hash("bounds", cfg_with(**kinetic, x0=[0.0, 0.0])) == "a3eb5a4b4add"
+    assert config_hash("bounds", cfg_with(**kinetic, x0=[0, 0])) == "a3eb5a4b4add"
+    assert config_hash("simulate", cfg_with(x0=[0])) == config_hash("simulate", cfg_with(x0=[0.0]))
     # a scalar x0 is the one-element list it broadcasts like
-    assert cfg_with(x0=0.0).config_hash == "606a0b01162e"
+    assert config_hash("simulate", cfg_with(x0=0.0)) == "040bb56623e3"
     assert cfg_with(x0=0).x0 == [0.0]
     cfg = cfg_with(b0=[1, 2], d=2, cone=2, eps=[1], control_x=[0, 0], export_binary=True)
     assert cfg.b0 == [1.0, 2.0] and isinstance(cfg.b0[0], float)
     assert isinstance(cfg.cone, float) and isinstance(cfg.eps[0], float)
     assert isinstance(cfg.control_x[0], float)
     assert cfg.export_binary is True and isinstance(cfg.N, int)
-    assert cfg_with(T=2).config_hash != cfg_with(T=1).config_hash
+    assert config_hash("simulate", cfg_with(T=2)) != config_hash("simulate", cfg_with(T=1))
     with pytest.raises(ConfigError, match="too large"):
         cfg_with(T=10**400)
 
 
 def test_scalar_for_a_list_field_is_the_one_element_list():
-    assert cfg_with(eps=0.05).config_hash == cfg_with(eps=[0.05]).config_hash
+    one = config_hash("bounds", cfg_with(eps=0.05))
+    assert one == config_hash("bounds", cfg_with(eps=[0.05]))
     assert cfg_with(r_grid=0.1).r_grid == [0.1]
     assert cfg_with(c_grid=2).c_grid == [2.0]
     assert cfg_with(r_grid=None).r_grid is None
@@ -84,7 +105,7 @@ def test_scalar_for_a_list_field_is_the_one_element_list():
         ({"eps": [0.05, -math.inf]}, "eps[1] must be a finite number, got -inf"),
         ({"export_binary": 1}, "export_binary must be bool, got 1"),
         ({"x0": [[0.0]]}, "x0 must be list[float], got [[0.0]]"),
-        ({"b0": [1, True]}, "b0 must be float | list[float], got [1, True]"),
+        ({"b0": [1, True]}, "b0 must be list[float], got [1, True]"),
         ({"rho0": "1"}, "rho0 must be float | None, got '1'"),
         ({"functional": None}, "functional must be str, got None"),
     ],
@@ -105,8 +126,9 @@ def test_loader_refuses_or_round_trips_its_canonical_form(raw):
         cfg = ExperimentConfig.from_dict(raw)
     except ConfigError:
         return
-    again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.canonical(), allow_nan=False)))
-    assert again.config_hash == cfg.config_hash
+    stored = json.dumps(dataclasses.asdict(cfg), allow_nan=False)
+    again = ExperimentConfig.from_dict(json.loads(stored))
+    assert all(config_hash(c, again) == config_hash(c, cfg) for c in harness.COMMANDS)
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -187,17 +209,17 @@ def test_concentration_report_gaussian_preset():
         M=50, num_batches=400, T=1.0, N=4, master_seed=7,
     )
     rep = run_concentration_experiment(cfg)
-    assert rep.alpha_T == pytest.approx(2.0)
-    assert rep.delta_bias == 0.0
-    assert rep.reference_mean == 0.0
-    rs = [r for r, _ in rep.bound_curve]
+    assert rep["alpha_T"] == pytest.approx(2.0)
+    assert rep["delta_bias"] == 0.0
+    assert rep["reference_mean"] == 0.0
+    rs = [r for r, _ in rep["bound_curve"]]
     assert len(rs) == cfg.num_r and rs[0] == 0.0
     # bound at r = 0 is 2 and the frequency is a probability
-    assert rep.bound_curve[0][1] == 2.0
-    assert all(0.0 <= fq <= 1.0 for fq in rep.empirical_freq)
+    assert rep["bound_curve"][0][1] == 2.0
+    assert all(0.0 <= fq <= 1.0 for fq in rep["empirical_freq"])
     # one-sided comparison holds including the confidence allowance
     assert all(
-        w <= b for (_, b), w in zip(rep.bound_curve, rep.wilson_upper)
+        w <= b for (_, b), w in zip(rep["bound_curve"], rep["wilson_upper"])
     )
 
 
@@ -207,10 +229,10 @@ def test_concentration_bias_shift_with_C():
         M=50, num_batches=300, T=1.0, N=2, master_seed=11,
     )
     rep = run_concentration_experiment(cfg)
-    assert rep.delta_bias == pytest.approx(2 * math.sqrt(2.0 * math.log(2.0)))
+    assert rep["delta_bias"] == pytest.approx(2 * math.sqrt(2.0 * math.log(2.0)))
     # the shifted threshold makes exceedances rarer than the bound at every r
     assert all(
-        fq <= b for (_, b), fq in zip(rep.bound_curve, rep.empirical_freq)
+        fq <= b for (_, b), fq in zip(rep["bound_curve"], rep["empirical_freq"])
     )
 
 
@@ -220,8 +242,8 @@ def test_concentration_control_run_reference():
         M=40, num_batches=50, num_r=8, T=1.0, N=3, master_seed=3, control_factor=40,
     )
     rep = run_concentration_experiment(cfg)
-    assert rep.reference_se > 0.0
-    assert math.isfinite(rep.reference_mean)
+    assert rep["reference_se"] > 0.0
+    assert math.isfinite(rep["reference_mean"])
 
 
 def test_concentration_control_run_power_guard():
@@ -360,13 +382,13 @@ def test_concentration_with_growth_constants():
         functional="abs", rho0=1.0, beta=1.0,
     )
     rep = run_concentration_experiment(cfg)
-    assert rep.constants is not None
-    assert rep.constants["chi"] == 0.0
-    assert rep.constants["bar_alpha_inv"] == pytest.approx(0.5)
-    assert rep.lower_curve is not None and len(rep.lower_curve) > 0
+    assert rep["constants"] is not None
+    assert rep["constants"]["chi"] == 0.0
+    assert rep["constants"]["bar_alpha_inv"] == pytest.approx(0.5)
+    assert rep["lower_curve"] is not None and len(rep["lower_curve"]) > 0
     # empirical lower entries only where the prediction is resolvable
-    assert rep.lower_empirical is not None
-    for r, thr, freq in rep.lower_empirical:
+    assert rep["lower_empirical"] is not None
+    for r, thr, freq in rep["lower_empirical"]:
         assert thr > 0 and 0.0 <= freq <= 1.0
 
 
@@ -375,9 +397,9 @@ def test_concentration_lower_empirical_keeps_upper_frequencies():
     # testable; their frequencies must not replace the upper-side ones
     cfg = cfg_with(M=1, functional="abs", rho0=1.0, beta=1.0)
     rep = run_concentration_experiment(cfg)
-    assert len(rep.empirical_freq) == cfg.num_r
-    assert rep.lower_empirical
-    for r, thr, freq in rep.lower_empirical:
+    assert len(rep["empirical_freq"]) == cfg.num_r
+    assert rep["lower_empirical"]
+    for r, thr, freq in rep["lower_empirical"]:
         assert thr > 0 and 0.0 <= freq <= 1.0
 
 
@@ -484,13 +506,12 @@ def test_concentration_lower_bias_uses_normalized_alpha():
     assert first == pytest.approx((1 + math.sqrt(2)) * math.sqrt(alpha * math.log(1.5)), rel=1e-12)
 
 
-def test_write_json_refuses_non_finite(tmp_path):
-    # JSON has no NaN or infinity; the report is refused before its file opens
-    path = tmp_path / "report.json"
+def test_write_json_refuses_non_finite():
+    # JSON has no NaN or infinity; the report is refused as it is encoded,
+    # before run_command opens any file
     for bad in (math.nan, math.inf):
         with pytest.raises(NumericError, match="report.json"):
-            harness.write_json(path, {"delta_bias": bad}, "0" * 12)
-        assert not path.exists()
+            harness.json_text("report.json", {"delta_bias": bad}, "0" * 12)
 
 
 def test_bound_table_lower_requires_growth():
@@ -534,7 +555,7 @@ def test_bounds_and_concentration_report_equal_constants():
     assert set(consts) == {
         "chi", "bar_alpha_inv", "bar_delta", "gamma_F", "gamma_F_se", "F_floor", "theta",
     }
-    assert run_concentration_experiment(cfg).constants == consts
+    assert run_concentration_experiment(cfg)["constants"] == consts
 
 
 def test_density_check_exact_gaussian():
@@ -544,10 +565,10 @@ def test_density_check_exact_gaussian():
         density_samples=400_000, master_seed=13,
     )
     rep = run_density_check(cfg)
-    assert rep.mode == "hist"
-    assert 0.9 <= rep.c_fit <= 1.1
-    assert rep.C_fit <= 1.08
-    assert rep.envelope_holds
+    assert rep["mode"] == "hist"
+    assert 0.9 <= rep["c_fit"] <= 1.1
+    assert rep["C_fit"] <= 1.08
+    assert rep["envelope_holds"]
 
 
 def test_density_check_kinetic_exact_shape_is_two():
@@ -558,9 +579,9 @@ def test_density_check_kinetic_exact_shape_is_two():
         density_samples=400_000, master_seed=17,
     )
     rep = run_density_check(cfg)
-    assert 1.8 <= rep.c_fit <= 2.2
-    assert rep.C_fit < 1.2
-    assert rep.envelope_holds
+    assert 1.8 <= rep["c_fit"] <= 2.2
+    assert rep["C_fit"] < 1.2
+    assert rep["envelope_holds"]
 
 
 def test_density_check_ck_mode():
@@ -569,9 +590,9 @@ def test_density_check_ck_mode():
         grid_points=401,
     )
     rep = run_density_check(cfg)
-    assert rep.envelope_holds
-    assert rep.n_samples == 0
-    assert rep.C_fit < 5.0
+    assert rep["envelope_holds"]
+    assert rep["n_samples"] == 0
+    assert rep["C_fit"] < 5.0
 
 
 def test_density_check_insufficient_samples():
@@ -592,8 +613,7 @@ def test_report_dict_schema():
     cfg = cfg_with(
         preset="const", d=1, M=20, num_batches=30, N=2, master_seed=23
     )
-    rep = run_concentration_experiment(cfg)
-    payload = rep.as_dict()
+    payload = run_concentration_experiment(cfg)
     for key in (
         "case", "c", "C", "T", "M", "alpha_T", "delta_bias",
         "bound_curve", "lower_curve", "constants",

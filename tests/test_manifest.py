@@ -1,9 +1,15 @@
 import json
 
-from manifest import COMMANDS, MANIFEST, run_all
+import pytest
+from manifest import COMMANDS, MANIFEST, SAME_RUN, run_all
 
 
-def test_outputs_match_the_manifest(tmp_path):
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    return run_all(tmp_path_factory.mktemp("manifest"))
+
+
+def test_outputs_match_the_manifest(digests):
     """Every file the manifest commands write has the digest in
     tests/manifest.json.
 
@@ -19,7 +25,7 @@ def test_outputs_match_the_manifest(tmp_path):
     np.tanh, and with X86_V3 off its reference_mean changed in the last
     digit.
     """
-    got = run_all(tmp_path)
+    got = digests
     want = json.loads(MANIFEST.read_text())
     assert {name.split("/")[0] for name in got} == set(COMMANDS)
     differ = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
@@ -27,3 +33,20 @@ def test_outputs_match_the_manifest(tmp_path):
         f"outputs differ from {MANIFEST.name}: {differ}; if the change is meant, "
         "rerun `PYTHONPATH=src python tests/manifest.py` and explain it in CHANGES.md"
     )
+
+
+def _files(digests, label):
+    """{file name: digest} of the files that command `label` wrote."""
+    return {
+        name.split("/")[1]: digest
+        for name, digest in digests.items()
+        if name.split("/")[0] == label
+    }
+
+
+def test_same_run_pairs_write_identical_files(digests):
+    """Each SAME_RUN pair writes the same files with the same bytes: the
+    config hash covers only the fields a command reads, as the loader stores
+    them."""
+    for a, b in SAME_RUN:
+        assert _files(digests, a) and _files(digests, a) == _files(digests, b), (a, b)

@@ -273,19 +273,19 @@ def test_envelope_exact_gaussian_case():
     # the CK table of the constant model is the Gaussian p_1 itself
     exact = dict(preset="const", d=1, b0=0.0, sigma0=1.0, T=1.0, N=6, c=1.0)
     rep = ck_density_check(**exact, C=1.0 + 1e-6, grid_points=501, grid_radius=9.0)
-    assert rep.sup_ratio == pytest.approx(1.0, abs=1e-6)
-    assert rep.inf_ratio == pytest.approx(1.0, abs=1e-6)
-    assert rep.envelope_holds
-    assert rep.c_fit == pytest.approx(1.0, rel=1e-12)
-    assert rep.C_fit == pytest.approx(1.0, abs=1e-6)
+    assert rep["sup_ratio"] == pytest.approx(1.0, abs=1e-6)
+    assert rep["inf_ratio"] == pytest.approx(1.0, abs=1e-6)
+    assert rep["envelope_holds"]
+    assert rep["c_fit"] == pytest.approx(1.0, rel=1e-12)
+    assert rep["C_fit"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_envelope_perturbed_model():
     trig = dict(preset="trig", a_amp=0.1, T=1.0, N=10, c=0.5, grid_points=501, grid_radius=9.0)
     rep = ck_density_check(**trig, C=5.0)
-    assert rep.envelope_holds
+    assert rep["envelope_holds"]
     # a domination constant below the measured ratio must trip the detector
-    assert not ck_density_check(**trig, C=rep.sup_ratio * 0.99).envelope_holds
+    assert not ck_density_check(**trig, C=rep["sup_ratio"] * 0.99)["envelope_holds"]
 
 
 def test_term_decay_warning():
