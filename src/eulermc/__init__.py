@@ -10,10 +10,11 @@ Subpackages:
   harness       experiment orchestration (configs in, CSV/JSON out)
   cli           command line front end
 
-Module level imports stop at numpy and scipy.special.  Any other scipy
-subpackage is imported inside the function that calls it, because
-scipy.stats alone takes about a second to import and most CLI calls never
-need it.
+Module level imports stop at numpy.  Every scipy subpackage is imported
+inside the function that calls it, because scipy.special alone more than
+doubles the import time of the package: it loads with the first random
+draw (ndtri), and commands that draw nothing, parametrix among them (its
+FFTs come from numpy.fft), run without scipy.
 """
 
 from .model import (

@@ -21,7 +21,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import concentration as conc
 from .errors import ArgumentError, ConfigError, NumericError, StatisticsError
@@ -46,7 +45,9 @@ from .control import ControlProblem, energy, geodesic
 from .gaussianref import kinetic_metric
 from .simulate import _CHUNK, RngSpec, simulate_terminal
 
-_WILSON_Z99 = float(ndtri(0.99))
+# float(scipy.special.ndtri(0.99)), the 99% normal quantile, as a literal so
+# that the module loads without scipy
+_WILSON_Z99 = 2.3263478740408408
 
 # largest n x n float64 matrix a CK or parametrix grid may need (n <= 4095)
 _MATRIX_CAP_BYTES = 2**27
@@ -311,6 +312,8 @@ def analytic_reference(
         if cfg.functional == "sum":
             return float(mean.sum() / math.sqrt(model.d))
         if cfg.functional == "abs" and model.d == 1:
+            from scipy.special import ndtr
+
             mu, s = float(mean[0]), cfg.sigma0 * math.sqrt(T)
             return s * math.sqrt(2.0 / math.pi) * math.exp(-(mu**2) / (2 * s * s)) + mu * (
                 1.0 - 2.0 * ndtr(-mu / s)
@@ -747,8 +750,9 @@ def _control_files(cfg: ExperimentConfig) -> dict:
     if x.size == 0 or x.size % 2 != 0 or x.size != xp.size:
         raise ConfigError("control endpoints need matching, nonzero even dimensions")
     problem = ControlProblem(t=cfg.control_t, x=x, x_prime=xp, d_prime=x.size // 2)
-    # an overflow leaves an infinity in the report, which json_text refuses
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow, or a division by a control_t that underflows, leaves an
+    # infinity or a NaN in the report, which json_text refuses
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         times, states = geodesic(problem, cfg.geodesic_steps)
         report = {
             "energy": energy(problem),

@@ -190,6 +190,21 @@ def _frozen_tail(pts, drift_sum, var_sum):
     return _gauss((pts - drift_sum)[:, None], pts[None, :], var_sum[:, None], flush=True)
 
 
+def _fast_len(m: int) -> int:
+    """The smallest 2**a 3**b 5**c >= m, the FFT length that
+    scipy.fft.next_fast_len(m, real=True) picks."""
+    best = 1 << (m - 1).bit_length()
+    p35 = 1
+    while p35 < best:
+        p3 = p35
+        while p3 < best:
+            # the smallest power of 2 times p3 that reaches m
+            best = min(best, p3 << (-(-m // p3) - 1).bit_length())
+            p3 *= 3
+        p35 *= 5
+    return best
+
+
 def _onestep_defect(V: np.ndarray, Q: np.ndarray, G: np.ndarray) -> np.ndarray:
     """D[r, z, w] = (V Q)[r, w] - sum_u V[r, u] G[z, (w - u) + n - 1].
 
@@ -199,16 +214,14 @@ def _onestep_defect(V: np.ndarray, Q: np.ndarray, G: np.ndarray) -> np.ndarray:
     Only lags n-1 .. 2n-2 of the full convolution are kept, so a circular
     length of 2n - 1 already avoids wrap-around.
     """
-    from scipy.fft import irfft, next_fast_len, rfft
-
     n = V.shape[1]
-    L = next_fast_len(2 * n - 1, real=True)
+    L = _fast_len(2 * n - 1)
     block = 64  # rows of z per batch; 128 or more ran slower at n = 401 and 601 (2-core x86-64)
-    fv = rfft(V, L)[:, None, :]
+    fv = np.fft.rfft(V, L)[:, None, :]
     D = np.empty((V.shape[0], n, n))
     D[...] = (V @ Q)[:, None, :]
     for z0 in range(0, n, block):
-        full = irfft(fv * rfft(G[z0 : z0 + block], L)[None, :, :], L)
+        full = np.fft.irfft(fv * np.fft.rfft(G[z0 : z0 + block], L)[None, :, :], L)
         D[:, z0 : z0 + block] -= full[:, :, n - 1 : 2 * n - 1]
     return D
 

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import ArgumentError, NumericError
 from .model import Case, SdeModel, SchemeGrid
@@ -31,8 +30,9 @@ _S12 = np.uint64(12)
 _SAMPLES_CAP_BYTES = 2**30
 
 
-def _word_normals(words: np.ndarray) -> np.ndarray:
-    """One standard normal per uint64 word, by inverse CDF.
+def _word_normals(words: np.ndarray, ndtri) -> np.ndarray:
+    """One standard normal per uint64 word, by inverse CDF (ndtri is
+    scipy.special.ndtri, which callers import on their first draw).
 
     The uniform ((w >> 12) + 0.5) 2**-52 is exact in float64 and lies
     strictly inside (0, 1), so |z| <= 8.21 and ~w maps to -z.  (With 53
@@ -77,6 +77,9 @@ def _chunk_normals(rng: RngSpec, c: int, lo: int, hi: int, ndraw: int, steps: in
     width = 4 * (stop - first)  # words read per coordinate
     skip = _CHUNK // 4 - (stop - first)  # blocks up to the next coordinate's
     cols = slice(lo - 4 * first, hi - 4 * first)
+    # scipy.special loads here, so commands that draw nothing start without it
+    from scipy.special import ndtri
+
     bitgen = rng.chunk(c)
     bitgen.advance(first)
     for _ in range(steps):
@@ -84,7 +87,7 @@ def _chunk_normals(rng: RngSpec, c: int, lo: int, hi: int, ndraw: int, steps: in
         for k in range(ndraw):
             words[k] = bitgen.random_raw(width)
             bitgen.advance(skip)
-        yield _word_normals(words[:, cols]).T
+        yield _word_normals(words[:, cols], ndtri).T
 
 
 def normals(rng: RngSpec, n: int, k: int) -> np.ndarray:

@@ -234,10 +234,15 @@ NUMERIC_ERRORS = [
     # control.json holds an infinite energy; geodesic.csv alone would be finite
     ["control-geodesic", "--set", "control_x_prime=[0,1e200]"],
     ["concentration", "--set", "M=10", "--set", "num_batches=20", "--set", "x0=[1e308]"],
+    # t**2 and t**3 underflow to 0, and the divisions by them give inf and NaN
+    [
+        "control-geodesic", "--set", "control_t=1e-300", "--set", "control_x=[0,0]",
+        "--set", "control_x_prime=[0,1]",
+    ],
 ]
 NUMERIC_ERROR_IDS = [
     "parametrix-truncated-grid", "sigma0-overflow", "bounds-alpha-inf", "conc-alpha-inf",
-    "control-energy-inf", "conc-batch-mean-overflow",
+    "control-energy-inf", "conc-batch-mean-overflow", "control-tiny-t",
 ]
 
 
@@ -295,22 +300,23 @@ _HEAVY_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.fft")
 
 _IMPORT_PROBE = """
 import sys
-heavy = {heavy!r}
+def loaded():
+    return " ".join(sorted(m for m in sys.modules if m.startswith("scipy")))
 import eulermc.cli
-print(" ".join(m for m in heavy if m in sys.modules))
+print(loaded())
 assert eulermc.cli.main({argv!r} + ["--out-dir", sys.argv[1]]) == 0
-print(" ".join(m for m in heavy if m in sys.modules))
+print(loaded())
 """
 
 
-def _heavy_scipy_loaded(tmp_path, argv):
-    """The heavy scipy subpackages loaded by `import eulermc.cli` and then by
-    running argv, in a fresh interpreter (this one has loaded scipy.stats)."""
+def _scipy_loaded(tmp_path, argv):
+    """The scipy modules loaded by `import eulermc.cli` and then by running
+    argv, in a fresh interpreter (this one has loaded scipy.stats)."""
     import eulermc
 
     src = str(Path(eulermc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = _IMPORT_PROBE.format(heavy=_HEAVY_SCIPY, argv=argv)
+    probe = _IMPORT_PROBE.format(argv=argv)
     out = subprocess.run(
         [sys.executable, "-c", probe, str(tmp_path)],
         env=env, capture_output=True, text=True, timeout=120, check=True,
@@ -318,10 +324,35 @@ def _heavy_scipy_loaded(tmp_path, argv):
     return set(out[0].split()), set(out[1].split())
 
 
+def _heavy_scipy_loaded(tmp_path, argv):
+    """The heavy scipy subpackages among _scipy_loaded(tmp_path, argv)."""
+    at_import, after_run = _scipy_loaded(tmp_path, argv)
+    return at_import & set(_HEAVY_SCIPY), after_run & set(_HEAVY_SCIPY)
+
+
 def test_cli_start_up_leaves_heavy_scipy_unloaded(tmp_path):
-    at_import, after_run = _heavy_scipy_loaded(tmp_path, ["simulate", "--set", "M=50"])
+    # no scipy module at all until the first draw, which needs scipy.special
+    at_import, after_run = _scipy_loaded(tmp_path, ["simulate", "--set", "M=50"])
     assert not at_import
-    assert not {"scipy.stats", "scipy.optimize", "scipy.integrate"} & after_run
+    assert "scipy.special" in after_run
+    assert not set(_HEAVY_SCIPY) & after_run
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parametrix", "--set", 'preset="trig"', "--set", "N=3", "--set", "grid_points=101"],
+        ["control-geodesic", "--set", "control_x=[0,0]", "--set", "control_x_prime=[0,1]"],
+        [
+            "bounds", "--set", 'preset="kinetic"', "--set", "dp=1", "--set", "x0=[0,0]",
+            "--set", "eps=[0.05,0.01]",
+        ],
+        ["density-check", "--set", 'density_mode="ck"', "--set", 'preset="trig"'],
+    ],
+    ids=["parametrix", "control-geodesic", "kinetic-bounds", "ck-density-check"],
+)
+def test_commands_that_draw_nothing_leave_scipy_unloaded(tmp_path, argv):
+    assert _scipy_loaded(tmp_path, argv) == (set(), set())
 
 
 def test_lower_bound_constants_leave_scipy_stats_unloaded(tmp_path):

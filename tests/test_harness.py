@@ -165,9 +165,10 @@ def test_analytic_references():
 
 
 def test_normal_quantiles_match_scipy_stats():
+    from scipy.special import ndtri
     from scipy.stats import norm
 
-    assert harness._WILSON_Z99 == norm.ppf(0.99)
+    assert harness._WILSON_Z99 == norm.ppf(0.99) == float(ndtri(0.99))
     cfg = cfg_with(preset="const", d=1, x0=[0.1], b0=0.3, sigma0=1.3, T=2.0, functional="abs")
     mu, s = 0.1 + 0.3 * 2.0, 1.3 * math.sqrt(2.0)
     want = s * math.sqrt(2.0 / math.pi) * math.exp(-(mu**2) / (2 * s * s)) + mu * (

@@ -9,6 +9,7 @@ from eulermc.model import SchemeGrid, model_preset
 from eulermc.parametrix import (
     DensityTable,
     Grid1D,
+    _fast_len,
     chapman_kolmogorov_density,
     default_grid,
     frozen_density,
@@ -150,6 +151,26 @@ def test_series_matches_chapman_kolmogorov():
     assert norms[2] < norms[1]
     assert norms[3] < norms[2]
     assert table.mass() == pytest.approx(1.0, abs=1e-6)
+
+
+def test_series_matches_chapman_kolmogorov_at_fifty_steps():
+    # criterion 06's rule at N = 50: the discrete parametrix is bounded
+    # uniformly in N (Konakov and Mammen, PTRF 117, 2000)
+    tg = SchemeGrid(T=1.0, N=50)
+    grid = default_grid(TRIG, tg, 0.0, 201, 10.0)
+    table, norms, _ = parametrix_series(TRIG, tg, 0, 50, 0.0, grid, r_max=3)
+    ck = chapman_kolmogorov_density(TRIG, tg, 0, 50, 0.0, grid)
+    rel = np.max(np.abs(table.values - ck.values)) / np.max(ck.values)
+    assert rel < 1e-2
+    assert norms[1] > norms[2] > norms[3]
+
+
+def test_fft_length_is_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    # 2n - 1 for every grid from 3 points up to the 4095-point cap
+    got = [_fast_len(m) for m in range(5, 8190)]
+    assert got == [next_fast_len(m, real=True) for m in range(5, 8190)]
 
 
 def test_series_full_order_agrees_with_ck_tightly():
