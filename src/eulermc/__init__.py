@@ -11,10 +11,11 @@ Subpackages:
   cli           command line front end
 
 Module level imports stop at numpy.  Every scipy subpackage is imported
-inside the function that calls it, because scipy.special alone more than
-doubles the import time of the package: it loads with the first random
-draw (ndtri), and commands that draw nothing, parametrix among them (its
-FFTs come from numpy.fft), run without scipy.
+inside the function that calls it, and only the d = 1 quadrature of a
+lower bound calls one (scipy.integrate).  The normals come from the
+package's own inverse normal CDF (Cephes ndtri on fdlibm's log, in numpy
+integer and IEEE arithmetic), and the parametrix FFTs from numpy.fft, so
+every other run starts and draws without scipy.
 """
 
 from .model import (

@@ -295,6 +295,15 @@ def _gaussian_twin(cfg: ExperimentConfig):
     return None
 
 
+def _ndtr(a: float) -> float:
+    """Standard normal CDF, in the branches of Cephes ndtr."""
+    x = a * math.sqrt(0.5)
+    if abs(x) < math.sqrt(0.5):
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(abs(x))
+    return 1.0 - y if x > 0 else y
+
+
 def analytic_reference(
     cfg: ExperimentConfig, model: SdeModel, tgrid: SchemeGrid, preset=None, damp=None
 ):
@@ -312,11 +321,9 @@ def analytic_reference(
         if cfg.functional == "sum":
             return float(mean.sum() / math.sqrt(model.d))
         if cfg.functional == "abs" and model.d == 1:
-            from scipy.special import ndtr
-
             mu, s = float(mean[0]), cfg.sigma0 * math.sqrt(T)
             return s * math.sqrt(2.0 / math.pi) * math.exp(-(mu**2) / (2 * s * s)) + mu * (
-                1.0 - 2.0 * ndtr(-mu / s)
+                1.0 - 2.0 * _ndtr(-mu / s)
             )
     if preset == "kinetic" and damp == 0.0:
         dp = model.d_prime

@@ -165,7 +165,8 @@ def _const_model(d=1, b0=0.0, sigma0=1.0, lambda0=None, L0=None):
     if lambda0 is None:
         lambda0 = _scalar_noise_lambda0(s0)
     if L0 is None:
-        L0 = max(1.0, float(np.linalg.norm(b)))
+        # hypot, unlike np.linalg.norm, does not overflow for |b| above 1e154
+        L0 = max(1.0, math.hypot(*b))
     return SdeModel(Case.NONDEGENERATE, d, drift, sigma, float(lambda0), float(L0))
 
 

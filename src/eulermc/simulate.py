@@ -6,7 +6,10 @@ each chunk reads one counter-based Philox stream derived from
 a sample depend on its index alone, so batches are bitwise reproducible no
 matter how work is split across threads.  Every random draw of the package
 goes through _chunk_normals: simulate_terminal reads it step by step, and
-normals reads one step of it.
+normals reads one step of it.  Words become normals by the package's own
+inverse normal CDF, Cephes ndtri on fdlibm's log in numpy integer and
+IEEE arithmetic, so the streams need no scipy and do not depend on numpy's
+SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -26,22 +29,134 @@ _MASK64 = (1 << 64) - 1
 # changes with it.  Chunk boundaries never depend on the thread count.
 _CHUNK = 4096
 _S12 = np.uint64(12)
+# words mapped to normals per call: fewer, larger numpy calls hold the GIL
+# for less of the time; no output depends on it
+_BLOCK_WORDS = 2**16
 # largest (M, d) float64 sample array simulate_terminal allocates
 _SAMPLES_CAP_BYTES = 2**30
 
 
-def _word_normals(words: np.ndarray, ndtri) -> np.ndarray:
-    """One standard normal per uint64 word, by inverse CDF (ndtri is
-    scipy.special.ndtri, which callers import on their first draw).
+# Cephes ndtri (Moshier): y - 1/2 = x P0(x^2)/Q0(x^2) / sqrt(2 pi) for
+# |y - 1/2| <= 1/2 - e^-2, else x = z - log(z)/z - P(1/z)/(z Q(1/z)) with
+# z = sqrt(-2 log y) and (P1, Q1) below z = 8, (P2, Q2) above.  Highest
+# degree first; each Q's leading 1 is implicit.
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_S2PI = 2.50662827463100050242e0
+_EXPM2 = 0.13533528323661269189  # e^-2
+# fdlibm __ieee754_log: ln 2 split so that k ln2_hi is exact, and the
+# minimax coefficients of (log(1+f) - 2s)/s with s = f/(2+f)
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+_LG1, _LG2, _LG3, _LG4, _LG5, _LG6, _LG7 = (
+    6.666666666666735130e-01, 3.999999999940941908e-01, 2.857142874366239149e-01,
+    2.222219843214978396e-01, 1.818357216161805012e-01, 1.531383769920937332e-01,
+    1.479819860511658591e-01,
+)
+
+
+def _horner(x: np.ndarray, coef, monic: bool = False) -> np.ndarray:
+    """Cephes polevl, or p1evl when monic (a leading 1 before coef)."""
+    acc, rest = (x + coef[0], coef[1:]) if monic else (x * coef[0] + coef[1], coef[2:])
+    for c in rest:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _rational(x: np.ndarray, p, q) -> np.ndarray:
+    """x p(x) / q(x), q monic, in Cephes' order of operations."""
+    return x * _horner(x, p) / _horner(x, q, True)
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """Natural log of positive normal float64 values: fdlibm's
+    __ieee754_log, all three branches, in integer ops and IEEE + - * /
+    only, so its bits do not depend on numpy's SIMD dispatch.
+
+    x = 2^k (1 + f), with 1 + f in about [sqrt(2)/2, sqrt(2)) as fdlibm
+    splits on the high word.  log(1 + f) is f - R for |f| < 2^-20, else it
+    comes from s = f/(2 + f) and a polynomial R in s^2, combined in one of
+    two ways by the size of f.
+    """
+    bits = x.view(np.int64)
+    hx = (bits >> 32) & 0xFFFFF  # the high 20 bits of the mantissa
+    k = (bits - 0x3FE6A09C00000000) >> 52
+    f = (bits - (k << 52)).view(np.float64) - 1.0
+    dk = k.astype(np.float64)
+    lo = dk * _LN2_LO
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    r = z * (_LG1 + w * (_LG3 + w * (_LG5 + w * _LG7))) + w * (_LG2 + w * (_LG4 + w * _LG6))
+    hfsq = 0.5 * f * f
+    big = (hx >= 0x6147A) & (hx <= 0x6B851)
+    inner = np.where(big, hfsq - (s * (hfsq + r) + lo), s * (f - r) - lo)
+    tiny = np.flatnonzero(((hx + 2) & 0xFFFFF) < 3)  # |f| < 2^-20
+    if tiny.size:
+        ft = f[tiny]
+        inner[tiny] = ft * ft * (0.5 - 0.33333333333333333 * ft) - lo[tiny]
+    inner -= f
+    dk *= _LN2_HI
+    dk -= inner
+    return dk
+
+
+def _ndtri(y: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF of float64 y in [2^-53, 1 - 2^-53]:
+    Cephes ndtri with its branches and order of operations, on _log."""
+    upper = y > 1.0 - _EXPM2
+    yy = np.where(upper, 1.0 - y, y)
+    is_tail = yy <= _EXPM2
+    mid, tail = np.flatnonzero(~is_tail), np.flatnonzero(is_tail)
+    out = np.empty_like(y)
+    c = yy.take(mid)
+    c -= 0.5
+    out.put(mid, (c + c * _rational(c * c, _P0, _Q0)) * _S2PI)
+    x = np.sqrt(-2.0 * _log(yy.take(tail)))
+    z = 1.0 / x
+    far = x >= 8.0
+    if far.any():
+        x1 = np.empty_like(x)
+        x1[far] = _rational(z[far], _P2, _Q2)
+        x1[~far] = _rational(z[~far], _P1, _Q1)
+    else:
+        x1 = _rational(z, _P1, _Q1)
+    x = x - _log(x) / x - x1
+    out.put(tail, np.where(upper.take(tail), x, -x))
+    return out
+
+
+def _word_normals(words: np.ndarray) -> np.ndarray:
+    """One standard normal per uint64 word, by inverse CDF (_ndtri).
 
     The uniform ((w >> 12) + 0.5) 2**-52 is exact in float64 and lies
-    strictly inside (0, 1), so |z| <= 8.21 and ~w maps to -z.  (With 53
-    bits, (w >> 11) + 0.5 rounds to 2**53 for the top word, giving inf.)
+    strictly inside (0, 1), so |z| <= 8.21.  ~w maps to -z, except for the
+    one pair of words whose uniforms are e^-2 and 1 - e^-2: Cephes sends
+    the first to its tail branch and the second to its central one, and the
+    two values differ in the last bits.  (With 53 bits, (w >> 11) + 0.5 rounds
+    to 2**53 for the top word, giving inf.)  Only IEEE operations touch the
+    floats, so the normals are the same on every numpy dispatch tier.
     """
     u = (words >> _S12).astype(np.float64)
     u += 0.5
     u *= 2.0**-52
-    return ndtri(u, out=u)
+    return _ndtri(u)
 
 
 @dataclass(frozen=True)
@@ -52,7 +167,8 @@ class RngSpec:
     the Philox4x64-10 stream with key (master_seed, stream_id) mod 2**64 and
     counter c << 128 (Salmon et al., SC'11).  Word
     (n * ndraw + k) * 4096 + (i mod 4096) of that stream, mapped by
-    _word_normals, is the normal of step n, coordinate k, of sample i.
+    _word_normals (the package's Cephes ndtri on fdlibm's log), is the
+    normal of step n, coordinate k, of sample i.
     """
 
     master_seed: int
@@ -71,23 +187,22 @@ def _chunk_normals(rng: RngSpec, c: int, lo: int, hi: int, ndraw: int, steps: in
 
     Coordinate k of step n spans words (n * ndraw + k) * 4096 + [lo, hi).
     Only the 4-word Philox blocks that cover them are generated; the blocks
-    of the other columns are skipped with Philox.advance.
+    of the other columns are skipped with Philox.advance.  The words of as
+    many whole steps as fit in _BLOCK_WORDS are mapped in one call.
     """
     first, stop = lo // 4, -(-hi // 4)
     width = 4 * (stop - first)  # words read per coordinate
     skip = _CHUNK // 4 - (stop - first)  # blocks up to the next coordinate's
     cols = slice(lo - 4 * first, hi - 4 * first)
-    # scipy.special loads here, so commands that draw nothing start without it
-    from scipy.special import ndtri
-
+    per_block = max(1, _BLOCK_WORDS // (ndraw * width))
     bitgen = rng.chunk(c)
     bitgen.advance(first)
-    for _ in range(steps):
-        words = np.empty((ndraw, width), dtype=np.uint64)
-        for k in range(ndraw):
-            words[k] = bitgen.random_raw(width)
+    for start in range(0, steps, per_block):
+        words = np.empty((min(per_block, steps - start), ndraw, width), dtype=np.uint64)
+        for row in words.reshape(-1, width):
+            row[:] = bitgen.random_raw(width)
             bitgen.advance(skip)
-        yield _word_normals(words[:, cols], ndtri).T
+        yield from _word_normals(words[:, :, cols]).transpose(0, 2, 1)
 
 
 def normals(rng: RngSpec, n: int, k: int) -> np.ndarray:
@@ -175,7 +290,8 @@ def simulate_terminal(
 
     Sample i draws the normals of absolute index sample_offset + i, so
     results do not depend on the thread count or on execution order.  A
-    chunk draws one step's words at a time, so memory does not grow with N.
+    chunk draws at most _BLOCK_WORDS words at a time, so memory does not
+    grow with N.
     """
     if M < 1:
         raise ArgumentError("need at least one sample")

@@ -5,21 +5,24 @@ kernels p_c by quadrature (acceptance criterion 02), the radial tail closed
 forms are compared with quadrature (criterion 04), the Gram-matrix form
 of the optimal control cross-checks control.optimal_control, and
 Philox4x64-10 in numpy uint64 arithmetic checks the words that
-np.random.Philox gives eulermc.simulate.
+np.random.Philox gives eulermc.simulate, and a scalar port of its normal
+map (Cephes ndtri on fdlibm's log) checks the normals it makes of them.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
-from scipy.special import erfc, ndtri
+from scipy.special import erfc
 
 from eulermc.control import ControlProblem
 from eulermc.errors import ArgumentError
 from eulermc.gaussianref import KernelSpec, _transport, kernel_density, kernel_normalizer
 from eulermc.model import Case
 from eulermc.quadrature import adaptive_1d, tensor_quad_2d
+from eulermc.simulate import _P0, _P1, _P2, _Q0, _Q1, _Q2
 
 
 def kernel_density_from(case: Case, c: float, t: float, u, xp) -> np.ndarray:
@@ -239,7 +242,95 @@ def chunk_words(master_seed: int, stream_id: int, c: int, w) -> np.ndarray:
     return np.choose((w % np.uint64(4)).astype(np.intp), np.broadcast_arrays(*lanes))
 
 
-def word_normals(words) -> np.ndarray:
+def _bits(x: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# fdlibm e_log.c, by bit pattern
+_LN2_HI, _LN2_LO = _float(0x3FE62E42FEE00000), _float(0x3DEA39EF35793C76)
+_LG = [
+    _float(b)
+    for b in (
+        0x3FE5555555555593, 0x3FD999999997FA04, 0x3FD2492494229359, 0x3FCC71C51D8E78AF,
+        0x3FC7466496CB03DE, 0x3FC39A09D078C69F, 0x3FC2F112DF3E5244,
+    )
+]
+
+
+def fdlibm_log(x: float) -> float:
+    """fdlibm's __ieee754_log for a positive normal double, as written in C
+    (Python floats round each + - * / as C doubles do without FMA)."""
+    lg1, lg2, lg3, lg4, lg5, lg6, lg7 = _LG
+    bits = _bits(x)
+    hx = bits >> 32
+    k = (hx >> 20) - 1023
+    hx &= 0xFFFFF
+    i = (hx + 0x95F64) & 0x100000
+    x = _float(((hx | (i ^ 0x3FF00000)) << 32) | (bits & 0xFFFFFFFF))
+    k += i >> 20
+    f = x - 1.0
+    dk = float(k)
+    if (0xFFFFF & (2 + hx)) < 3:
+        if f == 0.0:
+            return 0.0 if k == 0 else dk * _LN2_HI + dk * _LN2_LO
+        r = f * f * (0.5 - 0.33333333333333333 * f)
+        return f - r if k == 0 else dk * _LN2_HI - ((r - dk * _LN2_LO) - f)
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    t1 = w * (lg2 + w * (lg4 + w * lg6))
+    t2 = z * (lg1 + w * (lg3 + w * (lg5 + w * lg7)))
+    r = t2 + t1
+    if ((hx - 0x6147A) | (0x6B851 - hx)) > 0:
+        hfsq = 0.5 * f * f
+        if k == 0:
+            return f - (hfsq - s * (hfsq + r))
+        return dk * _LN2_HI - ((hfsq - (s * (hfsq + r) + dk * _LN2_LO)) - f)
+    if k == 0:
+        return f - s * (f - r)
+    return dk * _LN2_HI - ((s * (f - r) - dk * _LN2_LO) - f)
+
+
+def _polevl(x: float, coef) -> float:
+    acc = coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def _p1evl(x: float, coef) -> float:
+    acc = x + coef[0]
+    for c in coef[1:]:
+        acc = acc * x + c
+    return acc
+
+
+def ndtri(y0: float, log=fdlibm_log) -> float:
+    """Cephes ndtri (Moshier) for y0 in (0, 1), on the given log."""
+    expm2 = 0.13533528323661269189
+    y, code = y0, 1
+    if y > 1.0 - expm2:
+        y, code = 1.0 - y, 0
+    if y > expm2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))
+        return x * 2.50662827463100050242
+    x = math.sqrt(-2.0 * log(y))
+    x0 = x - log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _p1evl(z, _Q2)
+    x = x0 - x1
+    return -x if code else x
+
+
+def word_normals(words, log=fdlibm_log) -> np.ndarray:
     """Standard normals ndtri(((w >> 12) + 0.5) 2**-52), one per word."""
-    u = (np.asarray(words, dtype=np.uint64) >> np.uint64(12)).astype(float)
-    return ndtri((u + 0.5) * 2.0**-52)
+    return np.array([ndtri(((int(w) >> 12) + 0.5) * 2.0**-52, log) for w in np.ravel(words)])

@@ -200,6 +200,8 @@ CONFIG_ERRORS = [
     ["control-geodesic", "--set", "control_x=[]", "--set", "control_x_prime=[]"],
     ["concentration", "--set", 'preset="trig"', "--set", "control_factor=0"],
     ["concentration", "--set", "M=10", "--set", "num_batches=20", "--set", "control_factor=-1"],
+    # |b0| squared overflows; the grid check must still be the only line
+    ["parametrix", "--set", "b0=[1e200]", "--set", "grid_points=101", "--set", "N=2"],
 ]
 CONFIG_ERROR_IDS = [
     "out-dir-under-file", "cone-not-a-number", "empty-c-grid", "M-string", "N-float",
@@ -210,7 +212,7 @@ CONFIG_ERROR_IDS = [
     "dp-negative", "density-samples-one", "conc-identity-no-growth",
     "bounds-identity-no-growth", "bounds-abs-beta-above-one", "bounds-unknown-functional", "bounds-asian-diff-const",
     "rho0-without-beta", "beta-without-rho0", "num-r-negative", "control-empty-endpoints",
-    "control-factor-zero", "control-factor-negative",
+    "control-factor-zero", "control-factor-negative", "parametrix-b0-huge",
 ]
 
 
@@ -223,6 +225,12 @@ def test_bad_input_is_one_line_config_error(tmp_path, capsys, args):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_huge_constant_drift_simulates_without_warnings(tmp_path, capsys):
+    argv = ["simulate", "--set", "b0=[1e200]", "--set", "M=5", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 # argv of bad inputs that exit 3 with one line, and their test ids
@@ -331,11 +339,8 @@ def _heavy_scipy_loaded(tmp_path, argv):
 
 
 def test_cli_start_up_leaves_heavy_scipy_unloaded(tmp_path):
-    # no scipy module at all until the first draw, which needs scipy.special
-    at_import, after_run = _scipy_loaded(tmp_path, ["simulate", "--set", "M=50"])
-    assert not at_import
-    assert "scipy.special" in after_run
-    assert not set(_HEAVY_SCIPY) & after_run
+    # the normals are the package's own, so drawing loads no scipy either
+    assert _scipy_loaded(tmp_path, ["simulate", "--set", "M=50"]) == (set(), set())
 
 
 @pytest.mark.parametrize(
@@ -352,6 +357,34 @@ def test_cli_start_up_leaves_heavy_scipy_unloaded(tmp_path):
     ids=["parametrix", "control-geodesic", "kinetic-bounds", "ck-density-check"],
 )
 def test_commands_that_draw_nothing_leave_scipy_unloaded(tmp_path, argv):
+    assert _scipy_loaded(tmp_path, argv) == (set(), set())
+
+
+_SMALL_CONCENTRATION = ["concentration", "--set", "M=20", "--set", "num_batches=10"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--set", 'preset="trig"', "--set", "M=50", "--set", "N=3"],
+        [*_SMALL_CONCENTRATION, "--set", 'functional="identity"'],
+        [*_SMALL_CONCENTRATION, "--set", 'functional="abs"'],
+        [
+            *_SMALL_CONCENTRATION, "--set", 'preset="trig"', "--set", 'functional="identity"',
+            "--set", "control_factor=5",
+        ],
+        [
+            *_SMALL_CONCENTRATION, "--set", 'preset="trig"', "--set", 'functional="abs"',
+            "--set", "control_factor=5",
+        ],
+        ["density-check", "--set", 'density_mode="hist"', "--set", "density_samples=20000"],
+    ],
+    ids=[
+        "trig-simulate", "const-identity-concentration", "const-abs-concentration",
+        "trig-identity-concentration", "trig-abs-concentration", "hist-density-check",
+    ],
+)
+def test_commands_that_draw_leave_scipy_unloaded(tmp_path, argv):
     assert _scipy_loaded(tmp_path, argv) == (set(), set())
 
 

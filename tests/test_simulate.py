@@ -1,10 +1,13 @@
+import hashlib
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 from scipy.stats import chisquare, norm
 
 from eulermc.errors import ArgumentError
@@ -12,13 +15,14 @@ from eulermc.model import Case, SchemeGrid, SdeModel, model_preset
 from eulermc.simulate import (
     _CHUNK,
     RngSpec,
+    _log,
     _word_normals,
     euler_step,
     kinetic_step,
     normals,
     simulate_terminal,
 )
-from oracles import _philox4x64, chunk_words, word_normals
+from oracles import _philox4x64, chunk_words, fdlibm_log, word_normals
 
 
 def test_reference_philox_known_answer():
@@ -44,16 +48,127 @@ def test_chunk_words_match_reference_philox(seed, stream, c):
 
 def test_normals_map_words_by_inverse_cdf():
     words = RngSpec(11, 2).chunk(3).random_raw(2 * _CHUNK + 5)
-    z = _word_normals(words, ndtri)
+    z = _word_normals(words)
     assert np.array_equal(z, word_normals(chunk_words(11, 2, 3, np.arange(words.size))))
 
 
 def test_extreme_words_give_finite_symmetric_normals():
     words = np.array([0, 2**64 - 1, 2**63 - 1, 2**63, 12345], dtype=np.uint64)
-    z = _word_normals(words, ndtri)
+    z = _word_normals(words)
     assert np.all(np.isfinite(z))
     assert z[1] == -z[0] == pytest.approx(8.2095, abs=1e-4)
-    assert np.array_equal(_word_normals(~words, ndtri), -z)
+    assert np.array_equal(_word_normals(~words), -z)
+
+
+def _words_near(*uniforms) -> np.ndarray:
+    """The words whose uniforms ((w >> 12) + 0.5) 2**-52 lie nearest each
+    given uniform, with their two neighbours on each side."""
+    near = [int(u * 2.0**52) + k for u in uniforms for k in range(-2, 3)]
+    return np.array([m << 12 for m in near if 0 <= m < 2**52], dtype=np.uint64)
+
+
+# branch edges of ndtri (y = e^-2, z = sqrt(-2 log y) = 8), powers of two
+# in y and in z (the |f| < 2^-20 branch of the log), both ends of the range
+_EDGE_WORDS = np.concatenate(
+    [
+        np.array([0, 1, 4095, 4096, 2**64 - 1, 2**63 - 1, 2**63], dtype=np.uint64),
+        _words_near(
+            math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 0.5, 0.25, 2.0**-10,
+            2.0**-40, math.exp(-8.0), math.exp(-2.0) * (1 + 1e-9),
+        ),
+    ]
+)
+
+
+def test_normal_map_is_within_8_ulp_of_scipy_ndtri():
+    # the map is Cephes ndtri on fdlibm's log; scipy's ndtri is Cephes on libm's
+    from scipy.special import ndtri
+
+    words = np.concatenate([RngSpec(21, 5).chunk(7).random_raw(2**20), _EDGE_WORDS])
+    u = ((words >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
+    z, want = _word_normals(words), ndtri(u)
+    assert np.all(np.abs(z - want) <= 8 * np.spacing(np.abs(want)))
+    assert np.max(np.abs(z)) <= 8.21
+    # Cephes takes its tail branch at y = e^-2 but its central one at
+    # 1 - e^-2 (as rounded), so the one word pair that meets those two
+    # uniforms maps to -z only up to rounding; every other ~w maps to -z
+    edge = (u == 0.13533528323661269189) | (u == 1.0 - 0.13533528323661269189)
+    assert np.count_nonzero(edge) == 2
+    assert np.array_equal(_word_normals(~words[~edge]), -z[~edge])
+    assert np.allclose(_word_normals(~words[edge]), -z[edge], rtol=1e-15, atol=0)
+
+
+def test_normal_map_differs_from_scipy_only_in_its_log():
+    # with libm's log in place of fdlibm's, the scalar port is scipy's ndtri
+    from scipy.special import ndtri
+
+    words = np.concatenate([RngSpec(22).chunk(0).random_raw(20_000), _EDGE_WORDS])
+    want = ndtri(((words >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52)
+    assert np.array_equal(word_normals(words, math.log), want)
+    assert np.array_equal(word_normals(words), _word_normals(words))
+
+
+def test_log_is_fdlibm_log():
+    # the map's domain, y in [2^-53, e^-2] and sqrt(-2 log y) in [2, 8.21],
+    # and the high mantissa words where fdlibm's branches and its halving
+    # of 1 + f switch, at exponents from -53 to 3
+    edges = np.array([0, 1, 0x6147A, 0x6A09C, 0x6B851, 0xFFFFE, 0xFFFFF]) / 2.0**20 + 1.0
+    edges = np.outer(2.0 ** np.arange(-53.0, 4.0), edges).ravel()
+    x = np.concatenate(
+        [
+            np.exp(-np.linspace(2.0, 36.8, 20_001)),
+            np.linspace(2.0, 8.21, 20_001),
+            edges,
+            np.nextafter(edges, np.inf),
+            np.nextafter(edges, 0.0),
+        ]
+    )
+    got = _log(x)
+    assert np.array_equal(got, [fdlibm_log(float(v)) for v in x])
+    libm = np.array([math.log(float(v)) for v in x])
+    assert np.all(np.abs(got - libm) <= np.spacing(np.abs(libm)))
+
+
+_TIER_PROBE = """
+import hashlib, sys
+from pathlib import Path
+import numpy as np
+from eulermc.cli import main
+from eulermc.simulate import RngSpec, _word_normals
+words = np.concatenate([RngSpec(5, 1).chunk(2).random_raw(2**16), ~np.arange(64, dtype=np.uint64)])
+print(hashlib.sha256(_word_normals(words).tobytes()).hexdigest())
+assert main(["simulate", "--set", "M=5000", "--set", "N=4", "--out-dir", sys.argv[1]]) == 0
+print(hashlib.sha256(Path(sys.argv[1], "samples.csv").read_bytes()).hexdigest())
+"""
+
+# numpy CPU dispatch tiers to switch off, newest first
+_TIERS = [
+    ("X86_V4", "AVX512_ICL", "AVX512_SPR"),
+    ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"),
+]
+
+
+def test_normals_and_a_run_agree_across_numpy_dispatch_tiers(tmp_path):
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    import eulermc
+
+    tiers = [tier for tier in _TIERS if __cpu_features__.get(tier[0])]
+    if not tiers:
+        pytest.skip("the host has none of the dispatch tiers to switch off")
+    src = str(Path(eulermc.__file__).resolve().parents[1])
+    digests = set()
+    for k, tier in enumerate([(), *tiers]):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if tier:
+            env["NPY_DISABLE_CPU_FEATURES"] = " ".join(f for f in tier if __cpu_features__.get(f))
+        out = subprocess.run(
+            [sys.executable, "-c", _TIER_PROBE, str(tmp_path / str(k))],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        ).stdout
+        digests.add(tuple(out.split()))
+    assert len(digests) == 1, digests
 
 
 def test_step_identity_map_of_draw():
