@@ -98,16 +98,23 @@ def _check_1d_case_a(model: SdeModel) -> None:
 
 
 # from x = -708 down, where exp(x) turns subnormal and then zero, numpy's exp
-# runs 10-100x slower than for a normal result (x86-64)
+# runs 10-100x slower than for a normal result (x86-64), so flushed exponents
+# are raised to this floor first
 _EXP_FLOOR = -700.0
+# flushed results below this are then set to exactly 0: a value near
+# e^_EXP_FLOOR times any factor below about 1e-4 is subnormal, and the
+# products of the series (its einsum and FFT products) slow down several
+# times on subnormals (x86-64)
+_FLUSH_TINY = 1e-290
 
 
 def _gauss(y, mean, var, flush=False):
     """Normal density with the given mean and variance at y (broadcasting),
     computed in one buffer as exp(-(y - mean)^2 / (2 var)) / sqrt(2 pi var).
 
-    With flush, exponents are raised to _EXP_FLOOR, so values that would
-    lie below 1e-304 / sqrt(2 pi var) take that floor instead.
+    With flush, values below _FLUSH_TINY are 0, so that no product with
+    them is subnormal; values at or above it are unchanged.  Exponents are
+    raised to _EXP_FLOOR before the exp, so that the exp stays fast.
     """
     out = np.subtract(y, mean, out=np.empty(np.broadcast_shapes(np.shape(y), np.shape(mean))))
     out *= out
@@ -116,6 +123,8 @@ def _gauss(y, mean, var, flush=False):
         np.maximum(out, _EXP_FLOOR, out=out)
     np.exp(out, out=out)
     out /= np.sqrt(2.0 * math.pi * np.asarray(var))
+    if flush:
+        np.copyto(out, 0.0, where=out < _FLUSH_TINY)
     return out
 
 
@@ -164,24 +173,25 @@ def frozen_density(model: SdeModel, tgrid: SchemeGrid, j: int, j_prime: int, x: 
     return float(vals[0]) if scalar else vals
 
 
-def _one_step_matrix(
-    model: SdeModel, tgrid: SchemeGrid, k: int, pts: np.ndarray, flush: bool = False
-):
-    """Q[u, w] = one-step density from pts[u] evaluated at pts[w]."""
-    b, a = _coeffs(model, tgrid.times[k], pts)
-    mean = pts + b * tgrid.delta
-    var = a * tgrid.delta
-    return _gauss(pts[None, :], mean[:, None], var[:, None], flush)
+def _one_step_matrix(pts: np.ndarray, b, a, delta: float, flush: bool = False):
+    """Q[u, w] = one-step density from pts[u] evaluated at pts[w], given the
+    drift b and diffusion a at pts."""
+    return _gauss(pts[None, :], (pts + b * delta)[:, None], (a * delta)[:, None], flush)
 
 
-def _frozen_onestep_shift_kernels(model, tgrid, k, pts):
-    """g_z over displacements: G[z, m + n - 1] = density of one frozen-at-z
-    step at displacement h * m, m in [-(n-1), n-1]."""
-    n = pts.shape[0]
-    h = pts[1] - pts[0]
-    b, a = _coeffs(model, tgrid.times[k], pts)
-    disp = h * np.arange(-(n - 1), n)
-    return _gauss(disp[None, :], (b * tgrid.delta)[:, None], (a * tgrid.delta)[:, None], flush=True)
+def _built_per_change(model, tgrid, steps, pts, build):
+    """Yield build(b, a) for each step k in steps, with b and a the drift and
+    diffusion at (t_k, pts).  A step whose two vectors equal those of the
+    last build bit for bit gets that build again, so time-independent
+    coefficients are built once and time-dependent ones at every step."""
+    built_from = None
+    for k in steps:
+        b, a = _coeffs(model, tgrid.times[k], pts)
+        key = (b.tobytes(), a.tobytes())
+        if key != built_from:
+            built = None  # frees the last build before the next is made
+            built, built_from = build(b, a), key
+        yield built
 
 
 def _frozen_tail(pts, drift_sum, var_sum):
@@ -205,24 +215,45 @@ def _fast_len(m: int) -> int:
     return best
 
 
-def _onestep_defect(V: np.ndarray, Q: np.ndarray, G: np.ndarray) -> np.ndarray:
+_BLOCK = 64  # rows of z per FFT batch; 128 or more ran slower at n = 401 and 601 (2-core x86-64)
+
+
+def _shift_kernel_spectra(pts: np.ndarray, b, a, delta: float) -> list:
+    """rfft(G[z-block], L) for the blocks of _BLOCK rows of the shift
+    kernels G[z, m + n - 1] = density of one step frozen at pts[z] at
+    displacement h * m, m in [-(n-1), n-1], given the drift b and diffusion
+    a at pts.  G is built one block at a time and not kept."""
+    n = pts.shape[0]
+    L = _fast_len(2 * n - 1)
+    disp = (pts[1] - pts[0]) * np.arange(-(n - 1), n)
+    mean = b * delta
+    var = a * delta
+    return [
+        np.fft.rfft(_gauss(disp[None, :], mean[z, None], var[z, None], flush=True), L)
+        for z in (slice(z0, z0 + _BLOCK) for z0 in range(0, n, _BLOCK))
+    ]
+
+
+def _onestep_defect(V: np.ndarray, Q: np.ndarray, spectra: list) -> np.ndarray:
     """D[r, z, w] = (V Q)[r, w] - sum_u V[r, u] G[z, (w - u) + n - 1].
 
     Row r of V pushed through one true step (Q) minus one step frozen at the
-    target z (shift kernels G).  The frozen part is a correlation, computed
-    with batched FFTs over blocks of z so that the temporaries stay small.
-    Only lags n-1 .. 2n-2 of the full convolution are kept, so a circular
-    length of 2n - 1 already avoids wrap-around.
+    target z (shift kernels G, given by their spectra from
+    _shift_kernel_spectra).  The frozen part is a correlation, computed with
+    batched FFTs over blocks of z so that the temporaries stay small.  Only
+    lags n-1 .. 2n-2 of the full convolution are kept, so a circular length
+    of 2n - 1 already avoids wrap-around.  Q and the spectra depend on the
+    step only through its coefficient vectors, so the series passes the
+    same ones to every step whose vectors are unchanged (_built_per_change).
     """
     n = V.shape[1]
     L = _fast_len(2 * n - 1)
-    block = 64  # rows of z per batch; 128 or more ran slower at n = 401 and 601 (2-core x86-64)
     fv = np.fft.rfft(V, L)[:, None, :]
     D = np.empty((V.shape[0], n, n))
     D[...] = (V @ Q)[:, None, :]
-    for z0 in range(0, n, block):
-        full = np.fft.irfft(fv * np.fft.rfft(G[z0 : z0 + block], L)[None, :, :], L)
-        D[:, z0 : z0 + block] -= full[:, :, n - 1 : 2 * n - 1]
+    for z0, spectrum in zip(range(0, n, _BLOCK), spectra):
+        full = np.fft.irfft(fv * spectrum[None, :, :], L)
+        D[:, z0 : z0 + _BLOCK] -= full[:, :, n - 1 : 2 * n - 1]
     return D
 
 
@@ -277,6 +308,11 @@ def parametrix_series(
     row is the point mass at x: there D[0, z, w] is the one-step density from
     x at w minus the step frozen at z, and the same contraction gives the
     delta H(t_j, t_m, x, .) part of T_1[m].
+
+    The one-step matrix Q and the shift-kernel spectra of step l depend on l
+    only through b(t_l, .) and a(t_l, .) on the grid.  They are built again
+    only when those two vectors differ in some bit from the ones of the last
+    build, so a model with time-independent coefficients builds them once.
     """
     _check_1d_case_a(model)
     steps = j_prime - j
@@ -289,6 +325,12 @@ def parametrix_series(
     delta = tgrid.delta
     n = grid.n_points
 
+    def step_kernels(b, a):
+        Q = _one_step_matrix(pts, b, a, delta, flush=True)
+        return Q, _shift_kernel_spectra(pts, b, a, delta)
+
+    kernels = _built_per_change(model, tgrid, range(j + 1, j_prime), pts, step_kernels)
+
     # T[r, m - j] = T_r[m]; T_r[m] vanishes for r > m - j
     T = np.zeros((r_max + 1, steps + 1, n))
     for m in range(j + 1, j_prime + 1):
@@ -300,11 +342,7 @@ def parametrix_series(
             frozen = _gauss(pts[None, :], x + (b * delta)[:, None], (a * delta)[:, None], flush=True)
             D = (one_step_density(model, tgrid, j, x, pts) - frozen)[None]
         else:
-            D = _onestep_defect(
-                tw * T[:rows, l - j],
-                _one_step_matrix(model, tgrid, l, pts, flush=True),
-                _frozen_onestep_shift_kernels(model, tgrid, l, pts),
-            )
+            D = _onestep_defect(tw * T[:rows, l - j], *next(kernels))
         out = T[1 : rows + 1]
         out[:, l + 1 - j] += np.diagonal(D, axis1=1, axis2=2)
         D *= tw
@@ -336,7 +374,8 @@ def chapman_kolmogorov_density(
     """Iterated one-step composition of the scheme density on the grid.
 
     Matrix products with trapezoid weights; the density-weighted mass lost
-    off the grid at each step must stay below mass_tol.
+    off the grid at each step must stay below mass_tol.  The one-step matrix
+    and its row masses are reused by the rule of parametrix_series.
     """
     _check_1d_case_a(model)
     if not 0 <= j < j_prime <= tgrid.N:
@@ -347,9 +386,13 @@ def chapman_kolmogorov_density(
     loss = abs(float(tw @ dens) - 1.0)
     if loss > mass_tol:
         raise TruncationError(f"initial step loses mass {loss:.2e} > {mass_tol:.0e}")
-    for k in range(j + 1, j_prime):
-        Q = _one_step_matrix(model, tgrid, k, pts)
-        row_mass = Q @ tw
+
+    def step_matrix(b, a):
+        Q = _one_step_matrix(pts, b, a, tgrid.delta)
+        return Q, Q @ tw
+
+    steps = range(j + 1, j_prime)
+    for k, (Q, row_mass) in zip(steps, _built_per_change(model, tgrid, steps, pts, step_matrix)):
         step_loss = float(tw @ (dens * (1.0 - row_mass)))
         if step_loss > mass_tol:
             raise TruncationError(

@@ -263,6 +263,18 @@ def test_bad_input_is_one_line_numeric_error(tmp_path, capsys, args):
     assert not list((tmp_path / "out").glob("*"))
 
 
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the 2-d quadrature of gamma(F) exits 3 off the origin: refinement gap 1.64e-05",
+)
+def test_off_origin_two_dimensional_lower_bound_runs(tmp_path):
+    argv = [
+        "bounds", "--set", "d=2", "--set", "x0=[0.3,-1.0]", "--set", 'functional="abs"',
+        "--set", "rho0=1", "--set", "beta=1", "--out-dir", str(tmp_path),
+    ]
+    assert main(argv) == 0
+
+
 def test_one_sample_control_run_is_refused_before_writing(tmp_path, capsys):
     # one control sample has no standard error (std with ddof=1 is NaN)
     out = tmp_path / "out"

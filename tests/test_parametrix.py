@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from eulermc import parametrix
 from eulermc.errors import ArgumentError, TruncationError
 from eulermc.harness import ExperimentConfig, run_density_check, write_csv
-from eulermc.model import SchemeGrid, model_preset
+from eulermc.model import MODEL_PRESETS, Case, SchemeGrid, SdeModel, model_preset
 from eulermc.parametrix import (
     DensityTable,
     Grid1D,
@@ -204,16 +205,95 @@ def test_series_peak_memory_does_not_grow_with_steps():
     import tracemalloc
 
     peaks = []
+    ck_peaks = []
     for N in (6, 12):
         tg = SchemeGrid(T=1.0, N=N)
         grid = default_grid(TRIG, tg, 0.0, 201, 10.0)
-        tracemalloc.start()
-        try:
-            parametrix_series(TRIG, tg, 0, N, 0.0, grid, r_max=3)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        for record, run in (
+            (peaks, lambda: parametrix_series(TRIG, tg, 0, N, 0.0, grid, r_max=3)),
+            (ck_peaks, lambda: chapman_kolmogorov_density(TRIG, tg, 0, N, 0.0, grid)),
+        ):
+            tracemalloc.start()
+            try:
+                run()
+                record.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
     assert peaks[1] < 1.1 * peaks[0]
+    # the reused one-step matrix is one matrix, not one per step
+    assert ck_peaks[1] < 1.1 * ck_peaks[0]
+
+
+@pytest.mark.parametrize("N, n", [(10, 401), (50, 601)])
+def test_flushed_matrices_hold_no_tiny_values(monkeypatch, N, n):
+    # every flushed density of the series (Q, the blocks of G, psi and the
+    # l = j frozen matrix) is 0 or at least 1e-290, so no product with it
+    # is subnormal; none of them depends on r_max
+    shapes = set()
+    gauss = parametrix._gauss
+
+    def checked(y, mean, var, flush=False):
+        out = gauss(y, mean, var, flush)
+        if flush:
+            shapes.add(out.shape)
+            assert np.all((out == 0.0) | (out >= 1e-290))
+        return out
+
+    monkeypatch.setattr(parametrix, "_gauss", checked)
+    tg = SchemeGrid(T=1.0, N=N)
+    parametrix_series(TRIG, tg, 0, N, 0.0, default_grid(TRIG, tg, 0.0, n, 10.0), r_max=1)
+    # n x n for Q, psi and the frozen matrix; blocks of 64 rows (the last
+    # one shorter) of the 2n - 1 displacements for G
+    assert shapes == {(n, n), (64, 2 * n - 1), (n % 64, 2 * n - 1)}
+
+
+def _time_dependent_trig():
+    # a(t, x) = 1 + 0.1 sin(x + t), no drift
+    return SdeModel(
+        Case.NONDEGENERATE, 1,
+        lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
+        lambda t, x: np.sqrt(1.0 + 0.1 * np.sin(np.asarray(x, dtype=float) + t))[..., None],
+        1.0 / 0.9, 1.0,
+    )
+
+
+def _count_one_step_builds(monkeypatch):
+    calls = []
+    build = parametrix._one_step_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(parametrix, "_one_step_matrix", counted)
+    return calls
+
+
+def test_time_independent_steps_build_the_one_step_matrix_once(monkeypatch):
+    calls = _count_one_step_builds(monkeypatch)
+    tg = SchemeGrid(T=1.0, N=10)
+    grid = default_grid(TRIG, tg, 0.0, 201, 10.0)
+    parametrix_series(TRIG, tg, 0, 10, 0.0, grid, r_max=3)
+    assert len(calls) == 1
+    chapman_kolmogorov_density(TRIG, tg, 0, 10, 0.0, grid)
+    assert len(calls) == 2
+
+
+def test_time_dependent_steps_build_the_one_step_matrix_every_step(monkeypatch):
+    monkeypatch.setitem(MODEL_PRESETS, "trig-in-time", _time_dependent_trig)
+    model = model_preset("trig-in-time")
+    calls = _count_one_step_builds(monkeypatch)
+    tg = SchemeGrid(T=1.0, N=10)
+    grid = default_grid(model, tg, 0.0, 600, 10.0)
+    # steps 1 .. 9 each; step 0 starts from the point mass at x
+    table, norms, _ = parametrix_series(model, tg, 0, 10, 0.0, grid, r_max=3)
+    assert len(calls) == 9
+    ck = chapman_kolmogorov_density(model, tg, 0, 10, 0.0, grid)
+    assert len(calls) == 18
+    # criterion 06's rule
+    rel = np.max(np.abs(table.values - ck.values)) / np.max(ck.values)
+    assert rel < 1e-2
+    assert norms[1] > norms[2] > norms[3]
 
 
 def test_series_interior_window():
