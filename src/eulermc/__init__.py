@@ -10,12 +10,10 @@ Subpackages:
   harness       experiment orchestration (configs in, CSV/JSON out)
   cli           command line front end
 
-Module level imports stop at numpy.  Every scipy subpackage is imported
-inside the function that calls it, and only the d = 1 quadrature of a
-lower bound calls one (scipy.integrate).  The normals come from the
-package's own inverse normal CDF (Cephes ndtri on fdlibm's log, in numpy
-integer and IEEE arithmetic), and the parametrix FFTs from numpy.fft, so
-every other run starts and draws without scipy.
+The package imports numpy and no scipy module.  The normals come from its
+own inverse normal CDF (Cephes ndtri on fdlibm's log, in numpy integer and
+IEEE arithmetic), the parametrix FFTs from numpy.fft, and the mean of |y|
+in the lower bound from a closed-form integrand in pure Python.
 """
 
 from .model import (

@@ -24,17 +24,12 @@ from .gaussianref import (
     KernelSpec,
     cone_constant,
     hessian_spectral_bounds,
-    kernel_density,
-    kernel_mean_cov,
+    kernel_norm_mean,
     kinetic_root,
 )
 from .model import Case, GaussParams, GrowthSpec
-from .quadrature import adaptive_1d, tensor_quad_2d
-from .simulate import RngSpec, normals
 
 SQRT13 = math.sqrt(13.0)
-# Monte Carlo samples of gamma(F) for d >= 3
-_MC_SAMPLES = 200_000
 
 
 def concentration_alpha(case: Case, c: float, T: float) -> float:
@@ -171,7 +166,6 @@ def lower_tail_bound(
 class LowerBias:
     value: float
     gamma_term: float  # mean of F under the c^{-1} kernel
-    mc_se: float | None  # standard error when the mean came from sampling
 
 
 def lower_bias(
@@ -180,56 +174,25 @@ def lower_bias(
     C: float,
     T: float,
     alpha: float,
-    f,
     x,
     growth: GrowthSpec,
     floor: float,
-    d: int,
-    rng: RngSpec,
 ) -> LowerBias:
     """Bias (1 + sqrt 2) sqrt(alpha log C) + gamma(F) + rho0 beta - floor,
     where floor is inf F over the rho0 sphere.
 
-    gamma(F) integrates F against the c^{-1} kernel started at x, by
-    quadrature for d <= 2 and otherwise by Monte Carlo over the normals of
-    rng (with reported standard error).  f must be vectorized over (m, d)
-    point arrays.
+    F is the norm |y|, the one functional preset that grows
+    (harness.sphere_floor), so gamma(F), its mean under the c^{-1} kernel
+    started at x, is kernel_norm_mean.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    spec = KernelSpec(case, 1.0 / c, T, x)
-    mean, cov = kernel_mean_cov(spec)
-    mc_se = None
-    widths = np.sqrt(np.diag(cov))
-    if d == 1:
-        gamma_term = adaptive_1d(
-            lambda u: float(f(np.array([[u]]))[0] * kernel_density(spec, np.array([u]))),
-            mean[0] - 12.0 * widths[0],
-            mean[0] + 12.0 * widths[0],
-            tol=1e-9,
-        )
-    elif d == 2:
-        box = [(m - 10.0 * w, m + 10.0 * w) for m, w in zip(mean, widths)]
-        # composite panels keep kinks in f (norms) from stalling the rule
-        gamma_term = tensor_quad_2d(
-            lambda pts: np.asarray(f(pts)) * kernel_density(spec, pts),
-            box,
-            n_per_dim=40,
-            check_tol=1e-6,
-            panels=8,
-        )
-    else:
-        draws = mean + normals(rng, _MC_SAMPLES, d) @ np.linalg.cholesky(cov).T
-        vals = np.asarray(f(draws), dtype=float)
-        gamma_term = float(vals.mean())
-        mc_se = float(vals.std(ddof=1) / math.sqrt(_MC_SAMPLES))
-
+    gamma_term = kernel_norm_mean(KernelSpec(case, 1.0 / c, T, x))
     value = (
         (1.0 + math.sqrt(2.0)) * math.sqrt(alpha * math.log(C))
         + gamma_term
         + growth.rho0 * growth.beta
         - floor
     )
-    return LowerBias(value=value, gamma_term=float(gamma_term), mc_se=mc_se)
+    return LowerBias(value=value, gamma_term=gamma_term)
 
 
 @dataclass(frozen=True)
@@ -242,26 +205,24 @@ class LowerBound:
 
 def lower_bound(
     case: Case,
-    d: int,
     gauss: GaussParams,
     T: float,
     alpha: float,
     growth: GrowthSpec,
     floor: float,
-    f,
     x,
-    rng: RngSpec,
     theta: float | None = None,
 ) -> LowerBound:
-    """Lower rate and lower bias; theta defaults to 2 in odd d.
+    """Lower rate and lower bias of F = |y| started at x; theta defaults to
+    2 in odd d.
 
     alpha is the upper-side constant of the functional at hand (the
     time-normalized one for kinetic functionals of (v, z/T)); it enters the
-    bias only, as does floor, the infimum of f over the rho0 sphere.  rng
-    keys the random draws of the bias.
+    bias only, as does floor, the infimum of F over the rho0 sphere.
     """
+    d = np.size(x)
     if case is not Case.KINETIC and d % 2 == 1 and theta is None:
         theta = 2.0
     rate = lower_rate(case, d, gauss.c, T, growth.rho0, gauss.C, growth.cone_measure, theta=theta)
-    bias = lower_bias(case, gauss.c, gauss.C, T, alpha, f, x, growth, floor, d, rng)
+    bias = lower_bias(case, gauss.c, gauss.C, T, alpha, x, growth, floor)
     return LowerBound(rate=rate, bias=bias)

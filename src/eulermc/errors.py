@@ -29,10 +29,6 @@ class NumericError(EulermcError):
     exit_code = 3
 
 
-class ToleranceError(NumericError):
-    """A quadrature or iteration did not reach its accuracy target."""
-
-
 class TruncationError(NumericError):
     """Too much probability mass falls outside a truncated grid."""
 

@@ -55,10 +55,9 @@ _MATRIX_CAP_BYTES = 2**27
 # alike on every host
 _MAX_THREADS = 256
 
-# The streams a run reads.  The simulation reads (master_seed, stream_id),
-# the control run stream_id + 1 and the Monte Carlo gamma(F) of the lower
-# bound (d >= 3) stream_id + 2.
-_SIMULATION, _CONTROL, _LOWER = 0, 1, 2
+# The streams a run reads: the simulation (master_seed, stream_id), the
+# control run stream_id + 1.
+_SIMULATION, _CONTROL = 0, 1
 
 
 def _finite(name: str, value) -> float:
@@ -217,18 +216,14 @@ def start_point(cfg: ExperimentConfig, model: SdeModel) -> np.ndarray:
     return x0
 
 
-def _stream(cfg: ExperimentConfig, offset: int) -> RngSpec:
-    return RngSpec(cfg.master_seed, cfg.stream_id + offset)
-
-
 def _simulate(
     cfg: ExperimentConfig, model, tgrid, M: int, offset: int = _SIMULATION, start: int = 0
 ):
     """(M, d) terminal samples from the configured start on stream offset,
     for the sample indices start to start + M - 1."""
     return simulate_terminal(
-        model, tgrid, start_point(cfg, model), _stream(cfg, offset), M, threads=cfg.threads,
-        sample_offset=start,
+        model, tgrid, start_point(cfg, model), RngSpec(cfg.master_seed, cfg.stream_id + offset),
+        M, threads=cfg.threads, sample_offset=start,
     )
 
 
@@ -396,10 +391,11 @@ def _alpha_for(cfg: ExperimentConfig, model: SdeModel) -> float:
     return conc.concentration_alpha(model.case, cfg.c, cfg.T)
 
 
-def _bound_constants(cfg: ExperimentConfig, model: SdeModel, f):
-    """(alpha, delta, constants): the upper-side constant alpha of f, the bias
-    delta, and, when rho0 and beta set a growth spec, the lower-bound
-    constants of f, whose preset must then grow (sphere_floor); else None."""
+def _bound_constants(cfg: ExperimentConfig, model: SdeModel):
+    """(alpha, delta, constants): the upper-side constant alpha of the
+    functional, the bias delta, and, when rho0 and beta set a growth spec,
+    the lower-bound constants, whose functional must then grow
+    (sphere_floor); else None."""
     gauss = GaussParams(cfg.c, cfg.C)
     alpha = _alpha_for(cfg, model)
     delta = conc.domination_bias(gauss.C, alpha)
@@ -410,8 +406,7 @@ def _bound_constants(cfg: ExperimentConfig, model: SdeModel, f):
         return alpha, delta, None
     floor = sphere_floor(cfg.functional, growth)
     lower = conc.lower_bound(
-        model.case, model.d, gauss, cfg.T, alpha, growth, floor, f, start_point(cfg, model),
-        _stream(cfg, _LOWER), theta=cfg.theta,
+        model.case, gauss, cfg.T, alpha, growth, floor, start_point(cfg, model), theta=cfg.theta,
     )
     rate, bias = lower.rate, lower.bias
     return alpha, delta, {
@@ -419,7 +414,6 @@ def _bound_constants(cfg: ExperimentConfig, model: SdeModel, f):
         "bar_alpha_inv": rate.inv_alpha,
         "bar_delta": bias.value,
         "gamma_F": bias.gamma_term,
-        "gamma_F_se": bias.mc_se,
         "F_floor": floor,
         "theta": rate.theta,
     }
@@ -489,7 +483,7 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> dict:
     model = build_model(cfg)
     tgrid = build_grid(cfg)
     f = make_functional(cfg, model, tgrid)
-    alpha, delta, constants = _bound_constants(cfg, model, f)
+    alpha, delta, constants = _bound_constants(cfg, model)
     r_grid = (
         np.asarray(cfg.r_grid, dtype=float)
         if cfg.r_grid is not None
@@ -631,8 +625,8 @@ def run_density_check(cfg: ExperimentConfig) -> dict:
 def run_bound_table(cfg: ExperimentConfig) -> dict:
     """All concentration constants plus confidence radii for an eps list."""
     model = build_model(cfg)
-    tgrid = build_grid(cfg)
-    alpha, delta, constants = _bound_constants(cfg, model, make_functional(cfg, model, tgrid))
+    make_functional(cfg, model, build_grid(cfg))  # refuses an unknown preset
+    alpha, delta, constants = _bound_constants(cfg, model)
     rows = []
     for eps in cfg.eps:
         radius = conc.confidence_radius(eps, cfg.M, alpha)
@@ -782,10 +776,10 @@ _BOUND = ("c", "C", "functional", "rho0", "beta", "cone", "theta")
 
 # command -> (the config fields it reads, its runner).  A field read on some
 # paths only is listed too: control_factor (a control run), grid_points and
-# grid_radius (CK mode), the streams of bounds (gamma_F in d >= 3).
+# grid_radius (CK mode).
 COMMANDS = {
     "simulate": ((*_SCHEME, *_STREAMS, "M", "export_binary"), _simulate_files),
-    "bounds": ((*_SCHEME, *_STREAMS, *_BOUND, "M", "eps"), _bounds_files),
+    "bounds": ((*_SCHEME, *_BOUND, "M", "eps"), _bounds_files),
     "concentration": (
         (*_SCHEME, *_STREAMS, *_BOUND, "M", "num_batches", "control_factor", "r_grid", "num_r"),
         _concentration_files,

@@ -5,11 +5,10 @@ each chunk reads one counter-based Philox stream derived from
 (master_seed, stream_id, chunk index), drawn step by step.  The normals of
 a sample depend on its index alone, so batches are bitwise reproducible no
 matter how work is split across threads.  Every random draw of the package
-goes through _chunk_normals: simulate_terminal reads it step by step, and
-normals reads one step of it.  Words become normals by the package's own
-inverse normal CDF, Cephes ndtri on fdlibm's log in numpy integer and
-IEEE arithmetic, so the streams need no scipy and do not depend on numpy's
-SIMD dispatch.
+goes through _chunk_normals, which simulate_terminal reads step by step.
+Words become normals by the package's own inverse normal CDF, Cephes ndtri
+on fdlibm's log in numpy integer and IEEE arithmetic, so the streams need
+no scipy and do not depend on numpy's SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -203,14 +202,6 @@ def _chunk_normals(rng: RngSpec, c: int, lo: int, hi: int, ndraw: int, steps: in
             row[:] = bitgen.random_raw(width)
             bitgen.advance(skip)
         yield from _word_normals(words[:, :, cols]).transpose(0, 2, 1)
-
-
-def normals(rng: RngSpec, n: int, k: int) -> np.ndarray:
-    """(n, k) standard normals: the step-0 normals of samples 0 to n - 1,
-    read as a k-coordinate scheme step would read them."""
-    starts = range(0, n, _CHUNK)
-    chunks = [_chunk_normals(rng, i // _CHUNK, 0, min(_CHUNK, n - i), k, 1) for i in starts]
-    return np.concatenate([next(chunk) for chunk in chunks])
 
 
 def euler_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.ndarray:

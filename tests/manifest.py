@@ -32,11 +32,13 @@ COMMANDS = {
     "readme-control-geodesic": [
         "control-geodesic", "--set", "control_x=[0,0]", "--set", "control_x_prime=[0,1]",
     ],
-    # lower-bound constants: quadrature gamma_F in d <= 2, Monte Carlo in d = 3
+    # lower-bound constants: gamma_F is E|Y| by one deterministic integral
     "lower-bounds-d1": ["bounds", *_LOWER],
     "lower-bounds-d2": ["bounds", "--set", "d=2", "--set", "x0=[0,0]", *_LOWER],
+    "lower-bounds-d2-off-origin": ["bounds", "--set", "d=2", "--set", "x0=[0.3,-1.0]", *_LOWER],
     "lower-bounds-d3": ["bounds", "--set", "d=3", "--set", "x0=[0,0,0]", *_LOWER],
     "lower-bounds-kinetic": ["bounds", *_KINETIC, *_LOWER],
+    "lower-bounds-kinetic-off-origin": ["bounds", *_KINETIC[:4], "--set", "x0=[1,0.5]", *_LOWER],
     # M = 1 leaves some lower-bound radii testable, so lower_empirical is not empty
     "lower-concentration-d2": [
         "concentration", "--set", "d=2", "--set", "x0=[0,0]", "--set", "M=1",
@@ -55,6 +57,7 @@ COMMANDS = {
     "simulate-M-eps": ["simulate", "--set", "M=50", "--set", "eps=[0.1]"],
     "bounds-M": ["bounds", "--set", "M=50"],
     "bounds-M-density-samples": ["bounds", "--set", "M=50", "--set", "density_samples=5"],
+    "bounds-M-seed": ["bounds", "--set", "M=50", "--seed", "5"],
     "seed-minus-one": ["simulate", *_SEED, "--seed", "-1", "--set", "stream_id=-1"],
     "seed-two-64-minus-one": [
         "simulate", *_SEED, "--seed", str(2**64 - 1), "--set", f"stream_id={2**64 - 1}",
@@ -65,12 +68,14 @@ COMMANDS = {
 
 # label pairs that give the same run, so they must write the same bytes,
 # config-hash line included: a field the command does not read (M for
-# control-geodesic, eps for simulate, density_samples for bounds), a Philox
-# key equal mod 2**64, and a start point given once for every coordinate
+# control-geodesic, eps for simulate, density_samples and the seed for
+# bounds), a Philox key equal mod 2**64, and a start point given once for
+# every coordinate
 SAME_RUN = [
     ("readme-control-geodesic", "control-geodesic-M"),
     ("simulate-M", "simulate-M-eps"),
     ("bounds-M", "bounds-M-density-samples"),
+    ("bounds-M", "bounds-M-seed"),
     ("seed-minus-one", "seed-two-64-minus-one"),
     ("kinetic-x0-one", "kinetic-x0-two"),
 ]

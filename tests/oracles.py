@@ -1,8 +1,11 @@
 """Reference implementations that tests compare the package against.
 
-None of this code runs in a CLI command.  The semigroup residual checks the
-kernels p_c by quadrature (acceptance criterion 02), the radial tail closed
-forms are compared with quadrature (criterion 04), the Gram-matrix form
+None of this code runs in a CLI command.  Adaptive Gauss-Kronrod (scipy's
+quad) in 1-d and composite tensor Gauss-Legendre in 2-d are the quadrature
+rules of the oracles.  The semigroup residual checks the kernels p_c by
+quadrature (acceptance criterion 02), the radial tail closed
+forms are compared with quadrature (criterion 04), the closed-form means
+of |Y| for Gaussian Y check gaussianref.kernel_norm_mean, the Gram-matrix form
 of the optimal control cross-checks control.optimal_control, and
 Philox4x64-10 in numpy uint64 arithmetic checks the words that
 np.random.Philox gives eulermc.simulate, and a scalar port of its normal
@@ -15,14 +18,72 @@ import math
 import struct
 
 import numpy as np
+from scipy.integrate import quad
 from scipy.special import erfc
 
 from eulermc.control import ControlProblem
-from eulermc.errors import ArgumentError
+from eulermc.errors import ArgumentError, NumericError
 from eulermc.gaussianref import KernelSpec, _transport, kernel_density, kernel_normalizer
 from eulermc.model import Case
-from eulermc.quadrature import adaptive_1d, tensor_quad_2d
+from eulermc.quadrature import gauss_legendre
 from eulermc.simulate import _P0, _P1, _P2, _Q0, _Q1, _Q2
+
+
+def adaptive_1d(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+    """Adaptive Gauss-Kronrod integral of f over [lo, hi].
+
+    Raises NumericError when the reported error estimate exceeds tol
+    relative to max(1, |result|).
+    """
+    value, abserr = quad(f, lo, hi, epsabs=tol * 1e-2, epsrel=tol * 1e-2, limit=200)
+    if abserr > tol * max(1.0, abs(value)):
+        raise NumericError(
+            f"1-d quadrature error estimate {abserr:.2e} above tolerance {tol:.2e}"
+        )
+    return value
+
+
+def composite_gauss_legendre(lo: float, hi: float, panels: int, n: int = 16):
+    """Composite Gauss-Legendre rule: `panels` panels of n points each."""
+    edges = np.linspace(lo, hi, panels + 1)
+    nodes = []
+    weights = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        x, w = gauss_legendre(a, b, n)
+        nodes.append(x)
+        weights.append(w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def tensor_quad_2d(
+    f, box, n_per_dim: int = 160, check_tol: float | None = None, panels: int = 1
+):
+    """Integrate f over the box [(lo0, hi0), (lo1, hi1)].
+
+    f must accept an (m, 2) array of points and return m values.  Each
+    dimension uses `panels` Gauss-Legendre panels of n_per_dim points;
+    composite panels keep convergence fast when f has kinks.  When
+    check_tol is given the rule is re-evaluated at half resolution and a
+    NumericError is raised if the two results differ by more than
+    check_tol * max(1, |result|).
+    """
+
+    def run(n):
+        x0, w0 = composite_gauss_legendre(box[0][0], box[0][1], panels, n)
+        x1, w1 = composite_gauss_legendre(box[1][0], box[1][1], panels, n)
+        pts = np.stack(np.meshgrid(x0, x1, indexing="ij"), axis=-1).reshape(-1, 2)
+        vals = f(pts).reshape(x0.size, x1.size)
+        return float(w0 @ vals @ w1)
+
+    value = run(n_per_dim)
+    if check_tol is not None:
+        coarse = run(max(8, n_per_dim // 2))
+        if abs(value - coarse) > check_tol * max(1.0, abs(value)):
+            raise NumericError(
+                f"2-d quadrature refinement gap {abs(value - coarse):.2e} "
+                f"above tolerance {check_tol:.2e}"
+            )
+    return value
 
 
 def kernel_density_from(case: Case, c: float, t: float, u, xp) -> np.ndarray:
@@ -129,6 +190,18 @@ def semigroup_residual(
         val = tensor_quad_2d(integrand, box, n_per_dim=n_nodes, check_tol=check_tol)
     target = float(kernel_density(KernelSpec(case, c, spec.t, x), xp))
     return abs(val - target)
+
+
+def folded_normal_mean(mu: float, s: float) -> float:
+    """E|Y| for Y ~ N(mu, s^2); s sqrt(2/pi) at mu = 0."""
+    return s * math.sqrt(2 / math.pi) * math.exp(-mu * mu / (2 * s * s)) + mu * math.erf(
+        mu / (s * math.sqrt(2))
+    )
+
+
+def noncentral_chi3_mean(a: float) -> float:
+    """E|Y| for Y ~ N(m, I_3) with |m| = a > 0."""
+    return math.sqrt(2 / math.pi) * math.exp(-a * a / 2) + (a + 1 / a) * math.erf(a / math.sqrt(2))
 
 
 def _tail_pieces(d: int, x: float):

@@ -28,9 +28,8 @@ from eulermc.gaussianref import (
 from eulermc.harness import ExperimentConfig, run_concentration_experiment, run_density_check
 from eulermc.model import Case, SchemeGrid, model_preset
 from eulermc.parametrix import chapman_kolmogorov_density, default_grid, parametrix_series
-from eulermc.quadrature import tensor_quad_2d
 from eulermc.simulate import kinetic_step
-from oracles import radial_tail, semigroup_residual
+from oracles import radial_tail, semigroup_residual, tensor_quad_2d
 
 
 REPORT_LINES: list[str] = []

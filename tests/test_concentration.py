@@ -8,7 +8,7 @@ from eulermc import concentration as conc
 from eulermc.errors import ArgumentError
 from eulermc.gaussianref import hessian_spectral_bounds
 from eulermc.model import Case, GaussParams, GrowthSpec, sphere_surface_measure
-from eulermc.simulate import RngSpec
+from oracles import folded_normal_mean, noncentral_chi3_mean
 
 SQ13 = math.sqrt(13.0)
 
@@ -206,36 +206,26 @@ def test_lower_tail_bound():
 def test_wasserstein_bound():
     # the transport part of the lower bias composes the W1 bounds
     # sqrt(alpha log C) and sqrt(alpha log C^2) into (1 + sqrt 2) sqrt(alpha log C);
-    # a constant F leaves only that part and rho0 beta
+    # the rest is gamma(F) + rho0 beta - floor
     alpha, C = 1.7, 2.5
     bias = conc.lower_bias(
-        Case.NONDEGENERATE, 1.0, C, 1.0, alpha,
-        lambda x: np.full(np.asarray(x).shape[0], 4.2), np.zeros(1),
-        GrowthSpec(1.5, 0.7, sphere_surface_measure(1)), 4.2, 1, RngSpec(0),
+        Case.NONDEGENERATE, 1.0, C, 1.0, alpha, np.zeros(1),
+        GrowthSpec(1.5, 0.7, sphere_surface_measure(1)), 1.5,
     )
     w1 = math.sqrt(alpha * math.log(C)) + math.sqrt(alpha * math.log(C * C))
-    assert bias.value - 1.5 * 0.7 == pytest.approx(w1, rel=1e-9)
-
-
-def test_lower_bias_constant_functional():
-    growth = GrowthSpec(1.5, 0.7, sphere_surface_measure(1))
-    bias = conc.lower_bias(
-        Case.NONDEGENERATE, 1.0, 1.0, 1.0, 2.0,
-        lambda x: np.full(np.asarray(x).shape[0], 4.2), np.zeros(1), growth, 4.2, 1, RngSpec(0),
-    )
-    assert bias.value == pytest.approx(1.5 * 0.7, rel=1e-9)
+    assert bias.value - bias.gamma_term - 1.5 * 0.7 + 1.5 == pytest.approx(w1, rel=1e-9)
 
 
 def test_lower_bias_halfnormal_mean():
-    # mean of |y - x| under the c^{-1} kernel (variance c T) is sqrt(2 c T / pi)
-    c, T = 1.0, 1.0
+    # gamma(F) of |y| under the c^{-1} kernel (variance c T) started at x is
+    # the folded normal mean; at x = 0, sqrt(2 c T / pi)
     growth = GrowthSpec(1.0, 1.0, sphere_surface_measure(1))
-    bias = conc.lower_bias(
-        Case.NONDEGENERATE, c, 1.0, T, 2.0,
-        lambda x: np.abs(np.asarray(x)[:, 0] - 0.5), np.array([0.5]), growth, 0.5, 1,
-        RngSpec(0),
-    )
-    assert bias.gamma_term == pytest.approx(math.sqrt(2 * c * T / math.pi), rel=1e-8)
+
+    def gamma(c, T, x):
+        return conc.lower_bias(Case.NONDEGENERATE, c, 1.0, T, 2.0, [x], growth, 1.0).gamma_term
+
+    assert gamma(1.5, 2.0, 0.0) == pytest.approx(math.sqrt(2 * 1.5 * 2.0 / math.pi), rel=1e-12)
+    assert gamma(0.3, 1.0, -2.5) == pytest.approx(folded_normal_mean(-2.5, math.sqrt(0.3)), rel=1e-12)
 
 
 def test_lower_bias_floor_of_norm():
@@ -245,29 +235,22 @@ def test_lower_bias_floor_of_norm():
     growth = GrowthSpec(1.3, 1.0, sphere_surface_measure(2))
 
     def bias(floor):
-        return conc.lower_bias(
-            Case.NONDEGENERATE, 1.0, 1.0, 1.0, 2.0,
-            lambda x: np.linalg.norm(np.asarray(x), axis=-1), np.zeros(2), growth, floor, 2,
-            RngSpec(0),
-        )
+        return conc.lower_bias(Case.NONDEGENERATE, 1.0, 1.0, 1.0, 2.0, np.zeros(2), growth, floor)
 
     exact = bias(1.3)
     assert exact.value == pytest.approx(exact.gamma_term, rel=1e-15)
     assert bias(1.0).value - exact.value == pytest.approx(0.3, rel=1e-12)
 
 
-def test_lower_bias_mc_path_reports_se():
-    # d = 3 takes gamma(F) by Monte Carlo; for F = |y| at x = 0 the c^{-1}
-    # kernel (covariance c T I) gives sqrt(c T) times the chi_3 mean sqrt(8/pi)
-    c, T = 1.5, 1.0
+def test_lower_bias_gamma_is_the_noncentral_chi3_mean():
+    # with unit covariance (c T = 1) |y| is noncentral chi_3 with a = |x|:
+    # mean sqrt(2/pi) e^{-a^2/2} + (a + 1/a) erf(a/sqrt 2); at x = 0 sqrt(8/pi)
     growth = GrowthSpec(1.0, 1.0, sphere_surface_measure(3))
-    bias = conc.lower_bias(
-        Case.NONDEGENERATE, c, 1.0, T, 2.0,
-        lambda x: np.linalg.norm(np.asarray(x), axis=-1), np.zeros(3), growth, 1.0, 3,
-        RngSpec(0),
-    )
-    assert bias.mc_se is not None and bias.mc_se < 0.01
-    assert abs(bias.gamma_term - math.sqrt(8.0 * c * T / math.pi)) < 4 * bias.mc_se
+    for x in ([0.5, 0.5, 0.5], [0.0, -2.0, 0.1], [3.0, 4.0, 12.0]):
+        bias = conc.lower_bias(Case.NONDEGENERATE, 2.0, 1.0, 0.5, 2.0, np.array(x), growth, 1.0)
+        assert bias.gamma_term == pytest.approx(noncentral_chi3_mean(math.hypot(*x)), rel=1e-12)
+    bias = conc.lower_bias(Case.NONDEGENERATE, 1.0, 1.0, 1.0, 2.0, np.zeros(3), growth, 1.0)
+    assert bias.gamma_term == pytest.approx(math.sqrt(8 / math.pi), rel=1e-12)
 
 
 def test_lower_bound_assembly_pipeline():
@@ -275,8 +258,7 @@ def test_lower_bound_assembly_pipeline():
     growth = GrowthSpec(1.0, 1.0, sphere_surface_measure(2))
     alpha = conc.concentration_alpha(Case.NONDEGENERATE, 1.0, 1.0)
     lb = conc.lower_bound(
-        Case.NONDEGENERATE, 2, GaussParams(1.0, 1.0), 1.0, alpha, growth, 1.0,
-        lambda x: np.linalg.norm(np.asarray(x), axis=-1), np.zeros(2), RngSpec(0),
+        Case.NONDEGENERATE, GaussParams(1.0, 1.0), 1.0, alpha, growth, 1.0, np.zeros(2),
     )
     assert lb.rate.chi == 0.0
     assert lb.rate.inv_alpha == pytest.approx(0.5, rel=1e-14)

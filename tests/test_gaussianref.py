@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from eulermc.errors import ArgumentError
+from eulermc.errors import ArgumentError, NumericError
 from eulermc.gaussianref import (
     KernelSpec,
     cone_constant,
@@ -13,13 +13,13 @@ from eulermc.gaussianref import (
     kernel_density,
     kernel_exponent,
     kernel_mean_cov,
+    kernel_norm_mean,
     kernel_normalizer,
     kinetic_metric,
 )
 from eulermc.model import Case, model_preset
-from eulermc.quadrature import tensor_quad_2d
 from eulermc.simulate import kinetic_step
-from oracles import radial_tail, semigroup_residual
+from oracles import folded_normal_mean, radial_tail, semigroup_residual, tensor_quad_2d
 
 
 def spec_a(c=1.0, t=1.0, x=(0.0,)):
@@ -225,6 +225,37 @@ def test_mean_cov_matches_samples(numpy_normals):
     draws = kinetic_step(m, 0.0, x, s.t, numpy_normals(5, (200_000, 2)))
     assert np.allclose(draws.mean(axis=0), mean, atol=4e-3)
     assert np.allclose(np.cov(draws.T), cov, atol=6e-3)
+
+
+def test_norm_mean_closed_forms():
+    # spec_a(c, t, x) has covariance (t/c) I; d = 1 is the folded normal, and
+    # d = 2 at the origin the Rayleigh mean sqrt(pi/2) sqrt(t/c)
+    for c, t, x in ((1.0, 1.0, 0.0), (0.5, 2.0, 0.0), (0.5, 2.0, 0.7), (2.0, 1.0, -3.0)):
+        want = folded_normal_mean(x, math.sqrt(t / c))
+        assert kernel_norm_mean(spec_a(c, t, (x,))) == pytest.approx(want, rel=1e-12)
+    for c, t in ((1.0, 1.0), (1 / 1.5, 2.0)):
+        want = math.sqrt(math.pi / 2) * math.sqrt(t / c)
+        assert kernel_norm_mean(spec_a(c, t, (0.0, 0.0))) == pytest.approx(want, rel=1e-12)
+
+
+def test_norm_mean_at_extreme_scales():
+    # the problem is scaled before the integral in log s, so a kernel far
+    # wider or narrower than 1 keeps the same relative accuracy
+    for c, x in ((1e-6, 1e3), (1e6, 1e3), (1e6, 0.0), (1e-300, 1e-200)):
+        want = folded_normal_mean(x, math.sqrt(1.0 / c))
+        assert kernel_norm_mean(spec_a(c, 1.0, (x,))) == pytest.approx(want, rel=1e-12)
+    with pytest.raises(NumericError, match="finite, positive scale"):
+        kernel_norm_mean(spec_a(1e-300, 1e300))
+
+
+def test_norm_mean_kinetic_matches_sampling(numpy_normals):
+    # the kinetic covariance has one 2x2 (v_k, z_k) block per coordinate
+    s = spec_b(c=0.8, t=1.3, x=(0.3, -1.0, 0.5, 0.2))
+    mean, cov = kernel_mean_cov(s)
+    n = 1_000_000
+    norms = np.linalg.norm(mean + numpy_normals(17, (n, 4)) @ np.linalg.cholesky(cov).T, axis=1)
+    se = norms.std(ddof=1) / math.sqrt(n)
+    assert abs(kernel_norm_mean(s) - norms.mean()) < 4 * se
 
 
 def test_normalizer_closed_form():

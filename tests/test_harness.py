@@ -74,8 +74,8 @@ def test_config_hash_treats_integral_numbers_as_floats():
     assert config_hash("simulate", cfg_with()) == "040bb56623e3"
     assert config_hash("simulate", cfg_with(T=1)) == "040bb56623e3"
     kinetic = dict(preset="kinetic", dp=1, T=2.0)
-    assert config_hash("bounds", cfg_with(**kinetic, x0=[0.0, 0.0])) == "a3eb5a4b4add"
-    assert config_hash("bounds", cfg_with(**kinetic, x0=[0, 0])) == "a3eb5a4b4add"
+    assert config_hash("bounds", cfg_with(**kinetic, x0=[0.0, 0.0])) == "d5bead3ee840"
+    assert config_hash("bounds", cfg_with(**kinetic, x0=[0, 0])) == "d5bead3ee840"
     assert config_hash("simulate", cfg_with(x0=[0])) == config_hash("simulate", cfg_with(x0=[0.0]))
     # a scalar x0 is the one-element list it broadcasts like
     assert config_hash("simulate", cfg_with(x0=0.0)) == "040bb56623e3"
@@ -450,16 +450,19 @@ def test_bound_table_lower_constants_pipeline():
     assert consts["chi"] == 0.0
     assert consts["bar_alpha_inv"] == pytest.approx(0.5, rel=1e-14)
     assert consts["F_floor"] == 1.0
-    assert consts["gamma_F_se"] is None  # gamma(F) by quadrature
+    # gamma(F) is the Rayleigh mean sqrt(pi/2) of |y| under the unit kernel
+    assert consts["gamma_F"] == pytest.approx(math.sqrt(math.pi / 2), rel=1e-12)
+    assert "gamma_F_se" not in consts
 
 
 def test_bound_table_lower_constants_d3():
     # the floor of abs is rho0 exactly, not a minimum over sampled
-    # directions; d = 3 takes gamma(F) by Monte Carlo and reports its error
+    # directions; gamma(F) is exact in d = 3 too, whatever the seed
     cfg = cfg_with(d=3, x0=[0.0, 0.0, 0.0], functional="abs", rho0=1.0, beta=1.0)
     consts = run_bound_table(cfg)["constants"]
     assert consts["F_floor"] == 1.0
-    assert 0.0 < consts["gamma_F_se"] < 0.01
+    assert consts["gamma_F"] == pytest.approx(math.sqrt(8 / math.pi), rel=1e-12)
+    assert run_bound_table(dataclasses.replace(cfg, master_seed=5))["constants"] == consts
 
 
 @settings(max_examples=50, deadline=None)
@@ -502,16 +505,15 @@ def test_concentration_lower_bias_uses_normalized_alpha():
     # for the alpha passed in
     cfg = cfg_with(
         preset="kinetic", x0=[0.0, 0.0], functional="asian-diff", rho0=0.5, beta=1.0,
-        T=1.5, C=1.5, master_seed=3,
+        T=1.5, C=1.5,
     )
-    model, tgrid = build_model(cfg), build_grid(cfg)
+    model = build_model(cfg)
     alpha = conc.concentration_alpha_normalized(1.0, 1.5)
     assert run_bound_table(dataclasses.replace(cfg, rho0=None, beta=None))["alpha_T"] == alpha
     floor = -0.5 * math.sqrt((1.0 + 1.5**-2) / 2.0)  # -rho0 |grad F|
     lower = conc.lower_bound(
-        model.case, model.d, GaussParams(cfg.c, cfg.C), cfg.T, alpha,
-        harness.growth_spec(cfg, model), floor, make_functional(cfg, model, tgrid),
-        harness.start_point(cfg, model), harness._stream(cfg, harness._LOWER),
+        model.case, GaussParams(cfg.c, cfg.C), cfg.T, alpha, harness.growth_spec(cfg, model),
+        floor, harness.start_point(cfg, model),
     )
     first = lower.bias.value - lower.bias.gamma_term - 0.5 * 1.0 + floor
     assert first == pytest.approx((1 + math.sqrt(2)) * math.sqrt(alpha * math.log(1.5)), rel=1e-12)
@@ -564,7 +566,7 @@ def test_bounds_and_concentration_report_equal_constants():
     cfg = cfg_with(functional="abs", rho0=1.0, beta=1.0, M=20, num_batches=30)
     consts = run_bound_table(cfg)["constants"]
     assert set(consts) == {
-        "chi", "bar_alpha_inv", "bar_delta", "gamma_F", "gamma_F_se", "F_floor", "theta",
+        "chi", "bar_alpha_inv", "bar_delta", "gamma_F", "F_floor", "theta",
     }
     assert run_concentration_experiment(cfg)["constants"] == consts
 

@@ -5,7 +5,6 @@ import pytest
 
 from eulermc.errors import ConfigError, InvalidModelError
 from eulermc.model import Case, GaussParams, SchemeGrid, model_preset, sphere_surface_measure
-from eulermc.simulate import RngSpec, normals
 
 
 def test_identity_diffusion_passes():
@@ -31,9 +30,9 @@ def test_sine_drift_bound_detected_on_dense_samples():
     assert sup_drift <= m.L0
 
 
-def test_positive_definite_along_sampled_directions():
+def test_positive_definite_along_sampled_directions(numpy_normals):
     # <a xi, xi> stays inside [1/lambda0, lambda0] for the default lambda0
-    g = normals(RngSpec(4), 128, 3)
+    g = numpy_normals(4, (128, 3))
     dirs = g / np.linalg.norm(g, axis=1, keepdims=True)
     m = model_preset("const", d=3, sigma0=0.7)
     ratios = np.einsum("ni,ij,nj->n", dirs, m.diffusion(0.0, np.zeros(3)), dirs)

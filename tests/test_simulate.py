@@ -19,7 +19,6 @@ from eulermc.simulate import (
     _word_normals,
     euler_step,
     kinetic_step,
-    normals,
     simulate_terminal,
 )
 from oracles import _philox4x64, chunk_words, fdlibm_log, word_normals
@@ -285,13 +284,13 @@ def test_normals_are_the_first_step_of_a_run():
     # one unit Euler step from 0 with sigma = I adds exactly the step-0
     # normals; 4100 samples reach into chunk 1
     n, k = _CHUNK + 4, 2
-    z = normals(RngSpec(6, 2), n, k)
     m = model_preset("const", d=k)
     run = simulate_terminal(m, SchemeGrid(T=1.0, N=1), [0.0, 0.0], RngSpec(6, 2), n)
-    assert z.shape == (n, k)
-    assert np.array_equal(z, run)
+    assert run.shape == (n, k)
+    # sample 0, coordinates 0 and 1: words 0 and 4096 of chunk 0
+    assert np.array_equal(run[0], word_normals(chunk_words(6, 2, 0, [0, _CHUNK])))
     # sample 4097, coordinate 1: word 1 * 4096 + 1 of chunk 1
-    assert z[_CHUNK + 1, 1] == word_normals(chunk_words(6, 2, 1, [_CHUNK + 1]))[0]
+    assert run[_CHUNK + 1, 1] == word_normals(chunk_words(6, 2, 1, [_CHUNK + 1]))[0]
 
 
 def test_terminal_law_exact_for_constant_coefficients():
