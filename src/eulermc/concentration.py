@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, NumericError
 from .gaussianref import (
     KernelSpec,
     cone_constant,
@@ -99,6 +99,7 @@ def growth_penalty(
     Kinetic (even d only):
       log((pi/T)^{d/2} [T^2 + 3(1 + sqrt(1 + T^2/3 + T^4/9))]^{d/2} C
           / K(d, A))_+ / rho0^2.
+    chi is 0 where rho0^2 overflows and inf where it underflows to 0.
     """
     if rho0 <= 0:
         raise ArgumentError("rho0 must be positive")
@@ -111,12 +112,19 @@ def growth_penalty(
         if T is None or T <= 0:
             raise ArgumentError("kinetic penalty needs T > 0")
         inner = (math.pi / T) ** (d / 2) * (T * T + 3.0 * (1.0 + kinetic_root(T))) ** (d / 2)
-        return _log_plus(inner * C / K) / rho0**2
-    if d % 2 == 0:
-        return _log_plus(math.pi ** (d / 2) * C / K) / rho0**2
-    if theta is None or theta <= 1:
+        numerator = _log_plus(inner * C / K)
+    elif d % 2 == 0:
+        numerator = _log_plus(math.pi ** (d / 2) * C / K)
+    elif theta is None or theta <= 1:
         raise ArgumentError("odd dimensions need theta > 1")
-    return _log_plus(math.pi ** (d / 2) * C / (K * math.acos(theta**-0.5))) / rho0**2
+    else:
+        numerator = _log_plus(math.pi ** (d / 2) * C / (K * math.acos(theta**-0.5)))
+    try:
+        return numerator / rho0**2 if numerator > 0 else 0.0
+    except OverflowError:  # rho0^2 is past the float range
+        return 0.0
+    except ZeroDivisionError:  # rho0^2 underflows to 0
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -159,7 +167,11 @@ def lower_tail_bound(
     """2 exp(-M inv_rate max(r/beta, rho0)^2); constant plateau below beta rho0."""
     if r <= 0 or M < 1:
         raise ArgumentError("need r > 0 and M >= 1")
-    return 2.0 * math.exp(-M * inv_rate * max(r / beta, rho0) ** 2)
+    try:
+        square = max(r / beta, rho0) ** 2
+    except OverflowError:  # past the float range: the bound is 0
+        return 0.0
+    return 2.0 * math.exp(-M * inv_rate * square)
 
 
 @dataclass(frozen=True)
@@ -186,12 +198,13 @@ def lower_bias(
     started at x, is kernel_norm_mean.
     """
     gamma_term = kernel_norm_mean(KernelSpec(case, 1.0 / c, T, x))
-    value = (
-        (1.0 + math.sqrt(2.0)) * math.sqrt(alpha * math.log(C))
-        + gamma_term
-        + growth.rho0 * growth.beta
-        - floor
-    )
+    log_term = (1.0 + math.sqrt(2.0)) * math.sqrt(alpha * math.log(C))
+    slope_term = growth.rho0 * growth.beta
+    value = log_term + gamma_term + slope_term - floor
+    # slope_term - floor cancels at beta = 1, after a large rho0 has rounded gamma_F away
+    exact = math.fsum((log_term, gamma_term, slope_term, -floor))
+    if abs(value - exact) > 1e-9 * abs(exact):
+        raise NumericError(f"rho0 beta = {slope_term!r} swamps gamma_F in bar_delta = {value!r}")
     return LowerBias(value=value, gamma_term=gamma_term)
 
 

@@ -171,7 +171,10 @@ def kinetic_metric(t: float, x, xp, d_prime: int) -> float:
 
 def kinetic_root(T: float) -> float:
     """sqrt(1 + T^2/3 + T^4/9), the root in the kinetic potential's spectrum."""
-    return math.sqrt(1.0 + T * T / 3.0 + T**4 / 9.0)
+    try:
+        return math.sqrt(1.0 + T * T / 3.0 + T**4 / 9.0)
+    except OverflowError:
+        raise NumericError(f"the kinetic spectrum at T = {T!r} overflows (T^4)") from None
 
 
 def hessian_spectral_bounds(case: Case, c: float, T: float):
@@ -186,6 +189,8 @@ def hessian_spectral_bounds(case: Case, c: float, T: float):
         root = kinetic_root(T)
         lo = c / T + 3.0 * c / T**3 * (1.0 - root)
         hi = c / T + 3.0 * c / T**3 * (1.0 + root)
+        if not lo > 0.0:
+            raise NumericError(f"the smallest kinetic eigenvalue at T = {T!r} cancels to {lo!r}")
         return lo, hi
     return c / T, c / T
 

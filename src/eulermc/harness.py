@@ -24,7 +24,7 @@ import numpy as np
 
 from . import concentration as conc
 from .errors import ArgumentError, ConfigError, NumericError, StatisticsError
-from .gaussianref import KernelSpec, kernel_density
+from .gaussianref import KernelSpec, kernel_density, kernel_mean_cov, kernel_norm_mean
 from .model import (
     Case,
     GaussParams,
@@ -159,6 +159,9 @@ class ExperimentConfig:
         cfg = cls(**{f.name: _coerce(f.name, f.type, raw[f.name]) for f in fields if f.name in raw})
         if min(cfg.M, cfg.num_batches, cfg.d, cfg.dp, cfg.num_r, cfg.control_factor) < 1:
             raise ConfigError("M, num_batches, d, dp, num_r and control_factor must be >= 1")
+        for name in ("r_grid", "eps", "c_grid"):
+            if getattr(cfg, name) == []:
+                raise ConfigError(f"{name} must not be empty")
         if not 1 <= cfg.threads <= _MAX_THREADS:
             raise ConfigError(f"threads must lie in [1, {_MAX_THREADS}], got {cfg.threads}")
         # the Philox key is taken mod 2**64: -1 and 2**64 - 1 are one stream
@@ -272,9 +275,20 @@ def sphere_floor(functional: str, growth: GrowthSpec) -> float:
     return growth.rho0
 
 
-def _gaussian_twin(cfg: ExperimentConfig):
-    """(preset, model) of the preset's exact-Gaussian twin, whose damp is 0,
-    else None.
+def _gaussian_law(preset: str, cfg: ExperimentConfig, x0: np.ndarray, T: float):
+    """The terminal law of a preset that simulates a kernel p_c exactly, as
+    that kernel, else None: const gives p_c(T, x0 + b0 T, .) with
+    c = 1/sigma0^2, and kinetic, whose exact step at damp = 0 has no drift,
+    gives p_c(T, x0, .) with c = 2/sigma0^2.  The caller checks damp."""
+    if preset == "const":  # b0 has 1 or d entries
+        return KernelSpec(Case.NONDEGENERATE, 1.0 / cfg.sigma0**2, T, x0 + np.asarray(cfg.b0) * T)
+    if preset == "kinetic":
+        return KernelSpec(Case.KINETIC, 2.0 / cfg.sigma0**2, T, x0)
+    return None
+
+
+def _gaussian_twin(cfg: ExperimentConfig, x0: np.ndarray, T: float):
+    """(model, law) of the preset's exact-Gaussian twin, else None.
 
     The twin drops the nonlinear coefficients and keeps the noise: const
     (sigma0 = 1, b0 = 0, the defaults a trig config keeps) for trig, kinetic
@@ -284,51 +298,19 @@ def _gaussian_twin(cfg: ExperimentConfig):
     preset's own fields (a_amp, b_amp) under another preset.
     """
     if cfg.preset == "trig":
-        return "const", model_preset("const")
+        return model_preset("const"), _gaussian_law("const", cfg, x0, T)
     if cfg.preset == "kinetic":
-        return "kinetic", model_preset("kinetic", dp=cfg.dp, sigma0=cfg.sigma0)
+        twin = model_preset("kinetic", dp=cfg.dp, sigma0=cfg.sigma0)
+        return twin, _gaussian_law("kinetic", cfg, x0, T)
     return None
 
 
-def _ndtr(a: float) -> float:
-    """Standard normal CDF, in the branches of Cephes ndtr."""
-    x = a * math.sqrt(0.5)
-    if abs(x) < math.sqrt(0.5):
-        return 0.5 + 0.5 * math.erf(x)
-    y = 0.5 * math.erfc(abs(x))
-    return 1.0 - y if x > 0 else y
-
-
-def analytic_reference(
-    cfg: ExperimentConfig, model: SdeModel, tgrid: SchemeGrid, preset=None, damp=None
-):
-    """Closed-form E[f(X_T)] for the Gaussian presets; None when unknown.
-    preset and damp, when given, stand for cfg's (those of a Gaussian twin)."""
-    preset = cfg.preset if preset is None else preset
-    damp = cfg.damp if damp is None else damp
-    x0 = start_point(cfg, model)
-    T = tgrid.T
-    if preset == "const":
-        b = np.broadcast_to(np.asarray(cfg.b0, dtype=float), (model.d,))
-        mean = x0 + b * T
-        if cfg.functional == "identity":
-            return float(mean[0])
-        if cfg.functional == "sum":
-            return float(mean.sum() / math.sqrt(model.d))
-        if cfg.functional == "abs" and model.d == 1:
-            mu, s = float(mean[0]), cfg.sigma0 * math.sqrt(T)
-            return s * math.sqrt(2.0 / math.pi) * math.exp(-(mu**2) / (2 * s * s)) + mu * (
-                1.0 - 2.0 * _ndtr(-mu / s)
-            )
-    if preset == "kinetic" and damp == 0.0:
-        dp = model.d_prime
-        mean_v = x0[:dp]
-        mean_z = x0[dp:] + x0[:dp] * T
-        if cfg.functional == "identity":
-            return float(mean_v[0])
-        if cfg.functional == "asian-diff":
-            return float((mean_v - mean_z / T).sum() / math.sqrt(2.0 * dp))
-    return None
+def analytic_reference(functional: str, f, law: KernelSpec) -> float:
+    """E f(Y) for Y under the kernel law: kernel_norm_mean for abs, and
+    f(E Y) for the linear presets identity, sum and asian-diff."""
+    if functional == "abs":
+        return kernel_norm_mean(law)
+    return float(f(kernel_mean_cov(law)[0]))
 
 
 def _table_grid(cfg: ExperimentConfig, model: SdeModel, tgrid: SchemeGrid, x: float) -> Grid1D:
@@ -409,6 +391,10 @@ def _bound_constants(cfg: ExperimentConfig, model: SdeModel):
         model.case, gauss, cfg.T, alpha, growth, floor, start_point(cfg, model), theta=cfg.theta,
     )
     rate, bias = lower.rate, lower.bias
+    if not (math.isfinite(rate.inv_alpha) and math.isfinite(bias.value)):
+        raise NumericError(
+            f"bar_alpha_inv = {rate.inv_alpha} and bar_delta = {bias.value} must be finite"
+        )
     return alpha, delta, {
         "chi": rate.chi,
         "bar_alpha_inv": rate.inv_alpha,
@@ -429,38 +415,38 @@ def _default_r_grid(cfg: ExperimentConfig, alpha: float) -> np.ndarray:
 
 
 def reference_mean(cfg: ExperimentConfig, model, tgrid, f, r_min: float):
-    """(E f(X_T), standard error): the analytic reference when there is one,
-    else a control run on stream stream_id + 1 whose standard error must
-    fall below r_min / 10 (StatisticsError otherwise).
+    """(E f(X_T), standard error): the reference of the preset's exact law
+    (_gaussian_law), else a control run on stream stream_id + 1 whose
+    standard error must fall below r_min / 10 (StatisticsError otherwise).
 
-    With a Gaussian twin that has an analytic reference, the control run
-    estimates the mean of f(X) - f(X_twin) on shared normals and adds the
-    twin's reference.  It starts at one chunk of samples and doubles until
+    With a Gaussian twin (trig, damped kinetic), the control run estimates
+    the mean of f(X) - f(X_twin) on shared normals and adds the reference
+    of the twin's law.  It starts at one chunk of samples and doubles until
     the standard error meets the target; samples [0, n) alone give the
     estimate at size n.  Other presets simulate the whole cap at once.
     Either way the run stops at the cap, control_factor * M * num_batches
     samples, and r_min = 0 runs to the cap.
     """
-    ref = analytic_reference(cfg, model, tgrid)
-    if ref is not None:
-        return float(ref), 0.0
+    x0 = start_point(cfg, model)
+    law = _gaussian_law(cfg.preset, cfg, x0, tgrid.T) if cfg.damp == 0.0 else None
+    if law is not None:
+        return analytic_reference(cfg.functional, f, law), 0.0
     cap = cfg.control_factor * cfg.M * cfg.num_batches
     if cap < 2:
         raise StatisticsError(
             f"control_factor * M * num_batches = {cap}: a control run needs at least "
             "2 samples for a standard error"
         )
-    twin = _gaussian_twin(cfg)
-    twin_ref = None if twin is None else analytic_reference(cfg, twin[1], tgrid, twin[0], 0.0)
+    twin = _gaussian_twin(cfg, x0, tgrid.T)
 
     def values(lo: int, hi: int) -> np.ndarray:
         """f(X), less f(X_twin) when there is a twin, for samples [lo, hi)."""
         out = np.asarray(f(_simulate(cfg, model, tgrid, hi - lo, _CONTROL, lo)), dtype=float)
-        if twin_ref is not None:
-            out -= f(_simulate(cfg, twin[1], tgrid, hi - lo, _CONTROL, lo))
+        if twin is not None:
+            out -= f(_simulate(cfg, twin[0], tgrid, hi - lo, _CONTROL, lo))
         return out
 
-    n = cap if twin_ref is None else min(_CHUNK, cap)
+    n = cap if twin is None else min(_CHUNK, cap)
     vals = values(0, n)
     se = float(vals.std(ddof=1) / math.sqrt(n))
     while n < cap and se >= r_min / 10.0:
@@ -472,7 +458,8 @@ def reference_mean(cfg: ExperimentConfig, model, tgrid, f, r_min: float):
             f"control-run standard error {se:.3e} >= r_min/10 = {r_min / 10:.3e}"
         )
     mean = vals.mean()
-    return float(mean if twin_ref is None else twin_ref + mean), se
+    ref = mean if twin is None else analytic_reference(cfg.functional, f, twin[1]) + mean
+    return float(ref), se
 
 
 def run_concentration_experiment(cfg: ExperimentConfig) -> dict:
@@ -564,8 +551,6 @@ def run_density_check(cfg: ExperimentConfig) -> dict:
         if cfg.c_grid is not None
         else np.geomspace(0.25, 4.0, 241)
     )
-    if c_grid.size == 0:
-        raise ConfigError("c_grid must not be empty")
 
     if cfg.density_mode == "ck":
         grid = _table_grid(cfg, model, tgrid, float(x0[0]))

@@ -128,32 +128,33 @@ def _gauss(y, mean, var, flush=False):
     return out
 
 
-def _coeffs(model: SdeModel, t: float, pts: np.ndarray):
-    """Drift and diffusion values along a vector of scalar points."""
+def _step_moments(model: SdeModel, tgrid: SchemeGrid, steps, pts):
+    """Yield (b delta, a delta) at (t_k, pts) for each step k in steps: the
+    mean shift and the variance of one scheme step from each scalar point.
+    The model's drift and diffusion are called once per step."""
     xs = np.asarray(pts, dtype=float).reshape(-1, 1)
-    b = np.asarray(model.drift(t, xs), dtype=float).reshape(-1)
-    a = np.asarray(model.diffusion(t, xs), dtype=float).reshape(-1)
-    return b, a
+    for k in steps:
+        b = np.asarray(model.drift(tgrid.times[k], xs), dtype=float).reshape(-1)
+        a = np.asarray(model.diffusion(tgrid.times[k], xs), dtype=float).reshape(-1)
+        yield b * tgrid.delta, a * tgrid.delta
 
 
 def one_step_density(model: SdeModel, tgrid: SchemeGrid, j: int, x: float, xp):
     """Scheme one-step density: Gaussian with mean x + b(t_j, x) delta and
     variance a(t_j, x) delta, evaluated at xp (vectorized over xp)."""
     _check_1d_case_a(model)
-    b, a = _coeffs(model, tgrid.times[j], np.array([x]))
-    return _gauss(np.asarray(xp, dtype=float), x + b[0] * tgrid.delta, a[0] * tgrid.delta)
+    ((bd, ad),) = _step_moments(model, tgrid, [j], [x])
+    return _gauss(np.asarray(xp, dtype=float), x + bd[0], ad[0])
 
 
-def _frozen_sums(model: SdeModel, tgrid: SchemeGrid, j: int, j_prime: int, at: np.ndarray):
-    """Accumulated frozen drift and variance over steps j .. j'-1, frozen at
-    the points in `at`."""
-    drift_sum = np.zeros_like(at, dtype=float)
-    var_sum = np.zeros_like(at, dtype=float)
-    for i in range(j, j_prime):
-        b, a = _coeffs(model, tgrid.times[i], at)
-        drift_sum += b * tgrid.delta
-        var_sum += a * tgrid.delta
-    return drift_sum, var_sum
+def _running_sums(moments, n: int):
+    """Yield the frozen drift and variance sums over the first 1, 2, ...
+    steps of moments, summed in step order into one pair of buffers."""
+    drift_sum, var_sum = np.zeros(n), np.zeros(n)
+    for bd, ad in moments:
+        drift_sum += bd
+        var_sum += ad
+        yield drift_sum, var_sum
 
 
 def frozen_density(model: SdeModel, tgrid: SchemeGrid, j: int, j_prime: int, x: float, xp):
@@ -166,37 +167,36 @@ def frozen_density(model: SdeModel, tgrid: SchemeGrid, j: int, j_prime: int, x: 
     if not 0 <= j < j_prime <= tgrid.N:
         raise ArgumentError("need 0 <= j < j' <= N")
     xp = np.asarray(xp, dtype=float)
-    scalar = xp.ndim == 0
     flat = np.atleast_1d(xp)
-    drift_sum, var_sum = _frozen_sums(model, tgrid, j, j_prime, flat)
+    moments = _step_moments(model, tgrid, range(j, j_prime), flat)
+    *_, (drift_sum, var_sum) = _running_sums(moments, flat.size)
     vals = _gauss(flat, x + drift_sum, var_sum)
-    return float(vals[0]) if scalar else vals
+    return float(vals[0]) if xp.ndim == 0 else vals
 
 
-def _one_step_matrix(pts: np.ndarray, b, a, delta: float, flush: bool = False):
+def _one_step_matrix(pts: np.ndarray, bd, ad, flush: bool = False):
     """Q[u, w] = one-step density from pts[u] evaluated at pts[w], given the
-    drift b and diffusion a at pts."""
-    return _gauss(pts[None, :], (pts + b * delta)[:, None], (a * delta)[:, None], flush)
+    step moments bd = b delta and ad = a delta at pts."""
+    return _gauss(pts[None, :], (pts + bd)[:, None], ad[:, None], flush)
 
 
-def _built_per_change(model, tgrid, steps, pts, build):
-    """Yield build(b, a) for each step k in steps, with b and a the drift and
-    diffusion at (t_k, pts).  A step whose two vectors equal those of the
-    last build bit for bit gets that build again, so time-independent
-    coefficients are built once and time-dependent ones at every step."""
+def _built_per_change(moments, build):
+    """Yield build(bd, ad) for each step's moments (_step_moments).  A step
+    whose two vectors equal those of the last build bit for bit gets that
+    build again, so time-independent coefficients are built once and
+    time-dependent ones at every step."""
     built_from = None
-    for k in steps:
-        b, a = _coeffs(model, tgrid.times[k], pts)
-        key = (b.tobytes(), a.tobytes())
+    for bd, ad in moments:
+        key = (bd.tobytes(), ad.tobytes())
         if key != built_from:
             built = None  # frees the last build before the next is made
-            built, built_from = build(b, a), key
+            built, built_from = build(bd, ad), key
         yield built
 
 
 def _frozen_tail(pts, drift_sum, var_sum):
     """psi[z, w] = frozen-at-z density from pts[w] to pts[z], given the frozen
-    drift and variance sums at pts[z] (see _frozen_sums)."""
+    drift and variance sums at pts[z] (see _running_sums)."""
     return _gauss((pts - drift_sum)[:, None], pts[None, :], var_sum[:, None], flush=True)
 
 
@@ -218,18 +218,17 @@ def _fast_len(m: int) -> int:
 _BLOCK = 64  # rows of z per FFT batch; 128 or more ran slower at n = 401 and 601 (2-core x86-64)
 
 
-def _shift_kernel_spectra(pts: np.ndarray, b, a, delta: float) -> list:
+def _shift_kernel_spectra(pts: np.ndarray, bd, ad) -> list:
     """rfft(G[z-block], L) for the blocks of _BLOCK rows of the shift
     kernels G[z, m + n - 1] = density of one step frozen at pts[z] at
-    displacement h * m, m in [-(n-1), n-1], given the drift b and diffusion
-    a at pts.  G is built one block at a time and not kept."""
+    displacement h * m, m in [-(n-1), n-1], given the step moments
+    bd = b delta and ad = a delta at pts.  G is built one block at a time
+    and not kept."""
     n = pts.shape[0]
     L = _fast_len(2 * n - 1)
     disp = (pts[1] - pts[0]) * np.arange(-(n - 1), n)
-    mean = b * delta
-    var = a * delta
     return [
-        np.fft.rfft(_gauss(disp[None, :], mean[z, None], var[z, None], flush=True), L)
+        np.fft.rfft(_gauss(disp[None, :], bd[z, None], ad[z, None], flush=True), L)
         for z in (slice(z0, z0 + _BLOCK) for z0 in range(0, n, _BLOCK))
     ]
 
@@ -309,10 +308,10 @@ def parametrix_series(
     x at w minus the step frozen at z, and the same contraction gives the
     delta H(t_j, t_m, x, .) part of T_1[m].
 
-    The one-step matrix Q and the shift-kernel spectra of step l depend on l
-    only through b(t_l, .) and a(t_l, .) on the grid.  They are built again
-    only when those two vectors differ in some bit from the ones of the last
-    build, so a model with time-independent coefficients builds them once.
+    The model is read once per step, as b(t_k, .) delta and a(t_k, .) delta
+    on the grid, and T_0 and each frozen tail psi are running sums of them.
+    Q and the shift-kernel spectra are built again only when the vectors of
+    step l change in some bit, so time-independent coefficients build them once.
     """
     _check_1d_case_a(model)
     steps = j_prime - j
@@ -322,36 +321,32 @@ def parametrix_series(
         raise ArgumentError("need 0 <= r_max <= j' - j")
     pts = grid.points
     tw = grid.weights()
-    delta = tgrid.delta
     n = grid.n_points
+    # moments[k - j] = (b delta, a delta) at (t_k, pts), k = j .. j'-1
+    moments = list(_step_moments(model, tgrid, range(j, j_prime), pts))
 
-    def step_kernels(b, a):
-        Q = _one_step_matrix(pts, b, a, delta, flush=True)
-        return Q, _shift_kernel_spectra(pts, b, a, delta)
+    def step_kernels(bd, ad):
+        return _one_step_matrix(pts, bd, ad, flush=True), _shift_kernel_spectra(pts, bd, ad)
 
-    kernels = _built_per_change(model, tgrid, range(j + 1, j_prime), pts, step_kernels)
+    kernels = _built_per_change(moments[1:], step_kernels)
 
     # T[r, m - j] = T_r[m]; T_r[m] vanishes for r > m - j
     T = np.zeros((r_max + 1, steps + 1, n))
-    for m in range(j + 1, j_prime + 1):
-        T[0, m - j] = frozen_density(model, tgrid, j, m, x, pts)
+    for m, (drift_sum, var_sum) in enumerate(_running_sums(moments, n), j + 1):
+        T[0, m - j] = _gauss(pts, x + drift_sum, var_sum)
     for l in range(j, j_prime if r_max else j):
         rows = min(r_max, l - j + 1)
         if l == j:
-            b, a = _coeffs(model, tgrid.times[j], pts)
-            frozen = _gauss(pts[None, :], x + (b * delta)[:, None], (a * delta)[:, None], flush=True)
+            bd, ad = moments[0]
+            frozen = _gauss(pts[None, :], x + bd[:, None], ad[:, None], flush=True)
             D = (one_step_density(model, tgrid, j, x, pts) - frozen)[None]
         else:
             D = _onestep_defect(tw * T[:rows, l - j], *next(kernels))
         out = T[1 : rows + 1]
         out[:, l + 1 - j] += np.diagonal(D, axis1=1, axis2=2)
         D *= tw
-        drift_sum = np.zeros(n)
-        var_sum = np.zeros(n)
-        for m in range(l + 2, j_prime + 1):
-            b, a = _coeffs(model, tgrid.times[m - 1], pts)
-            drift_sum += b * delta
-            var_sum += a * delta
+        tails = _running_sums(moments[l + 1 - j :], n)
+        for m, (drift_sum, var_sum) in enumerate(tails, l + 2):
             psi = _frozen_tail(pts, drift_sum, var_sum)
             out[:, m - j] += np.einsum("rzw,zw->rz", D, psi)
 
@@ -387,12 +382,13 @@ def chapman_kolmogorov_density(
     if loss > mass_tol:
         raise TruncationError(f"initial step loses mass {loss:.2e} > {mass_tol:.0e}")
 
-    def step_matrix(b, a):
-        Q = _one_step_matrix(pts, b, a, tgrid.delta)
+    def step_matrix(bd, ad):
+        Q = _one_step_matrix(pts, bd, ad)
         return Q, Q @ tw
 
     steps = range(j + 1, j_prime)
-    for k, (Q, row_mass) in zip(steps, _built_per_change(model, tgrid, steps, pts, step_matrix)):
+    matrices = _built_per_change(_step_moments(model, tgrid, steps, pts), step_matrix)
+    for k, (Q, row_mass) in zip(steps, matrices):
         step_loss = float(tw @ (dens * (1.0 - row_mass)))
         if step_loss > mass_tol:
             raise TruncationError(

@@ -48,6 +48,11 @@ COMMANDS = {
     # control runs: no closed-form mean for trig or damped kinetic
     "control-trig": ["concentration", "--set", 'preset="trig"', *_CONTROL],
     "control-kinetic": ["concentration", *_KINETIC, "--set", "damp=0.5", *_CONTROL],
+    # kinetic abs: the twin's exact E|X_T| under damping, the preset's own at damp = 0
+    "control-kinetic-abs": [
+        "concentration", *_KINETIC, "--set", "damp=0.5", "--set", 'functional="abs"', *_CONTROL,
+    ],
+    "exact-kinetic-abs": ["concentration", *_KINETIC, "--set", 'functional="abs"', *_CONTROL],
     # one side of each SAME_RUN pair
     "control-geodesic-M": [
         "control-geodesic", "--set", "control_x=[0,0]", "--set", "control_x_prime=[0,1]",

@@ -204,6 +204,32 @@ def noncentral_chi3_mean(a: float) -> float:
     return math.sqrt(2 / math.pi) * math.exp(-a * a / 2) + (a + 1 / a) * math.erf(a / math.sqrt(2))
 
 
+def norm_mean_2d(mean, cov) -> float:
+    """E|Y| for Y ~ N(mean, cov) in the plane, in polar coordinates.
+
+    Along the direction u the exponent is -(a r^2 - 2 b r + q) / 2 with
+    a = u'P u, b = u'P m, q = m'P m (P the inverse covariance), whose
+    integral of r^2 over r > 0 is a normal partial moment; quad integrates
+    the result over the angle.
+    """
+    m = np.asarray(mean, dtype=float)
+    P = np.linalg.inv(np.asarray(cov, dtype=float))
+    q = float(m @ P @ m)
+
+    def along(theta):
+        u = np.array([math.cos(theta), math.sin(theta)])
+        a, b = float(u @ P @ u), float(u @ P @ m)
+        mu, s = b / a, 1.0 / math.sqrt(a)
+        z = mu / s
+        moment = (mu * mu + s * s) * 0.5 * erfc(-z / math.sqrt(2)) + mu * s * math.exp(
+            -z * z / 2
+        ) / math.sqrt(2 * math.pi)
+        return math.exp(b * b / (2 * a) - q / 2) * s * math.sqrt(2 * math.pi) * moment
+
+    total = quad(along, 0.0, 2 * math.pi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return total / (2 * math.pi * math.sqrt(np.linalg.det(cov)))
+
+
 def _tail_pieces(d: int, x: float):
     # integration by parts: Q_d = x^{d-2} e^{-x^2/2} + (d-2) Q_{d-2}
     if d % 2 == 0:

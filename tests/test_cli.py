@@ -202,6 +202,9 @@ CONFIG_ERRORS = [
     ["concentration", "--set", "M=10", "--set", "num_batches=20", "--set", "control_factor=-1"],
     # |b0| squared overflows; the grid check must still be the only line
     ["parametrix", "--set", "b0=[1e200]", "--set", "grid_points=101", "--set", "N=2"],
+    # an empty list would run in full and write a header with no rows
+    ["concentration", "--set", "r_grid=[]"],
+    ["bounds", "--set", "eps=[]"],
 ]
 CONFIG_ERROR_IDS = [
     "out-dir-under-file", "cone-not-a-number", "empty-c-grid", "M-string", "N-float",
@@ -213,6 +216,7 @@ CONFIG_ERROR_IDS = [
     "bounds-identity-no-growth", "bounds-abs-beta-above-one", "bounds-unknown-functional", "bounds-asian-diff-const",
     "rho0-without-beta", "beta-without-rho0", "num-r-negative", "control-empty-endpoints",
     "control-factor-zero", "control-factor-negative", "parametrix-b0-huge",
+    "empty-r-grid", "empty-eps",
 ]
 
 
@@ -234,6 +238,7 @@ def test_huge_constant_drift_simulates_without_warnings(tmp_path, capsys):
 
 
 _ABS_GROWTH = ["--set", 'functional="abs"', "--set", "rho0=1", "--set", "beta=1"]
+_KINETIC = ["--set", 'preset="kinetic"', "--set", "dp=1", "--set", "x0=[0,0]"]
 
 # argv of bad inputs that exit 3 with one line, and their test ids
 NUMERIC_ERRORS = [
@@ -252,11 +257,19 @@ NUMERIC_ERRORS = [
     # the c^{-1} kernel's variance c T overflows (gamma_F read 0) or underflows
     ["bounds", "--set", "c=1e300", "--set", "T=1e10", *_ABS_GROWTH],
     ["bounds", "--set", "c=1e-300", "--set", "T=1e-30", *_ABS_GROWTH],
+    # chi = log(...) / rho0^2 overflows once rho0^2 underflows
+    ["bounds", *_ABS_GROWTH[:2], "--set", "beta=1", "--set", "rho0=1e-300"],
+    # rho0 beta - F_floor cancels to 0 and takes gamma_F with it
+    ["bounds", *_ABS_GROWTH[:2], "--set", "beta=1", "--set", "rho0=1e200"],
+    # T^4 in the kinetic spectrum overflows; at T = 1e20 lambda_min cancels to 0
+    ["bounds", *_KINETIC, "--set", "T=1e200"],
+    ["bounds", *_KINETIC, "--set", "T=1e20"],
 ]
 NUMERIC_ERROR_IDS = [
     "parametrix-truncated-grid", "sigma0-overflow", "bounds-alpha-inf", "conc-alpha-inf",
     "control-energy-inf", "conc-batch-mean-overflow", "control-tiny-t",
-    "gamma-variance-overflow", "gamma-variance-underflow",
+    "gamma-variance-overflow", "gamma-variance-underflow", "chi-overflow",
+    "bar-delta-cancels", "kinetic-root-overflow", "kinetic-lambda-min-cancels",
 ]
 
 
@@ -272,6 +285,18 @@ def test_bad_input_is_one_line_numeric_error(tmp_path, capsys, args):
 def test_off_origin_two_dimensional_lower_bound_runs(tmp_path):
     argv = ["bounds", "--set", "d=2", "--set", "x0=[0.3,-1.0]", *_ABS_GROWTH]
     assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+
+
+def test_lower_tail_bound_that_underflows_is_zero(tmp_path):
+    # at beta = 1e-300, (r / beta)^2 is past the float range for every r > 0
+    argv = [
+        "concentration", *_ABS_GROWTH[:2], "--set", "rho0=1", "--set", "beta=1e-300",
+        "--set", "M=1", "--set", "num_batches=50", "--out-dir", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    report = read_json(tmp_path / "concentration.json")
+    assert [bound for _, bound in report["lower_curve"]] == [0.0] * 19
+    assert report["lower_empirical"] == []
 
 
 def test_one_sample_control_run_is_refused_before_writing(tmp_path, capsys):

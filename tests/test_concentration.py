@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulermc import concentration as conc
-from eulermc.errors import ArgumentError
+from eulermc.errors import ArgumentError, NumericError
 from eulermc.gaussianref import hessian_spectral_bounds
 from eulermc.model import Case, GaussParams, GrowthSpec, sphere_surface_measure
 from oracles import folded_normal_mean, noncentral_chi3_mean
@@ -135,6 +135,15 @@ def test_growth_penalty_kinetic_display():
         conc.growth_penalty(Case.KINETIC, 3, 1.0, 1.0, 1.0, T=1.0)
 
 
+def test_growth_penalty_past_the_float_range_of_rho0_squared():
+    # d = 1: log(sqrt(pi) C / (K arccos(theta^-1/2)))_+ = log 2 > 0; d = 2: 0
+    def chi(rho0):
+        return conc.growth_penalty(Case.NONDEGENERATE, 1, rho0, 1.0, 2.0, theta=2.0)
+
+    assert (chi(1e-300), chi(1e200)) == (math.inf, 0.0)
+    assert conc.growth_penalty(Case.NONDEGENERATE, 2, 1e-300, 1.0, 2 * math.pi) == 0.0
+
+
 def test_lower_rate_case_a_even():
     rate = conc.lower_rate(Case.NONDEGENERATE, 2, 1.0, 1.0, 1.0, 1.0, 2 * math.pi)
     assert rate.chi == 0.0
@@ -201,6 +210,8 @@ def test_lower_tail_bound():
         2 * math.exp(-2.0)
     )
     assert conc.lower_tail_bound(3.0, 5, 0.5, 1.0, 1.0) < v1
+    # (r / beta)^2 past the float range: the bound underflows to exactly 0
+    assert conc.lower_tail_bound(0.5, 1, 0.5, 1e-300, 1.0) == 0.0
 
 
 def test_wasserstein_bound():
@@ -240,6 +251,14 @@ def test_lower_bias_floor_of_norm():
     exact = bias(1.3)
     assert exact.value == pytest.approx(exact.gamma_term, rel=1e-15)
     assert bias(1.0).value - exact.value == pytest.approx(0.3, rel=1e-12)
+
+
+def test_lower_bias_refuses_a_sum_that_rounding_cancels():
+    # rho0 beta - floor = 1e200 - 1e200 leaves gamma(F) as the bias, but
+    # the sum in float order rounds it away
+    growth = GrowthSpec(1e200, 1.0, sphere_surface_measure(1))
+    with pytest.raises(NumericError, match="swamps gamma_F"):
+        conc.lower_bias(Case.NONDEGENERATE, 1.0, 1.0, 1.0, 2.0, [0.0], growth, 1e200)
 
 
 def test_lower_bias_gamma_is_the_noncentral_chi3_mean():

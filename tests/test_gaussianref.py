@@ -184,6 +184,14 @@ def test_hessian_min_positive_on_log_grid():
         assert lo > 0
 
 
+def test_hessian_bounds_refuse_a_kinetic_horizon_past_the_float_range():
+    # T^4 overflows at T = 1e200; at T = 1e20, c/T + 3c/T^3 (1 - root)
+    # cancels to exactly 0
+    for T, match in ((1e200, "overflows"), (1e20, "cancels")):
+        with pytest.raises(NumericError, match=match):
+            hessian_spectral_bounds(Case.KINETIC, 1.0, T)
+
+
 def test_radial_tail_small_cases():
     assert radial_tail(2, 1.0) == pytest.approx(math.exp(-0.5), rel=1e-14)
     # M(4, x) = x^2 + 2

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from eulermc import concentration as conc
 from eulermc import harness
 from eulermc.errors import ConfigError, NumericError, StatisticsError
+from eulermc.gaussianref import KernelSpec
 from eulermc.harness import (
     ExperimentConfig,
     analytic_reference,
@@ -25,6 +26,7 @@ from eulermc.harness import (
 )
 from eulermc.model import MODEL_PRESETS, Case, GaussParams, GrowthSpec, SdeModel
 from eulermc.simulate import RngSpec, simulate_terminal
+from oracles import noncentral_chi3_mean, norm_mean_2d
 
 
 def cfg_with(**kw):
@@ -143,25 +145,56 @@ def test_load_config_roundtrip(tmp_path):
         load_config(str(p))
 
 
+def _exact_reference(**kw):
+    """The reference mean of a config whose preset simulates its law exactly,
+    which must come with standard error 0."""
+    cfg, model, tgrid, f = _control_setup(**kw)
+    ref, se = harness.reference_mean(cfg, model, tgrid, f, 0.01)
+    assert se == 0.0
+    return ref
+
+
 def test_analytic_references():
-    cfg = cfg_with(preset="const", d=1, b0=0.25, sigma0=1.0, T=2.0, functional="identity")
-    m = build_model(cfg)
-    tg = build_grid(cfg)
-    assert analytic_reference(cfg, m, tg) == pytest.approx(0.5)
-    cfg = cfg_with(preset="const", d=1, b0=0.0, sigma0=1.3, T=1.0, functional="abs")
-    m = build_model(cfg)
-    assert analytic_reference(cfg, m, build_grid(cfg)) == pytest.approx(
-        1.3 * math.sqrt(2 / math.pi)
-    )
-    cfg = cfg_with(preset="kinetic", dp=1, x0=[0.4, 0.0], functional="identity")
-    m = build_model(cfg)
-    assert analytic_reference(cfg, m, build_grid(cfg)) == pytest.approx(0.4)
-    cfg = cfg_with(preset="kinetic", dp=1, x0=[0.4, 0.1], T=2.0, functional="asian-diff")
-    m = build_model(cfg)
+    assert _exact_reference(preset="const", b0=0.25, T=2.0, functional="identity") == 0.5
+    want = 1.3 * math.sqrt(2 / math.pi)
+    ref = _exact_reference(preset="const", sigma0=1.3, functional="abs")
+    assert ref == pytest.approx(want, rel=1e-12)
+    assert _exact_reference(preset="kinetic", x0=[0.4, 0.0], functional="identity") == 0.4
     want = (0.4 - (0.1 + 0.4 * 2.0) / 2.0) / math.sqrt(2.0)
-    assert analytic_reference(cfg, m, build_grid(cfg)) == pytest.approx(want)
-    cfg = cfg_with(preset="trig", functional="identity")
-    assert analytic_reference(cfg, build_model(cfg), build_grid(cfg)) is None
+    ref = _exact_reference(preset="kinetic", x0=[0.4, 0.1], T=2.0, functional="asian-diff")
+    assert ref == pytest.approx(want, rel=1e-15)
+    for preset in ("trig", "sine-drift"):
+        assert harness._gaussian_law(preset, cfg_with(), np.zeros(1), 1.0) is None
+
+
+def test_const_abs_references_are_noncentral_chi_means():
+    from scipy.stats import rice
+
+    # X_T ~ N(x0 + b0 T, sigma0^2 T I): E|X_T| is a Rice mean in d = 2 and
+    # the noncentral chi_3 mean in d = 3
+    kw = dict(preset="const", sigma0=1.3, T=2.0, functional="abs")
+    s = 1.3 * math.sqrt(2.0)
+    ref = _exact_reference(d=2, x0=[0.3, -1.0], b0=[0.1, 0.2], **kw)
+    m = math.hypot(0.3 + 0.2, -1.0 + 0.4)
+    assert ref == pytest.approx(rice(b=m / s, scale=s).mean(), rel=1e-12)
+    ref = _exact_reference(d=3, x0=[0.5, 0.5, 0.5], **kw)
+    assert ref == pytest.approx(s * noncentral_chi3_mean(math.sqrt(0.75) / s), rel=1e-12)
+
+
+def test_undamped_kinetic_references_read_the_exact_law():
+    # at damp = 0, (v_T, z_T) ~ N((v0, z0 + v0 T), sigma0^2 [[T, T^2/2], [T^2/2, T^3/3]])
+    kw = dict(preset="kinetic", x0=[0.5, 0.2], sigma0=1.5, T=2.0)
+    mean = np.array([0.5, 0.2 + 0.5 * 2.0])
+    cov = 1.5**2 * np.array([[2.0, 2.0], [2.0, 8.0 / 3.0]])
+    assert _exact_reference(**kw, functional="identity") == 0.5
+    ref = _exact_reference(**kw, functional="sum")
+    assert ref == pytest.approx(mean.sum() / math.sqrt(2.0), rel=1e-15)
+    ref = _exact_reference(**kw, functional="abs")
+    assert ref == pytest.approx(norm_mean_2d(mean, cov), rel=1e-12)
+    # the sum of a unit-noise start at (0.5, 0.2), T = 1
+    assert _exact_reference(preset="kinetic", x0=[0.5, 0.2], functional="sum") == (
+        0.8485281374238569
+    )
 
 
 def test_normal_quantiles_match_scipy_stats():
@@ -169,22 +202,12 @@ def test_normal_quantiles_match_scipy_stats():
     from scipy.stats import norm
 
     assert harness._WILSON_Z99 == norm.ppf(0.99) == float(ndtri(0.99))
-    cfg = cfg_with(preset="const", d=1, x0=[0.1], b0=0.3, sigma0=1.3, T=2.0, functional="abs")
     mu, s = 0.1 + 0.3 * 2.0, 1.3 * math.sqrt(2.0)
     want = s * math.sqrt(2.0 / math.pi) * math.exp(-(mu**2) / (2 * s * s)) + mu * (
         1.0 - 2.0 * norm.cdf(-mu / s)
     )
-    assert analytic_reference(cfg, build_model(cfg), build_grid(cfg)) == want
-
-
-def test_normal_cdf_matches_scipy_ndtr():
-    from scipy.special import ndtr
-
-    xs = np.linspace(-37.0, 8.0, 4501)
-    got = np.array([harness._ndtr(float(x)) for x in xs])
-    assert harness._ndtr(0.0) == 0.5
-    # both round a / sqrt(2) first, an error that grows like a^2 in the tail
-    assert np.max(np.abs(got - ndtr(xs)) / ndtr(xs)) < 1e-13
+    ref = _exact_reference(preset="const", x0=[0.1], b0=0.3, sigma0=1.3, T=2.0, functional="abs")
+    assert ref == pytest.approx(want, rel=1e-12)
 
 
 def test_functionals_are_unit_lipschitz_samples():
@@ -309,8 +332,9 @@ def test_twin_control_run_of_a_martingale_centres_on_the_start():
     [
         dict(preset="trig", a_amp=0.5, b_amp=0.3, functional="abs", x0=[0.2], N=4),
         dict(preset="kinetic", damp=0.5, functional="asian-diff", x0=[0.5, 0.3], N=4),
+        dict(preset="kinetic", damp=0.5, functional="abs", x0=[0.5, 0.3], N=4),
     ],
-    ids=["trig-abs", "damped-kinetic-asian-diff"],
+    ids=["trig-abs", "damped-kinetic-asian-diff", "damped-kinetic-abs"],
 )
 def test_twin_control_run_agrees_with_a_long_plain_run(kw):
     cfg, model, tgrid, f = _control_setup(**kw)
@@ -341,13 +365,13 @@ def test_twin_control_run_without_a_target_runs_to_the_cap(monkeypatch):
     assert [(M, lo) for _, M, lo in calls] == [
         (4096, 0), (4096, 0), (4096, 4096), (4096, 4096), (4208, 8192), (4208, 8192),
     ]
-    twin_cfg = cfg_with(preset="const", functional="abs", x0=[0.2], N=4)
-    twin = build_model(twin_cfg)
+    twin = build_model(cfg_with(preset="const"))
     x0, rng = harness.start_point(cfg, model), RngSpec(cfg.master_seed, cfg.stream_id + 1)
     diff = f(simulate_terminal(model, tgrid, x0, rng, 12400)) - f(
         simulate_terminal(twin, tgrid, x0, rng, 12400)
     )
-    assert ref == analytic_reference(twin_cfg, twin, tgrid) + diff.mean()
+    law = KernelSpec(Case.NONDEGENERATE, 1.0, tgrid.T, x0)
+    assert ref == diff.mean() + analytic_reference("abs", f, law)
     assert se == diff.std(ddof=1) / math.sqrt(12400)
 
 

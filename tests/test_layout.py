@@ -17,6 +17,8 @@ ENTRY_POINTS = {
     "register_model_preset": "installs custom model coefficients; the README documents it",
     "main": "cli.main runs one command for in-process callers and the benchmark child",
     "script_entry": "the `eulermc` console script in pyproject.toml",
+    "frozen_density": "the benchmark traces it, and tests/test_parametrix.py checks it against "
+    "the scheme density; the series reads the same running sums (parametrix._running_sums)",
 }
 
 
@@ -78,8 +80,11 @@ def _dotted(node):
 
 def test_every_random_draw_reads_the_chunk_streams():
     # the package draws through eulermc.simulate's Philox chunk streams only:
-    # np.random.Philox is the one numpy random name it may use, and it never
-    # imports scipy.stats (its QMC engines and distributions draw their own)
+    # np.random.Philox is the one numpy random name it may use.  It imports no
+    # scipy module at all: scipy.stats has QMC engines and distributions that
+    # draw their own, and scipy is a test dependency only (pyproject.toml), so
+    # no run may load it; the CLI probes of tests/test_cli.py see only the
+    # commands they run
     found = []
     for module, tree in _trees().items():
         for node in ast.walk(tree):
@@ -97,8 +102,7 @@ def test_every_random_draw_reads_the_chunk_streams():
                 if (
                     name in _FOREIGN_RNG
                     or random and name.split(".")[2] != "Philox"
-                    or name == "scipy.stats"
-                    or name.startswith("scipy.stats.")
+                    or name.split(".")[0] == "scipy"
                 ):
                     found.append(f"{module}:{node.lineno}: {name}")
-    assert not found, f"random draws outside the chunk streams: {sorted(set(found))}"
+    assert not found, f"random draws outside the chunk streams, or scipy: {sorted(set(found))}"
