@@ -45,6 +45,11 @@ COMMANDS = {
         "--set", "num_batches=400", *_LOWER,
     ],
     "simulate-binary": ["simulate", "--set", "M=1000", "--set", "export_binary=true"],
+    # three interleaved columns and a last CSV block of 905 rows; the last
+    # chunk's columns end inside a 4-word Philox block
+    "simulate-d3": ["simulate", "--set", "d=3", "--set", "M=5001"],
+    # two draws per step, the same partial last chunk
+    "simulate-kinetic": ["simulate", *_KINETIC, "--set", "M=5001"],
     # control runs: no closed-form mean for trig or damped kinetic
     "control-trig": ["concentration", "--set", 'preset="trig"', *_CONTROL],
     "control-kinetic": ["concentration", *_KINETIC, "--set", "damp=0.5", *_CONTROL],
