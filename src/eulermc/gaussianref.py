@@ -181,16 +181,17 @@ def hessian_spectral_bounds(case: Case, c: float, T: float):
     """Smallest and largest eigenvalue of the potential Hessian.
 
     Non-degenerate case: both equal c/T.  Kinetic case:
-    c/T + (3c/T^3) (1 -/+ kinetic_root(T)).
+    c/T + (3c/T^3) (1 -/+ kinetic_root(T)).  The smallest is taken as
+    det/largest = 3c/(T (T^2 + 3 + 3 root)), which does not cancel as T grows.
     """
     if c <= 0 or T <= 0:
         raise ArgumentError("need c > 0 and T > 0")
     if case is Case.KINETIC:
         root = kinetic_root(T)
-        lo = c / T + 3.0 * c / T**3 * (1.0 - root)
+        lo = 3.0 * c / (T * (T * T + 3.0 + 3.0 * root))
         hi = c / T + 3.0 * c / T**3 * (1.0 + root)
         if not lo > 0.0:
-            raise NumericError(f"the smallest kinetic eigenvalue at T = {T!r} cancels to {lo!r}")
+            raise NumericError(f"the smallest kinetic eigenvalue at c = {c!r}, T = {T!r} underflows to 0")
         return lo, hi
     return c / T, c / T
 

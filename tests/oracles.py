@@ -14,6 +14,7 @@ map (Cephes ndtri on fdlibm's log) checks the normals it makes of them.
 
 from __future__ import annotations
 
+import decimal
 import math
 import struct
 
@@ -433,3 +434,14 @@ def ndtri(y0: float, log=fdlibm_log) -> float:
 def word_normals(words, log=fdlibm_log) -> np.ndarray:
     """Standard normals ndtri(((w >> 12) + 0.5) 2**-52), one per word."""
     return np.array([ndtri(((int(w) >> 12) + 0.5) * 2.0**-52, log) for w in np.ravel(words)])
+
+
+def kinetic_lambda_min(c: float, T: float) -> float:
+    """c/T + (3c/T^3) (1 - sqrt(1 + T^2/3 + T^4/9)), the smallest eigenvalue
+    of the kinetic potential Hessian, in 60-digit decimal arithmetic: the
+    cancellation costs at most 2 log10(T) + 1 of the 60 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        c, T = decimal.Decimal(c), decimal.Decimal(T)
+        root = (1 + T * T / 3 + T**4 / 9).sqrt()
+        return float(c / T + 3 * c / T**3 * (1 - root))

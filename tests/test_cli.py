@@ -261,15 +261,15 @@ NUMERIC_ERRORS = [
     ["bounds", *_ABS_GROWTH[:2], "--set", "beta=1", "--set", "rho0=1e-300"],
     # rho0 beta - F_floor cancels to 0 and takes gamma_F with it
     ["bounds", *_ABS_GROWTH[:2], "--set", "beta=1", "--set", "rho0=1e200"],
-    # T^4 in the kinetic spectrum overflows; at T = 1e20 lambda_min cancels to 0
+    # T^4 in the kinetic spectrum overflows; at c = 1e-300, T = 1e20 lambda_min underflows to 0
     ["bounds", *_KINETIC, "--set", "T=1e200"],
-    ["bounds", *_KINETIC, "--set", "T=1e20"],
+    ["bounds", *_KINETIC, "--set", "c=1e-300", "--set", "T=1e20"],
 ]
 NUMERIC_ERROR_IDS = [
     "parametrix-truncated-grid", "sigma0-overflow", "bounds-alpha-inf", "conc-alpha-inf",
     "control-energy-inf", "conc-batch-mean-overflow", "control-tiny-t",
     "gamma-variance-overflow", "gamma-variance-underflow", "chi-overflow",
-    "bar-delta-cancels", "kinetic-root-overflow", "kinetic-lambda-min-cancels",
+    "bar-delta-cancels", "kinetic-root-overflow", "kinetic-lambda-min-underflows",
 ]
 
 

@@ -19,7 +19,9 @@ from eulermc.gaussianref import (
 )
 from eulermc.model import Case, model_preset
 from eulermc.simulate import kinetic_step
-from oracles import folded_normal_mean, radial_tail, semigroup_residual, tensor_quad_2d
+from oracles import (
+    folded_normal_mean, kinetic_lambda_min, radial_tail, semigroup_residual, tensor_quad_2d,
+)
 
 
 def spec_a(c=1.0, t=1.0, x=(0.0,)):
@@ -184,12 +186,22 @@ def test_hessian_min_positive_on_log_grid():
         assert lo > 0
 
 
+def test_hessian_min_matches_decimal_oracle_at_large_horizons():
+    # c/T + 3c/T^3 (1 - root) read 8.6e-9 off at T = 1e4, 10% off at 1e8
+    # and 0 at 1e20
+    for c in (0.37, 1.0, 2.5):
+        for T in np.geomspace(1e-3, 1e20, 47):
+            lo, _ = hessian_spectral_bounds(Case.KINETIC, c, float(T))
+            want = kinetic_lambda_min(c, float(T))
+            assert abs(lo - want) <= 1e-15 * want, (c, T)
+
+
 def test_hessian_bounds_refuse_a_kinetic_horizon_past_the_float_range():
-    # T^4 overflows at T = 1e200; at T = 1e20, c/T + 3c/T^3 (1 - root)
-    # cancels to exactly 0
-    for T, match in ((1e200, "overflows"), (1e20, "cancels")):
+    # T^4 overflows at T = 1e200; 3c/(T (T^2 + 3 + 3 root)) underflows to 0
+    # at c = 1e-300, T = 1e20
+    for c, T, match in ((1.0, 1e200, "overflows"), (1e-300, 1e20, "underflows")):
         with pytest.raises(NumericError, match=match):
-            hessian_spectral_bounds(Case.KINETIC, 1.0, T)
+            hessian_spectral_bounds(Case.KINETIC, c, T)
 
 
 def test_radial_tail_small_cases():
