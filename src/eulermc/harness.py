@@ -19,6 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -633,14 +634,15 @@ def run_bound_table(cfg: ExperimentConfig) -> dict:
 # Output writers.  No timestamps; 17 significant digits; config hash first.
 
 
-_CSV_BLOCK = 1 << 12  # rows formatted per block; bounds the memory of .tolist()
+_CSV_BLOCK = 1 << 12  # rows per format and write; bounds .tolist() and the text
 
 
 def write_csv(path, header: list[str], columns, config_hash: str | None = None) -> None:
     """The one CSV writer: integer columns bare, float columns with 17 digits.
 
-    Each column's format is chosen once; rows are formatted from .tolist()
-    blocks of the columns.
+    Each column's format is chosen once.  A block of n rows is one `%` of
+    the row format repeated n times over the block's .tolist() values,
+    interleaved row by row, and one write.
     """
     columns = [np.asarray(col) for col in columns]
     row = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns) + "\n"
@@ -650,7 +652,7 @@ def write_csv(path, header: list[str], columns, config_hash: str | None = None) 
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(columns[0]), _CSV_BLOCK):
             block = [col[lo : lo + _CSV_BLOCK].tolist() for col in columns]
-            fh.writelines([row % values for values in zip(*block)])
+            fh.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
 def export_csv(samples: np.ndarray, path, config_hash: str | None = None) -> None:
