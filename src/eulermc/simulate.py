@@ -28,6 +28,7 @@ _MASK64 = (1 << 64) - 1
 # changes with it.  Chunk boundaries never depend on the thread count.
 _CHUNK = 4096
 _S12 = np.uint64(12)
+_ONE_BITS = np.uint64(0x3FF0000000000000)  # the bits of 1.0
 # words mapped to normals per call: fewer, larger numpy calls hold the GIL
 # for less of the time; no output depends on it
 _BLOCK_WORDS = 2**16
@@ -98,11 +99,13 @@ def _log(x: np.ndarray) -> np.ndarray:
     k = (bits - 0x3FE6A09C00000000) >> 52
     f = (bits - (k << 52)).view(np.float64) - 1.0
     dk = k.astype(np.float64)
+    del k
     lo = dk * _LN2_LO
     s = f / (2.0 + f)
     z = s * s
     w = z * z
-    r = z * (_LG1 + w * (_LG3 + w * (_LG5 + w * _LG7))) + w * (_LG2 + w * (_LG4 + w * _LG6))
+    r = _horner(w, (_LG7, _LG5, _LG3, _LG1)) * z + _horner(w, (_LG6, _LG4, _LG2)) * w
+    del z, w
     hfsq = 0.5 * f * f
     big = (hx >= 0x6147A) & (hx <= 0x6B851)
     inner = np.where(big, hfsq - (s * (hfsq + r) + lo), s * (f - r) - lo)
@@ -118,16 +121,18 @@ def _log(x: np.ndarray) -> np.ndarray:
 
 def _ndtri(y: np.ndarray) -> np.ndarray:
     """Inverse standard normal CDF of float64 y in [2^-53, 1 - 2^-53]:
-    Cephes ndtri with its branches and order of operations, on _log."""
+    Cephes ndtri with its branches and order of operations, on _log.  The
+    central rational overwrites all of y in place; the tail is scattered in."""
     upper = y > 1.0 - _EXPM2
-    yy = np.where(upper, 1.0 - y, y)
-    is_tail = yy <= _EXPM2
-    mid, tail = np.flatnonzero(~is_tail), np.flatnonzero(is_tail)
-    out = np.empty_like(y)
-    c = yy.take(mid)
-    c -= 0.5
-    out.put(mid, (c + c * _rational(c * c, _P0, _Q0)) * _S2PI)
-    x = np.sqrt(-2.0 * _log(yy.take(tail)))
+    tail = np.flatnonzero(upper | (y <= _EXPM2))  # about 27% of the words
+    yt, upper = y.take(tail), upper.take(tail)
+    np.subtract(1.0, yt, out=yt, where=upper)
+    y -= 0.5  # Q0 keeps clear of 0 for |y| <= 1/2: the tail words stay finite
+    y += y * _rational(y * y, _P0, _Q0)
+    y *= _S2PI
+    x = _log(yt)
+    x *= -2.0
+    np.sqrt(x, out=x)
     z = 1.0 / x
     far = x >= 8.0
     if far.any():
@@ -136,25 +141,27 @@ def _ndtri(y: np.ndarray) -> np.ndarray:
         x1[~far] = _rational(z[~far], _P1, _Q1)
     else:
         x1 = _rational(z, _P1, _Q1)
-    x = x - _log(x) / x - x1
-    out.put(tail, np.where(upper.take(tail), x, -x))
-    return out
+    x -= _log(x) / x
+    x -= x1
+    y.put(tail, np.where(upper, x, -x))
+    return y
 
 
 def _word_normals(words: np.ndarray) -> np.ndarray:
     """One standard normal per uint64 word, by inverse CDF (_ndtri).
 
-    The uniform ((w >> 12) + 0.5) 2**-52 is exact in float64 and lies
-    strictly inside (0, 1), so |z| <= 8.21.  ~w maps to -z, except for the
-    one pair of words whose uniforms are e^-2 and 1 - e^-2: Cephes sends
-    the first to its tail branch and the second to its central one, and the
-    two values differ in the last bits.  (With 53 bits, (w >> 11) + 0.5 rounds
-    to 2**53 for the top word, giving inf.)  Only IEEE operations touch the
-    floats, so the normals are the same on every numpy dispatch tier.
+    The uniform ((w >> 12) + 0.5) 2**-52 is exact in float64: w >> 12 as
+    the mantissa of 1.0 gives 1 + (w >> 12) 2**-52, and less 1 - 2**-53 that
+    is the uniform, a multiple of 2**-53 below 1.  It lies strictly inside
+    (0, 1), so |z| <= 8.21.  ~w maps to -z, except for the one pair of words
+    whose uniforms are e^-2 and 1 - e^-2: Cephes sends the first to its tail
+    branch and the second to its central one, and the two values differ in
+    the last bits.  (With 53 bits, (w >> 11) + 0.5 rounds to 2**53 for the
+    top word, giving inf.)  Only integer and IEEE operations touch the words
+    and floats, so the normals are the same on every numpy dispatch tier.
     """
-    u = (words >> _S12).astype(np.float64)
-    u += 0.5
-    u *= 2.0**-52
+    u = (words >> _S12 | _ONE_BITS).view(np.float64)
+    u -= 1.0 - 2.0**-53
     return _ndtri(u)
 
 
