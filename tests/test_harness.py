@@ -23,6 +23,7 @@ from eulermc.harness import (
     run_concentration_experiment,
     run_density_check,
     wilson_upper,
+    write_csv,
 )
 from eulermc.model import MODEL_PRESETS, Case, GaussParams, GrowthSpec, SdeModel
 from eulermc.simulate import RngSpec, simulate_terminal
@@ -656,3 +657,42 @@ def test_report_dict_schema():
         "bound_curve", "lower_curve", "constants",
     ):
         assert key in payload
+
+
+# signed zero, the least subnormal, the switches of %g between fixed and
+# exponent form, and both ends of the float range
+_CSV_FLOATS = [-0.0, 5e-324, 1e-5, 9.9999999999999995e-5, 1e16, 1e17, 1.7e308, -1.7e308]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 3 * 4096 + 7])
+def test_write_csv_matches_a_row_by_row_oracle(tmp_path, rows):
+    normals = np.random.default_rng(rows).standard_normal(11)
+    floats = np.resize(np.concatenate([_CSV_FLOATS, normals]), rows)
+    columns = [
+        np.arange(rows) * -7 + 3,  # negative ints
+        floats,
+        np.arange(rows, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15),  # wraps past 2**63
+        floats[::-1],
+    ]
+    write_csv(tmp_path / "t.csv", ["i", "x", "u", "y"], columns, "abc123")
+    want = ["# config-hash: abc123", "i,x,u,y"] + [
+        "%d,%.17g,%d,%.17g" % (int(i), float(x), int(u), float(y)) for i, x, u, y in zip(*columns)
+    ]
+    text = (tmp_path / "t.csv").read_text()
+    assert text.endswith("\n") and text.split("\n")[:-1] == want
+
+
+def test_write_csv_peak_memory_does_not_grow_with_rows(tmp_path):
+    import tracemalloc
+
+    peaks = []
+    for blocks in (4, 16):
+        rows = blocks * 4096
+        columns = [np.arange(rows), np.linspace(-1.0, 1.0, rows)]
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "t.csv", ["i", "x"], columns)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks

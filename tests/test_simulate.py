@@ -79,6 +79,21 @@ _EDGE_WORDS = np.concatenate(
 )
 
 
+@pytest.mark.parametrize("lo, hi", [(0, 905), (3, 4093)])
+def test_normal_map_of_a_strided_partial_chunk_matches_oracle(lo, hi):
+    # the (steps, ndraw, width) words of columns [lo, hi) of a chunk, viewed
+    # as _chunk_normals passes them: the columns end inside a 4-word block
+    first, stop = lo // 4, -(-hi // 4)
+    words = RngSpec(23, 4).chunk(1).random_raw(3 * 2 * 4 * (stop - first))
+    view = words.reshape(3, 2, -1)[:, :, lo - 4 * first : hi - 4 * first]
+    view[0, 0, : _EDGE_WORDS.size] = _EDGE_WORDS
+    view[-1, 1, -_EDGE_WORDS.size :] = ~_EDGE_WORDS
+    assert not view.flags.c_contiguous
+    z = _word_normals(view)
+    assert z.shape == view.shape
+    assert np.array_equal(z.ravel(), word_normals(view))
+
+
 def test_normal_map_is_within_8_ulp_of_scipy_ndtri():
     # the map is Cephes ndtri on fdlibm's log; scipy's ndtri is Cephes on libm's
     from scipy.special import ndtri
