@@ -664,6 +664,7 @@ def test_report_dict_schema():
 _CSV_FLOATS = [-0.0, 5e-324, 1e-5, 9.9999999999999995e-5, 1e16, 1e17, 1.7e308, -1.7e308]
 
 
+# 4096 is a multiple of the writer's block, so these meet block edges too
 @pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 3 * 4096 + 7])
 def test_write_csv_matches_a_row_by_row_oracle(tmp_path, rows):
     normals = np.random.default_rng(rows).standard_normal(11)
@@ -687,7 +688,7 @@ def test_write_csv_peak_memory_does_not_grow_with_rows(tmp_path):
 
     peaks = []
     for blocks in (4, 16):
-        rows = blocks * 4096
+        rows = blocks * harness._CSV_BLOCK
         columns = [np.arange(rows), np.linspace(-1.0, 1.0, rows)]
         tracemalloc.start()
         try:
