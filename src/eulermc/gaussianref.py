@@ -191,7 +191,7 @@ def hessian_spectral_bounds(case: Case, c: float, T: float):
         lo = 3.0 * c / (T * (T * T + 3.0 + 3.0 * root))
         hi = c / T + 3.0 * c / T**3 * (1.0 + root)
         if not lo > 0.0:
-            raise NumericError(f"the smallest kinetic eigenvalue at c = {c!r}, T = {T!r} underflows to 0")
+            raise NumericError(f"the least kinetic eigenvalue underflows at c = {c!r}, T = {T!r}")
         return lo, hi
     return c / T, c / T
 
