@@ -1,14 +1,13 @@
 """Experiment orchestration: configs in, CSV/JSON out.
 
 A single flat JSON document configures every experiment; unknown keys and
-values outside their field's annotation are rejected.  COMMANDS is the one
-table of commands: each row names the config fields the command reads and
-the runner that returns its files, and run_command writes them.  A file's
-config hash covers the fields of its command and no others, so a field the
-command never reads (out_dir and threads among them) cannot split the hash
-of a run.  Outputs never contain timestamps or thread counts, so a rerun
-with the same config and seed is byte-identical no matter how work is
-threaded.
+values outside their field's annotation are rejected.  COMMANDS maps each
+command to the runner that returns its files, and run_command writes them.
+run_command hands the runner a config that notes each field read from it,
+and a file's config hash covers the fields the run read, less out_dir and
+threads: a field the run never reads cannot split the hash of a run.
+Outputs never contain timestamps or thread counts, so a rerun with the same
+config and seed is byte-identical no matter how work is threaded.
 """
 
 from __future__ import annotations
@@ -235,7 +234,7 @@ def _simulate(
 # Functional presets (all 1-Lipschitz) and their analytic reference means.
 
 
-def make_functional(cfg: ExperimentConfig, model: SdeModel, tgrid: SchemeGrid):
+def make_functional(cfg: ExperimentConfig, model: SdeModel):
     name = cfg.functional
     if name == "identity":
         return lambda x: np.asarray(x, dtype=float)[..., 0]
@@ -248,7 +247,7 @@ def make_functional(cfg: ExperimentConfig, model: SdeModel, tgrid: SchemeGrid):
         if model.case is not Case.KINETIC:
             raise ConfigError("asian-diff needs a kinetic model")
         dp = model.d_prime
-        T = tgrid.T
+        T = cfg.T
         scale = 1.0 / math.sqrt(2.0 * dp)
 
         def f(x):
@@ -470,7 +469,7 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> dict:
     when a batch mean's deviation overflows."""
     model = build_model(cfg)
     tgrid = build_grid(cfg)
-    f = make_functional(cfg, model, tgrid)
+    f = make_functional(cfg, model)
     alpha, delta, constants = _bound_constants(cfg, model)
     r_grid = (
         np.asarray(cfg.r_grid, dtype=float)
@@ -526,8 +525,9 @@ def _ratio_requirement(dens, centers, case, T, x0, c):
     """Smallest C making the envelope hold for shape c on the given bins."""
     up = kernel_density(KernelSpec(case, c, T, x0), centers)
     lo = kernel_density(KernelSpec(case, 1.0 / c, T, x0), centers)
-    sup_ratio = float(np.max(dens / up))
-    inf_ratio = float(np.min(dens / lo))
+    with np.errstate(divide="ignore"):  # a kernel that underflows to 0: an infinite ratio
+        sup_ratio = float(np.max(dens / up))
+        inf_ratio = float(np.min(dens / lo))
     c_req = max(sup_ratio, 1.0 / inf_ratio if inf_ratio > 0 else math.inf, 1.0)
     return c_req, sup_ratio, inf_ratio
 
@@ -566,11 +566,12 @@ def run_density_check(cfg: ExperimentConfig) -> dict:
             raise ConfigError(f"density_samples must be >= 2, got {cfg.density_samples}")
         s = _simulate(cfg, model, tgrid, cfg.density_samples)
         n = s.shape[0]
-        widths = 3.49 * s.std(axis=0, ddof=1) * n ** (-1.0 / (2 + model.d))
-        edges = [
-            np.arange(s[:, i].min(), s[:, i].max() + widths[i], widths[i])
-            for i in range(model.d)
-        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            widths = 3.49 * s.std(axis=0, ddof=1) * n ** (-1.0 / (2 + model.d))
+        lo, hi = s.min(axis=0), s.max(axis=0)
+        if not (np.isfinite(widths) & (widths > 0) & (hi > lo)).all():
+            raise NumericError(f"samples in [{lo}, {hi}] give Scott-rule bin widths {widths}")
+        edges = [np.arange(lo[i], hi[i] + widths[i], widths[i]) for i in range(model.d)]
         counts, edges = np.histogramdd(s, bins=edges)
         vols = math.prod(float(w[1] - w[0]) for w in edges)
         centers_1d = [0.5 * (e[:-1] + e[1:]) for e in edges]
@@ -611,7 +612,7 @@ def run_density_check(cfg: ExperimentConfig) -> dict:
 def run_bound_table(cfg: ExperimentConfig) -> dict:
     """All concentration constants plus confidence radii for an eps list."""
     model = build_model(cfg)
-    make_functional(cfg, model, build_grid(cfg))  # refuses an unknown preset
+    make_functional(cfg, model)  # refuses an unknown preset
     alpha, delta, constants = _bound_constants(cfg, model)
     rows = []
     for eps in cfg.eps:
@@ -751,46 +752,31 @@ def _control_files(cfg: ExperimentConfig) -> dict:
     return {"geodesic.csv": (header, [times, *states.T]), "control.json": report}
 
 
-# fields every command but control-geodesic reads: build_model reads all ten
-# model fields (it refuses one the preset does not read unless it keeps its
-# default), build_grid T and N, start_point x0
-_SCHEME = (
-    "preset", "d", "dp", "b0", "sigma0", "a_amp", "b_amp", "damp", "lambda0", "L0", "T", "N", "x0",
-)
-_STREAMS = ("master_seed", "stream_id")
-# the envelope, the functional and the growth spec of the bound constants
-_BOUND = ("c", "C", "functional", "rho0", "beta", "cone", "theta")
-
-# command -> (the config fields it reads, its runner).  A field read on some
-# paths only is listed too: control_factor (a control run), grid_points and
-# grid_radius (CK mode).
 COMMANDS = {
-    "simulate": ((*_SCHEME, *_STREAMS, "M", "export_binary"), _simulate_files),
-    "bounds": ((*_SCHEME, *_BOUND, "M", "eps"), _bounds_files),
-    "concentration": (
-        (*_SCHEME, *_STREAMS, *_BOUND, "M", "num_batches", "control_factor", "r_grid", "num_r"),
-        _concentration_files,
-    ),
-    "density-check": (
-        (
-            *_SCHEME, *_STREAMS, "c", "C", "density_samples", "density_mode", "c_grid",
-            "high_mass_fraction", "min_bin_count", "grid_points", "grid_radius",
-        ),
-        lambda cfg: {"density_check.json": run_density_check(cfg)},
-    ),
-    "parametrix": ((*_SCHEME, "r_max", "grid_points", "grid_radius"), _parametrix_files),
-    "control-geodesic": (
-        ("control_t", "control_x", "control_x_prime", "geodesic_steps"), _control_files,
-    ),
+    "simulate": _simulate_files,
+    "bounds": _bounds_files,
+    "concentration": _concentration_files,
+    "density-check": lambda cfg: {"density_check.json": run_density_check(cfg)},
+    "parametrix": _parametrix_files,
+    "control-geodesic": _control_files,
 }
 
 
-def config_hash(command: str, cfg: ExperimentConfig) -> str:
-    """The first 12 hex digits of the SHA-256 of the fields `command` reads,
-    as the loader stores them.  An x0 or b0 whose entries are all equal
-    counts as its first entry, the list it broadcasts like."""
+class _Recording(ExperimentConfig):
+    """A config that adds the name of each field read from it to self.reads."""
+
+    def __getattribute__(self, name):
+        if name in ExperimentConfig.__dataclass_fields__:
+            object.__getattribute__(self, "reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def config_hash(cfg: ExperimentConfig, names) -> str:
+    """The first 12 hex digits of the SHA-256 of the fields `names`, as the
+    loader stores them.  An x0 or b0 whose entries are all equal counts as
+    its first entry, the list it broadcasts like."""
     values = {}
-    for name in COMMANDS[command][0]:
+    for name in names:
         value = getattr(cfg, name)
         if name in ("x0", "b0") and value and value.count(value[0]) == len(value):
             value = value[0]
@@ -800,10 +786,13 @@ def config_hash(command: str, cfg: ExperimentConfig) -> str:
 
 
 def run_command(command: str, cfg: ExperimentConfig) -> None:
-    """Run `command` and write its files into cfg.out_dir.  Every JSON report
-    is encoded before any file opens, so a run that fails writes nothing."""
-    files = COMMANDS[command][1](cfg)
-    digest = config_hash(command, cfg)
+    """Run `command` and write its files into cfg.out_dir under the hash of
+    the fields the run read, less out_dir and threads.  Every JSON report is
+    encoded before any file opens, so a run that fails writes nothing."""
+    rec = _Recording(**vars(cfg))
+    rec.reads = set()
+    files = COMMANDS[command](rec)
+    digest = config_hash(cfg, rec.reads - {"out_dir", "threads"})
     texts = {
         name: json_text(name, obj, digest) for name, obj in files.items() if isinstance(obj, dict)
     }

@@ -68,6 +68,11 @@ COMMANDS = {
     "bounds-M": ["bounds", "--set", "M=50"],
     "bounds-M-density-samples": ["bounds", "--set", "M=50", "--set", "density_samples=5"],
     "bounds-M-seed": ["bounds", "--set", "M=50", "--seed", "5"],
+    "bounds-M-N": ["bounds", "--set", "M=50", "--set", "N=16"],
+    "readme-concentration-unread": [
+        "concentration", "--set", "M=100", "--set", "num_batches=2000", "--seed", "1",
+        "--set", "control_factor=5", "--set", "theta=3",
+    ],
     "seed-minus-one": ["simulate", *_SEED, "--seed", "-1", "--set", "stream_id=-1"],
     "seed-two-64-minus-one": [
         "simulate", *_SEED, "--seed", str(2**64 - 1), "--set", f"stream_id={2**64 - 1}",
@@ -77,15 +82,18 @@ COMMANDS = {
 }
 
 # label pairs that give the same run, so they must write the same bytes,
-# config-hash line included: a field the command does not read (M for
-# control-geodesic, eps for simulate, density_samples and the seed for
-# bounds), a Philox key equal mod 2**64, and a start point given once for
-# every coordinate
+# config-hash line included: a field the run does not read (M for
+# control-geodesic, eps for simulate, density_samples, the seed and N for
+# bounds, control_factor and theta for a concentration run with an exact
+# reference and no growth spec), a Philox key equal mod 2**64, and a start
+# point given once for every coordinate
 SAME_RUN = [
     ("readme-control-geodesic", "control-geodesic-M"),
     ("simulate-M", "simulate-M-eps"),
     ("bounds-M", "bounds-M-density-samples"),
     ("bounds-M", "bounds-M-seed"),
+    ("bounds-M", "bounds-M-N"),
+    ("readme-concentration", "readme-concentration-unread"),
     ("seed-minus-one", "seed-two-64-minus-one"),
     ("kinetic-x0-one", "kinetic-x0-two"),
 ]

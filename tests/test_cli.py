@@ -264,12 +264,17 @@ NUMERIC_ERRORS = [
     # T^4 in the kinetic spectrum overflows; at c = 1e-300, T = 1e20 lambda_min underflows to 0
     ["bounds", *_KINETIC, "--set", "T=1e200"],
     ["bounds", *_KINETIC, "--set", "c=1e-300", "--set", "T=1e20"],
+    # the drift swamps the noise: the sample std overflows, or the samples'
+    # spread falls below their float spacing, and no histogram bin is left
+    ["density-check", "--set", "b0=[1e300]", "--set", "N=1", "--set", "density_samples=3000"],
+    ["density-check", "--set", "b0=[1e100]", "--set", "N=1", "--set", "density_samples=3000"],
 ]
 NUMERIC_ERROR_IDS = [
     "parametrix-truncated-grid", "sigma0-overflow", "bounds-alpha-inf", "conc-alpha-inf",
     "control-energy-inf", "conc-batch-mean-overflow", "control-tiny-t",
     "gamma-variance-overflow", "gamma-variance-underflow", "chi-overflow",
     "bar-delta-cancels", "kinetic-root-overflow", "kinetic-lambda-min-underflows",
+    "hist-width-overflow", "hist-spread-below-spacing",
 ]
 
 
@@ -280,6 +285,15 @@ def test_bad_input_is_one_line_numeric_error(tmp_path, capsys, args):
     assert err.startswith("error: ") and err.count("\n") == 1
     # refused before any output is written
     assert not list((tmp_path / "out").glob("*"))
+
+
+def test_envelope_shape_whose_kernel_underflows_fits_without_warnings(tmp_path, capsys):
+    # at c = 1e-300 one envelope kernel underflows to 0 on every bin: its
+    # ratio is infinite, and the fit takes the other shape
+    argv = ["density-check", "--set", "c_grid=[1e-300,1]", "--set", "density_samples=3000"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_json(tmp_path / "density_check.json")["c_fit"] == 1.0
 
 
 def test_off_origin_two_dimensional_lower_bound_runs(tmp_path):
@@ -442,3 +456,15 @@ def test_readme_examples_run(tmp_path):
     for k, argv in enumerate(examples):
         # the last --out-dir wins, so the examples write under tmp_path
         assert main(argv + ["--out-dir", str(tmp_path / str(k))]) == 0, argv
+
+
+def test_ck_density_check_hashes_no_sample_count_or_stream(tmp_path):
+    # the CK table draws nothing, so density_samples and the seed are not
+    # read; C_fit depends on numpy's dispatch tier, so this pair is compared
+    # here and not in the output manifest
+    argv = ["density-check", "--set", 'density_mode="ck"']
+    assert main([*argv, "--out-dir", str(tmp_path / "a")]) == 0
+    unread = ["--set", "density_samples=5", "--seed", "3"]
+    assert main([*argv, *unread, "--out-dir", str(tmp_path / "b")]) == 0
+    a, b = (Path(tmp_path, run, "density_check.json").read_bytes() for run in "ab")
+    assert a == b

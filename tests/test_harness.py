@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,20 +46,46 @@ def test_invalid_counts_rejected():
         ExperimentConfig.from_dict({"M": 0})
 
 
-def test_config_hash_ignores_execution_fields():
-    a = cfg_with(M=10, out_dir="x", threads=1)
-    b = cfg_with(M=10, out_dir="y", threads=8)
-    for command in harness.COMMANDS:
-        assert config_hash(command, a) == config_hash(command, b)
-    c = cfg_with(M=11)
-    assert config_hash("simulate", a) != config_hash("simulate", c)
+def run_hash(tmp_path, command, **kw):
+    """The one config hash that `command` writes, run on the config kw."""
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    harness.run_command(command, cfg_with(**kw, out_dir=str(out)))
+    hashes = {
+        json.loads(path.read_text())["config_hash"]
+        if path.suffix == ".json"
+        else path.read_text().split("\n", 1)[0].split()[-1]
+        for path in out.iterdir()
+        if path.suffix != ".bin"
+    }
+    (digest,) = hashes
+    return digest
 
 
-def test_config_hash_tells_runs_apart_and_equal_runs_alike():
+# a small run of each command
+_SMALL = {
+    "simulate": {"M": 10},
+    "bounds": {},
+    "concentration": {"M": 10, "num_batches": 20},
+    "density-check": {"density_mode": "ck", "grid_points": 101},
+    "parametrix": {"grid_points": 101, "r_max": 1},
+    "control-geodesic": {"geodesic_steps": 20},
+}
+
+
+def test_config_hash_ignores_execution_fields(tmp_path):
+    # each run writes into a directory of its own
+    assert set(_SMALL) == set(harness.COMMANDS)
+    for command, kw in _SMALL.items():
+        one, two = (run_hash(tmp_path, command, **kw, threads=t) for t in (1, 2))
+        assert one == two, command
+    assert run_hash(tmp_path, "simulate", M=10) != run_hash(tmp_path, "simulate", M=11)
+
+
+def test_config_hash_tells_runs_apart_and_equal_runs_alike(tmp_path):
     # the manifest's SAME_RUN pairs check the CLI cases (unread fields, the
     # seed mod 2**64, a kinetic x0 given once); b0 is checked here
     b0 = [0.5, [0.5], [0.5, 0.5]]
-    assert len({config_hash("simulate", cfg_with(d=2, b0=b)) for b in b0}) == 1
+    assert len({run_hash(tmp_path, "simulate", M=10, d=2, b0=b) for b in b0}) == 1
     differ = [
         ("simulate", {"d": 2, "b0": [0.5, 0.25]}, {"d": 2, "b0": [0.5, 0.5]}),
         ("simulate", {"preset": "kinetic", "x0": [0, 1]}, {"preset": "kinetic", "x0": [0, 0]}),
@@ -66,36 +94,38 @@ def test_config_hash_tells_runs_apart_and_equal_runs_alike():
         ("control-geodesic", {"geodesic_steps": 20}, {}),
     ]
     for command, a, b in differ:
-        assert config_hash(command, cfg_with(**a)) != config_hash(command, cfg_with(**b)), (a, b)
+        assert run_hash(tmp_path, command, **a) != run_hash(tmp_path, command, **b), (a, b)
     assert cfg_with(master_seed=-1, stream_id=2**64 + 3).master_seed == 2**64 - 1
     assert cfg_with(stream_id=2**64 + 3).stream_id == 3
 
 
-def test_config_hash_treats_integral_numbers_as_floats():
+def test_config_hash_treats_integral_numbers_as_floats(tmp_path):
     # pinned hashes: any change to the hashed form (a field added, removed
     # or stored differently) shows here
-    assert config_hash("simulate", cfg_with()) == "040bb56623e3"
-    assert config_hash("simulate", cfg_with(T=1)) == "040bb56623e3"
-    kinetic = dict(preset="kinetic", dp=1, T=2.0)
-    assert config_hash("bounds", cfg_with(**kinetic, x0=[0.0, 0.0])) == "d5bead3ee840"
-    assert config_hash("bounds", cfg_with(**kinetic, x0=[0, 0])) == "d5bead3ee840"
-    assert config_hash("simulate", cfg_with(x0=[0])) == config_hash("simulate", cfg_with(x0=[0.0]))
+    assert run_hash(tmp_path, "simulate") == "040bb56623e3"
+    assert run_hash(tmp_path, "simulate", T=1) == "040bb56623e3"
+    # bounds builds no time grid and, with no growth spec, reads neither
+    # x0, cone nor theta: its hash covers the model, T, c, C, functional,
+    # rho0, beta, M and eps
+    kinetic = dict(preset="kinetic", dp=1, x0=[0, 0])
+    assert run_hash(tmp_path, "bounds", **kinetic, T=2.0) == "ed80546a0da1"
+    assert run_hash(tmp_path, "bounds", **kinetic, T=2) == "ed80546a0da1"
+    assert run_hash(tmp_path, "simulate", x0=[0]) == run_hash(tmp_path, "simulate", x0=[0.0])
     # a scalar x0 is the one-element list it broadcasts like
-    assert config_hash("simulate", cfg_with(x0=0.0)) == "040bb56623e3"
+    assert run_hash(tmp_path, "simulate", x0=0.0) == "040bb56623e3"
     assert cfg_with(x0=0).x0 == [0.0]
     cfg = cfg_with(b0=[1, 2], d=2, cone=2, eps=[1], control_x=[0, 0], export_binary=True)
     assert cfg.b0 == [1.0, 2.0] and isinstance(cfg.b0[0], float)
     assert isinstance(cfg.cone, float) and isinstance(cfg.eps[0], float)
     assert isinstance(cfg.control_x[0], float)
     assert cfg.export_binary is True and isinstance(cfg.N, int)
-    assert config_hash("simulate", cfg_with(T=2)) != config_hash("simulate", cfg_with(T=1))
+    assert run_hash(tmp_path, "simulate", T=2) != run_hash(tmp_path, "simulate", T=1)
     with pytest.raises(ConfigError, match="too large"):
         cfg_with(T=10**400)
 
 
-def test_scalar_for_a_list_field_is_the_one_element_list():
-    one = config_hash("bounds", cfg_with(eps=0.05))
-    assert one == config_hash("bounds", cfg_with(eps=[0.05]))
+def test_scalar_for_a_list_field_is_the_one_element_list(tmp_path):
+    assert run_hash(tmp_path, "bounds", eps=0.05) == run_hash(tmp_path, "bounds", eps=[0.05])
     assert cfg_with(r_grid=0.1).r_grid == [0.1]
     assert cfg_with(c_grid=2).c_grid == [2.0]
     assert cfg_with(r_grid=None).r_grid is None
@@ -119,6 +149,8 @@ def test_loader_refuses_values_outside_the_annotation(raw, words):
 
 
 _FIELDS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+# every field a run may read and hash
+_HASHED = [name for name in _FIELDS if name not in ("out_dir", "threads")]
 _SCALARS = st.one_of(st.floats(), st.integers(), st.booleans(), st.text(max_size=4), st.none())
 
 
@@ -131,7 +163,9 @@ def test_loader_refuses_or_round_trips_its_canonical_form(raw):
         return
     stored = json.dumps(dataclasses.asdict(cfg), allow_nan=False)
     again = ExperimentConfig.from_dict(json.loads(stored))
-    assert all(config_hash(c, again) == config_hash(c, cfg) for c in harness.COMMANDS)
+    # the draws are not clamped, so they are not run: the hash of every
+    # field a run may read stands for the hash of any run
+    assert config_hash(again, _HASHED) == config_hash(cfg, _HASHED)
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -215,7 +249,7 @@ def test_functionals_are_unit_lipschitz_samples():
     rng = np.random.default_rng(0)
     for name, preset in [("identity", "const"), ("sum", "const"), ("abs", "const")]:
         cfg = cfg_with(preset=preset, d=2, functional=name, x0=[0.0, 0.0])
-        f = make_functional(cfg, build_model(cfg), build_grid(cfg))
+        f = make_functional(cfg, build_model(cfg))
         x = rng.standard_normal((200, 2))
         y = x + rng.standard_normal((200, 2)) * 0.1
         num = np.abs(np.asarray(f(x)) - np.asarray(f(y)))
@@ -226,7 +260,7 @@ def test_functionals_are_unit_lipschitz_samples():
 def test_asian_diff_requires_kinetic():
     cfg = cfg_with(preset="const", functional="asian-diff")
     with pytest.raises(ConfigError):
-        make_functional(cfg, build_model(cfg), build_grid(cfg))
+        make_functional(cfg, build_model(cfg))
 
 
 def test_wilson_upper_basics():
@@ -293,7 +327,7 @@ def test_concentration_control_run_power_guard():
 def _control_setup(**kw):
     cfg = cfg_with(**kw)
     model, tgrid = build_model(cfg), build_grid(cfg)
-    return cfg, model, tgrid, make_functional(cfg, model, tgrid)
+    return cfg, model, tgrid, make_functional(cfg, model)
 
 
 def _spy_simulations(monkeypatch):
@@ -505,7 +539,7 @@ def test_growth_rule_over_beta(functional, rho0, beta, angle):
     # kinetic model, where all four presets exist.
     cfg = cfg_with(preset="kinetic", x0=[0.0, 0.0], T=1.5, functional=functional)
     model = build_model(cfg)
-    f = make_functional(cfg, model, build_grid(cfg))
+    f = make_functional(cfg, model)
     growth = GrowthSpec(rho0, beta, 2 * math.pi)
     if functional == "abs":
         s = np.array([[math.cos(angle), math.sin(angle)]])
