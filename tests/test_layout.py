@@ -6,11 +6,16 @@ src/eulermc; an import or an `__all__` entry is not a use.
 """
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import eulermc
+from eulermc import cli, harness, simulate
 
 PACKAGE = Path(eulermc.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # public names that callers outside the package use, each with its reason
 ENTRY_POINTS = {
@@ -106,3 +111,23 @@ def test_every_random_draw_reads_the_chunk_streams():
                 ):
                     found.append(f"{module}:{node.lineno}: {name}")
     assert not found, f"random draws outside the chunk streams, or scipy: {sorted(set(found))}"
+
+
+def test_benchmark_hooks_resolve_on_the_package(monkeypatch):
+    # perfbench/child.py wraps each TARGETS attribute and runs a workload
+    # through cli._COMMANDS, so a rename in the package would break
+    # `perfbench/run.py --trace 1`; its scripts import each other by name
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+    for module, path, name in run.TARGETS:
+        owner = importlib.import_module(f"eulermc.{module}")
+        for part in path.split("."):
+            assert hasattr(owner, part), f"{name}: eulermc.{module} has no {path}"
+            owner = getattr(owner, part)
+        assert callable(owner), name
+    assert callable(simulate.draw_dim)
+    assert set(cli._COMMANDS) == set(harness.COMMANDS)
+    assert {workload.argv[0] for workload in run.WORKLOADS.values()} <= set(cli._COMMANDS)
