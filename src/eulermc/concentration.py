@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ArgumentError, NumericError
 from .gaussianref import (
     KernelSpec,
@@ -27,7 +25,7 @@ from .gaussianref import (
     kernel_norm_mean,
     kinetic_root,
 )
-from .model import Case, GaussParams, GrowthSpec
+from .model import Case, GrowthSpec
 
 SQRT13 = math.sqrt(13.0)
 
@@ -132,7 +130,6 @@ class LowerRate:
     inv_alpha: float  # 1/alpha_lower = Lambda + chi (theta Lambda + chi, odd d)
     lam: float  # Lambda, the flat-envelope curvature term
     chi: float
-    theta: float | None
 
 
 def lower_rate(
@@ -158,7 +155,7 @@ def lower_rate(
         inv = theta * lam + chi
     else:
         inv = lam + chi
-    return LowerRate(inv_alpha=inv, lam=lam, chi=chi, theta=theta)
+    return LowerRate(inv_alpha=inv, lam=lam, chi=chi)
 
 
 def lower_tail_bound(
@@ -206,36 +203,3 @@ def lower_bias(
     if abs(value - exact) > 1e-9 * abs(exact):
         raise NumericError(f"rho0 beta = {slope_term!r} swamps gamma_F in bar_delta = {value!r}")
     return LowerBias(value=value, gamma_term=gamma_term)
-
-
-@dataclass(frozen=True)
-class LowerBound:
-    """Lower deviation bound data, assembled under a growth assumption."""
-
-    rate: LowerRate
-    bias: LowerBias
-
-
-def lower_bound(
-    case: Case,
-    gauss: GaussParams,
-    T: float,
-    alpha: float,
-    growth: GrowthSpec,
-    floor: float,
-    x,
-    theta: float | None = None,
-) -> LowerBound:
-    """Lower rate and lower bias of F = |y| started at x; theta defaults to
-    2 in odd d.
-
-    alpha is the upper-side constant of the functional at hand (the
-    time-normalized one for kinetic functionals of (v, z/T)); it enters the
-    bias only, as does floor, the infimum of F over the rho0 sphere.
-    """
-    d = np.size(x)
-    if case is not Case.KINETIC and d % 2 == 1 and theta is None:
-        theta = 2.0
-    rate = lower_rate(case, d, gauss.c, T, growth.rho0, gauss.C, growth.cone_measure, theta=theta)
-    bias = lower_bias(case, gauss.c, gauss.C, T, alpha, x, growth, floor)
-    return LowerBound(rate=rate, bias=bias)

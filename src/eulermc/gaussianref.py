@@ -71,15 +71,10 @@ def kernel_exponent(spec: KernelSpec, xp) -> np.ndarray:
     return -c * np.sum(diff * diff, axis=-1) / (2.0 * t)
 
 
-def kernel_log_density(spec: KernelSpec, xp) -> np.ndarray:
-    return kernel_exponent(spec, xp) - math.log(
-        kernel_normalizer(spec.case, spec.c, spec.t, spec.d)
-    )
-
-
 def kernel_density(spec: KernelSpec, xp) -> np.ndarray:
     """Density value of p_c at x' (vectorized over leading axes of x')."""
-    return np.exp(kernel_log_density(spec, xp))
+    log_z = math.log(kernel_normalizer(spec.case, spec.c, spec.t, spec.d))
+    return np.exp(kernel_exponent(spec, xp) - log_z)
 
 
 def _transport(case: Case, x: np.ndarray, t: float) -> np.ndarray:

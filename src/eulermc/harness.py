@@ -376,8 +376,8 @@ def _alpha_for(cfg: ExperimentConfig, model: SdeModel) -> float:
 def _bound_constants(cfg: ExperimentConfig, model: SdeModel):
     """(alpha, delta, constants): the upper-side constant alpha of the
     functional, the bias delta, and, when rho0 and beta set a growth spec,
-    the lower-bound constants, whose functional must then grow
-    (sphere_floor); else None."""
+    the lower-bound constants of F = |y| from x0 (theta 2 by default in odd
+    d), whose functional must then grow (sphere_floor); else None."""
     gauss = GaussParams(cfg.c, cfg.C)
     alpha = _alpha_for(cfg, model)
     delta = conc.domination_bias(gauss.C, alpha)
@@ -387,10 +387,14 @@ def _bound_constants(cfg: ExperimentConfig, model: SdeModel):
     if growth is None:
         return alpha, delta, None
     floor = sphere_floor(cfg.functional, growth)
-    lower = conc.lower_bound(
-        model.case, gauss, cfg.T, alpha, growth, floor, start_point(cfg, model), theta=cfg.theta,
+    x0 = start_point(cfg, model)
+    theta = cfg.theta
+    if model.case is not Case.KINETIC and model.d % 2 == 1 and theta is None:
+        theta = 2.0
+    rate = conc.lower_rate(
+        model.case, model.d, gauss.c, cfg.T, growth.rho0, gauss.C, growth.cone_measure, theta
     )
-    rate, bias = lower.rate, lower.bias
+    bias = conc.lower_bias(model.case, gauss.c, gauss.C, cfg.T, alpha, x0, growth, floor)
     if not (math.isfinite(rate.inv_alpha) and math.isfinite(bias.value)):
         raise NumericError(
             f"bar_alpha_inv = {rate.inv_alpha} and bar_delta = {bias.value} must be finite"
@@ -401,7 +405,7 @@ def _bound_constants(cfg: ExperimentConfig, model: SdeModel):
         "bar_delta": bias.value,
         "gamma_F": bias.gamma_term,
         "F_floor": floor,
-        "theta": rate.theta,
+        "theta": theta,
     }
 
 
@@ -656,10 +660,10 @@ def write_csv(path, header: list[str], columns, config_hash: str | None = None) 
             fh.write(row * len(block[0]) % tuple(chain.from_iterable(zip(*block))))
 
 
-def export_csv(samples: np.ndarray, path, config_hash: str | None = None) -> None:
-    """Write `sample_index, x_1, ..., x_d` rows (17 significant digits)."""
+def export_csv(samples: np.ndarray):
+    """The (header, columns) table of `sample_index, x_1, ..., x_d` rows."""
     header = ["sample_index"] + [f"x_{k + 1}" for k in range(samples.shape[1])]
-    write_csv(path, header, [np.arange(samples.shape[0]), *samples.T], config_hash)
+    return header, [np.arange(samples.shape[0]), *samples.T]
 
 
 def json_text(name: str, obj: dict, config_hash: str) -> str:
@@ -680,14 +684,14 @@ def write_json(path, text: str) -> None:
 # ---------------------------------------------------------------------------
 # The command table.  A runner returns its command's files as {file name:
 # payload}: a dict is a JSON report, a (header, columns) pair a CSV table,
-# and a callable writes its own file given (path, config hash).
+# and an array the raw little-endian float64 bytes of samples.bin.
 
 
 def _simulate_files(cfg: ExperimentConfig) -> dict:
     samples = _simulate(cfg, build_model(cfg), build_grid(cfg), cfg.M)
-    files = {"samples.csv": lambda path, config_hash: export_csv(samples, path, config_hash)}
-    if cfg.export_binary:  # raw little-endian float64, row major, M x d
-        files["samples.bin"] = lambda path, _: samples.astype("<f8").tofile(path)
+    files = {"samples.csv": export_csv(samples)}
+    if cfg.export_binary:  # row major, M x d
+        files["samples.bin"] = samples
     return files
 
 
@@ -730,7 +734,7 @@ def _parametrix_files(cfg: ExperimentConfig) -> dict:
         "ck_mass": ck.mass(),
         "grid": {"lo": grid.lo, "hi": grid.hi, "n_points": grid.n_points},
     }
-    return {"parametrix_series.csv": series.to_csv, "parametrix.json": report}
+    return {"parametrix_series.csv": series.to_csv(), "parametrix.json": report}
 
 
 def _control_files(cfg: ExperimentConfig) -> dict:
@@ -788,7 +792,8 @@ def config_hash(cfg: ExperimentConfig, names) -> str:
 def run_command(command: str, cfg: ExperimentConfig) -> None:
     """Run `command` and write its files into cfg.out_dir under the hash of
     the fields the run read, less out_dir and threads.  Every JSON report is
-    encoded before any file opens, so a run that fails writes nothing."""
+    encoded before any file opens, so a run that fails writes nothing; a
+    file that cannot be written removes the ones written before it."""
     rec = _Recording(**vars(cfg))
     rec.reads = set()
     files = COMMANDS[command](rec)
@@ -800,11 +805,18 @@ def run_command(command: str, cfg: ExperimentConfig) -> None:
         os.makedirs(cfg.out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.out_dir}: {exc}") from None
+    written = []
     for name, payload in files.items():
         path = os.path.join(cfg.out_dir, name)
-        if name in texts:
-            write_json(path, texts[name])
-        elif isinstance(payload, tuple):
-            write_csv(path, *payload, digest)
-        else:
-            payload(path, digest)
+        try:
+            if name in texts:
+                write_json(path, texts[name])
+            elif isinstance(payload, tuple):
+                write_csv(path, *payload, digest)
+            else:
+                payload.astype("<f8", copy=False).tofile(path)
+        except OSError as exc:
+            for done in written:
+                os.remove(done)
+            raise ConfigError(f"cannot write {path}: {exc}") from None
+        written.append(path)

@@ -86,10 +86,9 @@ class DensityTable:
     def mass(self) -> float:
         return float(self.grid.weights() @ self.values)
 
-    def to_csv(self, path, config_hash: str | None = None) -> None:
-        from .harness import write_csv  # the harness imports this module
-
-        write_csv(path, ["x_prime", "value"], [self.grid.points, self.values], config_hash)
+    def to_csv(self):
+        """The (header, columns) table of `x_prime, value` rows."""
+        return ["x_prime", "value"], [self.grid.points, self.values]
 
 
 def _check_1d_case_a(model: SdeModel) -> None:

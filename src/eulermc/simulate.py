@@ -215,7 +215,8 @@ def euler_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.ndarr
     """One explicit step of the non-degenerate scheme.
 
     Returns x + b(t, x) delta + sigma(t, x) sqrt(delta) g.  The one-step law
-    is Gaussian with mean x + b delta and covariance a delta.
+    is Gaussian with mean x + b delta and covariance a delta.  The result is
+    not checked for finiteness; simulate_terminal checks each step's batch.
     """
     if model.case is not Case.NONDEGENERATE:
         raise ArgumentError("euler_step applies to non-degenerate models")
@@ -223,10 +224,7 @@ def euler_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.ndarr
     g = np.asarray(gaussian, dtype=float)
     sig = np.asarray(model.sigma(t, x), dtype=float)
     out = x + np.asarray(model.drift(t, x), dtype=float) * delta
-    out = out + math.sqrt(delta) * np.einsum("...ij,...j->...i", sig, g)
-    if not np.all(np.isfinite(out)):
-        raise NumericError("non-finite state after Euler step")
-    return out
+    return out + math.sqrt(delta) * np.einsum("...ij,...j->...i", sig, g)
 
 
 def kinetic_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.ndarray:
@@ -236,7 +234,8 @@ def kinetic_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.nda
     velocity block, the rest complete the integrated-position block.  The
     joint one-step law is Gaussian with mean
     (v + b1 delta, z + v delta + b1 delta^2/2) and covariance blocks
-    (a d, a d^2/2; a d^2/2, a d^3/3).
+    (a d, a d^2/2; a d^2/2, a d^3/3).  As with euler_step, simulate_terminal
+    checks the result for finiteness.
     """
     if model.case is not Case.KINETIC:
         raise ArgumentError("kinetic_step applies to kinetic models")
@@ -252,16 +251,13 @@ def kinetic_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.nda
     noise_v = rt * np.einsum("...ij,...j->...i", sig, g1)
     mix = 0.5 * g1 + g2 / (2.0 * math.sqrt(3.0))
     noise_z = delta * rt * np.einsum("...ij,...j->...i", sig, mix)
-    out = np.concatenate(
+    return np.concatenate(
         [
             v + b1 * delta + noise_v,
             z + v * delta + 0.5 * b1 * delta**2 + noise_z,
         ],
         axis=-1,
     )
-    if not np.all(np.isfinite(out)):
-        raise NumericError("non-finite state after kinetic step")
-    return out
 
 
 def scheme_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.ndarray:
@@ -289,7 +285,8 @@ def simulate_terminal(
     Sample i draws the normals of absolute index sample_offset + i, so
     results do not depend on the thread count or on execution order.  A
     chunk draws at most _BLOCK_WORDS words at a time, so memory does not
-    grow with N.
+    grow with N.  Each step's batch is checked for finiteness: NumericError
+    names the step and the first sample of the first chunk that fails.
     """
     if M < 1:
         raise ArgumentError("need at least one sample")
@@ -310,19 +307,12 @@ def simulate_terminal(
         c, col = divmod(sample_offset + lo, _CHUNK)
         x = np.broadcast_to(x0, (m, model.d)).copy()
         for n, draws in enumerate(_chunk_normals(rng, c, col, col + m, ndraw, grid.N)):
-            try:
-                x = scheme_step(model, grid.times[n], x, grid.delta, draws)
-            except NumericError:
-                # replay one sample at a time to attach the failing index
-                for i in range(m):
-                    try:
-                        scheme_step(model, grid.times[n], x[i], grid.delta, draws[i])
-                    except NumericError:
-                        raise NumericError(
-                            f"non-finite state at step {n} in sample "
-                            f"{sample_offset + lo + i}"
-                        ) from None
-                raise
+            x = scheme_step(model, grid.times[n], x, grid.delta, draws)
+            if not np.isfinite(x).all():
+                i = int(np.argmin(np.isfinite(x).all(axis=1)))
+                raise NumericError(
+                    f"non-finite state at step {n} in sample {sample_offset + lo + i}"
+                )
         out[lo:hi] = x
 
     # ranges never cross a multiple of _CHUNK in the absolute index

@@ -65,8 +65,10 @@ def test_simulate_csv_format(tmp_path):
     assert len(lines) == 2 + 7
     raw = Path(out, "samples.bin").read_bytes()
     arr = np.frombuffer(raw, dtype="<f8").reshape(7, 2)
-    got = [float(v) for v in lines[2].split(",")[1:]]
-    assert np.allclose(arr[0], got)
+    # %.17g round-trips every float64, so the two files hold the same samples
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    assert np.array_equal(rows[:, 0], np.arange(7))
+    assert np.array_equal(rows[:, 1:], arr)
 
 
 def test_statistics_error_exit_code(tmp_path):
@@ -324,6 +326,18 @@ def test_one_sample_control_run_is_refused_before_writing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists() or not list(out.iterdir())
+
+
+def test_output_file_that_cannot_be_written_is_config_error(tmp_path, capsys):
+    # bounds.json is written first; bounds.csv is a directory, so its write
+    # fails and the run removes bounds.json again
+    out = tmp_path / "out"
+    (out / "bounds.csv").mkdir(parents=True)
+    assert main(["bounds", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / 'bounds.csv'}: ") and err.count("\n") == 1
+    assert [path.name for path in out.iterdir()] == ["bounds.csv"]
+    assert (out / "bounds.csv").is_dir()
 
 
 def test_grid_too_large_is_refused_before_allocating(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from eulermc import concentration as conc
 from eulermc.errors import ArgumentError, NumericError
 from eulermc.gaussianref import hessian_spectral_bounds
-from eulermc.model import Case, GaussParams, GrowthSpec, sphere_surface_measure
+from eulermc.model import Case, GrowthSpec, sphere_surface_measure
 from oracles import folded_normal_mean, noncentral_chi3_mean
 
 SQ13 = math.sqrt(13.0)
@@ -276,9 +276,8 @@ def test_lower_bound_assembly_pipeline():
     # d = 2, C = 1, |A| = 2 pi, rho0 = 1: chi = 0 and 1/alpha_lower = c^{-1}/(2T)
     growth = GrowthSpec(1.0, 1.0, sphere_surface_measure(2))
     alpha = conc.concentration_alpha(Case.NONDEGENERATE, 1.0, 1.0)
-    lb = conc.lower_bound(
-        Case.NONDEGENERATE, GaussParams(1.0, 1.0), 1.0, alpha, growth, 1.0, np.zeros(2),
-    )
-    assert lb.rate.chi == 0.0
-    assert lb.rate.inv_alpha == pytest.approx(0.5, rel=1e-14)
-    assert lb.bias.value == pytest.approx(lb.bias.gamma_term, rel=1e-12)
+    rate = conc.lower_rate(Case.NONDEGENERATE, 2, 1.0, 1.0, 1.0, 1.0, growth.cone_measure)
+    bias = conc.lower_bias(Case.NONDEGENERATE, 1.0, 1.0, 1.0, alpha, np.zeros(2), growth, 1.0)
+    assert rate.chi == 0.0
+    assert rate.inv_alpha == pytest.approx(0.5, rel=1e-14)
+    assert bias.value == pytest.approx(bias.gamma_term, rel=1e-12)

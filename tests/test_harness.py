@@ -27,7 +27,7 @@ from eulermc.harness import (
     wilson_upper,
     write_csv,
 )
-from eulermc.model import MODEL_PRESETS, Case, GaussParams, GrowthSpec, SdeModel
+from eulermc.model import MODEL_PRESETS, Case, GrowthSpec, SdeModel
 from eulermc.simulate import RngSpec, simulate_terminal
 from oracles import noncentral_chi3_mean, norm_mean_2d
 
@@ -560,8 +560,8 @@ def test_growth_rule_over_beta(functional, rho0, beta, angle):
 def test_concentration_lower_bias_uses_normalized_alpha():
     # asian-diff takes the time-normalized alpha in the lower bias; it is
     # linear, so no command reaches its lower bound, and the bias is checked
-    # on the library assembly: its first term is (1 + sqrt 2) sqrt(alpha log C)
-    # for the alpha passed in
+    # on lower_bias: its first term is (1 + sqrt 2) sqrt(alpha log C) for the
+    # alpha passed in
     cfg = cfg_with(
         preset="kinetic", x0=[0.0, 0.0], functional="asian-diff", rho0=0.5, beta=1.0,
         T=1.5, C=1.5,
@@ -570,11 +570,11 @@ def test_concentration_lower_bias_uses_normalized_alpha():
     alpha = conc.concentration_alpha_normalized(1.0, 1.5)
     assert run_bound_table(dataclasses.replace(cfg, rho0=None, beta=None))["alpha_T"] == alpha
     floor = -0.5 * math.sqrt((1.0 + 1.5**-2) / 2.0)  # -rho0 |grad F|
-    lower = conc.lower_bound(
-        model.case, GaussParams(cfg.c, cfg.C), cfg.T, alpha, harness.growth_spec(cfg, model),
-        floor, harness.start_point(cfg, model),
+    bias = conc.lower_bias(
+        model.case, cfg.c, cfg.C, cfg.T, alpha, harness.start_point(cfg, model),
+        harness.growth_spec(cfg, model), floor,
     )
-    first = lower.bias.value - lower.bias.gamma_term - 0.5 * 1.0 + floor
+    first = bias.value - bias.gamma_term - 0.5 * 1.0 + floor
     assert first == pytest.approx((1 + math.sqrt(2)) * math.sqrt(alpha * math.log(1.5)), rel=1e-12)
 
 

@@ -131,3 +131,31 @@ def test_benchmark_hooks_resolve_on_the_package(monkeypatch):
     assert callable(simulate.draw_dim)
     assert set(cli._COMMANDS) == set(harness.COMMANDS)
     assert {workload.argv[0] for workload in run.WORKLOADS.values()} <= set(cli._COMMANDS)
+
+
+def _package_imports(tree):
+    """The package modules that a module's imports name, at module level or
+    inside a function: `from .x import ...`, `from . import x` and the
+    absolute `eulermc.x` forms."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1 or module.split(".")[0] == "eulermc":
+                module = module.removeprefix("eulermc").lstrip(".")
+                names.update([module.split(".")[0]] if module else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            names.update(a.name.split(".")[1] for a in node.names if a.name.startswith("eulermc."))
+    return names
+
+
+def test_only_cli_imports_harness_and_nothing_imports_cli():
+    # the harness runs commands and writes every file: the layers below it
+    # hand it data, and the CLI front end is the one layer above it
+    found = [
+        f"{module} imports {target}"
+        for module, tree in _trees().items()
+        for target in _package_imports(tree)
+        if target == "cli" or (target == "harness" and module != "cli.py")
+    ]
+    assert not found, found

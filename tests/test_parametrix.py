@@ -416,7 +416,7 @@ def test_term_decay_ratios_and_growing_terms():
 def test_table_csv_exports(tmp_path):
     grid = Grid1D(0.0, 1.0, 3)
     vec = DensityTable(grid, np.array([0.1, 0.2, 0.3]))
-    vec.to_csv(tmp_path / "vec.csv", config_hash="abc123")
+    write_csv(tmp_path / "vec.csv", *vec.to_csv(), "abc123")
     lines = (tmp_path / "vec.csv").read_text().splitlines()
     assert lines[0] == "# config-hash: abc123"
     assert lines[1] == "x_prime,value"

@@ -19,6 +19,7 @@ from eulermc.simulate import (
     _word_normals,
     euler_step,
     kinetic_step,
+    scheme_step,
     simulate_terminal,
 )
 from oracles import _philox4x64, chunk_words, fdlibm_log, word_normals
@@ -430,6 +431,29 @@ def test_mc_deviation_against_control_run():
     assert abs(dev) < 5 * sd / math.sqrt(2000)
 
 
+def _first_failure(model, grid, rng, M, sample_offset):
+    """(step, sample) that simulate_terminal names for a scalar run from 0.
+
+    Each sample is replayed alone on its own normals (ndraw = 1: word
+    n 4096 + (i mod 4096) of its chunk drives step n) up to its first
+    non-finite state.  The first chunk with a failing sample gives its
+    earliest failing step and, at that step, its first failing sample.
+    """
+    normals, failures = {}, {}
+    for i in range(sample_offset, sample_offset + M):
+        c, col = divmod(i, _CHUNK)
+        if c not in normals:
+            words = rng.chunk(c).random_raw(grid.N * _CHUNK)
+            normals[c] = _word_normals(words).reshape(grid.N, _CHUNK)
+        x = np.zeros(1)
+        for n in range(grid.N):
+            x = scheme_step(model, grid.times[n], x, grid.delta, normals[c][n, col : col + 1])
+            if not np.isfinite(x).all():
+                failures.setdefault(c, []).append((n, i))
+                break
+    return min(failures[min(failures)])
+
+
 def test_step_error_carries_sample_index():
     from eulermc.errors import NumericError
 
@@ -443,8 +467,14 @@ def test_step_error_carries_sample_index():
         return np.ones(x.shape[:-1] + (1, 1))
 
     m = SdeModel(Case.NONDEGENERATE, 1, drift, sigma, 1.0, 1.0)
-    with pytest.raises(NumericError, match=r"sample \d+"):
-        simulate_terminal(m, SchemeGrid(T=4.0, N=8), [0.0], RngSpec(1), 200)
+    grid, rng = SchemeGrid(T=4.0, N=8), RngSpec(1)
+    # samples 3000 to 7999 span chunks 0 and 1, so two threads run the pool
+    step, sample = _first_failure(m, grid, rng, 5000, 3000)
+    want = f"non-finite state at step {step} in sample {sample}"
+    for threads in (1, 2):
+        with pytest.raises(NumericError) as exc:
+            simulate_terminal(m, grid, [0.0], rng, 5000, threads=threads, sample_offset=3000)
+        assert str(exc.value) == want
 
 
 def test_case_dispatch_errors():
