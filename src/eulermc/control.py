@@ -15,6 +15,9 @@ import numpy as np
 from .errors import ArgumentError, IntegrationError
 from .quadrature import gauss_legendre
 
+_ENERGY_NODES = 64  # Gauss-Legendre nodes of energy
+_GEODESIC_RTOL = 1e-6  # endpoint tolerance of geodesic, relative to 1 + |x'|
+
 
 @dataclass(frozen=True)
 class ControlProblem:
@@ -53,13 +56,13 @@ def optimal_control(problem: ControlProblem, s: float) -> np.ndarray:
     return dv * (6.0 * s - 2.0 * t) / t**2 + 6.0 * g * (t - 2.0 * s) / t**3
 
 
-def energy(problem: ControlProblem, n_nodes: int = 64) -> float:
+def energy(problem: ControlProblem) -> float:
     """Integral of |u(s)|^2 over [0, t] for the optimal control.
 
     Gauss-Legendre quadrature; the control is affine in s, so the rule is
-    exact far below n_nodes.  Equals 2 * kinetic_metric(t, x, x').
+    exact far below _ENERGY_NODES.  Equals 2 * kinetic_metric(t, x, x').
     """
-    nodes, weights = gauss_legendre(0.0, problem.t, n_nodes)
+    nodes, weights = gauss_legendre(0.0, problem.t, _ENERGY_NODES)
     total = 0.0
     for s, w in zip(nodes, weights):
         u = optimal_control(problem, s)
@@ -67,12 +70,12 @@ def energy(problem: ControlProblem, n_nodes: int = 64) -> float:
     return total
 
 
-def geodesic(problem: ControlProblem, steps: int, rtol: float = 1e-6):
+def geodesic(problem: ControlProblem, steps: int):
     """Integrate the controlled state with the optimal control (RK4).
 
     Returns (times, states) with states of shape (steps + 1, 2 d').  Raises
     IntegrationError when the endpoint misses x' by more than
-    rtol * (1 + |x'|).
+    _GEODESIC_RTOL * (1 + |x'|).
     """
     if steps < 2:
         raise ArgumentError("need at least two steps")
@@ -98,7 +101,7 @@ def geodesic(problem: ControlProblem, steps: int, rtol: float = 1e-6):
         y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         states[k + 1] = y
     err = float(np.linalg.norm(y - problem.x_prime))
-    if err > rtol * (1.0 + float(np.linalg.norm(problem.x_prime))):
+    if err > _GEODESIC_RTOL * (1.0 + float(np.linalg.norm(problem.x_prime))):
         raise IntegrationError(f"geodesic endpoint error {err:.2e} above tolerance")
     return times, states
 

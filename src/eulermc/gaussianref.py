@@ -60,13 +60,7 @@ def kernel_exponent(spec: KernelSpec, xp) -> np.ndarray:
     x = spec.x
     c, t = spec.c, spec.t
     if spec.case is Case.KINETIC:
-        dp = spec.d // 2
-        dv = xp[..., :dp] - x[:dp]
-        w = xp[..., dp:] - x[dp:] - 0.5 * (x[:dp] + xp[..., :dp]) * t
-        return -c * (
-            np.sum(dv * dv, axis=-1) / (4.0 * t)
-            + 3.0 * np.sum(w * w, axis=-1) / t**3
-        )
+        return -0.5 * c * kinetic_metric(t, x, xp, spec.d // 2)
     diff = xp - x
     return -c * np.sum(diff * diff, axis=-1) / (2.0 * t)
 

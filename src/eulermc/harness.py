@@ -323,7 +323,7 @@ def _table_grid(cfg: ExperimentConfig, model: SdeModel, tgrid: SchemeGrid, x: fl
     h > 2 sqrt(lambda0 delta), every one-step density has a standard
     deviation below h/2, and its trapezoid mass on the grid is off by about
     2 exp(-pi^2/2) ~ 0.014 (times a phase set by where the mean falls between
-    nodes), far above the CK mass tolerance of 1e-8.
+    nodes), far above the CK mass tolerance parametrix._MASS_TOL.
     """
     grid = default_grid(model, tgrid, x, cfg.grid_points, cfg.grid_radius)
     size = 8 * grid.n_points**2
@@ -356,11 +356,11 @@ def growth_spec(cfg: ExperimentConfig, model: SdeModel) -> GrowthSpec | None:
     return GrowthSpec(rho0=cfg.rho0, beta=cfg.beta, cone_measure=measure)
 
 
-def wilson_upper(k: int, n: int, z: float = _WILSON_Z99) -> float:
-    """Upper limit of the one-sided Wilson score interval for k/n."""
+def wilson_upper(k: int, n: int) -> float:
+    """Upper limit of the one-sided 99% Wilson score interval for k/n."""
     if n < 1:
         raise ArgumentError("need n >= 1")
-    p = k / n
+    p, z = k / n, _WILSON_Z99
     denom = 1.0 + z * z / n
     center = p + z * z / (2.0 * n)
     rad = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
@@ -559,7 +559,7 @@ def run_density_check(cfg: ExperimentConfig) -> dict:
 
     if cfg.density_mode == "ck":
         grid = _table_grid(cfg, model, tgrid, float(x0[0]))
-        table = chapman_kolmogorov_density(model, tgrid, 0, tgrid.N, float(x0[0]), grid)
+        table = chapman_kolmogorov_density(model, tgrid, float(x0[0]), grid)
         mask = table.values > 1e-10
         centers = grid.points[mask][:, None]
         dens = table.values[mask]
@@ -568,6 +568,10 @@ def run_density_check(cfg: ExperimentConfig) -> dict:
         # Scott-rule bin widths need a sample standard deviation
         if cfg.density_samples < 2:
             raise ConfigError(f"density_samples must be >= 2, got {cfg.density_samples}")
+        if cfg.min_bin_count < 1:  # empty bins would enter the fit as zero densities
+            raise ConfigError(f"min_bin_count must be >= 1, got {cfg.min_bin_count}")
+        if not 0.0 <= cfg.high_mass_fraction <= 1.0:
+            raise ConfigError(f"high_mass_fraction must be in [0, 1], got {cfg.high_mass_fraction}")
         s = _simulate(cfg, model, tgrid, cfg.density_samples)
         n = s.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -720,8 +724,8 @@ def _parametrix_files(cfg: ExperimentConfig) -> dict:
     x0 = float(start_point(cfg, model)[0])
     grid = _table_grid(cfg, model, tgrid, x0)
     # the cheap CK oracle holds the mass-truncation guard, so it runs first
-    ck = chapman_kolmogorov_density(model, tgrid, 0, tgrid.N, x0, grid)
-    series, norms, _ = parametrix_series(model, tgrid, 0, tgrid.N, x0, grid, cfg.r_max)
+    ck = chapman_kolmogorov_density(model, tgrid, x0, grid)
+    series, norms, _ = parametrix_series(model, tgrid, x0, grid, cfg.r_max)
     scale = float(np.max(np.abs(ck.values)))
     ratios, growing = term_decay(norms)
     report = {

@@ -11,9 +11,10 @@ the true and frozen schemes, H^{(r)} its r-fold time-space convolution, and
 spatial integral.  Conventions: the frozen density at zero elapsed time is
 the point mass at the start (handled exactly, never discretized), singular
 kernels vanish at coincident times, and H^{(r)} vanishes on spans shorter
-than r steps.  Under these conventions the series truncated at r = j' - j
-reproduces the Chapman-Kolmogorov composition exactly, up to spatial
-quadrature.
+than r steps.  The engine computes the span t_0 .. t_N of its SchemeGrid,
+the law at T from x (j = 0, j' = N).  Under these conventions its series
+truncated at r = N reproduces the Chapman-Kolmogorov composition exactly,
+up to spatial quadrature.
 
 Spatial integrals use trapezoid weights on a uniform truncated grid; for
 Gaussian-type integrands that is spectrally accurate, so truncation
@@ -67,7 +68,7 @@ class Grid1D:
 
 
 def default_grid(
-    model: SdeModel, tgrid: SchemeGrid, x: float, n_points: int = 601, radius: float = 10.0
+    model: SdeModel, tgrid: SchemeGrid, x: float, n_points: int, radius: float
 ) -> Grid1D:
     """Grid wide enough for the terminal density: radius standard deviations
     of the most diffusive coefficient plus the drift-bound displacement."""
@@ -105,6 +106,8 @@ _EXP_FLOOR = -700.0
 # products of the series (its einsum and FFT products) slow down several
 # times on subnormals (x86-64)
 _FLUSH_TINY = 1e-290
+# the largest density-weighted mass that one CK step may lose off the grid
+_MASS_TOL = 1e-8
 
 
 def _gauss(y, mean, var, flush=False):
@@ -138,11 +141,11 @@ def _step_moments(model: SdeModel, tgrid: SchemeGrid, steps, pts):
         yield b * tgrid.delta, a * tgrid.delta
 
 
-def one_step_density(model: SdeModel, tgrid: SchemeGrid, j: int, x: float, xp):
-    """Scheme one-step density: Gaussian with mean x + b(t_j, x) delta and
-    variance a(t_j, x) delta, evaluated at xp (vectorized over xp)."""
+def one_step_density(model: SdeModel, tgrid: SchemeGrid, x: float, xp):
+    """Density of the scheme's first step from (t_0, x): Gaussian with mean
+    x + b(t_0, x) delta and variance a(t_0, x) delta, at xp (vectorized)."""
     _check_1d_case_a(model)
-    ((bd, ad),) = _step_moments(model, tgrid, [j], [x])
+    ((bd, ad),) = _step_moments(model, tgrid, [0], [x])
     return _gauss(np.asarray(xp, dtype=float), x + bd[0], ad[0])
 
 
@@ -156,18 +159,17 @@ def _running_sums(moments, n: int):
         yield drift_sum, var_sum
 
 
-def frozen_density(model: SdeModel, tgrid: SchemeGrid, j: int, j_prime: int, x: float, xp):
+def frozen_density(model: SdeModel, tgrid: SchemeGrid, x: float, xp):
     """Density at xp of the scheme with coefficients frozen at xp.
 
     Gaussian with mean x + sum_i b(t_i, xp) delta and variance
-    sum_i a(t_i, xp) delta over i = j .. j'-1 (vectorized over xp).
+    sum_i a(t_i, xp) delta over the steps i = 0 .. N-1 of t_0 .. t_N
+    (vectorized over xp).
     """
     _check_1d_case_a(model)
-    if not 0 <= j < j_prime <= tgrid.N:
-        raise ArgumentError("need 0 <= j < j' <= N")
     xp = np.asarray(xp, dtype=float)
     flat = np.atleast_1d(xp)
-    moments = _step_moments(model, tgrid, range(j, j_prime), flat)
+    moments = _step_moments(model, tgrid, range(tgrid.N), flat)
     *_, (drift_sum, var_sum) = _running_sums(moments, flat.size)
     vals = _gauss(flat, x + drift_sum, var_sum)
     return float(vals[0]) if xp.ndim == 0 else vals
@@ -274,38 +276,30 @@ def check_term_decay(norms) -> None:
         )
 
 
-def parametrix_series(
-    model: SdeModel,
-    tgrid: SchemeGrid,
-    j: int,
-    j_prime: int,
-    x: float,
-    grid: Grid1D,
-    r_max: int = 3,
-):
-    """Truncated parametrix series for p(t_j, t_{j'}, x, .) on the grid.
+def parametrix_series(model: SdeModel, tgrid: SchemeGrid, x: float, grid: Grid1D, r_max: int):
+    """Terms 0 .. r_max (at most N) of the parametrix series for p(t_0, t_N, x, .) on the grid.
 
     Returns (DensityTable, per-term sup norms, terms).  Terms beyond r = 1
     whose sup norm stops decaying trigger a DivergenceWarning: the grid or
     its truncation is then suspect.
 
-    Terms are built from the left: with T_r[m] = (ptilde (x)_D H^{(r)})(t_j,
+    Terms are built from the left: with T_r[m] = (ptilde (x)_D H^{(r)})(t_0,
     t_m, x, .), T_0[m] is the frozen density and, for r >= 1,
 
-        T_r[m] = delta [r = 1] H(t_j, t_m, x, .)
-                 + sum_{l=j+1}^{m-1} delta (tw T_{r-1}[l]) H(t_l, t_m),
+        T_r[m] = delta [r = 1] H(t_0, t_m, x, .)
+                 + sum_{l=1}^{m-1} delta (tw T_{r-1}[l]) H(t_l, t_m),
 
-    and term r is T_r[j'].  Sweeping l upwards, the rows V = tw T_{0..r_max-1}[l]
+    and term r is T_r[N].  Sweeping l upwards, the rows V = tw T_{0..r_max-1}[l]
     are final when l is reached and are pushed into every later m, so no
     kernel table H(t_l, t_m) is stored.  With D = _onestep_defect(V, ...) of
     step l (FFTs once per l) and psi the frozen tail over t_{l+1} .. t_m,
 
         delta (V H(t_l, t_m))[r, z] = sum_w D[r, z, w] tw[w] psi[z, w],
 
-    and for m = l + 1 it is D[r, z, z].  The sweep starts at l = j, whose one
+    and for m = l + 1 it is D[r, z, z].  The sweep starts at l = 0, whose one
     row is the point mass at x: there D[0, z, w] is the one-step density from
     x at w minus the step frozen at z, and the same contraction gives the
-    delta H(t_j, t_m, x, .) part of T_1[m].
+    delta H(t_0, t_m, x, .) part of T_1[m].
 
     The model is read once per step, as b(t_k, .) delta and a(t_k, .) delta
     on the grid, and T_0 and each frozen tail psi are running sums of them.
@@ -313,43 +307,41 @@ def parametrix_series(
     step l change in some bit, so time-independent coefficients build them once.
     """
     _check_1d_case_a(model)
-    steps = j_prime - j
-    if not 0 <= j < j_prime <= tgrid.N:
-        raise ArgumentError("need 0 <= j < j' <= N")
-    if not 0 <= r_max <= steps:
-        raise ArgumentError("need 0 <= r_max <= j' - j")
+    N = tgrid.N
+    if not 0 <= r_max <= N:
+        raise ArgumentError(f"r_max must lie in [0, N] = [0, {N}], got {r_max}")
     pts = grid.points
     tw = grid.weights()
     n = grid.n_points
-    # moments[k - j] = (b delta, a delta) at (t_k, pts), k = j .. j'-1
-    moments = list(_step_moments(model, tgrid, range(j, j_prime), pts))
+    # moments[k] = (b delta, a delta) at (t_k, pts), k = 0 .. N-1
+    moments = list(_step_moments(model, tgrid, range(N), pts))
 
     def step_kernels(bd, ad):
         return _one_step_matrix(pts, bd, ad, flush=True), _shift_kernel_spectra(pts, bd, ad)
 
     kernels = _built_per_change(moments[1:], step_kernels)
 
-    # T[r, m - j] = T_r[m]; T_r[m] vanishes for r > m - j
-    T = np.zeros((r_max + 1, steps + 1, n))
-    for m, (drift_sum, var_sum) in enumerate(_running_sums(moments, n), j + 1):
-        T[0, m - j] = _gauss(pts, x + drift_sum, var_sum)
-    for l in range(j, j_prime if r_max else j):
-        rows = min(r_max, l - j + 1)
-        if l == j:
+    # T[r, m] = T_r[m]; T_r[m] vanishes for r > m
+    T = np.zeros((r_max + 1, N + 1, n))
+    for m, (drift_sum, var_sum) in enumerate(_running_sums(moments, n), 1):
+        T[0, m] = _gauss(pts, x + drift_sum, var_sum)
+    for l in range(N if r_max else 0):
+        rows = min(r_max, l + 1)
+        if l == 0:
             bd, ad = moments[0]
             frozen = _gauss(pts[None, :], x + bd[:, None], ad[:, None], flush=True)
-            D = (one_step_density(model, tgrid, j, x, pts) - frozen)[None]
+            D = (one_step_density(model, tgrid, x, pts) - frozen)[None]
         else:
-            D = _onestep_defect(tw * T[:rows, l - j], *next(kernels))
+            D = _onestep_defect(tw * T[:rows, l], *next(kernels))
         out = T[1 : rows + 1]
-        out[:, l + 1 - j] += np.diagonal(D, axis1=1, axis2=2)
+        out[:, l + 1] += np.diagonal(D, axis1=1, axis2=2)
         D *= tw
-        tails = _running_sums(moments[l + 1 - j :], n)
+        tails = _running_sums(moments[l + 1 :], n)
         for m, (drift_sum, var_sum) in enumerate(tails, l + 2):
             psi = _frozen_tail(pts, drift_sum, var_sum)
-            out[:, m - j] += np.einsum("rzw,zw->rz", D, psi)
+            out[:, m] += np.einsum("rzw,zw->rz", D, psi)
 
-    terms = [T[r, steps] for r in range(r_max + 1)]
+    terms = [T[r, N] for r in range(r_max + 1)]
     norms = [float(np.max(np.abs(t))) for t in terms]
     check_term_decay(norms)
     table = DensityTable(grid, np.sum(terms, axis=0))
@@ -357,41 +349,31 @@ def parametrix_series(
 
 
 def chapman_kolmogorov_density(
-    model: SdeModel,
-    tgrid: SchemeGrid,
-    j: int,
-    j_prime: int,
-    x: float,
-    grid: Grid1D,
-    mass_tol: float = 1e-8,
+    model: SdeModel, tgrid: SchemeGrid, x: float, grid: Grid1D
 ) -> DensityTable:
-    """Iterated one-step composition of the scheme density on the grid.
+    """Iterated one-step composition of the scheme density from (t_0, x) to t_N.
 
     Matrix products with trapezoid weights; the density-weighted mass lost
-    off the grid at each step must stay below mass_tol.  The one-step matrix
+    off the grid at each step must stay below _MASS_TOL.  The one-step matrix
     and its row masses are reused by the rule of parametrix_series.
     """
     _check_1d_case_a(model)
-    if not 0 <= j < j_prime <= tgrid.N:
-        raise ArgumentError("need 0 <= j < j' <= N")
     pts = grid.points
     tw = grid.weights()
-    dens = one_step_density(model, tgrid, j, x, pts)
+    dens = one_step_density(model, tgrid, x, pts)
     loss = abs(float(tw @ dens) - 1.0)
-    if loss > mass_tol:
-        raise TruncationError(f"initial step loses mass {loss:.2e} > {mass_tol:.0e}")
+    if loss > _MASS_TOL:
+        raise TruncationError(f"initial step loses mass {loss:.2e} > {_MASS_TOL:.0e}")
 
     def step_matrix(bd, ad):
         Q = _one_step_matrix(pts, bd, ad)
         return Q, Q @ tw
 
-    steps = range(j + 1, j_prime)
+    steps = range(1, tgrid.N)
     matrices = _built_per_change(_step_moments(model, tgrid, steps, pts), step_matrix)
     for k, (Q, row_mass) in zip(steps, matrices):
         step_loss = float(tw @ (dens * (1.0 - row_mass)))
-        if step_loss > mass_tol:
-            raise TruncationError(
-                f"step {k} loses mass {step_loss:.2e} > {mass_tol:.0e}"
-            )
+        if step_loss > _MASS_TOL:
+            raise TruncationError(f"step {k} loses mass {step_loss:.2e} > {_MASS_TOL:.0e}")
         dens = (tw * dens) @ Q
     return DensityTable(grid, dens)

@@ -178,14 +178,14 @@ def test_criterion_06_parametrix():
     const = model_preset("const", d=1, b0=0.0, sigma0=1.0)
     tg = SchemeGrid(T=1.0, N=10)
     grid_c = default_grid(const, tg, 0.0, 600, 10.0)
-    table, _, _ = parametrix_series(const, tg, 0, 10, 0.0, grid_c, r_max=3)
+    table, _, _ = parametrix_series(const, tg, 0.0, grid_c, r_max=3)
     exact = np.exp(-grid_c.points**2 / 2) / math.sqrt(2 * math.pi)
     const_err = float(np.max(np.abs(table.values - exact)))
 
     trig = model_preset("trig", a_amp=0.1)
     grid_t = default_grid(trig, tg, 0.0, 600, 10.0)
-    series, norms, _ = parametrix_series(trig, tg, 0, 10, 0.0, grid_t, r_max=3)
-    ck = chapman_kolmogorov_density(trig, tg, 0, 10, 0.0, grid_t)
+    series, norms, _ = parametrix_series(trig, tg, 0.0, grid_t, r_max=3)
+    ck = chapman_kolmogorov_density(trig, tg, 0.0, grid_t)
     rel = float(np.max(np.abs(series.values - ck.values))) / float(np.max(ck.values))
     decaying = norms[2] < norms[1] and norms[3] < norms[2]
     elapsed = time.perf_counter() - t0

@@ -207,6 +207,12 @@ CONFIG_ERRORS = [
     # an empty list would run in full and write a header with no rows
     ["concentration", "--set", "r_grid=[]"],
     ["bounds", "--set", "eps=[]"],
+    # both once gave an infinite fit (exit 3) or too few bins (exit 4)
+    [
+        "density-check", "--set", 'preset="kinetic"', "--set", "dp=1", "--set", "x0=[0,0]",
+        "--set", "min_bin_count=0", "--set", "high_mass_fraction=0",
+    ],
+    ["density-check", "--set", "high_mass_fraction=1.5"],
 ]
 CONFIG_ERROR_IDS = [
     "out-dir-under-file", "cone-not-a-number", "empty-c-grid", "M-string", "N-float",
@@ -218,7 +224,7 @@ CONFIG_ERROR_IDS = [
     "bounds-identity-no-growth", "bounds-abs-beta-above-one", "bounds-unknown-functional", "bounds-asian-diff-const",
     "rho0-without-beta", "beta-without-rho0", "num-r-negative", "control-empty-endpoints",
     "control-factor-zero", "control-factor-negative", "parametrix-b0-huge",
-    "empty-r-grid", "empty-eps",
+    "empty-r-grid", "empty-eps", "min-bin-count-zero", "high-mass-fraction-above-one",
 ]
 
 
@@ -231,6 +237,12 @@ def test_bad_input_is_one_line_config_error(tmp_path, capsys, args):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_r_max_above_n_names_config_fields(tmp_path, capsys):
+    argv = ["parametrix", "--set", 'preset="trig"', "--set", "N=4", "--set", "r_max=5"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: r_max must lie in [0, N] = [0, 4], got 5\n"
 
 
 def test_huge_constant_drift_simulates_without_warnings(tmp_path, capsys):

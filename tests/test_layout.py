@@ -67,6 +67,67 @@ def test_entry_points_exist():
     assert set(ENTRY_POINTS) <= {name for _, name in _definitions(_trees())}
 
 
+# parameter defaults that no call in the package sets, each with its reason
+UNSET_DEFAULTS = {
+    "cli.py:main": "an entry point: argv=None reads the command line",
+    **{
+        f"model.py:{name}": "a MODEL_PRESETS builder: model_preset calls it as builder(**params)"
+        for name in ("_const_model", "_trig_model", "_kinetic_model")
+    },
+}
+
+
+def _defaults(trees):
+    """(module:function, function, parameter, position) of every parameter
+    with a default; the position leaves out a leading self or cls, and is
+    None for keyword-only parameters."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            shift = int(bool(positional) and positional[0].arg in ("self", "cls"))
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first - shift):
+                found.append((f"{module}:{node.name}", node.name, arg.arg, i))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found.append((f"{module}:{node.name}", node.name, arg.arg, None))
+    return found
+
+
+def _unset_defaults(trees):
+    """The _defaults entries that no call in the package sets by keyword or
+    by position; a call with *args or **kwargs sets every parameter."""
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                keywords = {k.arg for k in node.keywords}
+                starred = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append((starred, len(node.args), keywords))
+    return {
+        f"{key}({param})"
+        for key, name, param, pos in _defaults(trees)
+        if not any(
+            starred or param in keywords or pos is not None and pos < n_args
+            for starred, n_args, keywords in calls.get(name, [])
+        )
+    }
+
+
+def test_every_parameter_default_is_set_by_a_caller_in_the_package():
+    # a default that no call overrides is a constant with extra steps; each
+    # UNSET_DEFAULTS entry must still be such a function
+    unset = _unset_defaults(_trees())
+    extra = sorted(entry for entry in unset if entry.split("(")[0] not in UNSET_DEFAULTS)
+    assert not extra, f"parameter defaults that no call in src/eulermc sets: {extra}"
+    assert {entry.split("(")[0] for entry in unset} == set(UNSET_DEFAULTS)
+
+
 # numpy random names whose draws depend on numpy internals (Generator
 # normals, legacy and SeedSequence seeding) rather than on the chunk streams
 _FOREIGN_RNG = {"default_rng", "Generator", "RandomState", "SeedSequence"}

@@ -28,6 +28,12 @@ def gauss(y, mean, var):
     return math.exp(-((y - mean) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
 
 
+def zero_start(delta, steps):
+    """The grid of `steps` steps of length delta from t_0 = 0: the engine's
+    span t_0 .. t_N."""
+    return SchemeGrid(T=steps * delta, N=steps)
+
+
 def test_grid_basics():
     g = Grid1D(-1.0, 1.0, 5)
     assert g.h == 0.5
@@ -42,12 +48,12 @@ def test_grid_basics():
 
 def test_frozen_density_constant_coefficients_is_scheme_density():
     m = model_preset("const", d=1, b0=0.4, sigma0=1.3)
-    tg = SchemeGrid(T=1.0, N=5)
     xs = np.linspace(-3, 3, 11)
-    for j, jp in [(0, 1), (0, 5), (2, 4)]:
-        span = (jp - j) * tg.delta
+    for steps in (1, 5, 2):
+        tg = zero_start(0.2, steps)
+        span = steps * tg.delta
         want = [gauss(x, 0.7 + 0.4 * span, 1.69 * span) for x in xs]
-        got = frozen_density(m, tg, j, jp, 0.7, xs)
+        got = frozen_density(m, tg, 0.7, xs)
         assert np.allclose(got, want, rtol=1e-14)
 
 
@@ -60,17 +66,16 @@ def test_frozen_density_time_dependent_variance_sum():
     from eulermc.model import Case, SdeModel
 
     m = SdeModel(Case.NONDEGENERATE, 1, lambda t, x: np.zeros_like(x), sigma, 2.0, 1.0)
-    tg = SchemeGrid(T=1.0, N=8)
-    j, jp = 1, 7
-    var = sum((1.0 + tg.times[i] / 2.0) * tg.delta for i in range(j, jp))
-    got = frozen_density(m, tg, j, jp, 0.0, np.array([0.9]))
+    tg = zero_start(1.0 / 8, 6)
+    var = sum((1.0 + tg.times[i] / 2.0) * tg.delta for i in range(tg.N))
+    got = frozen_density(m, tg, 0.0, np.array([0.9]))
     assert got[0] == pytest.approx(gauss(0.9, 0.0, var), rel=1e-14)
 
 
 def test_one_step_density_properties():
     tg = SchemeGrid(T=1.0, N=10)
     grid = Grid1D(-4, 4, 801)
-    vals = one_step_density(TRIG, tg, 0, 0.0, grid.points)
+    vals = one_step_density(TRIG, tg, 0.0, grid.points)
     # symmetric about the mean (zero drift at x = 0)
     assert np.allclose(vals, vals[::-1], rtol=1e-12)
     assert float(grid.weights() @ vals) == pytest.approx(1.0, abs=1e-8)
@@ -85,33 +90,32 @@ def test_one_step_density_matches_simulation_histogram():
     counts, _ = np.histogram(batch[:, 0], bins=edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     width = edges[1] - edges[0]
-    dens = one_step_density(m, tg, 0, 0.3, centers)
+    dens = one_step_density(m, tg, 0.3, centers)
     expected = dens * n * width
     # 3 standard errors per bin, Poisson scale
     bad = np.abs(counts - expected) > 3.0 * np.sqrt(np.maximum(expected, 1.0))
     assert bad.mean() < 0.01
 
 
-def kernel_row(model, tg, j, m, x, grid):
-    """Term 1 of the series from (t_j, x) to t_m over delta, on the grid: the
-    defect kernel H(t_j, t_m, x, .) that the series builds, plus (for
-    m > j + 1) its convolutions with the frozen densities of the later steps."""
-    return parametrix_series(model, tg, j, m, x, grid, r_max=1)[2][1] / tg.delta
+def kernel_row(model, tg, x, grid):
+    """Term 1 of the series from (t_0, x) to t_N over delta, on the grid: the
+    defect kernel H(t_0, t_N, x, .) that the series builds, plus (for
+    N > 1) its convolutions with the frozen densities of the later steps."""
+    return parametrix_series(model, tg, x, grid, r_max=1)[2][1] / tg.delta
 
 
 def test_defect_kernel_zero_for_constant_coefficients():
-    tg = SchemeGrid(T=1.0, N=5)
     grid = Grid1D(-8, 8, 401)
-    for jp in (1, 3, 5):
-        assert np.max(np.abs(kernel_row(CONST, tg, 0, jp, 0.2, grid))) < 1e-14
+    for steps in (1, 3, 5):
+        assert np.max(np.abs(kernel_row(CONST, zero_start(0.2, steps), 0.2, grid))) < 1e-14
 
 
 def test_defect_kernel_single_step_closed_form():
     # b = 0, a(x) = 1 + 0.1 sin x: difference of two explicit Gaussians
-    tg = SchemeGrid(T=1.0, N=10)
+    tg = zero_start(0.1, 1)
     grid = Grid1D(-8, 8, 401)
     delta = tg.delta
-    got = kernel_row(TRIG, tg, 0, 1, 0.0, grid)
+    got = kernel_row(TRIG, tg, 0.0, grid)
     want = [
         (gauss(xp, 0.0, delta) - gauss(xp, 0.0, (1 + 0.1 * math.sin(xp)) * delta)) / delta
         for xp in grid.points
@@ -123,9 +127,8 @@ def test_defect_kernel_mass_nearly_cancels():
     # the true one-step density has unit mass; the frozen one is evaluated
     # with parameters that vary with the target, so its mass is 1 + O(delta)
     # and the kernel's signed mass is small against its absolute mass
-    tg = SchemeGrid(T=1.0, N=10)
     grid = Grid1D(-6, 6, 1201)
-    vals = kernel_row(TRIG, tg, 0, 1, 0.0, grid)
+    vals = kernel_row(TRIG, zero_start(0.1, 1), 0.0, grid)
     signed = abs(float(grid.weights() @ vals))
     total = float(grid.weights() @ np.abs(vals))
     assert signed < 1e-2
@@ -135,7 +138,7 @@ def test_defect_kernel_mass_nearly_cancels():
 def test_series_constant_coefficients_exact():
     tg = SchemeGrid(T=1.0, N=5)
     grid = default_grid(CONST, tg, 0.0, 401, 8.0)
-    table, norms, _ = parametrix_series(CONST, tg, 0, 5, 0.0, grid, r_max=3)
+    table, norms, _ = parametrix_series(CONST, tg, 0.0, grid, r_max=3)
     exact = np.exp(-grid.points**2 / 2) / math.sqrt(2 * math.pi)
     assert np.max(np.abs(table.values - exact)) < 1e-8
     assert all(n < 1e-12 for n in norms[1:])
@@ -144,8 +147,8 @@ def test_series_constant_coefficients_exact():
 def test_series_matches_chapman_kolmogorov():
     tg = SchemeGrid(T=1.0, N=10)
     grid = default_grid(TRIG, tg, 0.0, 600, 10.0)
-    table, norms, _ = parametrix_series(TRIG, tg, 0, 10, 0.0, grid, r_max=3)
-    ck = chapman_kolmogorov_density(TRIG, tg, 0, 10, 0.0, grid)
+    table, norms, _ = parametrix_series(TRIG, tg, 0.0, grid, r_max=3)
+    ck = chapman_kolmogorov_density(TRIG, tg, 0.0, grid)
     rel = np.max(np.abs(table.values - ck.values)) / np.max(ck.values)
     assert rel < 1e-2
     # term sup norms decay beyond r = 1
@@ -159,8 +162,8 @@ def test_series_matches_chapman_kolmogorov_at_fifty_steps():
     # uniformly in N (Konakov and Mammen, PTRF 117, 2000)
     tg = SchemeGrid(T=1.0, N=50)
     grid = default_grid(TRIG, tg, 0.0, 201, 10.0)
-    table, norms, _ = parametrix_series(TRIG, tg, 0, 50, 0.0, grid, r_max=3)
-    ck = chapman_kolmogorov_density(TRIG, tg, 0, 50, 0.0, grid)
+    table, norms, _ = parametrix_series(TRIG, tg, 0.0, grid, r_max=3)
+    ck = chapman_kolmogorov_density(TRIG, tg, 0.0, grid)
     rel = np.max(np.abs(table.values - ck.values)) / np.max(ck.values)
     assert rel < 1e-2
     assert norms[1] > norms[2] > norms[3]
@@ -177,8 +180,8 @@ def test_fft_length_is_scipy_next_fast_len():
 def test_series_full_order_agrees_with_ck_tightly():
     tg = SchemeGrid(T=1.0, N=6)
     grid = default_grid(TRIG, tg, 0.0, 401, 9.0)
-    table, _, _ = parametrix_series(TRIG, tg, 0, 6, 0.0, grid, r_max=6)
-    ck = chapman_kolmogorov_density(TRIG, tg, 0, 6, 0.0, grid)
+    table, _, _ = parametrix_series(TRIG, tg, 0.0, grid, r_max=6)
+    ck = chapman_kolmogorov_density(TRIG, tg, 0.0, grid)
     rel = np.max(np.abs(table.values - ck.values)) / np.max(ck.values)
     assert rel < 1e-6
 
@@ -197,7 +200,7 @@ RIGHT_ASSOCIATED_TERM_NORMS = [
 def test_series_term_norms_match_right_associated_series():
     tg = SchemeGrid(T=1.0, N=10)
     grid = default_grid(TRIG, tg, 0.0, 601, 10.0)
-    _, norms, _ = parametrix_series(TRIG, tg, 0, 10, 0.0, grid, r_max=3)
+    _, norms, _ = parametrix_series(TRIG, tg, 0.0, grid, r_max=3)
     assert norms == pytest.approx(RIGHT_ASSOCIATED_TERM_NORMS, rel=1e-12, abs=0.0)
 
 
@@ -210,8 +213,8 @@ def test_series_peak_memory_does_not_grow_with_steps():
         tg = SchemeGrid(T=1.0, N=N)
         grid = default_grid(TRIG, tg, 0.0, 201, 10.0)
         for record, run in (
-            (peaks, lambda: parametrix_series(TRIG, tg, 0, N, 0.0, grid, r_max=3)),
-            (ck_peaks, lambda: chapman_kolmogorov_density(TRIG, tg, 0, N, 0.0, grid)),
+            (peaks, lambda: parametrix_series(TRIG, tg, 0.0, grid, r_max=3)),
+            (ck_peaks, lambda: chapman_kolmogorov_density(TRIG, tg, 0.0, grid)),
         ):
             tracemalloc.start()
             try:
@@ -227,7 +230,7 @@ def test_series_peak_memory_does_not_grow_with_steps():
 @pytest.mark.parametrize("N, n", [(10, 401), (50, 601)])
 def test_flushed_matrices_hold_no_tiny_values(monkeypatch, N, n):
     # every flushed density of the series (Q, the blocks of G, psi and the
-    # l = j frozen matrix) is 0 or at least 1e-290, so no product with it
+    # l = 0 frozen matrix) is 0 or at least 1e-290, so no product with it
     # is subnormal; none of them depends on r_max
     shapes = set()
     gauss = parametrix._gauss
@@ -241,7 +244,7 @@ def test_flushed_matrices_hold_no_tiny_values(monkeypatch, N, n):
 
     monkeypatch.setattr(parametrix, "_gauss", checked)
     tg = SchemeGrid(T=1.0, N=N)
-    parametrix_series(TRIG, tg, 0, N, 0.0, default_grid(TRIG, tg, 0.0, n, 10.0), r_max=1)
+    parametrix_series(TRIG, tg, 0.0, default_grid(TRIG, tg, 0.0, n, 10.0), r_max=1)
     # n x n for Q, psi and the frozen matrix; blocks of 64 rows (the last
     # one shorter) of the 2n - 1 displacements for G
     assert shapes == {(n, n), (64, 2 * n - 1), (n % 64, 2 * n - 1)}
@@ -273,9 +276,9 @@ def test_time_independent_steps_build_the_one_step_matrix_once(monkeypatch):
     calls = _count_one_step_builds(monkeypatch)
     tg = SchemeGrid(T=1.0, N=10)
     grid = default_grid(TRIG, tg, 0.0, 201, 10.0)
-    parametrix_series(TRIG, tg, 0, 10, 0.0, grid, r_max=3)
+    parametrix_series(TRIG, tg, 0.0, grid, r_max=3)
     assert len(calls) == 1
-    chapman_kolmogorov_density(TRIG, tg, 0, 10, 0.0, grid)
+    chapman_kolmogorov_density(TRIG, tg, 0.0, grid)
     assert len(calls) == 2
 
 
@@ -286,9 +289,9 @@ def test_time_dependent_steps_build_the_one_step_matrix_every_step(monkeypatch):
     tg = SchemeGrid(T=1.0, N=10)
     grid = default_grid(model, tg, 0.0, 600, 10.0)
     # steps 1 .. 9 each; step 0 starts from the point mass at x
-    table, norms, _ = parametrix_series(model, tg, 0, 10, 0.0, grid, r_max=3)
+    table, norms, _ = parametrix_series(model, tg, 0.0, grid, r_max=3)
     assert len(calls) == 9
-    ck = chapman_kolmogorov_density(model, tg, 0, 10, 0.0, grid)
+    ck = chapman_kolmogorov_density(model, tg, 0.0, grid)
     assert len(calls) == 18
     # criterion 06's rule
     rel = np.max(np.abs(table.values - ck.values)) / np.max(ck.values)
@@ -296,33 +299,24 @@ def test_time_dependent_steps_build_the_one_step_matrix_every_step(monkeypatch):
     assert norms[1] > norms[2] > norms[3]
 
 
-def test_series_interior_window():
-    tg = SchemeGrid(T=1.0, N=8)
-    grid = default_grid(TRIG, tg, 0.3, 401, 9.0)
-    table, _, _ = parametrix_series(TRIG, tg, 2, 7, 0.3, grid, r_max=3)
-    ck = chapman_kolmogorov_density(TRIG, tg, 2, 7, 0.3, grid)
-    rel = np.max(np.abs(table.values - ck.values)) / np.max(ck.values)
-    assert rel < 1e-2
-
-
 def test_series_r_max_validation():
     tg = SchemeGrid(T=1.0, N=4)
     grid = Grid1D(-5, 5, 101)
     with pytest.raises(ArgumentError):
-        parametrix_series(TRIG, tg, 0, 4, 0.0, grid, r_max=5)
+        parametrix_series(TRIG, tg, 0.0, grid, r_max=5)
 
 
 def test_ck_single_step_is_one_step_density():
-    tg = SchemeGrid(T=1.0, N=4)
+    tg = zero_start(0.25, 1)
     grid = Grid1D(-6, 6, 501)
-    table = chapman_kolmogorov_density(TRIG, tg, 1, 2, 0.1, grid)
-    assert np.allclose(table.values, one_step_density(TRIG, tg, 1, 0.1, grid.points))
+    table = chapman_kolmogorov_density(TRIG, tg, 0.1, grid)
+    assert np.allclose(table.values, one_step_density(TRIG, tg, 0.1, grid.points))
 
 
 def test_ck_constant_coefficients_exact_gaussian():
     tg = SchemeGrid(T=1.0, N=8)
     grid = default_grid(CONST, tg, 0.0, 501, 9.0)
-    table = chapman_kolmogorov_density(CONST, tg, 0, 8, 0.0, grid)
+    table = chapman_kolmogorov_density(CONST, tg, 0.0, grid)
     exact = np.exp(-grid.points**2 / 2) / math.sqrt(2 * math.pi)
     assert np.max(np.abs(table.values - exact)) < 1e-8
 
@@ -331,7 +325,7 @@ def test_ck_matches_simulation_histogram():
     m = model_preset("trig", a_amp=0.2, b_amp=0.2)
     tg = SchemeGrid(T=1.0, N=5)
     grid = default_grid(m, tg, 0.0, 501, 9.0)
-    table = chapman_kolmogorov_density(m, tg, 0, 5, 0.0, grid)
+    table = chapman_kolmogorov_density(m, tg, 0.0, grid)
     n = 1_000_000
     batch = simulate_terminal(m, tg, [0.0], RngSpec(909), n)
     edges = np.linspace(-3.5, 3.5, 141)
@@ -346,20 +340,20 @@ def test_ck_matches_simulation_histogram():
 def test_ck_truncation_guard():
     tg = SchemeGrid(T=1.0, N=4)
     with pytest.raises(TruncationError):
-        chapman_kolmogorov_density(TRIG, tg, 0, 4, 0.0, Grid1D(-1.0, 1.0, 101))
+        chapman_kolmogorov_density(TRIG, tg, 0.0, Grid1D(-1.0, 1.0, 101))
 
 
 def test_kernel_decay_weighted_by_reference():
-    # |term 1| / delta (t_{j'} - t_j)^{1/2} / p_cfit stays bounded on the grid
-    tg = SchemeGrid(T=1.0, N=10)
-    grid = default_grid(TRIG, tg, 0.0, 301, 8.0)
+    # |term 1| / delta (t_N - t_0)^{1/2} / p_cfit stays bounded on the grid
+    grid = default_grid(TRIG, SchemeGrid(T=1.0, N=10), 0.0, 301, 8.0)
     near = np.abs(grid.points) <= 2.0
     xp = grid.points[near]
     c_fit = 0.9
     worst = 0.0
-    for jp in (1, 3, 6, 10):
-        span = tg.times[jp] - tg.times[0]
-        h = kernel_row(TRIG, tg, 0, jp, 0.0, grid)[near]
+    for steps in (1, 3, 6, 10):
+        tg = zero_start(0.1, steps)
+        span = tg.times[-1] - tg.times[0]
+        h = kernel_row(TRIG, tg, 0.0, grid)[near]
         ref = np.array([gauss(x, 0.0, span / c_fit) for x in xp]) * math.sqrt(c_fit)
         worst = max(worst, float(np.max(np.abs(h) * span ** (1 - 0.5) / ref)))
     assert math.isfinite(worst)
