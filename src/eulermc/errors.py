@@ -34,7 +34,7 @@ class TruncationError(NumericError):
 
 
 class IntegrationError(NumericError):
-    """ODE integration missed its endpoint tolerance."""
+    """A geodesic missed its endpoint tolerance."""
 
 
 class StatisticsError(EulermcError):

@@ -37,6 +37,7 @@ from .model import (
 from .parametrix import (
     Grid1D,
     chapman_kolmogorov_density,
+    check_r_max,
     default_grid,
     parametrix_series,
     term_decay,
@@ -723,6 +724,7 @@ def _parametrix_files(cfg: ExperimentConfig) -> dict:
     tgrid = build_grid(cfg)
     x0 = float(start_point(cfg, model)[0])
     grid = _table_grid(cfg, model, tgrid, x0)
+    check_r_max(cfg.r_max, tgrid)
     # the cheap CK oracle holds the mass-truncation guard, so it runs first
     ck = chapman_kolmogorov_density(model, tgrid, x0, grid)
     series, norms, _ = parametrix_series(model, tgrid, x0, grid, cfg.r_max)

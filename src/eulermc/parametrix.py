@@ -33,7 +33,6 @@ import numpy as np
 
 from .errors import ArgumentError, DivergenceWarning, TruncationError
 from .model import Case, SdeModel, SchemeGrid
-from .quadrature import trapezoid_weights
 
 
 @dataclass(frozen=True)
@@ -59,12 +58,10 @@ class Grid1D:
         return np.linspace(self.lo, self.hi, self.n_points)
 
     def weights(self) -> np.ndarray:
-        return trapezoid_weights(self.n_points, self.h)
-
-    @classmethod
-    def centered(cls, center: float, half_width: float, n_points: int) -> "Grid1D":
-        n_points = int(n_points) | 1  # odd, so the center is a node
-        return cls(center - half_width, center + half_width, n_points)
+        """Trapezoid weights of the nodes."""
+        w = np.full(self.n_points, self.h)
+        w[0] = w[-1] = 0.5 * self.h
+        return w
 
 
 def default_grid(
@@ -73,7 +70,8 @@ def default_grid(
     """Grid wide enough for the terminal density: radius standard deviations
     of the most diffusive coefficient plus the drift-bound displacement."""
     half = radius * math.sqrt(model.lambda0 * tgrid.T) + model.L0 * tgrid.T
-    return Grid1D.centered(float(x), half, n_points)
+    # an odd node count, so that x is a node
+    return Grid1D(float(x) - half, float(x) + half, int(n_points) | 1)
 
 
 @dataclass
@@ -98,35 +96,33 @@ def _check_1d_case_a(model: SdeModel) -> None:
 
 
 # from x = -708 down, where exp(x) turns subnormal and then zero, numpy's exp
-# runs 10-100x slower than for a normal result (x86-64), so flushed exponents
-# are raised to this floor first
+# runs 10-100x slower than for a normal result (x86-64), so exponents are
+# raised to this floor first
 _EXP_FLOOR = -700.0
-# flushed results below this are then set to exactly 0: a value near
-# e^_EXP_FLOOR times any factor below about 1e-4 is subnormal, and the
-# products of the series (its einsum and FFT products) slow down several
-# times on subnormals (x86-64)
+# results below this are then set to exactly 0: a value near e^_EXP_FLOOR
+# times any factor below about 1e-4 is subnormal, and the products of the
+# series and of CK (einsum, FFT and matrix products) slow down several times
+# on subnormals (x86-64)
 _FLUSH_TINY = 1e-290
 # the largest density-weighted mass that one CK step may lose off the grid
 _MASS_TOL = 1e-8
 
 
-def _gauss(y, mean, var, flush=False):
+def _gauss(y, mean, var):
     """Normal density with the given mean and variance at y (broadcasting),
     computed in one buffer as exp(-(y - mean)^2 / (2 var)) / sqrt(2 pi var).
 
-    With flush, values below _FLUSH_TINY are 0, so that no product with
-    them is subnormal; values at or above it are unchanged.  Exponents are
-    raised to _EXP_FLOOR before the exp, so that the exp stays fast.
+    Values below _FLUSH_TINY are 0, so that no product with them is
+    subnormal; values at or above it are exact.  Exponents are raised to
+    _EXP_FLOOR before the exp, so that the exp stays fast.
     """
     out = np.subtract(y, mean, out=np.empty(np.broadcast_shapes(np.shape(y), np.shape(mean))))
     out *= out
     out /= -2.0 * np.asarray(var)
-    if flush:
-        np.maximum(out, _EXP_FLOOR, out=out)
+    np.maximum(out, _EXP_FLOOR, out=out)
     np.exp(out, out=out)
     out /= np.sqrt(2.0 * math.pi * np.asarray(var))
-    if flush:
-        np.copyto(out, 0.0, where=out < _FLUSH_TINY)
+    np.copyto(out, 0.0, where=out < _FLUSH_TINY)
     return out
 
 
@@ -143,7 +139,8 @@ def _step_moments(model: SdeModel, tgrid: SchemeGrid, steps, pts):
 
 def one_step_density(model: SdeModel, tgrid: SchemeGrid, x: float, xp):
     """Density of the scheme's first step from (t_0, x): Gaussian with mean
-    x + b(t_0, x) delta and variance a(t_0, x) delta, at xp (vectorized)."""
+    x + b(t_0, x) delta and variance a(t_0, x) delta, at xp (vectorized).
+    Values below 1e-290 read 0 (_gauss)."""
     _check_1d_case_a(model)
     ((bd, ad),) = _step_moments(model, tgrid, [0], [x])
     return _gauss(np.asarray(xp, dtype=float), x + bd[0], ad[0])
@@ -164,7 +161,7 @@ def frozen_density(model: SdeModel, tgrid: SchemeGrid, x: float, xp):
 
     Gaussian with mean x + sum_i b(t_i, xp) delta and variance
     sum_i a(t_i, xp) delta over the steps i = 0 .. N-1 of t_0 .. t_N
-    (vectorized over xp).
+    (vectorized over xp).  Values below 1e-290 read 0 (_gauss).
     """
     _check_1d_case_a(model)
     xp = np.asarray(xp, dtype=float)
@@ -175,10 +172,10 @@ def frozen_density(model: SdeModel, tgrid: SchemeGrid, x: float, xp):
     return float(vals[0]) if xp.ndim == 0 else vals
 
 
-def _one_step_matrix(pts: np.ndarray, bd, ad, flush: bool = False):
+def _one_step_matrix(pts: np.ndarray, bd, ad):
     """Q[u, w] = one-step density from pts[u] evaluated at pts[w], given the
     step moments bd = b delta and ad = a delta at pts."""
-    return _gauss(pts[None, :], (pts + bd)[:, None], ad[:, None], flush)
+    return _gauss(pts[None, :], (pts + bd)[:, None], ad[:, None])
 
 
 def _built_per_change(moments, build):
@@ -198,7 +195,7 @@ def _built_per_change(moments, build):
 def _frozen_tail(pts, drift_sum, var_sum):
     """psi[z, w] = frozen-at-z density from pts[w] to pts[z], given the frozen
     drift and variance sums at pts[z] (see _running_sums)."""
-    return _gauss((pts - drift_sum)[:, None], pts[None, :], var_sum[:, None], flush=True)
+    return _gauss((pts - drift_sum)[:, None], pts[None, :], var_sum[:, None])
 
 
 def _fast_len(m: int) -> int:
@@ -229,7 +226,7 @@ def _shift_kernel_spectra(pts: np.ndarray, bd, ad) -> list:
     L = _fast_len(2 * n - 1)
     disp = (pts[1] - pts[0]) * np.arange(-(n - 1), n)
     return [
-        np.fft.rfft(_gauss(disp[None, :], bd[z, None], ad[z, None], flush=True), L)
+        np.fft.rfft(_gauss(disp[None, :], bd[z, None], ad[z, None]), L)
         for z in (slice(z0, z0 + _BLOCK) for z0 in range(0, n, _BLOCK))
     ]
 
@@ -276,6 +273,12 @@ def check_term_decay(norms) -> None:
         )
 
 
+def check_r_max(r_max: int, tgrid: SchemeGrid) -> None:
+    """Refuse a series truncation r_max outside [0, N]."""
+    if not 0 <= r_max <= tgrid.N:
+        raise ArgumentError(f"r_max must lie in [0, N] = [0, {tgrid.N}], got {r_max}")
+
+
 def parametrix_series(model: SdeModel, tgrid: SchemeGrid, x: float, grid: Grid1D, r_max: int):
     """Terms 0 .. r_max (at most N) of the parametrix series for p(t_0, t_N, x, .) on the grid.
 
@@ -307,9 +310,8 @@ def parametrix_series(model: SdeModel, tgrid: SchemeGrid, x: float, grid: Grid1D
     step l change in some bit, so time-independent coefficients build them once.
     """
     _check_1d_case_a(model)
+    check_r_max(r_max, tgrid)
     N = tgrid.N
-    if not 0 <= r_max <= N:
-        raise ArgumentError(f"r_max must lie in [0, N] = [0, {N}], got {r_max}")
     pts = grid.points
     tw = grid.weights()
     n = grid.n_points
@@ -317,7 +319,7 @@ def parametrix_series(model: SdeModel, tgrid: SchemeGrid, x: float, grid: Grid1D
     moments = list(_step_moments(model, tgrid, range(N), pts))
 
     def step_kernels(bd, ad):
-        return _one_step_matrix(pts, bd, ad, flush=True), _shift_kernel_spectra(pts, bd, ad)
+        return _one_step_matrix(pts, bd, ad), _shift_kernel_spectra(pts, bd, ad)
 
     kernels = _built_per_change(moments[1:], step_kernels)
 
@@ -329,7 +331,7 @@ def parametrix_series(model: SdeModel, tgrid: SchemeGrid, x: float, grid: Grid1D
         rows = min(r_max, l + 1)
         if l == 0:
             bd, ad = moments[0]
-            frozen = _gauss(pts[None, :], x + bd[:, None], ad[:, None], flush=True)
+            frozen = _gauss(pts[None, :], x + bd[:, None], ad[:, None])
             D = (one_step_density(model, tgrid, x, pts) - frozen)[None]
         else:
             D = _onestep_defect(tw * T[:rows, l], *next(kernels))

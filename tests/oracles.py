@@ -1,12 +1,13 @@
 """Reference implementations that tests compare the package against.
 
 None of this code runs in a CLI command.  Adaptive Gauss-Kronrod (scipy's
-quad) in 1-d and composite tensor Gauss-Legendre in 2-d are the quadrature
-rules of the oracles.  The semigroup residual checks the kernels p_c by
-quadrature (acceptance criterion 02), the radial tail closed
-forms are compared with quadrature (criterion 04), the closed-form means
-of |Y| for Gaussian Y check gaussianref.kernel_norm_mean, the Gram-matrix form
-of the optimal control cross-checks control.optimal_control, and
+quad) in 1-d and composite tensor Gauss-Legendre in 2-d (gauss_legendre,
+on numpy's leggauss) are the quadrature rules of the oracles.  The
+semigroup residual checks the kernels p_c by quadrature (acceptance
+criterion 02), the radial tail closed forms are compared with quadrature
+(criterion 04), the closed-form means of |Y| for Gaussian Y check
+gaussianref.kernel_norm_mean, the Gram-matrix form of the optimal control
+cross-checks control.optimal_control, and
 Philox4x64-10 in numpy uint64 arithmetic checks the words that
 np.random.Philox gives eulermc.simulate, and a scalar port of its normal
 map (Cephes ndtri on fdlibm's log) checks the normals it makes of them.
@@ -19,6 +20,7 @@ import math
 import struct
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import erfc
 
@@ -26,7 +28,6 @@ from eulermc.control import ControlProblem
 from eulermc.errors import ArgumentError, NumericError
 from eulermc.gaussianref import KernelSpec, _transport, kernel_density, kernel_normalizer
 from eulermc.model import Case
-from eulermc.quadrature import gauss_legendre
 from eulermc.simulate import _P0, _P1, _P2, _Q0, _Q1, _Q2
 
 
@@ -42,6 +43,13 @@ def adaptive_1d(f, lo: float, hi: float, tol: float = 1e-10) -> float:
             f"1-d quadrature error estimate {abserr:.2e} above tolerance {tol:.2e}"
         )
     return value
+
+
+def gauss_legendre(lo: float, hi: float, n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [lo, hi]."""
+    x, w = leggauss(n)
+    half = 0.5 * (hi - lo)
+    return lo + half * (x + 1.0), half * w
 
 
 def composite_gauss_legendre(lo: float, hi: float, panels: int, n: int = 16):

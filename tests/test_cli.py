@@ -241,8 +241,11 @@ def test_bad_input_is_one_line_config_error(tmp_path, capsys, args):
 
 def test_r_max_above_n_names_config_fields(tmp_path, capsys):
     argv = ["parametrix", "--set", 'preset="trig"', "--set", "N=4", "--set", "r_max=5"]
-    assert main(argv + ["--out-dir", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == "error: r_max must lie in [0, N] = [0, 4], got 5\n"
+    # on the narrow grid the CK oracle would exit 3 with a mass loss, so r_max
+    # is checked before it runs
+    for extra in ([], ["--set", "grid_radius=0.5"]):
+        assert main(argv + extra + ["--out-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: r_max must lie in [0, N] = [0, 4], got 5\n"
 
 
 def test_huge_constant_drift_simulates_without_warnings(tmp_path, capsys):
@@ -383,7 +386,7 @@ def test_sample_array_too_large_is_refused_before_allocating(tmp_path, capsys):
 _IMPORT_PROBE = """
 import sys
 def loaded():
-    return " ".join(sorted(m for m in sys.modules if m.startswith("scipy")))
+    return " ".join(sorted(m for m in sys.modules if m.startswith(("scipy", "numpy.polynomial"))))
 import eulermc.cli
 print(loaded())
 assert eulermc.cli.main({argv!r} + ["--out-dir", sys.argv[1]]) == 0
@@ -392,8 +395,9 @@ print(loaded())
 
 
 def _scipy_loaded(tmp_path, argv):
-    """The scipy modules loaded by `import eulermc.cli` and then by running
-    argv, in a fresh interpreter (this one has loaded scipy.stats)."""
+    """The scipy and numpy.polynomial modules loaded by `import eulermc.cli`
+    and then by running argv, in a fresh interpreter (this one has loaded
+    scipy.stats)."""
     import eulermc
 
     src = str(Path(eulermc.__file__).resolve().parents[1])
@@ -482,6 +486,18 @@ def test_readme_examples_run(tmp_path):
     for k, argv in enumerate(examples):
         # the last --out-dir wins, so the examples write under tmp_path
         assert main(argv + ["--out-dir", str(tmp_path / str(k))]) == 0, argv
+
+
+def test_readme_control_example_is_exact(tmp_path):
+    # the path is a cubic and |u|^2 a quadratic, so both come out exact
+    (argv,) = [argv for argv in _readme_examples() if argv[0] == "control-geodesic"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    report = read_json(os.path.join(tmp_path, "control.json"))
+    assert report["energy"] == 2 * report["kinetic_metric_sq"]
+    assert report["endpoint_error"] <= 1e-15
+    s, v, z = np.loadtxt(tmp_path / "geodesic.csv", delimiter=",", skiprows=2).T
+    assert np.max(np.abs(v - 6 * s * (1 - s))) <= 1e-15
+    assert np.max(np.abs(z - s * s * (3 - 2 * s))) <= 1e-15
 
 
 def test_ck_density_check_hashes_no_sample_count_or_stream(tmp_path):

@@ -152,13 +152,13 @@ def test_geodesic_rest_point():
 
 
 def test_geodesic_midpoint_position():
-    # (0,0) -> (0,z) at t=1: position path z s^2 (3 - 2 s), so z/2 at s = 1/2
+    # (0,0) -> (0,z) at t=1: velocity path 6 z s (1 - s) and position path
+    # z s^2 (3 - 2 s), at every row
     z = 1.4
     pr = ControlProblem(1.0, np.zeros(2), np.array([0.0, z]), 1)
-    _, states = geodesic(pr, 100)
-    assert states[50][1] == pytest.approx(z / 2.0, rel=1e-9)
-    # velocity path 6 z s (1 - s) peaks at 3z/2 mid-way
-    assert states[50][0] == pytest.approx(1.5 * z, rel=1e-9)
+    s, states = geodesic(pr, 100)
+    assert np.max(np.abs(states[:, 0] - 6 * z * s * (1 - s))) <= 1e-14
+    assert np.max(np.abs(states[:, 1] - z * s * s * (3 - 2 * s))) <= 1e-14
 
 
 def test_geodesic_argument_checks():

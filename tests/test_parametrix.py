@@ -41,7 +41,8 @@ def test_grid_basics():
     assert g.weights().sum() == pytest.approx(2.0)
     with pytest.raises(ArgumentError):
         Grid1D(1.0, -1.0, 5)
-    centered = Grid1D.centered(0.3, 1.0, 10)
+    # the default grid makes its node count odd, so that x is a node
+    centered = default_grid(CONST, SchemeGrid(T=1.0, N=2), 0.3, 10, 1.0)
     assert centered.n_points == 11
     assert np.isclose(centered.points, 0.3).any()
 
@@ -229,25 +230,25 @@ def test_series_peak_memory_does_not_grow_with_steps():
 
 @pytest.mark.parametrize("N, n", [(10, 401), (50, 601)])
 def test_flushed_matrices_hold_no_tiny_values(monkeypatch, N, n):
-    # every flushed density of the series (Q, the blocks of G, psi and the
-    # l = 0 frozen matrix) is 0 or at least 1e-290, so no product with it
-    # is subnormal; none of them depends on r_max
+    # every Gaussian table of the series (the rows of T_0 and of the first
+    # step, Q, the blocks of G, psi and the l = 0 frozen matrix) is 0 or at
+    # least 1e-290, so no product with it is subnormal; none of them depends
+    # on r_max
     shapes = set()
     gauss = parametrix._gauss
 
-    def checked(y, mean, var, flush=False):
-        out = gauss(y, mean, var, flush)
-        if flush:
-            shapes.add(out.shape)
-            assert np.all((out == 0.0) | (out >= 1e-290))
+    def checked(y, mean, var):
+        out = gauss(y, mean, var)
+        shapes.add(out.shape)
+        assert np.all((out == 0.0) | (out >= 1e-290))
         return out
 
     monkeypatch.setattr(parametrix, "_gauss", checked)
     tg = SchemeGrid(T=1.0, N=N)
     parametrix_series(TRIG, tg, 0.0, default_grid(TRIG, tg, 0.0, n, 10.0), r_max=1)
-    # n x n for Q, psi and the frozen matrix; blocks of 64 rows (the last
-    # one shorter) of the 2n - 1 displacements for G
-    assert shapes == {(n, n), (64, 2 * n - 1), (n % 64, 2 * n - 1)}
+    # n for the rows, n x n for Q, psi and the frozen matrix; blocks of 64
+    # rows (the last one shorter) of the 2n - 1 displacements for G
+    assert shapes == {(n,), (n, n), (64, 2 * n - 1), (n % 64, 2 * n - 1)}
 
 
 def _time_dependent_trig():
