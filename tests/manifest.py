@@ -1,10 +1,14 @@
-"""The output manifest: a fixed set of small CLI runs and the SHA-256 of every
-file they write, kept in tests/manifest.json.
+"""The output manifest: a fixed set of small CLI runs and two SHA-256 digests
+of every file they write, kept in tests/manifest.json: "full" of the file's
+bytes, and "body" of the file less its config hash (a CSV without its
+`# config-hash` line, a JSON report without its config_hash key, any other
+file whole).
 
     PYTHONPATH=src python tests/manifest.py
 
 reruns the set and rewrites the manifest; tests/test_manifest.py reruns it
-and names each file whose digest differs.  A change that alters outputs
+and names each file whose digest differs, the files whose body changed apart
+from those whose config hash alone changed.  A change that alters outputs
 commits the rewritten manifest and says in CHANGES.md why each file changed.
 """
 
@@ -99,15 +103,31 @@ SAME_RUN = [
 ]
 
 
+def _body(path: Path, data: bytes) -> bytes:
+    """The bytes of the file less its config hash."""
+    if path.suffix == ".csv" and data.startswith(b"# config-hash: "):
+        return data.split(b"\n", 1)[1]
+    if path.suffix == ".json":
+        report = json.loads(data)
+        report.pop("config_hash", None)
+        return json.dumps(report, sort_keys=True, indent=2).encode()
+    return data
+
+
 def run_all(root: Path) -> dict:
-    """Run every command under root/<label> and return {label/file: sha256}."""
+    """Run every command under root/<label> and return
+    {label/file: {"body": sha256, "full": sha256}}."""
     for label, argv in COMMANDS.items():
         if main([*argv, "--out-dir", str(root / label)]) != 0:
             raise RuntimeError(f"{label} failed: eulermc {' '.join(argv)}")
-    return {
-        f"{path.parent.name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(root.glob("*/*"))
-    }
+    digests = {}
+    for path in sorted(root.glob("*/*")):
+        data = path.read_bytes()
+        digests[f"{path.parent.name}/{path.name}"] = {
+            "body": hashlib.sha256(_body(path, data)).hexdigest(),
+            "full": hashlib.sha256(data).hexdigest(),
+        }
+    return digests
 
 
 if __name__ == "__main__":
