@@ -106,8 +106,6 @@ class ExperimentConfig:
     a_amp: float = 0.1
     b_amp: float = 0.0
     damp: float = 0.0
-    lambda0: float | None = None
-    L0: float | None = None
     # grid
     T: float = 1.0
     N: int = 8
@@ -186,8 +184,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> ExperimentCo
     return ExperimentConfig.from_dict(raw)
 
 
-# the model fields each built-in preset reads; lambda0 and L0 go to every
-# preset when set
+# the model fields each built-in preset reads
 _PRESET_FIELDS = {
     "const": ("d", "b0", "sigma0"),
     "trig": ("a_amp", "b_amp"),
@@ -203,8 +200,7 @@ def build_model(cfg: ExperimentConfig) -> SdeModel:
     for name in sorted({f for fields in _PRESET_FIELDS.values() for f in fields} - set(used)):
         if getattr(cfg, name) != getattr(defaults, name):
             raise ConfigError(f"preset {cfg.preset!r} does not read {name}; leave it unset")
-    params = {k: getattr(cfg, k) for k in (*used, "lambda0", "L0") if getattr(cfg, k) is not None}
-    return model_preset(cfg.preset, **params)
+    return model_preset(cfg.preset, **{k: getattr(cfg, k) for k in used})
 
 
 def build_grid(cfg: ExperimentConfig) -> SchemeGrid:
@@ -426,11 +422,11 @@ def reference_mean(cfg: ExperimentConfig, model, tgrid, f, r_min: float):
 
     With a Gaussian twin (trig, damped kinetic), the control run estimates
     the mean of f(X) - f(X_twin) on shared normals and adds the reference
-    of the twin's law.  It starts at one chunk of samples and doubles until
-    the standard error meets the target; samples [0, n) alone give the
-    estimate at size n.  Other presets simulate the whole cap at once.
-    Either way the run stops at the cap, control_factor * M * num_batches
-    samples, and r_min = 0 runs to the cap.
+    of the twin's law; other presets estimate the mean of f(X).  The run
+    starts at one chunk of samples and doubles until the standard error
+    meets the target; samples [0, n) alone give the estimate at size n.  It
+    stops at the cap, control_factor * M * num_batches samples, and
+    r_min = 0 runs to the cap.
     """
     x0 = start_point(cfg, model)
     law = _gaussian_law(cfg.preset, cfg, x0, tgrid.T) if cfg.damp == 0.0 else None
@@ -451,7 +447,7 @@ def reference_mean(cfg: ExperimentConfig, model, tgrid, f, r_min: float):
             out -= f(_simulate(cfg, twin[0], tgrid, hi - lo, _CONTROL, lo))
         return out
 
-    n = cap if twin is None else min(_CHUNK, cap)
+    n = min(_CHUNK, cap)
     vals = values(0, n)
     se = float(vals.std(ddof=1) / math.sqrt(n))
     while n < cap and se >= r_min / 10.0:

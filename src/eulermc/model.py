@@ -38,7 +38,8 @@ class SdeModel:
 
     lambda0 bounds the ellipticity ratio of a = sigma sigma^T into
     [1/lambda0, lambda0], L0 bounds sup|drift| plus the Holder quotient of a
-    in space.
+    in space.  Both are properties of the diffusion: each preset computes
+    them from its own parameters, and a custom model supplies its own.
     """
 
     case: Case
@@ -145,7 +146,7 @@ def _scalar_noise_lambda0(s0: float) -> float:
         raise NumericError(f"sigma0 = {s0!r}: max(sigma0^2, sigma0^-2) overflows") from None
 
 
-def _const_model(d=1, b0=0.0, sigma0=1.0, lambda0=None, L0=None):
+def _const_model(d=1, b0=0.0, sigma0=1.0):
     d = int(d)
     b = np.atleast_1d(np.asarray(b0, dtype=float))
     if b.shape not in ((1,), (d,)):
@@ -162,15 +163,12 @@ def _const_model(d=1, b0=0.0, sigma0=1.0, lambda0=None, L0=None):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(eye, x.shape[:-1] + (d, d))
 
-    if lambda0 is None:
-        lambda0 = _scalar_noise_lambda0(s0)
-    if L0 is None:
-        # hypot, unlike np.linalg.norm, does not overflow for |b| above 1e154
-        L0 = max(1.0, math.hypot(*b))
-    return SdeModel(Case.NONDEGENERATE, d, drift, sigma, float(lambda0), float(L0))
+    # hypot, unlike np.linalg.norm, does not overflow for |b| above 1e154
+    L0 = max(1.0, math.hypot(*b))
+    return SdeModel(Case.NONDEGENERATE, d, drift, sigma, _scalar_noise_lambda0(s0), L0)
 
 
-def _trig_model(b_amp=0.0, a_amp=0.1, lambda0=None, L0=None):
+def _trig_model(b_amp=0.0, a_amp=0.1):
     """Scalar model with a(x) = 1 + a_amp sin(x) and drift b_amp sin(x)."""
     a_amp = float(a_amp)
     b_amp = float(b_amp)
@@ -185,14 +183,12 @@ def _trig_model(b_amp=0.0, a_amp=0.1, lambda0=None, L0=None):
         x = np.asarray(x, dtype=float)
         return np.sqrt(1.0 + a_amp * np.sin(x))[..., None]
 
-    if lambda0 is None:
-        lambda0 = 1.0 / (1.0 - a_amp) if a_amp > 0 else 1.0
-    if L0 is None:
-        L0 = max(1.0, b_amp + a_amp)
-    return SdeModel(Case.NONDEGENERATE, 1, drift, sigma, float(lambda0), float(L0))
+    lambda0 = 1.0 / (1.0 - a_amp) if a_amp > 0 else 1.0
+    L0 = max(1.0, abs(b_amp) + a_amp)
+    return SdeModel(Case.NONDEGENERATE, 1, drift, sigma, lambda0, L0)
 
 
-def _kinetic_model(dp=1, damp=0.0, sigma0=1.0, lambda0=None, L0=None):
+def _kinetic_model(dp=1, damp=0.0, sigma0=1.0):
     """Velocity/position model; velocity drift -damp tanh(v), noise sigma0 I."""
     dp = int(dp)
     damp = float(damp)
@@ -207,11 +203,8 @@ def _kinetic_model(dp=1, damp=0.0, sigma0=1.0, lambda0=None, L0=None):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(eye, x.shape[:-1] + (dp, dp))
 
-    if lambda0 is None:
-        lambda0 = _scalar_noise_lambda0(s0)
-    if L0 is None:
-        L0 = max(1.0, damp * math.sqrt(dp))
-    return SdeModel(Case.KINETIC, 2 * dp, drift, sigma, float(lambda0), float(L0))
+    L0 = max(1.0, abs(damp) * math.sqrt(dp))
+    return SdeModel(Case.KINETIC, 2 * dp, drift, sigma, _scalar_noise_lambda0(s0), L0)
 
 
 MODEL_PRESETS = {

@@ -37,6 +37,13 @@ def test_unknown_key_is_config_error(tmp_path):
     assert main(["bounds", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("key", ["lambda0", "L0"])
+def test_model_constants_are_not_config_keys(tmp_path, capsys, key):
+    # each preset computes lambda0 and L0 from its own parameters
+    assert main(["simulate", "--set", f"{key}=2", "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+
+
 def test_bad_set_syntax_is_config_error(tmp_path):
     assert main(["bounds", "--set", "M"]) == 2
 

@@ -102,17 +102,17 @@ def test_config_hash_tells_runs_apart_and_equal_runs_alike(tmp_path):
 def test_config_hash_treats_integral_numbers_as_floats(tmp_path):
     # pinned hashes: any change to the hashed form (a field added, removed
     # or stored differently) shows here
-    assert run_hash(tmp_path, "simulate") == "040bb56623e3"
-    assert run_hash(tmp_path, "simulate", T=1) == "040bb56623e3"
+    assert run_hash(tmp_path, "simulate") == "41b8076f37f1"
+    assert run_hash(tmp_path, "simulate", T=1) == "41b8076f37f1"
     # bounds builds no time grid and, with no growth spec, reads neither
     # x0, cone nor theta: its hash covers the model, T, c, C, functional,
     # rho0, beta, M and eps
     kinetic = dict(preset="kinetic", dp=1, x0=[0, 0])
-    assert run_hash(tmp_path, "bounds", **kinetic, T=2.0) == "ed80546a0da1"
-    assert run_hash(tmp_path, "bounds", **kinetic, T=2) == "ed80546a0da1"
+    assert run_hash(tmp_path, "bounds", **kinetic, T=2.0) == "4a2643a98619"
+    assert run_hash(tmp_path, "bounds", **kinetic, T=2) == "4a2643a98619"
     assert run_hash(tmp_path, "simulate", x0=[0]) == run_hash(tmp_path, "simulate", x0=[0.0])
     # a scalar x0 is the one-element list it broadcasts like
-    assert run_hash(tmp_path, "simulate", x0=0.0) == "040bb56623e3"
+    assert run_hash(tmp_path, "simulate", x0=0.0) == "41b8076f37f1"
     assert cfg_with(x0=0).x0 == [0.0]
     cfg = cfg_with(b0=[1, 2], d=2, cone=2, eps=[1], control_x=[0, 0], export_binary=True)
     assert cfg.b0 == [1.0, 2.0] and isinstance(cfg.b0[0], float)
@@ -419,7 +419,7 @@ def test_twin_control_run_that_reaches_the_cap_is_refused():
         harness.reference_mean(cfg, model, tgrid, f, 1e-3)
 
 
-def _sine_drift_model(lambda0=None, L0=None):
+def _sine_drift_model():
     # np.sin, unlike np.tanh, gives the same bits on every numpy dispatch tier
     return SdeModel(
         Case.NONDEGENERATE, 1,
@@ -429,20 +429,26 @@ def _sine_drift_model(lambda0=None, L0=None):
     )
 
 
-def test_custom_preset_keeps_the_plain_control_run(monkeypatch):
+def test_custom_preset_control_run_doubles_like_the_twin_runs(monkeypatch):
     monkeypatch.setitem(MODEL_PRESETS, "sine-drift", _sine_drift_model)
     calls = _spy_simulations(monkeypatch)
     cfg, model, tgrid, f = _control_setup(
         preset="sine-drift", x0=[0.5], M=20, num_batches=10, control_factor=50, N=3
     )
-    # one plain run of control_factor * M * num_batches samples, whatever
-    # the target, pinned to its bits
-    for r_min in (0.0, 0.5):
-        calls.clear()
-        assert harness.reference_mean(cfg, model, tgrid, f, r_min) == (
-            0.32060932570696116, 0.008937217290238076,
-        )
-        assert [(M, lo) for _, M, lo in calls] == [(10000, 0)]
+    # with no twin the run estimates the mean of f(X) itself, from one chunk
+    # doubling to the cap of control_factor * M * num_batches = 10000
+    # samples; pinned to its bits.  r_min = 0 reads samples 0 ... 9999 in
+    # order, as one plain run of the whole cap does
+    ref = harness.reference_mean(cfg, model, tgrid, f, 0.0)
+    assert ref == (0.32060932570696116, 0.008937217290238076)
+    assert ref == _plain_mean(cfg, model, tgrid, f, 10000, cfg.stream_id + 1)
+    assert [(M, lo) for _, M, lo in calls] == [(4096, 0), (4096, 4096), (1808, 8192)]
+    # the first chunk already meets r_min / 10 = 0.05
+    calls.clear()
+    assert harness.reference_mean(cfg, model, tgrid, f, 0.5) == (
+        0.3178643421119831, 0.014116020437632871,
+    )
+    assert [(M, lo) for _, M, lo in calls] == [(4096, 0)]
 
 
 def test_concentration_with_growth_constants():

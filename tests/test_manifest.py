@@ -9,7 +9,7 @@ def digests(tmp_path_factory):
     return run_all(tmp_path_factory.mktemp("manifest"))
 
 
-def _body(digests, name):
+def _body_digest(digests, name):
     return digests.get(name, {}).get("body")
 
 
@@ -33,7 +33,7 @@ def test_outputs_match_the_manifest(digests):
     want = json.loads(MANIFEST.read_text())
     assert {name.split("/")[0] for name in got} == set(COMMANDS)
     differ = sorted(name for name in got.keys() | want.keys() if got.get(name) != want.get(name))
-    body = [name for name in differ if _body(got, name) != _body(want, name)]
+    body = [name for name in differ if _body_digest(got, name) != _body_digest(want, name)]
     hash_only = [name for name in differ if name not in body]
     assert not differ, (
         f"outputs differ from {MANIFEST.name}: bodies of {body}, config hash alone of "

@@ -30,6 +30,14 @@ def test_sine_drift_bound_detected_on_dense_samples():
     assert sup_drift <= m.L0
 
 
+def test_drift_bound_takes_the_size_of_the_drift_not_its_sign():
+    # sup |b_amp sin x| = |b_amp| and sup |damp tanh v| = |damp| whatever the sign
+    for sign in (1.0, -1.0):
+        assert model_preset("trig", b_amp=3.0 * sign).L0 == 3.1
+        assert model_preset("kinetic", damp=3.0 * sign).L0 == 3.0
+        assert model_preset("kinetic", dp=4, damp=3.0 * sign).L0 == 6.0
+
+
 def test_positive_definite_along_sampled_directions(numpy_normals):
     # <a xi, xi> stays inside [1/lambda0, lambda0] for the default lambda0
     g = numpy_normals(4, (128, 3))

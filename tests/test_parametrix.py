@@ -187,6 +187,15 @@ def test_series_full_order_agrees_with_ck_tightly():
     assert rel < 1e-6
 
 
+def test_trig_grid_is_the_same_for_either_drift_sign():
+    # sup |b_amp sin x| = |b_amp| for either sign, so both drifts get
+    # L0 = 3.1 and the half-width 10 sqrt(lambda0 T) + L0 T
+    tg = SchemeGrid(T=1.0, N=10)
+    up, down = (default_grid(model_preset("trig", b_amp=b), tg, 0.0, 401, 10.0) for b in (3.0, -3.0))
+    assert up == down
+    assert up.hi == pytest.approx(10.0 * math.sqrt(1.0 / 0.9) + 3.1, rel=1e-15)
+
+
 # Sup norms of terms 0..3 at trig (a_amp = 0.1), N = 10, default_grid(..., 601,
 # 10.0), from the right-associated series that stored every kernel table
 # H(t_k, t_m) and composed them with n x n products.
