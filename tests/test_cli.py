@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -360,6 +361,28 @@ def test_output_file_that_cannot_be_written_is_config_error(tmp_path, capsys):
     assert err.startswith(f"error: cannot write {out / 'bounds.csv'}: ") and err.count("\n") == 1
     assert [path.name for path in out.iterdir()] == ["bounds.csv"]
     assert (out / "bounds.csv").is_dir()
+
+
+def test_a_write_cut_short_removes_its_file(tmp_path, capsys, monkeypatch):
+    # the second block of a three-block samples.csv fails as on a full disk,
+    # after the first block went to the file: the run removes the file
+    from eulermc import csvtext, harness
+
+    format_rows, calls = csvtext.format_rows, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return format_rows(*args)
+
+    monkeypatch.setattr(csvtext, "format_rows", failing)
+    out = tmp_path / "out"
+    rows = 3 * harness._CSV_BLOCK
+    assert main(["simulate", "--set", f"M={rows}", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / 'samples.csv'}: ") and err.count("\n") == 1
+    assert len(calls) == 2 and list(out.iterdir()) == []
 
 
 def test_grid_too_large_is_refused_before_allocating(tmp_path, capsys):

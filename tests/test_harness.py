@@ -699,28 +699,98 @@ def test_report_dict_schema():
         assert key in payload
 
 
+def _exact_ties():
+    """Doubles m 2^-j = m 5^j / 10^j with m odd and m 5^j of 18 digits, so
+    that %.17g rounds a tie, from about 1e-4 (j = 21) to 1e14 (j = 3)."""
+    ties = []
+    for j in range(3, 22):
+        lo, hi = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+        for m in (lo, (lo + hi) // 2, hi - 2):
+            m |= 1
+            assert len(str(m * 5**j)) == 18
+            ties.append(m * 2.0**-j)
+    return ties
+
+
 # signed zero, the least subnormal, the switches of %g between fixed and
-# exponent form, and both ends of the float range
+# exponent form, both ends of the float range, each power of ten from 1e-6 to
+# 1e17 and its neighbours (1e-4 and 1e15 bound the block formatter's exact
+# range), and ties at the 17th digit, in both signs
 _CSV_FLOATS = [-0.0, 5e-324, 1e-5, 9.9999999999999995e-5, 1e16, 1e17, 1.7e308, -1.7e308]
+_CSV_FLOATS += [
+    sign * float(np.nextafter(float(f"1e{k}"), toward))
+    for k in range(-6, 18)
+    for toward in (0.0, float(f"1e{k}"), np.inf)
+    for sign in (1, -1)
+]
+_CSV_FLOATS += [sign * tie for tie in _exact_ties() for sign in (1, -1)]
+_CSV_INTS = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1, 9, 10]
 
 
-# 4096 is a multiple of the writer's block, so these meet block edges too
-@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 3 * 4096 + 7])
+def _csv_oracle(columns) -> list[str]:
+    """The data rows of `columns` formatted one row at a time."""
+    formats = ["%d" if np.asarray(col).dtype.kind in "iu" else "%.17g" for col in columns]
+    return [
+        ",".join(f % (int(v) if f == "%d" else float(v)) for f, v in zip(formats, row))
+        for row in zip(*columns)
+    ]
+
+
+_B = harness._CSV_BLOCK
+
+
+# rows of no full block, and one or two blocks less one, even and plus one,
+# and whole blocks with a partial one, so the rows meet every block edge
+@pytest.mark.parametrize(
+    "rows", [0, 1, _B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1, 3 * _B + 7, 6 * _B + 7]
+)
 def test_write_csv_matches_a_row_by_row_oracle(tmp_path, rows):
     normals = np.random.default_rng(rows).standard_normal(11)
     floats = np.resize(np.concatenate([_CSV_FLOATS, normals]), rows)
+    wrapped = np.arange(rows, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)  # wraps past 2**63
     columns = [
-        np.arange(rows) * -7 + 3,  # negative ints
+        np.resize(np.concatenate([_CSV_INTS, np.arange(rows) * -7 + 3]), rows),
         floats,
-        np.arange(rows, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15),  # wraps past 2**63
+        np.resize(np.concatenate([np.array([2**64 - 1], np.uint64), wrapped]), rows),
         floats[::-1],
     ]
     write_csv(tmp_path / "t.csv", ["i", "x", "u", "y"], columns, "abc123")
-    want = ["# config-hash: abc123", "i,x,u,y"] + [
-        "%d,%.17g,%d,%.17g" % (int(i), float(x), int(u), float(y)) for i, x, u, y in zip(*columns)
-    ]
+    want = ["# config-hash: abc123", "i,x,u,y"] + _csv_oracle(columns)
     text = (tmp_path / "t.csv").read_text()
     assert text.endswith("\n") and text.split("\n")[:-1] == want
+
+
+def test_write_csv_prints_a_range_column_as_integers(tmp_path):
+    rows = _B + 5
+    x = np.linspace(-1.0, 1.0, rows)
+    write_csv(tmp_path / "t.csv", ["i", "x"], [range(3, 3 + 2 * rows, 2), x])
+    want = ["i,x"] + _csv_oracle([np.arange(3, 3 + 2 * rows, 2), x])
+    assert (tmp_path / "t.csv").read_text().split("\n")[:-1] == want
+
+
+# one full block, so the block formatter writes every row: any float64 bit
+# pattern, the formatter's own range, and any int64
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))),
+            st.floats(-1e15, 1e15),
+        ),
+        min_size=1,
+        max_size=200,
+    ),
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=200),
+)
+def test_write_csv_of_full_blocks_matches_the_oracle_on_any_bits(floats, ints):
+    columns = [
+        np.resize(np.array(ints, dtype=np.int64), _B),
+        np.resize(np.array(floats), _B),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_csv(Path(tmp) / "t.csv", ["i", "x"], columns)
+        text = (Path(tmp) / "t.csv").read_text()
+    assert text.split("\n")[:-1] == ["i,x"] + _csv_oracle(columns)
 
 
 def test_write_csv_peak_memory_does_not_grow_with_rows(tmp_path):

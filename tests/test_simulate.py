@@ -149,11 +149,23 @@ import hashlib, sys
 from pathlib import Path
 import numpy as np
 from eulermc.cli import main
+from eulermc.harness import _CSV_BLOCK, write_csv
 from eulermc.simulate import RngSpec, _word_normals
 words = np.concatenate([RngSpec(5, 1).chunk(2).random_raw(2**16), ~np.arange(64, dtype=np.uint64)])
-print(hashlib.sha256(_word_normals(words).tobytes()).hexdigest())
+normals = _word_normals(words)
+print(hashlib.sha256(normals.tobytes()).hexdigest())
 assert main(["simulate", "--set", "M=5000", "--set", "N=4", "--out-dir", sys.argv[1]]) == 0
 print(hashlib.sha256(Path(sys.argv[1], "samples.csv").read_bytes()).hexdigest())
+# full blocks of the CSV writer: normals, powers of ten and their neighbours,
+# ties at the 17th digit (m 2^-j), raw bit patterns and the int64 ends
+tens = [float(f"1e{k}") for k in range(-6, 18)]
+edges = [np.nextafter(t, to) for t in tens for to in (0.0, np.inf)] + tens
+edges += [(-(-(10**17) // 5**j) | 1) * 2.0**-j for j in range(3, 22)]
+x = np.concatenate([normals[:1000], edges, words[:500].view(np.float64)])
+x = np.resize(np.concatenate([x, -x]), 2 * _CSV_BLOCK)
+i = np.resize(np.array([-(2**63), 2**63 - 1, 0, -1]), 2 * _CSV_BLOCK)
+write_csv(Path(sys.argv[1], "edges.csv"), ["i", "x"], [i, x])
+print(hashlib.sha256(Path(sys.argv[1], "edges.csv").read_bytes()).hexdigest())
 """
 
 # numpy CPU dispatch tiers to switch off, newest first
