@@ -24,7 +24,8 @@ import numpy as np
 
 from . import concentration as conc
 from .errors import ArgumentError, ConfigError, NumericError, StatisticsError
-from .gaussianref import KernelSpec, kernel_density, kernel_mean_cov, kernel_norm_mean
+from .gaussianref import KernelSpec, kernel_exponent, kernel_mean_cov, kernel_norm_mean
+from .gaussianref import kernel_density  # noqa: F401  perfbench/child.py traces it here
 from .model import (
     Case,
     GaussParams,
@@ -43,8 +44,8 @@ from .parametrix import (
     term_decay,
 )
 from .control import ControlProblem, energy, geodesic
-from .gaussianref import kinetic_metric
-from .simulate import _CHUNK, RngSpec, simulate_terminal
+from .gaussianref import kernel_normalizer, kinetic_metric
+from .simulate import _CHUNK, RngSpec, _log, simulate_terminal
 
 # float(scipy.special.ndtri(0.99)), the 99% normal quantile, as a literal so
 # that the module loads without scipy
@@ -522,17 +523,6 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _ratio_requirement(dens, centers, case, T, x0, c):
-    """Smallest C making the envelope hold for shape c on the given bins."""
-    up = kernel_density(KernelSpec(case, c, T, x0), centers)
-    lo = kernel_density(KernelSpec(case, 1.0 / c, T, x0), centers)
-    with np.errstate(divide="ignore"):  # a kernel that underflows to 0: an infinite ratio
-        sup_ratio = float(np.max(dens / up))
-        inf_ratio = float(np.min(dens / lo))
-    c_req = max(sup_ratio, 1.0 / inf_ratio if inf_ratio > 0 else math.inf, 1.0)
-    return c_req, sup_ratio, inf_ratio
-
-
 def run_density_check(cfg: ExperimentConfig) -> dict:
     """Envelope ratios of the sampled (or composed) terminal density: the
     report of density_check.json, with sup_ratio and inf_ratio at the
@@ -548,11 +538,13 @@ def run_density_check(cfg: ExperimentConfig) -> dict:
     x0 = start_point(cfg, model)
     if model.d > 2:
         raise ConfigError("density checks cover d <= 2")
-    c_grid = (
-        np.asarray(cfg.c_grid, dtype=float)
-        if cfg.c_grid is not None
-        else np.geomspace(0.25, 4.0, 241)
-    )
+    gauss = GaussParams(cfg.c, cfg.C)
+    # the fitted shapes, then the configured one; each pairs p_c with p_{1/c}
+    fitted = np.geomspace(0.25, 4.0, 241) if cfg.c_grid is None else cfg.c_grid
+    shapes = np.append(fitted, gauss.c)
+    bad = [c for c in shapes.tolist() if not (c > 0 and math.isfinite(1.0 / c))]
+    if bad:
+        raise ConfigError(f"envelope shapes need c > 0 and a finite 1/c, got {bad}")
 
     if cfg.density_mode == "ck":
         grid = _table_grid(cfg, model, tgrid, float(x0[0]))
@@ -560,7 +552,7 @@ def run_density_check(cfg: ExperimentConfig) -> dict:
         mask = table.values > 1e-10
         centers = grid.points[mask][:, None]
         dens = table.values[mask]
-        n_samples = 0
+        n = 0
     elif cfg.density_mode == "hist":
         # Scott-rule bin widths need a sample standard deviation
         if cfg.density_samples < 2:
@@ -580,36 +572,42 @@ def run_density_check(cfg: ExperimentConfig) -> dict:
         counts, edges = np.histogramdd(s, bins=edges)
         vols = math.prod(float(w[1] - w[0]) for w in edges)
         centers_1d = [0.5 * (e[:-1] + e[1:]) for e in edges]
-        mesh = np.stack(np.meshgrid(*centers_1d, indexing="ij"), axis=-1).reshape(
-            -1, model.d
-        )
+        mesh = np.stack(np.meshgrid(*centers_1d, indexing="ij"), axis=-1).reshape(-1, model.d)
         counts = counts.reshape(-1)
         threshold = max(cfg.min_bin_count, cfg.high_mass_fraction * counts.max())
         mask = counts >= threshold
         if int(mask.sum()) < 5:
-            raise StatisticsError(
-                "fewer than 5 bins carry enough samples in the reported region"
-            )
+            raise StatisticsError("fewer than 5 bins carry enough samples in the reported region")
         centers = mesh[mask]
-        dens = counts[mask] / (n * vols)
-        n_samples = n
+        with np.errstate(over="ignore", divide="ignore"):  # out-of-range values are refused below
+            dens = counts[mask] / (n * vols)
     else:
         raise ConfigError("density_mode must be 'hist' or 'ck'")
 
-    fits = [
-        _ratio_requirement(dens, centers, model.case, cfg.T, x0, float(c))[0]
-        for c in c_grid
-    ]
-    best = int(np.argmin(fits))
-    c_fit, C_fit = float(c_grid[best]), float(fits[best])
-    _, sup_ratio, inf_ratio = _ratio_requirement(
-        dens, centers, model.case, cfg.T, x0, cfg.c
-    )
+    if not ((dens >= np.finfo(float).tiny) & (dens < np.inf)).all():  # the domain of _log
+        raise NumericError(f"densities in [{dens.min()}, {dens.max()}] leave the normal range")
+    # p_c is log-linear in c: log p_c = -c q - log Z(1) + (d/2) log c, with
+    # q = -kernel_exponent at c = 1.  So every log(dens / p_c) comes from one
+    # (shapes x bins) pass of + * / max min; with the IEEE-only _log and libm's
+    # scalar log and exp, no numpy dispatch tier moves a bit of the fit
+    log_dens = _log(dens)
+    q = -kernel_exponent(KernelSpec(model.case, 1.0, cfg.T, x0), centers)
+    log_z1 = math.log(kernel_normalizer(model.case, 1.0, cfg.T, model.d))
+    half_log = np.array([0.5 * model.d * math.log(c) for c in shapes.tolist()])
+    log_sup = (log_dens + shapes[:, None] * q).max(axis=1) + (log_z1 - half_log)
+    log_inf = (log_dens + q / shapes[:, None]).min(axis=1) + (log_z1 + half_log)
+    log_req = np.maximum(np.maximum(log_sup, -log_inf), 0.0)
+    best = int(np.argmin(log_req[:-1]))
+    logs = [float(log_req[best]), float(log_sup[-1]), float(log_inf[-1])]
+    try:
+        C_fit, sup_ratio, inf_ratio = map(math.exp, logs)
+    except OverflowError:
+        raise NumericError(f"log C_fit, sup_ratio and inf_ratio {logs}: an exp overflows") from None
     holds = sup_ratio <= cfg.C and inf_ratio >= 1.0 / cfg.C
     return {
         "mode": cfg.density_mode, "case": model.case.value, "d": model.d, "T": cfg.T,
-        "n_samples": n_samples, "n_reported": int(np.count_nonzero(mask)),
-        "c_fit": c_fit, "C_fit": C_fit, "sup_ratio": sup_ratio, "inf_ratio": inf_ratio,
+        "n_samples": n, "n_reported": dens.size, "c_fit": float(shapes[best]),
+        "C_fit": C_fit, "sup_ratio": sup_ratio, "inf_ratio": inf_ratio,
         "envelope_holds": bool(holds),
     }
 

@@ -30,11 +30,20 @@ _CONTROL = ["--set", "M=100", "--set", "num_batches=50", "--set", "num_r=5", "--
 # label -> argv without --out-dir; sizes are cut so that the set runs in
 # about a second
 COMMANDS = {
-    # README examples but parametrix and density-check (see test_manifest)
+    # README examples but parametrix (see test_manifest)
     "readme-bounds": ["bounds", *_KINETIC, "--set", "eps=[0.05,0.01]"],
     "readme-concentration": ["concentration", "--set", "M=100", "--set", "num_batches=2000", "--seed", "1"],
     "readme-control-geodesic": [
         "control-geodesic", "--set", "control_x=[0,0]", "--set", "control_x_prime=[0,1]",
+    ],
+    # hist envelope fits, on fewer samples than the defaults: the README
+    # kinetic check, and a two-dimensional const law off the origin
+    "readme-density-check": [
+        "density-check", *_KINETIC, "--set", "c=2.0", "--set", "C=1.2",
+        "--set", "density_samples=100000",
+    ],
+    "density-d2-off-origin": [
+        "density-check", "--set", "d=2", "--set", "x0=[0.3,-1]", "--set", "density_samples=100000",
     ],
     # lower-bound constants: gamma_F is E|Y| by one deterministic integral
     "lower-bounds-d1": ["bounds", *_LOWER],

@@ -221,6 +221,12 @@ CONFIG_ERRORS = [
         "--set", "min_bin_count=0", "--set", "high_mass_fraction=0",
     ],
     ["density-check", "--set", "high_mass_fraction=1.5"],
+    # envelope shapes are checked before sampling: each needs c > 0 and a
+    # finite 1/c, and the configured (c, C) a domination constant C >= 1
+    ["density-check", "--set", "c=1e-310", "--set", "density_samples=3000"],
+    ["density-check", "--set", "c_grid=[1e-310,1]", "--set", "density_samples=3000"],
+    ["density-check", "--set", "c_grid=[0,1]", "--set", "density_samples=3000"],
+    ["density-check", "--set", "C=0.5", "--set", "density_samples=3000"],
 ]
 CONFIG_ERROR_IDS = [
     "out-dir-under-file", "cone-not-a-number", "empty-c-grid", "M-string", "N-float",
@@ -233,6 +239,8 @@ CONFIG_ERROR_IDS = [
     "rho0-without-beta", "beta-without-rho0", "num-r-negative", "control-empty-endpoints",
     "control-factor-zero", "control-factor-negative", "parametrix-b0-huge",
     "empty-r-grid", "empty-eps", "min-bin-count-zero", "high-mass-fraction-above-one",
+    "density-c-reciprocal-overflows", "c-grid-reciprocal-overflows", "c-grid-zero",
+    "density-C-below-one",
 ]
 
 
@@ -293,13 +301,21 @@ NUMERIC_ERRORS = [
     # spread falls below their float spacing, and no histogram bin is left
     ["density-check", "--set", "b0=[1e300]", "--set", "N=1", "--set", "density_samples=3000"],
     ["density-check", "--set", "b0=[1e100]", "--set", "N=1", "--set", "density_samples=3000"],
+    # log C_fit is finite but its exp is past the float range
+    ["density-check", "--set", "c_grid=[1e300]", "--set", "density_samples=3000"],
+    # d = 2 bins of area 1e-320 or so: their densities overflow, and have no log
+    [
+        "density-check", "--set", "d=2", "--set", "x0=[0,0]", "--set", "sigma0=1e-100",
+        "--set", "T=1e-110", "--set", "density_samples=3000",
+    ],
 ]
 NUMERIC_ERROR_IDS = [
     "parametrix-truncated-grid", "sigma0-overflow", "bounds-alpha-inf", "conc-alpha-inf",
     "control-energy-inf", "conc-batch-mean-overflow", "control-tiny-t",
     "gamma-variance-overflow", "gamma-variance-underflow", "chi-overflow",
     "bar-delta-cancels", "kinetic-root-overflow", "kinetic-lambda-min-underflows",
-    "hist-width-overflow", "hist-spread-below-spacing",
+    "hist-width-overflow", "hist-spread-below-spacing", "envelope-ratio-overflow",
+    "hist-density-overflow",
 ]
 
 
@@ -313,8 +329,8 @@ def test_bad_input_is_one_line_numeric_error(tmp_path, capsys, args):
 
 
 def test_envelope_shape_whose_kernel_underflows_fits_without_warnings(tmp_path, capsys):
-    # at c = 1e-300 one envelope kernel underflows to 0 on every bin: its
-    # ratio is infinite, and the fit takes the other shape
+    # at c = 1e-300 one envelope kernel underflows to 0 on every bin; the fit
+    # works in log space, where that ratio is finite, and still takes c = 1
     argv = ["density-check", "--set", "c_grid=[1e-300,1]", "--set", "density_samples=3000"]
     assert main([*argv, "--out-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().err == ""

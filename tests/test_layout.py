@@ -24,6 +24,8 @@ ENTRY_POINTS = {
     "script_entry": "the `eulermc` console script in pyproject.toml",
     "frozen_density": "the benchmark traces it, and tests/test_parametrix.py checks it against "
     "the scheme density; the series reads the same running sums (parametrix._running_sums)",
+    "kernel_density": "the benchmark traces it, and criterion 02 and tests/oracles.py use it as "
+    "the kernel oracle; the envelope fit works with its log (harness.run_density_check)",
 }
 
 

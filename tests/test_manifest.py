@@ -17,17 +17,16 @@ def test_outputs_match_the_manifest(digests):
     """Every file the manifest commands write has the digest in
     tests/manifest.json.
 
-    Parametrix and density-check outputs are left out: their last digits
+    Parametrix outputs and CK density-check are left out: their last digits
     change with numpy's CPU dispatch tier (np.exp and np.log give different
     last bits on X86_V4 than on X86_V3), so their digests hold on one host
-    only.
-    With X86_V4 off, the README kinetic density-check at 1e5 samples wrote
-    C_fit 1.1514279308368105 against 1.1514279308368103.  They join the set
-    once a test compares them across dispatch tiers.  Every file in the set
-    had the same digest with X86_V4, and with X86_V3 and X86_V4, switched
-    off, but control-kinetic/concentration.json: its damped drift calls
-    np.tanh, and with X86_V3 off its reference_mean changed in the last
-    digit.
+    only.  They join the set once a test compares them across dispatch
+    tiers.  Hist density-check fits its envelope in log space with the
+    package's own log, and is in the set.  Every file in the set had the
+    same digest with X86_V4, and with X86_V3 and X86_V4, switched off, but
+    concentration.json of control-kinetic and control-kinetic-abs: their
+    damped drift calls np.tanh, and with X86_V3 off their reference_mean
+    changed in the last digit.
     """
     got = digests
     want = json.loads(MANIFEST.read_text())

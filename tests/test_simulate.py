@@ -166,6 +166,12 @@ x = np.resize(np.concatenate([x, -x]), 2 * _CSV_BLOCK)
 i = np.resize(np.array([-(2**63), 2**63 - 1, 0, -1]), 2 * _CSV_BLOCK)
 write_csv(Path(sys.argv[1], "edges.csv"), ["i", "x"], [i, x])
 print(hashlib.sha256(Path(sys.argv[1], "edges.csv").read_bytes()).hexdigest())
+# the README kinetic density-check, on fewer samples: its envelope fit
+kinetic = ["--set", 'preset="kinetic"', "--set", "dp=1", "--set", "x0=[0,0]"]
+argv = ["density-check", *kinetic, "--set", "c=2.0", "--set", "C=1.2"]
+argv += ["--set", "density_samples=100000"]
+assert main([*argv, "--out-dir", sys.argv[1]]) == 0
+print(hashlib.sha256(Path(sys.argv[1], "density_check.json").read_bytes()).hexdigest())
 """
 
 # numpy CPU dispatch tiers to switch off, newest first
