@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ArgumentError, IntegrationError
 
 _GEODESIC_RTOL = 1e-6  # endpoint tolerance of geodesic, relative to 1 + |x'|
+_STATES_CAP_BYTES = 2**30  # of a geodesic's states, as simulate_terminal caps its samples
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,8 @@ class ControlProblem:
         object.__setattr__(self, "x_prime", xp)
 
 
-def optimal_control(problem: ControlProblem, s: float) -> np.ndarray:
-    """Optimal control at time s in [0, t], closed form.
+def optimal_control(problem: ControlProblem, s) -> np.ndarray:
+    """Optimal control at the time or array of times s in [0, t], closed form.
 
     With dv = v' - v and g = z' - z - v t (the position gap after free
     transport of the initial velocity):
@@ -45,7 +46,8 @@ def optimal_control(problem: ControlProblem, s: float) -> np.ndarray:
 
     Agrees with B^T R(t, s)^T Q_t^{-1} (x' - R(t, 0) x).
     """
-    if not 0.0 <= s <= problem.t:
+    s = np.asarray(s, dtype=float)[..., None]
+    if not np.all((0.0 <= s) & (s <= problem.t)):
         raise ArgumentError("control time must lie in [0, t]")
     dp = problem.d_prime
     t = problem.t
@@ -70,25 +72,28 @@ def geodesic(problem: ControlProblem, steps: int):
 
     Each row is exact: v(s) = v + s (u(0) + u(s)) / 2, as u is affine, and
     z(s) = z + s (v + 4 v(s/2) + v(s)) / 6, as v is quadratic.  Returns
-    (times, states) with states of shape (steps + 1, 2 d').  Raises
-    IntegrationError when the endpoint misses x' by more than
-    _GEODESIC_RTOL * (1 + |x'|).
+    (times, states) with states of shape (steps + 1, 2 d'), refused above
+    _STATES_CAP_BYTES.  Raises IntegrationError when the endpoint misses x'
+    by more than _GEODESIC_RTOL * (1 + |x'|).
     """
     if steps < 2:
         raise ArgumentError("need at least two steps")
     dp = problem.d_prime
+    size = 16 * dp * (steps + 1)
+    if size > _STATES_CAP_BYTES:
+        raise ArgumentError(
+            f"{steps:,} geodesic steps need {size / 2**30:,.0f} GiB of states, above the 1 GiB cap"
+        )
     v, z = problem.x[:dp], problem.x[dp:]
     u0 = optimal_control(problem, 0.0)
 
     def velocity(s):
-        return v + s * (u0 + optimal_control(problem, s)) / 2.0
-
-    def state(s):
-        vs = velocity(s)
-        return [*vs, *(z + s * (v + 4.0 * velocity(s / 2.0) + vs) / 6.0)]
+        return v + s[:, None] * (u0 + optimal_control(problem, s)) / 2.0
 
     times = np.linspace(0.0, problem.t, steps + 1)
-    states = np.array([state(s) for s in times])
+    vs = velocity(times)
+    zs = z + times[:, None] * (v + 4.0 * velocity(times / 2.0) + vs) / 6.0
+    states = np.concatenate([vs, zs], axis=1)
     err = float(np.linalg.norm(states[-1] - problem.x_prime))
     if err > _GEODESIC_RTOL * (1.0 + float(np.linalg.norm(problem.x_prime))):
         raise IntegrationError(f"geodesic endpoint error {err:.2e} above tolerance")

@@ -162,6 +162,8 @@ class ExperimentConfig:
         for name in ("r_grid", "eps", "c_grid"):
             if getattr(cfg, name) == []:
                 raise ConfigError(f"{name} must not be empty")
+        if cfg.r_grid and min(cfg.r_grid) < 0:
+            raise ConfigError(f"r_grid entries must be >= 0, got {cfg.r_grid}")
         if not 1 <= cfg.threads <= _MAX_THREADS:
             raise ConfigError(f"threads must lie in [1, {_MAX_THREADS}], got {cfg.threads}")
         # the Philox key is taken mod 2**64: -1 and 2**64 - 1 are one stream
@@ -273,34 +275,11 @@ def sphere_floor(functional: str, growth: GrowthSpec) -> float:
     return growth.rho0
 
 
-def _gaussian_law(preset: str, cfg: ExperimentConfig, x0: np.ndarray, T: float):
-    """The terminal law of a preset that simulates a kernel p_c exactly, as
-    that kernel, else None: const gives p_c(T, x0 + b0 T, .) with
-    c = 1/sigma0^2, and kinetic, whose exact step at damp = 0 has no drift,
-    gives p_c(T, x0, .) with c = 2/sigma0^2.  The caller checks damp."""
-    if preset == "const":  # b0 has 1 or d entries
-        return KernelSpec(Case.NONDEGENERATE, 1.0 / cfg.sigma0**2, T, x0 + np.asarray(cfg.b0) * T)
-    if preset == "kinetic":
-        return KernelSpec(Case.KINETIC, 2.0 / cfg.sigma0**2, T, x0)
-    return None
-
-
-def _gaussian_twin(cfg: ExperimentConfig, x0: np.ndarray, T: float):
-    """(model, law) of the preset's exact-Gaussian twin, else None.
-
-    The twin drops the nonlinear coefficients and keeps the noise: const
-    (sigma0 = 1, b0 = 0, the defaults a trig config keeps) for trig, kinetic
-    with damp = 0 for kinetic.  On the same normals its terminal point stays
-    close to the preset's, so f(X) - f(X_twin) varies far less than f(X).
-    The twin model is built with model_preset, since build_model refuses the
-    preset's own fields (a_amp, b_amp) under another preset.
-    """
-    if cfg.preset == "trig":
-        return model_preset("const"), _gaussian_law("const", cfg, x0, T)
-    if cfg.preset == "kinetic":
-        twin = model_preset("kinetic", dp=cfg.dp, sigma0=cfg.sigma0)
-        return twin, _gaussian_law("kinetic", cfg, x0, T)
-    return None
+def _kernel_law(model: SdeModel, x0: np.ndarray, T: float) -> KernelSpec:
+    """The kernel p_c(T, x0 + b T, .) that the model's X_T follows, from its
+    law (c, b); with b None the mean is x0 itself, signed zeros and all."""
+    c, b = model.law
+    return KernelSpec(model.case, c, T, x0 if b is None else x0 + b * T)
 
 
 def analytic_reference(functional: str, f, law: KernelSpec) -> float:
@@ -417,35 +396,34 @@ def _default_r_grid(cfg: ExperimentConfig, alpha: float) -> np.ndarray:
 
 
 def reference_mean(cfg: ExperimentConfig, model, tgrid, f, r_min: float):
-    """(E f(X_T), standard error): the reference of the preset's exact law
-    (_gaussian_law), else a control run on stream stream_id + 1 whose
-    standard error must fall below r_min / 10 (StatisticsError otherwise).
+    """(E f(X_T), standard error): the reference of the model's exact law
+    (model.law), else a control run on stream stream_id + 1 whose standard
+    error must fall below r_min / 10 (StatisticsError otherwise).
 
-    With a Gaussian twin (trig, damped kinetic), the control run estimates
-    the mean of f(X) - f(X_twin) on shared normals and adds the reference
-    of the twin's law; other presets estimate the mean of f(X).  The run
+    With a Gaussian twin (model.twin), the control run estimates the mean of
+    f(X) - f(X_twin) on shared normals and adds the reference of the twin's
+    law; a model with neither estimates the mean of f(X).  The run
     starts at one chunk of samples and doubles until the standard error
     meets the target; samples [0, n) alone give the estimate at size n.  It
     stops at the cap, control_factor * M * num_batches samples, and
     r_min = 0 runs to the cap.
     """
     x0 = start_point(cfg, model)
-    law = _gaussian_law(cfg.preset, cfg, x0, tgrid.T) if cfg.damp == 0.0 else None
-    if law is not None:
-        return analytic_reference(cfg.functional, f, law), 0.0
+    if model.law is not None:
+        return analytic_reference(cfg.functional, f, _kernel_law(model, x0, tgrid.T)), 0.0
     cap = cfg.control_factor * cfg.M * cfg.num_batches
     if cap < 2:
         raise StatisticsError(
             f"control_factor * M * num_batches = {cap}: a control run needs at least "
             "2 samples for a standard error"
         )
-    twin = _gaussian_twin(cfg, x0, tgrid.T)
+    twin = model.twin
 
     def values(lo: int, hi: int) -> np.ndarray:
         """f(X), less f(X_twin) when there is a twin, for samples [lo, hi)."""
         out = np.asarray(f(_simulate(cfg, model, tgrid, hi - lo, _CONTROL, lo)), dtype=float)
         if twin is not None:
-            out -= f(_simulate(cfg, twin[0], tgrid, hi - lo, _CONTROL, lo))
+            out -= f(_simulate(cfg, twin, tgrid, hi - lo, _CONTROL, lo))
         return out
 
     n = min(_CHUNK, cap)
@@ -459,8 +437,9 @@ def reference_mean(cfg: ExperimentConfig, model, tgrid, f, r_min: float):
         raise StatisticsError(
             f"control-run standard error {se:.3e} >= r_min/10 = {r_min / 10:.3e}"
         )
-    mean = vals.mean()
-    ref = mean if twin is None else analytic_reference(cfg.functional, f, twin[1]) + mean
+    ref = vals.mean()
+    if twin is not None:
+        ref += analytic_reference(cfg.functional, f, _kernel_law(twin, x0, tgrid.T))
     return float(ref), se
 
 

@@ -40,6 +40,10 @@ class SdeModel:
     [1/lambda0, lambda0], L0 bounds sup|drift| plus the Holder quotient of a
     in space.  Both are properties of the diffusion: each preset computes
     them from its own parameters, and a custom model supplies its own.
+
+    law is (c, b) when X_T from x0 follows the kernel p_c(T, x0 + b T, .)
+    exactly, b None for no shift; twin is a model of the same dimension with a
+    law that stays close to this one on the same normals.  Either may be None.
     """
 
     case: Case
@@ -48,6 +52,8 @@ class SdeModel:
     sigma: Callable[[float, np.ndarray], np.ndarray]
     lambda0: float
     L0: float
+    law: tuple[float, np.ndarray | None] | None = None
+    twin: SdeModel | None = None
 
     def __post_init__(self):
         if self.d < 1:
@@ -56,6 +62,8 @@ class SdeModel:
             raise ConfigError("kinetic models need an even dimension")
         if self.lambda0 <= 0 or self.L0 <= 0:
             raise ConfigError("lambda0 and L0 must be positive")
+        if self.twin is not None and (self.twin.law is None or self.twin.d != self.d):
+            raise ConfigError("a twin model needs a law and the model's dimension")
 
     @property
     def d_prime(self) -> int:
@@ -165,7 +173,8 @@ def _const_model(d=1, b0=0.0, sigma0=1.0):
 
     # hypot, unlike np.linalg.norm, does not overflow for |b| above 1e154
     L0 = max(1.0, math.hypot(*b))
-    return SdeModel(Case.NONDEGENERATE, d, drift, sigma, _scalar_noise_lambda0(s0), L0)
+    lambda0 = _scalar_noise_lambda0(s0)  # first: it refuses a sigma0 whose square underflows
+    return SdeModel(Case.NONDEGENERATE, d, drift, sigma, lambda0, L0, law=(1.0 / s0**2, b))
 
 
 def _trig_model(b_amp=0.0, a_amp=0.1):
@@ -185,7 +194,8 @@ def _trig_model(b_amp=0.0, a_amp=0.1):
 
     lambda0 = 1.0 / (1.0 - a_amp) if a_amp > 0 else 1.0
     L0 = max(1.0, abs(b_amp) + a_amp)
-    return SdeModel(Case.NONDEGENERATE, 1, drift, sigma, lambda0, L0)
+    # the twin keeps the unit noise and drops both sines
+    return SdeModel(Case.NONDEGENERATE, 1, drift, sigma, lambda0, L0, twin=_const_model())
 
 
 def _kinetic_model(dp=1, damp=0.0, sigma0=1.0):
@@ -204,7 +214,11 @@ def _kinetic_model(dp=1, damp=0.0, sigma0=1.0):
         return np.broadcast_to(eye, x.shape[:-1] + (dp, dp))
 
     L0 = max(1.0, abs(damp) * math.sqrt(dp))
-    return SdeModel(Case.KINETIC, 2 * dp, drift, sigma, _scalar_noise_lambda0(s0), L0)
+    lambda0 = _scalar_noise_lambda0(s0)  # first: it refuses a sigma0 whose square underflows
+    # undamped, X_T follows p_c(T, x0, .); damped, the twin drops the damping
+    law = (2.0 / s0**2, None) if damp == 0.0 else None
+    twin = None if law else _kinetic_model(dp, 0.0, s0)
+    return SdeModel(Case.KINETIC, 2 * dp, drift, sigma, lambda0, L0, law, twin)
 
 
 MODEL_PRESETS = {

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from eulermc import harness
 from eulermc.cli import main
 
 
@@ -208,12 +209,25 @@ CONFIG_ERRORS = [
     ["concentration", "--set", "beta=1"],
     ["concentration", "--set", "num_r=-1"],
     ["control-geodesic", "--set", "control_x=[]", "--set", "control_x_prime=[]"],
+    # 16 TB of states: refused by its size, where numpy raised a MemoryError
+    ["control-geodesic", "--set", "geodesic_steps=1000000000000"],
     ["concentration", "--set", 'preset="trig"', "--set", "control_factor=0"],
     ["concentration", "--set", "M=10", "--set", "num_batches=20", "--set", "control_factor=-1"],
     # |b0| squared overflows; the grid check must still be the only line
     ["parametrix", "--set", "b0=[1e200]", "--set", "grid_points=101", "--set", "N=2"],
     # an empty list would run in full and write a header with no rows
     ["concentration", "--set", "r_grid=[]"],
+    # a negative radius is refused before any draw: the control run and the
+    # simulation once ran first, and with no positive radius the control run
+    # headed for its cap of 2e8 samples
+    [
+        "concentration", "--set", 'preset="trig"', "--set", "M=2000", "--set", "num_batches=1000",
+        "--set", "r_grid=[-1,1]",
+    ],
+    [
+        "concentration", "--set", 'preset="trig"', "--set", "M=2000", "--set", "num_batches=1000",
+        "--set", "r_grid=[-1]",
+    ],
     ["bounds", "--set", "eps=[]"],
     # both once gave an infinite fit (exit 3) or too few bins (exit 4)
     [
@@ -237,8 +251,10 @@ CONFIG_ERROR_IDS = [
     "dp-negative", "density-samples-one", "conc-identity-no-growth",
     "bounds-identity-no-growth", "bounds-abs-beta-above-one", "bounds-unknown-functional", "bounds-asian-diff-const",
     "rho0-without-beta", "beta-without-rho0", "num-r-negative", "control-empty-endpoints",
+    "geodesic-steps-huge",
     "control-factor-zero", "control-factor-negative", "parametrix-b0-huge",
-    "empty-r-grid", "empty-eps", "min-bin-count-zero", "high-mass-fraction-above-one",
+    "empty-r-grid", "negative-radius", "no-positive-radius", "empty-eps", "min-bin-count-zero",
+    "high-mass-fraction-above-one",
     "density-c-reciprocal-overflows", "c-grid-reciprocal-overflows", "c-grid-zero",
     "density-C-below-one",
 ]
@@ -253,6 +269,20 @@ def test_bad_input_is_one_line_config_error(tmp_path, capsys, args):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [args for args in CONFIG_ERRORS if any(a.startswith("r_grid=[-") for a in args)],
+    ids=["negative-radius", "no-positive-radius"],
+)
+def test_negative_radius_is_refused_before_any_draw(tmp_path, capsys, monkeypatch, args):
+    def draw(*args, **kwargs):
+        raise AssertionError("simulate_terminal was called")
+
+    monkeypatch.setattr(harness, "simulate_terminal", draw)
+    assert main([*args, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: r_grid ")
 
 
 def test_r_max_above_n_names_config_fields(tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from eulermc import concentration as conc
 from eulermc.errors import ArgumentError, NumericError
 from eulermc.gaussianref import hessian_spectral_bounds
+from eulermc.harness import ExperimentConfig, _bound_constants, build_model
 from eulermc.model import Case, GrowthSpec, sphere_surface_measure
 from oracles import folded_normal_mean, noncentral_chi3_mean
 
@@ -212,6 +213,39 @@ def test_lower_tail_bound():
     assert conc.lower_tail_bound(3.0, 5, 0.5, 1.0, 1.0) < v1
     # (r / beta)^2 past the float range: the bound underflows to exactly 0
     assert conc.lower_tail_bound(0.5, 1, 0.5, 1e-300, 1.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        1,
+        pytest.param(2, marks=pytest.mark.xfail(strict=True, reason=(
+            "ROADMAP item 7: the lower bound fails on the exact law in d = 2; at r = 2.355 "
+            "the exact probability is 0.0739 against a bound of 0.1249"
+        ))),
+        3,
+        4,
+    ],
+)
+def test_lower_tail_bound_holds_on_the_exact_chi_law(d):
+    from scipy.stats import chi
+
+    # the const preset with unit noise from 0 simulates X_T ~ N(0, I_d)
+    # exactly, so at M = 1 the batch mean |X_T| follows chi_d, and the
+    # reference is its mean.  The grid keeps the radii that a run tests,
+    # those with a positive threshold r - bar_delta (lower_empirical)
+    cfg = ExperimentConfig.from_dict(dict(
+        preset="const", d=d, x0=[0.0], M=1, c=1.0, C=1.0, functional="abs", rho0=1.0, beta=1.0,
+    ))
+    _, _, constants = _bound_constants(cfg, build_model(cfg))
+    r = np.linspace(0.01, 6.0, 600)
+    thr = r - constants["bar_delta"]
+    r, thr = r[thr > 0], thr[thr > 0]
+    mean = chi.mean(d)
+    exact = chi.sf(mean + thr, d) + chi.cdf(mean - thr, d)
+    bound = np.array([conc.lower_tail_bound(x, 1, constants["bar_alpha_inv"], 1.0, 1.0) for x in r])
+    assert r.size > 400
+    assert not (exact < bound).any(), f"exact below the bound at r = {r[exact < bound]}"
 
 
 def test_wasserstein_bound():

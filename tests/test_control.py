@@ -161,11 +161,43 @@ def test_geodesic_midpoint_position():
     assert np.max(np.abs(states[:, 1] - z * s * s * (3 - 2 * s))) <= 1e-14
 
 
+def _geodesic_row(pr, s):
+    """One geodesic row from scalar controls at time s, the loop form."""
+    dp = pr.d_prime
+    v, z = pr.x[:dp], pr.x[dp:]
+    u0 = optimal_control(pr, 0.0)
+
+    def velocity(s):
+        return v + s * (u0 + optimal_control(pr, s)) / 2.0
+
+    vs = velocity(s)
+    return [*vs, *(z + s * (v + 4.0 * velocity(s / 2.0) + vs) / 6.0)]
+
+
+def test_geodesic_rows_match_the_per_row_loop():
+    # the array form does each row's arithmetic in the loop's order, so the
+    # bits agree; so do the controls at an array of times and one at a time
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        dp = int(rng.integers(1, 4))
+        t = float(np.exp(rng.uniform(-2.0, 2.0)))
+        pr = ControlProblem(t, rng.standard_normal(2 * dp), rng.standard_normal(2 * dp), dp)
+        times, states = geodesic(pr, int(rng.integers(2, 60)))
+        assert states.tobytes() == np.array([_geodesic_row(pr, s) for s in times]).tobytes()
+        rows = np.array([optimal_control(pr, s) for s in times])
+        assert optimal_control(pr, times).tobytes() == rows.tobytes()
+
+
 def test_geodesic_argument_checks():
     pr = ControlProblem(1.0, np.zeros(2), np.ones(2), 1)
     with pytest.raises(ArgumentError):
         geodesic(pr, 1)
+    # refused by its size, before anything is allocated
+    with pytest.raises(ArgumentError, match="above the 1 GiB cap"):
+        geodesic(pr, 10**12)
     with pytest.raises(ArgumentError):
         optimal_control(pr, 2.0)
+    with pytest.raises(ArgumentError):
+        optimal_control(pr, np.array([0.5, -0.1]))
     with pytest.raises(ArgumentError):
         ControlProblem(-1.0, np.zeros(2), np.ones(2), 1)

@@ -198,8 +198,9 @@ def test_analytic_references():
     want = (0.4 - (0.1 + 0.4 * 2.0) / 2.0) / math.sqrt(2.0)
     ref = _exact_reference(preset="kinetic", x0=[0.4, 0.1], T=2.0, functional="asian-diff")
     assert ref == pytest.approx(want, rel=1e-15)
-    for preset in ("trig", "sine-drift"):
-        assert harness._gaussian_law(preset, cfg_with(), np.zeros(1), 1.0) is None
+    # trig states only its twin, and a custom model that states neither runs f(X)
+    assert MODEL_PRESETS["trig"]().law is None and MODEL_PRESETS["trig"]().twin is not None
+    assert _sine_drift_model().law is None and _sine_drift_model().twin is None
 
 
 def test_const_abs_references_are_noncentral_chi_means():
@@ -449,6 +450,37 @@ def test_custom_preset_control_run_doubles_like_the_twin_runs(monkeypatch):
         0.3178643421119831, 0.014116020437632871,
     )
     assert [(M, lo) for _, M, lo in calls] == [(4096, 0)]
+
+
+def _unit_noise_model():
+    # dX = dW: X_T follows p_1(T, x0, .) exactly, and the model says so
+    return SdeModel(
+        Case.NONDEGENERATE, 1,
+        lambda t, x: np.zeros(np.shape(x)),
+        lambda t, x: np.ones(np.shape(x) + (1,)),
+        1.0, 1.0, law=(1.0, None),
+    )
+
+
+def test_custom_preset_states_its_own_law_and_twin(monkeypatch):
+    # a custom model takes the path a built-in one does: its law gives the
+    # exact reference, and its twin the twin control run
+    monkeypatch.setitem(MODEL_PRESETS, "unit-noise", _unit_noise_model)
+    assert _exact_reference(preset="unit-noise", x0=[0.5], T=2.0) == 0.5
+
+    def twinned():
+        return dataclasses.replace(_sine_drift_model(), twin=_unit_noise_model())
+
+    monkeypatch.setitem(MODEL_PRESETS, "sine-twin", twinned)
+    calls = _spy_simulations(monkeypatch)
+    cfg, model, tgrid, f = _control_setup(preset="sine-twin", x0=[0.5], N=3)
+    ref, se = harness.reference_mean(cfg, model, tgrid, f, 0.05)
+    assert [(M, lo) for _, M, lo in calls] == [(4096, 0), (4096, 0)]
+    assert calls[0][0] is model and calls[1][0] is model.twin
+    # the twin takes the drift's spread out of the estimate
+    plain, plain_se = _plain_mean(cfg, model, tgrid, f, 100_000, cfg.stream_id + 7)
+    assert 0.0 < se < plain_se * math.sqrt(100_000 / 4096) / 2
+    assert abs(ref - plain) <= 3.0 * math.hypot(se, plain_se)
 
 
 def test_concentration_with_growth_constants():

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import eulermc
 from eulermc import cli, harness, simulate
+from eulermc.model import MODEL_PRESETS
 
 PACKAGE = Path(eulermc.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -74,7 +75,7 @@ UNSET_DEFAULTS = {
     "cli.py:main": "an entry point: argv=None reads the command line",
     **{
         f"model.py:{name}": "a MODEL_PRESETS builder: model_preset calls it as builder(**params)"
-        for name in ("_const_model", "_trig_model", "_kinetic_model")
+        for name in ("_const_model", "_trig_model")
     },
 }
 
@@ -128,6 +129,25 @@ def test_every_parameter_default_is_set_by_a_caller_in_the_package():
     extra = sorted(entry for entry in unset if entry.split("(")[0] not in UNSET_DEFAULTS)
     assert not extra, f"parameter defaults that no call in src/eulermc sets: {extra}"
     assert {entry.split("(")[0] for entry in unset} == set(UNSET_DEFAULTS)
+
+
+def test_harness_names_a_preset_only_in_its_field_table_and_the_default():
+    # what a preset's model is, its exact law and its control twin included,
+    # lives in eulermc.model: the harness names a preset only to hand the
+    # builder its config fields, and as the default of the preset field
+    tree = _trees()["harness.py"]
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_PRESET_FIELDS":
+            allowed.update(node.value.keys)
+        elif isinstance(node, ast.AnnAssign) and ast.unparse(node.target) == "preset":
+            allowed.add(node.value)
+    found = [
+        f"harness.py:{node.lineno}: {node.value!r}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in MODEL_PRESETS and node not in allowed
+    ]
+    assert not found, f"preset names outside _PRESET_FIELDS and the preset default: {found}"
 
 
 # numpy random names whose draws depend on numpy internals (Generator

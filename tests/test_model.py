@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,29 @@ def test_scaled_diffusion_needs_larger_lambda0():
     for sigma0 in (2.0, 0.5, -2.0):
         assert model_preset("const", d=2, sigma0=sigma0).lambda0 == 4.0
         assert model_preset("kinetic", dp=1, sigma0=sigma0).lambda0 == 4.0
+
+
+def test_presets_state_their_exact_law_and_their_twin():
+    # const: X_T ~ p_c(T, x0 + b0 T, .) with c = 1/sigma0^2
+    m = model_preset("const", d=2, b0=[0.5, -1.0], sigma0=2.0)
+    c, b = m.law
+    assert c == 0.25 and b.tolist() == [0.5, -1.0] and m.twin is None
+    # undamped kinetic: p_c(T, x0, .) with c = 2/sigma0^2; damped, its twin
+    m = model_preset("kinetic", dp=2, sigma0=0.5)
+    assert m.law == (8.0, None) and m.twin is None
+    m = model_preset("kinetic", dp=2, damp=0.5, sigma0=0.5)
+    assert m.law is None and m.twin.law == (8.0, None) and m.twin.d == 4
+    # trig: the unit-noise const model, with no drift
+    m = model_preset("trig", a_amp=0.5, b_amp=0.3)
+    c, b = m.twin.law
+    assert m.law is None and c == 1.0 and b.tolist() == [0.0]
+
+
+def test_a_twin_needs_a_law_and_the_model_dimension():
+    const = model_preset("const")
+    for model, twin in [(const, model_preset("trig")), (model_preset("const", d=2), const)]:
+        with pytest.raises(ConfigError, match="twin"):
+            dataclasses.replace(model, twin=twin)
 
 
 def test_sine_drift_bound_detected_on_dense_samples():
