@@ -15,7 +15,6 @@ Gaussian lower envelope and a cone-measure penalty chi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ArgumentError, NumericError
 from .gaussianref import (
@@ -77,85 +76,68 @@ def confidence_radius(epsilon: float, M: int, alpha: float) -> float:
     return math.sqrt(alpha / M * math.log(2.0 / epsilon))
 
 
-def _log_plus(value: float) -> float:
-    return max(math.log(value), 0.0) if value > 0 else 0.0
+def lower_constants(
+    case: Case, d: int, c: float, C: float, T: float, alpha: float, x0, growth: GrowthSpec,
+    floor: float, theta: float | None,
+) -> dict:
+    """The lower-bound constants of F = |y| from x0 that bounds.json and
+    concentration.json report; floor is inf F over the rho0 sphere.
 
-
-def growth_penalty(
-    case: Case,
-    d: int,
-    rho0: float,
-    C: float,
-    cone_measure: float,
-    theta: float | None = None,
-    T: float | None = None,
-) -> float:
-    """Additive penalty chi in the lower deviation rate.
-
-    Non-degenerate, even d:  log(pi^{d/2} C / K(d, A))_+ / rho0^2.
-    Non-degenerate, odd d:   same with K(d, A) arccos(theta^{-1/2}).
-    Kinetic (even d only):
+    Rate 1/alpha_lower = Lambda + chi, theta Lambda + chi in non-degenerate
+    odd d (theta > 1, 2 by default), with Lambda = lambda_max/2 of the c^{-1}
+    kernel: valid when the lower-envelope Gaussian is centered at the cone's
+    sphere center, so its potential and gradient vanish there.  Penalty
+    chi = log(pi^{d/2} C / K(d, A))_+ / rho0^2, with K(d, A) arccos(theta^{-1/2})
+    in odd d, and in the kinetic case
       log((pi/T)^{d/2} [T^2 + 3(1 + sqrt(1 + T^2/3 + T^4/9))]^{d/2} C
-          / K(d, A))_+ / rho0^2.
-    chi is 0 where rho0^2 overflows and inf where it underflows to 0.
+          / K(d, A))_+ / rho0^2;
+    0 where rho0^2 overflows and inf where it underflows to 0.  Bias
+    bar_delta = (1 + sqrt 2) sqrt(alpha log C) + gamma_F + rho0 beta - floor,
+    with gamma_F the mean of |y| under the c^{-1} kernel from x0.
     """
-    if rho0 <= 0:
-        raise ArgumentError("rho0 must be positive")
+    lam = hessian_spectral_bounds(case, 1.0 / c, T)[1] / 2.0
     if C < 1:
         raise ArgumentError("C must be >= 1")
-    K = cone_constant(d, cone_measure)
-    if case is Case.KINETIC:
-        if d % 2 != 0:
-            raise ArgumentError("kinetic models have even dimension")
-        if T is None or T <= 0:
-            raise ArgumentError("kinetic penalty needs T > 0")
-        inner = (math.pi / T) ** (d / 2) * (T * T + 3.0 * (1.0 + kinetic_root(T))) ** (d / 2)
-        numerator = _log_plus(inner * C / K)
-    elif d % 2 == 0:
-        numerator = _log_plus(math.pi ** (d / 2) * C / K)
-    elif theta is None or theta <= 1:
-        raise ArgumentError("odd dimensions need theta > 1")
-    else:
-        numerator = _log_plus(math.pi ** (d / 2) * C / (K * math.acos(theta**-0.5)))
+    K = cone_constant(d, growth.cone_measure)
+    if case is Case.KINETIC and d % 2 != 0:
+        raise ArgumentError("kinetic models have even dimension")
+    odd = case is not Case.KINETIC and d % 2 == 1
+    if odd:
+        theta = 2.0 if theta is None else theta
+        if theta <= 1:
+            raise ArgumentError("odd dimensions need theta > 1")
+    try:  # K(d, A) may be 0 for a tiny cone measure
+        if case is Case.KINETIC:
+            ratio = (math.pi / T) ** (d / 2) * (T * T + 3.0 * (1.0 + kinetic_root(T))) ** (d / 2)
+            ratio = ratio * C / K
+        else:
+            ratio = math.pi ** (d / 2) * C / (K * math.acos(theta**-0.5) if odd else K)
+    except (OverflowError, ZeroDivisionError):
+        raise NumericError(f"the ratio over K(d, A) in chi overflows at d = {d}") from None
+    numerator = max(math.log(ratio), 0.0) if ratio > 0 else 0.0
     try:
-        return numerator / rho0**2 if numerator > 0 else 0.0
+        chi = numerator / growth.rho0**2 if numerator > 0 else 0.0
     except OverflowError:  # rho0^2 is past the float range
-        return 0.0
+        chi = 0.0
     except ZeroDivisionError:  # rho0^2 underflows to 0
-        return math.inf
-
-
-@dataclass(frozen=True)
-class LowerRate:
-    inv_alpha: float  # 1/alpha_lower = Lambda + chi (theta Lambda + chi, odd d)
-    lam: float  # Lambda, the flat-envelope curvature term
-    chi: float
-
-
-def lower_rate(
-    case: Case,
-    d: int,
-    c: float,
-    T: float,
-    rho0: float,
-    C: float,
-    cone_measure: float,
-    theta: float | None = None,
-) -> LowerRate:
-    """Lower deviation rate with Lambda = lambda_max/2 of the c^{-1} kernel.
-
-    Valid when the lower-envelope Gaussian is centered at the cone's sphere
-    center, so its potential and gradient vanish there.
-    """
-    lam_bar = hessian_spectral_bounds(case, 1.0 / c, T)[1]
-    lam = lam_bar / 2.0
-    # growth_penalty refuses an odd-d non-degenerate theta that is not > 1
-    chi = growth_penalty(case, d, rho0, C, cone_measure, theta=theta, T=T)
-    if case is not Case.KINETIC and d % 2 == 1:
-        inv = theta * lam + chi
-    else:
-        inv = lam + chi
-    return LowerRate(inv_alpha=inv, lam=lam, chi=chi)
+        chi = math.inf
+    inv_alpha = theta * lam + chi if odd else lam + chi
+    gamma_F = kernel_norm_mean(KernelSpec(case, 1.0 / c, T, x0))
+    log_term = (1.0 + math.sqrt(2.0)) * math.sqrt(alpha * math.log(C))
+    slope_term = growth.rho0 * growth.beta
+    bias = log_term + gamma_F + slope_term - floor
+    # slope_term - floor cancels at beta = 1, after a large rho0 has rounded gamma_F away
+    exact = math.fsum((log_term, gamma_F, slope_term, -floor))
+    if abs(bias - exact) > 1e-9 * abs(exact):
+        raise NumericError(f"rho0 beta = {slope_term!r} swamps gamma_F in bar_delta = {bias!r}")
+    return {
+        "chi": chi,
+        "bar_alpha_inv": inv_alpha,
+        "bar_delta": bias,
+        "gamma_F": gamma_F,
+        "F_floor": floor,
+        "theta": theta,
+    }
 
 
 def lower_tail_bound(
@@ -169,37 +151,3 @@ def lower_tail_bound(
     except OverflowError:  # past the float range: the bound is 0
         return 0.0
     return 2.0 * math.exp(-M * inv_rate * square)
-
-
-@dataclass(frozen=True)
-class LowerBias:
-    value: float
-    gamma_term: float  # mean of F under the c^{-1} kernel
-
-
-def lower_bias(
-    case: Case,
-    c: float,
-    C: float,
-    T: float,
-    alpha: float,
-    x,
-    growth: GrowthSpec,
-    floor: float,
-) -> LowerBias:
-    """Bias (1 + sqrt 2) sqrt(alpha log C) + gamma(F) + rho0 beta - floor,
-    where floor is inf F over the rho0 sphere.
-
-    F is the norm |y|, the one functional preset that grows
-    (harness.sphere_floor), so gamma(F), its mean under the c^{-1} kernel
-    started at x, is kernel_norm_mean.
-    """
-    gamma_term = kernel_norm_mean(KernelSpec(case, 1.0 / c, T, x))
-    log_term = (1.0 + math.sqrt(2.0)) * math.sqrt(alpha * math.log(C))
-    slope_term = growth.rho0 * growth.beta
-    value = log_term + gamma_term + slope_term - floor
-    # slope_term - floor cancels at beta = 1, after a large rho0 has rounded gamma_F away
-    exact = math.fsum((log_term, gamma_term, slope_term, -floor))
-    if abs(value - exact) > 1e-9 * abs(exact):
-        raise NumericError(f"rho0 beta = {slope_term!r} swamps gamma_F in bar_delta = {value!r}")
-    return LowerBias(value=value, gamma_term=gamma_term)

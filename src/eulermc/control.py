@@ -16,6 +16,7 @@ from .errors import ArgumentError, IntegrationError
 
 _GEODESIC_RTOL = 1e-6  # endpoint tolerance of geodesic, relative to 1 + |x'|
 _STATES_CAP_BYTES = 2**30  # of a geodesic's states, as simulate_terminal caps its samples
+_ROW_BLOCK = 2**14  # geodesic rows built at a time
 
 
 @dataclass(frozen=True)
@@ -91,9 +92,11 @@ def geodesic(problem: ControlProblem, steps: int):
         return v + s[:, None] * (u0 + optimal_control(problem, s)) / 2.0
 
     times = np.linspace(0.0, problem.t, steps + 1)
-    vs = velocity(times)
-    zs = z + times[:, None] * (v + 4.0 * velocity(times / 2.0) + vs) / 6.0
-    states = np.concatenate([vs, zs], axis=1)
+    states = np.empty((steps + 1, 2 * dp))
+    for lo in range(0, steps + 1, _ROW_BLOCK):  # rows in blocks: temporaries stay small
+        s, rows = times[lo:lo + _ROW_BLOCK], states[lo:lo + _ROW_BLOCK]
+        rows[:, :dp] = velocity(s)
+        rows[:, dp:] = z + s[:, None] * (v + 4.0 * velocity(s / 2.0) + rows[:, :dp]) / 6.0
     err = float(np.linalg.norm(states[-1] - problem.x_prime))
     if err > _GEODESIC_RTOL * (1.0 + float(np.linalg.norm(problem.x_prime))):
         raise IntegrationError(f"geodesic endpoint error {err:.2e} above tolerance")

@@ -196,7 +196,10 @@ def cone_constant(d: int, cone_measure: float) -> float:
     if cone_measure <= 0:
         raise ArgumentError("cone measure must be positive")
     if d % 2 == 0:
-        return cone_measure * math.factorial(d // 2 - 1) / 2.0
+        try:
+            return cone_measure * math.factorial(d // 2 - 1) / 2.0
+        except OverflowError:
+            raise NumericError(f"K(d, A) overflows at d = {d}: (d/2 - 1)! is too large") from None
     prod = 1.0
     for j in range(1, (d - 1) // 2 + 1):
         prod *= j - 0.5

@@ -53,9 +53,12 @@ _WILSON_Z99 = 2.3263478740408408
 
 # largest n x n float64 matrix a CK or parametrix grid may need (n <= 4095)
 _MATRIX_CAP_BYTES = 2**27
-# most pool threads a run may ask for: a fixed number, so that a config loads
-# alike on every host
+# largest d and dp: the model's d x d float64 noise matrix stays within the cap
+_MAX_DIM = math.isqrt(_MATRIX_CAP_BYTES // 8)
+# most pool threads and default radii a run may ask for: fixed numbers, so
+# that a config loads alike on every host
 _MAX_THREADS = 256
+_MAX_NUM_R = 2**16
 
 # The streams a run reads: the simulation (master_seed, stream_id), the
 # control run stream_id + 1.
@@ -164,6 +167,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must not be empty")
         if cfg.r_grid and min(cfg.r_grid) < 0:
             raise ConfigError(f"r_grid entries must be >= 0, got {cfg.r_grid}")
+        for name, cap in (("d", _MAX_DIM), ("dp", _MAX_DIM), ("num_r", _MAX_NUM_R)):
+            if getattr(cfg, name) > cap:
+                raise ConfigError(f"{name} must be at most {cap}, got {getattr(cfg, name)}")
         if not 1 <= cfg.threads <= _MAX_THREADS:
             raise ConfigError(f"threads must lie in [1, {_MAX_THREADS}], got {cfg.threads}")
         # the Philox key is taken mod 2**64: -1 and 2**64 - 1 are one stream
@@ -353,8 +359,8 @@ def _alpha_for(cfg: ExperimentConfig, model: SdeModel) -> float:
 def _bound_constants(cfg: ExperimentConfig, model: SdeModel):
     """(alpha, delta, constants): the upper-side constant alpha of the
     functional, the bias delta, and, when rho0 and beta set a growth spec,
-    the lower-bound constants of F = |y| from x0 (theta 2 by default in odd
-    d), whose functional must then grow (sphere_floor); else None."""
+    conc.lower_constants of F = |y| from x0, whose functional must then grow
+    (sphere_floor); else None."""
     gauss = GaussParams(cfg.c, cfg.C)
     alpha = _alpha_for(cfg, model)
     delta = conc.domination_bias(gauss.C, alpha)
@@ -364,26 +370,14 @@ def _bound_constants(cfg: ExperimentConfig, model: SdeModel):
     if growth is None:
         return alpha, delta, None
     floor = sphere_floor(cfg.functional, growth)
-    x0 = start_point(cfg, model)
-    theta = cfg.theta
-    if model.case is not Case.KINETIC and model.d % 2 == 1 and theta is None:
-        theta = 2.0
-    rate = conc.lower_rate(
-        model.case, model.d, gauss.c, cfg.T, growth.rho0, gauss.C, growth.cone_measure, theta
+    constants = conc.lower_constants(
+        model.case, model.d, gauss.c, gauss.C, cfg.T, alpha, start_point(cfg, model), growth,
+        floor, cfg.theta,
     )
-    bias = conc.lower_bias(model.case, gauss.c, gauss.C, cfg.T, alpha, x0, growth, floor)
-    if not (math.isfinite(rate.inv_alpha) and math.isfinite(bias.value)):
-        raise NumericError(
-            f"bar_alpha_inv = {rate.inv_alpha} and bar_delta = {bias.value} must be finite"
-        )
-    return alpha, delta, {
-        "chi": rate.chi,
-        "bar_alpha_inv": rate.inv_alpha,
-        "bar_delta": bias.value,
-        "gamma_F": bias.gamma_term,
-        "F_floor": floor,
-        "theta": theta,
-    }
+    inv_alpha, bias = constants["bar_alpha_inv"], constants["bar_delta"]
+    if not (math.isfinite(inv_alpha) and math.isfinite(bias)):
+        raise NumericError(f"bar_alpha_inv = {inv_alpha} and bar_delta = {bias} must be finite")
+    return alpha, delta, constants
 
 
 def _default_r_grid(cfg: ExperimentConfig, alpha: float) -> np.ndarray:

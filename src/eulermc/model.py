@@ -117,7 +117,10 @@ def sphere_surface_measure(d: int) -> float:
         raise ArgumentError("dimension must be >= 1")
     if d == 1:
         return 2.0
-    return 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
+    try:
+        return 2.0 * math.pi ** (d / 2) / math.gamma(d / 2)
+    except OverflowError:
+        raise NumericError(f"the unit sphere's measure overflows at d = {d}: gamma(d/2)") from None
 
 
 @dataclass(frozen=True)

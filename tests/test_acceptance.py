@@ -26,7 +26,7 @@ from eulermc.gaussianref import (
     kinetic_metric,
 )
 from eulermc.harness import ExperimentConfig, run_concentration_experiment, run_density_check
-from eulermc.model import Case, SchemeGrid, model_preset
+from eulermc.model import Case, GrowthSpec, SchemeGrid, model_preset
 from eulermc.parametrix import chapman_kolmogorov_density, default_grid, parametrix_series
 from eulermc.simulate import kinetic_step
 from oracles import radial_tail, semigroup_residual, tensor_quad_2d
@@ -246,14 +246,21 @@ def test_criterion_09_determinism_across_threads(tmp_path):
 
 
 def test_criterion_10_constant_assembly():
-    chi = conc.growth_penalty(Case.NONDEGENERATE, 2, 1.0, 1.0, 2 * math.pi)
-    rate = conc.lower_rate(Case.NONDEGENERATE, 2, 1.0, 1.0, 1.0, 1.0, 2 * math.pi)
+    # d = 2, C = 1, rho0 = beta = 1 on the full circle |A| = 2 pi, from 0
+    growth = GrowthSpec(1.0, 1.0, 2 * math.pi)
+
+    def lower(c, T):
+        alpha = conc.concentration_alpha(Case.NONDEGENERATE, c, T)
+        return conc.lower_constants(
+            Case.NONDEGENERATE, 2, c, 1.0, T, alpha, np.zeros(2), growth, 1.0, None
+        )
+
+    k, k2 = lower(1.0, 1.0), lower(2.0, 0.5)
     delta = conc.domination_bias(1.0, conc.concentration_alpha(Case.NONDEGENERATE, 1.0, 1.0))
-    rate2 = conc.lower_rate(Case.NONDEGENERATE, 2, 2.0, 0.5, 1.0, 1.0, 2 * math.pi)
     ok = (
-        chi == 0.0
-        and rate.inv_alpha == 0.5  # c^{-1}/(2T) at c = T = 1, exactly
-        and rate2.inv_alpha == 0.5  # (1/2)/(2 * 0.5), exactly in floats
+        k["chi"] == 0.0
+        and k["bar_alpha_inv"] == 0.5  # c^{-1}/(2T) at c = T = 1, exactly
+        and k2["bar_alpha_inv"] == 0.5  # (1/2)/(2 * 0.5), exactly in floats
         and delta == 0.0
     )
     _report(10, "chi = 0, 1/alpha_lower = c^{-1}/(2T), delta = 0 at C = 1", ok)

@@ -241,6 +241,11 @@ CONFIG_ERRORS = [
     ["density-check", "--set", "c_grid=[1e-310,1]", "--set", "density_samples=3000"],
     ["density-check", "--set", "c_grid=[0,1]", "--set", "density_samples=3000"],
     ["density-check", "--set", "C=0.5", "--set", "density_samples=3000"],
+    # past the caps: a d x d float64 noise matrix above 128 MiB, and more than
+    # 2**16 default radii; far past them numpy's MemoryError was a traceback
+    ["bounds", "--set", "d=4097"],
+    ["bounds", "--set", 'preset="kinetic"', "--set", "dp=4097"],
+    ["concentration", "--set", "num_r=65537"],
 ]
 CONFIG_ERROR_IDS = [
     "out-dir-under-file", "cone-not-a-number", "empty-c-grid", "M-string", "N-float",
@@ -256,7 +261,7 @@ CONFIG_ERROR_IDS = [
     "empty-r-grid", "negative-radius", "no-positive-radius", "empty-eps", "min-bin-count-zero",
     "high-mass-fraction-above-one",
     "density-c-reciprocal-overflows", "c-grid-reciprocal-overflows", "c-grid-zero",
-    "density-C-below-one",
+    "density-C-below-one", "d-too-large", "dp-too-large", "num-r-too-large",
 ]
 
 
@@ -338,6 +343,17 @@ NUMERIC_ERRORS = [
         "density-check", "--set", "d=2", "--set", "x0=[0,0]", "--set", "sigma0=1e-100",
         "--set", "T=1e-110", "--set", "density_samples=3000",
     ],
+    # large d: gamma(d/2) in the sphere measure, (d/2 - 1)! in K(d, A) of a
+    # numeric cone, and (pi/T)^{d/2} in the kinetic chi overflow
+    ["bounds", "--set", "d=344", *_ABS_GROWTH],
+    ["bounds", "--set", 'preset="kinetic"', "--set", "dp=200", "--set", "x0=[0]", *_ABS_GROWTH],
+    ["bounds", "--set", "d=400", "--set", "cone=3", *_ABS_GROWTH],
+    [
+        "bounds", "--set", 'preset="kinetic"', "--set", "dp=100", "--set", "x0=[0]",
+        "--set", "T=0.001", *_ABS_GROWTH,
+    ],
+    # K(2, A) = |A|/2 rounds to 0, and chi's ratio over it is infinite
+    ["bounds", "--set", "d=2", "--set", "x0=[0,0]", "--set", "cone=5e-324", *_ABS_GROWTH],
 ]
 NUMERIC_ERROR_IDS = [
     "parametrix-truncated-grid", "sigma0-overflow", "bounds-alpha-inf", "conc-alpha-inf",
@@ -345,7 +361,8 @@ NUMERIC_ERROR_IDS = [
     "gamma-variance-overflow", "gamma-variance-underflow", "chi-overflow",
     "bar-delta-cancels", "kinetic-root-overflow", "kinetic-lambda-min-underflows",
     "hist-width-overflow", "hist-spread-below-spacing", "envelope-ratio-overflow",
-    "hist-density-overflow",
+    "hist-density-overflow", "sphere-measure-overflow", "kinetic-sphere-measure-overflow",
+    "cone-constant-overflow", "kinetic-chi-ratio-overflow", "cone-constant-underflow",
 ]
 
 

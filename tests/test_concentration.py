@@ -102,26 +102,41 @@ def test_radius_bound_round_trip(eps, M, alpha):
     assert conc.upper_tail_bound(r, M, alpha) == pytest.approx(eps, rel=1e-12)
 
 
+def lower(d=2, c=1.0, C=1.0, T=1.0, alpha=2.0, x0=None, rho0=1.0, beta=1.0, measure=None,
+          floor=None, theta=None, case=Case.NONDEGENERATE):
+    """conc.lower_constants of F = |y|, by default from 0 on the full sphere
+    with floor rho0, as harness._bound_constants passes them."""
+    growth = GrowthSpec(rho0, beta, sphere_surface_measure(d) if measure is None else measure)
+    x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
+    return conc.lower_constants(
+        case, d, c, C, T, alpha, x0, growth, rho0 if floor is None else floor, theta
+    )
+
+
 def test_growth_penalty_case_a():
     # K(2, 2 pi) = pi, so C = 1 gives log(pi/pi)_+ = 0
-    assert conc.growth_penalty(Case.NONDEGENERATE, 2, 1.0, 1.0, 2 * math.pi) == 0.0
-    assert conc.growth_penalty(
-        Case.NONDEGENERATE, 2, 1.0, math.e, 2 * math.pi
-    ) == pytest.approx(1.0)
+    assert lower(measure=2 * math.pi)["chi"] == 0.0
+    assert lower(C=math.e, measure=2 * math.pi)["chi"] == pytest.approx(1.0)
 
 
 def test_growth_penalty_monotonicity():
-    base = conc.growth_penalty(Case.NONDEGENERATE, 2, 1.0, 5.0, 2 * math.pi)
-    assert conc.growth_penalty(Case.NONDEGENERATE, 2, 1.0, 10.0, 2 * math.pi) > base
-    assert conc.growth_penalty(Case.NONDEGENERATE, 2, 1.0, 5.0, math.pi) > base
+    base = lower(C=5.0, measure=2 * math.pi)["chi"]
+    assert lower(C=10.0, measure=2 * math.pi)["chi"] > base
+    assert lower(C=5.0, measure=math.pi)["chi"] > base
     assert base >= 0.0
 
 
 def test_growth_penalty_odd_d_needs_theta():
-    with pytest.raises(ArgumentError):
-        conc.growth_penalty(Case.NONDEGENERATE, 3, 1.0, 2.0, 4 * math.pi)
-    val = conc.growth_penalty(Case.NONDEGENERATE, 3, 1.0, 2.0, 4 * math.pi, theta=2.0)
-    assert val >= 0.0
+    # theta defaults to 2 in odd d, and must exceed 1
+    for theta in (1.0, 0.5):
+        with pytest.raises(ArgumentError, match="odd dimensions need theta > 1"):
+            lower(d=3, C=2.0, measure=4 * math.pi, theta=theta)
+    default = lower(d=3, C=2.0, measure=4 * math.pi)
+    assert default == lower(d=3, C=2.0, measure=4 * math.pi, theta=2.0)
+    assert default["theta"] == 2.0 and default["chi"] >= 0.0
+    # even d reads no theta, and reports the one given
+    assert lower(theta=3.0)["bar_alpha_inv"] == lower()["bar_alpha_inv"]
+    assert lower(theta=3.0)["theta"] == 3.0 and lower()["theta"] is None
 
 
 def test_growth_penalty_kinetic_display():
@@ -130,30 +145,33 @@ def test_growth_penalty_kinetic_display():
     root = math.sqrt(1 + T**2 / 3 + T**4 / 9)
     inner = (math.pi / T) * (T * T + 3 * (1 + root)) * C / math.pi  # K(2, 2 pi) = pi
     want = math.log(inner) / 1.0
-    got = conc.growth_penalty(Case.KINETIC, d, 1.0, C, 2 * math.pi, T=T)
+    got = lower(d=d, C=C, T=T, measure=2 * math.pi, case=Case.KINETIC)["chi"]
     assert got == pytest.approx(want, rel=1e-12)
     with pytest.raises(ArgumentError):
-        conc.growth_penalty(Case.KINETIC, 3, 1.0, 1.0, 1.0, T=1.0)
+        lower(d=3, measure=1.0, case=Case.KINETIC)
 
 
 def test_growth_penalty_past_the_float_range_of_rho0_squared():
-    # d = 1: log(sqrt(pi) C / (K arccos(theta^-1/2)))_+ = log 2 > 0; d = 2: 0
-    def chi(rho0):
-        return conc.growth_penalty(Case.NONDEGENERATE, 1, rho0, 1.0, 2.0, theta=2.0)
+    # d = 1: log(sqrt(pi) C / (K arccos(theta^-1/2)))_+ = log 2 > 0; d = 2: 0.
+    # floor 0 keeps rho0 beta - floor from cancelling in bar_delta
+    def chi(d, rho0):
+        return lower(d=d, rho0=rho0, measure=2.0 if d == 1 else 2 * math.pi, floor=0.0)["chi"]
 
-    assert (chi(1e-300), chi(1e200)) == (math.inf, 0.0)
-    assert conc.growth_penalty(Case.NONDEGENERATE, 2, 1e-300, 1.0, 2 * math.pi) == 0.0
+    assert (chi(1, 1e-300), chi(1, 1e200)) == (math.inf, 0.0)
+    assert chi(2, 1e-300) == 0.0
 
 
 def test_lower_rate_case_a_even():
-    rate = conc.lower_rate(Case.NONDEGENERATE, 2, 1.0, 1.0, 1.0, 1.0, 2 * math.pi)
-    assert rate.chi == 0.0
-    assert rate.inv_alpha == pytest.approx(0.5, rel=1e-14)
+    k = lower(measure=2 * math.pi)
+    assert k["chi"] == 0.0
+    assert k["bar_alpha_inv"] == pytest.approx(0.5, rel=1e-14)
 
 
 def test_lower_rate_kinetic_lambda():
-    rate = conc.lower_rate(Case.KINETIC, 2, 1.0, 1.0, 1.0, 1.0, 2 * math.pi)
-    assert rate.lam == pytest.approx(0.5 * (4.0 + SQ13), rel=1e-12)
+    # Lambda = bar_alpha_inv - chi, with chi > 0 here
+    k = lower(measure=2 * math.pi, case=Case.KINETIC)
+    assert k["chi"] > 0.0
+    assert k["bar_alpha_inv"] - k["chi"] == pytest.approx(0.5 * (4.0 + SQ13), rel=1e-12)
 
 
 def test_lower_rate_lambda_is_half_max_eigenvalue():
@@ -161,16 +179,17 @@ def test_lower_rate_lambda_is_half_max_eigenvalue():
     for _ in range(50):
         c = float(rng.uniform(0.2, 3.0))
         T = float(rng.uniform(0.1, 5.0))
-        rate = conc.lower_rate(Case.KINETIC, 2, c, T, 1.0, 1.0, 2 * math.pi)
+        k = lower(c=c, T=T, measure=2 * math.pi, case=Case.KINETIC)
         lam_bar = hessian_spectral_bounds(Case.KINETIC, 1.0 / c, T)[1]
-        assert rate.lam == pytest.approx(lam_bar / 2.0, rel=1e-12)
+        assert k["bar_alpha_inv"] - k["chi"] == pytest.approx(lam_bar / 2.0, rel=1e-12)
 
 
 def test_lower_rate_odd_uses_theta():
-    r2 = conc.lower_rate(Case.NONDEGENERATE, 1, 1.0, 1.0, 1.0, 1.0, 2.0, theta=2.0)
-    r3 = conc.lower_rate(Case.NONDEGENERATE, 1, 1.0, 1.0, 1.0, 1.0, 2.0, theta=3.0)
-    assert r3.inv_alpha - r3.chi == pytest.approx(3.0 * r2.lam)
-    assert r2.inv_alpha == pytest.approx(2.0 * r2.lam + r2.chi)
+    lam = hessian_spectral_bounds(Case.NONDEGENERATE, 1.0, 1.0)[1] / 2.0
+    k2 = lower(d=1, measure=2.0, theta=2.0)
+    k3 = lower(d=1, measure=2.0, theta=3.0)
+    assert k3["bar_alpha_inv"] - k3["chi"] == pytest.approx(3.0 * lam)
+    assert k2["bar_alpha_inv"] == pytest.approx(2.0 * lam + k2["chi"])
 
 
 @settings(max_examples=80, deadline=None)
@@ -183,22 +202,19 @@ def test_lower_rate_odd_uses_theta():
     kinetic=st.booleans(),
 )
 def test_assembled_constants_finite(d, c, T, rho0, C, kinetic):
-    import math as _m
-
     if kinetic:
         case, dd = Case.KINETIC, 2 * ((d + 1) // 2)
     else:
         case, dd = Case.NONDEGENERATE, d
-    theta = 2.0 if (case is Case.NONDEGENERATE and dd % 2 == 1) else None
-    measure = sphere_surface_measure(dd)
-    chi = conc.growth_penalty(case, dd, rho0, C, measure, theta=theta, T=T)
-    rate = conc.lower_rate(case, dd, c, T, rho0, C, measure, theta=theta)
-    assert _m.isfinite(chi) and chi >= 0.0
-    assert _m.isfinite(rate.inv_alpha) and rate.inv_alpha > 0.0
-    assert _m.isfinite(conc.domination_bias(C, conc.concentration_alpha(case, c, T)))
+    alpha = conc.concentration_alpha(case, c, T)
+    k = lower(d=dd, c=c, C=C, T=T, alpha=alpha, rho0=rho0, case=case)  # theta 2 in odd d
+    assert math.isfinite(k["chi"]) and k["chi"] >= 0.0
+    assert math.isfinite(k["bar_alpha_inv"]) and k["bar_alpha_inv"] > 0.0
+    assert math.isfinite(k["bar_delta"])
+    assert math.isfinite(conc.domination_bias(C, alpha))
     # bounds stay monotone where claimed
-    lo1 = conc.lower_tail_bound(2 * rho0, 3, rate.inv_alpha, 1.0, rho0)
-    lo2 = conc.lower_tail_bound(4 * rho0, 3, rate.inv_alpha, 1.0, rho0)
+    lo1 = conc.lower_tail_bound(2 * rho0, 3, k["bar_alpha_inv"], 1.0, rho0)
+    lo2 = conc.lower_tail_bound(4 * rho0, 3, k["bar_alpha_inv"], 1.0, rho0)
     assert lo2 <= lo1
 
 
@@ -215,36 +231,69 @@ def test_lower_tail_bound():
     assert conc.lower_tail_bound(0.5, 1, 0.5, 1e-300, 1.0) == 0.0
 
 
+def _chi_pair_deviation(d: int, thr: float) -> float:
+    """P(|(Y1 + Y2)/2 - E Y1| >= thr) for independent chi_d Y1 and Y2, by a
+    1-D quadrature of their convolution in scipy.special's incomplete gammas."""
+    from scipy.integrate import quad
+    from scipy.special import gammainc, gammaincc, gammaln
+
+    log_norm = (d / 2 - 1) * math.log(2.0) + gammaln(d / 2)
+
+    def pdf(y):
+        return math.exp((d - 1) * math.log(y) - y * y / 2 - log_norm) if y > 0 else 0.0
+
+    def cdf(x):
+        return gammainc(d / 2, x * x / 2) if x > 0 else 0.0
+
+    def sf(x):
+        return gammaincc(d / 2, x * x / 2) if x > 0 else 1.0
+
+    mean = math.sqrt(2.0) * math.exp(gammaln((d + 1) / 2) - gammaln(d / 2))
+    hi, lo = 2.0 * (mean + thr), 2.0 * (mean - thr)
+    # P(Y1 + Y2 >= hi): Y1 >= hi alone, else Y2 >= hi - Y1; likewise below lo
+    upper = sf(hi) + quad(lambda y: pdf(y) * sf(hi - y), 0.0, hi, epsabs=0.0, epsrel=1e-10)[0]
+    if lo <= 0:
+        return upper
+    return upper + quad(lambda y: pdf(y) * cdf(lo - y), 0.0, lo, epsabs=0.0, epsrel=1e-10)[0]
+
+
 @pytest.mark.parametrize(
-    "d",
+    "d, M",
     [
-        1,
-        pytest.param(2, marks=pytest.mark.xfail(strict=True, reason=(
+        pytest.param(1, 1, id="1"),
+        pytest.param(2, 1, id="2", marks=pytest.mark.xfail(strict=True, reason=(
             "ROADMAP item 7: the lower bound fails on the exact law in d = 2; at r = 2.355 "
             "the exact probability is 0.0739 against a bound of 0.1249"
         ))),
-        3,
-        4,
+        pytest.param(3, 1, id="3"),
+        pytest.param(4, 1, id="4"),
+        *(pytest.param(d, 2, id=f"{d}-M2") for d in (1, 2, 3, 4)),
     ],
 )
-def test_lower_tail_bound_holds_on_the_exact_chi_law(d):
+def test_lower_tail_bound_holds_on_the_exact_chi_law(d, M):
     from scipy.stats import chi
 
     # the const preset with unit noise from 0 simulates X_T ~ N(0, I_d)
-    # exactly, so at M = 1 the batch mean |X_T| follows chi_d, and the
-    # reference is its mean.  The grid keeps the radii that a run tests,
-    # those with a positive threshold r - bar_delta (lower_empirical)
+    # exactly, so at M = 1 the batch mean |X_T| follows chi_d, and at M = 2
+    # it is the mean of two independent chi_d; the reference is their mean.
+    # The grid keeps the radii that a run tests, those with a positive
+    # threshold r - bar_delta (lower_empirical), and at M = 2 those where the
+    # bound is at least 1e-12, within the quadrature's reach
     cfg = ExperimentConfig.from_dict(dict(
-        preset="const", d=d, x0=[0.0], M=1, c=1.0, C=1.0, functional="abs", rho0=1.0, beta=1.0,
+        preset="const", d=d, x0=[0.0], M=M, c=1.0, C=1.0, functional="abs", rho0=1.0, beta=1.0,
     ))
     _, _, constants = _bound_constants(cfg, build_model(cfg))
     r = np.linspace(0.01, 6.0, 600)
+    bound = np.array([conc.lower_tail_bound(x, M, constants["bar_alpha_inv"], 1.0, 1.0) for x in r])
     thr = r - constants["bar_delta"]
-    r, thr = r[thr > 0], thr[thr > 0]
-    mean = chi.mean(d)
-    exact = chi.sf(mean + thr, d) + chi.cdf(mean - thr, d)
-    bound = np.array([conc.lower_tail_bound(x, 1, constants["bar_alpha_inv"], 1.0, 1.0) for x in r])
-    assert r.size > 400
+    keep = (thr > 0) & (bound >= 1e-12) if M == 2 else thr > 0
+    r, thr, bound = r[keep], thr[keep], bound[keep]
+    if M == 1:
+        mean = chi.mean(d)
+        exact = chi.sf(mean + thr, d) + chi.cdf(mean - thr, d)
+    else:
+        exact = np.array([_chi_pair_deviation(d, t) for t in thr])
+    assert r.size > (400 if M == 1 else 100)
     assert not (exact < bound).any(), f"exact below the bound at r = {r[exact < bound]}"
 
 
@@ -253,21 +302,16 @@ def test_wasserstein_bound():
     # sqrt(alpha log C) and sqrt(alpha log C^2) into (1 + sqrt 2) sqrt(alpha log C);
     # the rest is gamma(F) + rho0 beta - floor
     alpha, C = 1.7, 2.5
-    bias = conc.lower_bias(
-        Case.NONDEGENERATE, 1.0, C, 1.0, alpha, np.zeros(1),
-        GrowthSpec(1.5, 0.7, sphere_surface_measure(1)), 1.5,
-    )
+    k = lower(d=1, C=C, alpha=alpha, rho0=1.5, beta=0.7)
     w1 = math.sqrt(alpha * math.log(C)) + math.sqrt(alpha * math.log(C * C))
-    assert bias.value - bias.gamma_term - 1.5 * 0.7 + 1.5 == pytest.approx(w1, rel=1e-9)
+    assert k["bar_delta"] - k["gamma_F"] - 1.5 * 0.7 + 1.5 == pytest.approx(w1, rel=1e-9)
 
 
 def test_lower_bias_halfnormal_mean():
     # gamma(F) of |y| under the c^{-1} kernel (variance c T) started at x is
     # the folded normal mean; at x = 0, sqrt(2 c T / pi)
-    growth = GrowthSpec(1.0, 1.0, sphere_surface_measure(1))
-
     def gamma(c, T, x):
-        return conc.lower_bias(Case.NONDEGENERATE, c, 1.0, T, 2.0, [x], growth, 1.0).gamma_term
+        return lower(d=1, c=c, T=T, x0=[x])["gamma_F"]
 
     assert gamma(1.5, 2.0, 0.0) == pytest.approx(math.sqrt(2 * 1.5 * 2.0 / math.pi), rel=1e-12)
     assert gamma(0.3, 1.0, -2.5) == pytest.approx(folded_normal_mean(-2.5, math.sqrt(0.3)), rel=1e-12)
@@ -277,41 +321,35 @@ def test_lower_bias_floor_of_norm():
     # F = |y| has floor rho0 on the rho0 sphere (harness.sphere_floor); the
     # bias subtracts the floor it is given, so at beta = 1 and C = 1 the
     # terms rho0 beta and -floor cancel and gamma(F) is left
-    growth = GrowthSpec(1.3, 1.0, sphere_surface_measure(2))
-
     def bias(floor):
-        return conc.lower_bias(Case.NONDEGENERATE, 1.0, 1.0, 1.0, 2.0, np.zeros(2), growth, floor)
+        return lower(rho0=1.3, floor=floor)
 
     exact = bias(1.3)
-    assert exact.value == pytest.approx(exact.gamma_term, rel=1e-15)
-    assert bias(1.0).value - exact.value == pytest.approx(0.3, rel=1e-12)
+    assert exact["F_floor"] == 1.3
+    assert exact["bar_delta"] == pytest.approx(exact["gamma_F"], rel=1e-15)
+    assert bias(1.0)["bar_delta"] - exact["bar_delta"] == pytest.approx(0.3, rel=1e-12)
 
 
 def test_lower_bias_refuses_a_sum_that_rounding_cancels():
     # rho0 beta - floor = 1e200 - 1e200 leaves gamma(F) as the bias, but
     # the sum in float order rounds it away
-    growth = GrowthSpec(1e200, 1.0, sphere_surface_measure(1))
     with pytest.raises(NumericError, match="swamps gamma_F"):
-        conc.lower_bias(Case.NONDEGENERATE, 1.0, 1.0, 1.0, 2.0, [0.0], growth, 1e200)
+        lower(d=1, rho0=1e200)
 
 
 def test_lower_bias_gamma_is_the_noncentral_chi3_mean():
     # with unit covariance (c T = 1) |y| is noncentral chi_3 with a = |x|:
     # mean sqrt(2/pi) e^{-a^2/2} + (a + 1/a) erf(a/sqrt 2); at x = 0 sqrt(8/pi)
-    growth = GrowthSpec(1.0, 1.0, sphere_surface_measure(3))
     for x in ([0.5, 0.5, 0.5], [0.0, -2.0, 0.1], [3.0, 4.0, 12.0]):
-        bias = conc.lower_bias(Case.NONDEGENERATE, 2.0, 1.0, 0.5, 2.0, np.array(x), growth, 1.0)
-        assert bias.gamma_term == pytest.approx(noncentral_chi3_mean(math.hypot(*x)), rel=1e-12)
-    bias = conc.lower_bias(Case.NONDEGENERATE, 1.0, 1.0, 1.0, 2.0, np.zeros(3), growth, 1.0)
-    assert bias.gamma_term == pytest.approx(math.sqrt(8 / math.pi), rel=1e-12)
+        k = lower(d=3, c=2.0, T=0.5, x0=x)
+        assert k["gamma_F"] == pytest.approx(noncentral_chi3_mean(math.hypot(*x)), rel=1e-12)
+    assert lower(d=3)["gamma_F"] == pytest.approx(math.sqrt(8 / math.pi), rel=1e-12)
 
 
 def test_lower_bound_assembly_pipeline():
     # d = 2, C = 1, |A| = 2 pi, rho0 = 1: chi = 0 and 1/alpha_lower = c^{-1}/(2T)
-    growth = GrowthSpec(1.0, 1.0, sphere_surface_measure(2))
     alpha = conc.concentration_alpha(Case.NONDEGENERATE, 1.0, 1.0)
-    rate = conc.lower_rate(Case.NONDEGENERATE, 2, 1.0, 1.0, 1.0, 1.0, growth.cone_measure)
-    bias = conc.lower_bias(Case.NONDEGENERATE, 1.0, 1.0, 1.0, alpha, np.zeros(2), growth, 1.0)
-    assert rate.chi == 0.0
-    assert rate.inv_alpha == pytest.approx(0.5, rel=1e-14)
-    assert bias.value == pytest.approx(bias.gamma_term, rel=1e-12)
+    k = lower(alpha=alpha)
+    assert k["chi"] == 0.0
+    assert k["bar_alpha_inv"] == pytest.approx(0.5, rel=1e-14)
+    assert k["bar_delta"] == pytest.approx(k["gamma_F"], rel=1e-12)

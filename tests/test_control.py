@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from eulermc import control
 from eulermc.control import ControlProblem, energy, geodesic, optimal_control
 from eulermc.errors import ArgumentError
 from eulermc.gaussianref import kinetic_metric
@@ -174,11 +176,14 @@ def _geodesic_row(pr, s):
     return [*vs, *(z + s * (v + 4.0 * velocity(s / 2.0) + vs) / 6.0)]
 
 
-def test_geodesic_rows_match_the_per_row_loop():
+def test_geodesic_rows_match_the_per_row_loop(monkeypatch):
     # the array form does each row's arithmetic in the loop's order, so the
-    # bits agree; so do the controls at an array of times and one at a time
+    # bits agree, in one block of rows or across blocks of 7; so do the
+    # controls at an array of times and one at a time
     rng = np.random.default_rng(5)
-    for _ in range(50):
+    for k in range(50):
+        if k == 25:
+            monkeypatch.setattr(control, "_ROW_BLOCK", 7)
         dp = int(rng.integers(1, 4))
         t = float(np.exp(rng.uniform(-2.0, 2.0)))
         pr = ControlProblem(t, rng.standard_normal(2 * dp), rng.standard_normal(2 * dp), dp)
@@ -186,6 +191,20 @@ def test_geodesic_rows_match_the_per_row_loop():
         assert states.tobytes() == np.array([_geodesic_row(pr, s) for s in times]).tobytes()
         rows = np.array([optimal_control(pr, s) for s in times])
         assert optimal_control(pr, times).tobytes() == rows.tobytes()
+
+
+def test_geodesic_peaks_near_its_states_array():
+    # rows are built in blocks into one preallocated array, so the traced
+    # peak is the states and times arrays and one block's temporaries; built
+    # at once, the temporaries and the concatenation took it to 3x the states
+    pr = ControlProblem(1.0, np.zeros(2), np.array([0.0, 1.0]), 1)
+    tracemalloc.start()
+    try:
+        _, states = geodesic(pr, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * states.nbytes, peak / states.nbytes
 
 
 def test_geodesic_argument_checks():

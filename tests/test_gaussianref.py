@@ -233,6 +233,10 @@ def test_cone_constant_values():
     assert cone_constant(2, 2 * math.pi) == pytest.approx(math.pi)
     assert cone_constant(3, 4 * math.pi) == pytest.approx(2 * math.sqrt(math.pi))
     assert cone_constant(4, 2 * math.pi**2) == pytest.approx(math.pi**2)
+    # (d/2 - 1)! passes the float range at d = 344: a numeric error naming it
+    assert math.isfinite(cone_constant(342, 1.0))
+    with pytest.raises(NumericError, match=r"K\(d, A\) overflows at d = 344: \(d/2 - 1\)!"):
+        cone_constant(344, 1.0)
 
 
 def test_mean_cov_matches_samples(numpy_normals):

@@ -598,8 +598,8 @@ def test_growth_rule_over_beta(functional, rho0, beta, angle):
 def test_concentration_lower_bias_uses_normalized_alpha():
     # asian-diff takes the time-normalized alpha in the lower bias; it is
     # linear, so no command reaches its lower bound, and the bias is checked
-    # on lower_bias: its first term is (1 + sqrt 2) sqrt(alpha log C) for the
-    # alpha passed in
+    # on lower_constants: its first term is (1 + sqrt 2) sqrt(alpha log C) for
+    # the alpha passed in
     cfg = cfg_with(
         preset="kinetic", x0=[0.0, 0.0], functional="asian-diff", rho0=0.5, beta=1.0,
         T=1.5, C=1.5,
@@ -608,11 +608,11 @@ def test_concentration_lower_bias_uses_normalized_alpha():
     alpha = conc.concentration_alpha_normalized(1.0, 1.5)
     assert run_bound_table(dataclasses.replace(cfg, rho0=None, beta=None))["alpha_T"] == alpha
     floor = -0.5 * math.sqrt((1.0 + 1.5**-2) / 2.0)  # -rho0 |grad F|
-    bias = conc.lower_bias(
-        model.case, cfg.c, cfg.C, cfg.T, alpha, harness.start_point(cfg, model),
-        harness.growth_spec(cfg, model), floor,
+    k = conc.lower_constants(
+        model.case, model.d, cfg.c, cfg.C, cfg.T, alpha, harness.start_point(cfg, model),
+        harness.growth_spec(cfg, model), floor, cfg.theta,
     )
-    first = bias.value - bias.gamma_term - 0.5 * 1.0 + floor
+    first = k["bar_delta"] - k["gamma_F"] - 0.5 * 1.0 + floor
     assert first == pytest.approx((1 + math.sqrt(2)) * math.sqrt(alpha * math.log(1.5)), rel=1e-12)
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from eulermc.errors import ConfigError, InvalidModelError
+from eulermc.errors import ConfigError, InvalidModelError, NumericError
 from eulermc.model import Case, GaussParams, SchemeGrid, model_preset, sphere_surface_measure
 
 
@@ -117,6 +117,10 @@ def test_sphere_surface_values():
     assert sphere_surface_measure(2) == pytest.approx(2 * math.pi)
     assert sphere_surface_measure(3) == pytest.approx(4 * math.pi)
     assert sphere_surface_measure(4) == pytest.approx(2 * math.pi**2)
+    # gamma(d/2) passes the float range at d = 344: a numeric error naming it
+    assert math.isfinite(sphere_surface_measure(343))
+    with pytest.raises(NumericError, match=r"measure overflows at d = 344: gamma\(d/2\)"):
+        sphere_surface_measure(344)
 
 
 def test_unknown_preset():
