@@ -9,7 +9,8 @@ M-independent bias coming from the domination constant.
 Lower side: under a cone growth assumption on the functional the deviation
 probability is at least 2 exp(-M (1/alpha_lower) max(r/beta, rho0)^2), with
 an explicit rate 1/alpha_lower = Lambda + chi assembled from the flat
-Gaussian lower envelope and a cone-measure penalty chi.
+Gaussian lower envelope and a penalty chi from the cone's share of the
+sphere.
 """
 
 from __future__ import annotations
@@ -17,14 +18,8 @@ from __future__ import annotations
 import math
 
 from .errors import ArgumentError, NumericError
-from .gaussianref import (
-    KernelSpec,
-    cone_constant,
-    hessian_spectral_bounds,
-    kernel_norm_mean,
-    kinetic_root,
-)
-from .model import Case, GrowthSpec
+from .gaussianref import KernelSpec, hessian_spectral_bounds, kernel_norm_mean, kinetic_root
+from .model import Case, GrowthSpec, sphere_surface_measure
 
 SQRT13 = math.sqrt(13.0)
 
@@ -87,18 +82,18 @@ def lower_constants(
     odd d (theta > 1, 2 by default), with Lambda = lambda_max/2 of the c^{-1}
     kernel: valid when the lower-envelope Gaussian is centered at the cone's
     sphere center, so its potential and gradient vanish there.  Penalty
-    chi = log(pi^{d/2} C / K(d, A))_+ / rho0^2, with K(d, A) arccos(theta^{-1/2})
-    in odd d, and in the kinetic case
-      log((pi/T)^{d/2} [T^2 + 3(1 + sqrt(1 + T^2/3 + T^4/9))]^{d/2} C
-          / K(d, A))_+ / rho0^2;
-    0 where rho0^2 overflows and inf where it underflows to 0.  Bias
+    chi = (log C - log share + log q)_+ / rho0^2, with share = |A| / |S^{d-1}|
+    the cone's share of the unit sphere (1 for the full sphere, which takes
+    no Gamma function), and q = 1 in even d, pi / (2 arccos(theta^{-1/2})) in
+    odd d, and in the kinetic case [(T^2 + 3(1 + sqrt(1 + T^2/3 + T^4/9))) / T]^{d/2},
+    taken in log form so that it cannot overflow; chi is 0 where rho0^2
+    overflows and inf where it underflows to 0.  Bias
     bar_delta = (1 + sqrt 2) sqrt(alpha log C) + gamma_F + rho0 beta - floor,
     with gamma_F the mean of |y| under the c^{-1} kernel from x0.
     """
     lam = hessian_spectral_bounds(case, 1.0 / c, T)[1] / 2.0
     if C < 1:
         raise ArgumentError("C must be >= 1")
-    K = cone_constant(d, growth.cone_measure)
     if case is Case.KINETIC and d % 2 != 0:
         raise ArgumentError("kinetic models have even dimension")
     odd = case is not Case.KINETIC and d % 2 == 1
@@ -106,15 +101,15 @@ def lower_constants(
         theta = 2.0 if theta is None else theta
         if theta <= 1:
             raise ArgumentError("odd dimensions need theta > 1")
-    try:  # K(d, A) may be 0 for a tiny cone measure
-        if case is Case.KINETIC:
-            ratio = (math.pi / T) ** (d / 2) * (T * T + 3.0 * (1.0 + kinetic_root(T))) ** (d / 2)
-            ratio = ratio * C / K
-        else:
-            ratio = math.pi ** (d / 2) * C / (K * math.acos(theta**-0.5) if odd else K)
-    except (OverflowError, ZeroDivisionError):
-        raise NumericError(f"the ratio over K(d, A) in chi overflows at d = {d}") from None
-    numerator = max(math.log(ratio), 0.0) if ratio > 0 else 0.0
+    if growth.cone_measure is None:
+        log_share = 0.0
+    else:
+        log_share = math.log(growth.cone_measure) - math.log(sphere_surface_measure(d))
+    if case is Case.KINETIC:
+        log_q = d / 2 * math.log((T * T + 3.0 * (1.0 + kinetic_root(T))) / T)
+    else:
+        log_q = math.log(math.pi / (2.0 * math.acos(theta**-0.5))) if odd else 0.0
+    numerator = max(math.log(C) - log_share + log_q, 0.0)
     try:
         chi = numerator / growth.rho0**2 if numerator > 0 else 0.0
     except OverflowError:  # rho0^2 is past the float range

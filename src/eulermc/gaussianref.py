@@ -1,4 +1,4 @@
-"""Gaussian reference kernels, the kinetic metric, and tail constants.
+"""Gaussian reference kernels, the kinetic metric, and their spectra.
 
 The two-parameter kernel family p_c covers both model classes.  In the
 non-degenerate case
@@ -81,19 +81,22 @@ def _transport(case: Case, x: np.ndarray, t: float) -> np.ndarray:
     return x.copy()
 
 
+def _block(spec: KernelSpec):
+    """(a, b, e): the covariance of p_c(t, x, .) is a I in the non-degenerate
+    case, and [[a, b], [b, e]] per pair (v_k, z_k) in the kinetic case."""
+    c, t = spec.c, spec.t
+    if spec.case is Case.KINETIC:
+        return 2.0 * t / c, t * t / c, 2.0 * t**3 / (3.0 * c)
+    return t / c, 0.0, 0.0
+
+
 def kernel_mean_cov(spec: KernelSpec):
     """Mean and covariance of the p_c(t, x, .) distribution."""
     mean = _transport(spec.case, spec.x, spec.t)
-    c, t = spec.c, spec.t
+    a, b, e = _block(spec)
     if spec.case is Case.KINETIC:
-        dp = spec.d // 2
-        cov = np.zeros((spec.d, spec.d))
-        cov[:dp, :dp] = 2.0 * t / c * np.eye(dp)
-        cov[:dp, dp:] = cov[dp:, :dp] = t * t / c * np.eye(dp)
-        cov[dp:, dp:] = 2.0 * t**3 / (3.0 * c) * np.eye(dp)
-    else:
-        cov = t / c * np.eye(spec.d)
-    return mean, cov
+        return mean, np.kron([[a, b], [b, e]], np.eye(spec.d // 2))
+    return mean, a * np.eye(spec.d)
 
 
 def kernel_norm_mean(spec: KernelSpec) -> float:
@@ -110,14 +113,13 @@ def kernel_norm_mean(spec: KernelSpec) -> float:
     It runs in math (log1p, expm1) and no numpy ufunc, so the value does not
     depend on numpy's dispatch tier.
     """
-    mean, cov = kernel_mean_cov(spec)
-    m = mean.tolist()
+    m = _transport(spec.case, spec.x, spec.t).tolist()
+    a, b, e = _block(spec)
     if spec.case is Case.KINETIC:
         n = spec.d // 2
-        a, b, e = float(cov[0, 0]), float(cov[0, n]), float(cov[n, n])
         v, z = m[:n], m[n:]
     else:  # 1x1 blocks: b = e = 0 and no z
-        n, a, b, e, v, z = spec.d, float(cov[0, 0]), 0.0, 0.0, m, []
+        n, v, z = spec.d, m, []
     vv, vz, zz = (math.fsum(p * q for p, q in zip(*pair)) for pair in ((v, v), (v, z), (z, z)))
     scale = max(a, e, vv + zz)
     if not 0.0 < scale < math.inf:
@@ -177,30 +179,12 @@ def hessian_spectral_bounds(case: Case, c: float, T: float):
         raise ArgumentError("need c > 0 and T > 0")
     if case is Case.KINETIC:
         root = kinetic_root(T)
+        cube = T**3
+        if cube == 0.0:
+            raise NumericError(f"the kinetic spectrum at T = {T!r} underflows (T^3)")
         lo = 3.0 * c / (T * (T * T + 3.0 + 3.0 * root))
-        hi = c / T + 3.0 * c / T**3 * (1.0 + root)
+        hi = c / T + 3.0 * c / cube * (1.0 + root)
         if not lo > 0.0:
             raise NumericError(f"the least kinetic eigenvalue underflows at c = {c!r}, T = {T!r}")
         return lo, hi
     return c / T, c / T
-
-
-def cone_constant(d: int, cone_measure: float) -> float:
-    """Tail constant K(d, A) built from the cone's direction measure.
-
-    Even d: |A| (d/2 - 1)! / 2.  Odd d: |A| prod_{j=1}^{(d-1)/2} (j - 1/2)
-    divided by sqrt(pi).
-    """
-    if d < 1:
-        raise ArgumentError("dimension must be >= 1")
-    if cone_measure <= 0:
-        raise ArgumentError("cone measure must be positive")
-    if d % 2 == 0:
-        try:
-            return cone_measure * math.factorial(d // 2 - 1) / 2.0
-        except OverflowError:
-            raise NumericError(f"K(d, A) overflows at d = {d}: (d/2 - 1)! is too large") from None
-    prod = 1.0
-    for j in range(1, (d - 1) // 2 + 1):
-        prod *= j - 0.5
-    return cone_measure * prod / math.sqrt(math.pi)

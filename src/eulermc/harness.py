@@ -26,15 +26,7 @@ from . import concentration as conc
 from .errors import ArgumentError, ConfigError, NumericError, StatisticsError
 from .gaussianref import KernelSpec, kernel_exponent, kernel_mean_cov, kernel_norm_mean
 from .gaussianref import kernel_density  # noqa: F401  perfbench/child.py traces it here
-from .model import (
-    Case,
-    GaussParams,
-    GrowthSpec,
-    SdeModel,
-    SchemeGrid,
-    model_preset,
-    sphere_surface_measure,
-)
+from .model import Case, GaussParams, GrowthSpec, SdeModel, SchemeGrid, model_preset
 from .parametrix import (
     Grid1D,
     chapman_kolmogorov_density,
@@ -325,18 +317,18 @@ def _table_grid(cfg: ExperimentConfig, model: SdeModel, tgrid: SchemeGrid, x: fl
     return grid
 
 
-def growth_spec(cfg: ExperimentConfig, model: SdeModel) -> GrowthSpec | None:
+def growth_spec(cfg: ExperimentConfig) -> GrowthSpec | None:
+    """The growth spec that rho0, beta and cone set; cone 'full' leaves its
+    measure None, so the full sphere's share is exactly 1."""
     if cfg.rho0 is None and cfg.beta is None:
         return None
     if cfg.rho0 is None or cfg.beta is None:
         raise ConfigError("rho0 and beta set the growth spec together; set both or neither")
     if cfg.cone == "full":
-        measure = sphere_surface_measure(model.d)
-    elif isinstance(cfg.cone, str):
+        return GrowthSpec(rho0=cfg.rho0, beta=cfg.beta)
+    if isinstance(cfg.cone, str):
         raise ConfigError(f"cone must be a number or 'full', got {cfg.cone!r}")
-    else:
-        measure = cfg.cone
-    return GrowthSpec(rho0=cfg.rho0, beta=cfg.beta, cone_measure=measure)
+    return GrowthSpec(rho0=cfg.rho0, beta=cfg.beta, cone_measure=cfg.cone)
 
 
 def wilson_upper(k: int, n: int) -> float:
@@ -366,7 +358,7 @@ def _bound_constants(cfg: ExperimentConfig, model: SdeModel):
     delta = conc.domination_bias(gauss.C, alpha)
     if not (math.isfinite(alpha) and math.isfinite(delta)):
         raise NumericError(f"alpha_T = {alpha} and delta_bias = {delta} must be finite")
-    growth = growth_spec(cfg, model)
+    growth = growth_spec(cfg)
     if growth is None:
         return alpha, delta, None
     floor = sphere_floor(cfg.functional, growth)
@@ -420,13 +412,18 @@ def reference_mean(cfg: ExperimentConfig, model, tgrid, f, r_min: float):
             out -= f(_simulate(cfg, twin, tgrid, hi - lo, _CONTROL, lo))
         return out
 
+    def std_error(vals: np.ndarray) -> float:
+        # a spread past the float range gives se = inf, which the target refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(vals.std(ddof=1) / math.sqrt(vals.size))
+
     n = min(_CHUNK, cap)
     vals = values(0, n)
-    se = float(vals.std(ddof=1) / math.sqrt(n))
+    se = std_error(vals)
     while n < cap and se >= r_min / 10.0:
         n = min(2 * n, cap)
         vals = np.concatenate([vals, values(vals.size, n)])
-        se = float(vals.std(ddof=1) / math.sqrt(n))
+        se = std_error(vals)
     if r_min > 0 and se >= r_min / 10.0:
         raise StatisticsError(
             f"control-run standard error {se:.3e} >= r_min/10 = {r_min / 10:.3e}"

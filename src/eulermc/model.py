@@ -128,17 +128,17 @@ class GrowthSpec:
     """Linear growth of slope beta along rays in a direction cone beyond rho0.
 
     cone_measure is the surface measure of the cone's direction set (the
-    number of half-lines, 1 or 2, when d = 1).
+    number of half-lines, 1 or 2, when d = 1), or None for the full sphere.
     """
 
     rho0: float
     beta: float
-    cone_measure: float
+    cone_measure: float | None = None
 
     def __post_init__(self):
         if self.rho0 <= 0 or self.beta <= 0:
             raise ConfigError("rho0 and beta must be positive")
-        if self.cone_measure <= 0:
+        if self.cone_measure is not None and self.cone_measure <= 0:
             raise ConfigError("cone_measure must be positive")
 
 

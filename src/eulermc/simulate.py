@@ -211,59 +211,32 @@ def _chunk_normals(rng: RngSpec, c: int, lo: int, hi: int, ndraw: int, steps: in
         yield from _word_normals(words[:, :, cols]).transpose(0, 2, 1)
 
 
-def euler_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.ndarray:
-    """One explicit step of the non-degenerate scheme.
+def scheme_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.ndarray:
+    """One step of the scheme: explicit Euler, or the exactly-sampled kinetic step.
 
-    Returns x + b(t, x) delta + sigma(t, x) sqrt(delta) g.  The one-step law
-    is Gaussian with mean x + b delta and covariance a delta.  The result is
-    not checked for finiteness; simulate_terminal checks each step's batch.
+    The velocity block v (all of x when non-degenerate) moves to
+    v + b(t, x) delta + sigma(t, x) sqrt(delta) g1, where g1 is the first d'
+    normals; its one-step law is Gaussian with mean v + b delta and
+    covariance a delta.  A kinetic model draws d' more normals g2 to complete
+    the integrated-position block z + v delta + b delta^2/2 + noise, so the
+    joint law has covariance blocks (a d, a d^2/2; a d^2/2, a d^3/3).  The
+    result is not checked for finiteness; simulate_terminal checks each
+    step's batch.
     """
-    if model.case is not Case.NONDEGENERATE:
-        raise ArgumentError("euler_step applies to non-degenerate models")
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(gaussian, dtype=float)
-    sig = np.asarray(model.sigma(t, x), dtype=float)
-    out = x + np.asarray(model.drift(t, x), dtype=float) * delta
-    return out + math.sqrt(delta) * np.einsum("...ij,...j->...i", sig, g)
-
-
-def kinetic_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.ndarray:
-    """One exactly-sampled step of the kinetic scheme.
-
-    gaussian holds 2 d' independent standard normals; the first d' drive the
-    velocity block, the rest complete the integrated-position block.  The
-    joint one-step law is Gaussian with mean
-    (v + b1 delta, z + v delta + b1 delta^2/2) and covariance blocks
-    (a d, a d^2/2; a d^2/2, a d^3/3).  As with euler_step, simulate_terminal
-    checks the result for finiteness.
-    """
-    if model.case is not Case.KINETIC:
-        raise ArgumentError("kinetic_step applies to kinetic models")
     x = np.asarray(x, dtype=float)
     g = np.asarray(gaussian, dtype=float)
     dp = model.d_prime
-    v, z = x[..., :dp], x[..., dp:]
-    g1, g2 = g[..., :dp], g[..., dp:]
-    b1 = np.asarray(model.drift(t, x), dtype=float)
+    v, g1 = x[..., :dp], g[..., :dp]
+    b = np.asarray(model.drift(t, x), dtype=float)
     sig = np.asarray(model.sigma(t, x), dtype=float)
     rt = math.sqrt(delta)
-
-    noise_v = rt * np.einsum("...ij,...j->...i", sig, g1)
-    mix = 0.5 * g1 + g2 / (2.0 * math.sqrt(3.0))
+    out = v + b * delta + rt * np.einsum("...ij,...j->...i", sig, g1)
+    if model.case is not Case.KINETIC:
+        return out
+    mix = 0.5 * g1 + g[..., dp:] / (2.0 * math.sqrt(3.0))
     noise_z = delta * rt * np.einsum("...ij,...j->...i", sig, mix)
-    return np.concatenate(
-        [
-            v + b1 * delta + noise_v,
-            z + v * delta + 0.5 * b1 * delta**2 + noise_z,
-        ],
-        axis=-1,
-    )
-
-
-def scheme_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.ndarray:
-    if model.case is Case.KINETIC:
-        return kinetic_step(model, t, x, delta, gaussian)
-    return euler_step(model, t, x, delta, gaussian)
+    z = x[..., dp:] + v * delta + 0.5 * b * (delta * delta) + noise_z
+    return np.concatenate([out, z], axis=-1)
 
 
 def draw_dim(model: SdeModel) -> int:
@@ -306,13 +279,16 @@ def simulate_terminal(
         m = hi - lo
         c, col = divmod(sample_offset + lo, _CHUNK)
         x = np.broadcast_to(x0, (m, model.d)).copy()
-        for n, draws in enumerate(_chunk_normals(rng, c, col, col + m, ndraw, grid.N)):
-            x = scheme_step(model, grid.times[n], x, grid.delta, draws)
-            if not np.isfinite(x).all():
-                i = int(np.argmin(np.isfinite(x).all(axis=1)))
-                raise NumericError(
-                    f"non-finite state at step {n} in sample {sample_offset + lo + i}"
-                )
+        steps = enumerate(_chunk_normals(rng, c, col, col + m, ndraw, grid.N))
+        # a state that leaves the float range is refused below, without a warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for n, draws in steps:
+                x = scheme_step(model, grid.times[n], x, grid.delta, draws)
+                if not np.isfinite(x).all():
+                    i = int(np.argmin(np.isfinite(x).all(axis=1)))
+                    raise NumericError(
+                        f"non-finite state at step {n} in sample {sample_offset + lo + i}"
+                    )
         out[lo:hi] = x
 
     # ranges never cross a multiple of _CHUNK in the absolute index

@@ -6,11 +6,12 @@ on numpy's leggauss) are the quadrature rules of the oracles.  The
 semigroup residual checks the kernels p_c by quadrature (acceptance
 criterion 02), the radial tail closed forms are compared with quadrature
 (criterion 04), the closed-form means of |Y| for Gaussian Y check
-gaussianref.kernel_norm_mean, the Gram-matrix form of the optimal control
-cross-checks control.optimal_control, and
-Philox4x64-10 in numpy uint64 arithmetic checks the words that
-np.random.Philox gives eulermc.simulate, and a scalar port of its normal
-map (Cephes ndtri on fdlibm's log) checks the normals it makes of them.
+gaussianref.kernel_norm_mean, the tail constant K(d, A) checks the cone
+penalty chi of concentration.lower_constants, the Gram-matrix form of the
+optimal control cross-checks control.optimal_control, and Philox4x64-10 in
+numpy uint64 arithmetic checks the words that np.random.Philox gives
+eulermc.simulate, and a scalar port of its normal map (Cephes ndtri on
+fdlibm's log) checks the normals it makes of them.
 """
 
 from __future__ import annotations
@@ -267,6 +268,27 @@ def radial_tail(d: int, x: float) -> float:
     if coef:
         val += coef * math.sqrt(math.pi / 2.0) * erfc(x / math.sqrt(2.0))
     return float(val)
+
+
+def cone_constant(d: int, cone_measure: float) -> float:
+    """Tail constant K(d, A) built from the cone's direction measure.
+
+    Even d: |A| (d/2 - 1)! / 2.  Odd d: |A| prod_{j=1}^{(d-1)/2} (j - 1/2)
+    divided by sqrt(pi).
+    """
+    if d < 1:
+        raise ArgumentError("dimension must be >= 1")
+    if cone_measure <= 0:
+        raise ArgumentError("cone measure must be positive")
+    if d % 2 == 0:
+        try:
+            return cone_measure * math.factorial(d // 2 - 1) / 2.0
+        except OverflowError:
+            raise NumericError(f"K(d, A) overflows at d = {d}: (d/2 - 1)! is too large") from None
+    prod = 1.0
+    for j in range(1, (d - 1) // 2 + 1):
+        prod *= j - 0.5
+    return cone_measure * prod / math.sqrt(math.pi)
 
 
 def resolvent(t: float, t0: float, d_prime: int) -> np.ndarray:

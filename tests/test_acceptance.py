@@ -28,7 +28,7 @@ from eulermc.gaussianref import (
 from eulermc.harness import ExperimentConfig, run_concentration_experiment, run_density_check
 from eulermc.model import Case, GrowthSpec, SchemeGrid, model_preset
 from eulermc.parametrix import chapman_kolmogorov_density, default_grid, parametrix_series
-from eulermc.simulate import kinetic_step
+from eulermc.simulate import scheme_step
 from oracles import radial_tail, semigroup_residual, tensor_quad_2d
 
 
@@ -49,7 +49,7 @@ def test_criterion_01_kinetic_one_step_covariance(numpy_normals):
     m = model_preset("kinetic", dp=1)
     n = 100_000
     draws = numpy_normals(20260808, (n, 2))
-    out = kinetic_step(m, 0.0, np.zeros((n, 2)), 1.0, draws)
+    out = scheme_step(m, 0.0, np.zeros((n, 2)), 1.0, draws)
     cov = np.cov(out.T)
     want = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
     ok = True

@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -343,17 +344,11 @@ NUMERIC_ERRORS = [
         "density-check", "--set", "d=2", "--set", "x0=[0,0]", "--set", "sigma0=1e-100",
         "--set", "T=1e-110", "--set", "density_samples=3000",
     ],
-    # large d: gamma(d/2) in the sphere measure, (d/2 - 1)! in K(d, A) of a
-    # numeric cone, and (pi/T)^{d/2} in the kinetic chi overflow
-    ["bounds", "--set", "d=344", *_ABS_GROWTH],
-    ["bounds", "--set", 'preset="kinetic"', "--set", "dp=200", "--set", "x0=[0]", *_ABS_GROWTH],
+    # a numeric cone's share divides by the sphere measure, whose gamma(d/2) overflows
     ["bounds", "--set", "d=400", "--set", "cone=3", *_ABS_GROWTH],
-    [
-        "bounds", "--set", 'preset="kinetic"', "--set", "dp=100", "--set", "x0=[0]",
-        "--set", "T=0.001", *_ABS_GROWTH,
-    ],
-    # K(2, A) = |A|/2 rounds to 0, and chi's ratio over it is infinite
-    ["bounds", "--set", "d=2", "--set", "x0=[0,0]", "--set", "cone=5e-324", *_ABS_GROWTH],
+    # T^3 in the kinetic spectrum underflows to 0
+    ["bounds", *_KINETIC, "--set", "T=1e-120"],
+    ["concentration", *_KINETIC, "--set", "T=1e-120"],
 ]
 NUMERIC_ERROR_IDS = [
     "parametrix-truncated-grid", "sigma0-overflow", "bounds-alpha-inf", "conc-alpha-inf",
@@ -361,8 +356,27 @@ NUMERIC_ERROR_IDS = [
     "gamma-variance-overflow", "gamma-variance-underflow", "chi-overflow",
     "bar-delta-cancels", "kinetic-root-overflow", "kinetic-lambda-min-underflows",
     "hist-width-overflow", "hist-spread-below-spacing", "envelope-ratio-overflow",
-    "hist-density-overflow", "sphere-measure-overflow", "kinetic-sphere-measure-overflow",
-    "cone-constant-overflow", "kinetic-chi-ratio-overflow", "cone-constant-underflow",
+    "hist-density-overflow", "cone-constant-overflow", "bounds-kinetic-cube-underflow",
+    "conc-kinetic-cube-underflow",
+]
+# argv of runs whose one error line numpy used to precede with a RuntimeWarning,
+# and their exit codes: a state past the float range, and a control run's spread
+WARNING_ERRORS = [
+    (["simulate", "--set", "T=1e300", "--set", "b0=[1e300]", "--set", "M=10"], 3),
+    (
+        [
+            "concentration", "--set", 'preset="trig"', "--set", "b_amp=1e300", "--set", "M=10",
+            "--set", "num_batches=20",
+        ],
+        4,
+    ),
+    (
+        [
+            "concentration", *_KINETIC, "--set", "damp=1e300", "--set", "M=10",
+            "--set", "num_batches=20",
+        ],
+        4,
+    ),
 ]
 
 
@@ -373,6 +387,60 @@ def test_bad_input_is_one_line_numeric_error(tmp_path, capsys, args):
     assert err.startswith("error: ") and err.count("\n") == 1
     # refused before any output is written
     assert not list((tmp_path / "out").glob("*"))
+
+
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this eulermc."""
+    import eulermc
+
+    src = str(Path(eulermc.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+_ONE_LINE_PROBE = """
+import contextlib, io, json, sys, warnings
+from eulermc.cli import main
+for k, argv in enumerate(json.loads(sys.argv[2])):
+    warnings.simplefilter("always")  # every warning of every run is shown
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--out-dir", f"{sys.argv[1]}/{k}"])
+    print(json.dumps([code, err.getvalue()]))
+"""
+
+
+def test_bad_input_prints_one_line_in_a_fresh_interpreter(tmp_path):
+    # pytest records warnings, so only a child process sees a RuntimeWarning
+    # that numpy prints before the error line
+    cases = [(args, 3) for args in NUMERIC_ERRORS] + WARNING_ERRORS
+    out = subprocess.run(
+        [sys.executable, "-c", _ONE_LINE_PROBE, str(tmp_path), json.dumps([a for a, _ in cases])],
+        env=_child_env(), capture_output=True, text=True, timeout=300, check=True,
+    ).stdout.splitlines()
+    got = [tuple(json.loads(line)) for line in out]
+    assert len(got) == len(cases)
+    for (args, code), (rc, err) in zip(cases, got):
+        assert rc == code, args
+        assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+
+
+def test_lower_constants_run_where_the_sphere_measure_overflows(tmp_path):
+    # the full sphere's share is 1 and no gamma(d/2) is formed; the kinetic
+    # q is taken in log form, and a cone of 5e-324 has a finite log share
+    def constants(*args):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        assert main(["bounds", *args, *_ABS_GROWTH, "--out-dir", str(out)]) == 0
+        report = read_json(out / "bounds.json")["constants"]
+        assert all(math.isfinite(report[k]) for k in ("chi", "bar_alpha_inv", "bar_delta"))
+        return report
+
+    for dp, T in ((200, 1), (2048, 1), (100, 0.001)):
+        kinetic = ["--set", 'preset="kinetic"', "--set", f"dp={dp}", "--set", "x0=[0]"]
+        constants(*kinetic, "--set", f"T={T}")
+    assert constants("--set", "d=2", "--set", "x0=[0,0]", "--set", "cone=5e-324")["chi"] > 700
+    for C in ("1", "2"):
+        chi = [constants("--set", f"d={d}", "--set", f"C={C}")["chi"] for d in (342, 344, 4096)]
+        assert chi == [chi[0]] * 3
 
 
 def test_envelope_shape_whose_kernel_underflows_fits_without_warnings(tmp_path, capsys):
@@ -491,14 +559,10 @@ def _scipy_loaded(tmp_path, argv):
     """The scipy and numpy.polynomial modules loaded by `import eulermc.cli`
     and then by running argv, in a fresh interpreter (this one has loaded
     scipy.stats)."""
-    import eulermc
-
-    src = str(Path(eulermc.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = _IMPORT_PROBE.format(argv=argv)
     out = subprocess.run(
         [sys.executable, "-c", probe, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        env=_child_env(), capture_output=True, text=True, timeout=120, check=True,
     ).stdout.split("\n")
     return set(out[0].split()), set(out[1].split())
 

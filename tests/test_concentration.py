@@ -9,7 +9,7 @@ from eulermc.errors import ArgumentError, NumericError
 from eulermc.gaussianref import hessian_spectral_bounds
 from eulermc.harness import ExperimentConfig, _bound_constants, build_model
 from eulermc.model import Case, GrowthSpec, sphere_surface_measure
-from oracles import folded_normal_mean, noncentral_chi3_mean
+from oracles import cone_constant, folded_normal_mean, noncentral_chi3_mean
 
 SQ13 = math.sqrt(13.0)
 
@@ -105,8 +105,8 @@ def test_radius_bound_round_trip(eps, M, alpha):
 def lower(d=2, c=1.0, C=1.0, T=1.0, alpha=2.0, x0=None, rho0=1.0, beta=1.0, measure=None,
           floor=None, theta=None, case=Case.NONDEGENERATE):
     """conc.lower_constants of F = |y|, by default from 0 on the full sphere
-    with floor rho0, as harness._bound_constants passes them."""
-    growth = GrowthSpec(rho0, beta, sphere_surface_measure(d) if measure is None else measure)
+    (measure None) with floor rho0, as harness._bound_constants passes them."""
+    growth = GrowthSpec(rho0, beta, measure)
     x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
     return conc.lower_constants(
         case, d, c, C, T, alpha, x0, growth, rho0 if floor is None else floor, theta
@@ -114,9 +114,57 @@ def lower(d=2, c=1.0, C=1.0, T=1.0, alpha=2.0, x0=None, rho0=1.0, beta=1.0, meas
 
 
 def test_growth_penalty_case_a():
-    # K(2, 2 pi) = pi, so C = 1 gives log(pi/pi)_+ = 0
+    # a cone of measure 2 pi is the whole circle: share 1, so C = 1 gives chi 0
     assert lower(measure=2 * math.pi)["chi"] == 0.0
     assert lower(C=math.e, measure=2 * math.pi)["chi"] == pytest.approx(1.0)
+
+
+def _chi_from_cone_constant(case, d, C, T, theta, measure, rho0):
+    """log(pi^{d/2} C / (K(d, A) [arccos(theta^{-1/2}) in odd d]))_+ / rho0^2,
+    and its kinetic form with (pi/T)^{d/2} [T^2 + 3(1 + root)]^{d/2} for
+    pi^{d/2}, from the oracle's K(d, A)."""
+    K = cone_constant(d, sphere_surface_measure(d) if measure is None else measure)
+    if case is Case.KINETIC:
+        root = math.sqrt(1 + T**2 / 3 + T**4 / 9)
+        ratio = (math.pi / T) ** (d / 2) * (T * T + 3 * (1 + root)) ** (d / 2) * C / K
+    else:
+        ratio = math.pi ** (d / 2) * C / (K * math.acos(theta**-0.5) if d % 2 else K)
+    return max(math.log(ratio), 0.0) / rho0**2
+
+
+def test_chi_from_the_cone_share_matches_the_cone_constant_form():
+    # share = |A| / |S^{d-1}|; where the old ratio is 1 up to rounding (even d,
+    # C = 1) its log is within 1e-15 of the 0 that the share form gives
+    cases = [
+        (Case.NONDEGENERATE, d, C, 1.0, theta, None, 1.0)
+        for d in range(1, 41) for theta in (2.0, 3.0) for C in (1.0, 1.5, 3.0)
+    ]
+    cases += [
+        (Case.NONDEGENERATE, d, C, 1.0, 2.0, measure, rho0)
+        for d in range(1, 6) for measure in (0.1, 1.0, 2.0, 2 * math.pi, 7.0)
+        for C in (1.0, 3.0) for rho0 in (0.5, 1.0)
+    ]
+    cases += [
+        (Case.KINETIC, 2 * dp, C, T, None, None, 1.0)
+        for dp in (1, 2, 3) for T in (0.1, 1.0, 10.0) for C in (1.0, 1.5, 3.0)
+    ]
+    for case, d, C, T, theta, measure, rho0 in cases:
+        got = lower(d=d, C=C, T=T, theta=theta, measure=measure, rho0=rho0, case=case)["chi"]
+        want = _chi_from_cone_constant(case, d, C, T, theta, measure, rho0)
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-15), (case, d, C, T, theta, measure)
+
+
+def test_chi_is_zero_on_the_full_even_sphere_at_c_one():
+    # share 1 and q = 1: log C - 0 + 0 is exactly 0, in every even d
+    for d in (*range(2, 41, 2), 342, 344, 4096):
+        assert lower(d=d)["chi"] == 0.0
+
+
+def test_numeric_cone_of_the_whole_sphere_is_the_full_sphere():
+    # |A| = |S^{d-1}| gives log share = 0 exactly: cone 2 in d = 1, 2 pi in d = 2
+    for d, measure in ((1, 2.0), (2, 2 * math.pi)):
+        for C in (1.0, 1.5, 3.0):
+            assert lower(d=d, C=C, measure=measure) == lower(d=d, C=C)
 
 
 def test_growth_penalty_monotonicity():
@@ -152,7 +200,7 @@ def test_growth_penalty_kinetic_display():
 
 
 def test_growth_penalty_past_the_float_range_of_rho0_squared():
-    # d = 1: log(sqrt(pi) C / (K arccos(theta^-1/2)))_+ = log 2 > 0; d = 2: 0.
+    # d = 1: log q = log(pi / (2 arccos(theta^-1/2))) = log 2 > 0; d = 2: 0.
     # floor 0 keeps rho0 beta - floor from cancelling in bar_delta
     def chi(d, rho0):
         return lower(d=d, rho0=rho0, measure=2.0 if d == 1 else 2 * math.pi, floor=0.0)["chi"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from scipy.stats import norm
 from eulermc.errors import ArgumentError, NumericError
 from eulermc.gaussianref import (
     KernelSpec,
-    cone_constant,
     hessian_spectral_bounds,
     kernel_density,
     kernel_exponent,
@@ -18,9 +18,10 @@ from eulermc.gaussianref import (
     kinetic_metric,
 )
 from eulermc.model import Case, model_preset
-from eulermc.simulate import kinetic_step
+from eulermc.simulate import scheme_step
 from oracles import (
-    folded_normal_mean, kinetic_lambda_min, radial_tail, semigroup_residual, tensor_quad_2d,
+    cone_constant, folded_normal_mean, kinetic_lambda_min, radial_tail, semigroup_residual,
+    tensor_quad_2d,
 )
 
 
@@ -229,7 +230,21 @@ def test_radial_tail_matches_quadrature():
             assert radial_tail(d, x) == pytest.approx(oracle, abs=1e-10)
 
 
+def test_norm_mean_builds_no_covariance_matrix():
+    # the kernel's covariance is one block per coordinate or pair; a d x d
+    # matrix at d = 4096 would take 128 MiB to read three numbers
+    for spec in (spec_a(x=np.zeros(4096)), spec_b(x=np.zeros(4096))):
+        tracemalloc.start()
+        try:
+            kernel_norm_mean(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 def test_cone_constant_values():
+    # the tail constant K(d, A) of tests/oracles.py, the reference for chi
     assert cone_constant(2, 2 * math.pi) == pytest.approx(math.pi)
     assert cone_constant(3, 4 * math.pi) == pytest.approx(2 * math.sqrt(math.pi))
     assert cone_constant(4, 2 * math.pi**2) == pytest.approx(math.pi**2)
@@ -246,7 +261,7 @@ def test_mean_cov_matches_samples(numpy_normals):
     mean, cov = kernel_mean_cov(s)
     m = model_preset("kinetic", dp=1, sigma0=math.sqrt(2.0 / s.c))
     x = np.broadcast_to(s.x, (200_000, 2))
-    draws = kinetic_step(m, 0.0, x, s.t, numpy_normals(5, (200_000, 2)))
+    draws = scheme_step(m, 0.0, x, s.t, numpy_normals(5, (200_000, 2)))
     assert np.allclose(draws.mean(axis=0), mean, atol=4e-3)
     assert np.allclose(np.cov(draws.T), cov, atol=6e-3)
 

@@ -610,7 +610,7 @@ def test_concentration_lower_bias_uses_normalized_alpha():
     floor = -0.5 * math.sqrt((1.0 + 1.5**-2) / 2.0)  # -rho0 |grad F|
     k = conc.lower_constants(
         model.case, model.d, cfg.c, cfg.C, cfg.T, alpha, harness.start_point(cfg, model),
-        harness.growth_spec(cfg, model), floor, cfg.theta,
+        harness.growth_spec(cfg), floor, cfg.theta,
     )
     first = k["bar_delta"] - k["gamma_F"] - 0.5 * 1.0 + floor
     assert first == pytest.approx((1 + math.sqrt(2)) * math.sqrt(alpha * math.log(1.5)), rel=1e-12)

@@ -17,8 +17,6 @@ from eulermc.simulate import (
     RngSpec,
     _log,
     _word_normals,
-    euler_step,
-    kinetic_step,
     scheme_step,
     simulate_terminal,
 )
@@ -207,13 +205,13 @@ def test_normals_and_a_run_agree_across_numpy_dispatch_tiers(tmp_path):
 def test_step_identity_map_of_draw():
     m = model_preset("const", d=2, b0=0.0, sigma0=1.0)
     g = np.array([0.7, -1.3])
-    out = euler_step(m, 0.0, np.zeros(2), 1.0, g)
+    out = scheme_step(m, 0.0, np.zeros(2), 1.0, g)
     assert np.allclose(out, g)
 
 
 def test_step_pure_drift():
     m = model_preset("const", d=1, b0=1.0, sigma0=1.0)
-    out = euler_step(m, 0.0, np.zeros(1), 0.5, np.zeros(1))
+    out = scheme_step(m, 0.0, np.zeros(1), 0.5, np.zeros(1))
     assert out[0] == pytest.approx(0.5)
 
 
@@ -222,7 +220,7 @@ def test_step_moments(numpy_normals):
     m = model_preset("const", d=1, b0=0.3, sigma0=1.2)
     n = 100_000
     draws = numpy_normals(123, (n, 1))
-    out = euler_step(m, 0.0, np.zeros((n, 1)), 0.1, draws)
+    out = scheme_step(m, 0.0, np.zeros((n, 1)), 0.1, draws)
     mean, var = out.mean(), out.var(ddof=1)
     se_mean = math.sqrt(0.144 / n)
     se_var = 0.144 * math.sqrt(2.0 / n)
@@ -242,7 +240,7 @@ def test_kinetic_factor_reproduces_block_covariance():
     )
     x = np.zeros((5, 4))
     draws = np.vstack([np.zeros(4), np.eye(4)])
-    out = kinetic_step(m, 0.0, x, delta, draws)
+    out = scheme_step(m, 0.0, x, delta, draws)
     L = (out[1:] - out[0]).T
     want = np.block(
         [[a * delta, a * delta**2 / 2], [a * delta**2 / 2, a * delta**3 / 3]]
@@ -254,7 +252,7 @@ def test_kinetic_step_sample_covariance(numpy_normals):
     m = model_preset("kinetic", dp=1)
     n = 100_000
     draws = numpy_normals(7, (n, 2))
-    out = kinetic_step(m, 0.0, np.zeros((n, 2)), 1.0, draws)
+    out = scheme_step(m, 0.0, np.zeros((n, 2)), 1.0, draws)
     cov = np.cov(out.T)
     want = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
     # sample covariance standard errors for Gaussian data
@@ -266,7 +264,7 @@ def test_kinetic_step_sample_covariance(numpy_normals):
 
 def test_kinetic_step_zero_draw_is_transport():
     m = model_preset("kinetic", dp=1)
-    out = kinetic_step(m, 0.0, np.array([2.0, 5.0]), 0.25, np.zeros(2))
+    out = scheme_step(m, 0.0, np.array([2.0, 5.0]), 0.25, np.zeros(2))
     assert out[0] == pytest.approx(2.0)
     assert out[1] == pytest.approx(5.0 + 2.0 * 0.25)
 
@@ -276,7 +274,7 @@ def test_kinetic_step_scaled_sigma(numpy_normals):
     delta = 0.5
     n = 100_000
     draws = numpy_normals(8, (n, 2))
-    out = kinetic_step(m, 0.0, np.zeros((n, 2)), delta, draws)
+    out = scheme_step(m, 0.0, np.zeros((n, 2)), delta, draws)
     cov = np.cov(out.T)
     want = 4.0 * np.array(
         [[delta, delta**2 / 2], [delta**2 / 2, delta**3 / 3]]
@@ -295,7 +293,7 @@ def test_single_step_grid_reduces_to_step():
     # step 0, coordinate 0 of sample i reads word i of chunk 0
     z = word_normals(chunk_words(99, 4, 0, np.arange(5)))
     for i in range(5):
-        want = euler_step(m, 0.0, np.array([1.0]), 0.3, z[i : i + 1])
+        want = scheme_step(m, 0.0, np.array([1.0]), 0.3, z[i : i + 1])
         assert np.array_equal(batch[i], want)
 
 
@@ -310,7 +308,7 @@ def test_words_are_step_major_within_a_chunk():
         x = np.zeros(2)
         for n in range(3):
             w = [(2 * n + k) * _CHUNK + col for k in range(2)]
-            x = kinetic_step(m, tg.times[n], x, tg.delta, word_normals(chunk_words(8, 1, 1, w)))
+            x = scheme_step(m, tg.times[n], x, tg.delta, word_normals(chunk_words(8, 1, 1, w)))
         assert np.array_equal(batch[i], x)
 
 
@@ -410,7 +408,7 @@ def test_last_sample_index_draws():
     batch = simulate_terminal(m, tg, [0.0], RngSpec(3), 4, sample_offset=2**64 - 4)
     # sample 2**64 - 1 is column 4095 of chunk 2**52 - 1
     z = word_normals(chunk_words(3, 0, 2**52 - 1, [_CHUNK - 1]))
-    want = euler_step(m, 0.0, np.zeros(1), 1.0, z)
+    want = scheme_step(m, 0.0, np.zeros(1), 1.0, z)
     assert np.array_equal(batch[-1], want)
 
 
@@ -493,12 +491,3 @@ def test_step_error_carries_sample_index():
         with pytest.raises(NumericError) as exc:
             simulate_terminal(m, grid, [0.0], rng, 5000, threads=threads, sample_offset=3000)
         assert str(exc.value) == want
-
-
-def test_case_dispatch_errors():
-    ma = model_preset("const", d=1)
-    mk = model_preset("kinetic", dp=1)
-    with pytest.raises(ArgumentError):
-        kinetic_step(ma, 0.0, np.zeros(1), 0.1, np.zeros(2))
-    with pytest.raises(ArgumentError):
-        euler_step(mk, 0.0, np.zeros(2), 0.1, np.zeros(1))
