@@ -424,23 +424,58 @@ def test_bad_input_prints_one_line_in_a_fresh_interpreter(tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
 
 
-def test_lower_constants_run_where_the_sphere_measure_overflows(tmp_path):
-    # the full sphere's share is 1 and no gamma(d/2) is formed; the kinetic
-    # q is taken in log form, and a cone of 5e-324 has a finite log share
-    def constants(*args):
-        out = tmp_path / str(len(list(tmp_path.iterdir())))
-        assert main(["bounds", *args, *_ABS_GROWTH, "--out-dir", str(out)]) == 0
-        report = read_json(out / "bounds.json")["constants"]
-        assert all(math.isfinite(report[k]) for k in ("chi", "bar_alpha_inv", "bar_delta"))
-        return report
+def _lower_constants(tmp_path, *args):
+    """The `constants` of a bounds run of F = |y| on argv args, checked finite."""
+    out = tmp_path / str(len(list(tmp_path.iterdir())))
+    assert main(["bounds", *args, *_ABS_GROWTH, "--out-dir", str(out)]) == 0
+    report = read_json(out / "bounds.json")["constants"]
+    assert all(math.isfinite(report[k]) for k in ("chi", "bar_alpha_inv", "bar_delta"))
+    return report
 
-    for dp, T in ((200, 1), (2048, 1), (100, 0.001)):
-        kinetic = ["--set", 'preset="kinetic"', "--set", f"dp={dp}", "--set", "x0=[0]"]
-        constants(*kinetic, "--set", f"T={T}")
-    assert constants("--set", "d=2", "--set", "x0=[0,0]", "--set", "cone=5e-324")["chi"] > 700
+
+def _full_sphere_chi_is_flat_in_d(tmp_path):
+    # the full sphere's share is 1 and no gamma(d/2) is formed
     for C in ("1", "2"):
-        chi = [constants("--set", f"d={d}", "--set", f"C={C}")["chi"] for d in (342, 344, 4096)]
+        chi = [
+            _lower_constants(tmp_path, "--set", f"d={d}", "--set", f"C={C}")["chi"]
+            for d in (342, 344, 4096)
+        ]
         assert chi == [chi[0]] * 3
+
+
+def _kinetic_runs_at_large_dp(tmp_path):
+    # the kinetic q is taken in log form
+    for dp in (200, 2048):
+        _lower_constants(tmp_path, *_KINETIC[:2], "--set", f"dp={dp}", "--set", "x0=[0]")
+
+
+def _kinetic_runs_at_small_t(tmp_path):
+    _lower_constants(
+        tmp_path, *_KINETIC[:2], "--set", "dp=100", "--set", "x0=[0]", "--set", "T=0.001"
+    )
+
+
+def _tiny_cone_has_finite_log_share(tmp_path):
+    # a cone of 5e-324 has a finite log share
+    argv = ["--set", "d=2", "--set", "x0=[0,0]", "--set", "cone=5e-324"]
+    assert _lower_constants(tmp_path, *argv)["chi"] > 700
+
+
+# inputs that once overflowed or underflowed in the lower-bound constants, and
+# the ids of the numeric errors they used to be
+@pytest.mark.parametrize(
+    "check",
+    [
+        _full_sphere_chi_is_flat_in_d, _kinetic_runs_at_large_dp, _kinetic_runs_at_small_t,
+        _tiny_cone_has_finite_log_share,
+    ],
+    ids=[
+        "sphere-measure-overflow", "kinetic-sphere-measure-overflow",
+        "kinetic-chi-ratio-overflow", "cone-constant-underflow",
+    ],
+)
+def test_lower_constants_run_where_the_sphere_measure_overflows(tmp_path, check):
+    check(tmp_path)
 
 
 def test_envelope_shape_whose_kernel_underflows_fits_without_warnings(tmp_path, capsys):
