@@ -90,15 +90,6 @@ def _block(spec: KernelSpec):
     return t / c, 0.0, 0.0
 
 
-def kernel_mean_cov(spec: KernelSpec):
-    """Mean and covariance of the p_c(t, x, .) distribution."""
-    mean = _transport(spec.case, spec.x, spec.t)
-    a, b, e = _block(spec)
-    if spec.case is Case.KINETIC:
-        return mean, np.kron([[a, b], [b, e]], np.eye(spec.d // 2))
-    return mean, a * np.eye(spec.d)
-
-
 def kernel_norm_mean(spec: KernelSpec) -> float:
     """E|Y| for Y ~ p_c(t, x, .), with mean m and covariance Sigma.
 

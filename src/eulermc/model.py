@@ -164,15 +164,15 @@ def _const_model(d=1, b0=0.0, sigma0=1.0):
         raise ConfigError(f"b0 has {b.size} entries, the model needs 1 or d = {d}")
     b = np.broadcast_to(b, (d,)).copy()
     s0 = float(sigma0)
-    eye = s0 * np.eye(d)
 
     def drift(t, x):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(b, x.shape[:-1] + (d,))
 
     def sigma(t, x):
+        # built per call: a command that simulates nothing holds no d x d matrix
         x = np.asarray(x, dtype=float)
-        return np.broadcast_to(eye, x.shape[:-1] + (d, d))
+        return np.broadcast_to(s0 * np.eye(d), x.shape[:-1] + (d, d))
 
     # hypot, unlike np.linalg.norm, does not overflow for |b| above 1e154
     L0 = max(1.0, math.hypot(*b))
@@ -206,15 +206,14 @@ def _kinetic_model(dp=1, damp=0.0, sigma0=1.0):
     dp = int(dp)
     damp = float(damp)
     s0 = float(sigma0)
-    eye = s0 * np.eye(dp)
 
     def drift(t, x):
         x = np.asarray(x, dtype=float)
         return -damp * np.tanh(x[..., :dp])
 
     def sigma(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(eye, x.shape[:-1] + (dp, dp))
+        x = np.asarray(x, dtype=float)  # built per call, as in _const_model
+        return np.broadcast_to(s0 * np.eye(dp), x.shape[:-1] + (dp, dp))
 
     L0 = max(1.0, abs(damp) * math.sqrt(dp))
     lambda0 = _scalar_noise_lambda0(s0)  # first: it refuses a sigma0 whose square underflows

@@ -5,7 +5,8 @@ each chunk reads one counter-based Philox stream derived from
 (master_seed, stream_id, chunk index), drawn step by step.  The normals of
 a sample depend on its index alone, so batches are bitwise reproducible no
 matter how work is split across threads.  Every random draw of the package
-goes through _chunk_normals, which simulate_terminal reads step by step.
+goes through _group_normals, which simulate_terminal reads step by step for a
+group of consecutive chunks.
 Words become normals by the package's own inverse normal CDF, Cephes ndtri
 on fdlibm's log in numpy integer and IEEE arithmetic, so the streams need
 no scipy and do not depend on numpy's SIMD dispatch.
@@ -29,9 +30,12 @@ _MASK64 = (1 << 64) - 1
 _CHUNK = 4096
 _S12 = np.uint64(12)
 _ONE_BITS = np.uint64(0x3FF0000000000000)  # the bits of 1.0
-# words mapped to normals per call: fewer, larger numpy calls hold the GIL
-# for less of the time; no output depends on it
+# most words one step of a group reads and maps in one call (a chunk whose
+# step reads more is a group of its own): fewer, larger numpy calls hold the
+# GIL for less of the time; no output depends on it
 _BLOCK_WORDS = 2**16
+# most chunks stepped together in one (m, d) state; no output depends on it
+_GROUP_CHUNKS = 8
 # largest (M, d) float64 sample array simulate_terminal allocates
 _SAMPLES_CAP_BYTES = 2**30
 
@@ -72,16 +76,24 @@ _LG1, _LG2, _LG3, _LG4, _LG5, _LG6, _LG7 = (
 
 def _horner(x: np.ndarray, coef, monic: bool = False) -> np.ndarray:
     """Cephes polevl, or p1evl when monic (a leading 1 before coef)."""
-    acc, rest = (x + coef[0], coef[1:]) if monic else (x * coef[0] + coef[1], coef[2:])
-    for c in rest:
+    if monic:
+        acc = x + coef[0]
+    else:
+        acc = x * coef[0]
+        acc += coef[1]
+    for c in coef[2 - monic :]:
         acc *= x
         acc += c
     return acc
 
 
 def _rational(x: np.ndarray, p, q) -> np.ndarray:
-    """x p(x) / q(x), q monic, in Cephes' order of operations."""
-    return x * _horner(x, p) / _horner(x, q, True)
+    """x p(x) / q(x), q monic, in Cephes' order of operations (x p before
+    the division; IEEE * commutes, so p(x) x is the same product)."""
+    num = _horner(x, p)
+    num *= x
+    num /= _horner(x, q, True)
+    return num
 
 
 def _log(x: np.ndarray) -> np.ndarray:
@@ -95,21 +107,47 @@ def _log(x: np.ndarray) -> np.ndarray:
     two ways by the size of f.
     """
     bits = x.view(np.int64)
-    hx = (bits >> 32) & 0xFFFFF  # the high 20 bits of the mantissa
-    k = (bits - 0x3FE6A09C00000000) >> 52
-    f = (bits - (k << 52)).view(np.float64) - 1.0
+    hx = bits >> 32
+    hx &= 0xFFFFF  # the high 20 bits of the mantissa
+    big = (hx >= 0x6147A) & (hx <= 0x6B851)
+    hx += 2
+    hx &= 0xFFFFF
+    tiny = np.flatnonzero(hx < 3)  # |f| < 2^-20
+    del hx
+    # each step below works in place where it can: fewer temporaries alive
+    # at once leave fewer pages to fault in per call
+    k = bits - 0x3FE6A09C00000000
+    k >>= 52
+    f = k << 52
+    np.subtract(bits, f, out=f)
+    f = f.view(np.float64)
+    f -= 1.0
     dk = k.astype(np.float64)
     del k
-    lo = dk * _LN2_LO
-    s = f / (2.0 + f)
+    s = 2.0 + f
+    np.divide(f, s, out=s)
     z = s * s
     w = z * z
-    r = _horner(w, (_LG7, _LG5, _LG3, _LG1)) * z + _horner(w, (_LG6, _LG4, _LG2)) * w
-    del z, w  # a lower peak of temporaries leaves fewer pages to fault in per call
-    hfsq = 0.5 * f * f
-    big = (hx >= 0x6147A) & (hx <= 0x6B851)
-    inner = np.where(big, hfsq - (s * (hfsq + r) + lo), s * (f - r) - lo)
-    tiny = np.flatnonzero(((hx + 2) & 0xFFFFF) < 3)  # |f| < 2^-20
+    r = _horner(w, (_LG7, _LG5, _LG3, _LG1))
+    r *= z
+    del z
+    t = _horner(w, (_LG6, _LG4, _LG2))
+    t *= w
+    del w
+    r += t
+    del t
+    hfsq = 0.5 * f
+    hfsq *= f
+    lo = dk * _LN2_LO
+    # hfsq - (s (hfsq + r) + lo) where big, else s (f - r) - lo
+    inner = f - r
+    np.add(hfsq, r, out=inner, where=big)
+    del r
+    inner *= s
+    del s
+    np.add(inner, lo, out=inner, where=big)
+    np.subtract(inner, lo, out=inner, where=~big)
+    np.subtract(hfsq, inner, out=inner, where=big)
     if tiny.size:
         ft = f[tiny]
         inner[tiny] = ft * ft * (0.5 - 0.33333333333333333 * ft) - lo[tiny]
@@ -128,9 +166,13 @@ def _ndtri(y: np.ndarray) -> np.ndarray:
     yt, upper = y.take(tail), upper.take(tail)
     np.subtract(1.0, yt, out=yt, where=upper)
     y -= 0.5  # Q0 keeps clear of 0 for |y| <= 1/2: the tail words stay finite
-    y += y * _rational(y * y, _P0, _Q0)
+    central = _rational(y * y, _P0, _Q0)
+    central *= y
+    y += central
+    del central  # three arrays of y's size at most are alive at a time
     y *= _S2PI
     x = _log(yt)
+    del yt
     x *= -2.0
     np.sqrt(x, out=x)
     z = 1.0 / x
@@ -141,14 +183,20 @@ def _ndtri(y: np.ndarray) -> np.ndarray:
         x1[~far] = _rational(z[~far], _P1, _Q1)
     else:
         x1 = _rational(z, _P1, _Q1)
-    x -= _log(x) / x
+    del z
+    lx = _log(x)
+    lx /= x
+    x -= lx
+    del lx
     x -= x1
-    y.put(tail, np.where(upper, x, -x))
+    np.negative(x, out=x, where=~upper)
+    y.put(tail, x)
     return y
 
 
 def _word_normals(words: np.ndarray) -> np.ndarray:
-    """One standard normal per uint64 word, by inverse CDF (_ndtri).
+    """One standard normal per uint64 word, by inverse CDF (_ndtri), written
+    over the words: the result is a float64 view of the uint64 array.
 
     The uniform ((w >> 12) + 0.5) 2**-52 is exact in float64: w >> 12 as
     the mantissa of 1.0 gives 1 + (w >> 12) 2**-52, and less 1 - 2**-53 that
@@ -160,7 +208,9 @@ def _word_normals(words: np.ndarray) -> np.ndarray:
     top word, giving inf.)  Only integer and IEEE operations touch the words
     and floats, so the normals are the same on every numpy dispatch tier.
     """
-    u = (words >> _S12 | _ONE_BITS).view(np.float64)
+    words >>= _S12
+    words |= _ONE_BITS
+    u = words.view(np.float64)
     u -= 1.0 - 2.0**-53
     return _ndtri(u)
 
@@ -187,28 +237,36 @@ class RngSpec:
         return np.random.Philox(key=key, counter=c << 128)
 
 
-def _chunk_normals(rng: RngSpec, c: int, lo: int, hi: int, ndraw: int, steps: int):
-    """Yield, for steps 0 to steps - 1 in turn, the (hi - lo, ndraw) normals
-    of the samples in columns [lo, hi) of chunk c.
+def _group_normals(rng: RngSpec, start: int, m: int, ndraw: int, steps: int):
+    """Yield, for steps 0 to steps - 1 in turn, the (m, ndraw) normals of the
+    samples with absolute indices start to start + m - 1.
 
-    Coordinate k of step n spans words (n * ndraw + k) * 4096 + [lo, hi).
-    Only the 4-word Philox blocks that cover them are generated; the blocks
-    of the other columns are skipped with Philox.advance.  The words of as
-    many whole steps as fit in _BLOCK_WORDS are mapped in one call.
+    Each chunk the samples meet keeps its own stream.  Coordinate k of step n
+    of columns [lo, hi) of a chunk spans its words (n * ndraw + k) * 4096 +
+    [lo, hi); only the 4-word Philox blocks that cover them are generated,
+    and the blocks of the other columns are skipped with Philox.advance.  The
+    words of all chunks of a step are copied side by side into one buffer,
+    allocated once, and mapped there in one call: each yielded array is a
+    view of that buffer, overwritten by the next step.
     """
-    first, stop = lo // 4, -(-hi // 4)
-    width = 4 * (stop - first)  # words read per coordinate
-    skip = _CHUNK // 4 - (stop - first)  # blocks up to the next coordinate's
-    cols = slice(lo - 4 * first, hi - 4 * first)
-    per_block = max(1, _BLOCK_WORDS // (ndraw * width))
-    bitgen = rng.chunk(c)
-    bitgen.advance(first)
-    for start in range(0, steps, per_block):
-        words = np.empty((min(per_block, steps - start), ndraw, width), dtype=np.uint64)
-        for row in words.reshape(-1, width):
-            row[:] = bitgen.random_raw(width)
-            bitgen.advance(skip)
-        yield from _word_normals(words[:, :, cols]).transpose(0, 2, 1)
+    parts = []  # (stream, words read per coordinate, blocks skipped, columns kept, rows filled)
+    row = 0
+    while row < m:
+        c, lo = divmod(start + row, _CHUNK)
+        hi = min(_CHUNK, lo + m - row)
+        first, stop = lo // 4, -(-hi // 4)
+        bitgen = rng.chunk(c)
+        bitgen.advance(first)
+        parts.append((bitgen, 4 * (stop - first), _CHUNK // 4 - (stop - first),
+                      slice(lo - 4 * first, hi - 4 * first), slice(row, row + hi - lo)))
+        row += hi - lo
+    words = np.empty((ndraw, m), dtype=np.uint64)
+    for _ in range(steps):
+        for bitgen, width, skip, cols, rows in parts:
+            for coord in words[:, rows]:
+                coord[:] = bitgen.random_raw(width)[cols]
+                bitgen.advance(skip)
+        yield _word_normals(words).T
 
 
 def scheme_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.ndarray:
@@ -230,13 +288,31 @@ def scheme_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.ndar
     b = np.asarray(model.drift(t, x), dtype=float)
     sig = np.asarray(model.sigma(t, x), dtype=float)
     rt = math.sqrt(delta)
-    out = v + b * delta + rt * np.einsum("...ij,...j->...i", sig, g1)
+    # sums in place, in the order of v + b delta + rt E: IEEE + and * commute
+    res = np.empty(x.shape)
+    out = res[..., :dp]
+    np.multiply(b, delta, out=out)
+    out += v
+    noise = np.einsum("...ij,...j->...i", sig, g1)
+    noise *= rt
+    out += noise
     if model.case is not Case.KINETIC:
-        return out
-    mix = 0.5 * g1 + g[..., dp:] / (2.0 * math.sqrt(3.0))
-    noise_z = delta * rt * np.einsum("...ij,...j->...i", sig, mix)
-    z = x[..., dp:] + v * delta + 0.5 * b * (delta * delta) + noise_z
-    return np.concatenate([out, z], axis=-1)
+        return res
+    del noise
+    mix = 0.5 * g1
+    mix += g[..., dp:] / (2.0 * math.sqrt(3.0))
+    noise = np.einsum("...ij,...j->...i", sig, mix)
+    del mix
+    noise *= delta * rt
+    # z + v delta + b delta^2 / 2 + noise, as above
+    z = res[..., dp:]
+    np.multiply(v, delta, out=z)
+    z += x[..., dp:]
+    b = 0.5 * b
+    b *= delta * delta
+    z += b
+    z += noise
+    return res
 
 
 def draw_dim(model: SdeModel) -> int:
@@ -256,9 +332,10 @@ def simulate_terminal(
     """The (M, d) terminal points of M independent runs, N steps each.
 
     Sample i draws the normals of absolute index sample_offset + i, so
-    results do not depend on the thread count or on execution order.  A
-    chunk draws at most _BLOCK_WORDS words at a time, so memory does not
-    grow with N.  Each step's batch is checked for finiteness: NumericError
+    results do not depend on the thread count, on execution order or on how
+    chunks are grouped.  Runs of up to _GROUP_CHUNKS consecutive chunks are
+    stepped together, one step's normals at a time, so memory does not grow
+    with N or M.  Each step's batch is checked for finiteness: NumericError
     names the step and the first sample of the first chunk that fails.
     """
     if M < 1:
@@ -275,29 +352,39 @@ def simulate_terminal(
     ndraw = draw_dim(model)
     out = np.empty((M, model.d))
 
-    def run_chunk(lo: int, hi: int) -> None:
-        m = hi - lo
-        c, col = divmod(sample_offset + lo, _CHUNK)
-        x = np.broadcast_to(x0, (m, model.d)).copy()
-        steps = enumerate(_chunk_normals(rng, c, col, col + m, ndraw, grid.N))
+    per_group = max(1, min(_GROUP_CHUNKS, _BLOCK_WORDS // (ndraw * _CHUNK)))
+
+    def run(lo: int, hi: int) -> None:
+        x = out[lo:hi]  # the state lives in its rows of the output
+        x[:] = x0
+        steps = enumerate(_group_normals(rng, sample_offset + lo, hi - lo, ndraw, grid.N))
         # a state that leaves the float range is refused below, without a warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for n, draws in steps:
-                x = scheme_step(model, grid.times[n], x, grid.delta, draws)
+                x[:] = scheme_step(model, grid.times[n], x, grid.delta, draws)
                 if not np.isfinite(x).all():
                     i = int(np.argmin(np.isfinite(x).all(axis=1)))
                     raise NumericError(
                         f"non-finite state at step {n} in sample {sample_offset + lo + i}"
                     )
-        out[lo:hi] = x
 
-    # ranges never cross a multiple of _CHUNK in the absolute index
+    def run_group(bounds: list[int]) -> None:
+        try:
+            run(bounds[0], bounds[-1])
+        except NumericError:
+            # a later chunk may fail at an earlier step: replay the chunks in
+            # turn, so that the error names the first failing chunk's failure
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                run(lo, hi)
+            raise
+
+    # chunk edges never depend on the thread count, nor do the groups
     edges = [0, *range(_CHUNK - sample_offset % _CHUNK, M, _CHUNK), M]
-    ranges = list(zip(edges[:-1], edges[1:]))
-    if threads > 1 and len(ranges) > 1:
+    groups = [edges[k : k + per_group + 1] for k in range(0, len(edges) - 1, per_group)]
+    if threads > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda r: run_chunk(*r), ranges))
+            list(pool.map(run_group, groups))
     else:
-        for r in ranges:
-            run_chunk(*r)
+        for bounds in groups:
+            run_group(bounds)
     return out

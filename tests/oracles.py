@@ -27,7 +27,7 @@ from scipy.special import erfc
 
 from eulermc.control import ControlProblem
 from eulermc.errors import ArgumentError, NumericError
-from eulermc.gaussianref import KernelSpec, _transport, kernel_density, kernel_normalizer
+from eulermc.gaussianref import KernelSpec, _block, _transport, kernel_density, kernel_normalizer
 from eulermc.model import Case
 from eulermc.simulate import _P0, _P1, _P2, _Q0, _Q1, _Q2
 
@@ -135,6 +135,15 @@ def _precision_to(case: Case, c: float, t: float, d: int) -> np.ndarray:
         h = h.copy()
         h[:dp, dp:] = h[dp:, :dp] = 3.0 * c / t**2 * np.eye(dp)
     return h
+
+
+def kernel_mean_cov(spec: KernelSpec):
+    """Mean and covariance of the p_c(t, x, .) distribution."""
+    mean = _transport(spec.case, spec.x, spec.t)
+    a, b, e = _block(spec)
+    if spec.case is Case.KINETIC:
+        return mean, np.kron([[a, b], [b, e]], np.eye(spec.d // 2))
+    return mean, a * np.eye(spec.d)
 
 
 def _back_transport(case: Case, xp: np.ndarray, t: float) -> np.ndarray:

@@ -22,14 +22,13 @@ from eulermc.gaussianref import (
     KernelSpec,
     hessian_spectral_bounds,
     kernel_density,
-    kernel_mean_cov,
     kinetic_metric,
 )
 from eulermc.harness import ExperimentConfig, run_concentration_experiment, run_density_check
 from eulermc.model import Case, GrowthSpec, SchemeGrid, model_preset
 from eulermc.parametrix import chapman_kolmogorov_density, default_grid, parametrix_series
 from eulermc.simulate import scheme_step
-from oracles import radial_tail, semigroup_residual, tensor_quad_2d
+from oracles import kernel_mean_cov, radial_tail, semigroup_residual, tensor_quad_2d
 
 
 REPORT_LINES: list[str] = []

@@ -565,6 +565,20 @@ def test_grid_too_large_is_refused_before_allocating(tmp_path, capsys):
     assert "cap of 128 MiB" in err
 
 
+def test_bounds_at_high_dimension_holds_no_noise_matrix(tmp_path):
+    # the const preset builds sigma0 I when sigma is called: bounds calls it
+    # never, so d = 4096 does not hold the 128 MiB matrix
+    argv = ["bounds", "--set", "d=4096", "--set", 'functional="abs"']
+    tracemalloc.start()
+    try:
+        rc = main([*argv, "--set", "rho0=1", "--set", "beta=1", "--out-dir", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 32 * 2**20
+
+
 def test_sample_array_too_large_is_refused_before_allocating(tmp_path, capsys):
     tracemalloc.start()
     try:

@@ -12,7 +12,6 @@ from eulermc.gaussianref import (
     hessian_spectral_bounds,
     kernel_density,
     kernel_exponent,
-    kernel_mean_cov,
     kernel_norm_mean,
     kernel_normalizer,
     kinetic_metric,
@@ -20,8 +19,8 @@ from eulermc.gaussianref import (
 from eulermc.model import Case, model_preset
 from eulermc.simulate import scheme_step
 from oracles import (
-    cone_constant, folded_normal_mean, kinetic_lambda_min, radial_tail, semigroup_residual,
-    tensor_quad_2d,
+    cone_constant, folded_normal_mean, kernel_mean_cov, kinetic_lambda_min, radial_tail,
+    semigroup_residual, tensor_quad_2d,
 )
 
 

@@ -203,6 +203,21 @@ def test_analytic_references():
     assert _sine_drift_model().law is None and _sine_drift_model().twin is None
 
 
+def test_linear_reference_reads_only_the_kernel_mean():
+    import tracemalloc
+
+    # the d x d covariance at d = 4096 would take 128 MiB
+    law = KernelSpec(Case.NONDEGENERATE, 1.0, 2.0, np.full(4096, 0.25))
+    tracemalloc.start()
+    try:
+        ref = analytic_reference("sum", lambda x: x.sum(axis=-1), law)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ref == 1024.0
+    assert peak < 2**20
+
+
 def test_const_abs_references_are_noncentral_chi_means():
     from scipy.stats import rice
 

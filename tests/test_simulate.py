@@ -17,6 +17,7 @@ from eulermc.simulate import (
     RngSpec,
     _log,
     _word_normals,
+    draw_dim,
     scheme_step,
     simulate_terminal,
 )
@@ -52,7 +53,7 @@ def test_normals_map_words_by_inverse_cdf():
 
 def test_extreme_words_give_finite_symmetric_normals():
     words = np.array([0, 2**64 - 1, 2**63 - 1, 2**63, 12345], dtype=np.uint64)
-    z = _word_normals(words)
+    z = _word_normals(words.copy())  # the map writes over its words
     assert np.all(np.isfinite(z))
     assert z[1] == -z[0] == pytest.approx(8.2095, abs=1e-4)
     assert np.array_equal(_word_normals(~words), -z)
@@ -81,16 +82,17 @@ _EDGE_WORDS = np.concatenate(
 @pytest.mark.parametrize("lo, hi", [(0, 905), (3, 4093)])
 def test_normal_map_of_a_strided_partial_chunk_matches_oracle(lo, hi):
     # the (steps, ndraw, width) words of columns [lo, hi) of a chunk, viewed
-    # as _chunk_normals passes them: the columns end inside a 4-word block
+    # as a strided view: the columns end inside a 4-word block
     first, stop = lo // 4, -(-hi // 4)
     words = RngSpec(23, 4).chunk(1).random_raw(3 * 2 * 4 * (stop - first))
     view = words.reshape(3, 2, -1)[:, :, lo - 4 * first : hi - 4 * first]
     view[0, 0, : _EDGE_WORDS.size] = _EDGE_WORDS
     view[-1, 1, -_EDGE_WORDS.size :] = ~_EDGE_WORDS
     assert not view.flags.c_contiguous
+    want = word_normals(view)
     z = _word_normals(view)
-    assert z.shape == view.shape
-    assert np.array_equal(z.ravel(), word_normals(view))
+    assert z.shape == view.shape and np.shares_memory(z, words)
+    assert np.array_equal(z.ravel(), want)
 
 
 def test_normal_map_is_within_8_ulp_of_scipy_ndtri():
@@ -99,7 +101,7 @@ def test_normal_map_is_within_8_ulp_of_scipy_ndtri():
 
     words = np.concatenate([RngSpec(21, 5).chunk(7).random_raw(2**20), _EDGE_WORDS])
     u = ((words >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
-    z, want = _word_normals(words), ndtri(u)
+    z, want = _word_normals(words.copy()), ndtri(u)
     assert np.all(np.abs(z - want) <= 8 * np.spacing(np.abs(want)))
     assert np.max(np.abs(z)) <= 8.21
     # Cephes takes its tail branch at y = e^-2 but its central one at
@@ -150,7 +152,7 @@ from eulermc.cli import main
 from eulermc.harness import _CSV_BLOCK, write_csv
 from eulermc.simulate import RngSpec, _word_normals
 words = np.concatenate([RngSpec(5, 1).chunk(2).random_raw(2**16), ~np.arange(64, dtype=np.uint64)])
-normals = _word_normals(words)
+normals = _word_normals(words.copy())
 print(hashlib.sha256(normals.tobytes()).hexdigest())
 assert main(["simulate", "--set", "M=5000", "--set", "N=4", "--out-dir", sys.argv[1]]) == 0
 print(hashlib.sha256(Path(sys.argv[1], "samples.csv").read_bytes()).hexdigest())
@@ -447,47 +449,151 @@ def test_mc_deviation_against_control_run():
     assert abs(dev) < 5 * sd / math.sqrt(2000)
 
 
-def _first_failure(model, grid, rng, M, sample_offset):
-    """(step, sample) that simulate_terminal names for a scalar run from 0.
-
-    Each sample is replayed alone on its own normals (ndraw = 1: word
-    n 4096 + (i mod 4096) of its chunk drives step n) up to its first
-    non-finite state.  The first chunk with a failing sample gives its
+def _failures(model, grid, rng, M, sample_offset):
+    """{chunk: (step, sample)} of a scalar run from 0: each failing chunk's
     earliest failing step and, at that step, its first failing sample.
+
+    Each sample is replayed on its own normals (ndraw = 1: word
+    n 4096 + (i mod 4096) of its chunk drives step n) up to its first
+    non-finite state; a chunk's samples are replayed side by side.
     """
-    normals, failures = {}, {}
-    for i in range(sample_offset, sample_offset + M):
-        c, col = divmod(i, _CHUNK)
-        if c not in normals:
-            words = rng.chunk(c).random_raw(grid.N * _CHUNK)
-            normals[c] = _word_normals(words).reshape(grid.N, _CHUNK)
-        x = np.zeros(1)
+    failures = {}
+    first, last = divmod(sample_offset, _CHUNK)[0], (sample_offset + M - 1) // _CHUNK
+    for c in range(first, last + 1):
+        lo = max(sample_offset, c * _CHUNK)
+        hi = min(sample_offset + M, (c + 1) * _CHUNK)
+        words = rng.chunk(c).random_raw(grid.N * _CHUNK)
+        normals = _word_normals(words).reshape(grid.N, _CHUNK)[:, lo - c * _CHUNK : hi - c * _CHUNK]
+        x = np.zeros((hi - lo, 1))
         for n in range(grid.N):
-            x = scheme_step(model, grid.times[n], x, grid.delta, normals[c][n, col : col + 1])
-            if not np.isfinite(x).all():
-                failures.setdefault(c, []).append((n, i))
+            x = scheme_step(model, grid.times[n], x, grid.delta, normals[n][:, None])
+            bad = np.flatnonzero(~np.isfinite(x[:, 0]))
+            if bad.size:
+                failures[c] = (n, lo + int(bad[0]))
                 break
-    return min(failures[min(failures)])
+    return failures
 
 
-def test_step_error_carries_sample_index():
-    from eulermc.errors import NumericError
+def _first_failure(model, grid, rng, M, sample_offset):
+    """(step, sample) that simulate_terminal names for a scalar run from 0:
+    those of the first chunk with a failing sample."""
+    failures = _failures(model, grid, rng, M, sample_offset)
+    return failures[min(failures)]
 
-    # drift blows up once the state passes a threshold
+
+def _blowup_model(threshold):
+    """A scalar model whose drift is infinite once |x| passes threshold."""
+
     def drift(t, x):
         x = np.asarray(x, dtype=float)
-        return np.where(np.abs(x) > 1.5, np.inf, 0.0)
+        return np.where(np.abs(x) > threshold, np.inf, 0.0)
 
     def sigma(t, x):
         x = np.asarray(x, dtype=float)
         return np.ones(x.shape[:-1] + (1, 1))
 
-    m = SdeModel(Case.NONDEGENERATE, 1, drift, sigma, 1.0, 1.0)
+    return SdeModel(Case.NONDEGENERATE, 1, drift, sigma, 1.0, 1.0)
+
+
+def test_step_error_carries_sample_index():
+    from eulermc.errors import NumericError
+
+    m = _blowup_model(1.5)
     grid, rng = SchemeGrid(T=4.0, N=8), RngSpec(1)
-    # samples 3000 to 7999 span chunks 0 and 1, so two threads run the pool
+    # samples 3000 to 7999 span chunks 0 and 1, which are stepped as one group
     step, sample = _first_failure(m, grid, rng, 5000, 3000)
     want = f"non-finite state at step {step} in sample {sample}"
     for threads in (1, 2):
         with pytest.raises(NumericError) as exc:
             simulate_terminal(m, grid, [0.0], rng, 5000, threads=threads, sample_offset=3000)
         assert str(exc.value) == want
+
+
+def test_error_names_the_first_chunk_when_a_later_chunk_of_its_group_fails_earlier():
+    from eulermc.errors import NumericError
+
+    # samples 3000 to 39863 span chunks 0 to 9: groups of chunks 0-7 and 8-9
+    m, grid, rng = _blowup_model(3.0), SchemeGrid(T=1.0, N=8), RngSpec(1)
+    M, offset = 9 * _CHUNK, 3000
+    failures = _failures(m, grid, rng, M, offset)
+    first = min(failures)
+    step = failures[first][0]
+    assert any(c // 8 == first // 8 and n < step for c, (n, _) in failures.items() if c > first)
+    assert len({c // 8 for c in failures}) == 2  # both groups fail
+    want = "non-finite state at step {} in sample {}".format(*_first_failure(m, grid, rng, M, offset))
+    for threads in (1, 2):
+        with pytest.raises(NumericError) as exc:
+            simulate_terminal(m, grid, [0.0], rng, M, threads=threads, sample_offset=offset)
+        assert str(exc.value) == want
+
+
+def _oracle_run(model, grid, x0, seed, stream, M, offset):
+    """The terminal points of samples offset to offset + M - 1, stepped on
+    normals read word by word: step n, coordinate k of sample i is word
+    (n ndraw + k) 4096 + (i mod 4096) of chunk i // 4096, mapped by the
+    scalar oracle."""
+    ndraw = draw_dim(model)
+    idx = np.arange(offset, offset + M, dtype=np.uint64)
+    chunks, cols = idx // np.uint64(_CHUNK), idx % np.uint64(_CHUNK)
+    normals = np.empty((grid.N, M, ndraw))
+    for c in np.unique(chunks).tolist():
+        rows = np.flatnonzero(chunks == c)
+        w = (np.arange(grid.N * ndraw, dtype=np.uint64)[:, None] * np.uint64(_CHUNK) + cols[rows])
+        z = word_normals(chunk_words(seed, stream, c, w)).reshape(grid.N, ndraw, rows.size)
+        normals[:, rows] = z.transpose(0, 2, 1)
+    x = np.broadcast_to(np.asarray(x0, dtype=float), (M, model.d))
+    for n in range(grid.N):
+        x = scheme_step(model, grid.times[n], x, grid.delta, normals[n])
+    return x
+
+
+@pytest.mark.parametrize(
+    "preset, params, x0",
+    [
+        ("const", dict(d=1, b0=0.3), [0.5]),
+        ("kinetic", dict(dp=1, damp=0.5), [0.4, -0.2]),
+        ("const", dict(d=16), [0.0] * 16),
+    ],
+    ids=["const-d1", "kinetic-dp1", "const-d16"],
+)
+@pytest.mark.parametrize(
+    "offset, M",
+    [
+        (7, 90),  # inside one chunk
+        (4000, 150),  # fewer samples than a chunk, across a chunk edge
+        (2 * _CHUNK + 1000, 8 * _CHUNK + 50),  # partial first and last chunks
+        (_CHUNK - 6, 16 * _CHUNK + 13),  # 18 chunks: three groups of up to 8
+    ],
+    ids=["in-chunk", "across-edge", "partial-ends", "three-groups"],
+)
+def test_groups_read_each_samples_own_words(preset, params, x0, offset, M):
+    m = model_preset(preset, **params)
+    if m.d == 16 and M > 4 * _CHUNK:
+        M = _CHUNK + 13  # a group is one chunk at d = 16: three chunks make three groups
+    grid = SchemeGrid(T=1.0, N=2)
+    want = _oracle_run(m, grid, x0, 12, 3, M, offset)
+    for threads in (1, 2):
+        got = simulate_terminal(m, grid, x0, RngSpec(12, 3), M, threads, offset)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "preset, params, x0, cap_mib",
+    [("const", dict(d=1), [0.0], 1.60), ("kinetic", dict(dp=1), [0.0, 0.0], 3.19)],
+    ids=["const-d1", "kinetic-dp1"],
+)
+def test_simulate_peak_memory_does_not_grow_with_samples(preset, params, x0, cap_mib):
+    # a group holds at most 8 chunks' state and one step's normals, so the
+    # traced peak above the output array does not grow with M
+    m, grid = model_preset(preset, **params), SchemeGrid(T=1.0, N=8)
+    simulate_terminal(m, grid, x0, RngSpec(4), 2**16)  # first-call allocations
+    above = {}
+    for M in (2**16, 250_000, 2**18):
+        tracemalloc.start()
+        try:
+            simulate_terminal(m, grid, x0, RngSpec(4), M)
+            above[M] = tracemalloc.get_traced_memory()[1] - 8 * M * m.d
+        finally:
+            tracemalloc.stop()
+    assert above[250_000] <= cap_mib * 2**20, above
+    assert above[2**18] <= 1.05 * above[2**16], above
