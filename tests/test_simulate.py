@@ -568,8 +568,8 @@ def _oracle_run(model, grid, x0, seed, stream, M, offset):
 )
 def test_groups_read_each_samples_own_words(preset, params, x0, offset, M):
     m = model_preset(preset, **params)
-    if m.d == 16 and M > 4 * _CHUNK:
-        M = _CHUNK + 13  # a group is one chunk at d = 16: three chunks make three groups
+    if m.d == 16:  # a group is one chunk: 4109 samples from offset 4090 make three groups
+        M = min(M, _CHUNK + 13)
     grid = SchemeGrid(T=1.0, N=2)
     want = _oracle_run(m, grid, x0, 12, 3, M, offset)
     for threads in (1, 2):
