@@ -63,6 +63,11 @@ COMMANDS = {
     "simulate-d3": ["simulate", "--set", "d=3", "--set", "M=5001"],
     # two draws per step, the same partial last chunk
     "simulate-kinetic": ["simulate", *_KINETIC, "--set", "M=5001"],
+    # noise scales other than 1, in more than one coordinate
+    "simulate-d16-sigma": ["simulate", "--set", "d=16", "--set", "sigma0=0.7", "--set", "M=5001"],
+    "simulate-kinetic-sigma": [
+        "simulate", *_KINETIC[:2], "--set", "dp=4", "--set", "sigma0=1.3", "--set", "M=5001",
+    ],
     # control runs: no closed-form mean for trig or damped kinetic
     "control-trig": ["concentration", "--set", 'preset="trig"', *_CONTROL],
     "control-kinetic": ["concentration", *_KINETIC, "--set", "damp=0.5", *_CONTROL],
