@@ -16,7 +16,8 @@ class ConfigError(EulermcError):
 
 
 class InvalidModelError(ConfigError):
-    """Model coefficients are unusable (non-finite sigma, wrong shapes)."""
+    """Model coefficients are unusable: a noise scale sigma0 that is zero or
+    not finite."""
 
 
 class ArgumentError(ConfigError, ValueError):

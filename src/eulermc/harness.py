@@ -45,8 +45,10 @@ _WILSON_Z99 = 2.3263478740408408
 
 # largest n x n float64 matrix a CK or parametrix grid may need (n <= 4095)
 _MATRIX_CAP_BYTES = 2**27
-# largest d and dp: the model's d x d float64 noise matrix stays within the cap
-_MAX_DIM = math.isqrt(_MATRIX_CAP_BYTES // 8)
+# largest d and dp: a fixed range, not the size of any array.  Up to it,
+# bounds, simulate and concentration at their default sizes run under a 1.5 GB
+# address-space limit, or meet the cap on the sample array
+_MAX_DIM = 4096
 # most pool threads and default radii a run may ask for: fixed numbers, so
 # that a config loads alike on every host
 _MAX_THREADS = 256

@@ -32,9 +32,11 @@ class SdeModel:
     """Diffusion model together with its ellipticity/boundedness metadata.
 
     drift maps (t, x) with x of shape (..., d) to shape (..., d_prime); for
-    kinetic models this is the velocity-block drift only.  sigma maps (t, x)
-    to (..., d_prime, d_prime).  Both callables must be vectorized over the
-    leading axes of x.
+    kinetic models this is the velocity-block drift only.  noise maps
+    (t, x, g) with g of shape (..., d_prime) to sigma(t, x) g, of shape
+    (..., d_prime): it is linear in g and never writes into g, and it may
+    return g itself.  Both callables must be vectorized over the leading
+    axes of x and g.
 
     lambda0 bounds the ellipticity ratio of a = sigma sigma^T into
     [1/lambda0, lambda0], L0 bounds sup|drift| plus the Holder quotient of a
@@ -49,7 +51,7 @@ class SdeModel:
     case: Case
     d: int
     drift: Callable[[float, np.ndarray], np.ndarray]
-    sigma: Callable[[float, np.ndarray], np.ndarray]
+    noise: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     lambda0: float
     L0: float
     law: tuple[float, np.ndarray | None] | None = None
@@ -68,11 +70,6 @@ class SdeModel:
     @property
     def d_prime(self) -> int:
         return self.d // 2 if self.case is Case.KINETIC else self.d
-
-    def diffusion(self, t: float, x: np.ndarray) -> np.ndarray:
-        """a(t, x) = sigma sigma^T, shape (..., d', d')."""
-        sig = np.asarray(self.sigma(t, x), dtype=float)
-        return sig @ sig.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -169,15 +166,13 @@ def _const_model(d=1, b0=0.0, sigma0=1.0):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(b, x.shape[:-1] + (d,))
 
-    def sigma(t, x):
-        # built per call: a command that simulates nothing holds no d x d matrix
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(s0 * np.eye(d), x.shape[:-1] + (d, d))
+    def noise(t, x, g):
+        return s0 * g
 
     # hypot, unlike np.linalg.norm, does not overflow for |b| above 1e154
     L0 = max(1.0, math.hypot(*b))
     lambda0 = _scalar_noise_lambda0(s0)  # first: it refuses a sigma0 whose square underflows
-    return SdeModel(Case.NONDEGENERATE, d, drift, sigma, lambda0, L0, law=(1.0 / s0**2, b))
+    return SdeModel(Case.NONDEGENERATE, d, drift, noise, lambda0, L0, law=(1.0 / s0**2, b))
 
 
 def _trig_model(b_amp=0.0, a_amp=0.1):
@@ -191,14 +186,14 @@ def _trig_model(b_amp=0.0, a_amp=0.1):
         x = np.asarray(x, dtype=float)
         return b_amp * np.sin(x)
 
-    def sigma(t, x):
+    def noise(t, x, g):
         x = np.asarray(x, dtype=float)
-        return np.sqrt(1.0 + a_amp * np.sin(x))[..., None]
+        return np.sqrt(1.0 + a_amp * np.sin(x)) * g
 
     lambda0 = 1.0 / (1.0 - a_amp) if a_amp > 0 else 1.0
     L0 = max(1.0, abs(b_amp) + a_amp)
     # the twin keeps the unit noise and drops both sines
-    return SdeModel(Case.NONDEGENERATE, 1, drift, sigma, lambda0, L0, twin=_const_model())
+    return SdeModel(Case.NONDEGENERATE, 1, drift, noise, lambda0, L0, twin=_const_model())
 
 
 def _kinetic_model(dp=1, damp=0.0, sigma0=1.0):
@@ -211,16 +206,15 @@ def _kinetic_model(dp=1, damp=0.0, sigma0=1.0):
         x = np.asarray(x, dtype=float)
         return -damp * np.tanh(x[..., :dp])
 
-    def sigma(t, x):
-        x = np.asarray(x, dtype=float)  # built per call, as in _const_model
-        return np.broadcast_to(s0 * np.eye(dp), x.shape[:-1] + (dp, dp))
+    def noise(t, x, g):
+        return s0 * g
 
     L0 = max(1.0, abs(damp) * math.sqrt(dp))
     lambda0 = _scalar_noise_lambda0(s0)  # first: it refuses a sigma0 whose square underflows
     # undamped, X_T follows p_c(T, x0, .); damped, the twin drops the damping
     law = (2.0 / s0**2, None) if damp == 0.0 else None
     twin = None if law else _kinetic_model(dp, 0.0, s0)
-    return SdeModel(Case.KINETIC, 2 * dp, drift, sigma, lambda0, L0, law, twin)
+    return SdeModel(Case.KINETIC, 2 * dp, drift, noise, lambda0, L0, law, twin)
 
 
 MODEL_PRESETS = {

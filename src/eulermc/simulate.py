@@ -274,36 +274,33 @@ def scheme_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.ndar
 
     The velocity block v (all of x when non-degenerate) moves to
     v + b(t, x) delta + sigma(t, x) sqrt(delta) g1, where g1 is the first d'
-    normals; its one-step law is Gaussian with mean v + b delta and
-    covariance a delta.  A kinetic model draws d' more normals g2 to complete
-    the integrated-position block z + v delta + b delta^2/2 + noise, so the
-    joint law has covariance blocks (a d, a d^2/2; a d^2/2, a d^3/3).  The
-    result is not checked for finiteness; simulate_terminal checks each
-    step's batch.
+    normals and model.noise applies sigma(t, x); its one-step law is Gaussian
+    with mean v + b delta and covariance a delta.  A kinetic model draws d'
+    more normals g2 to complete the integrated-position block
+    z + v delta + b delta^2/2 + noise, so the joint law has covariance blocks
+    (a d, a d^2/2; a d^2/2, a d^3/3).  What noise returns is never written
+    into, as it may be g1 itself.  The result is not checked for finiteness;
+    simulate_terminal checks each step's batch.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(gaussian, dtype=float)
     dp = model.d_prime
     v, g1 = x[..., :dp], g[..., :dp]
     b = np.asarray(model.drift(t, x), dtype=float)
-    sig = np.asarray(model.sigma(t, x), dtype=float)
     rt = math.sqrt(delta)
     # sums in place, in the order of v + b delta + rt E: IEEE + and * commute
     res = np.empty(x.shape)
     out = res[..., :dp]
     np.multiply(b, delta, out=out)
     out += v
-    noise = np.einsum("...ij,...j->...i", sig, g1)
-    noise *= rt
-    out += noise
+    # *, not *=: numpy reuses the buffer of a temporary that nothing else holds
+    out += model.noise(t, x, g1) * rt
     if model.case is not Case.KINETIC:
         return res
-    del noise
     mix = 0.5 * g1
     mix += g[..., dp:] / (2.0 * math.sqrt(3.0))
-    noise = np.einsum("...ij,...j->...i", sig, mix)
+    noise = model.noise(t, x, mix) * (delta * rt)
     del mix
-    noise *= delta * rt
     # z + v delta + b delta^2 / 2 + noise, as above
     z = res[..., dp:]
     np.multiply(v, delta, out=z)

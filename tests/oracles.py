@@ -8,10 +8,13 @@ criterion 02), the radial tail closed forms are compared with quadrature
 (criterion 04), the closed-form means of |Y| for Gaussian Y check
 gaussianref.kernel_norm_mean, the tail constant K(d, A) checks the cone
 penalty chi of concentration.lower_constants, the Gram-matrix form of the
-optimal control cross-checks control.optimal_control, and Philox4x64-10 in
+optimal control cross-checks control.optimal_control, Philox4x64-10 in
 numpy uint64 arithmetic checks the words that np.random.Philox gives
 eulermc.simulate, and a scalar port of its normal map (Cephes ndtri on
-fdlibm's log) checks the normals it makes of them.
+fdlibm's log) checks the normals it makes of them.  The matrix form of the
+scheme step, sigma as a (..., d', d') matrix applied by einsum, checks
+simulate.scheme_step, and sigma read off a model's noise on the unit
+vectors checks the presets' ellipticity.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from scipy.special import erfc
 from eulermc.control import ControlProblem
 from eulermc.errors import ArgumentError, NumericError
 from eulermc.gaussianref import KernelSpec, _block, _transport, kernel_density, kernel_normalizer
-from eulermc.model import Case
+from eulermc.model import Case, SdeModel
 from eulermc.simulate import _P0, _P1, _P2, _Q0, _Q1, _Q2
 
 
@@ -484,3 +487,51 @@ def kinetic_lambda_min(c: float, T: float) -> float:
         c, T = decimal.Decimal(c), decimal.Decimal(T)
         root = (1 + T * T / 3 + T**4 / 9).sqrt()
         return float(c / T + 3 * c / T**3 * (1 - root))
+
+
+def diffusion_matrix(model: SdeModel, t: float, x) -> np.ndarray:
+    """a(t, x) = sigma sigma^T, of shape x.shape[:-1] + (d', d'), with
+    column j of sigma(t, x) the model's noise applied to the unit vector e_j."""
+    x = np.asarray(x, dtype=float)
+    dp = model.d_prime
+    cols = np.broadcast_to(model.noise(t, x[..., None, :], np.eye(dp)), x.shape[:-1] + (dp, dp))
+    # row j of cols is column j of sigma, so sigma sigma^T = cols^T cols
+    return cols.swapaxes(-1, -2) @ cols
+
+
+def trig_sigma(a_amp: float, x) -> np.ndarray:
+    """The trig preset's sigma(x) = sqrt(1 + a_amp sin x) as a 1 x 1 matrix
+    per point, shape x.shape + (1,) for x of shape (..., 1)."""
+    return np.sqrt(1.0 + a_amp * np.sin(np.asarray(x, dtype=float)))[..., None]
+
+
+def matrix_step(model: SdeModel, sig, t: float, x, delta: float, g) -> np.ndarray:
+    """simulate.scheme_step with sigma given as the (..., d', d') matrix sig
+    and applied to the normals by einsum, in the step's order of IEEE
+    operations otherwise."""
+    x, g = np.asarray(x, dtype=float), np.asarray(g, dtype=float)
+    dp = model.d_prime
+    v, g1 = x[..., :dp], g[..., :dp]
+    b = np.asarray(model.drift(t, x), dtype=float)
+    rt = math.sqrt(delta)
+    res = np.empty(x.shape)
+    out = res[..., :dp]
+    np.multiply(b, delta, out=out)
+    out += v
+    noise = np.einsum("...ij,...j->...i", sig, g1)
+    noise *= rt
+    out += noise
+    if model.case is not Case.KINETIC:
+        return res
+    mix = 0.5 * g1
+    mix += g[..., dp:] / (2.0 * math.sqrt(3.0))
+    noise = np.einsum("...ij,...j->...i", sig, mix)
+    noise *= delta * rt
+    z = res[..., dp:]
+    np.multiply(v, delta, out=z)
+    z += x[..., dp:]
+    b = 0.5 * b
+    b *= delta * delta
+    z += b
+    z += noise
+    return res

@@ -566,8 +566,8 @@ def test_grid_too_large_is_refused_before_allocating(tmp_path, capsys):
 
 
 def test_bounds_at_high_dimension_holds_no_noise_matrix(tmp_path):
-    # the const preset builds sigma0 I when sigma is called: bounds calls it
-    # never, so d = 4096 does not hold the 128 MiB matrix
+    # the const preset applies sigma0 to the normals and builds no matrix,
+    # so d = 4096 does not hold a 128 MiB d x d array
     argv = ["bounds", "--set", "d=4096", "--set", 'functional="abs"']
     tracemalloc.start()
     try:

@@ -440,7 +440,7 @@ def _sine_drift_model():
     return SdeModel(
         Case.NONDEGENERATE, 1,
         lambda t, x: -0.5 * np.sin(np.asarray(x, dtype=float)),
-        lambda t, x: np.ones(np.shape(x) + (1,)),
+        lambda t, x, g: g,
         1.0, 1.0,
     )
 
@@ -472,7 +472,7 @@ def _unit_noise_model():
     return SdeModel(
         Case.NONDEGENERATE, 1,
         lambda t, x: np.zeros(np.shape(x)),
-        lambda t, x: np.ones(np.shape(x) + (1,)),
+        lambda t, x, g: g,
         1.0, 1.0, law=(1.0, None),
     )
 

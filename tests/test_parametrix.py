@@ -60,13 +60,10 @@ def test_frozen_density_constant_coefficients_is_scheme_density():
 
 def test_frozen_density_time_dependent_variance_sum():
     # a(t) = 1 + t/2 frozen anywhere: variance is sum (1 + t_i/2) delta
-    def sigma(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.full(x.shape[:-1] + (1, 1), math.sqrt(1.0 + t / 2.0))
+    def noise(t, x, g):
+        return math.sqrt(1.0 + t / 2.0) * np.asarray(g, dtype=float)
 
-    from eulermc.model import Case, SdeModel
-
-    m = SdeModel(Case.NONDEGENERATE, 1, lambda t, x: np.zeros_like(x), sigma, 2.0, 1.0)
+    m = SdeModel(Case.NONDEGENERATE, 1, lambda t, x: np.zeros_like(x), noise, 2.0, 1.0)
     tg = zero_start(1.0 / 8, 6)
     var = sum((1.0 + tg.times[i] / 2.0) * tg.delta for i in range(tg.N))
     got = frozen_density(m, tg, 0.0, np.array([0.9]))
@@ -265,7 +262,7 @@ def _time_dependent_trig():
     return SdeModel(
         Case.NONDEGENERATE, 1,
         lambda t, x: np.zeros_like(np.asarray(x, dtype=float)),
-        lambda t, x: np.sqrt(1.0 + 0.1 * np.sin(np.asarray(x, dtype=float) + t))[..., None],
+        lambda t, x, g: np.sqrt(1.0 + 0.1 * np.sin(np.asarray(x, dtype=float) + t)) * g,
         1.0 / 0.9, 1.0,
     )
 

@@ -21,7 +21,7 @@ from eulermc.simulate import (
     scheme_step,
     simulate_terminal,
 )
-from oracles import _philox4x64, chunk_words, fdlibm_log, word_normals
+from oracles import _philox4x64, chunk_words, fdlibm_log, matrix_step, trig_sigma, word_normals
 
 
 def test_reference_philox_known_answer():
@@ -238,7 +238,7 @@ def test_kinetic_factor_reproduces_block_covariance():
     delta = 0.37
     m = SdeModel(
         Case.KINETIC, 4, lambda t, x: np.zeros(np.shape(x)[:-1] + (2,)),
-        lambda t, x: np.broadcast_to(sig, np.shape(x)[:-1] + (2, 2)), 4.0, 1.0,
+        lambda t, x, g: np.einsum("ij,...j->...i", sig, g), 4.0, 1.0,
     )
     x = np.zeros((5, 4))
     draws = np.vstack([np.zeros(4), np.eye(4)])
@@ -285,6 +285,60 @@ def test_kinetic_step_scaled_sigma(numpy_normals):
         for j in range(2):
             se = math.sqrt((want[i, i] * want[j, j] + want[i, j] ** 2) / n)
             assert abs(cov[i, j] - want[i, j]) < 3 * se
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("sigma0", [0.37, 0.7, 1.3])
+@pytest.mark.parametrize(
+    "preset, params",
+    [
+        ("const", {"d": 1, "b0": 0.3}),
+        ("const", {"d": 3, "b0": [0.3, -1.1, 2.0]}),
+        ("const", {"d": 256, "b0": -0.4}),
+        ("kinetic", {"dp": 1}),
+        ("kinetic", {"dp": 32}),
+        ("kinetic", {"dp": 1, "damp": 0.5}),
+        ("kinetic", {"dp": 32, "damp": 0.5}),
+    ],
+)
+def test_step_matches_the_matrix_form_bit_for_bit(preset, params, sigma0, numpy_normals):
+    # sigma0 I applied by einsum adds only +-0 products to sigma0 g: the same bits
+    m = model_preset(preset, sigma0=sigma0, **params)
+    n, dp = 64, m.d_prime
+    x = 3.0 * numpy_normals(1, (n, m.d))
+    g = numpy_normals(2, (n, draw_dim(m)))
+    sig = np.broadcast_to(sigma0 * np.eye(dp), (n, dp, dp))
+    for t, delta in [(0.0, 0.125), (0.3, 0.37), (1.0, 2.0)]:
+        _assert_same_bits(scheme_step(m, t, x, delta, g), matrix_step(m, sig, t, x, delta, g))
+
+
+@pytest.mark.parametrize("a_amp, b_amp", [(0.1, 0.0), (0.5, 0.3), (0.9, -1.2)])
+def test_trig_step_matches_the_matrix_form_bit_for_bit(a_amp, b_amp, numpy_normals):
+    m = model_preset("trig", a_amp=a_amp, b_amp=b_amp)
+    x = 3.0 * numpy_normals(3, (256, 1))
+    g = numpy_normals(4, (256, 1))
+    for t, delta in [(0.0, 0.125), (0.3, 0.37)]:
+        want = matrix_step(m, trig_sigma(a_amp, x), t, x, delta, g)
+        _assert_same_bits(scheme_step(m, t, x, delta, g), want)
+
+
+def test_step_never_writes_into_what_noise_returns(numpy_normals):
+    # this noise returns the draws themselves: a step that scaled its result
+    # in place would change the draws, and the integrated block with them
+    dp = 3
+    m = SdeModel(
+        Case.KINETIC, 2 * dp, lambda t, x: -0.5 * np.tanh(x[..., :dp]), lambda t, x, g: g, 1.0, 1.0,
+    )
+    x = numpy_normals(5, (64, 2 * dp))
+    g = numpy_normals(6, (64, 2 * dp))
+    drawn = g.copy()
+    got = scheme_step(m, 0.1, x, 0.25, g)
+    assert np.array_equal(g, drawn)
+    _assert_same_bits(got, matrix_step(m, np.eye(dp), 0.1, x, 0.25, drawn))
 
 
 def test_single_step_grid_reduces_to_step():
@@ -488,11 +542,10 @@ def _blowup_model(threshold):
         x = np.asarray(x, dtype=float)
         return np.where(np.abs(x) > threshold, np.inf, 0.0)
 
-    def sigma(t, x):
-        x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1] + (1, 1))
+    def noise(t, x, g):
+        return g
 
-    return SdeModel(Case.NONDEGENERATE, 1, drift, sigma, 1.0, 1.0)
+    return SdeModel(Case.NONDEGENERATE, 1, drift, noise, 1.0, 1.0)
 
 
 def test_step_error_carries_sample_index():
