@@ -15,7 +15,6 @@ no scipy and do not depend on numpy's SIMD dispatch.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +62,7 @@ _Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.3770209948908133027
        2.89247864745380683936e-6, 6.79019408009981274425e-9)
 _S2PI = 2.50662827463100050242e0
 _EXPM2 = 0.13533528323661269189  # e^-2
+_UPPER_BITS = np.float64(1.0 - _EXPM2).view(np.int64)  # the bits of 1 - e^-2
 # fdlibm __ieee754_log: ln 2 split so that k ln2_hi is exact, and the
 # minimax coefficients of (log(1+f) - 2s)/s with s = f/(2+f)
 _LN2_HI = 6.93147180369123816490e-01
@@ -74,29 +74,42 @@ _LG1, _LG2, _LG3, _LG4, _LG5, _LG6, _LG7 = (
 )
 
 
-def _horner(x: np.ndarray, coef, monic: bool = False) -> np.ndarray:
-    """Cephes polevl, or p1evl when monic (a leading 1 before coef)."""
+def _horner(x: np.ndarray, coef, out: np.ndarray, monic: bool = False) -> np.ndarray:
+    """Cephes polevl, or p1evl when monic (a leading 1 before coef), into out."""
     if monic:
-        acc = x + coef[0]
+        np.add(x, coef[0], out=out)
     else:
-        acc = x * coef[0]
-        acc += coef[1]
+        np.multiply(x, coef[0], out=out)
+        out += coef[1]
     for c in coef[2 - monic :]:
-        acc *= x
-        acc += c
-    return acc
+        out *= x
+        out += c
+    return out
 
 
-def _rational(x: np.ndarray, p, q) -> np.ndarray:
-    """x p(x) / q(x), q monic, in Cephes' order of operations (x p before
-    the division; IEEE * commutes, so p(x) x is the same product)."""
-    num = _horner(x, p)
-    num *= x
-    num /= _horner(x, q, True)
-    return num
+def _rational(x: np.ndarray, p, q, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """x p(x) / q(x), q monic, into out, in Cephes' order of operations (x p
+    before the division; IEEE * commutes, so p(x) x is the same product);
+    work holds q(x)."""
+    _horner(x, p, out)
+    out *= x
+    out /= _horner(x, q, work, True)
+    return out
 
 
-def _log(x: np.ndarray) -> np.ndarray:
+def _select(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """b becomes a where the int64 mask is -1 and stays b where it is 0, as
+    b ^ ((a ^ b) & mask) on the bits: exact for every value.  a is
+    overwritten."""
+    a, b = a.view(np.int64), b.view(np.int64)
+    a ^= b
+    a &= mask
+    b ^= a
+
+
+def _log(
+    x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None
+) -> np.ndarray:
     """Natural log of positive normal float64 values: fdlibm's
     __ieee754_log, all three branches, in integer ops and IEEE + - * /
     only, so its bits do not depend on numpy's SIMD dispatch.
@@ -104,51 +117,60 @@ def _log(x: np.ndarray) -> np.ndarray:
     x = 2^k (1 + f), with 1 + f in about [sqrt(2)/2, sqrt(2)) as fdlibm
     splits on the high word.  log(1 + f) is f - R for |f| < 2^-20, else it
     comes from s = f/(2 + f) and a polynomial R in s^2, combined in one of
-    two ways by the size of f.
+    two ways by the size of f: both ways are computed and one is selected
+    on the bits.  The log goes to out, which may be x; work is six arrays of
+    x's shape.  Each is allocated when None.
     """
+    if out is None:
+        out = np.empty_like(x)
+    if work is None:
+        work = np.empty((6, *x.shape))
     bits = x.view(np.int64)
-    hx = bits >> 32
+    hx, k = work[0].view(np.int64), work[1].view(np.int64)
+    np.right_shift(bits, 32, out=hx)
     hx &= 0xFFFFF  # the high 20 bits of the mantissa
-    big = (hx >= 0x6147A) & (hx <= 0x6B851)
-    hx += 2
-    hx &= 0xFFFFF
-    tiny = np.flatnonzero(hx < 3)  # |f| < 2^-20
-    del hx
-    # each step below works in place where it can: fewer temporaries alive
-    # at once leave fewer pages to fault in per call
-    k = bits - 0x3FE6A09C00000000
+    np.add(hx, 2, out=k)
+    k &= 0xFFFFF
+    tiny = np.flatnonzero(k < 3) if k.min() < 3 else None  # |f| < 2^-20, rare
+    # -1 where 0x6147A <= hx <= 0x6B851: there hx - 0x6147A and
+    # hx - 0x6B852 differ in sign
+    np.subtract(hx, 0x6147A, out=k)
+    hx -= 0x6B852
+    hx ^= k
+    hx >>= 63
+    big = hx
+    np.subtract(bits, 0x3FE6A09C00000000, out=k)
     k >>= 52
-    f = k << 52
-    np.subtract(bits, f, out=f)
-    f = f.view(np.float64)
+    f = work[2]
+    fbits = f.view(np.int64)
+    np.left_shift(k, 52, out=fbits)
+    np.subtract(bits, fbits, out=fbits)
     f -= 1.0
-    dk = k.astype(np.float64)
-    del k
-    s = 2.0 + f
+    dk = out  # x is not read below
+    np.copyto(dk, k)
+    s, z, w, r = work[1], work[3], work[4], work[5]
+    np.add(f, 2.0, out=s)
     np.divide(f, s, out=s)
-    z = s * s
-    w = z * z
-    r = _horner(w, (_LG7, _LG5, _LG3, _LG1))
+    np.multiply(s, s, out=z)
+    np.multiply(z, z, out=w)
+    _horner(w, (_LG7, _LG5, _LG3, _LG1), r)
     r *= z
-    del z
-    t = _horner(w, (_LG6, _LG4, _LG2))
+    t = _horner(w, (_LG6, _LG4, _LG2), z)
     t *= w
-    del w
     r += t
-    del t
-    hfsq = 0.5 * f
+    hfsq = np.multiply(f, 0.5, out=z)
     hfsq *= f
-    lo = dk * _LN2_LO
     # hfsq - (s (hfsq + r) + lo) where big, else s (f - r) - lo
-    inner = f - r
-    np.add(hfsq, r, out=inner, where=big)
-    del r
+    a = np.add(hfsq, r, out=w)
+    inner = np.subtract(f, r, out=r)
+    _select(big, a, inner)
     inner *= s
-    del s
-    np.add(inner, lo, out=inner, where=big)
-    np.subtract(inner, lo, out=inner, where=~big)
-    np.subtract(hfsq, inner, out=inner, where=big)
-    if tiny.size:
+    lo = np.multiply(dk, _LN2_LO, out=s)
+    np.add(inner, lo, out=a)
+    np.subtract(hfsq, a, out=a)
+    inner -= lo
+    _select(big, a, inner)
+    if tiny is not None:
         ft = f[tiny]
         inner[tiny] = ft * ft * (0.5 - 0.33333333333333333 * ft) - lo[tiny]
     inner -= f
@@ -157,46 +179,84 @@ def _log(x: np.ndarray) -> np.ndarray:
     return dk
 
 
-def _ndtri(y: np.ndarray) -> np.ndarray:
-    """Inverse standard normal CDF of float64 y in [2^-53, 1 - 2^-53]:
-    Cephes ndtri with its branches and order of operations, on _log.  The
-    central rational overwrites all of y in place; the tail is scattered in."""
-    upper = y > 1.0 - _EXPM2
-    tail = np.flatnonzero(upper | (y <= _EXPM2))  # 1 - y <= e^-2 wherever upper
-    yt, upper = y.take(tail), upper.take(tail)
-    np.subtract(1.0, yt, out=yt, where=upper)
-    y -= 0.5  # Q0 keeps clear of 0 for |y| <= 1/2: the tail words stay finite
-    central = _rational(y * y, _P0, _Q0)
-    central *= y
-    y += central
-    del central  # three arrays of y's size at most are alive at a time
-    y *= _S2PI
-    x = _log(yt)
-    del yt
+def _ndtri_tail(y: np.ndarray, work: np.ndarray) -> None:
+    """Cephes ndtri's tail branch, written over y: y <= e^-2 gives
+    -(z - log(z)/z - P(1/z)/(z Q(1/z))) with z = sqrt(-2 log y), and
+    y > 1 - e^-2 the same of 1 - y with the sign kept.  work is eight
+    arrays of y's size."""
+    upper = work[0].view(np.int64)
+    # -1 where y > 1 - e^-2: positive doubles order as their bits do
+    np.subtract(_UPPER_BITS, y.view(np.int64), out=upper)
+    upper >>= 63
+    _select(upper, np.subtract(1.0, y, out=work[1]), y)
+    x = _log(y, y, work[1:7])
     x *= -2.0
     np.sqrt(x, out=x)
-    z = 1.0 / x
-    far = x >= 8.0
-    if far.any():
-        x1 = np.empty_like(x)
-        x1[far] = _rational(z[far], _P2, _Q2)
-        x1[~far] = _rational(z[~far], _P1, _Q1)
-    else:
-        x1 = _rational(z, _P1, _Q1)
-    del z
-    lx = _log(x)
+    far = np.flatnonzero(x >= 8.0) if x.max() >= 8.0 else None  # y < e^-32, rare
+    lx = _log(x, work[1], work[2:8])
     lx /= x
+    z = np.divide(1.0, x, out=work[2])
     x -= lx
-    del lx
+    x1 = _rational(z, _P1, _Q1, work[1], work[3])
+    if far is not None:
+        zf = z[far]
+        x1[far] = _rational(zf, _P2, _Q2, np.empty_like(zf), np.empty_like(zf))
     x -= x1
-    np.negative(x, out=x, where=~upper)
-    y.put(tail, x)
+    # the sign bit where y <= e^-2: -x exactly
+    upper += 1
+    upper <<= 63
+    xbits = x.view(np.int64)
+    xbits ^= upper
+
+
+def _map_work(words: int) -> int:
+    """Floats of scratch the normal map needs for `words` words: eight arrays
+    of the tail's size (its share of the words is 2 e^-2 = 0.27, so one
+    piece almost always), which also hold the central rational's three
+    arrays in two pieces."""
+    return 9 * words // 4 + 8
+
+
+def _ndtri(y: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF of float64 y in [2^-53, 1 - 2^-53], a
+    1-d contiguous array: Cephes ndtri with its branches and order of
+    operations, on _log.
+
+    work is a float64 buffer of at least _map_work(y.size) that the caller
+    owns.  The tail words are gathered first; the central rational then
+    overwrites all of y in place, in pieces of a third of work, and the tail
+    runs in eight views carved from work, in pieces when it is longer than
+    an eighth of it, and is scattered in."""
+    n = y.size
+    flags = work[:n].view(np.bool_)  # two masks of y's size
+    in_tail = np.less_equal(y, _EXPM2, out=flags[:n])
+    in_tail |= np.greater(y, 1.0 - _EXPM2, out=flags[n : 2 * n])
+    tail = np.flatnonzero(in_tail)
+    yt = y.take(tail)
+    part = work.size // 3
+    a, b, c = work[:part], work[part : 2 * part], work[2 * part : 3 * part]
+    for lo in range(0, n, part):
+        yp = y[lo : lo + part]
+        k = yp.size
+        yp -= 0.5  # Q0 keeps clear of 0 for |y| <= 1/2: the tail words stay finite
+        central = _rational(np.multiply(yp, yp, out=a[:k]), _P0, _Q0, b[:k], c[:k])
+        central *= yp
+        yp += central
+        yp *= _S2PI
+    cap = work.size // 8
+    views = work[: 8 * cap].reshape(8, cap)
+    for lo in range(0, yt.size, cap):
+        piece = yt[lo : lo + cap]
+        _ndtri_tail(piece, views[:, : piece.size])
+    y.put(tail, yt)
     return y
 
 
-def _word_normals(words: np.ndarray) -> np.ndarray:
+def _word_normals(words: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """One standard normal per uint64 word, by inverse CDF (_ndtri), written
-    over the words: the result is a float64 view of the uint64 array.
+    over the words: the result is a float64 view of the uint64 array.  work
+    is the map's scratch, a float64 buffer of at least _map_work(words.size);
+    it is allocated when None.
 
     The uniform ((w >> 12) + 0.5) 2**-52 is exact in float64: w >> 12 as
     the mantissa of 1.0 gives 1 + (w >> 12) 2**-52, and less 1 - 2**-53 that
@@ -208,11 +268,17 @@ def _word_normals(words: np.ndarray) -> np.ndarray:
     top word, giving inf.)  Only integer and IEEE operations touch the words
     and floats, so the normals are the same on every numpy dispatch tier.
     """
+    if work is None:
+        work = np.empty(_map_work(words.size))
     words >>= _S12
     words |= _ONE_BITS
     u = words.view(np.float64)
     u -= 1.0 - 2.0**-53
-    return _ndtri(u)
+    flat = u.reshape(-1)  # a copy only when words is a strided view
+    _ndtri(flat, work)
+    if not np.may_share_memory(flat, u):
+        u[...] = flat.reshape(u.shape)
+    return u
 
 
 @dataclass(frozen=True)
@@ -237,7 +303,7 @@ class RngSpec:
         return np.random.Philox(key=key, counter=c << 128)
 
 
-def _group_normals(rng: RngSpec, start: int, m: int, ndraw: int, steps: int):
+def _group_normals(rng: RngSpec, start: int, m: int, ndraw: int, steps: int, words, work):
     """Yield, for steps 0 to steps - 1 in turn, the (m, ndraw) normals of the
     samples with absolute indices start to start + m - 1.
 
@@ -245,9 +311,10 @@ def _group_normals(rng: RngSpec, start: int, m: int, ndraw: int, steps: int):
     of columns [lo, hi) of a chunk spans its words (n * ndraw + k) * 4096 +
     [lo, hi); only the 4-word Philox blocks that cover them are generated,
     and the blocks of the other columns are skipped with Philox.advance.  The
-    words of all chunks of a step are copied side by side into one buffer,
-    allocated once, and mapped there in one call: each yielded array is a
-    view of that buffer, overwritten by the next step.
+    words of all chunks of a step are copied side by side into the first
+    ndraw * m words of the caller's uint64 buffer `words` and mapped there in
+    one call, with the caller's `work` as the map's scratch: each yielded
+    array is a view of `words`, overwritten by the next step.
     """
     parts = []  # (stream, words read per coordinate, blocks skipped, columns kept, rows filled)
     row = 0
@@ -260,16 +327,16 @@ def _group_normals(rng: RngSpec, start: int, m: int, ndraw: int, steps: int):
         parts.append((bitgen, 4 * (stop - first), _CHUNK // 4 - (stop - first),
                       slice(lo - 4 * first, hi - 4 * first), slice(row, row + hi - lo)))
         row += hi - lo
-    words = np.empty((ndraw, m), dtype=np.uint64)
+    words = words[: ndraw * m].reshape(ndraw, m)
     for _ in range(steps):
         for bitgen, width, skip, cols, rows in parts:
             for coord in words[:, rows]:
                 coord[:] = bitgen.random_raw(width)[cols]
                 bitgen.advance(skip)
-        yield _word_normals(words).T
+        yield _word_normals(words, work).T
 
 
-def scheme_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.ndarray:
+def scheme_step(model: SdeModel, t: float, x, delta: float, gaussian, out=None) -> np.ndarray:
     """One step of the scheme: explicit Euler, or the exactly-sampled kinetic step.
 
     The velocity block v (all of x when non-degenerate) moves to
@@ -279,7 +346,9 @@ def scheme_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.ndar
     more normals g2 to complete the integrated-position block
     z + v delta + b delta^2/2 + noise, so the joint law has covariance blocks
     (a d, a d^2/2; a d^2/2, a d^3/3).  What noise returns is never written
-    into, as it may be g1 itself.  The result is not checked for finiteness;
+    into, as it may be g1 itself.  The result is written into out, an array
+    of x's shape that shares no memory with x or the normals, or into a new
+    array when out is None.  It is not checked for finiteness;
     simulate_terminal checks each step's batch.
     """
     x = np.asarray(x, dtype=float)
@@ -289,24 +358,26 @@ def scheme_step(model: SdeModel, t: float, x, delta: float, gaussian) -> np.ndar
     b = np.asarray(model.drift(t, x), dtype=float)
     rt = math.sqrt(delta)
     # sums in place, in the order of v + b delta + rt E: IEEE + and * commute
-    res = np.empty(x.shape)
-    out = res[..., :dp]
-    np.multiply(b, delta, out=out)
-    out += v
+    res = np.empty(x.shape) if out is None else out
+    vel = res[..., :dp]
+    np.multiply(b, delta, out=vel)
+    vel += v
+    kinetic = model.case is Case.KINETIC
+    if kinetic:  # b delta^2 / 2 at b's last use: fewer arrays alive at once
+        b = 0.5 * b
+        b *= delta * delta
     # *, not *=: numpy reuses the buffer of a temporary that nothing else holds
-    out += model.noise(t, x, g1) * rt
-    if model.case is not Case.KINETIC:
+    vel += model.noise(t, x, g1) * rt
+    if not kinetic:
         return res
-    mix = 0.5 * g1
+    # the integrated block holds the mixed normals until its sum below
+    z = res[..., dp:]
+    mix = np.multiply(g1, 0.5, out=z)
     mix += g[..., dp:] / (2.0 * math.sqrt(3.0))
     noise = model.noise(t, x, mix) * (delta * rt)
-    del mix
     # z + v delta + b delta^2 / 2 + noise, as above
-    z = res[..., dp:]
     np.multiply(v, delta, out=z)
     z += x[..., dp:]
-    b = 0.5 * b
-    b *= delta * delta
     z += b
     z += noise
     return res
@@ -332,8 +403,12 @@ def simulate_terminal(
     results do not depend on the thread count, on execution order or on how
     chunks are grouped.  Runs of up to _GROUP_CHUNKS consecutive chunks are
     stepped together, one step's normals at a time, so memory does not grow
-    with N or M.  Each step's batch is checked for finiteness: NumericError
-    names the step and the first sample of the first chunk that fails.
+    with N or M.  Each worker (the calling thread, or each pool thread)
+    allocates its scratch once, the group's words and the map's work buffer,
+    reuses it for every group and step and drops it on return; no module
+    holds any, and no output depends on it.  Each step's batch is checked
+    for finiteness: NumericError names the step and the first sample of the
+    first chunk that fails.
     """
     if M < 1:
         raise ArgumentError("need at least one sample")
@@ -350,15 +425,21 @@ def simulate_terminal(
     out = np.empty((M, model.d))
 
     per_group = max(1, min(_GROUP_CHUNKS, _BLOCK_WORDS // (ndraw * _CHUNK)))
+    group_words = ndraw * min(M, per_group * _CHUNK)  # the most one step of a group reads
+    # the scratch of workers between two groups, at most one per worker:
+    # list.pop and list.append are atomic, so no two workers hold one
+    spare = []
 
-    def run(lo: int, hi: int) -> None:
+    def run(lo: int, hi: int, words: np.ndarray, work: np.ndarray) -> None:
         x = out[lo:hi]  # the state lives in its rows of the output
         x[:] = x0
-        steps = enumerate(_group_normals(rng, sample_offset + lo, hi - lo, ndraw, grid.N))
+        # the next state, in the map's work buffer: it is idle while a step runs
+        nxt = work[: x.size].reshape(x.shape)
+        steps = _group_normals(rng, sample_offset + lo, hi - lo, ndraw, grid.N, words, work)
         # a state that leaves the float range is refused below, without a warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for n, draws in steps:
-                x[:] = scheme_step(model, grid.times[n], x, grid.delta, draws)
+            for n, draws in enumerate(steps):
+                x[:] = scheme_step(model, grid.times[n], x, grid.delta, draws, nxt)
                 if not np.isfinite(x).all():
                     i = int(np.argmin(np.isfinite(x).all(axis=1)))
                     raise NumericError(
@@ -367,18 +448,28 @@ def simulate_terminal(
 
     def run_group(bounds: list[int]) -> None:
         try:
-            run(bounds[0], bounds[-1])
+            scratch = spare.pop()
+        except IndexError:
+            scratch = np.empty(group_words, dtype=np.uint64), np.empty(_map_work(group_words))
+        try:
+            run(bounds[0], bounds[-1], *scratch)
         except NumericError:
             # a later chunk may fail at an earlier step: replay the chunks in
             # turn, so that the error names the first failing chunk's failure
             for lo, hi in zip(bounds[:-1], bounds[1:]):
-                run(lo, hi)
+                run(lo, hi, *scratch)
             raise
+        finally:
+            spare.append(scratch)
 
     # chunk edges never depend on the thread count, nor do the groups
     edges = [0, *range(_CHUNK - sample_offset % _CHUNK, M, _CHUNK), M]
     groups = [edges[k : k + per_group + 1] for k in range(0, len(edges) - 1, per_group)]
     if threads > 1 and len(groups) > 1:
+        # imported here: concurrent.futures and the logging it loads cost
+        # every process that never starts a pool some milliseconds
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_group, groups))
     else:

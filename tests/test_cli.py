@@ -596,7 +596,8 @@ def test_sample_array_too_large_is_refused_before_allocating(tmp_path, capsys):
 _IMPORT_PROBE = """
 import sys
 def loaded():
-    return " ".join(sorted(m for m in sys.modules if m.startswith(("scipy", "numpy.polynomial"))))
+    heavy = ("scipy", "numpy.polynomial", "concurrent.futures", "logging")
+    return " ".join(sorted(m for m in sys.modules if m.startswith(heavy)))
 import eulermc.cli
 print(loaded())
 assert eulermc.cli.main({argv!r} + ["--out-dir", sys.argv[1]]) == 0
@@ -605,9 +606,9 @@ print(loaded())
 
 
 def _scipy_loaded(tmp_path, argv):
-    """The scipy and numpy.polynomial modules loaded by `import eulermc.cli`
-    and then by running argv, in a fresh interpreter (this one has loaded
-    scipy.stats)."""
+    """The scipy, numpy.polynomial, concurrent.futures and logging modules
+    loaded by `import eulermc.cli` and then by running argv, in a fresh
+    interpreter (this one has loaded scipy.stats)."""
     probe = _IMPORT_PROBE.format(argv=argv)
     out = subprocess.run(
         [sys.executable, "-c", probe, str(tmp_path)],
@@ -617,8 +618,17 @@ def _scipy_loaded(tmp_path, argv):
 
 
 def test_cli_start_up_leaves_heavy_scipy_unloaded(tmp_path):
-    # the normals are the package's own, so drawing loads no scipy either
-    assert _scipy_loaded(tmp_path, ["simulate", "--set", "M=50"]) == (set(), set())
+    # the normals are the package's own, so drawing loads no scipy either;
+    # 40,000 samples make two groups, and one thread steps them without a pool
+    argv = ["simulate", "--set", "M=40000", "--set", "N=2", "--threads", "1"]
+    assert _scipy_loaded(tmp_path, argv) == (set(), set())
+
+
+def test_only_a_pool_loads_concurrent_futures(tmp_path):
+    argv = ["simulate", "--set", "M=40000", "--set", "N=2", "--threads", "2"]
+    at_import, after_run = _scipy_loaded(tmp_path, argv)
+    assert at_import == set()
+    assert {"concurrent.futures", "logging"} <= after_run
 
 
 @pytest.mark.parametrize(

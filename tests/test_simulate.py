@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from eulermc.simulate import (
     _CHUNK,
     RngSpec,
     _log,
+    _map_work,
     _word_normals,
     draw_dim,
     scheme_step,
@@ -142,6 +144,21 @@ def test_log_is_fdlibm_log():
     assert np.array_equal(got, [fdlibm_log(float(v)) for v in x])
     libm = np.array([math.log(float(v)) for v in x])
     assert np.all(np.abs(got - libm) <= np.spacing(np.abs(libm)))
+
+
+def test_normal_map_allocates_no_block_sized_temporaries():
+    # the map works in the caller's scratch: after a warm call, a call on a
+    # 65,536-word block allocates only its tail's indices and values
+    words = RngSpec(24, 1).chunk(0).random_raw(2 * 2**16)
+    work = np.empty(_map_work(2**16))
+    _word_normals(words[: 2**16], work)
+    tracemalloc.start()
+    try:
+        _word_normals(words[2**16 :], work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 2**20, peak
 
 
 _TIER_PROBE = """
@@ -341,6 +358,17 @@ def test_step_never_writes_into_what_noise_returns(numpy_normals):
     _assert_same_bits(got, matrix_step(m, np.eye(dp), 0.1, x, 0.25, drawn))
 
 
+@pytest.mark.parametrize("preset, params", [("const", {"d": 3}), ("kinetic", {"dp": 2, "damp": 0.5})])
+def test_step_writes_into_the_buffer_it_is_given(preset, params, numpy_normals):
+    m = model_preset(preset, **params)
+    x = numpy_normals(7, (64, m.d))
+    g = numpy_normals(8, (64, draw_dim(m)))
+    out = np.full((64, m.d), np.nan)
+    got = scheme_step(m, 0.2, x, 0.25, g, out)
+    assert got is out
+    _assert_same_bits(out, scheme_step(m, 0.2, x, 0.25, g))
+
+
 def test_single_step_grid_reduces_to_step():
     m = model_preset("const", d=1, b0=0.2, sigma0=0.9)
     tg = SchemeGrid(T=0.3, N=1)
@@ -481,6 +509,39 @@ def test_threads_under_frequent_switches():
     finally:
         sys.setswitchinterval(old)
     assert np.array_equal(a, b)
+
+
+def test_concurrent_calls_keep_their_own_scratch():
+    # each call owns its workers' scratch: two calls at once, each with a
+    # pool of its own, give their sequential results bit for bit
+    grid = SchemeGrid(T=1.0, N=4)
+    M = 2 * 8 * _CHUNK + 100  # three groups, so that each call starts a pool
+    calls = [
+        (model_preset("kinetic", dp=1), [0.0, 0.0], RngSpec(31, 1)),
+        (model_preset("trig", a_amp=0.3, b_amp=0.2), [0.1], RngSpec(32, 2)),
+    ]
+    want = [simulate_terminal(m, grid, x0, rng, M) for m, x0, rng in calls]
+    got = [None] * len(calls)
+    start = threading.Barrier(len(calls))
+
+    def call(k):
+        m, x0, rng = calls[k]
+        start.wait(timeout=60)
+        got[k] = simulate_terminal(m, grid, x0, rng, M, threads=2)
+
+    workers = [threading.Thread(target=call, args=(k,)) for k in range(len(calls))]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(w.is_alive() for w in workers)
+    for g, w in zip(got, want):
+        assert g is not None and np.array_equal(g, w)
 
 
 def test_mc_deviation_clt_scale():
