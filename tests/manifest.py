@@ -51,6 +51,9 @@ COMMANDS = {
     "lower-bounds-d2-off-origin": ["bounds", "--set", "d=2", "--set", "x0=[0.3,-1.0]", *_LOWER],
     "lower-bounds-d3": ["bounds", "--set", "d=3", "--set", "x0=[0,0,0]", *_LOWER],
     "lower-bounds-kinetic": ["bounds", *_KINETIC, *_LOWER],
+    # a numeric cone, and theta in an odd dimension
+    "lower-bounds-d2-cone": ["bounds", "--set", "d=2", "--set", "x0=[0,0]", *_LOWER, "--set", "cone=3"],
+    "lower-bounds-d3-theta": ["bounds", "--set", "d=3", "--set", "x0=[0,0,0]", *_LOWER, "--set", "theta=3"],
     "lower-bounds-kinetic-off-origin": ["bounds", *_KINETIC[:4], "--set", "x0=[1,0.5]", *_LOWER],
     # M = 1 leaves some lower-bound radii testable, so lower_empirical is not empty
     "lower-concentration-d2": [
@@ -76,6 +79,22 @@ COMMANDS = {
         "concentration", *_KINETIC, "--set", "damp=0.5", "--set", 'functional="abs"', *_CONTROL,
     ],
     "exact-kinetic-abs": ["concentration", *_KINETIC, "--set", 'functional="abs"', *_CONTROL],
+    # a trig control run that doubles from 4096 to 8192 to 16384 samples
+    "control-trig-doubling": ["concentration", "--set", 'preset="trig"', "--set", "b_amp=1", *_CONTROL],
+    # the other functionals (asian-diff with its normalised alpha), and an
+    # explicit r_grid
+    "concentration-sum-d3": [
+        "concentration", "--set", "d=3", "--set", 'functional="sum"', *_CONTROL[:2],
+        "--set", "num_batches=200",
+    ],
+    "concentration-asian-diff": [
+        "concentration", *_KINETIC, "--set", 'functional="asian-diff"', *_CONTROL[:2],
+        "--set", "num_batches=200",
+    ],
+    "concentration-r-grid": [
+        "concentration", *_CONTROL[:2], "--set", "num_batches=200",
+        "--set", "r_grid=[0,0.05,0.1,0.2]",
+    ],
     # one side of each SAME_RUN pair
     "control-geodesic-M": [
         "control-geodesic", "--set", "control_x=[0,0]", "--set", "control_x_prime=[0,1]",
