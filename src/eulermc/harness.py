@@ -206,10 +206,6 @@ def build_model(cfg: ExperimentConfig) -> SdeModel:
     return model_preset(cfg.preset, **{k: getattr(cfg, k) for k in used})
 
 
-def build_grid(cfg: ExperimentConfig) -> SchemeGrid:
-    return SchemeGrid(T=cfg.T, N=cfg.N)
-
-
 def start_point(cfg: ExperimentConfig, model: SdeModel) -> np.ndarray:
     x0 = np.array(cfg.x0)
     if x0.shape[0] == 1 and model.d > 1:
@@ -443,7 +439,7 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> dict:
     lower_empirical (r, threshold, freq) where power permits.  NumericError
     when a batch mean's deviation overflows."""
     model = build_model(cfg)
-    tgrid = build_grid(cfg)
+    tgrid = SchemeGrid(T=cfg.T, N=cfg.N)
     f = make_functional(cfg, model)
     alpha, delta, constants = _bound_constants(cfg, model)
     r_grid = (
@@ -512,7 +508,7 @@ def run_density_check(cfg: ExperimentConfig) -> dict:
     histogram with the Chapman-Kolmogorov table.
     """
     model = build_model(cfg)
-    tgrid = build_grid(cfg)
+    tgrid = SchemeGrid(T=cfg.T, N=cfg.N)
     x0 = start_point(cfg, model)
     if model.d > 2:
         raise ConfigError("density checks cover d <= 2")
@@ -687,7 +683,7 @@ def write_json(path, text: str) -> None:
 
 
 def _simulate_files(cfg: ExperimentConfig) -> dict:
-    samples = _simulate(cfg, build_model(cfg), build_grid(cfg), cfg.M)
+    samples = _simulate(cfg, build_model(cfg), SchemeGrid(T=cfg.T, N=cfg.N), cfg.M)
     files = {"samples.csv": export_csv(samples)}
     if cfg.export_binary:  # row major, M x d
         files["samples.bin"] = samples
@@ -715,7 +711,7 @@ def _concentration_files(cfg: ExperimentConfig) -> dict:
 
 def _parametrix_files(cfg: ExperimentConfig) -> dict:
     model = build_model(cfg)
-    tgrid = build_grid(cfg)
+    tgrid = SchemeGrid(T=cfg.T, N=cfg.N)
     x0 = float(start_point(cfg, model)[0])
     grid = _table_grid(cfg, model, tgrid, x0)
     check_r_max(cfg.r_max, tgrid)

@@ -16,7 +16,6 @@ from eulermc.gaussianref import KernelSpec
 from eulermc.harness import (
     ExperimentConfig,
     analytic_reference,
-    build_grid,
     build_model,
     config_hash,
     load_config,
@@ -27,7 +26,7 @@ from eulermc.harness import (
     wilson_upper,
     write_csv,
 )
-from eulermc.model import MODEL_PRESETS, Case, GrowthSpec, SdeModel
+from eulermc.model import MODEL_PRESETS, Case, GrowthSpec, SchemeGrid, SdeModel
 from eulermc.simulate import RngSpec, simulate_terminal
 from oracles import noncentral_chi3_mean, norm_mean_2d
 
@@ -342,7 +341,7 @@ def test_concentration_control_run_power_guard():
 
 def _control_setup(**kw):
     cfg = cfg_with(**kw)
-    model, tgrid = build_model(cfg), build_grid(cfg)
+    model, tgrid = build_model(cfg), SchemeGrid(T=cfg.T, N=cfg.N)
     return cfg, model, tgrid, make_functional(cfg, model)
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare, norm
 
+from eulermc import simulate
 from eulermc.errors import ArgumentError
 from eulermc.model import Case, SchemeGrid, SdeModel, model_preset
 from eulermc.simulate import (
@@ -24,6 +25,11 @@ from eulermc.simulate import (
     simulate_terminal,
 )
 from oracles import _philox4x64, chunk_words, fdlibm_log, matrix_step, trig_sigma, word_normals
+
+
+def _normals(words):
+    """The normal map, on scratch of its own."""
+    return _word_normals(words, np.empty(_map_work(words.size)))
 
 
 def test_reference_philox_known_answer():
@@ -49,16 +55,17 @@ def test_chunk_words_match_reference_philox(seed, stream, c):
 
 def test_normals_map_words_by_inverse_cdf():
     words = RngSpec(11, 2).chunk(3).random_raw(2 * _CHUNK + 5)
-    z = _word_normals(words)
+    z = _normals(words)
+    assert np.shares_memory(z, words)  # a contiguous buffer is mapped in place
     assert np.array_equal(z, word_normals(chunk_words(11, 2, 3, np.arange(words.size))))
 
 
 def test_extreme_words_give_finite_symmetric_normals():
     words = np.array([0, 2**64 - 1, 2**63 - 1, 2**63, 12345], dtype=np.uint64)
-    z = _word_normals(words.copy())  # the map writes over its words
+    z = _normals(words.copy())  # the map writes over its words
     assert np.all(np.isfinite(z))
     assert z[1] == -z[0] == pytest.approx(8.2095, abs=1e-4)
-    assert np.array_equal(_word_normals(~words), -z)
+    assert np.array_equal(_normals(~words), -z)
 
 
 def _words_near(*uniforms) -> np.ndarray:
@@ -92,8 +99,8 @@ def test_normal_map_of_a_strided_partial_chunk_matches_oracle(lo, hi):
     view[-1, 1, -_EDGE_WORDS.size :] = ~_EDGE_WORDS
     assert not view.flags.c_contiguous
     want = word_normals(view)
-    z = _word_normals(view)
-    assert z.shape == view.shape and np.shares_memory(z, words)
+    z = _normals(view)
+    assert z.shape == view.shape
     assert np.array_equal(z.ravel(), want)
 
 
@@ -103,7 +110,7 @@ def test_normal_map_is_within_8_ulp_of_scipy_ndtri():
 
     words = np.concatenate([RngSpec(21, 5).chunk(7).random_raw(2**20), _EDGE_WORDS])
     u = ((words >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52
-    z, want = _word_normals(words.copy()), ndtri(u)
+    z, want = _normals(words.copy()), ndtri(u)
     assert np.all(np.abs(z - want) <= 8 * np.spacing(np.abs(want)))
     assert np.max(np.abs(z)) <= 8.21
     # Cephes takes its tail branch at y = e^-2 but its central one at
@@ -111,8 +118,8 @@ def test_normal_map_is_within_8_ulp_of_scipy_ndtri():
     # uniforms maps to -z only up to rounding; every other ~w maps to -z
     edge = (u == 0.13533528323661269189) | (u == 1.0 - 0.13533528323661269189)
     assert np.count_nonzero(edge) == 2
-    assert np.array_equal(_word_normals(~words[~edge]), -z[~edge])
-    assert np.allclose(_word_normals(~words[edge]), -z[edge], rtol=1e-15, atol=0)
+    assert np.array_equal(_normals(~words[~edge]), -z[~edge])
+    assert np.allclose(_normals(~words[edge]), -z[edge], rtol=1e-15, atol=0)
 
 
 def test_normal_map_differs_from_scipy_only_in_its_log():
@@ -122,7 +129,7 @@ def test_normal_map_differs_from_scipy_only_in_its_log():
     words = np.concatenate([RngSpec(22).chunk(0).random_raw(20_000), _EDGE_WORDS])
     want = ndtri(((words >> np.uint64(12)).astype(float) + 0.5) * 2.0**-52)
     assert np.array_equal(word_normals(words, math.log), want)
-    assert np.array_equal(word_normals(words), _word_normals(words))
+    assert np.array_equal(word_normals(words), _normals(words))
 
 
 def test_log_is_fdlibm_log():
@@ -167,9 +174,9 @@ from pathlib import Path
 import numpy as np
 from eulermc.cli import main
 from eulermc.harness import _CSV_BLOCK, write_csv
-from eulermc.simulate import RngSpec, _word_normals
+from eulermc.simulate import RngSpec, _map_work, _word_normals
 words = np.concatenate([RngSpec(5, 1).chunk(2).random_raw(2**16), ~np.arange(64, dtype=np.uint64)])
-normals = _word_normals(words.copy())
+normals = _word_normals(words.copy(), np.empty(_map_work(words.size)))
 print(hashlib.sha256(normals.tobytes()).hexdigest())
 assert main(["simulate", "--set", "M=5000", "--set", "N=4", "--out-dir", sys.argv[1]]) == 0
 print(hashlib.sha256(Path(sys.argv[1], "samples.csv").read_bytes()).hexdigest())
@@ -511,6 +518,19 @@ def test_threads_under_frequent_switches():
     assert np.array_equal(a, b)
 
 
+def test_each_worker_allocates_its_scratch_once(monkeypatch):
+    # four groups of up to 8 chunks: each worker allocates the map's scratch
+    # on its first group and reuses it for the others
+    m, grid, M = model_preset("const", d=1), SchemeGrid(T=1.0, N=4), 3 * 8 * _CHUNK + 5
+    calls = []
+    monkeypatch.setattr(simulate, "_map_work", lambda n: calls.append(n) or _map_work(n))
+    one = simulate_terminal(m, grid, [0.0], RngSpec(9), M)
+    assert len(calls) == 1
+    calls.clear()
+    two = simulate_terminal(m, grid, [0.0], RngSpec(9), M, threads=2)
+    assert 1 <= len(calls) <= 2 and np.array_equal(one, two)
+
+
 def test_concurrent_calls_keep_their_own_scratch():
     # each call owns its workers' scratch: two calls at once, each with a
     # pool of its own, give their sequential results bit for bit
@@ -578,7 +598,7 @@ def _failures(model, grid, rng, M, sample_offset):
         lo = max(sample_offset, c * _CHUNK)
         hi = min(sample_offset + M, (c + 1) * _CHUNK)
         words = rng.chunk(c).random_raw(grid.N * _CHUNK)
-        normals = _word_normals(words).reshape(grid.N, _CHUNK)[:, lo - c * _CHUNK : hi - c * _CHUNK]
+        normals = _normals(words).reshape(grid.N, _CHUNK)[:, lo - c * _CHUNK : hi - c * _CHUNK]
         x = np.zeros((hi - lo, 1))
         for n in range(grid.N):
             x = scheme_step(model, grid.times[n], x, grid.delta, normals[n][:, None])
