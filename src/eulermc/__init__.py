@@ -18,7 +18,6 @@ in the lower bound from a closed-form integrand in pure Python.
 
 from .model import (
     Case,
-    GaussParams,
     GrowthSpec,
     SdeModel,
     SchemeGrid,
@@ -28,7 +27,6 @@ from .simulate import RngSpec, simulate_terminal
 
 __all__ = [
     "Case",
-    "GaussParams",
     "GrowthSpec",
     "SdeModel",
     "SchemeGrid",

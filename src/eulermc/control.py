@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, IntegrationError
+from .errors import ArgumentError, NumericError
 
 _GEODESIC_RTOL = 1e-6  # endpoint tolerance of geodesic, relative to 1 + |x'|
 _STATES_CAP_BYTES = 2**30  # of a geodesic's states, as simulate_terminal caps its samples
@@ -74,7 +74,7 @@ def geodesic(problem: ControlProblem, steps: int):
     Each row is exact: v(s) = v + s (u(0) + u(s)) / 2, as u is affine, and
     z(s) = z + s (v + 4 v(s/2) + v(s)) / 6, as v is quadratic.  Returns
     (times, states) with states of shape (steps + 1, 2 d'), refused above
-    _STATES_CAP_BYTES.  Raises IntegrationError when the endpoint misses x'
+    _STATES_CAP_BYTES.  Raises NumericError when the endpoint misses x'
     by more than _GEODESIC_RTOL * (1 + |x'|).
     """
     if steps < 2:
@@ -99,5 +99,5 @@ def geodesic(problem: ControlProblem, steps: int):
         rows[:, dp:] = z + s[:, None] * (v + 4.0 * velocity(s / 2.0) + rows[:, :dp]) / 6.0
     err = float(np.linalg.norm(states[-1] - problem.x_prime))
     if err > _GEODESIC_RTOL * (1.0 + float(np.linalg.norm(problem.x_prime))):
-        raise IntegrationError(f"geodesic endpoint error {err:.2e} above tolerance")
+        raise NumericError(f"geodesic endpoint error {err:.2e} above tolerance")
     return times, states

@@ -1,7 +1,9 @@
 """Exception hierarchy and the exit codes the CLI maps them to.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric/tolerance error,
-4 statistical-power error.
+4 statistical-power error.  cli.main reads only exit_code, so each code has
+one class and no subclass below it but ArgumentError: a ConfigError that
+library callers can also catch as the builtin ValueError.
 """
 
 
@@ -15,27 +17,14 @@ class ConfigError(EulermcError):
     exit_code = 2
 
 
-class InvalidModelError(ConfigError):
-    """Model coefficients are unusable: a noise scale sigma0 that is zero or
-    not finite."""
-
-
 class ArgumentError(ConfigError, ValueError):
     """An operation was called with out-of-contract arguments."""
 
 
 class NumericError(EulermcError):
-    """Numeric failure during computation."""
+    """Numeric failure: an overflow, a missed tolerance, mass lost off a grid."""
 
     exit_code = 3
-
-
-class TruncationError(NumericError):
-    """Too much probability mass falls outside a truncated grid."""
-
-
-class IntegrationError(NumericError):
-    """A geodesic missed its endpoint tolerance."""
 
 
 class StatisticsError(EulermcError):

@@ -26,7 +26,7 @@ from . import concentration as conc
 from .errors import ArgumentError, ConfigError, NumericError, StatisticsError
 from .gaussianref import KernelSpec, _transport, kernel_exponent, kernel_norm_mean
 from .gaussianref import kernel_density  # noqa: F401  perfbench/child.py traces it here
-from .model import Case, GaussParams, GrowthSpec, SdeModel, SchemeGrid, model_preset
+from .model import Case, GrowthSpec, SdeModel, SchemeGrid, model_preset
 from .parametrix import (
     Grid1D,
     chapman_kolmogorov_density,
@@ -352,9 +352,8 @@ def _bound_constants(cfg: ExperimentConfig, model: SdeModel):
     functional, the bias delta, and, when rho0 and beta set a growth spec,
     conc.lower_constants of F = |y| from x0, whose functional must then grow
     (sphere_floor); else None."""
-    gauss = GaussParams(cfg.c, cfg.C)
-    alpha = _alpha_for(cfg, model)
-    delta = conc.domination_bias(gauss.C, alpha)
+    alpha = _alpha_for(cfg, model)  # refuses c <= 0
+    delta = conc.domination_bias(cfg.C, alpha)  # refuses C < 1
     if not (math.isfinite(alpha) and math.isfinite(delta)):
         raise NumericError(f"alpha_T = {alpha} and delta_bias = {delta} must be finite")
     growth = growth_spec(cfg)
@@ -362,7 +361,7 @@ def _bound_constants(cfg: ExperimentConfig, model: SdeModel):
         return alpha, delta, None
     floor = sphere_floor(cfg.functional, growth)
     constants = conc.lower_constants(
-        model.case, model.d, gauss.c, gauss.C, cfg.T, alpha, start_point(cfg, model), growth,
+        model.case, model.d, cfg.c, cfg.C, cfg.T, alpha, start_point(cfg, model), growth,
         floor, cfg.theta,
     )
     inv_alpha, bias = constants["bar_alpha_inv"], constants["bar_delta"]
@@ -512,13 +511,14 @@ def run_density_check(cfg: ExperimentConfig) -> dict:
     x0 = start_point(cfg, model)
     if model.d > 2:
         raise ConfigError("density checks cover d <= 2")
-    gauss = GaussParams(cfg.c, cfg.C)
     # the fitted shapes, then the configured one; each pairs p_c with p_{1/c}
     fitted = np.geomspace(0.25, 4.0, 241) if cfg.c_grid is None else cfg.c_grid
-    shapes = np.append(fitted, gauss.c)
+    shapes = np.append(fitted, cfg.c)
     bad = [c for c in shapes.tolist() if not (c > 0 and math.isfinite(1.0 / c))]
     if bad:
         raise ConfigError(f"envelope shapes need c > 0 and a finite 1/c, got {bad}")
+    if cfg.C < 1:
+        raise ConfigError("domination constant C must be >= 1")
 
     if cfg.density_mode == "ck":
         grid = _table_grid(cfg, model, tgrid, float(x0[0]))
@@ -635,7 +635,8 @@ def write_csv(path, header: list[str], columns, config_hash: str | None = None) 
     full block of rows is formatted by `csvtext.format_rows`; the last,
     partial block is one `%` of the row format repeated over its .tolist()
     values, interleaved row by row, so a table shorter than one block never
-    loads that module.  The bytes are those of `%d` and `%.17g` either way.
+    loads that module: that saves wall time, not memory (its import and
+    tables cost about 3 ms).  The bytes are those of `%d` and `%.17g` either way.
     """
     columns = [col if isinstance(col, range) else np.asarray(col) for col in columns]
     ints = [isinstance(col, range) or col.dtype.kind in "iu" for col in columns]

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ArgumentError, ConfigError, InvalidModelError, NumericError
+from .errors import ArgumentError, ConfigError, NumericError
 
 
 class Case(Enum):
@@ -94,20 +94,6 @@ class SchemeGrid:
         return self.T / self.N
 
 
-@dataclass(frozen=True)
-class GaussParams:
-    """Two-sided Gaussian envelope parameters: shape c > 0, domination C >= 1."""
-
-    c: float
-    C: float
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ConfigError("envelope shape c must be positive")
-        if self.C < 1:
-            raise ConfigError("domination constant C must be >= 1")
-
-
 def sphere_surface_measure(d: int) -> float:
     """Surface measure of the unit sphere in R^d; counts {-1, 1} for d = 1."""
     if d < 1:
@@ -147,7 +133,7 @@ class GrowthSpec:
 def _scalar_noise_lambda0(s0: float) -> float:
     """Ellipticity bound max(s0^2, s0^-2) of the noise s0 I."""
     if s0 == 0.0 or not math.isfinite(s0):
-        raise InvalidModelError(f"sigma0 must be finite and nonzero, got {s0!r}")
+        raise ConfigError(f"sigma0 must be finite and nonzero, got {s0!r}")
     try:
         return max(s0**2, s0**-2)
     except OverflowError:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DivergenceWarning, TruncationError
+from .errors import ArgumentError, DivergenceWarning, NumericError
 from .model import Case, SdeModel, SchemeGrid
 
 
@@ -367,7 +367,7 @@ def chapman_kolmogorov_density(
     dens = one_step_density(model, tgrid, x, pts)
     loss = abs(float(tw @ dens) - 1.0)
     if loss > _MASS_TOL:
-        raise TruncationError(f"initial step loses mass {loss:.2e} > {_MASS_TOL:.0e}")
+        raise NumericError(f"initial step loses mass {loss:.2e} > {_MASS_TOL:.0e}")
 
     def step_matrix(bd, ad):
         Q = _one_step_matrix(pts, bd, ad)
@@ -378,6 +378,6 @@ def chapman_kolmogorov_density(
     for k, (Q, row_mass) in zip(steps, matrices):
         step_loss = float(tw @ (dens * (1.0 - row_mass)))
         if step_loss > _MASS_TOL:
-            raise TruncationError(f"step {k} loses mass {step_loss:.2e} > {_MASS_TOL:.0e}")
+            raise NumericError(f"step {k} loses mass {step_loss:.2e} > {_MASS_TOL:.0e}")
         dens = (tw * dens) @ Q
     return DensityTable(grid, dens)

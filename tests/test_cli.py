@@ -242,6 +242,9 @@ CONFIG_ERRORS = [
     ["density-check", "--set", "c_grid=[1e-310,1]", "--set", "density_samples=3000"],
     ["density-check", "--set", "c_grid=[0,1]", "--set", "density_samples=3000"],
     ["density-check", "--set", "C=0.5", "--set", "density_samples=3000"],
+    # the bound constants refuse the same (c, C) as the envelope check
+    ["bounds", "--set", "C=0.5"],
+    ["concentration", "--set", "c=-1"],
     # past the caps: a d x d float64 noise matrix above 128 MiB, and more than
     # 2**16 default radii; far past them numpy's MemoryError was a traceback
     ["bounds", "--set", "d=4097"],
@@ -262,7 +265,8 @@ CONFIG_ERROR_IDS = [
     "empty-r-grid", "negative-radius", "no-positive-radius", "empty-eps", "min-bin-count-zero",
     "high-mass-fraction-above-one",
     "density-c-reciprocal-overflows", "c-grid-reciprocal-overflows", "c-grid-zero",
-    "density-C-below-one", "d-too-large", "dp-too-large", "num-r-too-large",
+    "density-C-below-one", "bounds-C-below-one", "concentration-c-negative",
+    "d-too-large", "dp-too-large", "num-r-too-large",
 ]
 
 

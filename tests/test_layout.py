@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import eulermc
-from eulermc import cli, harness, simulate
+from eulermc import cli, errors, harness, simulate
 from eulermc.model import MODEL_PRESETS
 
 PACKAGE = Path(eulermc.__file__).resolve().parent
@@ -242,3 +242,17 @@ def test_only_cli_imports_harness_and_nothing_imports_cli():
         if target == "cli" or (target == "harness" and module != "cli.py")
     ]
     assert not found, found
+
+
+def test_each_exit_code_has_one_error_class():
+    # cli.main reads only a failure's exit_code, so a subclass below a code's
+    # class is a name that changes nothing; ArgumentError is the one, as it
+    # is also the library's ValueError
+    per_code = (errors.ConfigError, errors.NumericError, errors.StatisticsError)
+    allowed = (*per_code, errors.ArgumentError)
+    below = [
+        name
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, per_code) and obj not in allowed
+    ]
+    assert not below, f"error classes below an exit code's class: {below}"

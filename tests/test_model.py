@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from eulermc.errors import ConfigError, InvalidModelError, NumericError
-from eulermc.model import Case, GaussParams, SchemeGrid, model_preset, sphere_surface_measure
+from eulermc.errors import ConfigError, NumericError
+from eulermc.model import Case, SchemeGrid, model_preset, sphere_surface_measure
 from oracles import diffusion_matrix
 
 
@@ -80,7 +80,7 @@ def test_positive_definite_along_sampled_directions(numpy_normals):
 def test_nonfinite_sigma_raises():
     for preset, params in [("const", {"d": 1}), ("kinetic", {"dp": 1})]:
         for bad in (math.nan, math.inf):
-            with pytest.raises(InvalidModelError):
+            with pytest.raises(ConfigError):
                 model_preset(preset, sigma0=bad, **params)
 
 
@@ -97,13 +97,6 @@ def test_grid_validation():
         SchemeGrid(T=-1.0, N=3)
     with pytest.raises(ConfigError):
         SchemeGrid(T=1.0, N=0)
-
-
-def test_gauss_params_validation():
-    with pytest.raises(ConfigError):
-        GaussParams(c=1.0, C=0.5)
-    with pytest.raises(ConfigError):
-        GaussParams(c=-1.0, C=2.0)
 
 
 def test_kinetic_model_shape():

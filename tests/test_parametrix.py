@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eulermc import parametrix
-from eulermc.errors import ArgumentError, TruncationError
+from eulermc.errors import ArgumentError, NumericError
 from eulermc.harness import ExperimentConfig, run_density_check, write_csv
 from eulermc.model import MODEL_PRESETS, Case, SchemeGrid, SdeModel, model_preset
 from eulermc.parametrix import (
@@ -346,7 +346,7 @@ def test_ck_matches_simulation_histogram():
 
 def test_ck_truncation_guard():
     tg = SchemeGrid(T=1.0, N=4)
-    with pytest.raises(TruncationError):
+    with pytest.raises(NumericError, match="loses mass"):
         chapman_kolmogorov_density(TRIG, tg, 0.0, Grid1D(-1.0, 1.0, 101))
 
 
