@@ -108,15 +108,18 @@ _FLUSH_TINY = 1e-290
 _MASS_TOL = 1e-8
 
 
-def _gauss(y, mean, var):
+def _gauss(y, mean, var, out=None):
     """Normal density with the given mean and variance at y (broadcasting),
-    computed in one buffer as exp(-(y - mean)^2 / (2 var)) / sqrt(2 pi var).
+    computed in one buffer as exp(-(y - mean)^2 / (2 var)) / sqrt(2 pi var):
+    out when given, shaped as y and mean broadcast, else a new array.
 
     Values below _FLUSH_TINY are 0, so that no product with them is
     subnormal; values at or above it are exact.  Exponents are raised to
     _EXP_FLOOR before the exp, so that the exp stays fast.
     """
-    out = np.subtract(y, mean, out=np.empty(np.broadcast_shapes(np.shape(y), np.shape(mean))))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(y), np.shape(mean)))
+    np.subtract(y, mean, out=out)
     out *= out
     out /= -2.0 * np.asarray(var)
     np.maximum(out, _EXP_FLOOR, out=out)
@@ -150,11 +153,10 @@ def one_step_density(model: SdeModel, tgrid: SchemeGrid, x: float, xp):
 
 def _running_sums(moments, n: int):
     """Yield the frozen drift and variance sums over the first 1, 2, ...
-    steps of moments, summed in step order into one pair of buffers."""
+    steps of moments, summed in step order, each pair in new arrays."""
     drift_sum, var_sum = np.zeros(n), np.zeros(n)
     for bd, ad in moments:
-        drift_sum += bd
-        var_sum += ad
+        drift_sum, var_sum = drift_sum + bd, var_sum + ad
         yield drift_sum, var_sum
 
 
@@ -180,24 +182,31 @@ def _one_step_matrix(pts: np.ndarray, bd, ad):
     return _gauss(pts[None, :], (pts + bd)[:, None], ad[:, None])
 
 
+def _moment_key(bd, ad):
+    """The bytes of one step's moments: two steps have equal keys exactly when
+    their vectors are equal bit for bit."""
+    return bd.tobytes(), ad.tobytes()
+
+
 def _built_per_change(moments, build):
     """Yield build(bd, ad) for each step's moments (_step_moments).  A step
-    whose two vectors equal those of the last build bit for bit gets that
-    build again, so time-independent coefficients are built once and
+    whose key (_moment_key) equals that of the last build gets that build
+    again, so time-independent coefficients are built once and
     time-dependent ones at every step."""
     built_from = None
     for bd, ad in moments:
-        key = (bd.tobytes(), ad.tobytes())
+        key = _moment_key(bd, ad)
         if key != built_from:
             built = None  # frees the last build before the next is made
             built, built_from = build(bd, ad), key
         yield built
 
 
-def _frozen_tail(pts, drift_sum, var_sum):
-    """psi[z, w] = frozen-at-z density from pts[w] to pts[z], given the frozen
-    drift and variance sums at pts[z] (see _running_sums)."""
-    return _gauss((pts - drift_sum)[:, None], pts[None, :], var_sum[:, None])
+def _frozen_tail(pts, drift_sum, var_sum, zb=slice(None), out=None):
+    """psi[z, w] = frozen-at-z density from pts[w] to pts[z] for the target
+    rows z in zb (all of them by default), given the frozen drift and
+    variance sums at pts (see _running_sums); into out when given."""
+    return _gauss((pts[zb] - drift_sum[zb])[:, None], pts[None, :], var_sum[zb, None], out)
 
 
 def _fast_len(m: int) -> int:
@@ -218,42 +227,78 @@ def _fast_len(m: int) -> int:
 _BLOCK = 64  # rows of z per FFT batch; 128 or more ran slower at n = 401 and 601 (2-core x86-64)
 
 
+def _z_blocks(n: int) -> list:
+    """The slices of _BLOCK target rows z that cover range(n), the last one
+    shorter when _BLOCK does not divide n."""
+    return [slice(z0, min(z0 + _BLOCK, n)) for z0 in range(0, n, _BLOCK)]
+
+
 def _shift_kernel_spectra(pts: np.ndarray, bd, ad) -> list:
-    """rfft(G[z-block], L) for the blocks of _BLOCK rows of the shift
-    kernels G[z, m + n - 1] = density of one step frozen at pts[z] at
-    displacement h * m, m in [-(n-1), n-1], given the step moments
-    bd = b delta and ad = a delta at pts.  G is built one block at a time
-    and not kept."""
+    """rfft(G[zb], L) for the blocks zb of _z_blocks of the shift kernels
+    G[z, m + n - 1] = density of one step frozen at pts[z] at displacement
+    h * m, m in [-(n-1), n-1], given the step moments bd = b delta and
+    ad = a delta at pts.  G is built one block at a time and not kept."""
     n = pts.shape[0]
     L = _fast_len(2 * n - 1)
     disp = (pts[1] - pts[0]) * np.arange(-(n - 1), n)
     return [
-        np.fft.rfft(_gauss(disp[None, :], bd[z, None], ad[z, None]), L)
-        for z in (slice(z0, z0 + _BLOCK) for z0 in range(0, n, _BLOCK))
+        np.fft.rfft(_gauss(disp[None, :], bd[zb, None], ad[zb, None]), L) for zb in _z_blocks(n)
     ]
 
 
-def _onestep_defect(V: np.ndarray, Q: np.ndarray, spectra: list) -> np.ndarray:
-    """D[r, z, w] = (V Q)[r, w] - sum_u V[r, u] G[z, (w - u) + n - 1].
+def _head(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The first entries of the flat buffer buf as a C-contiguous array of
+    the given shape."""
+    return buf[: math.prod(shape)].reshape(shape)
 
-    Row r of V pushed through one true step (Q) minus one step frozen at the
+
+class _BlockScratch:
+    """Flat buffers for the arrays of one block of target rows (_z_blocks),
+    allocated once per series call and reused by every block of every step,
+    so that no block faults in fresh pages.  A block's arrays are the heads
+    of the buffers (_head), so the short last block fits as well."""
+
+    def __init__(self, rows: int, n: int):
+        L = _fast_len(2 * n - 1)
+        self.defect = np.empty(rows * _BLOCK * n)
+        self.tail = np.empty(_BLOCK * n)
+        self.spectrum = np.empty(rows * _BLOCK * (L // 2 + 1), dtype=complex)
+        self.conv = np.empty(rows * _BLOCK * L)
+
+
+def _defect_blocks(V: np.ndarray, Q: np.ndarray, spectra: list, scratch: _BlockScratch):
+    """Yield (zb, D[:, zb]) for the blocks zb of _z_blocks, where
+
+        D[r, z, w] = (V Q)[r, w] - sum_u V[r, u] G[z, (w - u) + n - 1]:
+
+    row r of V pushed through one true step (Q) minus one step frozen at the
     target z (shift kernels G, given by their spectra from
     _shift_kernel_spectra).  The frozen part is a correlation, computed with
-    batched FFTs over blocks of z so that the temporaries stay small.  Only
-    lags n-1 .. 2n-2 of the full convolution are kept, so a circular length
-    of 2n - 1 already avoids wrap-around.  Q and the spectra depend on the
-    step only through its coefficient vectors, so the series passes the
-    same ones to every step whose vectors are unchanged (_built_per_change).
+    batched FFTs of the block.  Only lags n-1 .. 2n-2 of the full convolution
+    are kept, so a circular length of 2n - 1 already avoids wrap-around.
+    Each block is formed in scratch and holds until the next is yielded.
     """
-    n = V.shape[1]
+    rows, n = V.shape
     L = _fast_len(2 * n - 1)
     fv = np.fft.rfft(V, L)[:, None, :]
-    D = np.empty((V.shape[0], n, n))
-    D[...] = (V @ Q)[:, None, :]
-    for z0, spectrum in zip(range(0, n, _BLOCK), spectra):
-        full = np.fft.irfft(fv * spectrum[None, :, :], L)
-        D[:, z0 : z0 + _BLOCK] -= full[:, :, n - 1 : 2 * n - 1]
-    return D
+    VQ = (V @ Q)[:, None, :]
+    for zb, spectrum in zip(_z_blocks(n), spectra):
+        b = spectrum.shape[0]
+        product = np.multiply(fv, spectrum, out=_head(scratch.spectrum, rows, b, L // 2 + 1))
+        conv = np.fft.irfft(product, L, out=_head(scratch.conv, rows, b, L))
+        D = _head(scratch.defect, rows, b, n)
+        yield zb, np.subtract(VQ, conv[:, :, n - 1 : 2 * n - 1], out=D)
+
+
+def _first_defect_blocks(first: np.ndarray, x: float, bd, ad, pts, scratch: _BlockScratch):
+    """Yield (zb, D[:, zb]) as _defect_blocks does for the point mass at x:
+    D[0, z, w] = first[w], the one-step density from x at w, minus the step
+    from x frozen at the target z."""
+    n = pts.shape[0]
+    for zb in _z_blocks(n):
+        b = zb.stop - zb.start
+        frozen = _gauss(pts, (x + bd[zb])[:, None], ad[zb, None], _head(scratch.tail, b, n))
+        yield zb, np.subtract(first, frozen, out=_head(scratch.defect, 1, b, n))
 
 
 def term_decay(norms) -> tuple[list, list]:
@@ -296,20 +341,26 @@ def parametrix_series(model: SdeModel, tgrid: SchemeGrid, x: float, grid: Grid1D
 
     and term r is T_r[N].  Sweeping l upwards, the rows V = tw T_{0..r_max-1}[l]
     are final when l is reached and are pushed into every later m, so no
-    kernel table H(t_l, t_m) is stored.  With D = _onestep_defect(V, ...) of
-    step l (FFTs once per l) and psi the frozen tail over t_{l+1} .. t_m,
+    kernel table H(t_l, t_m) is stored.  With D the defect of step l
+    (_defect_blocks) and psi the frozen tail over t_{l+1} .. t_m,
 
         delta (V H(t_l, t_m))[r, z] = sum_w D[r, z, w] tw[w] psi[z, w],
 
     and for m = l + 1 it is D[r, z, z].  The sweep starts at l = 0, whose one
     row is the point mass at x: there D[0, z, w] is the one-step density from
     x at w minus the step frozen at z, and the same contraction gives the
-    delta H(t_0, t_m, x, .) part of T_1[m].
+    delta H(t_0, t_m, x, .) part of T_1[m].  D is formed one block of target
+    rows z at a time, and each block is contracted with the psi rows of every
+    later m before the next is formed, all in buffers reused by every block.
 
     The model is read once per step, as b(t_k, .) delta and a(t_k, .) delta
     on the grid, and T_0 and each frozen tail psi are running sums of them.
     Q and the shift-kernel spectra are built again only when the vectors of
     step l change in some bit, so time-independent coefficients build them once.
+    When the steps after the first all have one key (_moment_key), psi
+    depends only on the gap m - l - 1, and the full tails of the smallest
+    gaps are built once: at most r_max of them, the n x n planes that a full
+    D table of a step would hold.  Every other tail is built by block rows.
     """
     _check_1d_case_a(model)
     check_r_max(r_max, tgrid)
@@ -329,21 +380,31 @@ def parametrix_series(model: SdeModel, tgrid: SchemeGrid, x: float, grid: Grid1D
     T = np.zeros((r_max + 1, N + 1, n))
     for m, (drift_sum, var_sum) in enumerate(_running_sums(moments, n), 1):
         T[0, m] = _gauss(pts, x + drift_sum, var_sum)
+    # gap_tails[g - 1] = psi over g steps, built once when the steps after the
+    # first repeat bit for bit, so that psi depends on the gap alone
+    repeat = len({_moment_key(bd, ad) for bd, ad in moments[1:]}) == 1
+    gap_sums = _running_sums(moments[1 : r_max + 1], n) if repeat else ()
+    gap_tails = [_frozen_tail(pts, drift_sum, var_sum) for drift_sum, var_sum in gap_sums]
+    scratch = _BlockScratch(r_max, n)
     for l in range(N if r_max else 0):
         rows = min(r_max, l + 1)
         if l == 0:
-            bd, ad = moments[0]
-            frozen = _gauss(pts[None, :], x + bd[:, None], ad[:, None])
-            D = (one_step_density(model, tgrid, x, pts) - frozen)[None]
+            first = one_step_density(model, tgrid, x, pts)
+            blocks = _first_defect_blocks(first, x, *moments[0], pts, scratch)
         else:
-            D = _onestep_defect(tw * T[:rows, l], *next(kernels))
+            blocks = _defect_blocks(tw * T[:rows, l], *next(kernels), scratch)
         out = T[1 : rows + 1]
-        out[:, l + 1] += np.diagonal(D, axis1=1, axis2=2)
-        D *= tw
-        tails = _running_sums(moments[l + 1 :], n)
-        for m, (drift_sum, var_sum) in enumerate(tails, l + 2):
-            psi = _frozen_tail(pts, drift_sum, var_sum)
-            out[:, m] += np.einsum("rzw,zw->rz", D, psi)
+        tails = list(_running_sums(moments[l + 1 :], n))
+        for zb, D in blocks:
+            out[:, l + 1, zb] += np.diagonal(D[:, :, zb], axis1=1, axis2=2)
+            D *= tw
+            for g, (drift_sum, var_sum) in enumerate(tails, 1):
+                if g <= len(gap_tails):
+                    psi = gap_tails[g - 1][zb]
+                else:
+                    psi_rows = _head(scratch.tail, *D.shape[1:])
+                    psi = _frozen_tail(pts, drift_sum, var_sum, zb, psi_rows)
+                out[:, l + 1 + g, zb] += np.einsum("rzw,zw->rz", D, psi)
 
     terms = [T[r, N] for r in range(r_max + 1)]
     norms = [float(np.max(np.abs(t))) for t in terms]

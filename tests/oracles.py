@@ -31,7 +31,19 @@ from scipy.special import erfc
 from eulermc.control import ControlProblem
 from eulermc.errors import ArgumentError, NumericError
 from eulermc.gaussianref import KernelSpec, _block, _transport, kernel_density, kernel_normalizer
-from eulermc.model import Case, SdeModel
+from eulermc.model import Case, SchemeGrid, SdeModel
+from eulermc.parametrix import (
+    _BLOCK,
+    Grid1D,
+    _built_per_change,
+    _fast_len,
+    _gauss,
+    _one_step_matrix,
+    _running_sums,
+    _shift_kernel_spectra,
+    _step_moments,
+    one_step_density,
+)
 from eulermc.simulate import _P0, _P1, _P2, _Q0, _Q1, _Q2
 
 
@@ -535,3 +547,53 @@ def matrix_step(model: SdeModel, sig, t: float, x, delta: float, g) -> np.ndarra
     z += b
     z += noise
     return res
+
+
+def _pairwise_defect(V: np.ndarray, Q: np.ndarray, spectra: list) -> np.ndarray:
+    """D[r, z, w] = (V Q)[r, w] - sum_u V[r, u] G[z, (w - u) + n - 1] as one
+    full (rows, n, n) table, the frozen part by batched FFTs per block of z."""
+    n = V.shape[1]
+    L = _fast_len(2 * n - 1)
+    fv = np.fft.rfft(V, L)[:, None, :]
+    D = np.empty((V.shape[0], n, n))
+    D[...] = (V @ Q)[:, None, :]
+    for z0, spectrum in zip(range(0, n, _BLOCK), spectra):
+        full = np.fft.irfft(fv * spectrum[None, :, :], L)
+        D[:, z0 : z0 + _BLOCK] -= full[:, :, n - 1 : 2 * n - 1]
+    return D
+
+
+def pairwise_parametrix_series(
+    model: SdeModel, tgrid: SchemeGrid, x: float, grid: Grid1D, r_max: int
+):
+    """The table values, term sup norms and terms of
+    parametrix.parametrix_series by the pair-by-pair sweep: for each step l
+    one full defect table D, and for each later m a full frozen tail psi
+    built anew and contracted with D by einsum."""
+    N, pts, tw, n = tgrid.N, grid.points, grid.weights(), grid.n_points
+    moments = list(_step_moments(model, tgrid, range(N), pts))
+
+    def step_kernels(bd, ad):
+        return _one_step_matrix(pts, bd, ad), _shift_kernel_spectra(pts, bd, ad)
+
+    kernels = _built_per_change(moments[1:], step_kernels)
+    T = np.zeros((r_max + 1, N + 1, n))
+    for m, (drift_sum, var_sum) in enumerate(_running_sums(moments, n), 1):
+        T[0, m] = _gauss(pts, x + drift_sum, var_sum)
+    for l in range(N if r_max else 0):
+        rows = min(r_max, l + 1)
+        if l == 0:
+            bd, ad = moments[0]
+            frozen = _gauss(pts[None, :], x + bd[:, None], ad[:, None])
+            D = (one_step_density(model, tgrid, x, pts) - frozen)[None]
+        else:
+            D = _pairwise_defect(tw * T[:rows, l], *next(kernels))
+        out = T[1 : rows + 1]
+        out[:, l + 1] += np.diagonal(D, axis1=1, axis2=2)
+        D *= tw
+        tails = _running_sums(moments[l + 1 :], n)
+        for m, (drift_sum, var_sum) in enumerate(tails, l + 2):
+            psi = _gauss((pts - drift_sum)[:, None], pts[None, :], var_sum[:, None])
+            out[:, m] += np.einsum("rzw,zw->rz", D, psi)
+    terms = [T[r, N] for r in range(r_max + 1)]
+    return np.sum(terms, axis=0), [float(np.max(np.abs(t))) for t in terms], terms

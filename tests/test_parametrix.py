@@ -18,6 +18,7 @@ from eulermc.parametrix import (
     parametrix_series,
 )
 from eulermc.simulate import RngSpec, simulate_terminal
+from oracles import pairwise_parametrix_series
 
 
 CONST = model_preset("const", d=1, b0=0.0, sigma0=1.0)
@@ -237,14 +238,15 @@ def test_series_peak_memory_does_not_grow_with_steps():
 @pytest.mark.parametrize("N, n", [(10, 401), (50, 601)])
 def test_flushed_matrices_hold_no_tiny_values(monkeypatch, N, n):
     # every Gaussian table of the series (the rows of T_0 and of the first
-    # step, Q, the blocks of G, psi and the l = 0 frozen matrix) is 0 or at
+    # step, Q, the blocks of G, the full tails of the smallest gaps and the
+    # block rows of the other tails and of the l = 0 frozen step) is 0 or at
     # least 1e-290, so no product with it is subnormal; none of them depends
-    # on r_max
+    # on r_max beyond the number of full tails
     shapes = set()
     gauss = parametrix._gauss
 
-    def checked(y, mean, var):
-        out = gauss(y, mean, var)
+    def checked(*args, **kwargs):
+        out = gauss(*args, **kwargs)
         shapes.add(out.shape)
         assert np.all((out == 0.0) | (out >= 1e-290))
         return out
@@ -252,9 +254,11 @@ def test_flushed_matrices_hold_no_tiny_values(monkeypatch, N, n):
     monkeypatch.setattr(parametrix, "_gauss", checked)
     tg = SchemeGrid(T=1.0, N=N)
     parametrix_series(TRIG, tg, 0.0, default_grid(TRIG, tg, 0.0, n, 10.0), r_max=1)
-    # n for the rows, n x n for Q, psi and the frozen matrix; blocks of 64
-    # rows (the last one shorter) of the 2n - 1 displacements for G
-    assert shapes == {(n,), (n, n), (64, 2 * n - 1), (n % 64, 2 * n - 1)}
+    # n for the rows, n x n for Q and the full tail; blocks of 64 target rows
+    # (the last one shorter) of the 2n - 1 displacements for G and of the n
+    # nodes for the frozen step and the tails
+    last = n % 64
+    assert shapes == {(n,), (n, n), (64, 2 * n - 1), (last, 2 * n - 1), (64, n), (last, n)}
 
 
 def _time_dependent_trig():
@@ -304,6 +308,67 @@ def test_time_dependent_steps_build_the_one_step_matrix_every_step(monkeypatch):
     rel = np.max(np.abs(table.values - ck.values)) / np.max(ck.values)
     assert rel < 1e-2
     assert norms[1] > norms[2] > norms[3]
+
+
+def _assert_equals_pairwise_sweep(model, tg, grid, r_max):
+    table, norms, terms = parametrix_series(model, tg, 0.0, grid, r_max)
+    want_values, want_norms, want_terms = pairwise_parametrix_series(model, tg, 0.0, grid, r_max)
+    assert len(terms) == len(want_terms) == r_max + 1
+    assert all(np.array_equal(got, want) for got, want in zip(terms, want_terms))
+    assert norms == want_norms
+    assert np.array_equal(table.values, want_values)
+
+
+@pytest.mark.parametrize("r_max", [0, 1, 2, 3])
+def test_blocked_sweep_equals_pairwise_sweep_bit_for_bit(r_max):
+    tg = SchemeGrid(T=1.0, N=10)
+    # 201 = 3 * 64 + 9 target rows: the last block is partial
+    grid = default_grid(TRIG, tg, 0.0, 201, 10.0)
+    _assert_equals_pairwise_sweep(TRIG, tg, grid, r_max)
+
+
+def test_blocked_sweep_equals_pairwise_sweep_for_time_dependent_steps():
+    model = _time_dependent_trig()
+    tg = SchemeGrid(T=1.0, N=10)
+    _assert_equals_pairwise_sweep(model, tg, default_grid(model, tg, 0.0, 201, 10.0), 3)
+
+
+def _tail_shapes(monkeypatch):
+    shapes = []
+    build = parametrix._frozen_tail
+
+    def recorded(*args, **kwargs):
+        out = build(*args, **kwargs)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(parametrix, "_frozen_tail", recorded)
+    return shapes
+
+
+@pytest.mark.parametrize("N, r_max", [(10, 0), (10, 1), (10, 3), (3, 3)])
+def test_repeating_steps_build_the_smallest_gaps_tails_once(monkeypatch, N, r_max):
+    # the full tails of gaps 1 .. min(r_max, N - 1), once each; every other
+    # tail is built by blocks of target rows
+    shapes = _tail_shapes(monkeypatch)
+    tg = SchemeGrid(T=1.0, N=N)
+    parametrix_series(TRIG, tg, 0.0, default_grid(TRIG, tg, 0.0, 201, 10.0), r_max)
+    full = min(r_max, N - 1)
+    assert shapes.count((201, 201)) == full
+    # the pairs (l, m) whose gap m - l - 1 exceeds `full`, each by its 4 blocks
+    by_rows = sum(N - g for g in range(full + 1, N)) if r_max else 0
+    want = [(201, 201)] * full + [(64, 201)] * 3 * by_rows + [(9, 201)] * by_rows
+    assert sorted(shapes) == sorted(want)
+
+
+def test_time_dependent_steps_build_no_full_tail(monkeypatch):
+    shapes = _tail_shapes(monkeypatch)
+    model = _time_dependent_trig()
+    tg = SchemeGrid(T=1.0, N=10)
+    parametrix_series(model, tg, 0.0, default_grid(model, tg, 0.0, 201, 10.0), r_max=3)
+    assert (201, 201) not in shapes
+    # gaps 1 .. 9 after steps 0 .. 8, each by its 4 blocks
+    assert len(shapes) == 45 * 4
 
 
 def test_series_r_max_validation():
