@@ -341,33 +341,34 @@ def wilson_upper(k: int, n: int) -> float:
     return (center + rad) / denom
 
 
-def _alpha_for(cfg: ExperimentConfig, model: SdeModel) -> float:
-    if cfg.functional == "asian-diff":
-        return conc.concentration_alpha_normalized(cfg.c, cfg.T)
-    return conc.concentration_alpha(model.case, cfg.c, cfg.T)
-
-
-def _bound_constants(cfg: ExperimentConfig, model: SdeModel):
-    """(alpha, delta, constants): the upper-side constant alpha of the
-    functional, the bias delta, and, when rho0 and beta set a growth spec,
-    conc.lower_constants of F = |y| from x0, whose functional must then grow
-    (sphere_floor); else None."""
-    alpha = _alpha_for(cfg, model)  # refuses c <= 0
+def _bound_report(cfg: ExperimentConfig, model: SdeModel) -> dict:
+    """The keys that bounds.json and concentration.json share: the upper-side
+    constant alpha_T of the functional, the bias delta_bias, and under
+    constants, when rho0 and beta set a growth spec, conc.lower_constants of
+    F = |y| from x0, whose functional must then grow (sphere_floor); else
+    None."""
+    if cfg.functional == "asian-diff":  # either alpha refuses c <= 0
+        alpha = conc.concentration_alpha_normalized(cfg.c, cfg.T)
+    else:
+        alpha = conc.concentration_alpha(model.case, cfg.c, cfg.T)
     delta = conc.domination_bias(cfg.C, alpha)  # refuses C < 1
     if not (math.isfinite(alpha) and math.isfinite(delta)):
         raise NumericError(f"alpha_T = {alpha} and delta_bias = {delta} must be finite")
     growth = growth_spec(cfg)
-    if growth is None:
-        return alpha, delta, None
-    floor = sphere_floor(cfg.functional, growth)
-    constants = conc.lower_constants(
-        model.case, model.d, cfg.c, cfg.C, cfg.T, alpha, start_point(cfg, model), growth,
-        floor, cfg.theta,
-    )
-    inv_alpha, bias = constants["bar_alpha_inv"], constants["bar_delta"]
-    if not (math.isfinite(inv_alpha) and math.isfinite(bias)):
-        raise NumericError(f"bar_alpha_inv = {inv_alpha} and bar_delta = {bias} must be finite")
-    return alpha, delta, constants
+    constants = None
+    if growth is not None:
+        floor = sphere_floor(cfg.functional, growth)
+        constants = conc.lower_constants(
+            model.case, model.d, cfg.c, cfg.C, cfg.T, alpha, start_point(cfg, model), growth,
+            floor, cfg.theta,
+        )
+        inv_alpha, bias = constants["bar_alpha_inv"], constants["bar_delta"]
+        if not (math.isfinite(inv_alpha) and math.isfinite(bias)):
+            raise NumericError(f"bar_alpha_inv = {inv_alpha} and bar_delta = {bias} must be finite")
+    return {
+        "case": model.case.value, "c": cfg.c, "C": cfg.C, "T": cfg.T, "M": cfg.M,
+        "alpha_T": alpha, "delta_bias": delta, "constants": constants,
+    }
 
 
 def _default_r_grid(cfg: ExperimentConfig, alpha: float) -> np.ndarray:
@@ -440,7 +441,8 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> dict:
     model = build_model(cfg)
     tgrid = SchemeGrid(T=cfg.T, N=cfg.N)
     f = make_functional(cfg, model)
-    alpha, delta, constants = _bound_constants(cfg, model)
+    report = _bound_report(cfg, model)
+    alpha, delta, constants = report["alpha_T"], report["delta_bias"], report["constants"]
     r_grid = (
         np.asarray(cfg.r_grid, dtype=float)
         if cfg.r_grid is not None
@@ -458,36 +460,27 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> dict:
         raise NumericError("a batch mean of f or its deviation from the reference overflows")
 
     bound_curve, freq, wilson = [], [], []
-    for r in r_grid:
+    lower_curve, lower_empirical = (None, None) if constants is None else ([], [])
+    for r in r_grid.tolist():
         k = int(np.count_nonzero(deviations >= r + delta))
-        bound_curve.append((float(r), conc.upper_tail_bound(float(r), cfg.M, alpha)))
+        bound_curve.append((r, conc.upper_tail_bound(r, cfg.M, alpha)))
         freq.append(k / cfg.num_batches)
         wilson.append(wilson_upper(k, cfg.num_batches))
-
-    lower_curve = None
-    lower_empirical = None
-    if constants is not None:
-        inv_rate = constants["bar_alpha_inv"]
-        lower_curve = [
-            (float(r), conc.lower_tail_bound(float(r), cfg.M, inv_rate, cfg.beta, cfg.rho0))
-            for r in r_grid
-            if r > 0
-        ]
+        if constants is None or not r > 0:
+            continue
+        bound = conc.lower_tail_bound(r, cfg.M, constants["bar_alpha_inv"], cfg.beta, cfg.rho0)
+        lower_curve.append((r, bound))
         # empirical validation only where the predicted probability is
         # resolvable at this batch count; elsewhere the formulas stand alone
-        lower_empirical = []
-        for r, bound in lower_curve:
-            thr = r - constants["bar_delta"]
-            if bound >= 1e-3 and thr > 0:
-                lower_freq = float(np.count_nonzero(deviations >= thr)) / cfg.num_batches
-                lower_empirical.append((r, thr, lower_freq))
+        thr = r - constants["bar_delta"]
+        if bound >= 1e-3 and thr > 0:
+            lower_freq = float(np.count_nonzero(deviations >= thr)) / cfg.num_batches
+            lower_empirical.append((r, thr, lower_freq))
 
     return {
-        "case": model.case.value, "c": cfg.c, "C": cfg.C, "T": cfg.T, "M": cfg.M,
-        "num_batches": cfg.num_batches, "alpha_T": alpha, "delta_bias": delta,
-        "reference_mean": ref, "reference_se": se, "bound_curve": bound_curve,
-        "empirical_freq": freq, "wilson_upper": wilson, "lower_curve": lower_curve,
-        "lower_empirical": lower_empirical, "constants": constants,
+        **report, "num_batches": cfg.num_batches, "reference_mean": ref, "reference_se": se,
+        "bound_curve": bound_curve, "empirical_freq": freq, "wilson_upper": wilson,
+        "lower_curve": lower_curve, "lower_empirical": lower_empirical,
     }
 
 
@@ -593,22 +586,12 @@ def run_bound_table(cfg: ExperimentConfig) -> dict:
     """All concentration constants plus confidence radii for an eps list."""
     model = build_model(cfg)
     make_functional(cfg, model)  # refuses an unknown preset
-    alpha, delta, constants = _bound_constants(cfg, model)
+    report = _bound_report(cfg, model)
     rows = []
     for eps in cfg.eps:
-        radius = conc.confidence_radius(eps, cfg.M, alpha)
-        rows.append({"eps": eps, "radius": radius, "total_radius": radius + delta})
-    return {
-        "case": model.case.value,
-        "c": cfg.c,
-        "C": cfg.C,
-        "T": cfg.T,
-        "M": cfg.M,
-        "alpha_T": alpha,
-        "delta_bias": delta,
-        "radii": rows,
-        "constants": constants,
-    }
+        radius = conc.confidence_radius(eps, cfg.M, report["alpha_T"])
+        rows.append({"eps": eps, "radius": radius, "total_radius": radius + report["delta_bias"]})
+    return {**report, "radii": rows}
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from eulermc import concentration as conc
 from eulermc.errors import ArgumentError, NumericError
 from eulermc.gaussianref import hessian_spectral_bounds
-from eulermc.harness import ExperimentConfig, _bound_constants, build_model
+from eulermc.harness import ExperimentConfig, _bound_report, build_model
 from eulermc.model import Case, GrowthSpec, sphere_surface_measure
 from oracles import cone_constant, folded_normal_mean, noncentral_chi3_mean
 
@@ -105,7 +105,7 @@ def test_radius_bound_round_trip(eps, M, alpha):
 def lower(d=2, c=1.0, C=1.0, T=1.0, alpha=2.0, x0=None, rho0=1.0, beta=1.0, measure=None,
           floor=None, theta=None, case=Case.NONDEGENERATE):
     """conc.lower_constants of F = |y|, by default from 0 on the full sphere
-    (measure None) with floor rho0, as harness._bound_constants passes them."""
+    (measure None) with floor rho0, as harness._bound_report passes them."""
     growth = GrowthSpec(rho0, beta, measure)
     x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
     return conc.lower_constants(
@@ -309,10 +309,12 @@ def _chi_pair_deviation(d: int, thr: float) -> float:
     "d, M",
     [
         pytest.param(1, 1, id="1"),
-        pytest.param(2, 1, id="2", marks=pytest.mark.xfail(strict=True, reason=(
-            "ROADMAP item 7: the lower bound fails on the exact law in d = 2; at r = 2.355 "
-            "the exact probability is 0.0739 against a bound of 0.1249"
-        ))),
+        pytest.param(2, 1, id="2", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason=(
+                "ROADMAP item 7: the lower bound fails on the exact law in d = 2; at r = 2.355 "
+                "the exact probability is 0.0739 against a bound of 0.1249"
+            ),
+        )),
         pytest.param(3, 1, id="3"),
         pytest.param(4, 1, id="4"),
         *(pytest.param(d, 2, id=f"{d}-M2") for d in (1, 2, 3, 4)),
@@ -330,7 +332,7 @@ def test_lower_tail_bound_holds_on_the_exact_chi_law(d, M):
     cfg = ExperimentConfig.from_dict(dict(
         preset="const", d=d, x0=[0.0], M=M, c=1.0, C=1.0, functional="abs", rho0=1.0, beta=1.0,
     ))
-    _, _, constants = _bound_constants(cfg, build_model(cfg))
+    constants = _bound_report(cfg, build_model(cfg))["constants"]
     r = np.linspace(0.01, 6.0, 600)
     bound = np.array([conc.lower_tail_bound(x, M, constants["bar_alpha_inv"], 1.0, 1.0) for x in r])
     thr = r - constants["bar_delta"]
@@ -343,6 +345,58 @@ def test_lower_tail_bound_holds_on_the_exact_chi_law(d, M):
         exact = np.array([_chi_pair_deviation(d, t) for t in thr])
     assert r.size > (400 if M == 1 else 100)
     assert not (exact < bound).any(), f"exact below the bound at r = {r[exact < bound]}"
+
+
+@pytest.mark.parametrize(
+    "fields, functional, M, c, law",
+    [
+        *(
+            pytest.param(dict(preset="const", d=d), fn, M, 1.0, 1.0, id=f"const-{fn}-{d}-M{M}")
+            for fn in ("identity", "sum") for d in (1, 2, 3, 4) for M in (1, 2)
+        ),
+        *(
+            pytest.param(dict(preset="const", d=d), "abs", M, 1.0, "chi", id=f"const-abs-{d}-M{M}")
+            for d in (1, 2, 3, 4) for M in (1, 2)
+        ),
+        *(
+            pytest.param(
+                dict(preset="kinetic", dp=dp), fn, M, 2.0, var, id=f"kinetic-{fn}-{dp}-M{M}"
+            )
+            for fn, var in (("identity", 1.0), ("asian-diff", 1.0 / 6.0))
+            for dp in (1, 2) for M in (1, 2)
+        ),
+        pytest.param(
+            dict(preset="const", sigma0=1.5), "identity", 1, 1.0, 2.25, id="const-sigma0-1.5",
+            marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                "ROADMAP item 15: c = 1 lies above the law's c = 1/sigma0^2 = 0.444, so the "
+                "envelope fails; at r = 3.255 the exact probability is 0.0300 against a bound "
+                "of 0.0100"
+            )),
+        ),
+    ],
+)
+def test_upper_tail_bound_holds_on_the_exact_law(fields, functional, M, c, law):
+    from scipy.stats import chi
+
+    # from 0 both presets simulate X_T exactly: const as N(0, sigma0^2 I_d),
+    # undamped kinetic (law c = 2) with velocity N(0, T) and v - x/T of
+    # variance T/3 per coordinate.  So at T = 1 f(X_T) is Gaussian with
+    # variance law (sigma0^2 for identity and sum, 1/6 for asian-diff), or
+    # chi_d for abs.  alpha_T and delta_bias are the program's own, at C = 1
+    cfg = ExperimentConfig.from_dict(dict(fields, M=M, c=c, C=1.0, functional=functional))
+    model = build_model(cfg)
+    report = _bound_report(cfg, model)
+    r = np.linspace(0.0, 8.0, 801)[1:]
+    bound = np.array([conc.upper_tail_bound(x, M, report["alpha_T"]) for x in r])
+    thr = r + report["delta_bias"]
+    if law != "chi":
+        exact = np.array([math.erfc(t * math.sqrt(M / (2.0 * law))) for t in thr])
+    elif M == 1:
+        mean = chi.mean(model.d)
+        exact = chi.sf(mean + thr, model.d) + chi.cdf(mean - thr, model.d)
+    else:
+        exact = np.array([_chi_pair_deviation(model.d, t) for t in thr])
+    assert not (exact > bound).any(), f"exact above the bound at r = {r[exact > bound]}"
 
 
 def test_wasserstein_bound():
