@@ -23,7 +23,7 @@ def _command(name: str):
     def run(cfg: harness.ExperimentConfig) -> None:
         harness.run_command(name, cfg)
 
-    run.__name__ = f"run_{name.replace('-', '_')}"
+    run.__name__ = f"command_{name.replace('-', '_')}"
     return run
 
 

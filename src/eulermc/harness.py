@@ -13,12 +13,18 @@ config and seed is byte-identical no matter how work is threaded.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import os
 from dataclasses import dataclass, field
 from itertools import chain
+try:  # the builtin SHA-256, as random.py's sha512: hashlib maps OpenSSL's libcrypto
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -49,7 +55,7 @@ _MATRIX_CAP_BYTES = 2**27
 # bounds, simulate and concentration at their default sizes run under a 1.5 GB
 # address-space limit, or meet the cap on the sample array
 _MAX_DIM = 4096
-# most pool threads and default radii a run may ask for: fixed numbers, so
+# most worker threads and default radii a run may ask for: fixed numbers, so
 # that a config loads alike on every host
 _MAX_THREADS = 256
 _MAX_NUM_R = 2**16
@@ -766,7 +772,7 @@ def config_hash(cfg: ExperimentConfig, names) -> str:
             value = value[0]
         values[name] = value
     blob = json.dumps(values, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+    return sha256(blob.encode()).hexdigest()[:12]
 
 
 def run_command(command: str, cfg: ExperimentConfig) -> None:

@@ -397,7 +397,7 @@ def simulate_terminal(
     results do not depend on the thread count, on execution order or on how
     chunks are grouped.  Runs of up to _GROUP_CHUNKS consecutive chunks are
     stepped together, one step's normals at a time, so memory does not grow
-    with N or M.  Each worker (the calling thread, or each pool thread)
+    with N or M.  Each worker (the calling thread, and each thread it starts)
     allocates its scratch, the group's words and the map's work buffer, on
     its first group and reuses it for every later group and step; the call
     drops it on return, no module holds any, and no output depends on it.
@@ -422,7 +422,7 @@ def simulate_terminal(
     group_words = ndraw * min(M, per_group * _CHUNK)  # the most one step of a group reads
     # each worker's scratch by its thread id, made on its first group (only a
     # worker sets its own key) and freed by this call on return: a
-    # threading.local, freed by each pool thread as it exits, raised the peak
+    # threading.local, freed by each started thread as it exits, raised the peak
     # RSS of a 2-thread kinetic `density-check` by about 0.15 MB
     scratch = {}
 
@@ -460,14 +460,23 @@ def simulate_terminal(
     end = sample_offset + M
     edges = [sample_offset, *range((sample_offset // _CHUNK + 1) * _CHUNK, end, _CHUNK), end]
     groups = [edges[k : k + per_group + 1] for k in range(0, len(edges) - 1, per_group)]
-    if threads > 1 and len(groups) > 1:
-        # imported here: concurrent.futures and the logging it loads cost
-        # every process that never starts a pool some milliseconds
-        from concurrent.futures import ThreadPoolExecutor
+    # the calling thread and threads - 1 more pull groups in order, each up to its first error
+    todo, errors = enumerate(groups), {}
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_group, groups))
-    else:
-        for bounds in groups:
-            run_group(bounds)
+    def work() -> None:
+        for k, bounds in todo:
+            try:
+                run_group(bounds)
+            except BaseException as exc:
+                errors[k] = exc
+                break
+
+    helpers = [threading.Thread(target=work) for _ in range(min(threads, len(groups)) - 1)]
+    for t in helpers:
+        t.start()
+    work()
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
     return out

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import importlib.util
 import json
 import math
 import re
@@ -78,6 +80,30 @@ def test_config_hash_ignores_execution_fields(tmp_path):
         one, two = (run_hash(tmp_path, command, **kw, threads=t) for t in (1, 2))
         assert one == two, command
     assert run_hash(tmp_path, "simulate", M=10) != run_hash(tmp_path, "simulate", M=11)
+
+
+def test_config_hash_is_hashlib_sha256_of_the_hashed_fields(tmp_path, monkeypatch):
+    # harness takes the interpreter's builtin SHA-256; every command's hash
+    # is the one hashlib gives for the same JSON blob
+    blobs, sha256 = [], harness.sha256
+
+    def recorded(data):
+        blobs.append(data)
+        return sha256(data)
+
+    monkeypatch.setattr(harness, "sha256", recorded)
+    for command, kw in _SMALL.items():
+        blobs.clear()
+        digest = run_hash(tmp_path, command, **kw)
+        assert blobs and {hashlib.sha256(b).hexdigest()[:12] for b in blobs} == {digest}, command
+
+
+def test_config_hash_constructor_is_fips_sha256():
+    # FIPS 180-2, appendix B.1; the builtin module where the interpreter has one
+    digest = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+    assert harness.sha256(b"abc").hexdigest() == digest
+    if importlib.util.find_spec("_sha2") or importlib.util.find_spec("_sha256"):
+        assert harness.sha256.__module__ in ("_sha2", "_sha256")
 
 
 def test_config_hash_tells_runs_apart_and_equal_runs_alike(tmp_path):

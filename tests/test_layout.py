@@ -196,15 +196,21 @@ def test_every_random_draw_reads_the_chunk_streams():
     assert not found, f"random draws outside the chunk streams, or scipy: {sorted(set(found))}"
 
 
-def test_benchmark_hooks_resolve_on_the_package(monkeypatch):
-    # perfbench/child.py wraps each TARGETS attribute and runs a workload
-    # through cli._COMMANDS, so a rename in the package would break
-    # `perfbench/run.py --trace 1`; its scripts import each other by name
+def _perfbench_run(monkeypatch):
+    """perfbench/run.py as a module; its scripts import each other by name."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
     run = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
     spec.loader.exec_module(run)
+    return run
+
+
+def test_benchmark_hooks_resolve_on_the_package(monkeypatch):
+    # perfbench/child.py wraps each TARGETS attribute and runs a workload
+    # through cli._COMMANDS, so a rename in the package would break
+    # `perfbench/run.py --trace 1`
+    run = _perfbench_run(monkeypatch)
     for module, path, name in run.TARGETS:
         owner = importlib.import_module(f"eulermc.{module}")
         for part in path.split("."):
@@ -214,6 +220,15 @@ def test_benchmark_hooks_resolve_on_the_package(monkeypatch):
     assert callable(simulate.draw_dim)
     assert set(cli._COMMANDS) == set(harness.COMMANDS)
     assert {workload.argv[0] for workload in run.WORKLOADS.values()} <= set(cli._COMMANDS)
+
+
+def test_no_command_runner_shares_a_name_with_a_traced_function(monkeypatch):
+    # the traced run names a command's span `harness.<runner __name__>`: a
+    # runner named like a traced function would merge the two spans, and
+    # count and time that function twice
+    traced = {path.split(".")[-1] for _, path, _ in _perfbench_run(monkeypatch).TARGETS}
+    runners = {command.__name__ for command in cli._COMMANDS.values()}
+    assert len(runners) == len(cli._COMMANDS) and not runners & traced, runners & traced
 
 
 def _package_imports(tree):

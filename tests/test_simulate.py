@@ -661,6 +661,30 @@ def test_error_names_the_first_chunk_when_a_later_chunk_of_its_group_fails_earli
         assert str(exc.value) == want
 
 
+def test_more_threads_than_cores_step_every_group_and_raise_the_first_failure():
+    # seven groups among eight workers under frequent switches: a group no
+    # worker steps leaves its rows unset, and the error names the first
+    # failing chunk whichever worker met it
+    from eulermc.errors import NumericError
+
+    grid, M = SchemeGrid(T=1.0, N=8), 6 * 8 * _CHUNK + 5
+    m, rng, blowup = model_preset("const", d=1), RngSpec(11), _blowup_model(3.8)
+    want = "non-finite state at step {} in sample {}".format(*_first_failure(blowup, grid, rng, M, 0))
+    failing = sorted({c // 8 for c in _failures(blowup, grid, rng, M, 0)})
+    assert failing[0] > 0 and len(failing) > 2  # groups 1 to 4 fail
+    one = simulate_terminal(m, grid, [0.0], rng, M)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        eight = simulate_terminal(m, grid, [0.0], rng, M, threads=8)
+        with pytest.raises(NumericError) as exc:
+            simulate_terminal(blowup, grid, [0.0], rng, M, threads=8)
+    finally:
+        sys.setswitchinterval(old)
+    assert np.array_equal(one, eight)
+    assert str(exc.value) == want
+
+
 def _oracle_run(model, grid, x0, seed, stream, M, offset):
     """The terminal points of samples offset to offset + M - 1, stepped on
     normals read word by word: step n, coordinate k of sample i is word
