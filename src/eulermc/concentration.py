@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ArgumentError, NumericError
+from .errors import ConfigError, NumericError
 from .gaussianref import KernelSpec, hessian_spectral_bounds, kernel_norm_mean, kinetic_root
 from .model import Case, GrowthSpec, sphere_surface_measure
 
@@ -44,30 +44,30 @@ def concentration_alpha_normalized(c: float, T: float) -> float:
     not scale like a squared deviation; the LSI reading is used here.)
     """
     if c <= 0 or T <= 0:
-        raise ArgumentError("need c > 0 and T > 0")
+        raise ConfigError("need c > 0 and T > 0")
     return 2.0 * T / ((4.0 - SQRT13) * c)
 
 
 def domination_bias(C: float, alpha: float) -> float:
     """M-independent bias 2 sqrt(alpha log C)."""
     if C < 1:
-        raise ArgumentError("domination constant C must be >= 1")
+        raise ConfigError("domination constant C must be >= 1")
     if alpha <= 0:
-        raise ArgumentError("alpha must be positive")
+        raise ConfigError("alpha must be positive")
     return 2.0 * math.sqrt(alpha * math.log(C))
 
 
 def upper_tail_bound(r: float, M: int, alpha: float) -> float:
     """Raw bound 2 exp(-M r^2 / alpha); clipping at 1 is a display concern."""
     if r < 0 or M < 1 or alpha <= 0:
-        raise ArgumentError("need r >= 0, M >= 1, alpha > 0")
+        raise ConfigError("need r >= 0, M >= 1, alpha > 0")
     return 2.0 * math.exp(-M * r * r / alpha)
 
 
 def confidence_radius(epsilon: float, M: int, alpha: float) -> float:
     """Radius r with upper_tail_bound(r, M, alpha) = epsilon."""
     if not 0.0 < epsilon <= 2.0:
-        raise ArgumentError("epsilon must lie in (0, 2]")
+        raise ConfigError("epsilon must lie in (0, 2]")
     return math.sqrt(alpha / M * math.log(2.0 / epsilon))
 
 
@@ -93,14 +93,14 @@ def lower_constants(
     """
     lam = hessian_spectral_bounds(case, 1.0 / c, T)[1] / 2.0
     if C < 1:
-        raise ArgumentError("C must be >= 1")
+        raise ConfigError("C must be >= 1")
     if case is Case.KINETIC and d % 2 != 0:
-        raise ArgumentError("kinetic models have even dimension")
+        raise ConfigError("kinetic models have even dimension")
     odd = case is not Case.KINETIC and d % 2 == 1
     if odd:
         theta = 2.0 if theta is None else theta
         if theta <= 1:
-            raise ArgumentError("odd dimensions need theta > 1")
+            raise ConfigError("odd dimensions need theta > 1")
     if growth.cone_measure is None:
         log_share = 0.0
     else:
@@ -140,7 +140,7 @@ def lower_tail_bound(
 ) -> float:
     """2 exp(-M inv_rate max(r/beta, rho0)^2); constant plateau below beta rho0."""
     if r <= 0 or M < 1:
-        raise ArgumentError("need r > 0 and M >= 1")
+        raise ConfigError("need r > 0 and M >= 1")
     try:
         square = max(r / beta, rho0) ** 2
     except OverflowError:  # past the float range: the bound is 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, NumericError
+from .errors import ConfigError, NumericError
 
 _GEODESIC_RTOL = 1e-6  # endpoint tolerance of geodesic, relative to 1 + |x'|
 _STATES_CAP_BYTES = 2**30  # of a geodesic's states, as simulate_terminal caps its samples
@@ -29,12 +29,13 @@ class ControlProblem:
     d_prime: int
 
     def __post_init__(self):
+        x, xp = np.asarray(self.x, dtype=float), np.asarray(self.x_prime, dtype=float)
+        if self.d_prime < 1 or x.size != 2 * self.d_prime or xp.size != x.size:
+            raise ConfigError("control endpoints need matching, nonzero even dimensions")
         if self.t <= 0:
-            raise ArgumentError("horizon must be positive")
-        x = np.asarray(self.x, dtype=float).reshape(2 * self.d_prime)
-        xp = np.asarray(self.x_prime, dtype=float).reshape(2 * self.d_prime)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "x_prime", xp)
+            raise ConfigError("horizon must be positive")
+        object.__setattr__(self, "x", x.reshape(-1))
+        object.__setattr__(self, "x_prime", xp.reshape(-1))
 
 
 def optimal_control(problem: ControlProblem, s) -> np.ndarray:
@@ -49,7 +50,7 @@ def optimal_control(problem: ControlProblem, s) -> np.ndarray:
     """
     s = np.asarray(s, dtype=float)[..., None]
     if not np.all((0.0 <= s) & (s <= problem.t)):
-        raise ArgumentError("control time must lie in [0, t]")
+        raise ConfigError("control time must lie in [0, t]")
     dp = problem.d_prime
     t = problem.t
     dv = problem.x_prime[:dp] - problem.x[:dp]
@@ -78,11 +79,11 @@ def geodesic(problem: ControlProblem, steps: int):
     by more than _GEODESIC_RTOL * (1 + |x'|).
     """
     if steps < 2:
-        raise ArgumentError("need at least two steps")
+        raise ConfigError("need at least two steps")
     dp = problem.d_prime
     size = 16 * dp * (steps + 1)
     if size > _STATES_CAP_BYTES:
-        raise ArgumentError(
+        raise ConfigError(
             f"{steps:,} geodesic steps need {size / 2**30:,.0f} GiB of states, above the 1 GiB cap"
         )
     v, z = problem.x[:dp], problem.x[dp:]

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numeric/tolerance error,
 4 statistical-power error.  cli.main reads only exit_code, so each code has
-one class and no subclass below it but ArgumentError: a ConfigError that
-library callers can also catch as the builtin ValueError.
+one class and no subclass below it.  ConfigError is also the builtin
+ValueError, which library callers can catch for any refused argument.
 """
 
 
@@ -11,14 +11,11 @@ class EulermcError(Exception):
     exit_code = 1
 
 
-class ConfigError(EulermcError):
-    """Bad configuration: unknown keys, missing presets, invalid values."""
+class ConfigError(EulermcError, ValueError):
+    """Bad configuration or out-of-contract arguments: unknown keys, missing
+    presets, invalid values."""
 
     exit_code = 2
-
-
-class ArgumentError(ConfigError, ValueError):
-    """An operation was called with out-of-contract arguments."""
 
 
 class NumericError(EulermcError):

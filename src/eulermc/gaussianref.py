@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, NumericError
+from .errors import ConfigError, NumericError
 from .model import Case
 
 
@@ -39,7 +39,7 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.c <= 0 or self.t <= 0:
-            raise ArgumentError("kernel needs c > 0 and t > 0")
+            raise ConfigError("kernel needs c > 0 and t > 0")
         object.__setattr__(self, "x", np.atleast_1d(np.asarray(self.x, dtype=float)))
 
     @property
@@ -139,7 +139,7 @@ def kinetic_metric(t: float, x, xp, d_prime: int) -> float:
     transport images.
     """
     if t <= 0:
-        raise ArgumentError("elapsed time must be positive")
+        raise ConfigError("elapsed time must be positive")
     x = np.asarray(x, dtype=float)
     xp = np.asarray(xp, dtype=float)
     dv = xp[..., :d_prime] - x[..., :d_prime]
@@ -167,7 +167,7 @@ def hessian_spectral_bounds(case: Case, c: float, T: float):
     det/largest = 3c/(T (T^2 + 3 + 3 root)), which does not cancel as T grows.
     """
     if c <= 0 or T <= 0:
-        raise ArgumentError("need c > 0 and T > 0")
+        raise ConfigError("need c > 0 and T > 0")
     if case is Case.KINETIC:
         root = kinetic_root(T)
         cube = T**3

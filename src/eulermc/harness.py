@@ -29,7 +29,7 @@ except ImportError:
 import numpy as np
 
 from . import concentration as conc
-from .errors import ArgumentError, ConfigError, NumericError, StatisticsError
+from .errors import ConfigError, NumericError, StatisticsError
 from .gaussianref import KernelSpec, _transport, kernel_exponent, kernel_norm_mean
 from .gaussianref import kernel_density  # noqa: F401  perfbench/child.py traces it here
 from .model import Case, GrowthSpec, SdeModel, SchemeGrid, model_preset
@@ -339,7 +339,7 @@ def growth_spec(cfg: ExperimentConfig) -> GrowthSpec | None:
 def wilson_upper(k: int, n: int) -> float:
     """Upper limit of the one-sided 99% Wilson score interval for k/n."""
     if n < 1:
-        raise ArgumentError("need n >= 1")
+        raise ConfigError("need n >= 1")
     p, z = k / n, _WILSON_Z99
     denom = 1.0 + z * z / n
     center = p + z * z / (2.0 * n)
@@ -357,6 +357,8 @@ def _bound_report(cfg: ExperimentConfig, model: SdeModel) -> dict:
         alpha = conc.concentration_alpha_normalized(cfg.c, cfg.T)
     else:
         alpha = conc.concentration_alpha(model.case, cfg.c, cfg.T)
+    if alpha == 0.0:  # the least eigenvalue overflowed, or 2 T / c underflowed
+        raise NumericError(f"alpha_T underflows to 0 at c = {cfg.c!r}, T = {cfg.T!r}")
     delta = conc.domination_bias(cfg.C, alpha)  # refuses C < 1
     if not (math.isfinite(alpha) and math.isfinite(delta)):
         raise NumericError(f"alpha_T = {alpha} and delta_bias = {delta} must be finite")
@@ -724,19 +726,16 @@ def _parametrix_files(cfg: ExperimentConfig) -> dict:
 
 
 def _control_files(cfg: ExperimentConfig) -> dict:
-    x = np.asarray(cfg.control_x, dtype=float)
-    xp = np.asarray(cfg.control_x_prime, dtype=float)
-    if x.size == 0 or x.size % 2 != 0 or x.size != xp.size:
-        raise ConfigError("control endpoints need matching, nonzero even dimensions")
-    problem = ControlProblem(t=cfg.control_t, x=x, x_prime=xp, d_prime=x.size // 2)
+    dp = len(cfg.control_x) // 2
+    problem = ControlProblem(cfg.control_t, cfg.control_x, cfg.control_x_prime, dp)
     # an overflow, or a division by a control_t that underflows, leaves an
     # infinity or a NaN in the report, which json_text refuses
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         times, states = geodesic(problem, cfg.geodesic_steps)
         report = {
             "energy": energy(problem),
-            "kinetic_metric_sq": float(kinetic_metric(cfg.control_t, x, xp, x.size // 2)),
-            "endpoint_error": float(np.linalg.norm(states[-1] - xp)),
+            "kinetic_metric_sq": float(kinetic_metric(problem.t, problem.x, problem.x_prime, dp)),
+            "endpoint_error": float(np.linalg.norm(states[-1] - problem.x_prime)),
         }
     header = ["s"] + [f"state_{k + 1}" for k in range(states.shape[1])]
     return {"geodesic.csv": (header, [times, *states.T]), "control.json": report}

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ArgumentError, ConfigError, NumericError
+from .errors import ConfigError, NumericError
 
 
 class Case(Enum):
@@ -97,7 +97,7 @@ class SchemeGrid:
 def sphere_surface_measure(d: int) -> float:
     """Surface measure of the unit sphere in R^d; counts {-1, 1} for d = 1."""
     if d < 1:
-        raise ArgumentError("dimension must be >= 1")
+        raise ConfigError("dimension must be >= 1")
     if d == 1:
         return 2.0
     try:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, DivergenceWarning, NumericError
+from .errors import ConfigError, DivergenceWarning, NumericError
 from .model import Case, SdeModel, SchemeGrid
 
 
@@ -45,9 +45,9 @@ class Grid1D:
 
     def __post_init__(self):
         if not self.lo < self.hi:
-            raise ArgumentError("grid needs lo < hi")
+            raise ConfigError("grid needs lo < hi")
         if self.n_points < 3:
-            raise ArgumentError("grid needs at least three points")
+            raise ConfigError("grid needs at least three points")
 
     @property
     def h(self) -> float:
@@ -92,7 +92,7 @@ class DensityTable:
 
 def _check_1d_case_a(model: SdeModel) -> None:
     if model.case is not Case.NONDEGENERATE or model.d != 1:
-        raise ArgumentError("parametrix tables cover the scalar non-degenerate case")
+        raise ConfigError("parametrix tables cover the scalar non-degenerate case")
 
 
 # from x = -708 down, where exp(x) turns subnormal and then zero, numpy's exp
@@ -323,7 +323,7 @@ def check_term_decay(norms) -> None:
 def check_r_max(r_max: int, tgrid: SchemeGrid) -> None:
     """Refuse a series truncation r_max outside [0, N]."""
     if not 0 <= r_max <= tgrid.N:
-        raise ArgumentError(f"r_max must lie in [0, N] = [0, {tgrid.N}], got {r_max}")
+        raise ConfigError(f"r_max must lie in [0, N] = [0, {tgrid.N}], got {r_max}")
 
 
 def parametrix_series(model: SdeModel, tgrid: SchemeGrid, x: float, grid: Grid1D, r_max: int):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, NumericError
+from .errors import ConfigError, NumericError
 from .model import Case, SdeModel, SchemeGrid
 
 _MASK64 = (1 << 64) - 1
@@ -405,11 +405,11 @@ def simulate_terminal(
     and the first sample of the first chunk that fails.
     """
     if M < 1:
-        raise ArgumentError("need at least one sample")
+        raise ConfigError("need at least one sample")
     if sample_offset < 0 or sample_offset + M > 1 << 64:
-        raise ArgumentError("sample indices must lie in [0, 2**64)")
+        raise ConfigError("sample indices must lie in [0, 2**64)")
     if 8 * M * model.d > _SAMPLES_CAP_BYTES:
-        raise ArgumentError(
+        raise ConfigError(
             f"{M:,} samples of dimension {model.d} need "
             f"{8 * M * model.d / 2**30:,.0f} GiB, above the cap of "
             f"{_SAMPLES_CAP_BYTES // 2**30} GiB"

@@ -29,7 +29,7 @@ from scipy.integrate import quad
 from scipy.special import erfc
 
 from eulermc.control import ControlProblem
-from eulermc.errors import ArgumentError, NumericError
+from eulermc.errors import ConfigError, NumericError
 from eulermc.gaussianref import KernelSpec, _block, _transport, kernel_density, kernel_normalizer
 from eulermc.model import Case, SchemeGrid, SdeModel
 from eulermc.parametrix import (
@@ -187,12 +187,12 @@ def semigroup_residual(
     adaptive Gauss-Kronrod (d = 1) or a tensor Gauss-Legendre rule (d = 2).
     """
     if not 0.0 < s < spec.t:
-        raise ArgumentError("split time must satisfy 0 < s < t")
+        raise ConfigError("split time must satisfy 0 < s < t")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xp = np.atleast_1d(np.asarray(xp, dtype=float))
     d = x.shape[0]
     if d > 2:
-        raise ArgumentError("semigroup quadrature is implemented for d <= 2")
+        raise ConfigError("semigroup quadrature is implemented for d <= 2")
     case, c = spec.case, spec.c
     tau = spec.t - s
 
@@ -284,9 +284,9 @@ def radial_tail(d: int, x: float) -> float:
     tail term evaluated through erfc so nothing overflows at large x.
     """
     if d < 1:
-        raise ArgumentError("dimension must be >= 1")
+        raise ConfigError("dimension must be >= 1")
     if x <= 0:
-        raise ArgumentError("x must be positive")
+        raise ConfigError("x must be positive")
     poly, coef = _tail_pieces(d, x)
     val = math.exp(-0.5 * x * x) * poly
     if coef:
@@ -301,9 +301,9 @@ def cone_constant(d: int, cone_measure: float) -> float:
     divided by sqrt(pi).
     """
     if d < 1:
-        raise ArgumentError("dimension must be >= 1")
+        raise ConfigError("dimension must be >= 1")
     if cone_measure <= 0:
-        raise ArgumentError("cone measure must be positive")
+        raise ConfigError("cone measure must be positive")
     if d % 2 == 0:
         try:
             return cone_measure * math.factorial(d // 2 - 1) / 2.0
@@ -326,7 +326,7 @@ def resolvent(t: float, t0: float, d_prime: int) -> np.ndarray:
 def gram(t: float, d_prime: int) -> np.ndarray:
     """Controllability Gram matrix: blocks (t, t^2/2; t^2/2, t^3/3) times I."""
     if t <= 0:
-        raise ArgumentError("horizon must be positive")
+        raise ConfigError("horizon must be positive")
     eye = np.eye(d_prime)
     return np.block([[t * eye, t**2 / 2.0 * eye], [t**2 / 2.0 * eye, t**3 / 3.0 * eye]])
 

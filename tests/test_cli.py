@@ -250,6 +250,9 @@ CONFIG_ERRORS = [
     ["bounds", "--set", "d=4097"],
     ["bounds", "--set", 'preset="kinetic"', "--set", "dp=4097"],
     ["concentration", "--set", "num_r=65537"],
+    ["parametrix", "--set", 'preset="trig"', "--set", "a_amp=1"],
+    ["bounds", "--set", 'functional="abs"', "--set", "rho0=1", "--set", "beta=1", "--set", "cone=0"],
+    ["parametrix", "--set", "grid_points=1"],
 ]
 CONFIG_ERROR_IDS = [
     "out-dir-under-file", "cone-not-a-number", "empty-c-grid", "M-string", "N-float",
@@ -266,7 +269,8 @@ CONFIG_ERROR_IDS = [
     "high-mass-fraction-above-one",
     "density-c-reciprocal-overflows", "c-grid-reciprocal-overflows", "c-grid-zero",
     "density-C-below-one", "bounds-C-below-one", "concentration-c-negative",
-    "d-too-large", "dp-too-large", "num-r-too-large",
+    "d-too-large", "dp-too-large", "num-r-too-large", "trig-a-amp-one", "cone-zero",
+    "parametrix-grid-one-point",
 ]
 
 
@@ -353,6 +357,13 @@ NUMERIC_ERRORS = [
     # T^3 in the kinetic spectrum underflows to 0
     ["bounds", *_KINETIC, "--set", "T=1e-120"],
     ["concentration", *_KINETIC, "--set", "T=1e-120"],
+    # the least eigenvalue, c / T or about c / 2T in the kinetic spectrum,
+    # overflows and alpha_T = 2 / lambda_min reads 0; asian-diff's 2 T / c underflows
+    ["bounds", "--set", "T=1e-320"],
+    ["bounds", "--set", "c=1e308", "--set", "T=1e-10"],
+    ["bounds", *_KINETIC, "--set", "c=1e308", "--set", "T=1e-10"],
+    ["concentration", "--set", "c=1e308", "--set", "T=1e-10"],
+    ["bounds", *_KINETIC, "--set", 'functional="asian-diff"', "--set", "c=1e308", "--set", "T=1e-300"],
 ]
 NUMERIC_ERROR_IDS = [
     "parametrix-truncated-grid", "sigma0-overflow", "bounds-alpha-inf", "conc-alpha-inf",
@@ -361,7 +372,8 @@ NUMERIC_ERROR_IDS = [
     "bar-delta-cancels", "kinetic-root-overflow", "kinetic-lambda-min-underflows",
     "hist-width-overflow", "hist-spread-below-spacing", "envelope-ratio-overflow",
     "hist-density-overflow", "cone-constant-overflow", "bounds-kinetic-cube-underflow",
-    "conc-kinetic-cube-underflow",
+    "conc-kinetic-cube-underflow", "bounds-alpha-zero-tiny-T", "bounds-alpha-zero-huge-c",
+    "bounds-kinetic-alpha-zero", "conc-alpha-zero", "bounds-asian-diff-alpha-zero",
 ]
 # argv of runs whose one error line numpy used to precede with a RuntimeWarning,
 # and their exit codes: a state past the float range, and a control run's spread
@@ -391,6 +403,14 @@ def test_bad_input_is_one_line_numeric_error(tmp_path, capsys, args):
     assert err.startswith("error: ") and err.count("\n") == 1
     # refused before any output is written
     assert not list((tmp_path / "out").glob("*"))
+
+
+def test_kinetic_spectrum_whose_largest_eigenvalue_alone_overflows_runs(tmp_path):
+    # 3 c / T^3 overflows, but the least eigenvalue, about c / 2T, and with it
+    # alpha_T stay finite and positive
+    argv = ["bounds", *_KINETIC, "--set", "c=1e300", "--set", "T=1e-3"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert 0.0 < read_json(tmp_path / "bounds.json")["alpha_T"] < math.inf
 
 
 def _child_env() -> dict:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eulermc import concentration as conc
-from eulermc.errors import ArgumentError, NumericError
+from eulermc.errors import ConfigError, NumericError
 from eulermc.gaussianref import hessian_spectral_bounds
 from eulermc.harness import ExperimentConfig, _bound_report, build_model
 from eulermc.model import Case, GrowthSpec, sphere_surface_measure
@@ -69,7 +69,7 @@ def test_domination_bias():
     assert conc.domination_bias(1.0, 3.0) == 0.0
     assert conc.domination_bias(math.e, 2.0) == pytest.approx(2 * math.sqrt(2.0))
     assert conc.domination_bias(math.exp(4.0), 4.0) == pytest.approx(8.0)
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ConfigError):
         conc.domination_bias(0.5, 1.0)
 
 
@@ -87,7 +87,7 @@ def test_confidence_radius():
     want = math.sqrt(2.0 * math.log(40.0) / 1000.0)
     assert conc.confidence_radius(0.05, 1000, 2.0) == pytest.approx(want, rel=1e-12)
     assert want == pytest.approx(0.085894, abs=5e-7)
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ConfigError):
         conc.confidence_radius(2.5, 10, 1.0)
 
 
@@ -177,7 +177,7 @@ def test_growth_penalty_monotonicity():
 def test_growth_penalty_odd_d_needs_theta():
     # theta defaults to 2 in odd d, and must exceed 1
     for theta in (1.0, 0.5):
-        with pytest.raises(ArgumentError, match="odd dimensions need theta > 1"):
+        with pytest.raises(ConfigError, match="odd dimensions need theta > 1"):
             lower(d=3, C=2.0, measure=4 * math.pi, theta=theta)
     default = lower(d=3, C=2.0, measure=4 * math.pi)
     assert default == lower(d=3, C=2.0, measure=4 * math.pi, theta=2.0)
@@ -195,7 +195,7 @@ def test_growth_penalty_kinetic_display():
     want = math.log(inner) / 1.0
     got = lower(d=d, C=C, T=T, measure=2 * math.pi, case=Case.KINETIC)["chi"]
     assert got == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ConfigError):
         lower(d=3, measure=1.0, case=Case.KINETIC)
 
 

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from eulermc import control
 from eulermc.control import ControlProblem, energy, geodesic, optimal_control
-from eulermc.errors import ArgumentError
+from eulermc.errors import ConfigError
 from eulermc.gaussianref import kinetic_metric
 from oracles import gram, gram_inverse, optimal_control_gram, resolvent
 
@@ -209,14 +209,21 @@ def test_geodesic_peaks_near_its_states_array():
 
 def test_geodesic_argument_checks():
     pr = ControlProblem(1.0, np.zeros(2), np.ones(2), 1)
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ConfigError):
         geodesic(pr, 1)
     # refused by its size, before anything is allocated
-    with pytest.raises(ArgumentError, match="above the 1 GiB cap"):
+    with pytest.raises(ConfigError, match="above the 1 GiB cap"):
         geodesic(pr, 10**12)
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ConfigError):
         optimal_control(pr, 2.0)
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ConfigError):
         optimal_control(pr, np.array([0.5, -0.1]))
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ConfigError):
         ControlProblem(-1.0, np.zeros(2), np.ones(2), 1)
+    # the endpoint rule comes before the horizon, as at the CLI
+    endpoints = "control endpoints need matching, nonzero even dimensions"
+    for args in ([0, 0, 0], [0, 1], 1), ([], [], 0), ([0, 0], [0, 0, 0, 0], 1), ([0, 0], [0, 1], 2):
+        with pytest.raises(ConfigError, match=endpoints):
+            ControlProblem(1.0, *args)
+    with pytest.raises(ConfigError, match=endpoints):
+        ControlProblem(-1.0, [], [], 0)

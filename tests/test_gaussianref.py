@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from eulermc.errors import ArgumentError, NumericError
+from eulermc.errors import ConfigError, NumericError
 from eulermc.gaussianref import (
     KernelSpec,
     hessian_spectral_bounds,
@@ -98,7 +98,7 @@ def test_semigroup_2d_kinetic():
 
 
 def test_semigroup_rejects_bad_split():
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ConfigError):
         semigroup_residual(spec_a(), 1.5, np.array([0.0]), np.array([0.0]))
 
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from eulermc import concentration as conc
-from eulermc import harness
+from eulermc import harness, model as model_module
+from eulermc.cli import main
 from eulermc.errors import ConfigError, NumericError, StatisticsError
 from eulermc.gaussianref import KernelSpec
 from eulermc.harness import (
@@ -28,7 +29,9 @@ from eulermc.harness import (
     wilson_upper,
     write_csv,
 )
-from eulermc.model import MODEL_PRESETS, Case, GrowthSpec, SchemeGrid, SdeModel
+from eulermc.model import (
+    MODEL_PRESETS, Case, GrowthSpec, SchemeGrid, SdeModel, register_model_preset,
+)
 from eulermc.simulate import RngSpec, simulate_terminal
 from oracles import noncentral_chi3_mean, norm_mean_2d
 
@@ -202,6 +205,9 @@ def test_load_config_roundtrip(tmp_path):
         load_config(str(tmp_path / "missing.json"))
     p.write_text('{"T": ' + "1" * 5000 + "}")  # past Python's integer digit limit
     with pytest.raises(ConfigError):
+        load_config(str(p))
+    p.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="config must be a JSON object"):
         load_config(str(p))
 
 
@@ -500,6 +506,25 @@ def _unit_noise_model():
         lambda t, x, g: g,
         1.0, 1.0, law=(1.0, None),
     )
+
+
+def test_registered_preset_simulates_its_model(monkeypatch, tmp_path, capsys):
+    # the test registers into a copy of the table; monkeypatch restores the original
+    monkeypatch.setattr(model_module, "MODEL_PRESETS", dict(MODEL_PRESETS))
+    register_model_preset("sine-drift", _sine_drift_model)
+    cfg = cfg_with(preset="sine-drift", x0=[0.5], M=7, N=3, out_dir=str(tmp_path))
+    harness.run_command("simulate", cfg)
+    lines = (tmp_path / "samples.csv").read_text().splitlines()
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    want = simulate_terminal(
+        _sine_drift_model(), SchemeGrid(T=cfg.T, N=3), np.array([0.5]),
+        RngSpec(cfg.master_seed, cfg.stream_id), 7,
+    )
+    assert lines[1] == "sample_index,x_1" and np.array_equal(rows[:, 1:], want)
+    # a custom preset reads no model field, so setting one is refused
+    argv = ["simulate", "--set", 'preset="sine-drift"', "--set", "d=2", "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: preset 'sine-drift' does not read d; leave it unset\n"
 
 
 def test_custom_preset_states_its_own_law_and_twin(monkeypatch):

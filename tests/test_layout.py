@@ -6,6 +6,7 @@ src/eulermc; an import or an `__all__` entry is not a use.
 """
 
 import ast
+import builtins
 import importlib
 import importlib.util
 import sys
@@ -261,13 +262,35 @@ def test_only_cli_imports_harness_and_nothing_imports_cli():
 
 def test_each_exit_code_has_one_error_class():
     # cli.main reads only a failure's exit_code, so a subclass below a code's
-    # class is a name that changes nothing; ArgumentError is the one, as it
-    # is also the library's ValueError
+    # class is a name that changes nothing; ConfigError is itself the builtin
+    # ValueError that library callers catch
     per_code = (errors.ConfigError, errors.NumericError, errors.StatisticsError)
-    allowed = (*per_code, errors.ArgumentError)
     below = [
         name
         for name, obj in vars(errors).items()
-        if isinstance(obj, type) and issubclass(obj, per_code) and obj not in allowed
+        if isinstance(obj, type) and issubclass(obj, per_code) and obj not in per_code
     ]
     assert not below, f"error classes below an exit code's class: {below}"
+    assert issubclass(errors.ConfigError, ValueError)
+
+
+def _raised_class(node):
+    """The name of the class a raise constructs: the callee of `raise X(...)`,
+    or a builtin class raised by name; None for a bare raise or a caught
+    object raised again."""
+    if isinstance(node.exc, ast.Call):
+        return _dotted(node.exc.func)
+    name = _dotted(node.exc) if node.exc is not None else None
+    return name if isinstance(getattr(builtins, name or "", None), type) else None
+
+
+def test_every_raise_constructs_an_exit_code_class():
+    # a builtin ValueError or TypeError reaches the CLI as a traceback
+    allowed = {None, "ConfigError", "NumericError", "StatisticsError"}
+    found = [
+        f"{module}:{node.lineno} raises {_raised_class(node)}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and _raised_class(node) not in allowed
+    ]
+    assert not found, found

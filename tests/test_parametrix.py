@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eulermc import parametrix
-from eulermc.errors import ArgumentError, NumericError
+from eulermc.errors import ConfigError, NumericError
 from eulermc.harness import ExperimentConfig, run_density_check, write_csv
 from eulermc.model import MODEL_PRESETS, Case, SchemeGrid, SdeModel, model_preset
 from eulermc.parametrix import (
@@ -40,7 +40,7 @@ def test_grid_basics():
     assert g.h == 0.5
     assert np.allclose(g.points, [-1, -0.5, 0, 0.5, 1])
     assert g.weights().sum() == pytest.approx(2.0)
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ConfigError):
         Grid1D(1.0, -1.0, 5)
     # the default grid makes its node count odd, so that x is a node
     centered = default_grid(CONST, SchemeGrid(T=1.0, N=2), 0.3, 10, 1.0)
@@ -374,7 +374,7 @@ def test_time_dependent_steps_build_no_full_tail(monkeypatch):
 def test_series_r_max_validation():
     tg = SchemeGrid(T=1.0, N=4)
     grid = Grid1D(-5, 5, 101)
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ConfigError):
         parametrix_series(TRIG, tg, 0.0, grid, r_max=5)
 
 

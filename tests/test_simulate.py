@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import chisquare, norm
 
 from eulermc import simulate
-from eulermc.errors import ArgumentError
+from eulermc.errors import ConfigError
 from eulermc.model import Case, SchemeGrid, SdeModel, model_preset
 from eulermc.simulate import (
     _CHUNK,
@@ -489,7 +489,7 @@ def test_simulate_peak_memory_does_not_grow_with_steps():
 )
 def test_sample_indices_must_fit_uint64(offset, M):
     m = model_preset("const", d=1)
-    with pytest.raises(ArgumentError):
+    with pytest.raises(ConfigError):
         simulate_terminal(m, SchemeGrid(T=1.0, N=1), [0.0], RngSpec(3), M, sample_offset=offset)
 
 
