@@ -492,9 +492,33 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> dict:
     }
 
 
-# samples binned per np.histogramdd call in run_density_check; no output
+# samples binned per _bin_counts call in run_density_check; no output
 # depends on it
 _HIST_BLOCK = 1 << 16
+
+
+def _bin_counts(block: np.ndarray, edges: list[np.ndarray]) -> np.ndarray:
+    """np.histogramdd(block, bins=edges)[0], count for count, for finite
+    samples and strictly increasing edges, two or more a column, without its
+    binary searches: a sample's index, the number of edges at or below it,
+    is guessed from the first spacing (exact for np.arange edges but for
+    rounding) and stepped toward the edges themselves until it is right."""
+    index = []
+    for x, e in zip(block.T, edges):
+        ends = np.concatenate(([-np.inf], e, [np.inf]))  # index i on [ends[i], ends[i + 1])
+        guess = np.subtract(x, e[0])
+        guess /= e[1] - e[0]
+        np.floor(guess, out=guess)
+        guess += 1.0
+        i = np.clip(guess, 0, e.size, out=guess).astype(np.intp)
+        while (high := ends[i] > x).any() | (low := ends[1:][i] <= x).any():
+            i -= high
+            i += low
+        i[x == e[-1]] -= 1  # the last edge closes the last bin
+        index.append(i)
+    shape = [e.size + 1 for e in edges]  # the outer bins hold samples outside the edges
+    counts = np.bincount(np.ravel_multi_index(index, shape), minlength=math.prod(shape))
+    return counts.reshape(shape)[(slice(1, -1),) * len(edges)].astype(float)
 
 
 def run_density_check(cfg: ExperimentConfig) -> dict:
@@ -540,14 +564,16 @@ def run_density_check(cfg: ExperimentConfig) -> dict:
         n = s.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
             widths = 3.49 * s.std(axis=0, ddof=1) * n ** (-1.0 / (2 + model.d))
-        lo, hi = s.min(axis=0), s.max(axis=0)
+        # a column at a time: numpy reduces an (n, 2) array over axis 0 row by row
+        lo = np.array([s[:, i].min() for i in range(model.d)])
+        hi = np.array([s[:, i].max() for i in range(model.d)])
         if not (np.isfinite(widths) & (widths > 0) & (hi > lo)).all():
             raise NumericError(f"samples in [{lo}, {hi}] give Scott-rule bin widths {widths}")
         edges = [np.arange(lo[i], hi[i] + widths[i], widths[i]) for i in range(model.d)]
         # binned a block of samples at a time, so the bin indices of all n
         # samples never coexist; each count is an integer, so the sum is exact
         blocks = range(0, n, _HIST_BLOCK)
-        counts = sum(np.histogramdd(s[k : k + _HIST_BLOCK], bins=edges)[0] for k in blocks)
+        counts = sum(_bin_counts(s[k : k + _HIST_BLOCK], edges) for k in blocks)
         vols = math.prod(float(w[1] - w[0]) for w in edges)
         centers_1d = [0.5 * (e[:-1] + e[1:]) for e in edges]
         mesh = np.stack(np.meshgrid(*centers_1d, indexing="ij"), axis=-1).reshape(-1, model.d)

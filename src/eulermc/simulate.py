@@ -30,9 +30,10 @@ _MASK64 = (1 << 64) - 1
 _CHUNK = 4096
 _S12 = np.uint64(12)
 _ONE_BITS = np.uint64(0x3FF0000000000000)  # the bits of 1.0
-# most words one step of a group reads and maps in one call (a chunk whose
-# step reads more is a group of its own): fewer, larger numpy calls hold the
-# GIL for less of the time; no output depends on it
+# most words one step of a group reads (a chunk whose step reads more is a
+# group of its own), one random_raw call reads and one map piece maps:
+# fewer, larger numpy calls hold the GIL for less of the time, and a piece
+# stays in cache; no output depends on it
 _BLOCK_WORDS = 2**16
 # most chunks stepped together in one (m, d) state; no output depends on it
 _GROUP_CHUNKS = 8
@@ -211,11 +212,11 @@ def _ndtri_tail(y: np.ndarray, work: np.ndarray) -> None:
 
 
 def _map_work(words: int) -> int:
-    """Floats of scratch the normal map needs for `words` words: eight arrays
-    of the tail's size (its share of the words is 2 e^-2 = 0.27, so one
-    piece almost always), which also hold the central rational's three
-    arrays in two pieces."""
-    return 9 * words // 4 + 8
+    """Floats of scratch the normal map needs for `words` words: three arrays
+    of a piece's size for the central rational, which also hold the tail's
+    eight arrays (its share of the words is 2 e^-2 = 0.27, so one piece
+    almost always)."""
+    return 3 * min(words, _BLOCK_WORDS) + 8
 
 
 def _ndtri(y: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -223,27 +224,23 @@ def _ndtri(y: np.ndarray, work: np.ndarray) -> np.ndarray:
     1-d contiguous array: Cephes ndtri with its branches and order of
     operations, on _log.
 
-    work is a float64 buffer of at least _map_work(y.size) that the caller
+    work is a float64 buffer of at least 3 y.size + 8 floats that the caller
     owns.  The tail words are gathered first; the central rational then
-    overwrites all of y in place, in pieces of a third of work, and the tail
-    runs in eight views carved from work, in pieces when it is longer than
-    an eighth of it, and is scattered in."""
+    overwrites all of y in place in one pass, in three thirds of work, and
+    the tail runs in eight views carved from work, in pieces when it is
+    longer than an eighth of it, and is scattered in."""
     n = y.size
     flags = work[:n].view(np.bool_)  # two masks of y's size
     in_tail = np.less_equal(y, _EXPM2, out=flags[:n])
     in_tail |= np.greater(y, 1.0 - _EXPM2, out=flags[n : 2 * n])
     tail = np.flatnonzero(in_tail)
     yt = y.take(tail)
-    part = work.size // 3
-    a, b, c = work[:part], work[part : 2 * part], work[2 * part : 3 * part]
-    for lo in range(0, n, part):
-        yp = y[lo : lo + part]
-        k = yp.size
-        yp -= 0.5  # Q0 keeps clear of 0 for |y| <= 1/2: the tail words stay finite
-        central = _rational(np.multiply(yp, yp, out=a[:k]), _P0, _Q0, b[:k], c[:k])
-        central *= yp
-        yp += central
-        yp *= _S2PI
+    y -= 0.5  # Q0 keeps clear of 0 for |y| <= 1/2: the tail words stay finite
+    a, b, c = work[:n], work[n : 2 * n], work[2 * n : 3 * n]
+    central = _rational(np.multiply(y, y, out=a), _P0, _Q0, b, c)
+    central *= y
+    y += central
+    y *= _S2PI
     cap = work.size // 8
     views = work[: 8 * cap].reshape(8, cap)
     for lo in range(0, yt.size, cap):
@@ -256,8 +253,9 @@ def _ndtri(y: np.ndarray, work: np.ndarray) -> np.ndarray:
 def _word_normals(words: np.ndarray, work: np.ndarray) -> np.ndarray:
     """One standard normal per uint64 word, by inverse CDF (_ndtri), in the
     words' shape: written over the words when they are contiguous (a float64
-    view of the uint64 array), else into a copy.  work is the map's scratch,
-    a float64 buffer of at least _map_work(words.size).
+    view of the uint64 array), else into a copy.  The words are mapped in
+    pieces of _BLOCK_WORDS; work is the map's scratch, a float64 buffer of at
+    least _map_work(words.size).
 
     The uniform ((w >> 12) + 0.5) 2**-52 is exact in float64: w >> 12 as
     the mantissa of 1.0 gives 1 + (w >> 12) 2**-52, and less 1 - 2**-53 that
@@ -273,7 +271,10 @@ def _word_normals(words: np.ndarray, work: np.ndarray) -> np.ndarray:
     words |= _ONE_BITS
     u = words.view(np.float64)
     u -= 1.0 - 2.0**-53
-    return _ndtri(u.reshape(-1), work).reshape(u.shape)
+    flat = u.reshape(-1)
+    for lo in range(0, flat.size, _BLOCK_WORDS):
+        _ndtri(flat[lo : lo + _BLOCK_WORDS], work)
+    return flat.reshape(u.shape)
 
 
 @dataclass(frozen=True)
@@ -306,9 +307,11 @@ def _group_normals(rng: RngSpec, edges: list[int], ndraw: int, steps: int, words
     Each chunk keeps its own stream.  Coordinate k of step n of columns
     [lo, hi) of a chunk spans its words (n * ndraw + k) * 4096 + [lo, hi);
     only the 4-word Philox blocks that cover them are generated, and the
-    blocks of the other columns are skipped with Philox.advance.  The words
-    of all chunks of a step are copied side by side into the first ndraw * m
-    words of the caller's uint64 buffer `words` and mapped there in one call,
+    blocks of the other columns are skipped with Philox.advance.  A chunk
+    that skips no block, a full one, has a step's coordinates consecutive in
+    its stream and reads up to 16 of them (_BLOCK_WORDS words) per call.
+    The words of all chunks of a step are copied side by side into the first
+    ndraw * m words of the caller's uint64 buffer `words` and mapped there,
     with the caller's `work` as the map's scratch: each yielded array is a
     view of `words`, overwritten by the next step.
     """
@@ -322,11 +325,17 @@ def _group_normals(rng: RngSpec, edges: list[int], ndraw: int, steps: int, words
         parts.append((bitgen, 4 * (stop - first), _CHUNK // 4 - (stop - first),
                       slice(lo - 4 * first, hi - 4 * first), slice(a - edges[0], b - edges[0])))
     words = words[: ndraw * (edges[-1] - edges[0])].reshape(ndraw, -1)
+    batch = _BLOCK_WORDS // _CHUNK
     for _ in range(steps):
         for bitgen, width, skip, cols, rows in parts:
-            for coord in words[:, rows]:
-                coord[:] = bitgen.random_raw(width)[cols]
-                bitgen.advance(skip)
+            if skip:
+                for coord in words[:, rows]:
+                    coord[:] = bitgen.random_raw(width)[cols]
+                    bitgen.advance(skip)
+            else:  # the step's coordinates follow each other in the stream
+                for k in range(0, ndraw, batch):
+                    coords = words[k : k + batch, rows]
+                    coords[:] = bitgen.random_raw(len(coords) * width).reshape(-1, width)[:, cols]
         yield _word_normals(words, work).T
 
 
@@ -419,7 +428,7 @@ def simulate_terminal(
     out = np.empty((M, model.d))
 
     per_group = max(1, min(_GROUP_CHUNKS, _BLOCK_WORDS // (ndraw * _CHUNK)))
-    group_words = ndraw * min(M, per_group * _CHUNK)  # the most one step of a group reads
+    group = min(M, per_group * _CHUNK)  # the most samples one group steps
     # each worker's scratch by its thread id, made on its first group (only a
     # worker sets its own key) and freed by this call on return: a
     # threading.local, freed by each started thread as it exits, raised the peak
@@ -429,13 +438,14 @@ def simulate_terminal(
     def run(edges: list[int]) -> None:
         worker = threading.get_ident()
         if worker not in scratch:
+            # the next state is written into the map's work buffer, idle while a step runs
             scratch[worker] = (
-                np.empty(group_words, dtype=np.uint64), np.empty(_map_work(group_words))
+                np.empty(ndraw * group, dtype=np.uint64),
+                np.empty(max(_map_work(ndraw * group), model.d * group)),
             )
         words, work = scratch[worker]
         x = out[edges[0] - sample_offset : edges[-1] - sample_offset]  # the state, in its rows
         x[:] = x0
-        # the next state, in the map's work buffer: it is idle while a step runs
         nxt = work[: x.size].reshape(x.shape)
         steps = _group_normals(rng, edges, ndraw, grid.N, words, work)
         # a state that leaves the float range is refused below, without a warning

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from eulermc import concentration as conc
 from eulermc import harness, model as model_module
@@ -782,6 +782,40 @@ def test_density_check_dimension_guard():
     cfg = cfg_with(preset="const", d=3, x0=[0.0, 0.0, 0.0])
     with pytest.raises(ConfigError):
         run_density_check(cfg)
+
+
+@st.composite
+def _binned_block(draw):
+    """An (m, d) block and its np.arange edges, as run_density_check builds
+    them from lo, hi and a width: spans from 1e-6 to 1e6, widths such as 0.1
+    that binary does not hold, and samples on the edges, at lo and outside."""
+    d = draw(st.sampled_from([1, 2]))
+    m = draw(st.one_of(st.just(1), st.integers(2, 40)))
+    edges, columns = [], []
+    for _ in range(d):
+        width = draw(st.sampled_from([0.1, 0.3, 0.7, 1 / 3]) | st.floats(0.1, 1.0))
+        width *= 10.0 ** draw(st.integers(-6, 5))
+        bins = draw(st.integers(1, 64))
+        lo = draw(st.floats(-1e6, 1e6)) if draw(st.booleans()) else 0.0
+        e = np.arange(lo, lo + bins * width + width, width)
+        assume(e.size >= 2 and (np.diff(e) > 0).all())
+        span = e[-1] - lo
+        values = st.one_of(
+            st.sampled_from(e.tolist()), st.just(lo), st.just(float(e[-1])),
+            st.floats(lo, float(e[-1])), st.floats(lo - span, float(e[-1]) + span),
+        )
+        edges.append(e)
+        columns.append(draw(st.lists(values, min_size=m, max_size=m)))
+    return np.array(columns).T.copy(), edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(_binned_block())
+def test_bin_counts_equal_histogramdd(case):
+    block, edges = case
+    got = harness._bin_counts(block, edges)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.histogramdd(block, bins=edges)[0])
 
 
 def test_report_dict_schema():

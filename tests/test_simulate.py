@@ -17,6 +17,7 @@ from eulermc.model import Case, SchemeGrid, SdeModel, model_preset
 from eulermc.simulate import (
     _CHUNK,
     RngSpec,
+    _group_normals,
     _log,
     _map_work,
     _word_normals,
@@ -179,6 +180,10 @@ words = np.concatenate([RngSpec(5, 1).chunk(2).random_raw(2**16), ~np.arange(64,
 normals = _word_normals(words.copy(), np.empty(_map_work(words.size)))
 print(hashlib.sha256(normals.tobytes()).hexdigest())
 assert main(["simulate", "--set", "M=5000", "--set", "N=4", "--out-dir", sys.argv[1]]) == 0
+print(hashlib.sha256(Path(sys.argv[1], "samples.csv").read_bytes()).hexdigest())
+# d = 256: each step maps 153,600 words in three pieces (the run above
+# reads its full first chunk a batch of coordinates per call)
+assert main(["simulate", "--set", "d=256", "--set", "M=600", "--out-dir", sys.argv[1]]) == 0
 print(hashlib.sha256(Path(sys.argv[1], "samples.csv").read_bytes()).hexdigest())
 # full blocks of the CSV writer: normals, powers of ten and their neighbours,
 # ties at the 17th digit (m 2^-j), raw bit patterns and the int64 ends
@@ -733,6 +738,82 @@ def test_groups_read_each_samples_own_words(preset, params, x0, offset, M):
     for threads in (1, 2):
         got = simulate_terminal(m, grid, x0, RngSpec(12, 3), M, threads, offset)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [_CHUNK - 5, _CHUNK, 2 * _CHUNK, 3 * _CHUNK, 3 * _CHUNK + 7],
+        [2, _CHUNK, 2 * _CHUNK - 1],  # partial chunks that skip no 4-word block
+    ],
+    ids=["partial-full-partial", "unskipped-partials"],
+)
+@pytest.mark.parametrize("ndraw", [1, 2, 17, 256])
+def test_group_normals_are_the_words_of_their_index(ndraw, edges):
+    # a chunk that skips no block reads 16 coordinates a call, so 17 and 256
+    # cross that batch
+    rng, steps = RngSpec(41, 3), 2
+    m = edges[-1] - edges[0]
+    words = np.empty(ndraw * m, dtype=np.uint64)
+    normals = _group_normals(rng, edges, ndraw, steps, words, np.empty(_map_work(words.size)))
+    # word (n ndraw + k) 4096 + (i mod 4096) of chunk i // 4096
+    want = np.empty((steps, ndraw, m), dtype=np.uint64)
+    for a, b in zip(edges[:-1], edges[1:]):
+        c, lo = divmod(a, _CHUNK)
+        stream = rng.chunk(c).random_raw(steps * ndraw * _CHUNK).reshape(steps, ndraw, _CHUNK)
+        want[:, :, a - edges[0] : b - edges[0]] = stream[:, :, lo : lo + b - a]
+    for n, got in enumerate(normals):
+        assert got.shape == (m, ndraw)
+        assert np.array_equal(got, _normals(want[n]).T), n
+
+
+class _CountedReads:
+    """A chunk's bit generator that records the size of each random_raw call."""
+
+    def __init__(self, bitgen, reads):
+        self.bitgen, self.reads = bitgen, reads
+
+    def random_raw(self, size):
+        self.reads.append(size)
+        return self.bitgen.random_raw(size)
+
+    def advance(self, delta):
+        self.bitgen.advance(delta)
+
+
+@pytest.mark.parametrize("ndraw", [1, 2, 17, 256])
+def test_a_full_chunk_reads_16_coordinates_a_call(monkeypatch, ndraw):
+    reads, chunk = [], RngSpec.chunk
+    monkeypatch.setattr(RngSpec, "chunk", lambda self, c: _CountedReads(chunk(self, c), reads))
+    words = np.empty(ndraw * _CHUNK, dtype=np.uint64)
+    work = np.empty(_map_work(words.size))
+    for n, _ in enumerate(_group_normals(RngSpec(2), [_CHUNK, 2 * _CHUNK], ndraw, 3, words, work)):
+        assert len(reads) == (n + 1) * -(-ndraw // 16)
+    assert sum(reads) == 3 * ndraw * _CHUNK and max(reads) <= 16 * _CHUNK
+
+
+def test_a_high_d_group_maps_its_words_in_pieces(monkeypatch):
+    # at ndraw = 256 a chunk's step reads 2^20 words: the work buffer holds
+    # the state, not 3 floats a word, and the map runs in 2^16-word pieces
+    assert _map_work(256 * _CHUNK) == _map_work(2**16) == 3 * 2**16 + 8
+    m = model_preset("const", d=256)
+    sizes = []
+
+    def group_normals(rng, edges, ndraw, steps, words, work):
+        sizes.append(work.size)
+        return _group_normals(rng, edges, ndraw, steps, words, work)
+
+    monkeypatch.setattr(simulate, "_group_normals", group_normals)
+    simulate_terminal(m, SchemeGrid(T=1.0, N=1), np.zeros(256), RngSpec(6), _CHUNK + 3)
+    assert sizes == [max(_map_work(2**16), _CHUNK * 256)] * 2
+    # the piecewise map equals one whole-array call: rare branches at the
+    # piece edges, then the same words with a piece larger than the array
+    words = RngSpec(7).chunk(0).random_raw(256 * _CHUNK)
+    for edge in range(2**16, words.size, 2**16):
+        words[edge - 3 : edge + 3] = _EDGE_WORDS[:6]
+    pieces = _normals(words.copy())
+    monkeypatch.setattr(simulate, "_BLOCK_WORDS", words.size)
+    assert np.array_equal(pieces, _normals(words))
 
 
 @pytest.mark.parametrize(
