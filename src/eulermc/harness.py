@@ -497,14 +497,15 @@ def run_concentration_experiment(cfg: ExperimentConfig) -> dict:
 _HIST_BLOCK = 1 << 16
 
 
-def _bin_counts(block: np.ndarray, edges: list[np.ndarray]) -> np.ndarray:
-    """np.histogramdd(block, bins=edges)[0], count for count, for finite
-    samples and strictly increasing edges, two or more a column, without its
-    binary searches: a sample's index, the number of edges at or below it,
-    is guessed from the first spacing (exact for np.arange edges but for
+def _bin_counts(columns: np.ndarray, edges: list[np.ndarray]) -> np.ndarray:
+    """np.histogramdd(columns.T, bins=edges)[0], count for count, for a
+    (d, k) block of k finite samples, a column of each coordinate, and
+    strictly increasing edges, two or more a column, without its binary
+    searches: a sample's index, the number of edges at or below it, is
+    guessed from the first spacing (exact for np.arange edges but for
     rounding) and stepped toward the edges themselves until it is right."""
     index = []
-    for x, e in zip(block.T, edges):
+    for x, e in zip(columns, edges):
         ends = np.concatenate(([-np.inf], e, [np.inf]))  # index i on [ends[i], ends[i + 1])
         guess = np.subtract(x, e[0])
         guess /= e[1] - e[0]
@@ -519,6 +520,31 @@ def _bin_counts(block: np.ndarray, edges: list[np.ndarray]) -> np.ndarray:
     shape = [e.size + 1 for e in edges]  # the outer bins hold samples outside the edges
     counts = np.bincount(np.ravel_multi_index(index, shape), minlength=math.prod(shape))
     return counts.reshape(shape)[(slice(1, -1),) * len(edges)].astype(float)
+
+
+def _column_stats(s: np.ndarray):
+    """The minimum, maximum and s.std(axis=0, ddof=1) of each column of the
+    (n, d) samples s, bit for bit, in contiguous passes.  numpy sums the one
+    column of d = 1 pairwise, so d = 1 keeps s.std.  For d >= 2 numpy sums
+    the rows in sequence, and a running sum (np.add.accumulate, in place)
+    down a copy of each column makes the same additions, in one column of
+    scratch rather than an (n, d) temporary."""
+    n, d = s.shape
+    # a spread that overflows is refused by the caller, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if d == 1:
+            return s.min(axis=0), s.max(axis=0), s.std(axis=0, ddof=1)
+        lo, hi, var = np.empty(d), np.empty(d), np.empty(d)
+        col = np.empty(n)
+        for j in range(d):
+            np.copyto(col, s[:, j])
+            lo[j], hi[j] = col.min(), col.max()
+            # numpy's _var: the mean, the squared deviations, their sum over n - 1
+            mean = np.add.accumulate(col, out=col)[-1] / n
+            np.subtract(s[:, j], mean, out=col)
+            col *= col
+            var[j] = np.add.accumulate(col, out=col)[-1] / (n - 1)
+        return lo, hi, np.sqrt(var)
 
 
 def run_density_check(cfg: ExperimentConfig) -> dict:
@@ -562,18 +588,21 @@ def run_density_check(cfg: ExperimentConfig) -> dict:
             raise ConfigError(f"high_mass_fraction must be in [0, 1], got {cfg.high_mass_fraction}")
         s = _simulate(cfg, model, tgrid, cfg.density_samples)
         n = s.shape[0]
+        lo, hi, spread = _column_stats(s)
         with np.errstate(over="ignore", invalid="ignore"):
-            widths = 3.49 * s.std(axis=0, ddof=1) * n ** (-1.0 / (2 + model.d))
-        # a column at a time: numpy reduces an (n, 2) array over axis 0 row by row
-        lo = np.array([s[:, i].min() for i in range(model.d)])
-        hi = np.array([s[:, i].max() for i in range(model.d)])
+            widths = 3.49 * spread * n ** (-1.0 / (2 + model.d))
         if not (np.isfinite(widths) & (widths > 0) & (hi > lo)).all():
             raise NumericError(f"samples in [{lo}, {hi}] give Scott-rule bin widths {widths}")
         edges = [np.arange(lo[i], hi[i] + widths[i], widths[i]) for i in range(model.d)]
-        # binned a block of samples at a time, so the bin indices of all n
-        # samples never coexist; each count is an integer, so the sum is exact
-        blocks = range(0, n, _HIST_BLOCK)
-        counts = sum(_bin_counts(s[k : k + _HIST_BLOCK], edges) for k in blocks)
+        # binned a block of samples at a time, from contiguous copies of its
+        # columns, so the bin indices of all n samples never coexist; each
+        # count is an integer, so the sum is exact
+        columns = np.empty((model.d, min(n, _HIST_BLOCK)))
+        counts = 0.0
+        for k in range(0, n, _HIST_BLOCK):
+            block = columns[:, : min(n - k, _HIST_BLOCK)]
+            np.copyto(block, s[k : k + _HIST_BLOCK].T)
+            counts += _bin_counts(block, edges)
         vols = math.prod(float(w[1] - w[0]) for w in edges)
         centers_1d = [0.5 * (e[:-1] + e[1:]) for e in edges]
         mesh = np.stack(np.meshgrid(*centers_1d, indexing="ij"), axis=-1).reshape(-1, model.d)

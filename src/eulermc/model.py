@@ -32,11 +32,16 @@ class SdeModel:
     """Diffusion model together with its ellipticity/boundedness metadata.
 
     drift maps (t, x) with x of shape (..., d) to shape (..., d_prime); for
-    kinetic models this is the velocity-block drift only.  noise maps
-    (t, x, g) with g of shape (..., d_prime) to sigma(t, x) g, of shape
+    kinetic models this is the velocity-block drift only.  drift is None for
+    a drift that is zero everywhere: the step then adds 0.0 in place of
+    b delta and b delta^2/2, which for finite states and delta > 0 has the
+    bits of a +0.0 drift and of the undamped kinetic -0.0 tanh(v).  noise
+    maps (t, x, g) with g of shape (..., d_prime) to sigma(t, x) g, of shape
     (..., d_prime): it is linear in g and never writes into g, and it may
-    return g itself.  Both callables must be vectorized over the leading
-    axes of x and g.
+    return g itself, as the presets do at sigma0 = 1.  Both callables must
+    be vectorized over the leading axes of x and g, which may be strided
+    views: simulate_terminal passes (m, d) transposes of row-major (d, m)
+    blocks, so the m values of one coordinate are contiguous.
 
     lambda0 bounds the ellipticity ratio of a = sigma sigma^T into
     [1/lambda0, lambda0], L0 bounds sup|drift| plus the Holder quotient of a
@@ -50,7 +55,7 @@ class SdeModel:
 
     case: Case
     d: int
-    drift: Callable[[float, np.ndarray], np.ndarray]
+    drift: Callable[[float, np.ndarray], np.ndarray] | None
     noise: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     lambda0: float
     L0: float
@@ -140,6 +145,13 @@ def _scalar_noise_lambda0(s0: float) -> float:
         raise NumericError(f"sigma0 = {s0!r}: max(sigma0^2, sigma0^-2) overflows") from None
 
 
+def _scalar_noise(s0: float):
+    """The noise s0 g: g itself at s0 = 1, where 1.0 * g has g's bits."""
+    if s0 == 1.0:
+        return lambda t, x, g: g
+    return lambda t, x, g: s0 * g
+
+
 def _const_model(d=1, b0=0.0, sigma0=1.0):
     d = int(d)
     b = np.atleast_1d(np.asarray(b0, dtype=float))
@@ -152,13 +164,14 @@ def _const_model(d=1, b0=0.0, sigma0=1.0):
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(b, x.shape[:-1] + (d,))
 
-    def noise(t, x, g):
-        return s0 * g
-
     # hypot, unlike np.linalg.norm, does not overflow for |b| above 1e154
     L0 = max(1.0, math.hypot(*b))
     lambda0 = _scalar_noise_lambda0(s0)  # first: it refuses a sigma0 whose square underflows
-    return SdeModel(Case.NONDEGENERATE, d, drift, noise, lambda0, L0, law=(1.0 / s0**2, b))
+    zero = not (b.any() or np.signbit(b).any())  # +0.0 everywhere: no drift (SdeModel)
+    return SdeModel(
+        Case.NONDEGENERATE, d, None if zero else drift, _scalar_noise(s0), lambda0, L0,
+        law=(1.0 / s0**2, b),
+    )
 
 
 def _trig_model(b_amp=0.0, a_amp=0.1):
@@ -192,15 +205,17 @@ def _kinetic_model(dp=1, damp=0.0, sigma0=1.0):
         x = np.asarray(x, dtype=float)
         return -damp * np.tanh(x[..., :dp])
 
-    def noise(t, x, g):
-        return s0 * g
-
     L0 = max(1.0, abs(damp) * math.sqrt(dp))
     lambda0 = _scalar_noise_lambda0(s0)  # first: it refuses a sigma0 whose square underflows
     # undamped, X_T follows p_c(T, x0, .); damped, the twin drops the damping
     law = (2.0 / s0**2, None) if damp == 0.0 else None
     twin = None if law else _kinetic_model(dp, 0.0, s0)
-    return SdeModel(Case.KINETIC, 2 * dp, drift, noise, lambda0, L0, law, twin)
+    # -0.0 tanh(v) is a drift the step may drop (SdeModel); at damp = -0.0,
+    # +0.0 tanh(v) is not: its zeros have v's sign
+    zero = damp == 0.0 and math.copysign(1.0, damp) > 0
+    return SdeModel(
+        Case.KINETIC, 2 * dp, None if zero else drift, _scalar_noise(s0), lambda0, L0, law, twin
+    )
 
 
 MODEL_PRESETS = {

@@ -133,11 +133,15 @@ def _step_moments(model: SdeModel, tgrid: SchemeGrid, steps, pts):
     """Yield (b delta, a delta) at (t_k, pts) for each step k in steps: the
     mean shift and the variance of one scheme step from each scalar point.
     The model's drift and noise are called once per step: the noise applied
-    to a unit draw is the scalar sigma, and a = sigma sigma."""
+    to a unit draw is the scalar sigma, and a = sigma sigma; a drift of None
+    is +0.0 at every point."""
     xs = np.asarray(pts, dtype=float).reshape(-1, 1)
     ones = np.ones_like(xs)
     for k in steps:
-        b = np.asarray(model.drift(tgrid.times[k], xs), dtype=float).reshape(-1)
+        if model.drift is None:
+            b = np.zeros(xs.shape[0])
+        else:
+            b = np.asarray(model.drift(tgrid.times[k], xs), dtype=float).reshape(-1)
         s = np.asarray(model.noise(tgrid.times[k], xs, ones), dtype=float).reshape(-1)
         yield b * tgrid.delta, s * s * tgrid.delta
 

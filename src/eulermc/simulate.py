@@ -348,27 +348,38 @@ def scheme_step(model: SdeModel, t: float, x, delta: float, gaussian, out=None) 
     with mean v + b delta and covariance a delta.  A kinetic model draws d'
     more normals g2 to complete the integrated-position block
     z + v delta + b delta^2/2 + noise, so the joint law has covariance blocks
-    (a d, a d^2/2; a d^2/2, a d^3/3).  What noise returns is never written
-    into, as it may be g1 itself.  The result is written into out, an array
-    of x's shape that shares no memory with x or the normals, or into a new
-    array when out is None.  It is not checked for finiteness;
-    simulate_terminal checks each step's batch.
+    (a d, a d^2/2; a d^2/2, a d^3/3).  A model without drift (model.drift
+    None) has v + 0.0 and (z + v delta) + 0.0 in place of the drift terms.
+    What noise returns is never written into, as it may be g1 itself.
+
+    x, gaussian and out may be strided views of any layout; the step is
+    elementwise, so its bits do not depend on it, and each numpy pass runs
+    fastest when the three share one.  simulate_terminal passes the (m, d)
+    transposes of row-major (d, m) blocks, so that each coordinate's column
+    is contiguous.  The result is written into out, an array of x's shape
+    that shares no memory with x or the normals, or into a new array when
+    out is None.  It is not checked for finiteness; simulate_terminal checks
+    each step's batch.
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(gaussian, dtype=float)
     dp = model.d_prime
     v, g1 = x[..., :dp], g[..., :dp]
-    b = np.asarray(model.drift(t, x), dtype=float)
     rt = math.sqrt(delta)
+    kinetic = model.case is Case.KINETIC
     # sums in place, in the order of v + b delta + rt E: IEEE + and * commute
     res = np.empty(x.shape) if out is None else out
     vel = res[..., :dp]
-    np.multiply(b, delta, out=vel)
-    vel += v
-    kinetic = model.case is Case.KINETIC
-    if kinetic:  # b delta^2 / 2 at b's last use: fewer arrays alive at once
-        b = 0.5 * b
-        b *= delta * delta
+    if model.drift is None:  # the bits of a +0.0 drift (SdeModel)
+        np.add(v, 0.0, out=vel)
+        b = 0.0
+    else:
+        b = np.asarray(model.drift(t, x), dtype=float)
+        np.multiply(b, delta, out=vel)
+        vel += v
+        if kinetic:  # b delta^2 / 2 at b's last use: fewer arrays alive at once
+            b = 0.5 * b
+            b *= delta * delta
     # *, not *=: numpy reuses the buffer of a temporary that nothing else holds
     vel += model.noise(t, x, g1) * rt
     if not kinetic:
@@ -410,6 +421,10 @@ def simulate_terminal(
     allocates its scratch, the group's words and the map's work buffer, on
     its first group and reuses it for every later group and step; the call
     drops it on return, no module holds any, and no output depends on it.
+    A group of m samples keeps its state in the normals' layout: its own
+    m d floats of the output, read as a row-major (d, m) block, are stepped
+    as their (m, d) transpose into the work buffer and copied back, and its
+    m rows are written once, after the last step.
     Each step's batch is checked for finiteness: NumericError names the step
     and the first sample of the first chunk that fails.
     """
@@ -444,17 +459,21 @@ def simulate_terminal(
                 np.empty(max(_map_work(ndraw * group), model.d * group)),
             )
         words, work = scratch[worker]
-        x = out[edges[0] - sample_offset : edges[-1] - sample_offset]  # the state, in its rows
-        x[:] = x0
-        nxt = work[: x.size].reshape(x.shape)
+        rows = out[edges[0] - sample_offset : edges[-1] - sample_offset]
+        state = rows.reshape(model.d, -1)  # the rows' floats, in the normals' layout
+        state[:] = x0[:, None]
+        nxt = work[: state.size].reshape(state.shape)
         steps = _group_normals(rng, edges, ndraw, grid.N, words, work)
         # a state that leaves the float range is refused below, without a warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for n, draws in enumerate(steps):
-                x[:] = scheme_step(model, grid.times[n], x, grid.delta, draws, nxt)
-                if not np.isfinite(x).all():
-                    i = int(np.argmin(np.isfinite(x).all(axis=1)))
+                scheme_step(model, grid.times[n], state.T, grid.delta, draws, nxt.T)
+                if not np.isfinite(nxt).all():
+                    i = int(np.argmin(np.isfinite(nxt).all(axis=0)))
                     raise NumericError(f"non-finite state at step {n} in sample {edges[0] + i}")
+                if n + 1 < grid.N:  # the next step's map overwrites nxt
+                    state[:] = nxt
+        rows[:] = nxt.T  # the map ran no more after the last step
 
     def run_group(edges: list[int]) -> None:
         try:

@@ -14,11 +14,15 @@ eulermc.simulate, and a scalar port of its normal map (Cephes ndtri on
 fdlibm's log) checks the normals it makes of them.  The matrix form of the
 scheme step, sigma as a (..., d', d') matrix applied by einsum, checks
 simulate.scheme_step, and sigma read off a model's noise on the unit
-vectors checks the presets' ellipticity.
+vectors checks the presets' ellipticity.  A row-major step loop, each
+chunk's state stepped in its rows of the output with the presets' drift and
+noise computed in full (the kinetic -0.0 tanh(v) and sigma0 g at sigma0 = 1
+included), checks simulate.simulate_terminal bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import decimal
 import math
 import struct
@@ -31,7 +35,7 @@ from scipy.special import erfc
 from eulermc.control import ControlProblem
 from eulermc.errors import ConfigError, NumericError
 from eulermc.gaussianref import KernelSpec, _block, _transport, kernel_density, kernel_normalizer
-from eulermc.model import Case, SchemeGrid, SdeModel
+from eulermc.model import Case, SchemeGrid, SdeModel, model_preset
 from eulermc.parametrix import (
     _BLOCK,
     Grid1D,
@@ -44,7 +48,9 @@ from eulermc.parametrix import (
     _step_moments,
     one_step_density,
 )
-from eulermc.simulate import _P0, _P1, _P2, _Q0, _Q1, _Q2
+from eulermc.simulate import (
+    _CHUNK, _P0, _P1, _P2, _Q0, _Q1, _Q2, _group_normals, _map_work, draw_dim, scheme_step,
+)
 
 
 def adaptive_1d(f, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -520,11 +526,11 @@ def trig_sigma(a_amp: float, x) -> np.ndarray:
 def matrix_step(model: SdeModel, sig, t: float, x, delta: float, g) -> np.ndarray:
     """simulate.scheme_step with sigma given as the (..., d', d') matrix sig
     and applied to the normals by einsum, in the step's order of IEEE
-    operations otherwise."""
+    operations otherwise; a drift of None is 0.0."""
     x, g = np.asarray(x, dtype=float), np.asarray(g, dtype=float)
     dp = model.d_prime
     v, g1 = x[..., :dp], g[..., :dp]
-    b = np.asarray(model.drift(t, x), dtype=float)
+    b = 0.0 if model.drift is None else np.asarray(model.drift(t, x), dtype=float)
     rt = math.sqrt(delta)
     res = np.empty(x.shape)
     out = res[..., :dp]
@@ -547,6 +553,55 @@ def matrix_step(model: SdeModel, sig, t: float, x, delta: float, g) -> np.ndarra
     z += b
     z += noise
     return res
+
+
+def full_drift_model(name: str, **params) -> SdeModel:
+    """model_preset(name, **params) with its drift and noise computed in
+    full: const's b0 broadcast and the kinetic -damp tanh(v) at every b0 and
+    damp, +0.0 included, and sigma0 * g at every sigma0, 1 included (trig's
+    are unchanged)."""
+    model = model_preset(name, **params)
+    if name == "trig":
+        return model
+    dp, s0 = model.d_prime, float(params.get("sigma0", 1.0))
+    if name == "kinetic":
+        damp = float(params.get("damp", 0.0))
+
+        def drift(t, x):
+            return -damp * np.tanh(x[..., :dp])
+    else:
+        b = np.broadcast_to(np.asarray(params.get("b0", 0.0), dtype=float), (dp,))
+
+        def drift(t, x):
+            return np.broadcast_to(b, x.shape[:-1] + (dp,))
+
+    return dataclasses.replace(model, drift=drift, noise=lambda t, x, g: s0 * g)
+
+
+def row_major_terminal(model: SdeModel, grid: SchemeGrid, x0, rng, M: int, sample_offset: int = 0):
+    """simulate.simulate_terminal as a row-major step loop: the chunks in
+    turn, each with its state in its rows of the (M, d) output, stepped by
+    scheme_step on the chunk's normals into a new array.  With a model of
+    full_drift_model, every step takes the drift and noise passes that
+    matrix_step checks.  The first chunk with a non-finite state raises
+    NumericError, naming its first such step and that step's first such
+    sample."""
+    out = np.empty((M, model.d))
+    ndraw = draw_dim(model)
+    end = sample_offset + M
+    edges = [sample_offset, *range((sample_offset // _CHUNK + 1) * _CHUNK, end, _CHUNK), end]
+    for a, b in zip(edges[:-1], edges[1:]):
+        words = np.empty(ndraw * (b - a), dtype=np.uint64)
+        steps = _group_normals(rng, [a, b], ndraw, grid.N, words, np.empty(_map_work(words.size)))
+        x = out[a - sample_offset : b - sample_offset]
+        x[:] = x0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for n, g in enumerate(steps):
+                x[:] = scheme_step(model, grid.times[n], x, grid.delta, g)
+                if not np.isfinite(x).all():
+                    i = int(np.argmin(np.isfinite(x).all(axis=1)))
+                    raise NumericError(f"non-finite state at step {n} in sample {a + i}")
+    return out
 
 
 def _pairwise_defect(V: np.ndarray, Q: np.ndarray, spectra: list) -> np.ndarray:

@@ -786,7 +786,8 @@ def test_density_check_dimension_guard():
 
 @st.composite
 def _binned_block(draw):
-    """An (m, d) block and its np.arange edges, as run_density_check builds
+    """A (d, m) block, a column of m samples per coordinate, and its
+    np.arange edges, as run_density_check builds
     them from lo, hi and a width: spans from 1e-6 to 1e6, widths such as 0.1
     that binary does not hold, and samples on the edges, at lo and outside."""
     d = draw(st.sampled_from([1, 2]))
@@ -806,16 +807,30 @@ def _binned_block(draw):
         )
         edges.append(e)
         columns.append(draw(st.lists(values, min_size=m, max_size=m)))
-    return np.array(columns).T.copy(), edges
+    return np.array(columns), edges
 
 
 @settings(max_examples=300, deadline=None)
 @given(_binned_block())
 def test_bin_counts_equal_histogramdd(case):
-    block, edges = case
-    got = harness._bin_counts(block, edges)
+    columns, edges = case
+    got = harness._bin_counts(columns, edges)
     assert got.dtype == np.float64
-    assert np.array_equal(got, np.histogramdd(block, bins=edges)[0])
+    assert np.array_equal(got, np.histogramdd(columns.T, bins=edges)[0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 129, 8193, 250_000])
+@pytest.mark.parametrize("d", [1, 2])
+def test_column_stats_are_numpys_to_the_bit(n, d, numpy_normals):
+    # numpy sums an (n, 2) array over axis 0 row by row, and the one column
+    # of an (n, 1) array pairwise; the running sums must make its additions,
+    # on subnormal spreads, large means and sums that overflow
+    for scale, shift in [(1.0, 0.0), (1e-310, 3e-310), (3.0, 1e6), (1e306, 1e307)]:
+        s = shift + scale * numpy_normals(n, (n, d))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = (s.min(axis=0), s.max(axis=0), s.std(axis=0, ddof=1))
+        for got, w in zip(harness._column_stats(s), want):
+            assert np.array_equal(got.view(np.int64), w.view(np.int64)), (scale, got, w)
 
 
 def test_report_dict_schema():

@@ -12,8 +12,8 @@ import pytest
 from scipy.stats import chisquare, norm
 
 from eulermc import simulate
-from eulermc.errors import ConfigError
-from eulermc.model import Case, SchemeGrid, SdeModel, model_preset
+from eulermc.errors import ConfigError, NumericError
+from eulermc.model import MODEL_PRESETS, Case, SchemeGrid, SdeModel, model_preset
 from eulermc.simulate import (
     _CHUNK,
     RngSpec,
@@ -25,7 +25,16 @@ from eulermc.simulate import (
     scheme_step,
     simulate_terminal,
 )
-from oracles import _philox4x64, chunk_words, fdlibm_log, matrix_step, trig_sigma, word_normals
+from oracles import (
+    _philox4x64,
+    chunk_words,
+    fdlibm_log,
+    full_drift_model,
+    matrix_step,
+    row_major_terminal,
+    trig_sigma,
+    word_normals,
+)
 
 
 def _normals(words):
@@ -184,6 +193,10 @@ print(hashlib.sha256(Path(sys.argv[1], "samples.csv").read_bytes()).hexdigest())
 # d = 256: each step maps 153,600 words in three pieces (the run above
 # reads its full first chunk a batch of coordinates per call)
 assert main(["simulate", "--set", "d=256", "--set", "M=600", "--out-dir", sys.argv[1]]) == 0
+print(hashlib.sha256(Path(sys.argv[1], "samples.csv").read_bytes()).hexdigest())
+# undamped kinetic dp = 2: every column op of the step on contiguous columns
+kinetic = ["--set", 'preset="kinetic"', "--set", "dp=2", "--set", "x0=[0]"]
+assert main(["simulate", *kinetic, "--set", "M=5000", "--out-dir", sys.argv[1]]) == 0
 print(hashlib.sha256(Path(sys.argv[1], "samples.csv").read_bytes()).hexdigest())
 # full blocks of the CSV writer: normals, powers of ten and their neighbours,
 # ties at the 17th digit (m 2^-j), raw bit patterns and the int64 ends
@@ -534,6 +547,24 @@ def test_each_worker_allocates_its_scratch_once(monkeypatch):
     calls.clear()
     two = simulate_terminal(m, grid, [0.0], RngSpec(9), M, threads=2)
     assert 1 <= len(calls) <= 2 and np.array_equal(one, two)
+    # nor is any state buffer allocated: a kinetic group steps its state in
+    # its own rows of the output and in the work buffer, so the arrays that
+    # simulate_terminal and its workers' `run` make are the output and each
+    # worker's words and work buffers
+    m, group = model_preset("kinetic", dp=1), 8 * _CHUNK
+    made, empty = [], np.empty
+
+    def spy(shape, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name in ("simulate_terminal", "run"):
+            made.append(math.prod(np.atleast_1d(shape)))
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", spy)
+    for threads in (1, 2):
+        made.clear()
+        simulate_terminal(m, grid, [0.0, 0.0], RngSpec(9), M, threads=threads)
+        scratch = sorted([2 * group, max(_map_work(2 * group), 2 * group)] * threads)
+        assert made[0] == 2 * M and sorted(made[1:]) in (scratch[::threads], scratch), made
 
 
 def test_concurrent_calls_keep_their_own_scratch():
@@ -738,6 +769,116 @@ def test_groups_read_each_samples_own_words(preset, params, x0, offset, M):
     for threads in (1, 2):
         got = simulate_terminal(m, grid, x0, RngSpec(12, 3), M, threads, offset)
         assert np.array_equal(got, want)
+
+
+# const and kinetic at sigma0 = 1, where the noise is g itself, and at 1.3;
+# undamped kinetic and b0 = 0 take no drift, damped kinetic and b0 != 0 do
+_ROW_MAJOR_CASES = [
+    (preset, {**params, **sigma0})
+    for preset, params in [
+        ("const", dict(d=1)),
+        ("const", dict(d=3)),
+        ("const", dict(d=3, b0=[0.3, -1.1, 2.0])),
+        ("kinetic", dict(dp=1)),
+        ("kinetic", dict(dp=3)),
+        ("kinetic", dict(dp=1, damp=0.5)),
+        ("kinetic", dict(dp=3, damp=0.5)),
+    ]
+    for sigma0 in ({}, {"sigma0": 1.3})
+] + [("trig", dict(a_amp=0.3, b_amp=0.2))]
+
+
+@pytest.mark.parametrize("preset, params", _ROW_MAJOR_CASES, ids=str)
+def test_runs_match_the_row_major_step_loop(preset, params):
+    # samples 3000 to 35,844: partial first and last chunks, in two groups
+    # at ndraw <= 2 and five at ndraw = 6; the state starts at a -0.0
+    m = model_preset(preset, **params)
+    grid, rng, M, offset = SchemeGrid(T=1.5, N=3), RngSpec(19, 2), 8 * _CHUNK + 77, 3000
+    x0 = np.resize([-0.0, 0.3, -1.2], m.d)
+    want = row_major_terminal(full_drift_model(preset, **params), grid, x0, rng, M, offset)
+    for threads in (1, 2):
+        got = simulate_terminal(m, grid, x0, rng, M, threads, offset)
+        assert got.flags.c_contiguous
+        _assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("case, d", [(Case.KINETIC, 4), (Case.NONDEGENERATE, 3)])
+def test_a_diverging_run_fails_as_the_row_major_loop_does(case, d):
+    dp = d // 2 if case is Case.KINETIC else d
+
+    def drift(t, x):
+        return np.where(np.abs(x[..., :dp]) > 2.5, np.inf, 0.0)
+
+    m = SdeModel(case, d, drift, lambda t, x, g: g, 1.0, 1.0)
+    grid, rng, M, offset = SchemeGrid(T=2.0, N=8), RngSpec(5, 2), 3 * _CHUNK + 10, 1000
+    with pytest.raises(NumericError) as want:
+        row_major_terminal(m, grid, np.zeros(d), rng, M, offset)
+    for threads in (1, 2):
+        with pytest.raises(NumericError) as got:
+            simulate_terminal(m, grid, np.zeros(d), rng, M, threads, offset)
+        assert str(got.value) == str(want.value)
+
+
+# the signed values the zero-drift rule is pinned on, and the steps
+_SIGNED = [sign * v for v in (0.0, 1e-320, 1e-300, 0.5, 3.0, 1e300) for sign in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("delta", [0.125, 1e-170, 1e-200])
+def test_a_zero_drift_adds_0_0_and_a_unit_noise_is_g(delta, numpy_normals):
+    v, z = (a.ravel() for a in np.meshgrid(_SIGNED, _SIGNED))
+    # the undamped kinetic drift -0.0 tanh(v), and const's +0.0, give the
+    # bits of v + 0.0 and (v delta + z) + 0.0
+    for b in (-0.0 * np.tanh(v), np.zeros_like(v)):
+        _assert_same_bits(b * delta + v, v + 0.0)
+        half = 0.5 * b
+        half *= delta * delta
+        _assert_same_bits((v * delta + z) + half, (v * delta + z) + 0.0)
+    # +0.0 tanh(v), at damp = -0.0, does not: its zeros have v's sign
+    b = 0.0 * np.tanh(v)
+    assert not np.array_equal((b * delta + v).view(np.int64), (v + 0.0).view(np.int64))
+    _assert_same_bits(1.0 * v, v)  # sigma0 = 1
+    # so the presets drop those drifts and return g at sigma0 = 1 ...
+    assert model_preset("kinetic").drift is None and model_preset("const", d=2).drift is None
+    for preset, params in [("kinetic", dict(damp=-0.0)), ("kinetic", dict(damp=0.5)), ("const", dict(b0=-0.0))]:
+        assert model_preset(preset, **params).drift is not None
+    g = numpy_normals(9, (4, 2))
+    assert model_preset("kinetic").noise(0.0, g, g) is g
+    # ... and a step on the table is the full step to the bit, with signed
+    # zero normals too, for which a signed zero state would show
+    x = np.stack([v, z], axis=1)
+    g = x[:, ::-1] / 1e300
+    for preset, params in [("kinetic", dict(dp=1)), ("const", dict(d=2)), ("kinetic", dict(dp=1, damp=-0.0))]:
+        want = scheme_step(full_drift_model(preset, **params), 0.0, x, delta, g)
+        _assert_same_bits(scheme_step(model_preset(preset, **params), 0.0, x, delta, g), want)
+
+
+@pytest.mark.parametrize("case, d", [(Case.KINETIC, 2), (Case.KINETIC, 6), (Case.NONDEGENERATE, 3)])
+def test_steps_see_contiguous_columns(monkeypatch, case, d):
+    # a spy preset: its drift and noise see each block of the state, and the
+    # normals, as columns of unit stride
+    dp = d // 2 if case is Case.KINETIC else d
+    calls = []
+
+    def unit_stride(a):
+        return a.size == 0 or a.strides[0] == a.itemsize
+
+    def spy():
+        def drift(t, x):
+            calls.append("drift")
+            assert unit_stride(x[..., :dp]) and unit_stride(x[..., dp:]), x.strides
+            return np.zeros(x.shape[:-1] + (dp,))
+
+        def noise(t, x, g):
+            calls.append("noise")
+            assert unit_stride(g), g.strides
+            return g
+
+        return SdeModel(case, d, drift, noise, 1.0, 1.0)
+
+    monkeypatch.setitem(MODEL_PRESETS, "spy", spy)
+    m, grid = model_preset("spy"), SchemeGrid(T=1.0, N=2)
+    simulate_terminal(m, grid, np.zeros(d), RngSpec(3), 2 * _CHUNK + 9, threads=2, sample_offset=5)
+    assert "drift" in calls and "noise" in calls
 
 
 @pytest.mark.parametrize(
